@@ -1,0 +1,111 @@
+//! Golden digests of what goes on air and what comes back off it.
+//!
+//! Every stream below is pinned as an FNV-64 digest of its `f32::to_bits`
+//! words, so a refactor of the transmit chain, the overlap-save filters or
+//! the burst scanner that moves a single ulp anywhere fails here. The
+//! digests were taken before the DSP engines were folded into one and must
+//! pass unchanged with and without `SONIC_DSP_FORCE_SCALAR=1` (the SIMD
+//! kernels are bit-identical to their scalar twins by construction).
+
+use sonic::core::frame::{Frame, FRAME_PAYLOAD};
+use sonic::core::link::{self, FRAMES_PER_BURST};
+use sonic::dsp::C32;
+use sonic::image::hash::Fnv64;
+use sonic::modem::ofdm::Demodulator;
+use sonic::modem::{demodulate_frames, Profile};
+use sonic::radio::mpx::{compose, decompose, MpxInput};
+
+fn digest_f32(samples: &[f32]) -> u64 {
+    let mut h = Fnv64::new();
+    for s in samples {
+        h.write(&s.to_bits().to_le_bytes());
+    }
+    h.finish()
+}
+
+fn digest_c32(samples: &[C32]) -> u64 {
+    let mut h = Fnv64::new();
+    for s in samples {
+        h.write(&s.re.to_bits().to_le_bytes());
+        h.write(&s.im.to_bits().to_le_bytes());
+    }
+    h.finish()
+}
+
+/// Two full bursts and a short third one, with every byte of every frame
+/// fixed by its index.
+fn frames() -> Vec<Frame> {
+    (0..2 * FRAMES_PER_BURST + 7)
+        .map(|i| {
+            let payload: Vec<u8> = (0..FRAME_PAYLOAD - i % 5)
+                .map(|k| (i * 131 + k * 29 + (k >> 3)) as u8)
+                .collect();
+            if i % 9 == 0 {
+                Frame::Meta {
+                    page_id: 0x50_4E_1C,
+                    seq: (i / 9) as u16,
+                    total: 10,
+                    payload,
+                }
+            } else {
+                Frame::Strip {
+                    page_id: 0x50_4E_1C,
+                    column: (i / 3) as u16,
+                    seq: (i % 3) as u16,
+                    last: i % 3 == 2,
+                    payload,
+                }
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn transmit_audio_baseband_and_recovered_payloads_are_pinned() {
+    let profile = Profile::sonic_10k();
+    let audio = link::modulate(&profile, &frames());
+    assert_eq!(audio.len(), 351_552);
+    assert_eq!(digest_f32(&audio), 0x4331_c8f7_4388_52de, "tx audio moved");
+
+    let baseband = Demodulator::new(profile.clone()).to_baseband(&audio);
+    assert_eq!(baseband.len(), audio.len());
+    assert_eq!(digest_c32(&baseband), 0x28d0_5914_7a5e_71dc, "rx baseband moved");
+
+    let recovered = demodulate_frames(&profile, &audio);
+    assert_eq!(recovered.len(), 3);
+    let mut h = Fnv64::new();
+    for burst in &recovered {
+        h.write_u64(burst.start_sample as u64);
+        h.write(burst.payload.as_ref().expect("clean audio decodes"));
+    }
+    assert_eq!(h.finish(), 0xfc2f_cc1a_da43_d412, "recovered payloads moved");
+}
+
+#[test]
+fn mpx_decompose_is_pinned_with_and_without_a_stereo_channel() {
+    let profile = Profile::sonic_10k();
+    let mono = link::modulate(&profile, &frames()[..10]);
+
+    // Pilot absent: only the shared three-band pass runs.
+    let out = decompose(&compose(&MpxInput {
+        mono: mono.clone(),
+        ..Default::default()
+    }));
+    assert!(out.stereo_diff.is_none());
+    assert_eq!(digest_f32(&out.mono), 0xe726_77f6_c573_524b, "mono (no pilot) moved");
+
+    // Pilot present: the stereo branch is the only production user of the
+    // single-band real filter (stereo band, regenerated carrier, post-mix
+    // low-pass), so its output is pinned too.
+    let diff: Vec<f32> = (0..mono.len())
+        .map(|i| 0.3 * (std::f64::consts::TAU * 2_500.0 * i as f64 / 44_100.0).sin() as f32)
+        .collect();
+    let out = decompose(&compose(&MpxInput {
+        mono,
+        stereo_diff: Some(diff),
+        ..Default::default()
+    }));
+    assert_eq!(digest_f32(&out.mono), 0x470d_3dd6_1288_a815, "mono (pilot) moved");
+    let stereo = out.stereo_diff.expect("pilot detected");
+    assert_eq!(digest_f32(&stereo), 0x8344_3d8e_b574_f497, "stereo difference moved");
+}
