@@ -271,7 +271,7 @@ impl ArtifactCache {
     /// the pixels did not. Everything that reaches the client must match —
     /// raster, click map, TTL, URL — because the click map and TTL ride in
     /// the meta frames. On success the entry's layout hash is refreshed so
-    /// the next refresh takes the cheaper [`get_if_layout`] path.
+    /// the next refresh takes the cheaper [`Self::get_if_layout`] path.
     #[allow(clippy::too_many_arguments)]
     pub fn get_if_raster(
         &mut self,

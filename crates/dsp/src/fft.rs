@@ -1,9 +1,19 @@
-//! Radix-2 iterative Cooley-Tukey FFT.
+//! Interleaved iterative Cooley-Tukey FFT: radix-2 forward, radix-4 inverse.
 //!
-//! The OFDM modem performs one forward or inverse transform per symbol, so
-//! the plan (bit-reversal permutation + twiddle table) is computed once in
-//! [`Fft::new`] and reused. Sizes must be powers of two; the SONIC profiles
-//! use 1024.
+//! [`Fft`] has exactly two roles. Its [`inverse`](Fft::inverse) is the
+//! transmit IFFT: one per OFDM symbol, radix-4 at the profiles' 1024 points.
+//! Its [`forward`](Fft::forward) is the scalar oracle the planned
+//! split-plane transform ([`crate::plan::FftPlan::forward_split`], which
+//! does the receive and overlap-save work) is tested bit-identical against.
+//!
+//! The two are not folded into one: `FftPlan`'s inverse is radix-2, and
+//! airing it instead of the radix-4 one moves the transmitted audio in the
+//! last ulp — enough to change which bursts a marginal FM hop loses (on the
+//! benchmark's `trip_fm` at seed 1: 11.31 → 11.17 s of air per page, 1.400
+//! → 1.367 SMS per page). Same bits on air outranks one fewer type.
+//!
+//! The plan (permutations + twiddle table) is computed once in [`Fft::new`]
+//! and reused. Sizes must be powers of two.
 
 use crate::complex::C32;
 
@@ -19,8 +29,8 @@ pub struct Fft {
     inv_twiddles: Vec<C32>,
     /// Bit-reversal permutation indices.
     rev: Vec<u32>,
-    /// Base-4 digit-reversal permutation indices for the radix-4 path.
-    /// Empty when `log2(n)` is odd (the radix-4 path falls back to radix-2).
+    /// Base-4 digit-reversal permutation indices for the radix-4 inverse.
+    /// Empty when `log2(n)` is odd (the inverse then runs radix-2).
     rev4: Vec<u32>,
 }
 
@@ -91,7 +101,7 @@ impl Fft {
         let log2 = self.n.trailing_zeros();
         if log2.is_multiple_of(2) {
             self.permute4(buf);
-            self.radix4_butterflies(buf, true);
+            self.inverse_radix4_butterflies(buf);
         } else {
             self.permute(buf);
             self.butterflies(buf, true);
@@ -137,125 +147,6 @@ impl Fft {
             len <<= 1;
         }
     }
-}
-
-/// Forward DFT specialized for real input via the half-size packing trick:
-/// the `n` real samples are viewed as `n/2` complex samples, transformed
-/// with an `n/2`-point complex FFT (radix-4 where the size allows), then
-/// untangled into the full `n`-bin spectrum.
-///
-/// Roughly 2× cheaper than padding into [`Fft::forward`]. This is a separate
-/// opt-in path: its output differs from the complex transform only by float
-/// rounding, so the bit-exact OFDM hot paths keep using [`Fft`] while
-/// spectral measurements use this.
-#[derive(Debug, Clone)]
-pub struct RealFft {
-    n: usize,
-    half: Fft,
-    /// `e^{-2πjk/n}` for the untangle stage, `k < n/4 + 1`.
-    untangle: Vec<C32>,
-}
-
-impl RealFft {
-    /// Builds a plan for an `n`-point real transform.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two or is smaller than 4.
-    pub fn new(n: usize) -> Self {
-        assert!(
-            n.is_power_of_two() && n >= 4,
-            "real FFT size must be a power of two >= 4, got {n}"
-        );
-        let untangle = (0..n / 4 + 1)
-            .map(|k| C32::from_angle(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-            .collect();
-        RealFft {
-            n,
-            half: Fft::new(n / 2),
-            untangle,
-        }
-    }
-
-    /// Transform size (number of real input samples and complex output bins).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false; plans are at least 4 points. Present for API symmetry.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Computes the full `n`-bin spectrum of `signal` into `out`
-    /// (`out` is resized to `n`). Matches [`Fft::forward`] on the same
-    /// zero-imaginary input up to float rounding.
-    ///
-    /// # Panics
-    /// Panics if `signal.len() != self.len()`.
-    pub fn forward(&self, signal: &[f32], out: &mut Vec<C32>) {
-        assert_eq!(signal.len(), self.n, "signal length must equal FFT size");
-        let h = self.n / 2;
-        // Pack adjacent real samples into complex values: z[t] = x[2t] + j·x[2t+1].
-        out.clear();
-        out.reserve(self.n);
-        for t in 0..h {
-            out.push(C32::new(signal[2 * t], signal[2 * t + 1]));
-        }
-        self.half.forward_radix4(&mut out[..h]);
-
-        // Untangle: with E/O the DFTs of the even/odd subsequences,
-        //   Z[k]      = E[k] + jO[k]
-        //   Z[h-k]^*  = E[k] - jO[k]
-        // so X[k] = E[k] + W_n^k O[k] and X[k+h] = E[k] - W_n^k O[k].
-        out.resize(self.n, C32::ZERO);
-        let (lo, hi) = out.split_at_mut(h);
-        // DC and Nyquist bins are real-valued combinations of Z[0].
-        let z0 = lo[0];
-        lo[0] = C32::new(z0.re + z0.im, 0.0);
-        hi[0] = C32::new(z0.re - z0.im, 0.0);
-        for k in 1..h / 2 + 1 {
-            let zk = lo[k];
-            let zmk = if k == h - k { zk } else { lo[h - k] };
-            let e = (zk + zmk.conj()).scale(0.5);
-            let o_j = (zk - zmk.conj()).scale(0.5); // j·O[k]
-            let o = C32::new(o_j.im, -o_j.re);
-            let w = self.untangle[k];
-            let t = o * w;
-            let xk = e + t;
-            let xkh = e - t;
-            lo[k] = xk;
-            hi[k] = xkh;
-            if k != h - k {
-                // Real-input symmetry: X[n-k] = X[k]^*.
-                lo[h - k] = xkh.conj();
-                hi[h - k] = xk.conj();
-            }
-        }
-        // Fix the ordering: bins h/2+1..h of the lower half were written as
-        // conjugate-symmetric partners above; nothing else to do — lo holds
-        // X[0..h], hi holds X[h..n].
-    }
-}
-
-impl Fft {
-    /// In-place forward DFT using radix-4 butterflies where the size is a
-    /// power of 4 (falls back to [`Fft::forward`] otherwise). Radix-4 merges
-    /// two radix-2 stages and trades one complex multiply for trivial ±j
-    /// rotations, so its rounding differs slightly from the radix-2 path —
-    /// callers that require bit-exact agreement with the OFDM chain must use
-    /// [`Fft::forward`].
-    pub fn forward_radix4(&self, buf: &mut [C32]) {
-        assert_eq!(buf.len(), self.n, "buffer length must equal FFT size");
-        let log2 = self.n.trailing_zeros();
-        if !log2.is_multiple_of(2) {
-            self.forward(buf);
-            return;
-        }
-        self.permute4(buf);
-        self.radix4_butterflies(buf, false);
-    }
 
     /// Base-4 digit reversal permutation (= bit reversal of digit pairs).
     fn permute4(&self, buf: &mut [C32]) {
@@ -268,17 +159,12 @@ impl Fft {
         }
     }
 
-    fn radix4_butterflies(&self, buf: &mut [C32], inverse: bool) {
+    /// Inverse radix-4 butterflies: each pass merges two radix-2 stages and
+    /// trades one complex multiply for the "free" rotation `+j·(b − d)`
+    /// (`W_4^{-1} = +j`), so its rounding differs slightly from radix-2.
+    fn inverse_radix4_butterflies(&self, buf: &mut [C32]) {
         let n = self.n;
-        let tw = if inverse {
-            &self.inv_twiddles
-        } else {
-            &self.twiddles
-        };
-        // ∓j·(b − d) is the radix-4 "free" rotation (+j when inverting,
-        // since W_4^{-1} = +j). Folding the direction into a ±1 factor keeps
-        // the butterfly branch-free; multiplying by ±1.0 is exact.
-        let s: f32 = if inverse { 1.0 } else { -1.0 };
+        let tw = &self.inv_twiddles;
 
         // First stage (len = 4): every twiddle is unity, so skip the
         // multiplies entirely.
@@ -288,7 +174,7 @@ impl Fft {
             let ac_m = a - c;
             let bd_p = b + d;
             let t = b - d;
-            let bd_rot = C32::new(-s * t.im, s * t.re);
+            let bd_rot = C32::new(-t.im, t.re);
             chunk[0] = ac_p + bd_p;
             chunk[1] = ac_m + bd_rot;
             chunk[2] = ac_p - bd_p;
@@ -319,7 +205,7 @@ impl Fft {
                     let ac_m = a - c;
                     let bd_p = b + d;
                     let t = b - d;
-                    let bd_rot = C32::new(-s * t.im, s * t.re);
+                    let bd_rot = C32::new(-t.im, t.re);
                     q0[k] = ac_p + bd_p;
                     q1[k] = ac_m + bd_rot;
                     q2[k] = ac_p - bd_p;
@@ -340,27 +226,6 @@ fn digit4_reverse(i: usize, digits: u32) -> usize {
         x >>= 2;
     }
     r
-}
-
-/// Computes the forward DFT of a real signal, returning `n` complex bins.
-///
-/// Convenience wrapper used by spectral measurements; the hot paths keep
-/// their own [`Fft`] plans.
-pub fn dft_real(signal: &[f32]) -> Vec<C32> {
-    let n = signal.len().next_power_of_two().max(2);
-    if n < 4 {
-        let fft = Fft::new(n);
-        let mut buf: Vec<C32> = signal.iter().map(|&s| C32::new(s, 0.0)).collect();
-        buf.resize(n, C32::ZERO);
-        fft.forward(&mut buf);
-        return buf;
-    }
-    let rfft = RealFft::new(n);
-    let mut padded = signal.to_vec();
-    padded.resize(n, 0.0);
-    let mut out = Vec::new();
-    rfft.forward(&padded, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -457,48 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn dft_real_pads_to_power_of_two() {
-        let out = dft_real(&[1.0, 2.0, 3.0]);
-        assert_eq!(out.len(), 4);
-    }
-
-    #[test]
-    fn real_fft_matches_complex_fft() {
-        for n in [4usize, 16, 64, 1024] {
-            let signal: Vec<f32> = (0..n).map(|i| (i as f32 * 0.137).sin() + 0.2).collect();
-            let fft = Fft::new(n);
-            let mut want: Vec<C32> = signal.iter().map(|&s| C32::new(s, 0.0)).collect();
-            fft.forward(&mut want);
-            let rfft = RealFft::new(n);
-            let mut got = Vec::new();
-            rfft.forward(&signal, &mut got);
-            assert_eq!(got.len(), n);
-            let scale = (n as f32).sqrt();
-            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!((*g - *w).abs() < 1e-3 * scale, "n={n} bin {k}: {g:?} vs {w:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn radix4_matches_radix2() {
-        for n in [4usize, 16, 256, 1024] {
-            let x: Vec<C32> = (0..n)
-                .map(|i| C32::new((i as f32 * 0.21).sin(), (i as f32 * 0.33).cos()))
-                .collect();
-            let fft = Fft::new(n);
-            let mut want = x.clone();
-            fft.forward(&mut want);
-            let mut got = x.clone();
-            fft.forward_radix4(&mut got);
-            let scale = (n as f32).sqrt();
-            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!((*g - *w).abs() < 1e-3 * scale, "n={n} bin {k}: {g:?} vs {w:?}");
-            }
-        }
-    }
-
-    #[test]
     fn inverse_radix4_matches_conjugate_identity() {
         // inverse(x) == conj(forward(conj(x)))/n; the right side runs the
         // (radix-2) forward path, checking the radix-4 inverse butterflies.
@@ -516,21 +339,6 @@ mod tests {
                 let w = w.conj().scale(1.0 / n as f32);
                 assert!((*g - w).abs() < 1e-4 * scale, "n={n} bin {k}: {g:?} vs {w:?}");
             }
-        }
-    }
-
-    #[test]
-    fn radix4_falls_back_on_odd_log_sizes() {
-        let n = 32; // 2^5: not a power of 4.
-        let x: Vec<C32> = (0..n).map(|i| C32::new(i as f32, -(i as f32))).collect();
-        let fft = Fft::new(n);
-        let mut want = x.clone();
-        fft.forward(&mut want);
-        let mut got = x.clone();
-        fft.forward_radix4(&mut got);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.re.to_bits(), w.re.to_bits());
-            assert_eq!(g.im.to_bits(), w.im.to_bits());
         }
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! Filters are designed with the windowed-sinc method (Hamming window by
 //! default), which is plenty for the roll-offs the FM multiplexer and the
-//! acoustic channel models need. Streaming state is kept in the filter so the
+//! acoustic channel models need. Two ways to apply one: the direct form
+//! ([`Fir`], exact, `O(taps)` per sample — short filters and the oracle the
+//! fast path is tested against) and FFT overlap-save ([`OverlapSave`], the
+//! long receive-side filters). Streaming state is kept in the filter so the
 //! radio pipeline can process audio in arbitrary block sizes.
 
 use crate::complex::C32;
@@ -159,11 +162,6 @@ impl Fir {
         self.pos = 0;
     }
 }
-
-/// Tap count at and above which [`BlockFir`]/[`BlockFirC`] beat the direct
-/// form on typical hosts (FFT cost amortizes over the block).
-pub const BLOCK_FIR_MIN_TAPS: usize = 64;
-
 /// Picks the overlap-save FFT size for a tap count: the block length
 /// (`fft − taps + 1`) stays at least ~3× the tap count so the two
 /// transforms amortize well.
@@ -173,490 +171,205 @@ pub(crate) fn overlap_save_fft_size(taps: usize) -> usize {
 
 /// Overlap-save frames transformed per batched FFT sweep: enough to amortize
 /// the per-batch bookkeeping while keeping the frame scratch around L2-sized.
-const BLOCK_FIR_BATCH: usize = 8;
+const BATCH: usize = 8;
 
-/// Streaming FFT overlap-save convolution for real signals.
+/// Most bands one [`OverlapSave`] engine filters per pass.
+pub const MAX_BANDS: usize = 8;
+
+/// A sample type [`OverlapSave`] can stream (`f32` and [`C32`]).
 ///
-/// Drop-in replacement for [`Fir::process`] when the filter is long
-/// (≥ [`BLOCK_FIR_MIN_TAPS`] taps): output differs from the direct form only
-/// by FFT rounding (relative error ~1e-6), while the cost per sample drops
-/// from `O(taps)` to `O(log taps)`. Two blocks of the real signal are packed
-/// into the real/imaginary parts of one complex FFT frame, halving the
-/// transform count.
-#[derive(Debug, Clone)]
-pub struct BlockFir {
-    /// Shared immutable plan: FFT + tap spectrum (see [`FirPlan`]).
-    plan: Arc<FirPlan>,
-    /// The `taps − 1` most recent inputs (streaming history).
-    tail: Vec<f32>,
-    /// Split-plane scratch for up to [`BLOCK_FIR_BATCH`] frames.
-    frames: SplitC32,
-    /// `(a_start, a_len, b_start, b_len)` for each gathered frame.
-    spans: Vec<(usize, usize, usize, usize)>,
-    ext: Vec<f32>,
+/// The engine's frames are complex split planes and its taps are real, so a
+/// frame's two planes convolve independently. A complex signal fills both
+/// with one block; a real signal packs two *consecutive* blocks, the first
+/// in the real plane and the second in the imaginary plane, halving the
+/// transform count. That packing is all the engine needs to know about its
+/// sample type, and it enters only here.
+pub trait Sample: Copy {
+    /// Silence.
+    const ZERO: Self;
+    /// Input blocks one FFT frame carries.
+    const BLOCKS: usize;
+
+    /// Fills one frame's planes from `window`: the `m` samples of history
+    /// before the frame's first new sample, then its new samples (at most
+    /// `BLOCKS × block`). The planes' remainder is zeroed.
+    fn gather(window: &[Self], m: usize, block: usize, re: &mut [f32], im: &mut [f32]);
+
+    /// Reads a filtered frame's `out.len()` new samples back out of its
+    /// planes (the first `m` outputs of each plane are circular-wrap garbage).
+    fn scatter(re: &[f32], im: &[f32], m: usize, block: usize, out: &mut [Self]);
 }
 
-impl BlockFir {
-    /// Builds an overlap-save engine for a coefficient vector.
-    ///
-    /// # Panics
-    /// Panics if `taps` is empty.
-    pub fn new(taps: &[f32]) -> Self {
-        BlockFir::with_plan(FirPlan::shared(taps))
+impl Sample for f32 {
+    const ZERO: Self = 0.0;
+    const BLOCKS: usize = 2;
+
+    fn gather(window: &[f32], m: usize, block: usize, re: &mut [f32], im: &mut [f32]) {
+        // Block A = the first `a` new samples, block B the rest; each plane
+        // gets its block behind the `m` samples that precede it. An empty
+        // block B still carries its history: the planes share one transform,
+        // so what rides in `im` shapes the rounding of `re`.
+        let a = (window.len() - m).min(block);
+        re[..m + a].copy_from_slice(&window[..m + a]);
+        re[m + a..].fill(0.0);
+        let b_end = window.len() - a;
+        im[..b_end].copy_from_slice(&window[a..]);
+        im[b_end..].fill(0.0);
     }
 
-    /// Builds a stream over an existing shared plan (no re-planning: many
-    /// receivers can stream through clones of one `Arc<FirPlan>`).
-    pub fn with_plan(plan: Arc<FirPlan>) -> Self {
-        let m = plan.taps_len() - 1;
-        BlockFir {
-            plan,
-            tail: vec![0.0; m],
-            frames: SplitC32::new(),
-            spans: Vec::new(),
-            ext: Vec::new(),
-        }
-    }
-
-    /// Group delay in samples for the linear-phase designs in this module.
-    pub fn delay(&self) -> usize {
-        self.plan.delay()
-    }
-
-    /// Filters a block in place (streaming: history carries across calls).
-    ///
-    /// Frames are gathered [`BLOCK_FIR_BATCH`] at a time and pushed through
-    /// the plan's batched split-plane transforms; each frame still packs two
-    /// real blocks into the real/imaginary planes, so the SoA layout *is*
-    /// the two-blocks-per-transform packing with no interleave step.
-    pub fn process(&mut self, buf: &mut [f32]) {
-        if buf.is_empty() {
-            return;
-        }
-        let m = self.plan.taps_len() - 1;
-        let n = self.plan.fft().len();
-        let block = self.plan.block();
-        // ext = history ++ input; every FFT frame is a contiguous slice of it.
-        self.ext.clear();
-        self.ext.reserve(m + buf.len());
-        self.ext.extend_from_slice(&self.tail);
-        self.ext.extend_from_slice(buf);
-        let total = buf.len();
-        let mut p = 0usize;
-        while p < total {
-            // Gather up to BLOCK_FIR_BATCH frames. Block A of each frame
-            // fills the real plane and block B (the next one) the imaginary
-            // plane: both convolve with the real taps in one transform pair.
-            self.spans.clear();
-            let mut q = p;
-            while q < total && self.spans.len() < BLOCK_FIR_BATCH {
-                let a_len = block.min(total - q);
-                let b_start = q + a_len;
-                let b_len = block.min(total.saturating_sub(b_start));
-                // lint: allow(no-alloc) — span list reuses retained capacity (≤ BLOCK_FIR_BATCH entries)
-                self.spans.push((q, a_len, b_start, b_len));
-                q = b_start + b_len;
-            }
-            let nb = self.spans.len();
-            self.frames.resize(nb * n);
-            for (f, &(a0, a_len, b0, b_len)) in self.spans.iter().enumerate() {
-                let re = &mut self.frames.re[f * n..(f + 1) * n];
-                let im = &mut self.frames.im[f * n..(f + 1) * n];
-                for i in 0..n {
-                    re[i] = if i < m + a_len { self.ext[a0 + i] } else { 0.0 };
-                    im[i] = if i < m + b_len { self.ext[b0 + i] } else { 0.0 };
-                }
-            }
-            self.plan.fft().forward_batch(&mut self.frames);
-            self.plan.apply_spectrum(&mut self.frames);
-            self.plan.fft().inverse_batch(&mut self.frames);
-            for (f, &(a0, a_len, b0, b_len)) in self.spans.iter().enumerate() {
-                let re = &self.frames.re[f * n..(f + 1) * n];
-                let im = &self.frames.im[f * n..(f + 1) * n];
-                debug_assert!(m + a_len.max(b_len) <= n);
-                buf[a0..a0 + a_len].copy_from_slice(&re[m..m + a_len]);
-                buf[b0..b0 + b_len].copy_from_slice(&im[m..m + b_len]);
-            }
-            p = q;
-        }
-        let e = self.ext.len();
-        self.tail.copy_from_slice(&self.ext[e - m..]);
-    }
-
-    /// Filters `input`, appending the output to `out`.
-    pub fn process_into(&mut self, input: &[f32], out: &mut Vec<f32>) {
-        let start = out.len();
-        out.extend_from_slice(input);
-        self.process(&mut out[start..]);
-    }
-
-    /// Resets the history to silence.
-    pub fn reset(&mut self) {
-        self.tail.fill(0.0);
+    fn scatter(re: &[f32], im: &[f32], m: usize, block: usize, out: &mut [f32]) {
+        let (a, b) = out.split_at_mut(out.len().min(block));
+        a.copy_from_slice(&re[m..m + a.len()]);
+        b.copy_from_slice(&im[m..m + b.len()]);
     }
 }
 
-/// Streaming FFT overlap-save convolution of a complex signal with a real
-/// tap vector (e.g. the I/Q baseband low-pass after downconversion, which
-/// otherwise costs two full direct-form FIRs per sample).
-#[derive(Debug, Clone)]
-pub struct BlockFirC {
-    /// Shared immutable plan: FFT + tap spectrum (see [`FirPlan`]).
-    plan: Arc<FirPlan>,
-    tail: Vec<C32>,
-    /// Split-plane scratch for up to [`BLOCK_FIR_BATCH`] frames.
-    frames: SplitC32,
-    /// `(start, chunk)` for each gathered frame.
-    spans: Vec<(usize, usize)>,
-    ext: Vec<C32>,
-}
+impl Sample for C32 {
+    const ZERO: Self = C32::ZERO;
+    const BLOCKS: usize = 1;
 
-impl BlockFirC {
-    /// Builds an overlap-save engine for a coefficient vector.
-    ///
-    /// # Panics
-    /// Panics if `taps` is empty.
-    pub fn new(taps: &[f32]) -> Self {
-        BlockFirC::with_plan(FirPlan::shared(taps))
-    }
-
-    /// Builds a stream over an existing shared plan (no re-planning).
-    pub fn with_plan(plan: Arc<FirPlan>) -> Self {
-        let m = plan.taps_len() - 1;
-        BlockFirC {
-            plan,
-            tail: vec![C32::ZERO; m],
-            frames: SplitC32::new(),
-            spans: Vec::new(),
-            ext: Vec::new(),
+    fn gather(window: &[C32], _m: usize, _block: usize, re: &mut [f32], im: &mut [f32]) {
+        for ((r, i), v) in re.iter_mut().zip(im.iter_mut()).zip(window) {
+            *r = v.re;
+            *i = v.im;
         }
+        re[window.len()..].fill(0.0);
+        im[window.len()..].fill(0.0);
     }
 
-    /// Group delay in samples for the linear-phase designs in this module.
-    pub fn delay(&self) -> usize {
-        self.plan.delay()
-    }
-
-    /// Filters a block in place (streaming: history carries across calls).
-    pub fn process(&mut self, buf: &mut [C32]) {
-        if buf.is_empty() {
-            return;
+    fn scatter(re: &[f32], im: &[f32], m: usize, _block: usize, out: &mut [C32]) {
+        for ((o, &r), &i) in out.iter_mut().zip(&re[m..]).zip(&im[m..]) {
+            *o = C32::new(r, i);
         }
-        let m = self.plan.taps_len() - 1;
-        let n = self.plan.fft().len();
-        let block = self.plan.block();
-        self.ext.clear();
-        self.ext.reserve(m + buf.len());
-        self.ext.extend_from_slice(&self.tail);
-        self.ext.extend_from_slice(buf);
-        let total = buf.len();
-        let mut p = 0usize;
-        while p < total {
-            self.spans.clear();
-            let mut q = p;
-            while q < total && self.spans.len() < BLOCK_FIR_BATCH {
-                let chunk = block.min(total - q);
-                // lint: allow(no-alloc) — span list reuses retained capacity (≤ BLOCK_FIR_BATCH entries)
-                self.spans.push((q, chunk));
-                q += chunk;
-            }
-            let nb = self.spans.len();
-            self.frames.resize(nb * n);
-            for (f, &(start, chunk)) in self.spans.iter().enumerate() {
-                let re = &mut self.frames.re[f * n..(f + 1) * n];
-                let im = &mut self.frames.im[f * n..(f + 1) * n];
-                for i in 0..n {
-                    if i < m + chunk {
-                        let v = self.ext[start + i];
-                        re[i] = v.re;
-                        im[i] = v.im;
-                    } else {
-                        re[i] = 0.0;
-                        im[i] = 0.0;
-                    }
-                }
-            }
-            self.plan.fft().forward_batch(&mut self.frames);
-            self.plan.apply_spectrum(&mut self.frames);
-            self.plan.fft().inverse_batch(&mut self.frames);
-            for (f, &(start, chunk)) in self.spans.iter().enumerate() {
-                let re = &self.frames.re[f * n..(f + 1) * n];
-                let im = &self.frames.im[f * n..(f + 1) * n];
-                for i in 0..chunk {
-                    buf[start + i] = C32::new(re[m + i], im[m + i]);
-                }
-            }
-            p = q;
-        }
-        let e = self.ext.len();
-        self.tail.copy_from_slice(&self.ext[e - m..]);
-    }
-
-    /// Filters `input`, appending the output to `out`.
-    pub fn process_into(&mut self, input: &[C32], out: &mut Vec<C32>) {
-        let start = out.len();
-        out.extend_from_slice(input);
-        self.process(&mut out[start..]);
-    }
-
-    /// Resets the history to silence.
-    pub fn reset(&mut self) {
-        self.tail.fill(C32::ZERO);
     }
 }
 
-/// Multi-band FFT overlap-save: one real signal filtered through several
-/// equal-shape [`FirPlan`]s with the forward transforms shared.
+/// Streaming FFT overlap-save convolution: the one fast FIR engine.
 ///
-/// Every frame (two real blocks packed into the complex planes, exactly as
-/// [`BlockFir`] packs them) is forward-transformed **once**, then multiplied
-/// by each band's tap spectrum and inverse-transformed per band — `B` bands
-/// cost `1 + B` transforms per frame instead of `2B`. The per-band
-/// arithmetic (frame gathering, spectrum multiply, inverse, scatter) is the
-/// same as a fresh [`BlockFir`] over the same plan, so each band's output is
-/// bit-identical to filtering it separately. The receive-side MPX
-/// decomposer — mono, pilot, and RDS band-selects over one composite — is
-/// the shape this exists for.
+/// Filters a real or complex signal through 1..=[`MAX_BANDS`] equal-shape
+/// [`FirPlan`]s. Per batch of frames the loop is gather → **one** forward
+/// transform → per band: tap-spectrum multiply, inverse transform, scatter —
+/// so `B` bands cost `1 + B` transforms per frame instead of `2B`, and each
+/// band's output is bit-identical to filtering it alone. Against the direct
+/// form ([`Fir::process`]) the output differs only by FFT rounding (relative
+/// error ~1e-6) while the cost per sample drops from `O(taps)` to
+/// `O(log taps)`.
+///
+/// Plans are shared (`Arc`), so an engine is cheap to build per call; the
+/// `taps − 1` sample tail carries across [`process`](Self::process) calls
+/// for callers that stream. Users: the OFDM receiver's I/Q baseband
+/// low-pass (complex, one band) and the MPX decomposer's band selects
+/// (real; mono + pilot + RDS in one pass, the stereo branch one at a time).
 #[derive(Debug, Clone)]
-pub struct FirBank {
+pub struct OverlapSave<T: Sample> {
     plans: Vec<Arc<FirPlan>>,
-    /// Shared forward spectra for up to [`BLOCK_FIR_BATCH`] frames.
+    /// The `taps − 1` most recent inputs (streaming history).
+    tail: Vec<T>,
+    /// `tail ++ input`; every frame is a contiguous window of it.
+    ext: Vec<T>,
+    /// Forward spectra of up to [`BATCH`] frames, shared by every band.
     frames: SplitC32,
-    /// Per-band working copy of the spectra.
+    /// Working copy of `frames` for every band but the last, which consumes
+    /// `frames` itself.
     band: SplitC32,
-    /// `(a_start, a_len, b_start, b_len)` for each gathered frame.
-    spans: Vec<(usize, usize, usize, usize)>,
-    ext: Vec<f32>,
 }
 
-impl FirBank {
-    /// Builds a bank over shared plans.
+impl<T: Sample> OverlapSave<T> {
+    /// Builds an engine over shared plans, one per band, starting from
+    /// silence.
     ///
     /// # Panics
-    /// Panics if `plans` is empty or the plans disagree on FFT size or tap
-    /// count (the bank shares one forward transform, so every band must
-    /// gather identical frames).
+    /// Panics unless there are 1..=[`MAX_BANDS`] plans that agree on FFT
+    /// size and tap count (the bands share one forward transform, so every
+    /// band must gather identical frames).
     pub fn new(plans: Vec<Arc<FirPlan>>) -> Self {
-        assert!(!plans.is_empty(), "FirBank needs at least one band");
-        let n = plans[0].fft().len();
-        let t = plans[0].taps_len();
-        for p in &plans {
-            assert!(
-                p.fft().len() == n && p.taps_len() == t,
-                "all bank plans must share FFT size and tap count"
-            );
-        }
-        FirBank {
+        assert!(
+            (1..=MAX_BANDS).contains(&plans.len()),
+            "overlap-save engine takes 1..={MAX_BANDS} bands, got {}",
+            plans.len()
+        );
+        let (n, taps) = (plans[0].fft().len(), plans[0].taps_len());
+        assert!(
+            plans
+                .iter()
+                .all(|p| p.fft().len() == n && p.taps_len() == taps),
+            "all bands must share FFT size and tap count"
+        );
+        OverlapSave {
             plans,
+            tail: vec![T::ZERO; taps - 1],
+            ext: Vec::new(),
             frames: SplitC32::new(),
             band: SplitC32::new(),
-            spans: Vec::with_capacity(BLOCK_FIR_BATCH),
-            ext: Vec::new(),
         }
     }
 
-    /// Number of bands in the bank.
-    pub fn bands(&self) -> usize {
-        self.plans.len()
-    }
-
-    /// Filters `input` through every band in one pass, appending band `b`'s
-    /// output (`input.len()` samples, starting from silence like a fresh
-    /// [`BlockFir`]) to `outputs[b]`.
+    /// Filters `input` through every band, appending band `b`'s
+    /// `input.len()` output samples to `outputs[b]`.
     ///
     /// # Panics
-    /// Panics if `outputs.len() != self.bands()`.
-    pub fn process_into(&mut self, input: &[f32], outputs: &mut [Vec<f32>]) {
+    /// Panics unless `outputs` has one entry per band.
+    pub fn process(&mut self, input: &[T], outputs: &mut [Vec<T>]) {
         assert_eq!(outputs.len(), self.plans.len(), "one output per band");
-        let mut starts = [0usize; 8];
-        assert!(outputs.len() <= starts.len(), "bank limited to 8 bands");
-        for (s, out) in starts.iter_mut().zip(outputs.iter_mut()) {
-            *s = out.len();
-            out.resize(*s + input.len(), 0.0);
-        }
-        if input.is_empty() {
-            return;
-        }
-        let m = self.plans[0].taps_len() - 1;
-        let n = self.plans[0].fft().len();
-        let block = self.plans[0].block();
-        // ext = zero history ++ input; every frame is a contiguous slice.
-        self.ext.resize(m + input.len(), 0.0);
-        self.ext[..m].fill(0.0);
-        self.ext[m..].copy_from_slice(input);
         let total = input.len();
-        let mut p = 0usize;
-        while p < total {
-            self.spans.clear();
-            let mut q = p;
-            while q < total && self.spans.len() < BLOCK_FIR_BATCH {
-                let a_len = block.min(total - q);
-                let b_start = q + a_len;
-                let b_len = block.min(total.saturating_sub(b_start));
-                // `spans` was built with capacity BLOCK_FIR_BATCH and the
-                // loop guard caps len below it, so this push never allocates.
-                // lint: allow(no-alloc)
-                self.spans.push((q, a_len, b_start, b_len));
-                q = b_start + b_len;
-            }
-            let nb = self.spans.len();
-            self.frames.resize(nb * n);
-            for (f, &(a0, a_len, b0, b_len)) in self.spans.iter().enumerate() {
-                let re = &mut self.frames.re[f * n..(f + 1) * n];
-                let im = &mut self.frames.im[f * n..(f + 1) * n];
-                for i in 0..n {
-                    re[i] = if i < m + a_len { self.ext[a0 + i] } else { 0.0 };
-                    im[i] = if i < m + b_len { self.ext[b0 + i] } else { 0.0 };
-                }
-            }
-            // One forward sweep shared by every band.
-            self.plans[0].fft().forward_batch(&mut self.frames);
-            for (bi, plan) in self.plans.iter().enumerate() {
-                self.band.resize(nb * n);
-                self.band.re.copy_from_slice(&self.frames.re[..nb * n]);
-                self.band.im.copy_from_slice(&self.frames.im[..nb * n]);
-                plan.apply_spectrum(&mut self.band);
-                plan.fft().inverse_batch(&mut self.band);
-                let out = &mut outputs[bi][starts[bi]..];
-                for (f, &(a0, a_len, b0, b_len)) in self.spans.iter().enumerate() {
-                    let re = &self.band.re[f * n..(f + 1) * n];
-                    let im = &self.band.im[f * n..(f + 1) * n];
-                    out[a0..a0 + a_len].copy_from_slice(&re[m..m + a_len]);
-                    out[b0..b0 + b_len].copy_from_slice(&im[m..m + b_len]);
-                }
-            }
-            p = q;
+        for out in outputs.iter_mut() {
+            out.resize(out.len() + total, T::ZERO);
         }
-    }
-}
-
-/// FIR filter followed by decimation by an integer factor.
-///
-/// Only the retained output samples are computed: the anti-alias dot product
-/// runs once per *output* sample over a linearized history window, so the
-/// cost is `taps / factor` MACs per input sample instead of the `taps` a
-/// filter-then-drop structure pays. Accumulation order matches the
-/// filter-everything reference, so outputs are bit-identical to the
-/// direct-form [`Fir`] sampled at the kept positions.
-#[derive(Debug, Clone)]
-pub struct Decimator {
-    taps: Vec<f32>,
-    factor: usize,
-    /// Samples until the next retained output (0 = the next input produces
-    /// an output).
-    phase: usize,
-    /// The `taps − 1` most recent inputs (oldest→newest).
-    tail: Vec<f32>,
-    ext: Vec<f32>,
-}
-
-impl Decimator {
-    /// Creates a decimator with an anti-alias low-pass sized for `factor`.
-    ///
-    /// # Panics
-    /// Panics if `factor == 0`.
-    pub fn new(factor: usize, taps: usize) -> Self {
-        assert!(factor > 0, "decimation factor must be positive");
-        let cutoff = 0.45 / factor as f64;
-        let taps = design_lowpass(taps, cutoff);
-        let history = taps.len() - 1;
-        Decimator {
-            taps,
-            factor,
-            phase: 0,
-            tail: vec![0.0; history],
-            ext: Vec::new(),
-        }
-    }
-
-    /// Decimation factor.
-    pub fn factor(&self) -> usize {
-        self.factor
-    }
-
-    /// Processes a block, appending kept samples to `out`.
-    pub fn process_into(&mut self, input: &[f32], out: &mut Vec<f32>) {
-        if input.is_empty() {
-            return;
-        }
-        let n = self.taps.len();
-        let m = n - 1;
+        let m = self.tail.len();
+        let fft = self.plans[0].fft();
+        let n = fft.len();
+        let block = self.plans[0].block();
+        let step = T::BLOCKS * block;
         self.ext.clear();
-        self.ext.reserve(m + input.len());
         self.ext.extend_from_slice(&self.tail);
         self.ext.extend_from_slice(input);
-        // Kept positions are input indices phase, phase+factor, …
-        let kept = if self.phase < input.len() {
-            (input.len() - self.phase).div_ceil(self.factor)
-        } else {
-            0
-        };
-        let start = out.len();
-        out.resize(start + kept, 0.0);
-        let o = &mut out[start..];
-        let mut i = self.phase;
-        let mut j = 0usize;
-        while i < input.len() {
-            let window = &self.ext[i..i + n];
-            let mut acc = 0.0f32;
-            for (&t, &x) in self.taps.iter().zip(window.iter().rev()) {
-                acc += t * x;
+        let last = self.plans.len() - 1;
+        let mut p = 0usize;
+        while p < total {
+            // Every frame but the signal's last takes a full `step` of new
+            // samples, so frame `f` of this batch starts at `p + f·step`.
+            let nb = (total - p).div_ceil(step).min(BATCH);
+            let new = |f: usize| {
+                let start = p + f * step;
+                start..start + step.min(total - start)
+            };
+            self.frames.resize(nb * n);
+            for f in 0..nb {
+                let r = new(f);
+                T::gather(
+                    &self.ext[r.start..r.end + m],
+                    m,
+                    block,
+                    &mut self.frames.re[f * n..(f + 1) * n],
+                    &mut self.frames.im[f * n..(f + 1) * n],
+                );
             }
-            o[j] = acc;
-            j += 1;
-            i += self.factor;
-        }
-        self.phase = i - input.len();
-        let e = self.ext.len();
-        self.tail.copy_from_slice(&self.ext[e - m..]);
-    }
-}
-
-/// Zero-stuffing interpolator: upsamples by an integer factor with an
-/// image-rejection low-pass, used by the FM modulator to climb from the
-/// audio rate to the RF rate.
-#[derive(Debug, Clone)]
-pub struct Interpolator {
-    fir: Fir,
-    factor: usize,
-}
-
-impl Interpolator {
-    /// Creates an interpolator for `factor`× upsampling.
-    ///
-    /// # Panics
-    /// Panics if `factor == 0`.
-    pub fn new(factor: usize, taps: usize) -> Self {
-        assert!(factor > 0, "interpolation factor must be positive");
-        let cutoff = 0.45 / factor as f64;
-        let mut coeffs = design_lowpass(taps, cutoff);
-        // Compensate the 1/factor energy loss of zero stuffing.
-        for c in &mut coeffs {
-            *c *= factor as f32;
-        }
-        Interpolator {
-            fir: Fir::new(coeffs),
-            factor,
-        }
-    }
-
-    /// Processes a block, appending `input.len() * factor` samples to `out`.
-    pub fn process_into(&mut self, input: &[f32], out: &mut Vec<f32>) {
-        let start = out.len();
-        out.resize(start + input.len() * self.factor, 0.0);
-        let o = &mut out[start..];
-        // Same `fir.push` call order as the original append loop, so the
-        // streamed filter state (and output) is unchanged. `Fir::push`
-        // streams one sample through the fixed-size delay line — it never
-        // allocates — but R1's token matcher cannot tell it from `Vec::push`.
-        for (j, &x) in input.iter().enumerate() {
-            // lint: allow(no-alloc)
-            o[j * self.factor] = self.fir.push(x);
-            for k in 1..self.factor {
-                // lint: allow(no-alloc)
-                o[j * self.factor + k] = self.fir.push(0.0);
+            fft.forward_batch(&mut self.frames);
+            for (b, (plan, out)) in self.plans.iter().zip(outputs.iter_mut()).enumerate() {
+                let work = if b < last {
+                    self.band.re.clone_from(&self.frames.re);
+                    self.band.im.clone_from(&self.frames.im);
+                    &mut self.band
+                } else {
+                    &mut self.frames
+                };
+                plan.apply_spectrum(work);
+                plan.fft().inverse_batch(work);
+                let fresh = out.len() - total;
+                for f in 0..nb {
+                    let r = new(f);
+                    T::scatter(
+                        &work.re[f * n..(f + 1) * n],
+                        &work.im[f * n..(f + 1) * n],
+                        m,
+                        block,
+                        &mut out[fresh + r.start..fresh + r.end],
+                    );
+                }
             }
+            p += nb * step;
         }
+        self.tail.copy_from_slice(&self.ext[total..]);
     }
 }
 
@@ -723,40 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn decimator_keeps_one_in_n() {
-        let mut d = Decimator::new(4, 31);
-        let mut out = Vec::new();
-        d.process_into(&vec![1.0; 100], &mut out);
-        assert_eq!(out.len(), 25);
-    }
-
-    #[test]
-    fn interpolator_expands_by_factor() {
-        let mut i = Interpolator::new(3, 31);
-        let mut out = Vec::new();
-        i.process_into(&[1.0, 2.0], &mut out);
-        assert_eq!(out.len(), 6);
-    }
-
-    #[test]
-    fn interpolate_then_decimate_preserves_tone() {
-        let factor = 5;
-        let mut up = Interpolator::new(factor, 151);
-        let mut down = Decimator::new(factor, 151);
-        let tone: Vec<f32> = (0..2000)
-            .map(|i| (2.0 * PI * 0.01 * i as f64).sin() as f32)
-            .collect();
-        let mut hi = Vec::new();
-        up.process_into(&tone, &mut hi);
-        let mut back = Vec::new();
-        down.process_into(&hi, &mut back);
-        // Skip transients, compare energies.
-        let e_in: f64 = tone[500..1500].iter().map(|&x| (x as f64).powi(2)).sum();
-        let e_out: f64 = back[500..1500].iter().map(|&x| (x as f64).powi(2)).sum();
-        assert!((e_in - e_out).abs() / e_in < 0.05, "{e_in} vs {e_out}");
-    }
-
-    #[test]
     #[should_panic(expected = "cutoff")]
     fn rejects_bad_cutoff() {
         let _ = design_lowpass(11, 0.6);
@@ -793,7 +472,7 @@ mod tests {
     }
 
     #[test]
-    fn block_fir_matches_direct_form() {
+    fn overlap_save_matches_direct_form() {
         for taps_len in [1usize, 3, 64, 101, 257] {
             let taps = if taps_len == 1 {
                 vec![0.7]
@@ -803,123 +482,11 @@ mod tests {
             let sig = noise(2000, taps_len as u32);
             let mut want = sig.clone();
             Fir::new(taps.clone()).process_reference(&mut want);
-            let mut got = sig;
-            BlockFir::new(&taps).process(&mut got);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            let mut got = [Vec::new()];
+            OverlapSave::new(vec![FirPlan::shared(&taps)]).process(&sig, &mut got);
+            for (i, (g, w)) in got[0].iter().zip(&want).enumerate() {
                 assert!((g - w).abs() < 1e-4, "taps {taps_len} sample {i}: {g} vs {w}");
             }
-        }
-    }
-
-    #[test]
-    fn fir_bank_is_bit_identical_to_per_band_block_fir() {
-        use crate::plan::FirPlan;
-        let designs = [
-            design_lowpass(257, 0.07),
-            design_bandpass(257, 0.15, 0.25),
-            design_bandpass(257, 0.38, 0.45),
-        ];
-        let plans: Vec<_> = designs.iter().map(|t| FirPlan::shared(t)).collect();
-        let block = plans[0].block();
-        // Empty, sub-block, exactly one block, odd multi-batch lengths.
-        for len in [0usize, 7, block, 8 * block + 123, 20_001] {
-            let sig = noise(len, len as u32 + 3);
-            let mut bank = FirBank::new(plans.clone());
-            let mut outs = vec![Vec::new(), Vec::new(), Vec::new()];
-            bank.process_into(&sig, &mut outs);
-            for (b, plan) in plans.iter().enumerate() {
-                let mut want = sig.clone();
-                BlockFir::with_plan(Arc::clone(plan)).process(&mut want);
-                assert_eq!(outs[b].len(), want.len(), "len {len} band {b}");
-                for (i, (g, w)) in outs[b].iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "len {len} band {b} sample {i}: {g} vs {w}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn block_fir_is_streaming() {
-        let taps = design_lowpass(257, 0.1);
-        let sig = noise(3000, 42);
-        let mut whole = sig.clone();
-        BlockFir::new(&taps).process(&mut whole);
-        // Odd chunk sizes, including chunks smaller than the tap count.
-        let mut split = sig;
-        let mut f = BlockFir::new(&taps);
-        let mut at = 0usize;
-        for chunk in [13usize, 250, 999, 1, 1737] {
-            let hi = (at + chunk).min(split.len());
-            f.process(&mut split[at..hi]);
-            at = hi;
-        }
-        for (i, (g, w)) in split.iter().zip(&whole).enumerate() {
-            assert!((g - w).abs() < 1e-5, "sample {i}: {g} vs {w}");
-        }
-    }
-
-    #[test]
-    fn block_fir_complex_matches_two_real_filters() {
-        let taps = design_lowpass(101, 0.22);
-        let re = noise(1500, 5);
-        let im = noise(1500, 9);
-        let mut want_re = re.clone();
-        let mut want_im = im.clone();
-        Fir::new(taps.clone()).process_reference(&mut want_re);
-        Fir::new(taps.clone()).process_reference(&mut want_im);
-        let mut buf: Vec<C32> = re
-            .iter()
-            .zip(&im)
-            .map(|(&r, &i)| C32::new(r, i))
-            .collect();
-        let mut f = BlockFirC::new(&taps);
-        let (b1, b2) = buf.split_at_mut(733);
-        f.process(b1);
-        f.process(b2);
-        for (i, v) in buf.iter().enumerate() {
-            assert!((v.re - want_re[i]).abs() < 1e-4, "re {i}");
-            assert!((v.im - want_im[i]).abs() < 1e-4, "im {i}");
-        }
-    }
-
-    #[test]
-    fn block_fir_reset_clears_history() {
-        let taps = design_lowpass(65, 0.2);
-        let mut f = BlockFir::new(&taps);
-        let mut warm = noise(500, 3);
-        f.process(&mut warm);
-        f.reset();
-        let mut fresh = noise(500, 3);
-        let mut want = fresh.clone();
-        BlockFir::new(&taps).process(&mut want);
-        f.process(&mut fresh);
-        for (g, w) in fresh.iter().zip(&want) {
-            assert!((g - w).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn decimator_matches_filter_then_drop() {
-        let factor = 5;
-        let taps = 31;
-        let sig = noise(1000, 11);
-        // Reference: full filter, keep every `factor`-th output.
-        let cutoff = 0.45 / factor as f64;
-        let mut full = sig.clone();
-        Fir::new(design_lowpass(taps, cutoff)).process_reference(&mut full);
-        let want: Vec<f32> = full.iter().step_by(factor).copied().collect();
-        let mut d = Decimator::new(factor, taps);
-        let mut got = Vec::new();
-        // Split at a non-multiple of the factor to exercise phase carry.
-        d.process_into(&sig[..333], &mut got);
-        d.process_into(&sig[333..], &mut got);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits(), "decimator must be bit-exact");
         }
     }
 }

@@ -10,18 +10,20 @@
 //! Contents:
 //!
 //! * [`complex`] — minimal `C32` complex type used throughout the stack.
-//! * [`fft`] — radix-2 iterative Cooley-Tukey FFT with cached plans.
+//! * [`fft`] — interleaved [`Fft`]: the transmit IFFT (radix-4) and the scalar
+//!   oracle of [`plan::FftPlan`]'s forward transform (radix-2).
 //! * [`window`] — Hann / Hamming / Blackman / rectangular window functions.
-//! * [`fir`] — windowed-sinc FIR design, streaming filters, decimators.
+//! * [`fir`] — windowed-sinc FIR design, the direct-form [`fir::Fir`] and the
+//!   FFT overlap-save engine [`fir::OverlapSave`].
 //! * [`iir`] — biquad sections and first-order shelves (FM de-/pre-emphasis).
 //! * [`resample`] — polyphase rational resampler.
 //! * [`osc`] — numerically controlled oscillator and quadrature mixer.
 //! * [`goertzel`] — single-bin DFT power detector (used by the FSK modem).
-//! * [`agc`] — simple feed-forward automatic gain control.
 //! * [`measure`] — power, RMS, dB conversions and SNR estimation helpers.
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
 //! * [`simd`] — runtime-dispatched SIMD kernels with scalar twins.
-//! * [`plan`] — planned transforms ([`plan::FftPlan`], [`plan::FirPlan`]).
+//! * [`plan`] — planned split-plane transforms: [`plan::FftPlan`] (receive FFT
+//!   and overlap-save frames) and the shareable [`plan::FirPlan`].
 
 // `unsafe` is denied everywhere except the `simd` kernel module, which opts
 // back in item-by-item; every unsafe block there carries a `// SAFETY:`
@@ -32,7 +34,6 @@
 // we only permit in tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod agc;
 pub mod complex;
 pub mod fft;
 pub mod fir;
@@ -48,6 +49,6 @@ pub mod split;
 pub mod window;
 
 pub use complex::C32;
-pub use fft::{Fft, RealFft};
+pub use fft::Fft;
 pub use plan::{FftPlan, FirPlan};
 pub use split::SplitC32;

@@ -10,10 +10,10 @@
 //! the scalar path by kernel construction.
 //!
 //! [`FirPlan`] is the shareable, immutable half of an overlap-save FIR: the
-//! FFT plan plus the tap spectrum. Streaming state (history tails, frame
-//! scratch) lives in `fir::BlockFir`/`fir::BlockFirC`, so one plan can be
-//! cloned behind an `Arc` across many receivers — the shape needed to
-//! demodulate many simulated receivers per tick without re-planning.
+//! FFT plan plus the tap spectrum. Streaming state (history tail, frame
+//! scratch) lives in [`crate::fir::OverlapSave`], so one plan can be cloned
+//! behind an `Arc` across many receivers — the shape needed to demodulate
+//! many simulated receivers per tick without re-planning.
 
 use crate::complex::C32;
 use crate::simd;
@@ -200,14 +200,10 @@ impl FftPlan {
     }
 }
 
-/// Tap count at and above which overlap-save beats the direct form on
-/// typical hosts (re-exported alongside the plan for callers that choose).
-pub use crate::fir::BLOCK_FIR_MIN_TAPS;
-
 /// The immutable, shareable half of an overlap-save FIR: FFT plan + tap
 /// spectrum. Wrap it in an [`Arc`] and hand clones to any number of
-/// `BlockFir`/`BlockFirC` streams — planning (twiddles, tap FFT) happens
-/// once per filter design instead of once per receiver.
+/// [`crate::fir::OverlapSave`] engines — planning (twiddles, tap FFT)
+/// happens once per filter design instead of once per receiver.
 #[derive(Debug, Clone)]
 pub struct FirPlan {
     taps_len: usize,

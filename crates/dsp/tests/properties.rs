@@ -2,12 +2,22 @@
 
 use proptest::prelude::*;
 use sonic_dsp::fft::Fft;
-use sonic_dsp::fir::{design_lowpass, BlockFir, Fir};
-use sonic_dsp::plan::FftPlan;
+use sonic_dsp::fir::{design_bandpass, design_lowpass, Fir, OverlapSave, Sample};
+use sonic_dsp::plan::{FftPlan, FirPlan};
 use sonic_dsp::resample::Resampler;
 use sonic_dsp::simd;
 use sonic_dsp::window::{generate, Window};
 use sonic_dsp::C32;
+use std::sync::Arc;
+
+/// Deterministic noise in [-1, 1).
+fn lcg(seed: u32) -> impl FnMut() -> f32 {
+    let mut x = seed | 1;
+    move || {
+        x = x.wrapping_mul(1103515245).wrapping_add(12345);
+        ((x >> 16) as f32 / 32768.0) - 1.0
+    }
+}
 
 /// Feeds `signal` through a fresh direct-form FIR, one sample at a time.
 fn direct_form(taps: &[f32], signal: &[f32]) -> Vec<f32> {
@@ -15,14 +25,121 @@ fn direct_form(taps: &[f32], signal: &[f32]) -> Vec<f32> {
     signal.iter().map(|&x| fir.push(x)).collect()
 }
 
-/// Feeds `signal` through a fresh overlap-save FIR in chunks of `block`.
-fn overlap_save(taps: &[f32], signal: &[f32], block: usize) -> Vec<f32> {
-    let mut fir = BlockFir::new(taps);
-    let mut out = signal.to_vec();
-    for chunk in out.chunks_mut(block.max(1)) {
-        fir.process(chunk);
+/// Feeds `signal` through a fresh overlap-save engine over `plans`: first
+/// `cuts[0]`, `cuts[1]`, … samples at a time, then the remainder in one call
+/// (no cuts = one shot). Returns one output per band.
+fn overlap_save<T: Sample>(plans: &[Arc<FirPlan>], signal: &[T], cuts: &[usize]) -> Vec<Vec<T>> {
+    let mut engine = OverlapSave::new(plans.to_vec());
+    let mut outs = vec![Vec::new(); plans.len()];
+    let mut rest = signal;
+    for &cut in cuts {
+        let (now, later) = rest.split_at(cut.min(rest.len()));
+        engine.process(now, &mut outs);
+        rest = later;
     }
-    out
+    engine.process(rest, &mut outs);
+    outs
+}
+
+/// Largest absolute difference between two equally long streams.
+fn max_diff(a: &[f32], b: &[f32]) -> f32 {
+    assert_eq!(a.len(), b.len());
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f32::max)
+}
+
+/// The one property of the overlap-save engine, checked on a real signal and
+/// on a complex one built from it, for any bank of equal-length tap sets:
+///
+/// (a) `k` bands in one pass equal `k` single-band passes over the same
+///     plans, to the bit;
+/// (b) streaming through `cuts` equals one shot within 1e-5;
+/// (c) every band agrees with the direct-form [`Fir::push`] oracle within
+///     1e-4.
+fn check_overlap_save(bank: &[Vec<f32>], real: &[f32], cuts: &[usize]) {
+    let plans: Vec<_> = bank.iter().map(|t| FirPlan::shared(t)).collect();
+    let n = real.len();
+    let imag: Vec<f32> = (0..n).map(|i| 0.5 * real[(i + 7) % n]).collect();
+    let complex: Vec<C32> = real
+        .iter()
+        .zip(&imag)
+        .map(|(&r, &i)| C32::new(r, i))
+        .collect();
+    let planes = |v: &[C32]| -> (Vec<f32>, Vec<f32>) { v.iter().map(|c| (c.re, c.im)).unzip() };
+
+    let real_once = overlap_save(&plans, real, &[]);
+    let real_cut = overlap_save(&plans, real, cuts);
+    let complex_once = overlap_save(&plans, &complex, &[]);
+    let complex_cut = overlap_save(&plans, &complex, cuts);
+    for (b, taps) in bank.iter().enumerate() {
+        let ctx = format!(
+            "{} taps, band {b} of {}, {n} samples, cuts {cuts:?}",
+            taps.len(),
+            bank.len()
+        );
+        let (re_once, im_once) = planes(&complex_once[b]);
+        let (re_cut, im_cut) = planes(&complex_cut[b]);
+
+        let real_alone = overlap_save(&plans[b..=b], real, &[]);
+        let (re_alone, im_alone) = planes(&overlap_save(&plans[b..=b], &complex, &[])[0]);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(bits(&real_once[b]), bits(&real_alone[0]), "(a) real: {ctx}");
+        assert_eq!(bits(&re_once), bits(&re_alone), "(a) complex re: {ctx}");
+        assert_eq!(bits(&im_once), bits(&im_alone), "(a) complex im: {ctx}");
+
+        assert!(
+            max_diff(&real_cut[b], &real_once[b]) < 1e-5,
+            "(b) real: {ctx}"
+        );
+        assert!(max_diff(&re_cut, &re_once) < 1e-5, "(b) complex re: {ctx}");
+        assert!(max_diff(&im_cut, &im_once) < 1e-5, "(b) complex im: {ctx}");
+
+        let want_re = direct_form(taps, real);
+        let want_im = direct_form(taps, &imag);
+        assert!(max_diff(&real_once[b], &want_re) < 1e-4, "(c) real: {ctx}");
+        assert!(max_diff(&re_once, &want_re) < 1e-4, "(c) complex re: {ctx}");
+        assert!(max_diff(&im_once, &want_im) < 1e-4, "(c) complex im: {ctx}");
+    }
+}
+
+/// The fixed cases the engine's three predecessors were tested on, as rows
+/// of the same property.
+#[test]
+fn overlap_save_engine_named_rows() {
+    let noise = |n: usize, seed: u32| -> Vec<f32> {
+        let mut rnd = lcg(seed);
+        (0..n).map(|_| rnd()).collect()
+    };
+    // The MPX decomposer's shape: three 257-tap band selects over one
+    // signal; empty, sub-block, exactly one block, odd multi-batch lengths.
+    let bank = [
+        design_lowpass(257, 0.07),
+        design_bandpass(257, 0.15, 0.25),
+        design_bandpass(257, 0.38, 0.45),
+    ];
+    let block = FirPlan::new(&bank[0]).block();
+    for len in [0usize, 7, block, 8 * block + 123, 20_001, 16 * block + 4321] {
+        check_overlap_save(&bank, &noise(len, len as u32 + 3), &[block / 2]);
+    }
+    // Odd cuts, including ones smaller than the tap count.
+    check_overlap_save(
+        &[design_lowpass(257, 0.1)],
+        &noise(3000, 42),
+        &[13, 250, 999, 1],
+    );
+    // The OFDM receiver's shape: a 101-tap low-pass over I/Q, cut mid-stream.
+    check_overlap_save(&[design_lowpass(101, 0.22)], &noise(1500, 5), &[733]);
+}
+
+/// The bank shares one frame scratch sized for eight bands; a ninth is a
+/// construction error, not a panic on first use.
+#[test]
+#[should_panic(expected = "1..=8 bands")]
+fn overlap_save_rejects_a_ninth_band() {
+    let plan = FirPlan::shared(&[1.0]);
+    let _ = OverlapSave::<f32>::new(vec![plan; 9]);
 }
 
 proptest! {
@@ -85,55 +202,44 @@ proptest! {
         }
     }
 
-    /// Overlap-save equals the direct form on an impulse for any tap count
-    /// (including the FFT path's minimum and odd lengths) and any block size.
+    /// [`check_overlap_save`] over random tap counts (1 tap, the FFT
+    /// path's minimum size, odd lengths), band counts, signal lengths
+    /// (empty, under a block, exactly a block, several batches and odd),
+    /// signal shapes (impulse, step — the worst case for accumulated DC
+    /// error — and noise) and cuts.
     #[test]
-    fn overlap_save_impulse(n_taps in 1usize..300, block in 1usize..700) {
-        let taps: Vec<f32> = (0..n_taps)
-            .map(|i| ((i as f32 * 0.37).sin() * 0.9) / (1.0 + i as f32 * 0.01))
-            .collect();
-        let mut signal = vec![0.0f32; (2 * n_taps).max(64)];
-        signal[0] = 1.0;
-        let want = direct_form(&taps, &signal);
-        let got = overlap_save(&taps, &signal, block);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert!((g - w).abs() < 1e-4, "tap-impulse sample {i}: {g} vs {w}");
-        }
-    }
-
-    /// Overlap-save equals the direct form on a step input (worst case for
-    /// accumulated DC error) for odd block sizes.
-    #[test]
-    fn overlap_save_step(n_taps in 1usize..300, block in 1usize..700) {
-        let taps = design_lowpass(n_taps.max(3) | 1, 0.1);
-        let signal = vec![1.0f32; 1000];
-        let want = direct_form(&taps, &signal);
-        let got = overlap_save(&taps, &signal, block | 1);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert!((g - w).abs() < 1e-4, "step sample {i}: {g} vs {w}");
-        }
-    }
-
-    /// Overlap-save equals the direct form on random signals, random tap
-    /// sets, and random (odd and even) streaming block sizes.
-    #[test]
-    fn overlap_save_random(
+    fn overlap_save_engine(
         n_taps in 1usize..300,
-        block in 1usize..700,
+        bands in 1usize..=4,
+        len_class in 0usize..4,
+        shape in 0usize..3,
+        cuts in proptest::collection::vec(1usize..700, 0..6),
         seed in any::<u32>(),
     ) {
-        let mut x = seed | 1;
-        let mut rnd = move || {
-            x = x.wrapping_mul(1103515245).wrapping_add(12345);
-            ((x >> 16) as f32 / 32768.0) - 1.0
+        let mut rnd = lcg(seed);
+        // Taps of unit L1 norm bound the output by the input's peak, so the
+        // absolute error bounds mean the same at every tap count.
+        let bank: Vec<Vec<f32>> = (0..bands)
+            .map(|_| {
+                let taps: Vec<f32> = (0..n_taps).map(|_| rnd()).collect();
+                let l1 = taps.iter().map(|t| t.abs()).sum::<f32>().max(f32::MIN_POSITIVE);
+                taps.iter().map(|t| t / l1).collect()
+            })
+            .collect();
+        let block = FirPlan::new(&bank[0]).block();
+        let len = match len_class {
+            0 => 0,
+            1 => 1 + seed as usize % (block - 1),
+            2 => block,
+            // More than one batch of real frames (8 frames × 2 blocks).
+            _ => (16 * block + seed as usize % block) | 1,
         };
-        let taps: Vec<f32> = (0..n_taps).map(|_| rnd() * 0.5).collect();
-        let signal: Vec<f32> = (0..1200).map(|_| rnd()).collect();
-        let want = direct_form(&taps, &signal);
-        let got = overlap_save(&taps, &signal, block);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert!((g - w).abs() < 2e-4, "random sample {i}: {g} vs {w}");
-        }
+        let signal: Vec<f32> = match shape {
+            0 => (0..len).map(|i| if i == 0 { 1.0 } else { 0.0 }).collect(),
+            1 => vec![1.0; len],
+            _ => (0..len).map(|_| rnd()).collect(),
+        };
+        check_overlap_save(&bank, &signal, &cuts);
     }
 
     /// Low-pass design always has unit DC gain.
@@ -168,11 +274,7 @@ proptest! {
         offset in 0usize..8,
         seed in any::<u32>(),
     ) {
-        let mut x = seed | 1;
-        let mut rnd = move || {
-            x = x.wrapping_mul(1103515245).wrapping_add(12345);
-            ((x >> 16) as f32 / 32768.0) - 1.0
-        };
+        let mut rnd = lcg(seed);
         let taps: Vec<f32> = (0..n_taps).map(|_| rnd()).collect();
         let window: Vec<f32> = (0..offset + n + n_taps - 1).map(|_| rnd()).collect();
         let view = &window[offset..];
@@ -195,11 +297,7 @@ proptest! {
         scale in 0.1f32..10.0,
         seed in any::<u32>(),
     ) {
-        let mut x = seed | 1;
-        let mut rnd = move || {
-            x = x.wrapping_mul(1103515245).wrapping_add(12345);
-            ((x >> 16) as f32 / 32768.0) - 1.0
-        };
+        let mut rnd = lcg(seed);
         let a: Vec<C32> = (0..offset + n).map(|_| C32::new(rnd(), rnd())).collect();
         let b: Vec<C32> = (0..offset + n).map(|_| C32::new(rnd(), rnd())).collect();
         let (a, b) = (&a[offset..], &b[offset..]);
@@ -226,11 +324,7 @@ proptest! {
     #[test]
     fn fft_plan_split_matches_fft(log_n in 1u32..11, seed in any::<u32>()) {
         let n = 1usize << log_n;
-        let mut x = seed | 1;
-        let mut rnd = move || {
-            x = x.wrapping_mul(1103515245).wrapping_add(12345);
-            ((x >> 16) as f32 / 32768.0) - 1.0
-        };
+        let mut rnd = lcg(seed);
         let orig: Vec<C32> = (0..n).map(|_| C32::new(rnd(), rnd())).collect();
         let mut interleaved = orig.clone();
         Fft::new(n).forward(&mut interleaved);

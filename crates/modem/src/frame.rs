@@ -196,70 +196,89 @@ impl FrameCodec {
     /// or payload could not be recovered are reported with their
     /// [`PhyError`] so loss-rate experiments can count them.
     pub fn demodulate(&mut self, audio: &[f32]) -> Vec<DemodFrame> {
-        let profile = self.modulator.profile().clone();
         self.demodulator.to_baseband_with(
             audio,
             &mut self.down_phasors,
             &mut self.mixed,
             &mut self.baseband,
         );
-        let mut out = Vec::new();
-        let mut cursor = 0usize;
+        scan_bursts(
+            &self.demodulator,
+            &self.fec,
+            &self.baseband,
+            &mut self.hdr_soft,
+            &mut self.soft,
+        )
+    }
+}
 
-        while let Some(mut reader) = self.demodulator.open_burst_baseband(&self.baseband, cursor) {
-            let start = reader.burst_start;
-            // Header symbol.
-            self.hdr_soft.clear();
-            if !reader.next_symbol(Modulation::Bpsk, &mut self.hdr_soft) {
-                out.push(DemodFrame {
-                    start_sample: start,
-                    payload: Err(PhyError::Truncated),
-                });
-                break;
-            }
-            let Some(payload_len) = header_decode(&self.hdr_soft) else {
-                out.push(DemodFrame {
-                    start_sample: start,
-                    payload: Err(PhyError::HeaderCorrupt),
-                });
-                // Skip past this burst's overhead symbols and rescan.
-                cursor = start + 4 * profile.symbol_len();
-                continue;
-            };
+/// Recovers every PHY frame in a baseband buffer: per burst, the header
+/// symbol, then as many payload symbols as the header announces, then the
+/// FEC chain. `hdr_soft` and `soft` are working memory.
+fn scan_bursts(
+    demod: &Demodulator,
+    fec: &FecPipeline,
+    baseband: &[C32],
+    hdr_soft: &mut Vec<f32>,
+    soft: &mut Vec<f32>,
+) -> Vec<DemodFrame> {
+    let profile = demod.profile();
+    let mut out = Vec::new();
+    let mut cursor = 0usize;
 
-            let coded_bits = profile.fec.coded_bits_len(payload_len);
-            let n_syms = coded_bits.div_ceil(profile.bits_per_symbol());
-            self.soft.clear();
-            self.soft.reserve(n_syms * profile.bits_per_symbol());
-            let mut truncated = false;
-            for _ in 0..n_syms {
-                if !reader.next_symbol(profile.modulation, &mut self.soft) {
-                    truncated = true;
-                    break;
-                }
-            }
-            let payload = if truncated {
-                Err(PhyError::Truncated)
-            } else {
-                self.soft.truncate(coded_bits);
-                match self.fec.decode_soft(&self.soft, payload_len) {
-                    Ok(bytes) => Ok(bytes),
-                    Err(FecError::Unrecoverable) | Err(FecError::LengthMismatch) => {
-                        Err(PhyError::PayloadUnrecoverable)
-                    }
-                }
-            };
-            cursor = reader.position();
+    while let Some(mut reader) = demod.open_burst_baseband(baseband, cursor) {
+        let start = reader.burst_start;
+        // Header symbol.
+        hdr_soft.clear();
+        if !reader.next_symbol(Modulation::Bpsk, hdr_soft) {
             out.push(DemodFrame {
                 start_sample: start,
-                payload,
+                payload: Err(PhyError::Truncated),
             });
-            if truncated {
+            break;
+        }
+        let Some(payload_len) = header_decode(hdr_soft) else {
+            out.push(DemodFrame {
+                start_sample: start,
+                payload: Err(PhyError::HeaderCorrupt),
+            });
+            // Skip past this burst's overhead symbols and rescan.
+            cursor = start + 4 * profile.symbol_len();
+            continue;
+        };
+
+        let coded_bits = profile.fec.coded_bits_len(payload_len);
+        let n_syms = coded_bits.div_ceil(profile.bits_per_symbol());
+        soft.clear();
+        soft.reserve(n_syms * profile.bits_per_symbol());
+        let mut truncated = false;
+        for _ in 0..n_syms {
+            if !reader.next_symbol(profile.modulation, soft) {
+                truncated = true;
                 break;
             }
         }
-        out
+        let payload = if truncated {
+            Err(PhyError::Truncated)
+        } else {
+            soft.truncate(coded_bits);
+            match fec.decode_soft(soft, payload_len) {
+                Ok(bytes) => Ok(bytes),
+                Err(FecError::Unrecoverable) | Err(FecError::LengthMismatch) => {
+                    Err(PhyError::PayloadUnrecoverable)
+                }
+            }
+        };
+        cursor = reader.position();
+        out.push(DemodFrame {
+            start_sample: start,
+            payload,
+        });
+        if truncated {
+            break;
+        }
     }
+    out
 }
 
 thread_local! {
@@ -334,67 +353,15 @@ pub fn modulate_frame_reference(profile: &Profile, payload: &[u8]) -> Vec<f32> {
     modulator.modulate_bits(&header, &coded)
 }
 
-/// Original per-call implementation of [`demodulate_frames`], kept as the
-/// executable specification for the scratch-reusing path.
+/// Executable specification of [`demodulate_frames`]: a fresh demodulator
+/// and FEC pipeline per call and the direct-form baseband conversion
+/// ([`Demodulator::to_baseband_reference`]) in place of the overlap-save
+/// one; the burst scan over that baseband is shared.
 pub fn demodulate_frames_reference(profile: &Profile, audio: &[f32]) -> Vec<DemodFrame> {
     let demod = Demodulator::new(profile.clone());
     let fec = FecPipeline::new(profile.fec);
     let baseband = demod.to_baseband_reference(audio);
-    let mut out = Vec::new();
-    let mut cursor = 0usize;
-
-    while let Some(mut reader) = demod.open_burst_baseband(&baseband, cursor) {
-        let start = reader.burst_start;
-        // Header symbol.
-        let mut hdr_soft = Vec::new();
-        if !reader.next_symbol(Modulation::Bpsk, &mut hdr_soft) {
-            out.push(DemodFrame {
-                start_sample: start,
-                payload: Err(PhyError::Truncated),
-            });
-            break;
-        }
-        let Some(payload_len) = header_decode(&hdr_soft) else {
-            out.push(DemodFrame {
-                start_sample: start,
-                payload: Err(PhyError::HeaderCorrupt),
-            });
-            // Skip past this burst's overhead symbols and rescan.
-            cursor = start + 4 * profile.symbol_len();
-            continue;
-        };
-
-        let coded_bits = profile.fec.coded_bits_len(payload_len);
-        let n_syms = coded_bits.div_ceil(profile.bits_per_symbol());
-        let mut soft = Vec::with_capacity(n_syms * profile.bits_per_symbol());
-        let mut truncated = false;
-        for _ in 0..n_syms {
-            if !reader.next_symbol(profile.modulation, &mut soft) {
-                truncated = true;
-                break;
-            }
-        }
-        let payload = if truncated {
-            Err(PhyError::Truncated)
-        } else {
-            soft.truncate(coded_bits);
-            match fec.decode_soft(&soft, payload_len) {
-                Ok(bytes) => Ok(bytes),
-                Err(FecError::Unrecoverable) | Err(FecError::LengthMismatch) => {
-                    Err(PhyError::PayloadUnrecoverable)
-                }
-            }
-        };
-        cursor = reader.position();
-        out.push(DemodFrame {
-            start_sample: start,
-            payload,
-        });
-        if truncated {
-            break;
-        }
-    }
-    out
+    scan_bursts(&demod, &fec, &baseband, &mut Vec::new(), &mut Vec::new())
 }
 
 #[cfg(test)]

@@ -10,13 +10,28 @@
 //! Layering (bottom up):
 //!
 //! * [`constellation`] — Gray-mapped BPSK…1024-QAM with max-log soft demap.
-//! * [`ofdm`] — modulator, synchronizer, equalizer, demodulator.
-//! * [`frame`] — PHY burst assembly: preamble, training, header, payload,
-//!   chained FEC from `sonic-fec`.
+//! * [`ofdm`] — one burst on air: the modulator (preamble, training, header
+//!   and payload symbols → IFFT + cyclic prefix → upconversion), and the
+//!   demodulator (downconversion + overlap-save low-pass → Schmidl-Cox sync →
+//!   channel estimate → per-symbol FFT, equalizer, soft demap).
+//! * [`frame`] — the PHY frame around a burst: coded length header, chained
+//!   FEC from `sonic-fec` over the payload, and the scan that recovers every
+//!   frame in a buffer. [`FrameCodec`] owns the plans and scratch; the free
+//!   functions go through a per-thread codec cache.
+//! * [`stream`] — push-based receiver over [`demodulate_frames`] for audio
+//!   that arrives in chunks.
 //! * [`profile`] — named parameter sets with rate math.
 //! * [`fsk`], [`chirp`] — related-work baseline modems.
 //! * [`multi`] — multi-carrier aggregation (the paper's "multiple
 //!   frequencies" rate-scaling argument).
+//!
+//! Each fast path is written once and shares everything with its
+//! `*_reference` oracle except the kernel the oracle exists for:
+//! [`modulate_frame_reference`] differs from [`modulate_frame`] in mixing
+//! with a live oscillator instead of a phasor table (same symbol builder),
+//! and [`demodulate_frames_reference`] from [`demodulate_frames`] in the
+//! direct-form baseband filter instead of the overlap-save one (same burst
+//! scanner).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

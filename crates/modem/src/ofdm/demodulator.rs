@@ -10,7 +10,7 @@ use super::carriers::CarrierPlan;
 use super::sync::{detect, SyncPoint};
 use crate::constellation::{demap_soft_batch, Modulation};
 use crate::profile::Profile;
-use sonic_dsp::fir::{design_lowpass, BlockFirC, Fir};
+use sonic_dsp::fir::{design_lowpass, Fir, OverlapSave};
 use sonic_dsp::osc::{downconvert, Nco, PhasorTable};
 use sonic_dsp::plan::{FftPlan, FirPlan};
 use sonic_dsp::split::SplitC32;
@@ -112,21 +112,18 @@ impl Demodulator {
     /// Down-converts an audio buffer to complex baseband and rejects the
     /// −2·f_c mixing image. The output is delayed by [`GROUP_DELAY`] samples.
     ///
-    /// The low-pass runs through the FFT overlap-save engine ([`BlockFirC`]):
-    /// one complex filter replaces the original pair of per-sample real FIRs.
-    /// Output matches [`to_baseband_reference`](Self::to_baseband_reference)
-    /// to within FFT rounding (~1e-6 relative), far below the noise floor of
-    /// any channel the sync and equalizer can survive.
+    /// Allocating convenience over [`to_baseband_with`](Self::to_baseband_with)
+    /// (fresh phasor table and buffers per call); same samples.
     pub fn to_baseband(&self, audio: &[f32]) -> Vec<C32> {
-        let mut nco = Nco::new(self.profile.sample_rate, self.profile.center_freq);
-        let mut mixed = Vec::with_capacity(audio.len());
-        downconvert(&mut nco, audio, &mut mixed);
-        BlockFirC::with_plan(Arc::clone(&self.lpf_plan)).process(&mut mixed);
-        mixed
+        let mut phasors = PhasorTable::new(self.profile.sample_rate, self.profile.center_freq);
+        let (mut mixed, mut out) = (Vec::new(), Vec::new());
+        self.to_baseband_with(audio, &mut phasors, &mut mixed, &mut out);
+        out
     }
 
-    /// Original direct-form baseband conversion (two per-sample real FIRs);
-    /// kept as the executable specification for the overlap-save path.
+    /// Original direct-form baseband conversion (live oscillator, two
+    /// per-sample real FIRs); kept as the executable specification for the
+    /// overlap-save path.
     pub fn to_baseband_reference(&self, audio: &[f32]) -> Vec<C32> {
         let mut nco = Nco::new(self.profile.sample_rate, self.profile.center_freq);
         let mut mixed = Vec::with_capacity(audio.len());
@@ -139,9 +136,16 @@ impl Demodulator {
             .collect()
     }
 
-    /// [`to_baseband`](Self::to_baseband) with cached oscillator phasors and
-    /// reused buffers: `out` receives the baseband, `mixed` is working
-    /// memory. Bit-identical to the allocating fast path.
+    /// The receive path's baseband conversion, with cached oscillator
+    /// phasors and reused buffers: `out` receives the baseband, `mixed` is
+    /// working memory.
+    ///
+    /// The low-pass runs through the FFT overlap-save engine
+    /// ([`OverlapSave`] over I/Q): one complex filter replaces the original
+    /// pair of per-sample real FIRs. Output matches
+    /// [`to_baseband_reference`](Self::to_baseband_reference) to within FFT
+    /// rounding (~1e-6 relative), far below the noise floor of any channel
+    /// the sync and equalizer can survive.
     pub fn to_baseband_with(
         &self,
         audio: &[f32],
@@ -152,24 +156,14 @@ impl Demodulator {
         mixed.clear();
         phasors.downconvert(audio, mixed);
         out.clear();
-        out.extend_from_slice(mixed);
-        BlockFirC::with_plan(Arc::clone(&self.lpf_plan)).process(out);
+        OverlapSave::new(vec![Arc::clone(&self.lpf_plan)])
+            .process(mixed, std::slice::from_mut(out));
     }
 
-    /// Searches `audio` from sample `from` for a burst; on success returns a
-    /// reader positioned at the header symbol. Prefer
-    /// [`open_burst_baseband`](Self::open_burst_baseband) when scanning one
-    /// buffer for many bursts (converts once).
-    pub fn open_burst<'a, 'b>(
-        &'a self,
-        baseband: &'b [C32],
-        from: usize,
-    ) -> Option<BurstReader<'a, 'b>> {
-        self.open_burst_baseband(baseband, from)
-    }
-
-    /// Finds the next burst in pre-converted baseband and prepares the
-    /// channel estimate. CFO is compensated lazily per symbol window.
+    /// Searches pre-converted baseband from sample `from` for the next burst;
+    /// on success prepares the channel estimate and returns a reader
+    /// positioned at the header symbol. CFO is compensated lazily per symbol
+    /// window.
     pub fn open_burst_baseband<'a, 'b>(
         &'a self,
         baseband: &'b [C32],
@@ -353,7 +347,7 @@ mod tests {
         let audio = m.modulate_bits(&header, payload_bits);
         let d = Demodulator::new(profile.clone());
         let bb = d.to_baseband(&audio);
-        let mut reader = d.open_burst(&bb, 0).expect("burst detected");
+        let mut reader = d.open_burst_baseband(&bb, 0).expect("burst detected");
         // Header symbol first.
         let mut hdr_soft = Vec::new();
         assert!(reader.next_symbol(Modulation::Bpsk, &mut hdr_soft));
@@ -413,7 +407,7 @@ mod tests {
         rx.extend(audio.iter().map(|&x| x * 0.05));
         let d = Demodulator::new(profile.clone());
         let bb = d.to_baseband(&rx);
-        let mut reader = d.open_burst(&bb, 0).expect("detected");
+        let mut reader = d.open_burst_baseband(&bb, 0).expect("detected");
         let mut hdr = Vec::new();
         assert!(reader.next_symbol(Modulation::Bpsk, &mut hdr));
         for (k, s) in hdr.iter().take(80).enumerate() {
@@ -452,6 +446,6 @@ mod tests {
     fn open_burst_fails_on_silence() {
         let d = Demodulator::new(Profile::sonic_10k());
         let bb = d.to_baseband(&vec![0.0; 50_000]);
-        assert!(d.open_burst(&bb, 0).is_none());
+        assert!(d.open_burst_baseband(&bb, 0).is_none());
     }
 }

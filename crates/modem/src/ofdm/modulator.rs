@@ -13,10 +13,9 @@ use sonic_dsp::{C32, Fft};
 
 /// Reusable working memory for [`Modulator::modulate_bits_into`].
 ///
-/// Replaces the per-call oscillator trig and the per-symbol `Vec`
-/// allocations of [`Modulator::modulate_bits`]; output is bit-identical
-/// (the phasor table replays the NCO recurrence exactly, and every reused
-/// buffer is fully rewritten before use).
+/// Holds the oscillator phasors and every buffer a burst needs, so
+/// steady-state modulation does neither per-sample trig nor per-symbol
+/// allocation. Every reused buffer is fully rewritten before use.
 #[derive(Debug)]
 pub struct ModulatorScratch {
     phasors: PhasorTable,
@@ -70,110 +69,14 @@ impl Modulator {
     }
 
     /// Converts frequency-domain carrier values into one time-domain symbol
-    /// (IFFT + cyclic prefix), appended to `out` as complex baseband.
-    fn push_symbol(&self, values: &[C32], out: &mut Vec<C32>) {
-        let mut buf = vec![C32::ZERO; self.profile.fft_size];
-        self.plan.scatter(values, &mut buf);
-        self.fft.inverse(&mut buf);
-        // √N undoes the 1/N of the inverse FFT up to unitary scaling; the
-        // final burst level is normalized to `tx_level` in `modulate_bits`.
-        let gain = (self.profile.fft_size as f32).sqrt();
-        let cp = self.profile.cp_len;
-        let n = self.profile.fft_size;
-        // Cyclic prefix: last cp samples first.
-        for v in &buf[n - cp..n] {
-            out.push(v.scale(gain));
-        }
-        for v in buf.iter() {
-            out.push(v.scale(gain));
-        }
-    }
-
-    /// Builds the complex-baseband burst for already-FEC-coded payload bits
-    /// plus the coded header bits.
-    fn baseband(&self, header_bits: &[u8], payload_bits: &[u8]) -> Vec<C32> {
-        let plan = &self.plan;
-        let active = plan.bins.len();
-        let mut out = Vec::new();
-
-        // Preamble (Schmidl-Cox) and two training symbols.
-        self.push_symbol(&plan.preamble, &mut out);
-        self.push_symbol(&plan.training, &mut out);
-        self.push_symbol(&plan.training, &mut out);
-
-        // Header symbol: BPSK on data carriers, pilots in place.
-        let mut header_vals = vec![C32::ZERO; active];
-        for (k, &idx) in plan.pilot_idx.iter().enumerate() {
-            header_vals[idx] = plan.pilot_values[k];
-        }
-        for (k, &idx) in plan.data_idx.iter().enumerate() {
-            let bit = header_bits.get(k).copied().unwrap_or((k % 2) as u8);
-            header_vals[idx] = map_bits(Modulation::Bpsk, &[bit]);
-        }
-        self.push_symbol(&header_vals, &mut out);
-
-        // Payload symbols.
-        let bps = self.profile.modulation.bits_per_symbol();
-        let per_sym = self.profile.data_carriers * bps;
-        let n_syms = payload_bits.len().div_ceil(per_sym);
-        for s in 0..n_syms {
-            let mut vals = vec![C32::ZERO; active];
-            for (k, &idx) in plan.pilot_idx.iter().enumerate() {
-                vals[idx] = plan.pilot_values[k];
-            }
-            for (c, &idx) in plan.data_idx.iter().enumerate() {
-                let mut bits = [0u8; 10];
-                for (b, bit) in bits.iter_mut().enumerate().take(bps) {
-                    let pos = s * per_sym + c * bps + b;
-                    *bit = payload_bits.get(pos).copied().unwrap_or(((pos ^ (pos >> 3)) % 2) as u8);
-                }
-                vals[idx] = map_bits(self.profile.modulation, &bits[..bps]);
-            }
-            self.push_symbol(&vals, &mut out);
-        }
-        out
-    }
-
-    /// Modulates coded header/payload bits into real audio samples.
-    ///
-    /// The output includes `cp_len` samples of leading and trailing silence
-    /// as an inter-burst guard.
-    pub fn modulate_bits(&self, header_bits: &[u8], payload_bits: &[u8]) -> Vec<f32> {
-        let baseband = self.baseband(header_bits, payload_bits);
-        let mut nco = Nco::new(self.profile.sample_rate, self.profile.center_freq);
-        let mut audio = Vec::with_capacity(baseband.len() + 2 * self.profile.cp_len);
-        audio.resize(self.profile.cp_len, 0.0);
-        upconvert(&mut nco, &baseband, &mut audio);
-
-        // Normalize burst RMS to the profile level.
-        let body = &audio[self.profile.cp_len..];
-        let rms = (body.iter().map(|&x| x * x).sum::<f32>() / body.len().max(1) as f32).sqrt();
-        if rms > 1e-12 {
-            let g = self.profile.tx_level / rms;
-            for v in audio.iter_mut() {
-                *v *= g;
-            }
-        }
-
-        // Edge ramps over the first/last 64 modulated samples.
-        let ramp = raised_cosine_edge(64.min(baseband.len() / 2));
-        let start = self.profile.cp_len;
-        for (i, &r) in ramp.iter().enumerate() {
-            audio[start + i] *= r;
-        }
-        let end = audio.len();
-        for (i, &r) in ramp.iter().enumerate() {
-            audio[end - 1 - i] *= r;
-        }
-        audio.resize(end + self.profile.cp_len, 0.0);
-        audio
-    }
-
-    /// [`push_symbol`](Self::push_symbol) with a caller-provided FFT buffer.
-    fn push_symbol_into(&self, values: &[C32], out: &mut Vec<C32>, buf: &mut Vec<C32>) {
+    /// (IFFT + cyclic prefix), appended to `out` as complex baseband; `buf`
+    /// is the FFT-size working buffer.
+    fn push_symbol(&self, values: &[C32], out: &mut Vec<C32>, buf: &mut Vec<C32>) {
         buf.resize(self.profile.fft_size, C32::ZERO);
         self.plan.scatter(values, buf); // zeroes the buffer before writing
         self.fft.inverse(buf);
+        // √N undoes the 1/N of the inverse FFT up to unitary scaling; the
+        // final burst level is normalized to `tx_level` in `shape_burst`.
         let gain = (self.profile.fft_size as f32).sqrt();
         let cp = self.profile.cp_len;
         let n = self.profile.fft_size;
@@ -189,31 +92,31 @@ impl Modulator {
         }
     }
 
-    /// Allocation-free variant of [`modulate_bits`](Self::modulate_bits):
-    /// all working memory lives in `scratch`, the audio is appended to a
-    /// cleared `audio`, and the oscillator trig comes from the scratch's
-    /// phasor table. Output is bit-identical to `modulate_bits`.
-    pub fn modulate_bits_into(
+    /// Builds the complex-baseband burst for already-FEC-coded payload bits
+    /// plus the coded header bits into `scratch.baseband`.
+    fn build_baseband(
         &self,
         header_bits: &[u8],
         payload_bits: &[u8],
         scratch: &mut ModulatorScratch,
-        audio: &mut Vec<f32>,
     ) {
         let plan = &self.plan;
-        let active = plan.bins.len();
-        let baseband = &mut scratch.baseband;
+        let ModulatorScratch {
+            sym,
+            vals,
+            baseband,
+            ..
+        } = scratch;
         baseband.clear();
 
         // Preamble (Schmidl-Cox) and two training symbols.
-        self.push_symbol_into(&plan.preamble, baseband, &mut scratch.sym);
-        self.push_symbol_into(&plan.training, baseband, &mut scratch.sym);
-        self.push_symbol_into(&plan.training, baseband, &mut scratch.sym);
+        self.push_symbol(&plan.preamble, baseband, sym);
+        self.push_symbol(&plan.training, baseband, sym);
+        self.push_symbol(&plan.training, baseband, sym);
 
         // Header symbol: BPSK on data carriers, pilots in place.
-        let vals = &mut scratch.vals;
         vals.clear();
-        vals.resize(active, C32::ZERO);
+        vals.resize(plan.bins.len(), C32::ZERO);
         for (k, &idx) in plan.pilot_idx.iter().enumerate() {
             vals[idx] = plan.pilot_values[k];
         }
@@ -221,7 +124,7 @@ impl Modulator {
             let bit = header_bits.get(k).copied().unwrap_or((k % 2) as u8);
             vals[idx] = map_bits(Modulation::Bpsk, &[bit]);
         }
-        self.push_symbol_into(vals, baseband, &mut scratch.sym);
+        self.push_symbol(vals, baseband, sym);
 
         // Payload symbols.
         let bps = self.profile.modulation.bits_per_symbol();
@@ -240,16 +143,22 @@ impl Modulator {
                 }
                 vals[idx] = map_bits(self.profile.modulation, &bits[..bps]);
             }
-            self.push_symbol_into(vals, baseband, &mut scratch.sym);
+            self.push_symbol(vals, baseband, sym);
         }
+    }
 
-        // Upconvert with cached phasors and apply the same normalization and
-        // edge ramps as `modulate_bits`.
+    /// Clears `audio` down to the leading inter-burst guard (`cp_len`
+    /// samples of silence), with room reserved for the upconverted burst.
+    fn start_burst(&self, audio: &mut Vec<f32>, baseband_len: usize) {
         audio.clear();
-        audio.reserve(baseband.len() + 2 * self.profile.cp_len);
+        audio.reserve(baseband_len + 2 * self.profile.cp_len);
         audio.resize(self.profile.cp_len, 0.0);
-        scratch.phasors.upconvert(baseband, audio);
+    }
 
+    /// Finishes a burst whose upconverted samples follow the leading guard
+    /// in `audio`: normalizes its RMS to the profile level, keys it on and
+    /// off with raised-cosine ramps and appends the trailing guard.
+    fn shape_burst(&self, audio: &mut Vec<f32>, baseband_len: usize, ramp: &mut Vec<f32>) {
         let body = &audio[self.profile.cp_len..];
         let rms = (body.iter().map(|&x| x * x).sum::<f32>() / body.len().max(1) as f32).sqrt();
         if rms > 1e-12 {
@@ -259,26 +168,62 @@ impl Modulator {
             }
         }
 
-        let ramp_len = 64.min(baseband.len() / 2);
-        if scratch.ramp.len() != ramp_len {
-            scratch.ramp = raised_cosine_edge(ramp_len);
+        // Edge ramps over the first/last 64 modulated samples.
+        let ramp_len = 64.min(baseband_len / 2);
+        if ramp.len() != ramp_len {
+            *ramp = raised_cosine_edge(ramp_len);
         }
         let start = self.profile.cp_len;
-        for (i, &r) in scratch.ramp.iter().enumerate() {
+        for (i, &r) in ramp.iter().enumerate() {
             audio[start + i] *= r;
         }
         let end = audio.len();
-        for (i, &r) in scratch.ramp.iter().enumerate() {
+        for (i, &r) in ramp.iter().enumerate() {
             audio[end - 1 - i] *= r;
         }
         audio.resize(end + self.profile.cp_len, 0.0);
+    }
+
+    /// Modulates coded header/payload bits into real audio samples, mixing
+    /// with a live [`Nco`] over fresh buffers: the executable specification
+    /// of [`modulate_bits_into`](Self::modulate_bits_into), with which it
+    /// shares everything but the oscillator.
+    ///
+    /// The output includes `cp_len` samples of leading and trailing silence
+    /// as an inter-burst guard.
+    pub fn modulate_bits(&self, header_bits: &[u8], payload_bits: &[u8]) -> Vec<f32> {
+        let mut scratch = ModulatorScratch::new(&self.profile);
+        self.build_baseband(header_bits, payload_bits, &mut scratch);
+        let mut audio = Vec::new();
+        self.start_burst(&mut audio, scratch.baseband.len());
+        let mut nco = Nco::new(self.profile.sample_rate, self.profile.center_freq);
+        upconvert(&mut nco, &scratch.baseband, &mut audio);
+        self.shape_burst(&mut audio, scratch.baseband.len(), &mut scratch.ramp);
+        audio
+    }
+
+    /// The transmit path's modulator: all working memory lives in `scratch`,
+    /// the audio replaces the contents of `audio`, and the oscillator trig
+    /// comes from the scratch's phasor table, which replays the NCO
+    /// recurrence exactly. Output is bit-identical to
+    /// [`modulate_bits`](Self::modulate_bits).
+    pub fn modulate_bits_into(
+        &self,
+        header_bits: &[u8],
+        payload_bits: &[u8],
+        scratch: &mut ModulatorScratch,
+        audio: &mut Vec<f32>,
+    ) {
+        self.build_baseband(header_bits, payload_bits, scratch);
+        self.start_burst(audio, scratch.baseband.len());
+        scratch.phasors.upconvert(&scratch.baseband, audio);
+        self.shape_burst(audio, scratch.baseband.len(), &mut scratch.ramp);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sonic_dsp::fft::dft_real;
     use sonic_dsp::measure;
 
     fn modulator() -> Modulator {
@@ -310,8 +255,10 @@ mod tests {
     fn spectrum_is_centered_on_carrier() {
         let m = modulator();
         let audio = m.modulate_bits(&[1; 80], &vec![0u8; 552 * 4]);
-        let spec = dft_real(&audio);
-        let n = spec.len();
+        let n = audio.len().next_power_of_two();
+        let mut spec: Vec<C32> = audio.iter().map(|&x| C32::new(x, 0.0)).collect();
+        spec.resize(n, C32::ZERO);
+        Fft::new(n).forward(&mut spec);
         let fs = m.profile().sample_rate;
         let bin_hz = fs / n as f64;
         // Energy inside the occupied band vs. far outside.

@@ -15,7 +15,7 @@
 //! SNR despite FM's triangular noise spectrum.
 
 use crate::{rds, AUDIO_RATE, MPX_RATE, PILOT_HZ, STEREO_SUB_HZ};
-use sonic_dsp::fir::{design_bandpass, design_lowpass, BlockFir, Fir, FirBank};
+use sonic_dsp::fir::{design_bandpass, design_lowpass, Fir, OverlapSave};
 use sonic_dsp::iir::{Deemphasis, Preemphasis};
 use sonic_dsp::plan::FirPlan;
 use sonic_dsp::resample::Resampler;
@@ -151,24 +151,35 @@ fn band_filters() -> &'static BandFilters {
     })
 }
 
-/// Applies a band-select FIR in place, either with the fast overlap-save
-/// engine or the direct form the decomposer originally used. The two differ
-/// only by FFT rounding (~1e-6 relative).
-fn band_filter(signal: &mut [f32], band: Band, fast: bool) {
+/// Selects `bands` out of one signal, either with the fast overlap-save
+/// engine — one pass, the forward FFT of every frame shared by all `K`
+/// bands (`1 + K` transforms per frame instead of `2K`) — or with the direct
+/// form the decomposer originally used, band by band. Per band the two
+/// differ only by FFT rounding (~1e-6 relative).
+fn band_select<const K: usize>(signal: &[f32], bands: [Band; K], fast: bool) -> [Vec<f32>; K] {
     let f = band_filters();
-    let i = band as usize;
     if fast {
-        BlockFir::with_plan(Arc::clone(&f.plans[i])).process(signal);
+        let mut outs = bands.map(|_| Vec::with_capacity(signal.len()));
+        let plans = bands
+            .iter()
+            .map(|&b| Arc::clone(&f.plans[b as usize]))
+            .collect();
+        OverlapSave::new(plans).process(signal, &mut outs);
+        outs
     } else {
-        Fir::new(f.taps[i].clone()).process(signal);
+        bands.map(|b| {
+            let mut out = signal.to_vec();
+            Fir::new(f.taps[b as usize].clone()).process(&mut out);
+            out
+        })
     }
 }
 
 /// Splits a 228 kHz composite back into its services.
 ///
 /// This is the fast receive path: every 257-tap band filter runs through the
-/// FFT overlap-save engine ([`BlockFir`]) instead of the direct form, and the
-/// 44.1 kHz conversions stay in the polyphase [`Resampler`], which only
+/// FFT overlap-save engine ([`OverlapSave`]) instead of the direct form, and
+/// the 44.1 kHz conversions stay in the polyphase [`Resampler`], which only
 /// computes taps at the decimated output rate. Output matches
 /// [`decompose_reference`] to within FFT rounding (~1e-6 relative — property
 /// tests bound the RMS error and check the frame-loss curve is unchanged).
@@ -183,31 +194,9 @@ pub fn decompose_reference(composite: &[f32]) -> MpxOutput {
 }
 
 fn decompose_impl(composite: &[f32], fast: bool) -> MpxOutput {
-    // The three always-on band selections (mono LP, pilot BP, RDS BP) all
-    // filter the same composite, so the fast path runs them as one
-    // [`FirBank`] pass sharing the forward FFT of every overlap-save frame
-    // (4 transforms per frame instead of 6). Per band the bank is
-    // bit-identical to the separate `BlockFir` runs it replaces.
-    let (mono_hi, pilot, rds_band) = if fast {
-        let f = band_filters();
-        let mut bank = FirBank::new(vec![
-            Arc::clone(&f.plans[Band::MonoLp as usize]),
-            Arc::clone(&f.plans[Band::PilotBp as usize]),
-            Arc::clone(&f.plans[Band::RdsBp as usize]),
-        ]);
-        let mut outs = [Vec::new(), Vec::new(), Vec::new()];
-        bank.process_into(composite, &mut outs);
-        let [mono_hi, pilot, rds_band] = outs;
-        (mono_hi, pilot, rds_band)
-    } else {
-        let mut mono_hi: Vec<f32> = composite.to_vec();
-        band_filter(&mut mono_hi, Band::MonoLp, fast);
-        let mut pilot: Vec<f32> = composite.to_vec();
-        band_filter(&mut pilot, Band::PilotBp, fast);
-        let mut rds_band: Vec<f32> = composite.to_vec();
-        band_filter(&mut rds_band, Band::RdsBp, fast);
-        (mono_hi, pilot, rds_band)
-    };
+    // The three always-on band selections all filter the same composite.
+    let [mono_hi, pilot, rds_band] =
+        band_select(composite, [Band::MonoLp, Band::PilotBp, Band::RdsBp], fast);
 
     // --- mono path: LPF 15 kHz, downsample, de-emphasize ---
     let mut down = Resampler::new(MPX_RATE as usize, AUDIO_RATE as usize, 32);
@@ -222,12 +211,11 @@ fn decompose_impl(composite: &[f32], fast: bool) -> MpxOutput {
 
     // --- stereo difference ---
     let stereo_diff = if has_pilot {
-        let mut band: Vec<f32> = composite.to_vec();
-        band_filter(&mut band, Band::StereoBp, fast);
+        let [band] = band_select(composite, [Band::StereoBp], fast);
         // Regenerate 38 kHz by squaring the pilot (classic receiver trick):
         // sin²(ωt) = (1 − cos 2ωt)/2 ⇒ bandpass at 38 kHz gives −cos(2ωt)/2.
-        let mut sq: Vec<f32> = pilot.iter().map(|&p| p * p).collect();
-        band_filter(&mut sq, Band::CarrierBp, fast);
+        let squared: Vec<f32> = pilot.iter().map(|&p| p * p).collect();
+        let [sq] = band_select(&squared, [Band::CarrierBp], fast);
         // Normalize the regenerated carrier to unit amplitude.
         let carrier_rms =
             (sq.iter().map(|&x| x * x).sum::<f32>() / sq.len().max(1) as f32).sqrt();
@@ -242,7 +230,7 @@ fn decompose_impl(composite: &[f32], fast: bool) -> MpxOutput {
         // the product term lands 120° out of phase at 38 kHz.
         let extra_delay = 128usize;
         // Mix: diff·cos(2ω)·cos(2ω) = diff/2 + diff·cos(4ω)/2; LPF keeps diff/2.
-        let mut mixed: Vec<f32> = sq
+        let mixed: Vec<f32> = sq
             .iter()
             .enumerate()
             .map(|(i, &c)| {
@@ -250,7 +238,7 @@ fn decompose_impl(composite: &[f32], fast: bool) -> MpxOutput {
                 -2.0 * b * c * norm * 2.0 / level::STEREO
             })
             .collect();
-        band_filter(&mut mixed, Band::MonoLp, fast);
+        let [mixed] = band_select(&mixed, [Band::MonoLp], fast);
         let mut down2 = Resampler::new(MPX_RATE as usize, AUDIO_RATE as usize, 32);
         let mut diff = Vec::with_capacity(mixed.len() / 5);
         down2.process_into(&mixed, &mut diff);

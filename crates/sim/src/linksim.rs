@@ -45,7 +45,7 @@ pub struct LinkRunResult {
     pub frames_received: usize,
     /// PHY bursts that failed entirely.
     pub bursts_failed: usize,
-    /// Frame loss rate in [0,1].
+    /// Frame loss rate in `[0, 1]`.
     pub frame_loss: f64,
 }
 
@@ -115,7 +115,7 @@ pub fn run(profile: &Profile, setup: ChannelSetup, n_frames: usize, seed: u64) -
     }
 }
 
-/// Runs `n_frames` frames over the FM chain with a [`FaultPlan`] injected
+/// Runs `n_frames` frames over the FM chain with a [`sonic_radio::faults::FaultPlan`] injected
 /// on the RF hop (impulses, co-channel interferer, mutes, clock drift,
 /// fades — see `sonic_radio::faults`). With an empty plan this is exactly
 /// [`run`] with [`ChannelSetup::Fm`].

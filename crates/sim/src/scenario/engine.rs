@@ -6,9 +6,10 @@
 //! the carousel schedule (Zipf-ranked pages cycling at the link rate) and a
 //! per-site weather [`FaultPlan`]; each *epoch* (default 5 min) it patches
 //! the mobile listeners' RSSI bands and drift classes; each carousel slot
-//! it memoizes one [`BurstLossCurve`] per site — the per-burst loss curve
-//! over (RSSI band × drift class) cells — and batch-evaluates every active
-//! listener in one pass over the SoA arrays. One hash per listener-slot
+//! it memoizes one [`sonic_radio::faults::BurstLossCurve`] per site — the
+//! per-burst loss curve over (RSSI band × drift class) cells — and
+//! batch-evaluates every active listener in one pass over the SoA arrays.
+//! One hash per listener-slot
 //! (zero for deterministic cells) replaces the full DSP chain: that is the
 //! **fast path**, and it is what makes 50 k+ listener-hours per second
 //! possible on one core.
@@ -16,8 +17,7 @@
 //! A small cohort per hour (sampled uniformly + from the RSSI boundary
 //! bands where the loss cliff lives) escalates to **full sample-level
 //! DSP** — modulator → FM chain → demodulator via
-//! [`linksim`](crate::linksim) — fanned out on
-//! [`pool::run_ordered`](crate::pool::run_ordered). The cohort's measured
+//! [`linksim`] — fanned out on [`pool::run_ordered`]. The cohort's measured
 //! loss rides in the aggregates next to the fast path's expectation for
 //! the same cells, so every report carries its own cross-check.
 //!

@@ -93,7 +93,7 @@ pub fn cdf(xs: &[f64]) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Value at a given CDF fraction (inverse CDF at `frac` in [0,1]).
+/// Value at a given CDF fraction (inverse CDF at `frac` in `[0, 1]`).
 pub fn cdf_value_at(xs: &[f64], frac: f64) -> f64 {
     percentile(xs, frac * 100.0)
 }

@@ -30,7 +30,7 @@ pub enum Question {
 pub struct Degradation {
     /// Luma PSNR vs. the clean render (dB).
     pub psnr_db: f64,
-    /// Sobel edge correlation in [0,1].
+    /// Sobel edge correlation in `[0, 1]`.
     pub edge: f64,
     /// Fraction of text-region pixels visibly damaged.
     pub text_damage: f64,
