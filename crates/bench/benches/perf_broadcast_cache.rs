@@ -25,8 +25,9 @@
 //!    every frame). Gate: warm day ≥4x faster than the cold day. The
 //!    single hour-12→13 figure is also reported for continuity with the
 //!    PR3 baseline.
-//! 3. **Incremental delta carousel** (tentpole). The same broadcast day
-//!    through `refresh_carousel`: unchanged pages air nothing, changed
+//! 3. **Incremental delta carousel** (tentpole). The slots of that same
+//!    warm day (there is one refresh path, so the day runs once and both
+//!    JSON blocks are written from it): unchanged pages air nothing, changed
 //!    pages take delta slots (meta bracket + changed columns' chunks,
 //!    modulated directly). Gate: ≥4x over the cold day, plus air-byte
 //!    accounting against a naive full-page carousel.
@@ -47,10 +48,9 @@
 
 use sonic_core::server::cache::{share_store, ArtifactCache, TieredCache};
 use sonic_core::server::pipeline::{
-    refresh_carousel, refresh_page_with, refresh_pages, CarouselSlot, CarouselStats, PageJob,
-    RefreshPath, RefreshStats, RenderedContent,
+    carousel_stats, refresh_carousel, refresh_page, CarouselSlot, CarouselStats, PageJob,
 };
-use sonic_core::server::render::Renderer;
+use sonic_core::server::render::{RenderedContent, Renderer};
 use sonic_core::server::store::ArtifactStore;
 use sonic_image::hash::Fnv64;
 use sonic_image::raster::Rgb;
@@ -93,15 +93,7 @@ fn prepare_pages(renderer: &Renderer, hour: u64) -> Vec<Prepared> {
     ids.into_iter()
         .enumerate()
         .map(|(i, id)| {
-            let rendered = corpus.render(id, hour, renderer.scale());
-            let ttl = corpus.sites[id.site].category.landing_churn_hours().max(1) as u16;
-            let content = RenderedContent {
-                url: rendered.url,
-                raster: rendered.raster,
-                clickmap: rendered.clickmap,
-                version: (hour % u16::MAX as u64) as u16,
-                ttl_hours: ttl,
-            };
+            let content = renderer.render(id, hour);
             let mutated = stride > 0 && i % stride == 0 && i / stride < n_mutated;
             let edited = mutated.then(|| {
                 // A localized edit: a widget-sized block (BAND_PERCENT of the
@@ -126,7 +118,7 @@ fn prepare_pages(renderer: &Renderer, hour: u64) -> Vec<Prepared> {
 }
 
 /// Pushes every prepared page through the cache at `epoch`, returning the
-/// wall time and per-path counts. Mutated pages advance to `epoch`; the
+/// wall time and per-slot counts. Mutated pages advance to `epoch`; the
 /// rest keep their original layout hash so the cache can prove them
 /// unchanged without touching the raster.
 fn push_carousel(
@@ -135,11 +127,8 @@ fn push_carousel(
     profile: &Profile,
     hour: u64,
     epoch: u64,
-) -> (f64, RefreshStats) {
-    let mut stats = RefreshStats {
-        pages: pages.len(),
-        ..RefreshStats::default()
-    };
+) -> (f64, CarouselStats) {
+    let mut items = Vec::with_capacity(pages.len());
     let t0 = Instant::now();
     for p in pages {
         let push_edit = epoch > 0 && p.edited.is_some();
@@ -149,16 +138,11 @@ fn push_carousel(
         } else {
             &p.content
         };
-        let (artifact, path) =
-            refresh_page_with(cache, p.id, lh, hour, Some(profile), || content.clone());
-        match path {
-            RefreshPath::FullHit => stats.full_hits += 1,
-            RefreshPath::Delta => stats.delta_hits += 1,
-            RefreshPath::Cold => stats.misses += 1,
-        }
-        black_box(&artifact);
+        items.push(refresh_page(cache, p.id, lh, hour, Some(profile), || content.clone()));
     }
-    (t0.elapsed().as_secs_f64(), stats)
+    let wall = t0.elapsed().as_secs_f64();
+    black_box(&items);
+    (wall, carousel_stats(&items))
 }
 
 /// The store directory: `SONIC_STORE_DIR` if set (CI points this at its
@@ -194,17 +178,17 @@ impl Drop for StoreDir {
 
 /// One cold-build + hourly-churn-refresh cycle on a fresh cache: the
 /// single-transition figure kept for continuity with the PR3 baseline.
-fn churn_cycle(renderer: &Renderer, profile: &Profile, hour: u64) -> (f64, f64, RefreshStats) {
+fn churn_cycle(renderer: &Renderer, profile: &Profile, hour: u64) -> (f64, f64, CarouselStats) {
     let jobs_cold = jobs_at(renderer, hour);
     let jobs_warm = jobs_at(renderer, hour + 1);
     let mut cache = ArtifactCache::unbounded();
     let t0 = Instant::now();
-    let (cold, _) = refresh_pages(renderer, &mut cache, &jobs_cold, Some(profile));
+    let (cold, _) = refresh_carousel(renderer, &mut cache, &jobs_cold, profile);
     let cold_s = t0.elapsed().as_secs_f64();
     black_box(&cold);
     drop(cold);
     let t1 = Instant::now();
-    let (warm, stats) = refresh_pages(renderer, &mut cache, &jobs_warm, Some(profile));
+    let (warm, stats) = refresh_carousel(renderer, &mut cache, &jobs_warm, profile);
     let warm_s = t1.elapsed().as_secs_f64();
     black_box(&warm);
     (cold_s, warm_s, stats)
@@ -217,13 +201,6 @@ fn jobs_at(renderer: &Renderer, hour: u64) -> Vec<PageJob> {
         .into_iter()
         .map(|id| PageJob { id, hour })
         .collect()
-}
-
-fn add_refresh_stats(acc: &mut RefreshStats, s: &RefreshStats) {
-    acc.pages += s.pages;
-    acc.full_hits += s.full_hits;
-    acc.delta_hits += s.delta_hits;
-    acc.misses += s.misses;
 }
 
 fn add_carousel_stats(acc: &mut CarouselStats, s: &CarouselStats) {
@@ -248,12 +225,9 @@ struct DayResults {
     changed_pages: usize,
     /// Total cold time: every page rebuilt from scratch, every hour.
     cold_s: f64,
-    /// Total warm time through `refresh_pages` with one day-long cache.
-    churn_warm_s: f64,
-    churn_stats: RefreshStats,
     /// Total warm time through `refresh_carousel` with one day-long cache.
-    car_warm_s: f64,
-    car_stats: CarouselStats,
+    warm_s: f64,
+    stats: CarouselStats,
     /// Air bytes a naive carousel would spend (full frames for every page
     /// that airs), summed over the day.
     air_naive: usize,
@@ -262,11 +236,11 @@ struct DayResults {
 }
 
 /// Simulates one broadcast day: `day_hours` hourly transitions following
-/// `start_hour`. Three passes over the same hours — warm churn
-/// (`refresh_pages`, one cache primed untimed at `start_hour`), warm
-/// carousel (`refresh_carousel`, same shape), then the cold baseline
-/// (fresh cache every hour, the no-cache station). The cold pass runs
-/// last, after the allocator is fully warm, which can only flatter it.
+/// `start_hour`. Two passes over the same hours — the warm day
+/// (`refresh_carousel`, one cache primed untimed at `start_hour`, slots
+/// and air bytes counted), then the cold baseline (fresh cache every hour,
+/// the no-cache station). The cold pass runs last, after the allocator is
+/// fully warm, which can only flatter it.
 fn broadcast_day(
     renderer: &Renderer,
     profile: &Profile,
@@ -285,36 +259,19 @@ fn broadcast_day(
         active_hours += (n > 0) as usize;
     }
 
-    // Warm churn: one cache across the whole day.
+    // Warm day: one cache across it, slots + air accounting.
     let mut cache = ArtifactCache::unbounded();
-    let (prime, _) = refresh_pages(renderer, &mut cache, &jobs_at(renderer, start_hour), Some(profile));
+    let (prime, _) = refresh_carousel(renderer, &mut cache, &jobs_at(renderer, start_hour), profile);
     black_box(&prime);
     drop(prime);
-    let mut churn_warm_s = 0.0;
-    let mut churn_stats = RefreshStats::default();
-    for &h in &hours {
-        let jobs = jobs_at(renderer, h);
-        let t = Instant::now();
-        let (arts, s) = refresh_pages(renderer, &mut cache, &jobs, Some(profile));
-        churn_warm_s += t.elapsed().as_secs_f64();
-        black_box(&arts);
-        add_refresh_stats(&mut churn_stats, &s);
-    }
-    drop(cache);
-
-    // Warm carousel: same day, slots + air accounting.
-    let mut cache = ArtifactCache::unbounded();
-    let (prime, _) = refresh_pages(renderer, &mut cache, &jobs_at(renderer, start_hour), Some(profile));
-    black_box(&prime);
-    drop(prime);
-    let mut car_warm_s = 0.0;
-    let mut car_stats = CarouselStats::default();
+    let mut warm_s = 0.0;
+    let mut stats = CarouselStats::default();
     let (mut air_naive, mut air_inc) = (0usize, 0usize);
     for &h in &hours {
         let jobs = jobs_at(renderer, h);
         let t = Instant::now();
         let (items, s) = refresh_carousel(renderer, &mut cache, &jobs, profile);
-        car_warm_s += t.elapsed().as_secs_f64();
+        warm_s += t.elapsed().as_secs_f64();
         air_naive += items
             .iter()
             .filter(|i| !matches!(i.slot, CarouselSlot::Unchanged))
@@ -322,7 +279,7 @@ fn broadcast_day(
             .sum::<usize>();
         air_inc += (s.full_frames + s.delta_frames) * sonic_core::frame::FRAME_SIZE;
         black_box(&items);
-        add_carousel_stats(&mut car_stats, &s);
+        add_carousel_stats(&mut stats, &s);
     }
     drop(cache);
 
@@ -332,7 +289,7 @@ fn broadcast_day(
         let jobs = jobs_at(renderer, h);
         let mut cold_cache = ArtifactCache::unbounded();
         let t = Instant::now();
-        let (arts, _) = refresh_pages(renderer, &mut cold_cache, &jobs, Some(profile));
+        let (arts, _) = refresh_carousel(renderer, &mut cold_cache, &jobs, profile);
         cold_s += t.elapsed().as_secs_f64();
         black_box(&arts);
     }
@@ -342,10 +299,8 @@ fn broadcast_day(
         active_hours,
         changed_pages,
         cold_s,
-        churn_warm_s,
-        churn_stats,
-        car_warm_s,
-        car_stats,
+        warm_s,
+        stats,
         air_naive,
         air_inc,
     }
@@ -371,22 +326,19 @@ fn warm_restart_cycle(
     let t0 = Instant::now();
     let store = share_store(ArtifactStore::open(dir, u64::MAX)?);
     let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
-    let (cold, _) = refresh_pages(renderer, &mut tiered, &jobs, Some(profile));
+    let (cold, _) = refresh_carousel(renderer, &mut tiered, &jobs, profile);
     let boot_s = t0.elapsed().as_secs_f64();
     black_box(&cold);
     drop(tiered); // every in-RAM artifact and the store handle are gone
 
     let t1 = Instant::now();
     let store = share_store(ArtifactStore::open(dir, u64::MAX)?);
-    let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
-    let (warm, _) = refresh_pages(renderer, &mut tiered, &jobs, Some(profile));
+    let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store.clone());
+    let (warm, _) = refresh_carousel(renderer, &mut tiered, &jobs, profile);
     let restart_s = t1.elapsed().as_secs_f64();
     black_box(&warm);
     let (entries, bytes) = {
-        let s = tiered
-            .store()
-            .expect("store attached")
-            .lock();
+        let s = store.lock();
         (s.len(), s.live_bytes())
     };
     Ok((
@@ -404,34 +356,16 @@ fn warm_restart_cycle(
 fn verify_delta_identity(pages: &[Prepared], profile: &Profile, hour: u64) {
     let base = pages.iter().find(|p| p.edited.is_some()).expect("a mutated page");
     let edited = base.edited.as_ref().expect("edited content");
+    let push = |cache: &mut ArtifactCache, epoch: u64, content: &RenderedContent| {
+        let lh = prepared_layout_hash(base.id, epoch);
+        refresh_page(cache, base.id, lh, hour, Some(profile), || content.clone())
+    };
     let mut warm_cache = ArtifactCache::unbounded();
-    let (_, path) = refresh_page_with(
-        &mut warm_cache,
-        base.id,
-        prepared_layout_hash(base.id, 0),
-        hour,
-        Some(profile),
-        || base.content.clone(),
-    );
-    assert_eq!(path, RefreshPath::Cold);
-    let (delta_artifact, path) = refresh_page_with(
-        &mut warm_cache,
-        base.id,
-        prepared_layout_hash(base.id, 1),
-        hour,
-        Some(profile),
-        || edited.clone(),
-    );
-    assert_eq!(path, RefreshPath::Delta);
-    let mut cold_cache = ArtifactCache::unbounded();
-    let (cold_artifact, _) = refresh_page_with(
-        &mut cold_cache,
-        base.id,
-        prepared_layout_hash(base.id, 1),
-        hour,
-        Some(profile),
-        || edited.clone(),
-    );
+    assert!(matches!(push(&mut warm_cache, 0, &base.content).slot, CarouselSlot::Full));
+    let delta = push(&mut warm_cache, 1, edited);
+    assert!(matches!(delta.slot, CarouselSlot::Delta { .. }));
+    let cold = push(&mut ArtifactCache::unbounded(), 1, edited);
+    let (delta_artifact, cold_artifact) = (delta.artifact, cold.artifact);
     assert_eq!(*delta_artifact.frames, *cold_artifact.frames, "frames must splice bit-identically");
     assert_eq!(delta_artifact.audio.len(), cold_artifact.audio.len());
     for (i, (a, b)) in delta_artifact
@@ -473,17 +407,17 @@ fn main() {
 
     let mut best_cold = f64::INFINITY;
     let mut best_warm = f64::INFINITY;
-    let mut warm_stats = RefreshStats::default();
+    let mut warm_stats = CarouselStats::default();
     let mut reuse_stats = sonic_core::server::cache::ArtifactCacheStats::default();
     for _ in 0..=samples {
         // First iteration doubles as warm-up for codec/alloc caches.
         let mut cache = ArtifactCache::unbounded();
         let (cold_s, cold_stats) = push_carousel(&mut cache, &pages, &profile, hour, 0);
-        assert_eq!(cold_stats.misses, n_pages, "cold cache: all misses");
+        assert_eq!(cold_stats.full_slots, n_pages, "cold cache: all misses");
         cache.stats = Default::default();
         let (warm_s, stats) = push_carousel(&mut cache, &pages, &profile, hour, 1);
-        assert_eq!(stats.full_hits, n_pages - n_mutated);
-        assert_eq!(stats.delta_hits, n_mutated, "every edit takes the delta path");
+        assert_eq!(stats.unchanged, n_pages - n_mutated);
+        assert_eq!(stats.delta_slots, n_mutated, "every edit takes the delta path");
         best_cold = best_cold.min(cold_s);
         if warm_s < best_warm {
             best_warm = warm_s;
@@ -492,7 +426,7 @@ fn main() {
         }
     }
     let speedup = best_cold / best_warm;
-    let hit_rate = warm_stats.full_hits as f64 / n_pages as f64;
+    let hit_rate = warm_stats.unchanged as f64 / n_pages as f64;
     println!(
         "  cold build    {:>8.3} s   {:>7.2} pages/s",
         best_cold,
@@ -503,9 +437,9 @@ fn main() {
          (hit rate {:.0}%)",
         best_warm,
         n_pages as f64 / best_warm,
-        warm_stats.full_hits,
-        warm_stats.delta_hits,
-        warm_stats.misses,
+        warm_stats.unchanged,
+        warm_stats.delta_slots,
+        warm_stats.full_slots,
         hit_rate * 100.0
     );
     println!(
@@ -526,7 +460,7 @@ fn main() {
     };
     println!("  speedup {speedup:>5.2}x (need >= {need:.1}x)  [{verdict}]");
 
-    // --- workloads 2 + 3: one broadcast day --------------------------------
+    // --- workloads 2 + 3: one broadcast day, run once -----------------------
     let day_hours = if smoke { 6 } else { 24 };
     let day = broadcast_day(&renderer, &profile, hour, day_hours);
 
@@ -542,17 +476,17 @@ fn main() {
         day.day_hours - day.active_hours,
         day.changed_pages
     );
-    let churn_speedup = day.cold_s / day.churn_warm_s;
+    let churn_speedup = day.cold_s / day.warm_s;
     let churn_need = if smoke { 0.0 } else { 4.0 };
     let churn_pass = churn_speedup >= churn_need;
     println!(
         "  cold day {:>8.3} s   warm day {:>8.3} s   speedup {churn_speedup:.2}x \
          (need >= {churn_need:.1}x)  ({} full hits / {} delta / {} cold)  [{}]",
         day.cold_s,
-        day.churn_warm_s,
-        day.churn_stats.full_hits,
-        day.churn_stats.delta_hits,
-        day.churn_stats.misses,
+        day.warm_s,
+        day.stats.unchanged,
+        day.stats.delta_slots,
+        day.stats.full_slots,
         if smoke {
             "info"
         } else if churn_pass {
@@ -565,14 +499,12 @@ fn main() {
         "  single hour {hour}->{}: cold {sh_cold:.3} s  warm {sh_warm:.3} s  \
          speedup {sh_speedup:.2}x ({} delta pages; PR3 baseline 2.14x)",
         hour + 1,
-        sh_stats.delta_hits
+        sh_stats.delta_slots
     );
 
     // --- workload 3: incremental delta carousel ----------------------------
-    println!(
-        "\ndelta carousel: the same broadcast day through refresh_carousel"
-    );
-    let car_speedup = day.cold_s / day.car_warm_s;
+    println!("\ndelta carousel: that day's slots and air bytes");
+    let car_speedup = churn_speedup;
     let car_need = if smoke { 0.0 } else { 4.0 };
     let car_pass = car_speedup >= car_need;
     let air_saved_pct = if day.air_naive > 0 {
@@ -584,7 +516,7 @@ fn main() {
         "  cold day {:>8.3} s   warm day {:>8.3} s   speedup {car_speedup:.2}x \
          (need >= {car_need:.1}x)  [{}]",
         day.cold_s,
-        day.car_warm_s,
+        day.warm_s,
         if smoke {
             "info"
         } else if car_pass {
@@ -596,9 +528,9 @@ fn main() {
     println!(
         "  slots: {} unchanged / {} delta / {} full;  air {} B vs naive {} B \
          ({air_saved_pct:.1}% saved; full-width corpus churn makes deltas span every column)",
-        day.car_stats.unchanged,
-        day.car_stats.delta_slots,
-        day.car_stats.full_slots,
+        day.stats.unchanged,
+        day.stats.delta_slots,
+        day.stats.full_slots,
         day.air_inc,
         day.air_naive
     );
@@ -700,21 +632,21 @@ fn main() {
          \"air_saved_pct\": {ticker_saved_pct:.2},\n    \"columns_patched\": {}\n  }}\n}}\n",
         n_pages as f64 / best_cold,
         n_pages as f64 / best_warm,
-        warm_stats.full_hits,
-        warm_stats.delta_hits,
+        warm_stats.unchanged,
+        warm_stats.delta_slots,
         day.day_hours,
         day.active_hours,
         day.changed_pages,
         day.cold_s,
-        day.churn_warm_s,
-        day.churn_stats.full_hits,
-        day.churn_stats.delta_hits,
-        day.churn_stats.misses,
+        day.warm_s,
+        day.stats.unchanged,
+        day.stats.delta_slots,
+        day.stats.full_slots,
         day.cold_s,
-        day.car_warm_s,
-        day.car_stats.unchanged,
-        day.car_stats.delta_slots,
-        day.car_stats.full_slots,
+        day.warm_s,
+        day.stats.unchanged,
+        day.stats.delta_slots,
+        day.stats.full_slots,
         day.air_inc,
         day.air_naive,
         ticker.delta_slots,

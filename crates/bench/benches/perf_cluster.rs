@@ -100,7 +100,7 @@ fn run_day(cfg: DayConfig, dir: &std::path::Path, transport: bool) -> DayOutcome
                 hour: h,
             })
             .collect();
-        pipeline::refresh_pages(&renderer, &mut tiered, &jobs, None);
+        pipeline::refresh_frames_only(&renderer, &mut tiered, &jobs);
 
         // Push the carousel + one health ping to every site.
         for id in 0..cfg.sites as u32 {

@@ -1,23 +1,14 @@
-//! Performance acceptance bench for the broadcast pipeline PR.
+//! DSP kernel acceptance bench for the broadcast path.
 //!
-//! Two parts:
-//!
-//! 1. Reference-vs-optimized timings for the two DSP acceptance targets
-//!    (`ofdm_modulate_1kB`, `viterbi_k9_800bits`), where the reference is
-//!    the original per-call implementation kept in-tree as the executable
-//!    specification. Both run in the same process back-to-back so the
-//!    comparison cancels machine noise; minimum-of-samples is reported
-//!    because it is the noise-robust statistic on shared hardware.
-//! 2. Broadcast-pipeline throughput at 1/2/4 workers (pages/sec). Scaling
-//!    is bounded by the host's core count, which is printed alongside: on a
-//!    single-core container the 4-worker number necessarily matches the
-//!    1-worker number.
+//! Reference-vs-optimized timings for the two DSP acceptance targets
+//! (`ofdm_modulate_1kB`, `viterbi_k9_800bits`), where the reference is the
+//! original per-call implementation kept in-tree as the executable
+//! specification. Both run in the same process back-to-back so the
+//! comparison cancels machine noise; minimum-of-samples is reported because
+//! it is the noise-robust statistic on shared hardware.
 
-use sonic_core::server::pipeline::{run_pipeline, PageJob, PipelineOptions};
-use sonic_core::server::render::Renderer;
 use sonic_fec::{conv, viterbi};
 use sonic_modem::{modulate_frame, modulate_frame_reference, Profile};
-use sonic_pagegen::{Corpus, PageId};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -79,48 +70,6 @@ fn main() {
         black_box(viterbi::decode_soft(black_box(&soft), 800));
     });
     all_pass &= check("viterbi_k9_800bits", reference, optimized, 2.0);
-
-    // --- pipeline throughput ----------------------------------------------
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("\npipeline throughput (host reports {cores} core(s)):");
-    let renderer = Renderer::new(Corpus::small(4), 0.05);
-    let jobs: Vec<PageJob> = (0..8)
-        .map(|i| PageJob {
-            id: PageId {
-                site: i % 4,
-                page: i % 4,
-            },
-            hour: 1 + (i as u64 % 3),
-        })
-        .collect();
-    let mut base = 0.0f64;
-    for workers in [1usize, 2, 4] {
-        let opts = PipelineOptions {
-            workers,
-            queue_depth: 4,
-            ..PipelineOptions::default()
-        };
-        // Warm-up run, then best of 3.
-        black_box(run_pipeline(&renderer, &jobs, &opts));
-        let t = best_time(3, 1, || {
-            black_box(run_pipeline(&renderer, &jobs, &opts));
-        });
-        let pages_s = jobs.len() as f64 / t;
-        if workers == 1 {
-            base = pages_s;
-        }
-        println!(
-            "  workers={workers}  {:>7.2} pages/s  ({:.2}x vs 1 worker)",
-            pages_s,
-            pages_s / base
-        );
-    }
-    if cores < 4 {
-        println!(
-            "  note: {cores} core(s) available — worker scaling is capped by the host, \
-             not the pipeline."
-        );
-    }
 
     println!();
     if all_pass {

@@ -5,8 +5,8 @@
 //! from its cache, e.g., if recently requested by another user, or by
 //! directly accessing it" (§3.1). Entries expire after the page's TTL.
 //!
-//! Shared behind `parking_lot::RwLock` because the server's SMS handler and
-//! the popularity pusher run concurrently in the pipeline example.
+//! The render cache sits behind a `parking_lot::RwLock` so that a server's
+//! SMS handler can look pages up through a shared reference.
 
 use crate::frame::{Frame, FRAME_SIZE};
 use crate::link::BurstTable;
@@ -126,9 +126,6 @@ struct ArtifactEntry {
     raster_hash: u64,
     /// Per-column raster hashes for dirty-strip diffing.
     column_hashes: Arc<Vec<u64>>,
-    /// Hour the artifact was built (diagnostics; reuse is purely
-    /// content-addressed).
-    rendered_hour: u64,
     /// LRU clock value of the last touch.
     last_used: u64,
     /// Cached [`Artifact::resident_bytes`] + hash-index overhead.
@@ -182,7 +179,7 @@ impl ArtifactCacheStats {
 ///    is reused verbatim, old version and all.
 /// 2. **Delta hit**: same dimensions, some columns changed ⇒ only dirty
 ///    strips re-encode and only bursts not found in the cached burst table
-///    re-modulate (see `pipeline::refresh_pages`).
+///    re-modulate (see `pipeline::refresh_page`).
 /// 3. **Miss**: cold build, bit-identical to the uncached pipeline.
 ///
 /// Eviction is LRU over a resident-byte budget: every touch bumps a logical
@@ -194,7 +191,8 @@ pub struct ArtifactCache {
     byte_budget: usize,
     bytes: usize,
     clock: u64,
-    /// Reuse counters (reset with [`reset_stats`](Self::reset_stats)).
+    /// Reuse counters, bumped by the lookups here and by
+    /// `pipeline::refresh_page` once it knows which path a page took.
     pub stats: ArtifactCacheStats,
 }
 
@@ -220,11 +218,6 @@ impl ArtifactCache {
         self.bytes
     }
 
-    /// Configured byte budget.
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
-    }
-
     /// Cached page count.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -233,11 +226,6 @@ impl ArtifactCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Zeroes the reuse counters (the cache contents stay).
-    pub fn reset_stats(&mut self) {
-        self.stats = ArtifactCacheStats::default();
     }
 
     fn touch(entries: &mut BTreeMap<PageId, ArtifactEntry>, clock: &mut u64, id: PageId) {
@@ -317,7 +305,6 @@ impl ArtifactCache {
         raster_hash: u64,
         column_hashes: Arc<Vec<u64>>,
         artifact: Artifact,
-        hour: u64,
     ) {
         let bytes = artifact.resident_bytes() + column_hashes.len() * 8;
         self.clock += 1;
@@ -328,7 +315,6 @@ impl ArtifactCache {
                 layout_hash,
                 raster_hash,
                 column_hashes,
-                rendered_hour: hour,
                 last_used: self.clock,
                 bytes,
             },
@@ -356,11 +342,6 @@ impl ArtifactCache {
             }
         }
     }
-
-    /// Hour the cached artifact for `id` was built, if cached.
-    pub fn rendered_hour(&self, id: PageId) -> Option<u64> {
-        self.entries.get(&id).map(|e| e.rendered_hour)
-    }
 }
 
 /// One disk tier shared by N schedulers/refresh drivers — the "one store
@@ -369,38 +350,39 @@ impl ArtifactCache {
 pub type SharedArtifactStore = Arc<parking_lot::Mutex<crate::server::store::ArtifactStore>>;
 
 /// Wraps an opened store into the shared handle [`TieredCache::with_store`]
-/// and [`super::SonicServer::attach_store`] take, so callers outside this
-/// crate never name the lock type.
+/// takes, so callers outside this crate never name the lock type.
 pub fn share_store(store: crate::server::store::ArtifactStore) -> SharedArtifactStore {
     Arc::new(parking_lot::Mutex::new(store))
 }
 
-/// What the refresh pipeline needs from a cache tier — implemented by the
-/// RAM-only [`ArtifactCache`] and by [`TieredCache`] (RAM over the disk
-/// store). `pipeline::refresh_page_with` is generic over this, so every
-/// existing RAM-only caller keeps working unchanged.
+/// What differs between the cache tiers `pipeline::refresh_page` runs over:
+/// the RAM-only [`ArtifactCache`] and [`TieredCache`] (RAM over the disk
+/// store). Every lookup is answered by the RAM tier; a tier with something
+/// below it can promote an entry into RAM and writes inserts through. The
+/// order in which the two are asked is the refresh ladder's business and is
+/// written there, once.
 pub trait ArtifactTier {
-    /// Full-reuse lookup by render-input hash (see
-    /// [`ArtifactCache::get_if_layout`]).
-    fn lookup_layout(&mut self, id: PageId, layout_hash: u64, want_audio: bool)
-        -> Option<Artifact>;
+    /// The RAM tier (the refresh counters live in its `stats`).
+    fn ram(&mut self) -> &mut ArtifactCache;
 
-    /// Full-reuse lookup by raster hash (see
-    /// [`ArtifactCache::get_if_raster`]).
-    #[allow(clippy::too_many_arguments)]
-    fn lookup_raster(
+    /// Loads `id` from below the RAM tier into it, if an entry is stored
+    /// there and its `(layout hash, raster hash)` pass `stored_ok`. Whether
+    /// an entry was promoted. RAM alone has nothing below it.
+    fn promote_if(&mut self, _id: PageId, _stored_ok: impl Fn(u64, u64) -> bool) -> bool {
+        false
+    }
+
+    /// Writes an insert through to below the RAM tier.
+    fn persist(
         &mut self,
-        id: PageId,
-        raster_hash: u64,
-        layout_hash: u64,
-        url: &str,
-        clickmap: &ClickMap,
-        ttl_hours: u16,
-        want_audio: bool,
-    ) -> Option<Artifact>;
-
-    /// The cached basis a delta re-encode splices against.
-    fn delta_basis_mut(&mut self, id: PageId) -> Option<(Artifact, Arc<Vec<u64>>)>;
+        _id: PageId,
+        _layout_hash: u64,
+        _raster_hash: u64,
+        _column_hashes: &[u64],
+        _artifact: &Artifact,
+        _hour: u64,
+    ) {
+    }
 
     /// Inserts (or replaces) a page's artifact in every tier.
     fn store(
@@ -411,202 +393,81 @@ pub trait ArtifactTier {
         column_hashes: Arc<Vec<u64>>,
         artifact: Artifact,
         hour: u64,
-    );
-
-    /// The reuse counters the refresh driver bumps.
-    fn stats_mut(&mut self) -> &mut ArtifactCacheStats;
+    ) {
+        self.persist(id, layout_hash, raster_hash, &column_hashes, &artifact, hour);
+        self.ram()
+            .insert(id, layout_hash, raster_hash, column_hashes, artifact);
+    }
 }
 
 impl ArtifactTier for ArtifactCache {
-    fn lookup_layout(
-        &mut self,
-        id: PageId,
-        layout_hash: u64,
-        want_audio: bool,
-    ) -> Option<Artifact> {
-        self.get_if_layout(id, layout_hash, want_audio)
-    }
-
-    fn lookup_raster(
-        &mut self,
-        id: PageId,
-        raster_hash: u64,
-        layout_hash: u64,
-        url: &str,
-        clickmap: &ClickMap,
-        ttl_hours: u16,
-        want_audio: bool,
-    ) -> Option<Artifact> {
-        self.get_if_raster(id, raster_hash, layout_hash, url, clickmap, ttl_hours, want_audio)
-    }
-
-    fn delta_basis_mut(&mut self, id: PageId) -> Option<(Artifact, Arc<Vec<u64>>)> {
-        self.delta_basis(id)
-    }
-
-    fn store(
-        &mut self,
-        id: PageId,
-        layout_hash: u64,
-        raster_hash: u64,
-        column_hashes: Arc<Vec<u64>>,
-        artifact: Artifact,
-        hour: u64,
-    ) {
-        self.insert(id, layout_hash, raster_hash, column_hashes, artifact, hour);
-    }
-
-    fn stats_mut(&mut self) -> &mut ArtifactCacheStats {
-        &mut self.stats
+    fn ram(&mut self) -> &mut ArtifactCache {
+        self
     }
 }
 
-/// RAM LRU over the persistent disk store. RAM misses probe the store by
-/// the same hash ladder; a disk hit deserializes once and promotes the
-/// `Arc`-shared artifact into the RAM tier (zero further copies), which is
-/// what makes restarts warm. Store writes ride every insert (content-dedup
-/// keeps them cheap); store I/O errors are counted, never propagated — the
-/// RAM tier alone keeps the refresh correct.
+/// RAM LRU over the persistent disk store. A disk hit deserializes once and
+/// promotes the `Arc`-shared artifact into the RAM tier (zero further
+/// copies), which is what makes restarts warm. Store writes ride every
+/// insert (content-dedup keeps them cheap); store I/O errors are counted,
+/// never propagated — the RAM tier alone keeps the refresh correct.
 #[derive(Debug)]
 pub struct TieredCache {
     /// The RAM tier (stats live here, including `disk_promotions`).
     pub ram: ArtifactCache,
-    disk: Option<SharedArtifactStore>,
+    disk: SharedArtifactStore,
 }
 
 impl TieredCache {
-    /// RAM tier only — behaves exactly like the wrapped [`ArtifactCache`].
-    pub fn ram_only(ram: ArtifactCache) -> Self {
-        TieredCache { ram, disk: None }
-    }
-
     /// RAM tier over a shared disk store.
     pub fn with_store(ram: ArtifactCache, store: SharedArtifactStore) -> Self {
-        TieredCache {
-            ram,
-            disk: Some(store),
-        }
+        TieredCache { ram, disk: store }
+    }
+}
+
+impl ArtifactTier for TieredCache {
+    fn ram(&mut self) -> &mut ArtifactCache {
+        &mut self.ram
     }
 
-    /// The shared disk store, if attached.
-    pub fn store(&self) -> Option<&SharedArtifactStore> {
-        self.disk.as_ref()
-    }
-
-    /// Loads `id` from the disk tier and promotes it into RAM under the
-    /// stored content addresses. Returns the promoted artifact.
-    fn promote(&mut self, id: PageId) -> Option<Artifact> {
-        let store = self.disk.as_ref()?;
-        let loaded = store.lock().load(id)?;
+    fn promote_if(&mut self, id: PageId, stored_ok: impl Fn(u64, u64) -> bool) -> bool {
+        let loaded = {
+            let mut store = self.disk.lock();
+            match store.entry_meta(id) {
+                Some((layout, raster, _)) if stored_ok(layout, raster) => store.load(id),
+                _ => None,
+            }
+        };
+        let Some(loaded) = loaded else { return false };
         self.ram.insert(
             id,
             loaded.layout_hash,
             loaded.raster_hash,
             loaded.column_hashes,
-            loaded.artifact.clone(),
-            loaded.hour,
+            loaded.artifact,
         );
         self.ram.stats.disk_promotions += 1;
-        Some(loaded.artifact)
-    }
-}
-
-impl ArtifactTier for TieredCache {
-    fn lookup_layout(
-        &mut self,
-        id: PageId,
-        layout_hash: u64,
-        want_audio: bool,
-    ) -> Option<Artifact> {
-        if let Some(a) = self.ram.get_if_layout(id, layout_hash, want_audio) {
-            return Some(a);
-        }
-        // Disk probe by the same key. Promote on a match even when the
-        // caller wants audio and the stored artifact is frames-only: the
-        // promoted entry still serves as the next delta basis.
-        let (stored_layout, _, _) = self
-            .disk
-            .as_ref()
-            .and_then(|s| s.lock().entry_meta(id))?;
-        if stored_layout != layout_hash {
-            return None;
-        }
-        let promoted = self.promote(id)?;
-        if want_audio && !promoted.has_audio() {
-            return None;
-        }
-        self.ram.stats.full_hits += 1;
-        Some(promoted)
+        true
     }
 
-    fn lookup_raster(
-        &mut self,
-        id: PageId,
-        raster_hash: u64,
-        layout_hash: u64,
-        url: &str,
-        clickmap: &ClickMap,
-        ttl_hours: u16,
-        want_audio: bool,
-    ) -> Option<Artifact> {
-        if let Some(a) =
-            self.ram
-                .get_if_raster(id, raster_hash, layout_hash, url, clickmap, ttl_hours, want_audio)
-        {
-            return Some(a);
-        }
-        let (_, stored_raster, _) = self
-            .disk
-            .as_ref()
-            .and_then(|s| s.lock().entry_meta(id))?;
-        if stored_raster != raster_hash {
-            return None;
-        }
-        self.promote(id)?;
-        // Re-run the RAM check so the meta comparison (url/clickmap/ttl)
-        // and the layout-hash refresh happen in exactly one place.
-        self.ram
-            .get_if_raster(id, raster_hash, layout_hash, url, clickmap, ttl_hours, want_audio)
-    }
-
-    fn delta_basis_mut(&mut self, id: PageId) -> Option<(Artifact, Arc<Vec<u64>>)> {
-        if let Some(basis) = self.ram.delta_basis(id) {
-            return Some(basis);
-        }
-        self.promote(id)?;
-        self.ram.delta_basis(id)
-    }
-
-    fn store(
+    fn persist(
         &mut self,
         id: PageId,
         layout_hash: u64,
         raster_hash: u64,
-        column_hashes: Arc<Vec<u64>>,
-        artifact: Artifact,
+        column_hashes: &[u64],
+        artifact: &Artifact,
         hour: u64,
     ) {
-        if let Some(store) = &self.disk {
-            let put = store.lock().put(
-                id,
-                layout_hash,
-                raster_hash,
-                &column_hashes,
-                &artifact,
-                hour,
-            );
-            if put.is_err() {
-                // The RAM tier alone keeps the refresh correct; the store
-                // just loses this entry's persistence.
-                store.lock().stats.io_errors += 1;
-            }
+        let mut store = self.disk.lock();
+        if store
+            .put(id, layout_hash, raster_hash, column_hashes, artifact, hour)
+            .is_err()
+        {
+            // The RAM tier alone keeps the refresh correct; the store
+            // just loses this entry's persistence.
+            store.stats.io_errors += 1;
         }
-        self.ram
-            .insert(id, layout_hash, raster_hash, column_hashes, artifact, hour);
-    }
-
-    fn stats_mut(&mut self) -> &mut ArtifactCacheStats {
-        &mut self.ram.stats
     }
 }
 
@@ -702,18 +563,17 @@ mod tests {
     fn layout_hit_requires_matching_hash() {
         let mut c = ArtifactCache::unbounded();
         let a = artifact("https://a.pk/", 40, true);
-        c.insert(pid(0), 111, 222, Arc::new(vec![1; 6]), a, 5);
+        c.insert(pid(0), 111, 222, Arc::new(vec![1; 6]), a);
         assert!(c.get_if_layout(pid(0), 111, true).is_some());
         assert!(c.get_if_layout(pid(0), 999, true).is_none());
         assert!(c.get_if_layout(pid(1), 111, true).is_none());
         assert_eq!(c.stats.full_hits, 1);
-        assert_eq!(c.rendered_hour(pid(0)), Some(5));
     }
 
     #[test]
     fn frames_only_artifact_rejected_when_audio_wanted() {
         let mut c = ArtifactCache::unbounded();
-        c.insert(pid(0), 1, 2, Arc::new(vec![0; 6]), artifact("u", 30, false), 0);
+        c.insert(pid(0), 1, 2, Arc::new(vec![0; 6]), artifact("u", 30, false));
         assert!(c.get_if_layout(pid(0), 1, true).is_none());
         assert!(c.get_if_layout(pid(0), 1, false).is_some());
     }
@@ -724,7 +584,7 @@ mod tests {
         let a = artifact("https://a.pk/", 40, true);
         let cm = a.page.clickmap.clone();
         let ttl = a.page.ttl_hours;
-        c.insert(pid(0), 111, 222, Arc::new(vec![1; 6]), a, 0);
+        c.insert(pid(0), 111, 222, Arc::new(vec![1; 6]), a);
         // Layout hash moved, raster identical: hit, and the layout hash is
         // refreshed so the next lookup hits the cheap path.
         let hit = c.get_if_raster(pid(0), 222, 333, "https://a.pk/", &cm, ttl, true);
@@ -740,7 +600,7 @@ mod tests {
     fn delta_basis_returns_cached_state() {
         let mut c = ArtifactCache::unbounded();
         let hashes = Arc::new(vec![7u64; 6]);
-        c.insert(pid(0), 1, 2, hashes.clone(), artifact("u", 30, true), 0);
+        c.insert(pid(0), 1, 2, hashes.clone(), artifact("u", 30, true));
         let (a, h) = c.delta_basis(pid(0)).expect("cached");
         assert!(Arc::ptr_eq(&h, &hashes));
         assert_eq!(a.page.url, "u");
@@ -752,11 +612,11 @@ mod tests {
         let a0 = artifact("a", 200, true);
         let budget = 2 * (a0.resident_bytes() + 6 * 8) + 64;
         let mut c = ArtifactCache::new(budget);
-        c.insert(pid(0), 1, 1, Arc::new(vec![0; 6]), a0, 0);
-        c.insert(pid(1), 2, 2, Arc::new(vec![0; 6]), artifact("b", 200, true), 0);
+        c.insert(pid(0), 1, 1, Arc::new(vec![0; 6]), a0);
+        c.insert(pid(1), 2, 2, Arc::new(vec![0; 6]), artifact("b", 200, true));
         // Touch page 0 so page 1 is the LRU victim.
         assert!(c.get_if_layout(pid(0), 1, true).is_some());
-        c.insert(pid(2), 3, 3, Arc::new(vec![0; 6]), artifact("c", 200, true), 0);
+        c.insert(pid(2), 3, 3, Arc::new(vec![0; 6]), artifact("c", 200, true));
         assert_eq!(c.stats.evictions, 1);
         assert!(c.get_if_layout(pid(0), 1, true).is_some(), "recently used survives");
         assert!(c.get_if_layout(pid(1), 2, true).is_none(), "LRU evicted");
@@ -767,9 +627,9 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_leaking_bytes() {
         let mut c = ArtifactCache::unbounded();
-        c.insert(pid(0), 1, 1, Arc::new(vec![0; 6]), artifact("a", 100, true), 0);
+        c.insert(pid(0), 1, 1, Arc::new(vec![0; 6]), artifact("a", 100, true));
         let after_first = c.bytes();
-        c.insert(pid(0), 2, 2, Arc::new(vec![0; 6]), artifact("a", 100, true), 1);
+        c.insert(pid(0), 2, 2, Arc::new(vec![0; 6]), artifact("a", 100, true));
         assert_eq!(c.bytes(), after_first, "replacement must not accumulate");
         assert_eq!(c.len(), 1);
     }

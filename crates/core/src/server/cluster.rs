@@ -470,8 +470,7 @@ impl Coordinator {
                 hour,
             })
             .collect();
-        let (artifacts, _) =
-            pipeline::refresh_pages(&self.renderer, &mut self.artifacts, &jobs, None);
+        let artifacts = pipeline::refresh_frames_only(&self.renderer, &mut self.artifacts, &jobs);
         self.carousel_hour = hour;
         self.carousel_jobs = jobs
             .iter()
@@ -596,63 +595,28 @@ impl Coordinator {
             }
             return;
         }
-        if let Some(q) = sonic_sms::queries::parse_query(msg) {
+        // Past the parse a query and a page request are one flow: both
+        // name a location and a page.
+        let (location, url, query) = if let Some(q) = sonic_sms::queries::parse_query(msg) {
             self.stats.sms_queries += 1;
-            let Some(site_id) = self.coverage.best_for(&q.location).map(|s| s.id) else {
-                self.stats.sms_rejected += 1;
-                return;
-            };
-            let url = q.result_url();
-            let page = match self.cache.get(&url, hour) {
-                Some(p) => p,
-                None => {
-                    let scale = self.renderer.scale();
-                    let rendered = match q.engine {
-                        sonic_sms::queries::Engine::Search => {
-                            sonic_pagegen::results::render_search_results(&q.text, 8, scale)
-                        }
-                        sonic_sms::queries::Engine::Chat => {
-                            sonic_pagegen::results::render_chat_answer(&q.text, scale)
-                        }
-                    };
-                    let page = Arc::new(SimplifiedPage::from_raster(
-                        &rendered.url,
-                        &rendered.raster,
-                        rendered.clickmap,
-                        (hour % u16::MAX as u64) as u16,
-                        6,
-                    ));
-                    self.cache.put(page.clone(), hour);
-                    page
-                }
-            };
-            self.submit_page(site_id, page, now_s);
-            return;
-        }
-        if let Some(req) = gateway::parse_request(msg) {
+            (q.location, q.result_url(), Some(q))
+        } else if let Some(req) = gateway::parse_request(msg) {
             self.stats.sms_requests += 1;
-            let Some(site_id) = self.coverage.best_for(&req.location).map(|s| s.id) else {
-                self.stats.sms_rejected += 1;
-                return;
-            };
-            let page = match self.cache.get(&req.url, hour) {
-                Some(p) => p,
-                None => match self.renderer.fetch(&req.url, hour) {
-                    Some(p) => {
-                        let p = Arc::new(p);
-                        self.cache.put(p.clone(), hour);
-                        p
-                    }
-                    None => {
-                        self.stats.sms_rejected += 1;
-                        return;
-                    }
-                },
-            };
-            self.submit_page(site_id, page, now_s);
+            (req.location, req.url, None)
+        } else {
+            self.stats.sms_rejected += 1;
             return;
-        }
-        self.stats.sms_rejected += 1;
+        };
+        let Some(site_id) = self.coverage.best_for(&location).map(|s| s.id) else {
+            self.stats.sms_rejected += 1;
+            return;
+        };
+        let page = super::get_or_render(&self.cache, &self.renderer, &url, query.as_ref(), hour);
+        let Some(page) = page else {
+            self.stats.sms_rejected += 1;
+            return;
+        };
+        self.submit_page(site_id, page, now_s);
     }
 
     /// Folds one completed RPC (request, response) pair into state.

@@ -10,11 +10,12 @@ pub mod scheduler;
 pub mod store;
 
 use crate::page::SimplifiedPage;
-use cache::{ArtifactCache, RenderCache, SharedArtifactStore, TieredCache};
+use cache::{ArtifactCache, RenderCache};
 use render::Renderer;
 use scheduler::BroadcastScheduler;
 use sonic_sms::gateway;
 use sonic_sms::geo::Coverage;
+use sonic_sms::queries::{self, Query};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -23,12 +24,34 @@ use std::sync::Arc;
 /// long-running server (audio-carrying refreshes size their own caches).
 const ARTIFACT_CACHE_BYTES: usize = 256 << 20;
 
+/// The page an uplink SMS asks for, from `cache` while its entry lives, else
+/// rendered and cached from `hour` on: the answer to `query` when the SMS
+/// was an `ASK`, the corpus page at `url` when it was a `GET` (`None` for a
+/// URL outside the corpus). An `ASK`'s `url` is its [`Query::result_url`].
+pub(crate) fn get_or_render(
+    cache: &RenderCache,
+    renderer: &Renderer,
+    url: &str,
+    query: Option<&Query>,
+    hour: u64,
+) -> Option<Arc<SimplifiedPage>> {
+    if let Some(p) = cache.get(url, hour) {
+        return Some(p);
+    }
+    let page = Arc::new(match query {
+        Some(q) => renderer.answer(q, hour),
+        None => renderer.fetch(url, hour)?,
+    });
+    cache.put(page.clone(), hour);
+    Some(page)
+}
+
 /// The central SONIC server plus its transmitter fleet.
 #[derive(Debug)]
 pub struct SonicServer {
     renderer: Renderer,
     cache: RenderCache,
-    artifacts: TieredCache,
+    artifacts: ArtifactCache,
     coverage: Coverage,
     /// One broadcast scheduler per transmitter site id.
     pub schedulers: BTreeMap<u32, BroadcastScheduler>,
@@ -48,7 +71,7 @@ impl SonicServer {
         SonicServer {
             renderer,
             cache: RenderCache::new(),
-            artifacts: TieredCache::ram_only(ArtifactCache::new(ARTIFACT_CACHE_BYTES)),
+            artifacts: ArtifactCache::new(ARTIFACT_CACHE_BYTES),
             coverage,
             schedulers,
             repair: repair::RepairPlanner::new(),
@@ -58,12 +81,7 @@ impl SonicServer {
     /// Renders (or serves from cache) the simplified page for `url` at
     /// `hour`. The page is `Arc`-shared with the cache — no deep clone.
     pub fn get_page(&mut self, url: &str, hour: u64) -> Option<Arc<SimplifiedPage>> {
-        if let Some(p) = self.cache.get(url, hour) {
-            return Some(p);
-        }
-        let page = Arc::new(self.renderer.fetch(url, hour)?);
-        self.cache.put(page.clone(), hour);
-        Some(page)
+        get_or_render(&self.cache, &self.renderer, url, None, hour)
     }
 
     /// Handles one uplink SMS at absolute time `now_s` (hour derived).
@@ -79,7 +97,7 @@ impl SonicServer {
         // Repair NACKs (all three grammars are disjoint): validate against
         // the repair registry, coalesce with other clients' ranges, and ACK
         // with an ETA covering the coalescing window plus the backlog.
-        if let Some(nack) = sonic_sms::queries::parse_nack(msg) {
+        if let Some(nack) = queries::parse_nack(msg) {
             let Some(site) = self.coverage.best_for(&nack.location) else {
                 return gateway::format_err("no coverage at your location");
             };
@@ -103,54 +121,21 @@ impl SonicServer {
                 }
             };
         }
-        // Queries next: the grammars are disjoint.
-        if let Some(q) = sonic_sms::queries::parse_query(msg) {
-            let Some(site) = self.coverage.best_for(&q.location) else {
-                return gateway::format_err("no coverage at your location");
-            };
-            let (site_id, freq) = (site.id, site.freq_mhz);
-            let url = q.result_url();
-            let page = match self.cache.get(&url, hour) {
-                Some(p) => p,
-                None => {
-                    let scale = self.renderer.scale();
-                    let rendered = match q.engine {
-                        sonic_sms::queries::Engine::Search => {
-                            sonic_pagegen::results::render_search_results(&q.text, 8, scale)
-                        }
-                        sonic_sms::queries::Engine::Chat => {
-                            sonic_pagegen::results::render_chat_answer(&q.text, scale)
-                        }
-                    };
-                    let page = Arc::new(crate::page::SimplifiedPage::from_raster(
-                        &rendered.url,
-                        &rendered.raster,
-                        rendered.clickmap,
-                        (hour % u16::MAX as u64) as u16,
-                        6,
-                    ));
-                    self.cache.put(page.clone(), hour);
-                    page
-                }
-            };
-            let sched = self
-                .schedulers
-                .get_mut(&site_id)
-                .expect("scheduler per site");
-            self.repair.register_page(page.clone());
-            let eta = sched.enqueue(page, now_s);
-            return gateway::format_ack(&url, eta as u64, freq);
-        }
-
-        let Some(req) = gateway::parse_request(msg) else {
+        // Queries next, then page requests. Past the parse the two are one
+        // flow: both name a location and a page.
+        let (location, url, query) = if let Some(q) = queries::parse_query(msg) {
+            (q.location, q.result_url(), Some(q))
+        } else if let Some(req) = gateway::parse_request(msg) {
+            (req.location, req.url, None)
+        } else {
             return gateway::format_err("malformed request");
         };
-        let Some(site) = self.coverage.best_for(&req.location) else {
+        let Some(site) = self.coverage.best_for(&location) else {
             return gateway::format_err("no coverage at your location");
         };
-        let site_id = site.id;
-        let freq = site.freq_mhz;
-        let Some(page) = self.get_page(&req.url, hour) else {
+        let (site_id, freq) = (site.id, site.freq_mhz);
+        let Some(page) = get_or_render(&self.cache, &self.renderer, &url, query.as_ref(), hour)
+        else {
             return gateway::format_err("page unavailable");
         };
         let sched = self
@@ -159,7 +144,7 @@ impl SonicServer {
             .expect("scheduler per site");
         self.repair.register_page(page.clone());
         let eta = sched.enqueue(page, now_s);
-        gateway::format_ack(&req.url, eta as u64, freq)
+        gateway::format_ack(&url, eta as u64, freq)
     }
 
     /// Schedules any repair bursts whose coalescing window or backoff has
@@ -187,27 +172,12 @@ impl SonicServer {
                 hour,
             })
             .collect();
-        let (artifacts, _) =
-            pipeline::refresh_pages(&self.renderer, &mut self.artifacts, &jobs, None);
-        for a in &artifacts {
+        for a in &pipeline::refresh_frames_only(&self.renderer, &mut self.artifacts, &jobs) {
             self.repair.register_page(a.page.clone());
             for sched in self.schedulers.values_mut() {
                 sched.enqueue_prechunked(a.page.clone(), a.frames.clone(), now_s);
             }
         }
-    }
-
-    /// Attaches a shared persistent artifact store under the RAM tier:
-    /// every later refresh probes (and feeds) the disk store, so restarts
-    /// and sibling servers start warm from the same files.
-    pub fn attach_store(&mut self, store: SharedArtifactStore) {
-        let ram = std::mem::replace(&mut self.artifacts, TieredCache::ram_only(ArtifactCache::new(0)));
-        self.artifacts = TieredCache::with_store(ram.ram, store);
-    }
-
-    /// The shared artifact store, if one is attached.
-    pub fn artifact_store(&self) -> Option<&SharedArtifactStore> {
-        self.artifacts.store()
     }
 
     /// Access to the renderer (for examples/benches).
@@ -217,7 +187,7 @@ impl SonicServer {
 
     /// The broadcast artifact cache (reuse stats, byte budget).
     pub fn artifact_cache(&self) -> &ArtifactCache {
-        &self.artifacts.ram
+        &self.artifacts
     }
 }
 

@@ -7,7 +7,49 @@
 //! server" of §3.1.
 
 use crate::page::SimplifiedPage;
+use sonic_image::clickmap::ClickMap;
+use sonic_image::raster::Raster;
 use sonic_pagegen::{Corpus, PageId};
+use sonic_sms::queries::{Engine, Query};
+
+/// Rendered page content, before strip encoding — everything the encode →
+/// chunk → modulate stages of `pipeline::refresh_page` need. The corpus
+/// renderer is one producer ([`Renderer::render`]); benches and a live
+/// fetcher can feed arbitrary rasters through the same cache.
+#[derive(Debug, Clone)]
+pub struct RenderedContent {
+    /// Canonical URL (rides in the meta frames).
+    pub url: String,
+    /// Rendered screenshot.
+    pub raster: Raster,
+    /// Interactivity map.
+    pub clickmap: ClickMap,
+    /// Content version (page-id component; the hour on the corpus path).
+    pub version: u16,
+    /// Client cache TTL in hours.
+    pub ttl_hours: u16,
+}
+
+impl RenderedContent {
+    /// Strip-encodes the screenshot from scratch: the cold build of the page.
+    pub fn into_page(self) -> SimplifiedPage {
+        SimplifiedPage::from_raster(
+            &self.url,
+            &self.raster,
+            self.clickmap,
+            self.version,
+            self.ttl_hours,
+        )
+    }
+}
+
+/// TTL of search-result and chat-answer pages, in hours.
+const ANSWER_TTL_HOURS: u16 = 6;
+
+/// The content version an hour stamps on what is rendered in it.
+fn hour_version(hour: u64) -> u16 {
+    (hour % u16::MAX as u64) as u16
+}
 
 /// Renders corpus pages into broadcastable [`SimplifiedPage`]s.
 #[derive(Debug)]
@@ -41,20 +83,36 @@ impl Renderer {
     /// outside the corpus (the real system would fetch the live web here).
     pub fn fetch(&self, url: &str, hour: u64) -> Option<SimplifiedPage> {
         let id = self.corpus.find_url(url, hour)?;
-        Some(self.render_id(id, hour))
+        Some(self.render(id, hour).into_page())
     }
 
-    /// Renders a known corpus page.
-    pub fn render_id(&self, id: PageId, hour: u64) -> SimplifiedPage {
+    /// Renders a known corpus page: versioned by the hour, with the site's
+    /// churn period as TTL.
+    pub fn render(&self, id: PageId, hour: u64) -> RenderedContent {
         let rendered = self.corpus.render(id, hour, self.scale);
         let site = &self.corpus.sites[id.site];
-        let ttl = site.category.landing_churn_hours().max(1) as u16;
+        RenderedContent {
+            url: rendered.url,
+            raster: rendered.raster,
+            clickmap: rendered.clickmap,
+            version: hour_version(hour),
+            ttl_hours: site.category.landing_churn_hours().max(1) as u16,
+        }
+    }
+
+    /// Renders the answer to a search-engine / chatbot query (§3.1) into a
+    /// page, broadcast like any other content.
+    pub fn answer(&self, q: &Query, hour: u64) -> SimplifiedPage {
+        let rendered = match q.engine {
+            Engine::Search => sonic_pagegen::results::render_search_results(&q.text, 8, self.scale),
+            Engine::Chat => sonic_pagegen::results::render_chat_answer(&q.text, self.scale),
+        };
         SimplifiedPage::from_raster(
             &rendered.url,
             &rendered.raster,
             rendered.clickmap,
-            (hour % u16::MAX as u64) as u16,
-            ttl,
+            hour_version(hour),
+            ANSWER_TTL_HOURS,
         )
     }
 
@@ -93,8 +151,9 @@ mod tests {
     fn version_changes_with_hour_for_news() {
         let r = renderer();
         let id = PageId { site: 0, page: 0 }; // rank 1 = news
-        let a = r.render_id(id, 1);
-        let b = r.render_id(id, 2);
+        let url = r.corpus().layout(id, 1).url;
+        let a = r.fetch(&url, 1).expect("known url");
+        let b = r.fetch(&url, 2).expect("known url");
         assert_ne!(a.page_id, b.page_id, "news pages re-version hourly");
     }
 

@@ -10,7 +10,8 @@ use sonic_core::frame::Frame;
 use sonic_core::link;
 use sonic_core::page::SimplifiedPage;
 use sonic_core::server::cache::ArtifactCache;
-use sonic_core::server::pipeline::{carousel_page_with, CarouselSlot, RenderedContent};
+use sonic_core::server::pipeline::{refresh_page, CarouselSlot};
+use sonic_core::server::render::RenderedContent;
 use sonic_image::clickmap::ClickMap;
 use sonic_image::raster::{Raster, Rgb};
 use sonic_image::strip;
@@ -119,7 +120,9 @@ proptest! {
     /// basis and the repair source) matches the cold artifact frame-for-
     /// frame and sample-for-sample, the slot's frames are exactly the cold
     /// sequence filtered to the meta bracket plus changed columns, and the
-    /// slot's audio equals a direct modulation of those frames.
+    /// slot's audio equals a direct modulation of those frames. A
+    /// frames-only refresh of the same two hours gives the same slot kind
+    /// and frames, and no audio.
     #[test]
     fn carousel_delta_slot_matches_cold_rebuild(
         w in 8usize..32,
@@ -145,17 +148,36 @@ proptest! {
 
         // Warm: prime at hour 0, then the mutated revolution at hour 1.
         let mut warm = ArtifactCache::unbounded();
-        let item0 = carousel_page_with(
-            &mut warm, id, 0xA0, 0, &profile, || content(&base));
+        let item0 = refresh_page(
+            &mut warm, id, 0xA0, 0, Some(&profile), || content(&base));
         prop_assert!(matches!(item0.slot, CarouselSlot::Full));
-        let item1 = carousel_page_with(
-            &mut warm, id, 0xA1, 1, &profile, || content(&mutated));
+        let item1 = refresh_page(
+            &mut warm, id, 0xA1, 1, Some(&profile), || content(&mutated));
 
         // Cold: the mutated content built with no prior state.
         let mut cold_cache = ArtifactCache::unbounded();
-        let cold = carousel_page_with(
-            &mut cold_cache, id, 0xA1, 1, &profile, || content(&mutated));
+        let cold = refresh_page(
+            &mut cold_cache, id, 0xA1, 1, Some(&profile), || content(&mutated));
         prop_assert!(matches!(cold.slot, CarouselSlot::Full));
+
+        // Frames-only: the same two hours with no profile.
+        let mut silent = ArtifactCache::unbounded();
+        let _ = refresh_page(&mut silent, id, 0xA0, 0, None, || content(&base));
+        let silent1 = refresh_page(&mut silent, id, 0xA1, 1, None, || content(&mutated));
+        prop_assert_eq!(&*silent1.artifact.frames, &*item1.artifact.frames);
+        prop_assert!(!silent1.artifact.has_audio());
+        match (&silent1.slot, &item1.slot) {
+            (CarouselSlot::Unchanged, CarouselSlot::Unchanged) => {}
+            (
+                CarouselSlot::Delta { frames: sf, audio: sa, changed_columns: sc },
+                CarouselSlot::Delta { frames, changed_columns, .. },
+            ) => {
+                prop_assert_eq!(&**sf, &**frames);
+                prop_assert_eq!(sc, changed_columns);
+                prop_assert!(sa.is_empty(), "no profile, no slot audio");
+            }
+            (s, a) => prop_assert!(false, "frames-only slot {s:?} vs audio slot {a:?}"),
+        }
 
         let changed = strip::diff_columns(
             &strip::column_hashes(&base), &strip::column_hashes(&mutated));

@@ -26,10 +26,9 @@
 use sonic_core::reassembly::{Reassembler, ReassemblerConfig};
 use sonic_core::server::cache::{share_store, ArtifactCache, TieredCache};
 use sonic_core::server::pipeline::{
-    carousel_page_with, refresh_carousel, refresh_pages, CarouselItem, CarouselSlot, PageJob,
-    RenderedContent,
+    carousel_stats, refresh_carousel, refresh_page, CarouselItem, CarouselSlot, PageJob,
 };
-use sonic_core::server::render::Renderer;
+use sonic_core::server::render::{RenderedContent, Renderer};
 use sonic_core::server::scheduler::BroadcastScheduler;
 use sonic_core::server::store::ArtifactStore;
 use sonic_image::hash::Fnv64;
@@ -251,11 +250,10 @@ pub fn run_ticker_carousel(
                 .write_u64(*revision)
                 .finish();
             let rendered = content.clone();
-            let item = carousel_page_with(&mut cache, id, lh, rev, &profile, move || rendered);
-            items.push(item);
+            items.push(refresh_page(&mut cache, id, lh, rev, Some(&profile), move || rendered));
         }
         if rev > 0 {
-            let stats = sonic_core::server::pipeline::carousel_stats(&items);
+            let stats = carousel_stats(&items);
             report.full_slots += stats.full_slots;
             report.delta_slots += stats.delta_slots;
             report.unchanged += stats.unchanged;
@@ -310,7 +308,7 @@ pub fn run_warm_restart(
     {
         let store = share_store(ArtifactStore::open(dir, byte_budget)?);
         let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
-        let _ = refresh_pages(&renderer, &mut tiered, &jobs, Some(&profile));
+        let _ = refresh_carousel(&renderer, &mut tiered, &jobs, &profile);
         report.cold_misses = tiered.ram.stats.misses;
     } // RAM tier and store handle drop here: nothing survives but the files.
 
@@ -322,7 +320,7 @@ pub fn run_warm_restart(
         report.store_bytes = s.live_bytes();
     }
     let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
-    let _ = refresh_pages(&renderer, &mut tiered, &jobs, Some(&profile));
+    let _ = refresh_carousel(&renderer, &mut tiered, &jobs, &profile);
     report.promoted = tiered.ram.stats.disk_promotions;
     report.warm_misses = tiered.ram.stats.misses;
     Ok(report)

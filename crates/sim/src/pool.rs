@@ -5,11 +5,11 @@
 //! pure function of its inputs — the channel RNG is seeded per job — so they
 //! can run on any thread in any order without changing a single result.
 //! [`run_ordered`] fans a job list over a pool of scoped workers connected by
-//! **bounded** crossbeam channels (the same back-pressure pattern as the
-//! broadcast pipeline in `sonic-core`'s `server::pipeline`), and a
-//! sequence-tagged reorder buffer yields the outputs in job order. The
-//! returned vector is therefore identical to `jobs.into_iter().map(f)` no
-//! matter how many workers run — seed-stable parallelism, not racy speedup.
+//! **bounded** crossbeam channels (a slow consumer stalls the feeder instead
+//! of letting results pile up), and a sequence-tagged reorder buffer yields
+//! the outputs in job order. The returned vector is therefore identical to
+//! `jobs.into_iter().map(f)` no matter how many workers run — seed-stable
+//! parallelism, not racy speedup.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::collections::BTreeMap;
