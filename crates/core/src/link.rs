@@ -7,10 +7,10 @@
 //! granularity the loss experiments measure.
 
 use crate::frame::{Frame, FrameError, FRAME_SIZE};
-use sonic_image::hash::Fnv64;
-use sonic_modem::frame::{demodulate_frames, modulate_frame, modulate_frame_into, MAX_PAYLOAD};
+use sonic_modem::frame::{
+    demodulate_frames, modulate_frame_into, modulated_samples, MAX_PAYLOAD,
+};
 use sonic_modem::profile::Profile;
-use std::collections::HashMap;
 
 /// Link frames packed into one PHY burst (40 × 100 B = 4000 ≤ 4095).
 pub const FRAMES_PER_BURST: usize = MAX_PAYLOAD / FRAME_SIZE;
@@ -30,169 +30,30 @@ pub struct LinkStats {
 }
 
 /// Modulates a frame sequence into audio, [`FRAMES_PER_BURST`] per burst.
+/// The only function that turns frames into audio.
 pub fn modulate(profile: &Profile, frames: &[Frame]) -> Vec<f32> {
-    let mut audio = Vec::new();
+    // Half a symbol of guard between bursts.
+    let guard = profile.symbol_len() / 2;
+    // Sized once, exactly, instead of doubling through tens of megabytes
+    // of copies.
+    let mut audio = Vec::with_capacity(
+        frames
+            .chunks(FRAMES_PER_BURST)
+            .map(|group| modulated_samples(profile, group.len() * FRAME_SIZE) + guard)
+            .sum(),
+    );
+    let mut payload = Vec::with_capacity(MAX_PAYLOAD);
+    let mut burst = Vec::new();
     for group in frames.chunks(FRAMES_PER_BURST) {
-        let mut payload = Vec::with_capacity(group.len() * FRAME_SIZE);
+        payload.clear();
         for f in group {
             payload.extend_from_slice(&f.encode());
         }
-        audio.extend(modulate_frame(profile, &payload));
-        // Half a symbol of guard between bursts.
-        audio.extend(std::iter::repeat_n(0.0, profile.symbol_len() / 2));
+        modulate_frame_into(profile, &payload, &mut burst);
+        audio.extend_from_slice(&burst);
+        audio.extend(std::iter::repeat_n(0.0, guard));
     }
     audio
-}
-
-/// The audio span one PHY burst occupies inside a concatenated buffer,
-/// keyed by the content address of its payload bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstSpan {
-    /// FNV-1a of the burst's concatenated frame bytes (length folded in).
-    pub payload_hash: u64,
-    /// Sample offset of the burst inside the buffer.
-    pub start: usize,
-    /// Sample count including the inter-burst guard.
-    pub len: usize,
-}
-
-/// Per-burst index of a modulated frame sequence — the audio-side half of
-/// the broadcast artifact cache. Bursts are modulated independently and the
-/// inter-burst guard is silence, so a burst whose payload hash matches a
-/// previous modulation can have its samples copied instead of re-synthesized.
-#[derive(Debug, Clone, Default)]
-pub struct BurstTable {
-    /// One span per burst, in transmission order.
-    pub spans: Vec<BurstSpan>,
-}
-
-impl BurstTable {
-    /// Total samples the indexed audio occupies (spans tile the buffer, so
-    /// this is the end of the last span).
-    pub fn total_samples(&self) -> usize {
-        self.spans.last().map(|s| s.start + s.len).unwrap_or(0)
-    }
-}
-
-/// Accounting from [`modulate_spliced`].
-#[derive(Debug, Clone)]
-pub struct SplicedAudio {
-    /// The modulated carousel audio (bit-identical to [`modulate`]).
-    pub audio: Vec<f32>,
-    /// Burst index of the new audio, reusable by the next splice.
-    pub table: BurstTable,
-    /// Bursts whose samples were copied from the previous audio.
-    pub reused: usize,
-    /// Bursts that went through the OFDM modulator.
-    pub modulated: usize,
-}
-
-/// Concatenated wire bytes of one burst's frames.
-fn burst_payload(group: &[Frame]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(group.len() * FRAME_SIZE);
-    for f in group {
-        payload.extend_from_slice(&f.encode());
-    }
-    payload
-}
-
-/// Content address of a burst payload.
-fn burst_hash(payload: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(payload).write_u64(payload.len() as u64);
-    h.finish()
-}
-
-/// [`modulate`], additionally returning the per-burst span table so a later
-/// refresh can splice unchanged bursts' audio via [`modulate_spliced`].
-pub fn modulate_with_table(profile: &Profile, frames: &[Frame]) -> (Vec<f32>, BurstTable) {
-    let n_bursts = frames.len().div_ceil(FRAMES_PER_BURST);
-    let mut audio = Vec::new();
-    let mut spans = Vec::with_capacity(n_bursts);
-    let mut burst = Vec::new();
-    for group in frames.chunks(FRAMES_PER_BURST) {
-        let payload = burst_payload(group);
-        let start = audio.len();
-        modulate_frame_into(profile, &payload, &mut burst);
-        if start == 0 {
-            // Full bursts are all the same length; size the buffer once
-            // instead of doubling through tens of megabytes of copies.
-            audio.reserve(n_bursts * (burst.len() + profile.symbol_len() / 2));
-        }
-        audio.extend_from_slice(&burst);
-        audio.extend(std::iter::repeat_n(0.0, profile.symbol_len() / 2));
-        spans.push(BurstSpan {
-            payload_hash: burst_hash(&payload),
-            start,
-            len: audio.len() - start,
-        });
-    }
-    (audio, BurstTable { spans })
-}
-
-/// Modulates a frame sequence, copying the samples of every burst whose
-/// payload already appears in `prev` (a table from [`modulate_with_table`]
-/// or an earlier splice over `prev_audio`) and running the OFDM modulator
-/// only for new bursts.
-///
-/// Modulation is a deterministic pure function of (profile, payload) and
-/// the inter-burst guard is silence, so the result is bit-identical to a
-/// cold [`modulate`] of `frames`.
-pub fn modulate_spliced(
-    profile: &Profile,
-    frames: &[Frame],
-    prev_audio: &[f32],
-    prev: &BurstTable,
-) -> SplicedAudio {
-    let mut by_hash: HashMap<u64, BurstSpan> = HashMap::with_capacity(prev.spans.len());
-    for span in &prev.spans {
-        if span.start + span.len <= prev_audio.len() {
-            by_hash.insert(span.payload_hash, *span);
-        }
-    }
-    let n_bursts = frames.len().div_ceil(FRAMES_PER_BURST);
-    let mut audio = Vec::new();
-    let mut spans = Vec::with_capacity(n_bursts);
-    let mut burst = Vec::new();
-    let (mut reused, mut modulated) = (0usize, 0usize);
-    for group in frames.chunks(FRAMES_PER_BURST) {
-        let payload = burst_payload(group);
-        let hash = burst_hash(&payload);
-        let start = audio.len();
-        match by_hash.get(&hash) {
-            Some(span) => {
-                if start == 0 {
-                    // Full bursts are all the same length; size the buffer
-                    // once instead of doubling through tens of megabytes of
-                    // copies (the doubling shows up as a ~20% modulation
-                    // penalty on hour-churn pages whose audio grew).
-                    audio.reserve(n_bursts * span.len);
-                }
-                audio.extend_from_slice(&prev_audio[span.start..span.start + span.len]);
-                reused += 1;
-            }
-            None => {
-                modulate_frame_into(profile, &payload, &mut burst);
-                if start == 0 {
-                    audio.reserve(n_bursts * (burst.len() + profile.symbol_len() / 2));
-                }
-                audio.extend_from_slice(&burst);
-                audio.extend(std::iter::repeat_n(0.0, profile.symbol_len() / 2));
-                modulated += 1;
-            }
-        }
-        spans.push(BurstSpan {
-            payload_hash: hash,
-            start,
-            len: audio.len() - start,
-        });
-    }
-    SplicedAudio {
-        audio,
-        table: BurstTable { spans },
-        reused,
-        modulated,
-    }
 }
 
 /// Demodulates audio back into link frames with loss accounting.
@@ -276,67 +137,5 @@ mod tests {
     fn empty_input_is_silence() {
         let p = Profile::sonic_10k();
         assert!(modulate(&p, &[]).is_empty());
-    }
-
-    fn bits_eq(a: &[f32], b: &[f32]) -> bool {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-    }
-
-    #[test]
-    fn modulate_with_table_matches_modulate() {
-        let p = Profile::sonic_10k();
-        let fs = frames(2 * FRAMES_PER_BURST + 7);
-        let (audio, table) = modulate_with_table(&p, &fs);
-        assert!(bits_eq(&audio, &modulate(&p, &fs)));
-        assert_eq!(table.spans.len(), 3);
-        // Spans tile the buffer exactly.
-        let mut cursor = 0usize;
-        for s in &table.spans {
-            assert_eq!(s.start, cursor);
-            cursor += s.len;
-        }
-        assert_eq!(cursor, audio.len());
-    }
-
-    #[test]
-    fn splice_identical_frames_reuses_every_burst() {
-        let p = Profile::sonic_10k();
-        let fs = frames(FRAMES_PER_BURST + 10);
-        let (audio, table) = modulate_with_table(&p, &fs);
-        let spliced = modulate_spliced(&p, &fs, &audio, &table);
-        assert_eq!(spliced.reused, 2);
-        assert_eq!(spliced.modulated, 0);
-        assert!(bits_eq(&spliced.audio, &audio));
-        assert_eq!(spliced.table.spans, table.spans);
-    }
-
-    #[test]
-    fn splice_with_mutated_burst_is_bit_identical_to_cold() {
-        let p = Profile::sonic_10k();
-        let fs = frames(3 * FRAMES_PER_BURST);
-        let (audio, table) = modulate_with_table(&p, &fs);
-        // Mutate one frame in the middle burst.
-        let mut changed = fs.clone();
-        if let Frame::Strip { payload, .. } = &mut changed[FRAMES_PER_BURST + 5] {
-            payload[0] ^= 0xFF;
-        }
-        let spliced = modulate_spliced(&p, &changed, &audio, &table);
-        assert_eq!(spliced.reused, 2);
-        assert_eq!(spliced.modulated, 1);
-        assert!(bits_eq(&spliced.audio, &modulate(&p, &changed)));
-        // And the spliced audio still demodulates to the new frames.
-        let (got, stats) = demodulate(&p, &spliced.audio);
-        assert_eq!(got, changed);
-        assert_eq!(stats.bursts_failed, 0);
-    }
-
-    #[test]
-    fn splice_against_empty_table_modulates_everything() {
-        let p = Profile::sonic_10k();
-        let fs = frames(FRAMES_PER_BURST / 2);
-        let spliced = modulate_spliced(&p, &fs, &[], &BurstTable::default());
-        assert_eq!(spliced.reused, 0);
-        assert_eq!(spliced.modulated, 1);
-        assert!(bits_eq(&spliced.audio, &modulate(&p, &fs)));
     }
 }

@@ -9,7 +9,6 @@
 //! SMS handler can look pages up through a shared reference.
 
 use crate::frame::{Frame, FRAME_SIZE};
-use crate::link::BurstTable;
 use crate::page::SimplifiedPage;
 use parking_lot::RwLock;
 use sonic_image::clickmap::ClickMap;
@@ -83,34 +82,29 @@ impl RenderCache {
     }
 }
 
-/// Everything the broadcast pipeline produced for one page, `Arc`-shared so
-/// the cache, every transmitter's scheduler and the caller can hold the
-/// same bytes without copying.
+/// What the server keeps of one page: the simplified page and its frames,
+/// `Arc`-shared so the cache, every transmitter's scheduler and the caller
+/// can hold the same bytes without copying.
 #[derive(Debug, Clone)]
 pub struct Artifact {
     /// The simplified page (strip-coded screenshot + metadata).
     pub page: Arc<SimplifiedPage>,
     /// The page's link-frame sequence.
     pub frames: Arc<Vec<Frame>>,
-    /// OFDM audio for the whole frame sequence (empty when the refresh ran
-    /// frames-only, e.g. the SMS push path that never reaches a modulator).
+    /// Not part of the artifact: audio is made for the slot that airs, and
+    /// no tier caches or stores it. The field is here only because the
+    /// frozen `benchmark/` reads a full-page slot's audio from it —
+    /// `pipeline::refresh_carousel` fills it on the item it returns for a
+    /// [`CarouselSlot::Full`](crate::server::pipeline::CarouselSlot::Full);
+    /// it is empty everywhere else (RAM tier, disk, Unchanged and Delta
+    /// items, frames-only refreshes).
     pub audio: Arc<Vec<f32>>,
-    /// Per-burst span index of `audio`, for splicing on the next refresh.
-    pub bursts: BurstTable,
 }
 
 impl Artifact {
-    /// Whether this artifact carries modulated audio.
-    pub fn has_audio(&self) -> bool {
-        !self.audio.is_empty()
-    }
-
-    /// Approximate resident bytes (audio + frames + strips + metadata).
+    /// Approximate resident bytes (frames + strips + metadata).
     pub fn resident_bytes(&self) -> usize {
-        self.audio.len() * std::mem::size_of::<f32>()
-            + self.frames.len() * FRAME_SIZE
-            + self.page.strips.total_bytes()
-            + self.page.url.len()
+        self.frames.len() * FRAME_SIZE + self.page.strips.total_bytes() + self.page.url.len()
     }
 }
 
@@ -147,10 +141,6 @@ pub struct ArtifactCacheStats {
     pub strips_reused: u64,
     /// Columns re-encoded during delta refreshes.
     pub strips_reencoded: u64,
-    /// Audio bursts spliced from cached audio during delta refreshes.
-    pub bursts_reused: u64,
-    /// Audio bursts re-modulated during delta refreshes.
-    pub bursts_modulated: u64,
     /// RAM misses served by promoting an artifact from the disk tier.
     pub disk_promotions: u64,
 }
@@ -170,16 +160,15 @@ impl ArtifactCacheStats {
 /// Content-addressed broadcast artifact cache (the tentpole of the warm
 /// refresh path).
 ///
-/// Keyed by corpus [`PageId`]; each entry holds the page's full pipeline
-/// product (strips, frames, audio, burst table) plus the content addresses
-/// — layout hash, raster hash, per-column hashes — that let a refresh
-/// decide between three paths without re-running the pipeline:
+/// Keyed by corpus [`PageId`]; each entry holds the page's strips and
+/// frames plus the content addresses — layout hash, raster hash, per-column
+/// hashes — that let a refresh decide between three paths without
+/// re-running the pipeline:
 ///
 /// 1. **Full hit**: layout hash (or raster hash) unchanged ⇒ the artifact
 ///    is reused verbatim, old version and all.
 /// 2. **Delta hit**: same dimensions, some columns changed ⇒ only dirty
-///    strips re-encode and only bursts not found in the cached burst table
-///    re-modulate (see `pipeline::refresh_page`).
+///    strips re-encode (see `pipeline::refresh_page`).
 /// 3. **Miss**: cold build, bit-identical to the uncached pipeline.
 ///
 /// Eviction is LRU over a resident-byte budget: every touch bumps a logical
@@ -235,18 +224,12 @@ impl ArtifactCache {
         }
     }
 
-    /// Full-reuse lookup by render-input hash. `want_audio` refuses
-    /// frames-only artifacts so an audio-producing refresh rebuilds them.
-    /// Counts a full hit on success (the miss/delta counters are bumped by
-    /// the refresh driver once it knows which path it took).
-    pub fn get_if_layout(
-        &mut self,
-        id: PageId,
-        layout_hash: u64,
-        want_audio: bool,
-    ) -> Option<Artifact> {
+    /// Full-reuse lookup by render-input hash. Counts a full hit on
+    /// success (the miss/delta counters are bumped by the refresh driver
+    /// once it knows which path it took).
+    pub fn get_if_layout(&mut self, id: PageId, layout_hash: u64) -> Option<Artifact> {
         let e = self.entries.get(&id)?;
-        if e.layout_hash != layout_hash || (want_audio && !e.artifact.has_audio()) {
+        if e.layout_hash != layout_hash {
             return None;
         }
         let artifact = e.artifact.clone();
@@ -260,7 +243,6 @@ impl ArtifactCache {
     /// raster, click map, TTL, URL — because the click map and TTL ride in
     /// the meta frames. On success the entry's layout hash is refreshed so
     /// the next refresh takes the cheaper [`Self::get_if_layout`] path.
-    #[allow(clippy::too_many_arguments)]
     pub fn get_if_raster(
         &mut self,
         id: PageId,
@@ -269,12 +251,10 @@ impl ArtifactCache {
         url: &str,
         clickmap: &ClickMap,
         ttl_hours: u16,
-        want_audio: bool,
     ) -> Option<Artifact> {
         let e = self.entries.get_mut(&id)?;
         let p = &e.artifact.page;
         if e.raster_hash != raster_hash
-            || (want_audio && !e.artifact.has_audio())
             || p.url != url
             || p.clickmap != *clickmap
             || p.ttl_hours != ttl_hours
@@ -406,9 +386,9 @@ impl ArtifactTier for ArtifactCache {
     }
 }
 
-/// RAM LRU over the persistent disk store. A disk hit deserializes once and
-/// promotes the `Arc`-shared artifact into the RAM tier (zero further
-/// copies), which is what makes restarts warm. Store writes ride every
+/// RAM LRU over the persistent disk store. A disk hit deserializes once,
+/// re-chunks the page and promotes the `Arc`-shared artifact into the RAM
+/// tier, which is what makes restarts warm. Store writes ride every
 /// insert (content-dedup keeps them cheap); store I/O errors are counted,
 /// never propagated — the RAM tier alone keeps the refresh correct.
 #[derive(Debug)]
@@ -533,7 +513,7 @@ mod tests {
 
     // --- ArtifactCache ---
 
-    fn artifact(url: &str, height: usize, with_audio: bool) -> Artifact {
+    fn artifact(url: &str, height: usize) -> Artifact {
         let p = Arc::new(SimplifiedPage::from_raster(
             url,
             &Raster::new(6, height),
@@ -542,16 +522,10 @@ mod tests {
             2,
         ));
         let frames = Arc::new(crate::chunker::page_to_frames(&p));
-        let audio = if with_audio {
-            Arc::new(vec![0.0f32; height * 100])
-        } else {
-            Arc::new(Vec::new())
-        };
         Artifact {
             page: p,
             frames,
-            audio,
-            bursts: BurstTable::default(),
+            audio: Arc::default(),
         }
     }
 
@@ -562,45 +536,37 @@ mod tests {
     #[test]
     fn layout_hit_requires_matching_hash() {
         let mut c = ArtifactCache::unbounded();
-        let a = artifact("https://a.pk/", 40, true);
+        let a = artifact("https://a.pk/", 40);
         c.insert(pid(0), 111, 222, Arc::new(vec![1; 6]), a);
-        assert!(c.get_if_layout(pid(0), 111, true).is_some());
-        assert!(c.get_if_layout(pid(0), 999, true).is_none());
-        assert!(c.get_if_layout(pid(1), 111, true).is_none());
+        assert!(c.get_if_layout(pid(0), 111).is_some());
+        assert!(c.get_if_layout(pid(0), 999).is_none());
+        assert!(c.get_if_layout(pid(1), 111).is_none());
         assert_eq!(c.stats.full_hits, 1);
-    }
-
-    #[test]
-    fn frames_only_artifact_rejected_when_audio_wanted() {
-        let mut c = ArtifactCache::unbounded();
-        c.insert(pid(0), 1, 2, Arc::new(vec![0; 6]), artifact("u", 30, false));
-        assert!(c.get_if_layout(pid(0), 1, true).is_none());
-        assert!(c.get_if_layout(pid(0), 1, false).is_some());
     }
 
     #[test]
     fn raster_hit_checks_meta_and_refreshes_layout_hash() {
         let mut c = ArtifactCache::unbounded();
-        let a = artifact("https://a.pk/", 40, true);
+        let a = artifact("https://a.pk/", 40);
         let cm = a.page.clickmap.clone();
         let ttl = a.page.ttl_hours;
         c.insert(pid(0), 111, 222, Arc::new(vec![1; 6]), a);
         // Layout hash moved, raster identical: hit, and the layout hash is
         // refreshed so the next lookup hits the cheap path.
-        let hit = c.get_if_raster(pid(0), 222, 333, "https://a.pk/", &cm, ttl, true);
+        let hit = c.get_if_raster(pid(0), 222, 333, "https://a.pk/", &cm, ttl);
         assert!(hit.is_some());
-        assert!(c.get_if_layout(pid(0), 333, true).is_some());
+        assert!(c.get_if_layout(pid(0), 333).is_some());
         // Any meta mismatch refuses the hit (meta rides in the frames).
-        assert!(c.get_if_raster(pid(0), 222, 444, "https://b.pk/", &cm, ttl, true).is_none());
-        assert!(c.get_if_raster(pid(0), 222, 444, "https://a.pk/", &cm, ttl + 1, true).is_none());
-        assert!(c.get_if_raster(pid(0), 999, 444, "https://a.pk/", &cm, ttl, true).is_none());
+        assert!(c.get_if_raster(pid(0), 222, 444, "https://b.pk/", &cm, ttl).is_none());
+        assert!(c.get_if_raster(pid(0), 222, 444, "https://a.pk/", &cm, ttl + 1).is_none());
+        assert!(c.get_if_raster(pid(0), 999, 444, "https://a.pk/", &cm, ttl).is_none());
     }
 
     #[test]
     fn delta_basis_returns_cached_state() {
         let mut c = ArtifactCache::unbounded();
         let hashes = Arc::new(vec![7u64; 6]);
-        c.insert(pid(0), 1, 2, hashes.clone(), artifact("u", 30, true));
+        c.insert(pid(0), 1, 2, hashes.clone(), artifact("u", 30));
         let (a, h) = c.delta_basis(pid(0)).expect("cached");
         assert!(Arc::ptr_eq(&h, &hashes));
         assert_eq!(a.page.url, "u");
@@ -609,27 +575,27 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_lru() {
-        let a0 = artifact("a", 200, true);
+        let a0 = artifact("a", 200);
         let budget = 2 * (a0.resident_bytes() + 6 * 8) + 64;
         let mut c = ArtifactCache::new(budget);
         c.insert(pid(0), 1, 1, Arc::new(vec![0; 6]), a0);
-        c.insert(pid(1), 2, 2, Arc::new(vec![0; 6]), artifact("b", 200, true));
+        c.insert(pid(1), 2, 2, Arc::new(vec![0; 6]), artifact("b", 200));
         // Touch page 0 so page 1 is the LRU victim.
-        assert!(c.get_if_layout(pid(0), 1, true).is_some());
-        c.insert(pid(2), 3, 3, Arc::new(vec![0; 6]), artifact("c", 200, true));
+        assert!(c.get_if_layout(pid(0), 1).is_some());
+        c.insert(pid(2), 3, 3, Arc::new(vec![0; 6]), artifact("c", 200));
         assert_eq!(c.stats.evictions, 1);
-        assert!(c.get_if_layout(pid(0), 1, true).is_some(), "recently used survives");
-        assert!(c.get_if_layout(pid(1), 2, true).is_none(), "LRU evicted");
-        assert!(c.get_if_layout(pid(2), 3, true).is_some(), "new entry survives");
+        assert!(c.get_if_layout(pid(0), 1).is_some(), "recently used survives");
+        assert!(c.get_if_layout(pid(1), 2).is_none(), "LRU evicted");
+        assert!(c.get_if_layout(pid(2), 3).is_some(), "new entry survives");
         assert!(c.bytes() <= budget);
     }
 
     #[test]
     fn reinsert_replaces_without_leaking_bytes() {
         let mut c = ArtifactCache::unbounded();
-        c.insert(pid(0), 1, 1, Arc::new(vec![0; 6]), artifact("a", 100, true));
+        c.insert(pid(0), 1, 1, Arc::new(vec![0; 6]), artifact("a", 100));
         let after_first = c.bytes();
-        c.insert(pid(0), 2, 2, Arc::new(vec![0; 6]), artifact("a", 100, true));
+        c.insert(pid(0), 2, 2, Arc::new(vec![0; 6]), artifact("a", 100));
         assert_eq!(c.bytes(), after_first, "replacement must not accumulate");
         assert_eq!(c.len(), 1);
     }

@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Default artifact-cache byte budget: enough for a full standard corpus of
-/// frames-only artifacts at experiment scales, small enough to bound a
-/// long-running server (audio-carrying refreshes size their own caches).
+/// artifacts (strips + frames) at experiment scales, small enough to bound
+/// a long-running server.
 const ARTIFACT_CACHE_BYTES: usize = 256 << 20;
 
 /// The page an uplink SMS asks for, from `cache` while its entry lives, else

@@ -1,19 +1,21 @@
 //! The server's refresh path: one page at a time through the artifact
-//! cache, render → strip encode → chunk → OFDM only where the content
-//! moved.
+//! cache, render → strip encode → chunk only where the content moved.
 //!
 //! "The SONIC server produces a simplified version of the webpage, either
 //! from its cache … or by directly accessing it" (§3.1), once per page per
 //! hour. [`refresh_page`] is that step and the only place it is written:
 //! the hash ladder that decides how little work a page needs, the delta or
-//! cold build, and the store into every cache tier. [`refresh_carousel`]
-//! and [`refresh_frames_only`] are loops over it.
+//! cold build, and the store into every cache tier. What is cached is the
+//! simplified page and its frames, never a waveform: [`refresh_carousel`]
+//! is [`refresh_page`], then [`link::modulate`] of exactly the frames the
+//! slot airs; [`refresh_frames_only`] is the same loop without the second
+//! step.
 
 use crate::chunker::page_to_frames;
 use crate::frame::Frame;
-use crate::link::{self, BurstTable, FRAMES_PER_BURST};
+use crate::link;
 use crate::page::SimplifiedPage;
-use crate::server::cache::{Artifact, ArtifactCache, ArtifactCacheStats, ArtifactTier};
+use crate::server::cache::{Artifact, ArtifactCache, ArtifactTier};
 use crate::server::render::{RenderedContent, Renderer};
 use sonic_image::hash::Fnv64;
 use sonic_image::strip;
@@ -37,7 +39,7 @@ pub enum CarouselSlot {
     /// nothing is broadcast this revolution.
     Unchanged,
     /// Genuinely new content (no usable delta basis): the page gets a
-    /// full-page slot with its complete frame sequence and audio.
+    /// full-page slot with its complete frame sequence.
     Full,
     /// The page changed but a prior version is cached: only the meta
     /// bracket plus the changed columns' chunks are broadcast.
@@ -45,9 +47,8 @@ pub enum CarouselSlot {
         /// The delta frame subset (meta frames + changed columns' chunks),
         /// each bit-identical to its counterpart in the full sequence.
         frames: Arc<Vec<Frame>>,
-        /// OFDM audio for exactly `frames` — bit-identical to
-        /// `link::modulate(profile, frames)`; empty on a frames-only
-        /// refresh.
+        /// `link::modulate(profile, frames)` on an item
+        /// [`refresh_carousel`] returns; empty from [`refresh_page`].
         audio: Arc<Vec<f32>>,
         /// How many columns changed (0 is valid: meta-only version bump).
         changed_columns: usize,
@@ -59,7 +60,7 @@ pub enum CarouselSlot {
 pub struct CarouselItem {
     /// The page's corpus key.
     pub id: PageId,
-    /// The up-to-date artifact (full frames and audio — the next
+    /// The up-to-date artifact (the full frame sequence — the next
     /// revolution's delta basis and the repair path's source).
     pub artifact: Artifact,
     /// What, if anything, goes on air for this page.
@@ -98,22 +99,19 @@ fn layout_hash_scaled(renderer: &Renderer, id: PageId, hour: u64) -> u64 {
 
 /// One rung's lookup: the RAM tier first; on a miss the tier below is asked
 /// to promote `id` if the hashes it stored pass `stored_ok`, and RAM is
-/// asked again. A page is loaded from below at most once per refresh
-/// (`promoted`): a second load would bring back the entry RAM just refused.
+/// asked again.
 fn ram_then_below<R>(
     tier: &mut impl ArtifactTier,
     id: PageId,
-    promoted: &mut bool,
     stored_ok: impl Fn(u64, u64) -> bool,
     lookup: impl Fn(&mut ArtifactCache) -> Option<R>,
 ) -> Option<R> {
     if let Some(found) = lookup(tier.ram()) {
         return Some(found);
     }
-    if *promoted || !tier.promote_if(id, stored_ok) {
+    if !tier.promote_if(id, stored_ok) {
         return None;
     }
-    *promoted = true;
     lookup(tier.ram())
 }
 
@@ -142,41 +140,6 @@ fn delta_frame_subset(frames: &[Frame], changed: &[u16]) -> Vec<Frame> {
         .collect()
 }
 
-/// The delta slot of a rebuilt page, from the ladder's changed-column list.
-/// When every column changed the delta IS the full sequence, so the
-/// artifact's frames and (spliced) audio serve verbatim; otherwise the
-/// (small) subset regroups into its own bursts and is modulated directly —
-/// still bit-identical to `link::modulate(profile, delta_frames)` by
-/// purity.
-fn delta_slot(
-    artifact: &Artifact,
-    changed: &[u16],
-    profile: Option<&Profile>,
-    stats: &mut ArtifactCacheStats,
-) -> CarouselSlot {
-    let changed_columns = changed.len();
-    if changed_columns == artifact.page.strips.width {
-        return CarouselSlot::Delta {
-            frames: artifact.frames.clone(),
-            audio: artifact.audio.clone(),
-            changed_columns,
-        };
-    }
-    let frames = delta_frame_subset(&artifact.frames, changed);
-    let audio = match profile {
-        Some(p) => {
-            stats.bursts_modulated += frames.len().div_ceil(FRAMES_PER_BURST) as u64;
-            link::modulate(p, &frames)
-        }
-        None => Vec::new(),
-    };
-    CarouselSlot::Delta {
-        frames: Arc::new(frames),
-        audio: Arc::new(audio),
-        changed_columns,
-    }
-}
-
 /// Runs one page through the artifact cache, rendering lazily, and says how
 /// it rides this revolution. The cheapest sound path wins:
 ///
@@ -184,39 +147,30 @@ fn delta_slot(
 ///    input*: if it equals the cached entry's, the raster is known to be
 ///    bit-identical without rendering, `render` is never called and the
 ///    cached artifact is reused verbatim, keeping its original version (and
-///    therefore page id, frames, audio). Slot: [`CarouselSlot::Unchanged`].
+///    therefore page id and frames). Slot: [`CarouselSlot::Unchanged`].
 /// 2. **Raster hit** — the layout hash moved but the rendered pixels (and
 ///    the click map / TTL / URL that ride in the meta frames) did not:
 ///    reuse as above, after refreshing the stored layout hash.
 /// 3. **Delta** — a cached prior with the same dimensions: only dirty
-///    strips re-encode ([`strip::encode_delta_prehashed`]) and only bursts
-///    whose payload is not in the prior's burst table re-modulate
-///    ([`link::modulate_spliced`]). The page takes the content's version
-///    exactly like the cold path, so the artifact is bit-identical to a
-///    cold build of the same inputs; it keeps the **full** frame sequence
-///    and audio (next hour's delta basis, the repair path's source) while
-///    the slot carries just the meta bracket plus the changed columns'
-///    chunks. Slot: [`CarouselSlot::Delta`].
-/// 4. **Cold** — no usable basis: render output is strip-encoded, chunked
-///    and modulated from scratch. Slot: [`CarouselSlot::Full`].
+///    strips re-encode ([`strip::encode_delta_prehashed`]). The page takes
+///    the content's version exactly like the cold path, so the artifact is
+///    bit-identical to a cold build of the same inputs; it keeps the
+///    **full** frame sequence (next hour's delta basis, the repair path's
+///    source) while the slot carries just the meta bracket plus the changed
+///    columns' chunks. Slot: [`CarouselSlot::Delta`].
+/// 4. **Cold** — no usable basis: render output is strip-encoded and
+///    chunked from scratch. Slot: [`CarouselSlot::Full`].
 ///
-/// Each rung asks the RAM tier, then whatever `tier` keeps below it.
-///
-/// `profile: None` runs frames-only (no audio is produced or cached) — the
-/// popular-page push uses this since its product is scheduler frames, not
-/// FM audio; callers take `item.artifact` and the slot's frames. Cached
-/// frames-only artifacts are never served to a refresh that wants audio;
-/// they are rebuilt (still reusing strips via the delta path).
+/// Each rung asks the RAM tier, then whatever `tier` keeps below it. No
+/// audio is made here: the item's `artifact.audio` and a delta slot's
+/// `audio` are empty.
 pub fn refresh_page(
     tier: &mut impl ArtifactTier,
     id: PageId,
     layout_hash: u64,
     hour: u64,
-    profile: Option<&Profile>,
     render: impl FnOnce() -> RenderedContent,
 ) -> CarouselItem {
-    let want_audio = profile.is_some();
-    let mut promoted = false;
     let unchanged = |artifact| CarouselItem {
         id,
         artifact,
@@ -225,9 +179,8 @@ pub fn refresh_page(
     if let Some(a) = ram_then_below(
         tier,
         id,
-        &mut promoted,
         |stored_layout, _| stored_layout == layout_hash,
-        |ram| ram.get_if_layout(id, layout_hash, want_audio),
+        |ram| ram.get_if_layout(id, layout_hash),
     ) {
         return unchanged(a);
     }
@@ -241,7 +194,6 @@ pub fn refresh_page(
     if let Some(a) = ram_then_below(
         tier,
         id,
-        &mut promoted,
         |_, stored_raster| stored_raster == rh,
         |ram| {
             ram.get_if_raster(
@@ -251,13 +203,12 @@ pub fn refresh_page(
                 &content.url,
                 &content.clickmap,
                 content.ttl_hours,
-                want_audio,
             )
         },
     ) {
         return unchanged(a);
     }
-    let basis = ram_then_below(tier, id, &mut promoted, |_, _| true, |ram| ram.delta_basis(id))
+    let basis = ram_then_below(tier, id, |_, _| true, |ram| ram.delta_basis(id))
         .filter(|(prev, _)| prev.page.strips.width == width && prev.page.strips.height == height);
 
     let stats = &mut tier.ram().stats;
@@ -287,25 +238,23 @@ pub fn refresh_page(
         content.version,
         content.ttl_hours,
     ));
-    let frames = Arc::new(page_to_frames(&page));
-    let (audio, bursts) = match (profile, &basis) {
-        (None, _) => (Vec::new(), BurstTable::default()),
-        (Some(p), Some((prev, _))) if prev.has_audio() => {
-            let s = link::modulate_spliced(p, &frames, &prev.audio, &prev.bursts);
-            stats.bursts_reused += s.reused as u64;
-            stats.bursts_modulated += s.modulated as u64;
-            (s.audio, s.table)
-        }
-        (Some(p), _) => link::modulate_with_table(p, &frames),
-    };
     let artifact = Artifact {
+        frames: Arc::new(page_to_frames(&page)),
         page,
-        frames,
-        audio: Arc::new(audio),
-        bursts,
+        audio: Arc::default(),
     };
-    let slot = match &changed {
-        Some(changed) => delta_slot(&artifact, changed, profile, stats),
+    let slot = match changed {
+        Some(changed) => CarouselSlot::Delta {
+            // Every column changed: the delta is the full sequence, shared
+            // rather than copied.
+            frames: if changed.len() == width {
+                artifact.frames.clone()
+            } else {
+                Arc::new(delta_frame_subset(&artifact.frames, &changed))
+            },
+            audio: Arc::default(),
+            changed_columns: changed.len(),
+        },
         None => CarouselSlot::Full,
     };
     tier.store(
@@ -321,20 +270,19 @@ pub fn refresh_page(
 
 /// [`refresh_page`] for a corpus page: the layout hash and the lazy render
 /// both come from `renderer`.
-fn refresh_job(
-    renderer: &Renderer,
-    tier: &mut impl ArtifactTier,
-    job: PageJob,
-    profile: Option<&Profile>,
-) -> CarouselItem {
+fn refresh_job(renderer: &Renderer, tier: &mut impl ArtifactTier, job: PageJob) -> CarouselItem {
     let lh = layout_hash_scaled(renderer, job.id, job.hour);
-    refresh_page(tier, job.id, lh, job.hour, profile, || {
+    refresh_page(tier, job.id, lh, job.hour, || {
         renderer.render(job.id, job.hour)
     })
 }
 
-/// One carousel revolution: every job through [`refresh_page`] with audio,
-/// in job order, plus the revolution's [`CarouselStats`].
+/// One carousel revolution: every job through [`refresh_page`], in job
+/// order, then [`link::modulate`] of exactly the frames each slot airs —
+/// into `artifact.audio` of a [`CarouselSlot::Full`] item (where the frozen
+/// `benchmark/` reads it) and into a [`CarouselSlot::Delta`]'s own `audio`.
+/// An unchanged page airs nothing and gets no audio. Plus the revolution's
+/// [`CarouselStats`].
 pub fn refresh_carousel(
     renderer: &Renderer,
     tier: &mut impl ArtifactTier,
@@ -343,21 +291,33 @@ pub fn refresh_carousel(
 ) -> (Vec<CarouselItem>, CarouselStats) {
     let items: Vec<CarouselItem> = jobs
         .iter()
-        .map(|&job| refresh_job(renderer, tier, job, Some(profile)))
+        .map(|&job| {
+            let mut item = refresh_job(renderer, tier, job);
+            match &mut item.slot {
+                CarouselSlot::Unchanged => {}
+                CarouselSlot::Full => {
+                    item.artifact.audio = Arc::new(link::modulate(profile, &item.artifact.frames));
+                }
+                CarouselSlot::Delta { frames, audio, .. } => {
+                    *audio = Arc::new(link::modulate(profile, frames));
+                }
+            }
+            item
+        })
         .collect();
     let stats = carousel_stats(&items);
     (items, stats)
 }
 
-/// Every job through [`refresh_page`] without a profile, in job order: the
-/// up-to-date frames-only artifacts (what the popular-page push enqueues).
+/// Every job through [`refresh_page`], in job order: the up-to-date
+/// artifacts (what the popular-page push enqueues).
 pub fn refresh_frames_only(
     renderer: &Renderer,
     tier: &mut impl ArtifactTier,
     jobs: &[PageJob],
 ) -> Vec<Artifact> {
     jobs.iter()
-        .map(|&job| refresh_job(renderer, tier, job, None).artifact)
+        .map(|&job| refresh_job(renderer, tier, job).artifact)
         .collect()
 }
 
@@ -428,25 +388,14 @@ mod tests {
         ]
     }
 
-    /// What "bit-identical to a cold build" means: the four stages run back
-    /// to back with no cache anywhere.
-    fn cold_build(r: &Renderer, profile: &Profile, job: PageJob) -> (SimplifiedPage, Vec<Frame>, Vec<f32>) {
+    /// What "bit-identical to a cold build" means: render, strip-encode and
+    /// chunk run back to back with no cache anywhere.
+    fn assert_is_cold_build(a: &Artifact, r: &Renderer, job: PageJob) {
         let page = r.render(job.id, job.hour).into_page();
-        let frames = page_to_frames(&page);
-        let audio = link::modulate(profile, &frames);
-        (page, frames, audio)
-    }
-
-    fn assert_is_cold_build(a: &Artifact, r: &Renderer, profile: &Profile, job: PageJob) {
-        let (page, frames, audio) = cold_build(r, profile, job);
         assert_eq!(a.page.page_id, page.page_id);
         assert_eq!(a.page.meta_blob(), page.meta_blob());
         assert_eq!(a.page.strips.strips, page.strips.strips);
-        assert_eq!(*a.frames, frames);
-        assert_eq!(a.audio.len(), audio.len());
-        for (i, (x, y)) in a.audio.iter().zip(&audio).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "sample {i}");
-        }
+        assert_eq!(*a.frames, page_to_frames(&page));
     }
 
     #[test]
@@ -459,7 +408,7 @@ mod tests {
         assert_eq!(stats.full_slots, jobs.len(), "cold cache: every page is a miss");
         assert_eq!(cache.stats.misses, jobs.len() as u64);
         for (item, &job) in warm.iter().zip(&jobs) {
-            assert_is_cold_build(&item.artifact, &r, &profile, job);
+            assert_is_cold_build(&item.artifact, &r, job);
         }
     }
 
@@ -474,11 +423,7 @@ mod tests {
         assert_eq!(stats.unchanged, jobs.len());
         assert_eq!(stats.full_slots + stats.delta_slots, 0);
         for (a, b) in first.iter().zip(&second) {
-            assert!(
-                Arc::ptr_eq(&a.artifact.audio, &b.artifact.audio),
-                "audio shared, not copied"
-            );
-            assert!(Arc::ptr_eq(&a.artifact.frames, &b.artifact.frames));
+            assert!(Arc::ptr_eq(&a.artifact.frames, &b.artifact.frames), "shared, not copied");
         }
     }
 
@@ -507,34 +452,28 @@ mod tests {
         for (((a, b), &ch), &job) in first.iter().zip(&second).zip(&changed).zip(&jobs_h1) {
             if ch {
                 // Rebuilt at the new hour: bit-identical to a cold build.
-                assert_is_cold_build(&b.artifact, &r, &profile, job);
+                assert_is_cold_build(&b.artifact, &r, job);
             } else {
                 // Unchanged: the very same artifact, old version included.
                 assert!(Arc::ptr_eq(&a.artifact.page, &b.artifact.page));
-                assert!(Arc::ptr_eq(&a.artifact.audio, &b.artifact.audio));
+                assert!(Arc::ptr_eq(&a.artifact.frames, &b.artifact.frames));
             }
         }
     }
 
     #[test]
-    fn frames_only_refresh_skips_audio_then_audio_refresh_rebuilds() {
+    fn a_frames_only_cache_answers_a_carousel_refresh() {
         let r = renderer();
         let jobs = &jobs()[..2];
         let mut cache = ArtifactCache::unbounded();
-        let no_audio = refresh_frames_only(&r, &mut cache, jobs);
-        assert!(no_audio.iter().all(|a| !a.has_audio()));
-        // Frames-only again: full hits are fine without audio.
-        let _ = refresh_frames_only(&r, &mut cache, jobs);
-        assert_eq!(cache.stats.full_hits, 2);
-        // Now audio is wanted: the cached frames-only artifacts are not
-        // served verbatim; strips are still reused via the delta path.
-        let profile = Profile::sonic_10k();
-        let (with_audio, s3) = refresh_carousel(&r, &mut cache, jobs, &profile);
-        assert_eq!(s3.unchanged, 0);
-        assert_eq!(cache.stats.full_hits, 2);
-        for (item, &job) in with_audio.iter().zip(jobs) {
-            assert!(item.artifact.has_audio());
-            assert_is_cold_build(&item.artifact, &r, &profile, job);
+        let built = refresh_frames_only(&r, &mut cache, jobs);
+        assert!(built.iter().all(|a| a.audio.is_empty()));
+        // Who filled the cache does not matter: there is one kind of entry.
+        let (items, stats) = refresh_carousel(&r, &mut cache, jobs, &Profile::sonic_10k());
+        assert_eq!(stats.unchanged, jobs.len());
+        assert_eq!(cache.stats.full_hits, jobs.len() as u64);
+        for (item, a) in items.iter().zip(&built) {
+            assert!(Arc::ptr_eq(&item.artifact.frames, &a.frames));
         }
     }
 }

@@ -4,10 +4,10 @@
 //! Two append-only files live in the store directory:
 //!
 //! * `blobs.dat` — write-once blob data. A blob is one serialized artifact
-//!   (page metadata, per-column strip bytes, click map, column hashes,
-//!   modulated audio, burst spans). Blobs are content-addressed by an
-//!   FNV-64 of their bytes: a `put` whose blob already exists reuses the
-//!   existing span and writes nothing to the data file.
+//!   (page metadata, per-column strip bytes, click map, column hashes) —
+//!   kilobytes, never a waveform. Blobs are content-addressed by an FNV-64
+//!   of their bytes: a `put` whose blob already exists reuses the existing
+//!   span and writes nothing to the data file.
 //! * `index.log` — fixed-size CRC-framed records, one per mutation
 //!   (insert or evict). The in-memory entry map is a pure fold over the
 //!   record sequence, so reopening replays the log.
@@ -26,10 +26,10 @@
 //!
 //! Frames are *not* stored: `page_to_frames` is a pure function of the
 //! page, so [`load`](ArtifactStore::load) recomputes them — cheaper than
-//! the disk bytes they would cost.
+//! the disk bytes they would cost. Audio is not stored either: it is made
+//! for the slot that airs (`pipeline::refresh_carousel`).
 
 use crate::chunker::page_to_frames;
-use crate::link::{BurstSpan, BurstTable};
 use crate::page::SimplifiedPage;
 use crate::server::cache::Artifact;
 use sonic_fec::crc32;
@@ -44,8 +44,10 @@ use std::sync::Arc;
 
 /// Index record framing: `"SIDX"` little-endian.
 const RECORD_MAGIC: u32 = 0x5844_4953;
-/// Blob framing magic (first field of every serialized artifact).
-const BLOB_MAGIC: u32 = 0x424C_4F53;
+/// Blob framing magic (first field of every serialized artifact): `"SOL2"`
+/// little-endian. `"SOLB"` was the format that also carried audio and burst
+/// spans; a store written in it is refused blob by blob and rebuilt.
+const BLOB_MAGIC: u32 = 0x324C_4F53;
 /// Fixed index record size in bytes (magic..record CRC inclusive).
 pub const RECORD_LEN: usize = 69;
 
@@ -70,7 +72,7 @@ struct StoreEntry {
 /// RAM tier needs to re-index it.
 #[derive(Debug)]
 pub struct StoredArtifact {
-    /// The reconstructed artifact (frames recomputed, audio as stored).
+    /// The reconstructed artifact (frames recomputed).
     pub artifact: Artifact,
     /// Per-column raster hashes (the delta-diff index).
     pub column_hashes: Arc<Vec<u64>>,
@@ -93,7 +95,8 @@ pub struct StoreStats {
     pub evictions: u64,
     /// Successful `load`s.
     pub loads: u64,
-    /// Blobs dropped on load because their bytes failed the stored CRC.
+    /// Blobs dropped on load because their bytes failed the stored CRC or
+    /// did not decode.
     pub corrupt_blobs: u64,
     /// I/O errors swallowed by the tiered fast path (entry kept in RAM).
     pub io_errors: u64,
@@ -242,15 +245,12 @@ impl ArtifactStore {
         }
     }
 
+    /// Drops one reference. A dead blob keeps its file bytes (write-once)
+    /// and its map entry, so a later put of the same content still reuses
+    /// the span; it just no longer counts against the live budget.
     fn deref_blob(&mut self, key: u64) {
         if let Some(slot) = self.blobs.get_mut(&key) {
             slot.3 = slot.3.saturating_sub(1);
-            if slot.3 == 0 {
-                // Dead blob: its file bytes stay (write-once), but it no
-                // longer counts against the live budget and a future put of
-                // the same content may still reuse the span.
-                // Keep the map entry so dedupe survives.
-            }
         }
     }
 
@@ -358,23 +358,26 @@ impl ArtifactStore {
         Ok(wrote)
     }
 
-    /// Loads a live entry's artifact, validating the blob CRC. A corrupt
-    /// blob drops the entry (counted in `corrupt_blobs`) and returns
-    /// `None` — the caller rebuilds cold.
+    /// Loads a live entry's artifact, validating the blob CRC. A blob that
+    /// fails it, or passes and does not decode (another format's magic, a
+    /// malformed section), drops the entry (counted in `corrupt_blobs`) and
+    /// returns `None` — the caller rebuilds cold.
     pub fn load(&mut self, id: PageId) -> Option<StoredArtifact> {
         let entry = *self.entries.get(&id)?;
         let mut blob = vec![0u8; entry.len as usize];
-        let read_ok = self
+        let read = self
             .data
             .seek(SeekFrom::Start(entry.offset))
-            .and_then(|_| self.data.read_exact(&mut blob))
-            .is_ok();
-        if !read_ok || crc32(&blob) != entry.blob_crc {
+            .and_then(|_| self.data.read_exact(&mut blob));
+        let decoded = match read {
+            Ok(()) if crc32(&blob) == entry.blob_crc => decode_blob(&blob),
+            _ => None,
+        };
+        let Some((artifact, column_hashes)) = decoded else {
             self.stats.corrupt_blobs += 1;
             self.remove_entry(id);
             return None;
-        }
-        let (artifact, column_hashes) = decode_blob(&blob)?;
+        };
         self.clock += 1;
         if let Some(e) = self.entries.get_mut(&id) {
             e.last_used = self.clock;
@@ -462,20 +465,12 @@ fn push_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Serializes an artifact (everything except its frames, which are a pure
-/// function of the page) plus its per-column hash index.
+/// Serializes an artifact's page (its frames are a pure function of it)
+/// plus the per-column hash index.
 fn encode_blob(artifact: &Artifact, column_hashes: &[u64]) -> Vec<u8> {
     let p = &artifact.page;
     let clickmap = p.clickmap.encode();
-    let mut out = Vec::with_capacity(
-        64 + p.url.len()
-            + p.strips.total_bytes()
-            + p.strips.width * 4
-            + clickmap.len()
-            + column_hashes.len() * 8
-            + artifact.audio.len() * 4
-            + artifact.bursts.spans.len() * 24,
-    );
+    let mut out = Vec::new();
     push_u32(&mut out, BLOB_MAGIC);
     push_u16(&mut out, p.version);
     push_u16(&mut out, p.ttl_hours);
@@ -492,23 +487,6 @@ fn encode_blob(artifact: &Artifact, column_hashes: &[u64]) -> Vec<u8> {
     push_u32(&mut out, column_hashes.len() as u32);
     for &h in column_hashes {
         push_u64(&mut out, h);
-    }
-    push_u32(&mut out, artifact.audio.len() as u32);
-    // Bulk-convert the audio (the dominant blob section): one resize and a
-    // chunked store instead of 4-byte extends per sample.
-    let audio_at = out.len();
-    out.resize(audio_at + artifact.audio.len() * 4, 0);
-    for (dst, &s) in out[audio_at..]
-        .chunks_exact_mut(4)
-        .zip(artifact.audio.iter())
-    {
-        dst.copy_from_slice(&s.to_bits().to_le_bytes());
-    }
-    push_u32(&mut out, artifact.bursts.spans.len() as u32);
-    for span in &artifact.bursts.spans {
-        push_u64(&mut out, span.payload_hash);
-        push_u64(&mut out, span.start as u64);
-        push_u64(&mut out, span.len as u64);
     }
     out
 }
@@ -530,6 +508,10 @@ impl<'a> BlobReader<'a> {
         Some(slice)
     }
 
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.at
+    }
+
     fn u16(&mut self) -> Option<u16> {
         let b = self.take(2)?;
         Some(u16::from_le_bytes([b[0], b[1]]))
@@ -549,7 +531,8 @@ impl<'a> BlobReader<'a> {
 }
 
 /// Deserializes a blob back into an artifact (frames recomputed) and its
-/// column-hash index. Total: any malformed blob yields `None`.
+/// column-hash index. Total: any malformed blob yields `None`, and nothing
+/// is allocated for a count the remaining bytes could not hold.
 fn decode_blob(blob: &[u8]) -> Option<(Artifact, Vec<u64>)> {
     let mut r = BlobReader { buf: blob, at: 0 };
     if r.u32()? != BLOB_MAGIC {
@@ -559,34 +542,28 @@ fn decode_blob(blob: &[u8]) -> Option<(Artifact, Vec<u64>)> {
     let ttl_hours = r.u16()?;
     let url_len = r.u16()? as usize;
     let url = std::str::from_utf8(r.take(url_len)?).ok()?.to_string();
-    let width = r.u32()? as usize;
+    // A column index is a u16 in every strip frame's header.
+    let width = usize::from(u16::try_from(r.u32()?).ok()?);
     let height = r.u32()? as usize;
-    let mut strips = Vec::with_capacity(width);
+    // Every strip costs at least its 4-byte length.
+    let mut strips = Vec::with_capacity(width.min(r.remaining() / 4));
     for _ in 0..width {
         let len = r.u32()? as usize;
         strips.push(r.take(len)?.to_vec());
     }
     let cm_len = r.u32()? as usize;
     let clickmap = ClickMap::decode(r.take(cm_len)?)?;
-    let n_hashes = r.u32()? as usize;
-    let mut column_hashes = Vec::with_capacity(n_hashes);
-    for _ in 0..n_hashes {
+    // One hash per column, or the delta encode has nothing to diff against.
+    if r.u32()? as usize != width {
+        return None;
+    }
+    // `width` strips were read, so `width` is bounded by the blob's length.
+    let mut column_hashes = Vec::with_capacity(width);
+    for _ in 0..width {
         column_hashes.push(r.u64()?);
     }
-    let n_audio = r.u32()? as usize;
-    let audio_bytes = r.take(n_audio.checked_mul(4)?)?;
-    let audio: Vec<f32> = audio_bytes
-        .chunks_exact(4)
-        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        .collect();
-    let n_spans = r.u32()? as usize;
-    let mut spans = Vec::with_capacity(n_spans);
-    for _ in 0..n_spans {
-        spans.push(BurstSpan {
-            payload_hash: r.u64()?,
-            start: r.u64()? as usize,
-            len: r.u64()? as usize,
-        });
+    if r.remaining() != 0 {
+        return None;
     }
     let page = Arc::new(SimplifiedPage::from_parts(
         &url,
@@ -604,8 +581,7 @@ fn decode_blob(blob: &[u8]) -> Option<(Artifact, Vec<u64>)> {
         Artifact {
             page,
             frames,
-            audio: Arc::new(audio),
-            bursts: BurstTable { spans },
+            audio: Arc::default(),
         },
         column_hashes,
     ))

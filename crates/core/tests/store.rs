@@ -1,21 +1,70 @@
 //! Crash-safety and determinism tests for the persistent tiered artifact
-//! store: put/load bit-identity, seeded corruption of the index log
-//! recovering exactly the CRC-valid prefix, same-seed byte-identical
-//! on-disk state, and live-byte budget eviction.
+//! store: put/load identity, seeded corruption of the index log recovering
+//! exactly the CRC-valid prefix, blobs that pass their CRC and are not
+//! blobs, same-seed byte-identical on-disk state, and live-byte budget
+//! eviction.
 
 use proptest::prelude::*;
 use sonic_core::chunker::page_to_frames;
-use sonic_core::link;
 use sonic_core::page::SimplifiedPage;
-use sonic_core::server::cache::Artifact;
+use sonic_core::server::cache::{share_store, Artifact, ArtifactCache, TieredCache};
+use sonic_core::server::pipeline::{refresh_frames_only, PageJob};
+use sonic_core::server::render::Renderer;
 use sonic_core::server::store::{ArtifactStore, RECORD_LEN};
+use sonic_fec::crc32;
 use sonic_image::clickmap::ClickMap;
 use sonic_image::raster::{Raster, Rgb};
 use sonic_image::strip;
-use sonic_modem::profile::Profile;
-use sonic_pagegen::PageId;
+use sonic_pagegen::{Corpus, PageId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+thread_local! {
+    /// Bytes this thread has asked the allocator for.
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `System`, plus a per-thread count of bytes requested, so a test can say
+/// how much one call allocated whatever the other test threads are doing.
+struct Counting;
+
+fn note(size: usize) {
+    // A thread that is tearing down has no counter left; nothing measures it.
+    let _ = REQUESTED.try_with(|r| r.set(r.get() + size));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state
+// and, being a const-initialised `Cell<usize>`, never allocates itself.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: (contract) the caller passes a layout of non-zero size.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: `layout` is the caller's, forwarded as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: (contract) `ptr` came from this allocator with `layout`.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: every block this allocator hands out came from `System`
+        // with the same layout, so `System` may free it.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: (contract) `ptr` came from this allocator with `layout`, and
+    // `new_size` is non-zero and does not overflow when rounded up.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` and `layout` describe a live `System` block (see
+        // `dealloc`); `new_size` is the caller's, forwarded as received.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 /// Self-cleaning test directory.
 struct TempDir(PathBuf);
@@ -59,9 +108,9 @@ fn raster_from_seed(w: usize, h: usize, seed: u64) -> Raster {
     img
 }
 
-/// Builds a full artifact (page, frames, audio, burst table) plus its
-/// column-hash index, exactly like the cold refresh path.
-fn artifact_from_seed(seed: u64, with_audio: bool) -> (Artifact, Vec<u64>) {
+/// Builds an artifact (page, frames) plus its column-hash index, exactly
+/// like the cold refresh path.
+fn artifact_from_seed(seed: u64) -> (Artifact, Vec<u64>) {
     let raster = raster_from_seed(12 + (seed % 7) as usize, 40, seed);
     let hashes = strip::column_hashes(&raster);
     let page = Arc::new(SimplifiedPage::from_raster(
@@ -72,17 +121,11 @@ fn artifact_from_seed(seed: u64, with_audio: bool) -> (Artifact, Vec<u64>) {
         6,
     ));
     let frames = Arc::new(page_to_frames(&page));
-    let (audio, bursts) = if with_audio {
-        link::modulate_with_table(&Profile::sonic_10k(), &frames)
-    } else {
-        (Vec::new(), link::BurstTable::default())
-    };
     (
         Artifact {
             page,
             frames,
-            audio: Arc::new(audio),
-            bursts,
+            audio: Arc::default(),
         },
         hashes,
     )
@@ -95,15 +138,49 @@ fn id(n: u64) -> PageId {
     }
 }
 
-fn audio_bits(a: &[f32]) -> Vec<u32> {
-    a.iter().map(|s| s.to_bits()).collect()
+/// One valid index record for `blob` at offset 0 of `blobs.dat`, in the
+/// layout `store.rs` documents (69 bytes, little-endian, CRC last).
+fn index_record(id: PageId, layout_hash: u64, raster_hash: u64, blob: &[u8]) -> Vec<u8> {
+    let mut rec = Vec::with_capacity(RECORD_LEN);
+    rec.extend_from_slice(b"SIDX");
+    rec.push(1); // insert
+    rec.extend_from_slice(&(id.site as u32).to_le_bytes());
+    rec.extend_from_slice(&(id.page as u32).to_le_bytes());
+    rec.extend_from_slice(&layout_hash.to_le_bytes());
+    rec.extend_from_slice(&raster_hash.to_le_bytes());
+    rec.extend_from_slice(&0u64.to_le_bytes()); // hour
+    rec.extend_from_slice(&0u64.to_le_bytes()); // offset
+    rec.extend_from_slice(&(blob.len() as u64).to_le_bytes());
+    rec.extend_from_slice(&0xB10Bu64.to_le_bytes()); // blob key: any
+    rec.extend_from_slice(&crc32(blob).to_le_bytes());
+    let crc = crc32(&rec);
+    rec.extend_from_slice(&crc.to_le_bytes());
+    assert_eq!(rec.len(), RECORD_LEN);
+    rec
+}
+
+/// A store directory holding exactly `blob` for `id`, behind an index
+/// record whose CRC matches it: what a crash cannot produce but another
+/// program version, or a disk, can.
+fn plant(dir: &Path, id: PageId, layout_hash: u64, raster_hash: u64, blob: &[u8]) {
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join("blobs.dat"), blob).unwrap();
+    std::fs::write(dir.join("index.log"), index_record(id, layout_hash, raster_hash, blob)).unwrap();
+}
+
+/// The blob bytes `put` writes for one artifact.
+fn blob_of(art: &Artifact, hashes: &[u64], tag: &str) -> Vec<u8> {
+    let dir = TempDir::new(tag);
+    let mut store = ArtifactStore::open(dir.path(), u64::MAX).unwrap();
+    store.put(id(0), 1, 2, hashes, art, 0).unwrap();
+    std::fs::read(dir.path().join("blobs.dat")).unwrap()
 }
 
 #[test]
-fn put_load_roundtrip_is_bit_identical() {
+fn put_load_roundtrip_is_identical() {
     let dir = TempDir::new("roundtrip");
     let mut store = ArtifactStore::open(dir.path(), u64::MAX).unwrap();
-    let (art, hashes) = artifact_from_seed(42, true);
+    let (art, hashes) = artifact_from_seed(42);
     let wrote = store.put(id(0), 11, 22, &hashes, &art, 6).unwrap();
     assert!(wrote, "first put must append a blob");
 
@@ -115,9 +192,9 @@ fn put_load_roundtrip_is_bit_identical() {
     assert_eq!(got.artifact.page.url, art.page.url);
     assert_eq!(got.artifact.page.version, art.page.version);
     assert_eq!(got.artifact.page.strips.strips, art.page.strips.strips);
+    assert_eq!(got.artifact.page.page_id, art.page.page_id);
     assert_eq!(&*got.artifact.frames, &*art.frames, "frames recompute");
-    assert_eq!(audio_bits(&got.artifact.audio), audio_bits(&art.audio));
-    assert_eq!(got.artifact.bursts.spans, art.bursts.spans);
+    assert!(got.artifact.audio.is_empty());
 
     // Reopen and load again: the log replays to the same state.
     drop(store);
@@ -126,7 +203,7 @@ fn put_load_roundtrip_is_bit_identical() {
     assert_eq!(store.stats.recovered_entries, 1);
     assert_eq!(store.stats.truncated_index_bytes, 0);
     let again = store.load(id(0)).expect("entry survived reopen");
-    assert_eq!(audio_bits(&again.artifact.audio), audio_bits(&art.audio));
+    assert_eq!(&*again.column_hashes, &hashes);
     assert_eq!(&*again.artifact.frames, &*art.frames);
 }
 
@@ -134,7 +211,7 @@ fn put_load_roundtrip_is_bit_identical() {
 fn identical_content_is_written_once() {
     let dir = TempDir::new("dedupe");
     let mut store = ArtifactStore::open(dir.path(), u64::MAX).unwrap();
-    let (art, hashes) = artifact_from_seed(7, false);
+    let (art, hashes) = artifact_from_seed(7);
     assert!(store.put(id(0), 1, 2, &hashes, &art, 0).unwrap());
     let before = store.blob_file_bytes();
     // Same content under another page id: index record only, no new blob.
@@ -158,13 +235,13 @@ fn same_seed_runs_produce_byte_identical_store_state() {
     for dir in [dir_a.path(), dir_b.path()] {
         let mut store = ArtifactStore::open(dir, u64::MAX).unwrap();
         for n in 0..6u64 {
-            let (art, hashes) = artifact_from_seed(100 + n, n % 2 == 0);
+            let (art, hashes) = artifact_from_seed(100 + n);
             store
                 .put(id(n), lcg(n), lcg(lcg(n)), &hashes, &art, n)
                 .unwrap();
         }
         // One refresh of an existing page, same order both runs.
-        let (art, hashes) = artifact_from_seed(999, true);
+        let (art, hashes) = artifact_from_seed(999);
         store.put(id(2), 5, 6, &hashes, &art, 7).unwrap();
     }
     for file in ["blobs.dat", "index.log"] {
@@ -177,8 +254,8 @@ fn same_seed_runs_produce_byte_identical_store_state() {
 #[test]
 fn eviction_holds_live_byte_budget_in_lru_order() {
     let dir = TempDir::new("evict");
-    // Budget sized to roughly two frames-only artifacts.
-    let (probe, probe_hashes) = artifact_from_seed(1, false);
+    // Budget sized to roughly two artifacts.
+    let (probe, probe_hashes) = artifact_from_seed(1);
     let mut sizing = ArtifactStore::open(dir.path().join("sizing"), u64::MAX).unwrap();
     sizing.put(id(0), 0, 0, &probe_hashes, &probe, 0).unwrap();
     let one = sizing.live_bytes();
@@ -187,7 +264,7 @@ fn eviction_holds_live_byte_budget_in_lru_order() {
     let budget = one * 5 / 2;
     let mut store = ArtifactStore::open(dir.path().join("real"), budget).unwrap();
     for n in 0..4u64 {
-        let (art, hashes) = artifact_from_seed(n + 1, false);
+        let (art, hashes) = artifact_from_seed(n + 1);
         store.put(id(n), n, n, &hashes, &art, n).unwrap();
         assert!(
             store.live_bytes() <= budget || store.len() == 1,
@@ -211,7 +288,7 @@ fn eviction_holds_live_byte_budget_in_lru_order() {
 fn corrupt_blob_fails_load_without_panicking() {
     let dir = TempDir::new("blobcrc");
     let mut store = ArtifactStore::open(dir.path(), u64::MAX).unwrap();
-    let (art, hashes) = artifact_from_seed(13, true);
+    let (art, hashes) = artifact_from_seed(13);
     store.put(id(0), 1, 2, &hashes, &art, 0).unwrap();
     drop(store);
 
@@ -228,14 +305,83 @@ fn corrupt_blob_fails_load_without_panicking() {
     assert_eq!(store.len(), 0, "corrupt entry is dropped");
 }
 
+/// A blob in the format before this one (`"SOLB"`: the same sections, then
+/// the audio samples and the burst-span table), as that version wrote it.
+fn previous_format_blob(art: &Artifact, hashes: &[u64]) -> Vec<u8> {
+    let mut blob = blob_of(art, hashes, "prev-format");
+    blob[..4].copy_from_slice(&0x424C_4F53u32.to_le_bytes());
+    let audio = [0.25f32, -0.5, 0.125];
+    blob.extend_from_slice(&(audio.len() as u32).to_le_bytes());
+    for s in audio {
+        blob.extend_from_slice(&s.to_bits().to_le_bytes());
+    }
+    blob.extend_from_slice(&1u32.to_le_bytes());
+    for field in [0xFEEDu64, 0, audio.len() as u64] {
+        blob.extend_from_slice(&field.to_le_bytes());
+    }
+    blob
+}
+
+#[test]
+fn previous_format_store_is_dropped_entry_by_entry_and_rebuilt() {
+    let r = Renderer::new(Corpus::small(1), 0.05);
+    let job = PageJob { id: PageId { site: 0, page: 0 }, hour: 6 };
+    let open_tier = |dir: &Path| {
+        let store = share_store(ArtifactStore::open(dir, u64::MAX).unwrap());
+        (TieredCache::with_store(ArtifactCache::unbounded(), store.clone()), store)
+    };
+
+    // The addresses and content this page is stored under today.
+    let fresh = TempDir::new("prev-fresh");
+    let (mut tier, store) = open_tier(fresh.path());
+    let built = refresh_frames_only(&r, &mut tier, &[job]).pop().unwrap();
+    let (layout_hash, raster_hash, _) = store.lock().entry_meta(job.id).unwrap();
+    let hashes = store.lock().load(job.id).unwrap().column_hashes;
+
+    // The same page as the previous version left it on disk.
+    let dir = TempDir::new("prev-planted");
+    let old = previous_format_blob(&built, &hashes);
+    plant(dir.path(), job.id, layout_hash, raster_hash, &old);
+    let (mut tier, store) = open_tier(dir.path());
+    assert_eq!(store.lock().len(), 1, "the index record itself is valid");
+
+    // The first rung finds the layout hash it wants, loads, and is refused.
+    let rebuilt = refresh_frames_only(&r, &mut tier, &[job]).pop().unwrap();
+    assert_eq!(store.lock().stats.corrupt_blobs, 1);
+    assert_eq!(tier.ram.stats.disk_promotions, 0);
+    assert_eq!(tier.ram.stats.misses, 1, "rebuilt cold, not from the old strips");
+    assert_eq!(*rebuilt.frames, *built.frames);
+
+    // ... and the rebuild took the entry's place.
+    let mut store = store.lock();
+    assert_eq!(store.len(), 1);
+    assert!(store.blob_file_bytes() > old.len() as u64, "appended after the old blob");
+    assert_eq!(*store.load(job.id).expect("overwritten").artifact.frames, *built.frames);
+}
+
+#[test]
+fn bytes_after_the_last_section_refuse_the_blob() {
+    let (art, hashes) = artifact_from_seed(5);
+    let mut blob = blob_of(&art, &hashes, "trailing-src");
+    let dir = TempDir::new("trailing");
+    plant(dir.path(), id(0), 1, 2, &blob);
+    assert!(ArtifactStore::open(dir.path(), u64::MAX).unwrap().load(id(0)).is_some());
+
+    blob.push(0);
+    plant(dir.path(), id(0), 1, 2, &blob);
+    let mut store = ArtifactStore::open(dir.path(), u64::MAX).unwrap();
+    assert!(store.load(id(0)).is_none());
+    assert_eq!((store.stats.corrupt_blobs, store.len()), (1, 0));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Corrupting or truncating `index.log` at a random offset never
     /// panics, and reopening recovers exactly the CRC-valid record prefix:
     /// every record before the damage replays, everything after is
-    /// truncated away, and every surviving entry still loads bit-identical
-    /// audio.
+    /// truncated away, and every surviving entry still loads the strips and
+    /// column hashes that were put.
     #[test]
     fn reopen_recovers_exactly_the_crc_valid_prefix(
         seed in any::<u64>(),
@@ -249,9 +395,9 @@ proptest! {
         {
             let mut store = ArtifactStore::open(dir.path(), u64::MAX).unwrap();
             for n in 0..n_puts as u64 {
-                let (art, hashes) = artifact_from_seed(lcg(seed) ^ n, n % 2 == 0);
+                let (art, hashes) = artifact_from_seed(lcg(seed) ^ n);
                 store.put(id(n), lcg(n ^ seed), lcg(n), &hashes, &art, n).unwrap();
-                reference.push(audio_bits(&art.audio));
+                reference.push((art.page.strips.strips.clone(), hashes));
             }
         }
 
@@ -281,15 +427,107 @@ proptest! {
         for n in 0..intact as u64 {
             let got = store.load(id(n));
             let got = got.expect("intact-prefix entry must load");
-            prop_assert_eq!(&audio_bits(&got.artifact.audio), &reference[n as usize]);
+            let (strips, hashes) = &reference[n as usize];
+            prop_assert_eq!(&got.artifact.page.strips.strips, strips);
+            prop_assert_eq!(&*got.column_hashes, hashes);
         }
         for n in intact as u64..n_puts as u64 {
             prop_assert!(store.load(id(n)).is_none(), "post-damage entries are gone");
         }
 
         // The store stays writable after recovery.
-        let (art, hashes) = artifact_from_seed(seed ^ 0xDEAD, false);
+        let (art, hashes) = artifact_from_seed(seed ^ 0xDEAD);
         store.put(id(90), 1, 2, &hashes, &art, 9).unwrap();
         prop_assert_eq!(store.len(), intact + 1);
+    }
+
+}
+
+/// Offsets of the blob's count and length fields (the layout `store.rs`
+/// documents): width, height, every strip's length, the click map's length
+/// and its region count, the hash count.
+fn count_fields(art: &Artifact) -> Vec<usize> {
+    let mut at = 4 + 2 + 2 + 2 + art.page.url.len();
+    let mut fields = vec![at, at + 4];
+    at += 8;
+    for strip in &art.page.strips.strips {
+        fields.push(at);
+        at += 4 + strip.len();
+    }
+    fields.extend([at, at + 4]);
+    at += 4 + art.page.clickmap.encode().len();
+    fields.push(at);
+    fields
+}
+
+/// Plants `blob` behind a matching CRC and loads it: whatever the bytes,
+/// `load` does not panic, asks the allocator for no more than a small
+/// multiple of the blob's length, and either returns a consistent artifact
+/// or counts and drops the entry.
+fn load_planted(blob: &[u8], tag: &str) {
+    let dir = TempDir::new(tag);
+    plant(dir.path(), id(0), 1, 2, blob);
+    let mut store = ArtifactStore::open(dir.path(), u64::MAX).unwrap();
+
+    let before = REQUESTED.with(Cell::get);
+    let got = store.load(id(0));
+    let requested = REQUESTED.with(Cell::get) - before;
+    assert!(
+        requested <= 16 * blob.len() + 4096,
+        "{requested} bytes requested for a {}-byte blob",
+        blob.len()
+    );
+    match got {
+        Some(got) => {
+            assert_eq!(store.len(), 1);
+            assert_eq!(got.column_hashes.len(), got.artifact.page.strips.width);
+            assert_eq!(*got.artifact.frames, page_to_frames(&got.artifact.page));
+        }
+        None => {
+            assert_eq!(store.stats.corrupt_blobs, 1);
+            assert_eq!(store.len(), 0);
+        }
+    }
+}
+
+#[test]
+fn a_blown_up_count_field_allocates_nothing_for_it() {
+    let (art, hashes) = artifact_from_seed(77);
+    let blob = blob_of(&art, &hashes, "counts-src");
+    for field in count_fields(&art) {
+        // The largest u32, and the largest width the decoder accepts.
+        for huge in [u32::MAX, u32::from(u16::MAX)] {
+            let mut blown = blob.clone();
+            blown[field..field + 4].copy_from_slice(&huge.to_le_bytes());
+            load_planted(&blown, "counts");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A real blob truncated or with a bit flipped, or plain byte soup
+    /// after the magic, behind a matching CRC.
+    #[test]
+    fn any_bytes_behind_a_matching_crc_load_or_are_dropped_cheaply(
+        seed in any::<u64>(),
+        kind in 0u8..3,
+        at in any::<u64>(),
+        flip in any::<u8>(),
+        soup in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let (art, hashes) = artifact_from_seed(seed);
+        let mut blob = blob_of(&art, &hashes, &format!("soup-src-{seed}"));
+        let byte = (at % blob.len() as u64) as usize;
+        match kind {
+            0 => blob.truncate(byte),
+            1 => blob[byte] ^= flip | 1,
+            _ => {
+                blob.truncate(4);
+                blob.extend_from_slice(&soup);
+            }
+        }
+        load_planted(&blob, &format!("soup-{seed}-{kind}"));
     }
 }

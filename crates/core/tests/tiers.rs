@@ -1,12 +1,12 @@
-//! The disk tier under the refresh ladder: invisible to what a refresh
-//! returns, and read at most once per page.
+//! The tiers under the refresh ladder: the disk tier is invisible to what a
+//! refresh returns, and neither tier ever holds audio.
 
-use sonic_core::chunker::page_to_frames;
+use sonic_core::frame::FRAME_SIZE;
 use sonic_core::link;
-use sonic_core::server::cache::{share_store, ArtifactCache, ArtifactTier, TieredCache};
-use sonic_core::server::pipeline::{
-    refresh_carousel, refresh_frames_only, CarouselItem, CarouselSlot, PageJob,
+use sonic_core::server::cache::{
+    share_store, ArtifactCache, ArtifactTier, SharedArtifactStore, TieredCache,
 };
+use sonic_core::server::pipeline::{refresh_carousel, CarouselItem, CarouselSlot, PageJob};
 use sonic_core::server::render::Renderer;
 use sonic_core::server::store::ArtifactStore;
 use sonic_modem::profile::Profile;
@@ -30,9 +30,12 @@ impl Drop for TempDir {
     }
 }
 
+fn open_store(dir: &Path) -> SharedArtifactStore {
+    share_store(ArtifactStore::open(dir, u64::MAX).expect("store io"))
+}
+
 fn open_tier(dir: &Path) -> TieredCache {
-    let store = share_store(ArtifactStore::open(dir, u64::MAX).expect("store io"));
-    TieredCache::with_store(ArtifactCache::unbounded(), store)
+    TieredCache::with_store(ArtifactCache::unbounded(), open_store(dir))
 }
 
 fn renderer() -> Renderer {
@@ -78,8 +81,9 @@ fn assert_items_identical(a: &[CarouselItem], b: &[CarouselItem], what: &str) {
 }
 
 /// A three-hour day (from hour 6: the corpus freezes overnight) through a
-/// cache tier that `reopen` may replace before every hour.
-fn day<T: ArtifactTier>(mut tier: T, reopen: impl Fn(T) -> T) -> Vec<CarouselItem> {
+/// cache tier that `reopen` may replace before every hour. Returns the
+/// day's items and the tier as the last hour left it.
+fn day<T: ArtifactTier>(mut tier: T, reopen: impl Fn(T) -> T) -> (Vec<CarouselItem>, T) {
     let r = renderer();
     let profile = Profile::sonic_10k();
     let mut items = Vec::new();
@@ -87,12 +91,12 @@ fn day<T: ArtifactTier>(mut tier: T, reopen: impl Fn(T) -> T) -> Vec<CarouselIte
         tier = reopen(tier);
         items.extend(refresh_carousel(&r, &mut tier, &jobs_at(&r, hour), &profile).0);
     }
-    items
+    (items, tier)
 }
 
 #[test]
 fn disk_tier_is_invisible_to_the_result() {
-    let bare_ram = day(ArtifactCache::unbounded(), |t| t);
+    let (bare_ram, _) = day(ArtifactCache::unbounded(), |t| t);
     assert!(bare_ram
         .iter()
         .any(|i| matches!(i.slot, CarouselSlot::Delta { .. })));
@@ -101,13 +105,13 @@ fn disk_tier_is_invisible_to_the_result() {
         .any(|i| matches!(i.slot, CarouselSlot::Unchanged)));
 
     let over_empty_store = TempDir::new("empty");
-    let tiered = day(open_tier(&over_empty_store.0), |t| t);
+    let (tiered, _) = day(open_tier(&over_empty_store.0), |t| t);
     assert_items_identical(&bare_ram, &tiered, "RAM over an empty store");
 
     // Every hour starts from the files alone: unchanged pages and delta
     // bases both come back by promotion.
     let restarted_hourly = TempDir::new("reopen");
-    let reopened = day(open_tier(&restarted_hourly.0), |t| {
+    let (reopened, _) = day(open_tier(&restarted_hourly.0), |t| {
         drop(t);
         open_tier(&restarted_hourly.0)
     });
@@ -115,24 +119,54 @@ fn disk_tier_is_invisible_to_the_result() {
 }
 
 #[test]
-fn audio_refresh_over_a_frames_only_store_loads_each_page_once() {
+fn no_tier_holds_audio_and_every_aired_slot_is_its_frames_modulated() {
     let r = renderer();
     let profile = Profile::sonic_10k();
-    let jobs = jobs_at(&r, 6);
-    let dir = TempDir::new("frames-only");
-    let _ = refresh_frames_only(&r, &mut open_tier(&dir.0), &jobs);
+    let dir = TempDir::new("no-audio");
+    let store = open_store(&dir.0);
+    let tier = TieredCache::with_store(ArtifactCache::unbounded(), store.clone());
+    let (items, tier) = day(tier, |t| t);
 
-    // Fresh RAM, same hour, audio wanted: the stored entry matches on the
-    // first rung but has no audio, so it is refused there and again on the
-    // raster rung, then serves as the delta basis — one load for all three.
-    let mut tier = open_tier(&dir.0);
-    let (items, stats) = refresh_carousel(&r, &mut tier, &jobs, &profile);
-    assert_eq!(tier.ram.stats.disk_promotions, jobs.len() as u64);
-    assert_eq!(stats.unchanged, 0, "a frames-only entry never answers an audio refresh");
-    assert_eq!(tier.ram.stats.misses, 0, "the stored strips are the delta basis");
-    for (item, job) in items.iter().zip(&jobs) {
-        let frames = page_to_frames(&r.render(job.id, job.hour).into_page());
-        assert_eq!(*item.artifact.frames, frames);
-        assert_audio_bits_eq(&item.artifact.audio, &link::modulate(&profile, &frames));
+    // What aired is `link::modulate` of the slot's frames, on the item the
+    // caller got and nowhere else.
+    for item in &items {
+        match &item.slot {
+            CarouselSlot::Unchanged => assert!(item.artifact.audio.is_empty()),
+            CarouselSlot::Full => assert_audio_bits_eq(
+                &item.artifact.audio,
+                &link::modulate(&profile, &item.artifact.frames),
+            ),
+            CarouselSlot::Delta { frames, audio, .. } => {
+                assert!(item.artifact.audio.is_empty());
+                assert_audio_bits_eq(audio, &link::modulate(&profile, frames));
+            }
+        }
     }
+
+    // Neither tier kept any of it, and the RAM tier accounts for exactly
+    // what it holds: frames, strips, URL and the column-hash index.
+    let mut held = 0;
+    for job in jobs_at(&r, 8) {
+        let (in_ram, hashes) = tier.ram.delta_basis(job.id).expect("resident");
+        assert!(in_ram.audio.is_empty(), "{:?}: audio in the RAM tier", job.id);
+        held += in_ram.frames.len() * FRAME_SIZE
+            + in_ram.page.strips.total_bytes()
+            + in_ram.page.url.len()
+            + hashes.len() * 8;
+        let on_disk = store.lock().load(job.id).expect("stored");
+        assert!(on_disk.artifact.audio.is_empty(), "{:?}: audio on disk", job.id);
+        assert_eq!(*on_disk.artifact.frames, *in_ram.frames);
+    }
+    assert_eq!(tier.ram.bytes(), held);
+
+    // Restart into the same hour: every page comes back from the files,
+    // nothing airs, nothing is modulated.
+    drop((tier, store));
+    let mut tier = open_tier(&dir.0);
+    let jobs = jobs_at(&r, 8);
+    let (items, stats) = refresh_carousel(&r, &mut tier, &jobs, &profile);
+    assert_eq!(stats.unchanged, jobs.len());
+    assert_eq!(tier.ram.stats.disk_promotions, jobs.len() as u64);
+    assert_eq!(tier.ram.stats.misses + tier.ram.stats.delta_hits, 0);
+    assert!(items.iter().all(|i| i.artifact.audio.is_empty()));
 }

@@ -94,7 +94,9 @@ impl ClickMap {
         };
         let s = take(&mut p, 2)?;
         let count = u16::from_be_bytes([data[s], data[s + 1]]) as usize;
-        let mut regions = Vec::with_capacity(count);
+        // A region costs at least 9 bytes: never allocate for a count the
+        // input could not hold.
+        let mut regions = Vec::with_capacity(count.min(data.len() / 9));
         for _ in 0..count {
             let s = take(&mut p, 8)?;
             let rd = |o: usize| u16::from_be_bytes([data[s + o], data[s + o + 1]]);

@@ -325,8 +325,8 @@ pub fn modulate_frame_into(profile: &Profile, payload: &[u8], audio: &mut Vec<f3
 /// `payload_len` bytes: the frame body ([`Profile::frame_samples`]) plus
 /// the cyclic-prefix ramp guards the modulator adds at both ends.
 ///
-/// Knowing the length without modulating lets the broadcast artifact cache
-/// address each burst's audio span inside a concatenated carousel buffer.
+/// Knowing the length without modulating lets a caller that concatenates
+/// bursts size its buffer once.
 pub fn modulated_samples(profile: &Profile, payload_len: usize) -> usize {
     profile.frame_samples(payload_len) + 2 * profile.cp_len
 }

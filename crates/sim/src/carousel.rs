@@ -189,7 +189,6 @@ pub fn run_ticker_carousel(
     hours: u64,
     frac: f64,
 ) -> DeltaCarouselReport {
-    let profile = Profile::sonic_10k();
     let mut cache = ArtifactCache::unbounded();
     let ids = corpus.pages();
     let mut report = DeltaCarouselReport {
@@ -250,7 +249,7 @@ pub fn run_ticker_carousel(
                 .write_u64(*revision)
                 .finish();
             let rendered = content.clone();
-            items.push(refresh_page(&mut cache, id, lh, rev, Some(&profile), move || rendered));
+            items.push(refresh_page(&mut cache, id, lh, rev, move || rendered));
         }
         if rev > 0 {
             let stats = carousel_stats(&items);

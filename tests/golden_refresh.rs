@@ -107,22 +107,22 @@ const GOLDEN: [Row; 24] = [
     ('F', 0, 0x3b91_2e5a_b031_fda3, 0x82fd_bf0a_0555_39f4, 0x3b91_2e5a_b031_fda3, 0x82fd_bf0a_0555_39f4),
     ('F', 0, 0xe5bc_6075_d1b6_63af, 0x18e1_ca7f_0eef_994d, 0xe5bc_6075_d1b6_63af, 0x18e1_ca7f_0eef_994d),
     ('F', 0, 0x788b_6307_854f_8c45, 0x85ef_efc4_5452_7624, 0x788b_6307_854f_8c45, 0x85ef_efc4_5452_7624),
-    ('D', 54, 0xbbd6_ef99_2598_b465, 0x3503_5f3d_f3be_5026, 0xbbd6_ef99_2598_b465, 0x3503_5f3d_f3be_5026),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x6535_ca48_e96d_03bc, 0x1d88_d84d_8da8_7804),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x1904_cc83_01bc_2a49, 0x230d_702e_f327_488f),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xf656_8005_b1c2_a4e9, 0x0f8d_0eae_4d34_c9b5),
-    ('D', 54, 0xc940_7034_801b_3be1, 0xc0f2_64ad_6ec5_da48, 0xc940_7034_801b_3be1, 0xc0f2_64ad_6ec5_da48),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x3b91_2e5a_b031_fda3, 0x82fd_bf0a_0555_39f4),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xe5bc_6075_d1b6_63af, 0x18e1_ca7f_0eef_994d),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x788b_6307_854f_8c45, 0x85ef_efc4_5452_7624),
-    ('D', 54, 0xb736_9f69_33b8_f566, 0x759d_e2ba_631a_fec9, 0xb736_9f69_33b8_f566, 0x759d_e2ba_631a_fec9),
-    ('D', 54, 0x40e4_3366_bcb5_b9b9, 0xcd13_0874_77b7_d5ff, 0x40e4_3366_bcb5_b9b9, 0xcd13_0874_77b7_d5ff),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x1904_cc83_01bc_2a49, 0x230d_702e_f327_488f),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xf656_8005_b1c2_a4e9, 0x0f8d_0eae_4d34_c9b5),
-    ('D', 54, 0x0adb_cad7_a910_0a6c, 0x2188_cc31_7df8_69a1, 0x0adb_cad7_a910_0a6c, 0x2188_cc31_7df8_69a1),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x3b91_2e5a_b031_fda3, 0x82fd_bf0a_0555_39f4),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xe5bc_6075_d1b6_63af, 0x18e1_ca7f_0eef_994d),
-    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x788b_6307_854f_8c45, 0x85ef_efc4_5452_7624),
+    ('D', 54, 0xbbd6_ef99_2598_b465, 0x3503_5f3d_f3be_5026, 0xbbd6_ef99_2598_b465, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x6535_ca48_e96d_03bc, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x1904_cc83_01bc_2a49, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xf656_8005_b1c2_a4e9, 0xcbf2_9ce4_8422_2325),
+    ('D', 54, 0xc940_7034_801b_3be1, 0xc0f2_64ad_6ec5_da48, 0xc940_7034_801b_3be1, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x3b91_2e5a_b031_fda3, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xe5bc_6075_d1b6_63af, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x788b_6307_854f_8c45, 0xcbf2_9ce4_8422_2325),
+    ('D', 54, 0xb736_9f69_33b8_f566, 0x759d_e2ba_631a_fec9, 0xb736_9f69_33b8_f566, 0xcbf2_9ce4_8422_2325),
+    ('D', 54, 0x40e4_3366_bcb5_b9b9, 0xcd13_0874_77b7_d5ff, 0x40e4_3366_bcb5_b9b9, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x1904_cc83_01bc_2a49, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xf656_8005_b1c2_a4e9, 0xcbf2_9ce4_8422_2325),
+    ('D', 54, 0x0adb_cad7_a910_0a6c, 0x2188_cc31_7df8_69a1, 0x0adb_cad7_a910_0a6c, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x3b91_2e5a_b031_fda3, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xe5bc_6075_d1b6_63af, 0xcbf2_9ce4_8422_2325),
+    ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x788b_6307_854f_8c45, 0xcbf2_9ce4_8422_2325),
 ];
 
 #[test]
