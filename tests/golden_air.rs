@@ -12,8 +12,10 @@ use sonic::core::link::{self, FRAMES_PER_BURST};
 use sonic::dsp::C32;
 use sonic::image::hash::Fnv64;
 use sonic::modem::ofdm::Demodulator;
-use sonic::modem::{demodulate_frames, Profile};
+use sonic::modem::frame::DemodFrame;
+use sonic::modem::{demodulate_frames, modulate_frame, PhyError, Profile};
 use sonic::radio::mpx::{compose, decompose, MpxInput};
+use sonic::radio::stack::FmLink;
 
 fn digest_f32(samples: &[f32]) -> u64 {
     let mut h = Fnv64::new();
@@ -108,4 +110,81 @@ fn mpx_decompose_is_pinned_with_and_without_a_stereo_channel() {
     assert_eq!(digest_f32(&out.mono), 0x470d_3dd6_1288_a815, "mono (pilot) moved");
     let stereo = out.stereo_diff.expect("pilot detected");
     assert_eq!(digest_f32(&stereo), 0x8344_3d8e_b574_f497, "stereo difference moved");
+}
+
+/// Folds one `demodulate_frames` result into `h`: burst count, then per burst
+/// its start sample and either the payload or the failure's code.
+fn digest_bursts(h: &mut Fnv64, bursts: &[DemodFrame]) {
+    h.write_u64(bursts.len() as u64);
+    for burst in bursts {
+        h.write_u64(burst.start_sample as u64);
+        let code = match &burst.payload {
+            Ok(payload) => {
+                h.write(payload);
+                0u8
+            }
+            Err(PhyError::HeaderCorrupt) => 1,
+            Err(PhyError::PayloadUnrecoverable) => 2,
+            Err(PhyError::Truncated) => 3,
+        };
+        h.write(&[code]);
+    }
+}
+
+/// The receive paths the clean-cable digest above never takes: bursts that
+/// fail their header or their FEC on a weak FM link, a capture that ends
+/// mid-burst, and a tone that trips the Schmidl-Cox metric on every sample
+/// without ever correlating with the preamble.
+#[test]
+fn lossy_truncated_and_false_alarm_bursts_are_pinned() {
+    let profile = Profile::sonic_10k();
+    let payload = |i: usize| -> Vec<u8> {
+        (0..120 + 37 * i).map(|k| (i * 89 + k * 13 + (k >> 2)) as u8).collect()
+    };
+    // Twelve bursts of growing length with growing silences between them.
+    let mut audio = Vec::new();
+    let mut last_burst = 0..0;
+    for i in 0..12 {
+        let burst = modulate_frame(&profile, &payload(i));
+        last_burst = audio.len()..audio.len() + burst.len();
+        audio.extend(burst);
+        audio.extend(std::iter::repeat_n(0.0f32, 300 + 211 * i));
+    }
+    let heard = FmLink::new(-86.0, 1).transmit(&audio, None).mono;
+    let mut h = Fnv64::new();
+
+    let lossy = demodulate_frames(&profile, &heard);
+    let count = |want: fn(&Result<Vec<u8>, PhyError>) -> bool| {
+        lossy.iter().filter(|b| want(&b.payload)).count()
+    };
+    assert_eq!(lossy.len(), 12);
+    assert_eq!(count(|p| p.is_ok()), 4);
+    assert_eq!(count(|p| *p == Err(PhyError::HeaderCorrupt)), 1);
+    assert_eq!(count(|p| *p == Err(PhyError::PayloadUnrecoverable)), 7);
+    digest_bursts(&mut h, &lossy);
+
+    // The same capture, ended half way through its last burst.
+    let cut = demodulate_frames(&profile, &heard[..(last_burst.start + last_burst.end) / 2]);
+    assert_eq!(cut.len(), 12);
+    assert_eq!(cut[11].payload, Err(PhyError::Truncated));
+    digest_bursts(&mut h, &cut);
+
+    // An 8 kHz tone: its two half-symbols are as alike as a preamble's, so
+    // the coarse metric sits near 1 for its whole length, and the fine
+    // correlation against the preamble rejects every plateau. With a short
+    // gap the tone's tail opens a phantom burst whose header skip swallows
+    // the real preamble; with a long one the real burst decodes.
+    for (gap, want) in [(700, Err(PhyError::HeaderCorrupt)), (6_000, Ok(payload(2)))] {
+        let mut toned: Vec<f32> = (0..12_000)
+            .map(|i| 0.3 * (std::f64::consts::TAU * 8_000.0 * i as f64 / 44_100.0).sin() as f32)
+            .collect();
+        toned.extend(std::iter::repeat_n(0.0f32, gap));
+        toned.extend(modulate_frame(&profile, &payload(2)));
+        let after_tone = demodulate_frames(&profile, &toned);
+        assert_eq!(after_tone.len(), 1, "gap {gap}");
+        assert_eq!(after_tone[0].payload, want, "gap {gap}");
+        digest_bursts(&mut h, &after_tone);
+    }
+
+    assert_eq!(h.finish(), 0x36a1_0cef_5579_4e0b, "lossy-path bursts moved");
 }
