@@ -6,9 +6,9 @@
 //! a burst lost to sync/header failure costs that many frames, which is the
 //! granularity the loss experiments measure.
 
-use crate::frame::{Frame, FrameError, FRAME_SIZE};
+use crate::frame::{Frame, FRAME_SIZE};
 use sonic_modem::frame::{
-    demodulate_frames, modulate_frame_into, modulated_samples, MAX_PAYLOAD,
+    modulate_frame_into, modulated_samples, DemodFrame, FrameCodec, MAX_PAYLOAD,
 };
 use sonic_modem::profile::Profile;
 
@@ -56,32 +56,83 @@ pub fn modulate(profile: &Profile, frames: &[Frame]) -> Vec<f32> {
     audio
 }
 
-/// Demodulates audio back into link frames with loss accounting.
-pub fn demodulate(profile: &Profile, audio: &[f32]) -> (Vec<Frame>, LinkStats) {
-    let mut stats = LinkStats::default();
-    let mut frames = Vec::new();
-    for burst in demodulate_frames(profile, audio) {
-        stats.bursts_detected += 1;
-        match burst.payload {
-            Ok(payload) => {
-                for chunk in payload.chunks(FRAME_SIZE) {
-                    match Frame::decode(chunk) {
-                        Ok(f) => {
-                            stats.frames_ok += 1;
-                            frames.push(f);
-                        }
-                        Err(FrameError::BadSize) => {
-                            // Trailing partial chunk: a malformed batch.
-                            stats.frames_bad_crc += 1;
-                        }
-                        Err(_) => stats.frames_bad_crc += 1,
-                    }
-                }
-            }
-            Err(_) => stats.bursts_failed += 1,
+/// The receiving end of the link: audio in as it is captured, link frames
+/// out as their bursts complete, each with the time it went on air.
+///
+/// The frame-level face of [`FrameCodec::push`]: memory stays at one
+/// burst's worth however long the station has been on.
+#[derive(Debug)]
+pub struct Receiver {
+    codec: FrameCodec,
+    /// Bursts the last push completed (kept for its capacity).
+    bursts: Vec<DemodFrame>,
+    stats: LinkStats,
+}
+
+impl Receiver {
+    /// A receiver at the start of a stream.
+    pub fn new(profile: &Profile) -> Self {
+        Receiver {
+            codec: FrameCodec::new(profile),
+            bursts: Vec::new(),
+            stats: LinkStats::default(),
         }
     }
-    (frames, stats)
+
+    /// Takes the next `audio` of the stream and hands `on_frame` every link
+    /// frame of every burst it completes, with `at_s`, the stream time in
+    /// seconds at which that burst began.
+    pub fn push(&mut self, audio: &[f32], on_frame: impl FnMut(Frame, f64)) {
+        self.codec.push(audio, &mut self.bursts);
+        self.deliver(on_frame);
+    }
+
+    /// Ends the stream: hands over what was held back, counts a burst the
+    /// stream ended inside as failed, and is ready for a new stream (the
+    /// [`stats`](Self::stats) carry on).
+    pub fn flush(&mut self, on_frame: impl FnMut(Frame, f64)) {
+        self.codec.flush(&mut self.bursts);
+        self.deliver(on_frame);
+    }
+
+    /// Reception statistics since the receiver was built.
+    pub fn stats(&self) -> &LinkStats {
+        &self.stats
+    }
+
+    fn deliver(&mut self, mut on_frame: impl FnMut(Frame, f64)) {
+        let sample_rate = self.codec.profile().sample_rate;
+        for burst in self.bursts.drain(..) {
+            self.stats.bursts_detected += 1;
+            let Ok(payload) = burst.payload else {
+                self.stats.bursts_failed += 1;
+                continue;
+            };
+            let at_s = burst.start_sample as f64 / sample_rate;
+            for chunk in payload.chunks(FRAME_SIZE) {
+                match Frame::decode(chunk) {
+                    Ok(f) => {
+                        self.stats.frames_ok += 1;
+                        on_frame(f, at_s);
+                    }
+                    // A trailing partial chunk (`FrameError::BadSize`) is a
+                    // malformed batch; anything else failed its CRC.
+                    Err(_) => self.stats.frames_bad_crc += 1,
+                }
+            }
+        }
+    }
+}
+
+/// Demodulates audio back into link frames with loss accounting: a
+/// [`Receiver`] given the whole buffer at once.
+pub fn demodulate(profile: &Profile, audio: &[f32]) -> (Vec<Frame>, LinkStats) {
+    let mut receiver = Receiver::new(profile);
+    let mut frames = Vec::new();
+    let mut keep = |frame, _| frames.push(frame);
+    receiver.push(audio, &mut keep);
+    receiver.flush(&mut keep);
+    (frames, receiver.stats)
 }
 
 #[cfg(test)]

@@ -257,9 +257,14 @@ impl Sample for C32 {
 ///
 /// Plans are shared (`Arc`), so an engine is cheap to build per call; the
 /// `taps − 1` sample tail carries across [`process`](Self::process) calls
-/// for callers that stream. Users: the OFDM receiver's I/Q baseband
-/// low-pass (complex, one band) and the MPX decomposer's band selects
-/// (real; mono + pilot + RDS in one pass, the stereo branch one at a time).
+/// for callers that stream. A stream cut into calls at multiples of
+/// `BLOCKS ×` [`FirPlan::block`] comes out bit-identical to one call over
+/// all of it, because every FFT frame then holds the same samples; cut
+/// anywhere else the frames shift, and the output is the same filter with
+/// different rounding (an ulp on most samples). Users: the OFDM receiver's
+/// I/Q baseband low-pass (complex, one band, streamed in whole blocks) and
+/// the MPX decomposer's band selects (real; mono + pilot + RDS in one pass,
+/// the stereo branch one at a time).
 #[derive(Debug, Clone)]
 pub struct OverlapSave<T: Sample> {
     plans: Vec<Arc<FirPlan>>,
@@ -302,6 +307,11 @@ impl<T: Sample> OverlapSave<T> {
             frames: SplitC32::new(),
             band: SplitC32::new(),
         }
+    }
+
+    /// Forgets the stream so far: the next input follows silence again.
+    pub fn reset(&mut self) {
+        self.tail.fill(T::ZERO);
     }
 
     /// Filters `input` through every band, appending band `b`'s
@@ -468,6 +478,43 @@ mod tests {
         b.process_reference(&mut want);
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+
+    #[test]
+    fn overlap_save_cut_at_block_multiples_is_bit_identical_to_one_call() {
+        let plan = FirPlan::shared(&design_lowpass(101, 0.17));
+        let block = plan.block();
+        let sig: Vec<C32> = noise(20 * block + 123, 5)
+            .iter()
+            .zip(&noise(20 * block + 123, 6))
+            .map(|(&re, &im)| C32::new(re, im))
+            .collect();
+        let run = |cuts: &[usize]| {
+            let mut engine = OverlapSave::new(vec![Arc::clone(&plan)]);
+            let mut out = [Vec::new()];
+            let mut from = 0;
+            for &cut in cuts.iter().chain([&sig.len()]) {
+                engine.process(&sig[from..cut], &mut out);
+                from = cut;
+            }
+            let [out] = out;
+            out
+        };
+        let whole = run(&[]);
+        // Past a batch of frames, mid-batch, back to back, and a reset engine.
+        assert_eq!(run(&[block, 3 * block, 4 * block, 15 * block]), whole);
+        let mut engine = OverlapSave::new(vec![Arc::clone(&plan)]);
+        engine.process(&sig[..777], &mut [Vec::new()]);
+        engine.reset();
+        let mut again = [Vec::new()];
+        engine.process(&sig, &mut again);
+        assert_eq!(again[0], whole);
+        // A cut anywhere else is the same filter, rounded differently.
+        let ragged = run(&[block + 1]);
+        assert_ne!(ragged, whole);
+        for (a, b) in ragged.iter().zip(&whole) {
+            assert!((*a - *b).abs() < 1e-5);
         }
     }
 

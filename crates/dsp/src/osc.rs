@@ -67,8 +67,12 @@ impl Nco {
 /// mixing through the table produces byte-identical audio while paying the
 /// trig cost only once per table slot.
 ///
-/// Tables grow on demand and are reused across bursts; one 1 kB frame at
-/// 44.1 kHz needs ~60 k phasors (~470 KB), retained for the codec lifetime.
+/// The table replays from sample 0, which is what a burst modulator wants
+/// (every burst starts at phase zero). It grows on demand to the longest
+/// burst modulated so far and is kept for the codec's lifetime: 8 bytes a
+/// sample, ≈ 1.3 MB for a maximum-length SONIC burst at 44.1 kHz. A stream
+/// that never restarts — the receive side — uses [`PeriodicOsc`] instead,
+/// whose state does not grow.
 #[derive(Debug, Clone)]
 pub struct PhasorTable {
     step: f64,
@@ -122,13 +126,75 @@ impl PhasorTable {
         }
     }
 
-    /// [`downconvert`] from sample index 0 using cached phasors; appends to
-    /// `out`. Bit-identical to mixing with a fresh `Nco`.
+}
+
+/// One period of an [`Nco`], replayed for as long as the stream lasts: the
+/// receive side's oscillator.
+///
+/// A carrier whose frequency is a rational fraction of the sample rate
+/// repeats exactly — 9 200 Hz at 44 100 Hz every 441 samples — so one period
+/// of phasors and a position in it are all the state a down-converter needs,
+/// however long the station has been on. The period is the `Nco`'s own first
+/// one: the first [`period`](Self::period) samples are bit-identical to a
+/// fresh `Nco`, and from there on the live oscillator, whose `f64` phase
+/// picks up a rounding at every wrap, sits one `f32` ulp away from the table
+/// on about one sample in 25.
+#[derive(Debug, Clone)]
+pub struct PeriodicOsc {
+    table: Vec<C32>,
+    /// Index into `table` of the next sample's phasor.
+    pos: usize,
+}
+
+impl PeriodicOsc {
+    /// Tabulates one period of `freq` Hz at sample rate `fs`.
+    ///
+    /// # Panics
+    /// Panics if the carrier does not repeat within one second of samples
+    /// (every whole number of hertz at a whole-hertz sample rate does).
+    pub fn new(fs: f64, freq: f64) -> Self {
+        // The shortest run of samples that holds a whole number of cycles.
+        let mut period = 1usize;
+        while (period as f64 * freq / fs).fract() != 0.0 {
+            period += 1;
+            assert!(
+                period as f64 <= fs,
+                "a {freq} Hz carrier does not repeat within one second at {fs} Hz"
+            );
+        }
+        let mut nco = Nco::new(fs, freq);
+        PeriodicOsc {
+            table: (0..period).map(|_| nco.next()).collect(),
+            pos: 0,
+        }
+    }
+
+    /// Samples per repetition.
+    pub fn period(&self) -> usize {
+        self.table.len()
+    }
+
+    /// Returns to the phase of stream sample 0.
+    pub fn reset(&mut self) {
+        self.pos = 0;
+    }
+
+    /// [`downconvert`] continuing from where the last call stopped; appends
+    /// to `out`.
     pub fn downconvert(&mut self, passband: &[f32], out: &mut Vec<C32>) {
-        let phasors = self.phasors(passband.len());
-        out.reserve(passband.len());
-        for (&x, &c) in passband.iter().zip(phasors) {
-            out.push(c.conj().scale(x * std::f32::consts::SQRT_2));
+        let start = out.len();
+        out.resize(start + passband.len(), C32::ZERO);
+        let mut mixed = &mut out[start..];
+        let mut rest = passband;
+        while !rest.is_empty() {
+            let run = rest.len().min(self.table.len() - self.pos);
+            let (head, tail) = mixed.split_at_mut(run);
+            for ((o, &x), c) in head.iter_mut().zip(rest).zip(&self.table[self.pos..]) {
+                *o = c.conj().scale(x * std::f32::consts::SQRT_2);
+            }
+            self.pos = (self.pos + run) % self.table.len();
+            mixed = tail;
+            rest = &rest[run..];
         }
     }
 }
@@ -240,15 +306,47 @@ mod tests {
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             got.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
+    }
 
-        let mut want_bb = Vec::new();
-        downconvert(&mut Nco::new(fs, fc), &want, &mut want_bb);
-        let mut got_bb = Vec::new();
-        table.downconvert(&want, &mut got_bb);
-        for (w, g) in want_bb.iter().zip(&got_bb) {
-            assert_eq!(w.re.to_bits(), g.re.to_bits());
-            assert_eq!(w.im.to_bits(), g.im.to_bits());
+    #[test]
+    fn periodic_osc_finds_the_shortest_period() {
+        for (freq, period) in [(9_200.0, 441), (10_500.0, 21), (7_000.0, 63), (11_400.0, 147)] {
+            assert_eq!(PeriodicOsc::new(44_100.0, freq).period(), period, "{freq} Hz");
         }
+        assert_eq!(PeriodicOsc::new(48_000.0, 1_187.5).period(), 768);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not repeat")]
+    fn periodic_osc_rejects_a_carrier_with_no_short_period() {
+        let _ = PeriodicOsc::new(44_100.0, 123.456);
+    }
+
+    #[test]
+    fn periodic_osc_is_its_nco_for_one_period_and_an_ulp_off_after() {
+        let (fs, fc) = (44_100.0, 9_200.0);
+        let passband: Vec<f32> = (0..100_000).map(|i| ((i * 37 % 201) as f32 - 100.0) / 100.0).collect();
+        let mut want = Vec::new();
+        downconvert(&mut Nco::new(fs, fc), &passband, &mut want);
+        let mut osc = PeriodicOsc::new(fs, fc);
+        let mut got = Vec::new();
+        // Ragged pushes: the position carries across calls and period ends.
+        for chunk in passband.chunks(1_000) {
+            osc.downconvert(chunk, &mut got);
+        }
+        assert_eq!(got.len(), want.len());
+        let bits = |v: &C32| (v.re.to_bits(), v.im.to_bits());
+        for (w, g) in want.iter().zip(&got).take(osc.period()) {
+            assert_eq!(bits(w), bits(g));
+        }
+        // |x·√2| ≤ √2 and the phasors differ by at most an ulp of 1.0.
+        for (k, (w, g)) in want.iter().zip(&got).enumerate() {
+            assert!((*w - *g).abs() < 2.0 * f32::EPSILON, "sample {k}: {w:?} vs {g:?}");
+        }
+        osc.reset();
+        let mut again = Vec::new();
+        osc.downconvert(&passband[..500], &mut again);
+        assert_eq!(again, got[..500]);
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub struct RsCodec {
     /// feedback byte `f`, so the encoder's inner loop is straight XORs
     /// instead of per-symbol log/exp multiplies.
     feedback_rows: Vec<u8>,
+    /// `root_rows[j*256..][s] = s · α^(FCR+j)`: one step of syndrome `j`'s
+    /// Horner chain as a single lookup.
+    root_rows: Vec<u8>,
 }
 
 impl RsCodec {
@@ -64,10 +67,33 @@ impl RsCodec {
                 *r = gf.mul(f as u8, generator[i + 1]);
             }
         }
+        let mut root_rows = vec![0u8; nroots * 256];
+        for (j, row) in root_rows.chunks_mut(256).enumerate() {
+            let root = gf.alpha_pow(FCR + j);
+            for (s, r) in row.iter_mut().enumerate() {
+                *r = gf.mul(s as u8, root);
+            }
+        }
         RsCodec {
             nroots,
             feedback_rows,
+            root_rows,
         }
+    }
+
+    /// Syndromes `S_j = C(α^{fcr+j})` into `synd` (lowest-first), all
+    /// `nroots` Horner chains advancing together over one walk of the
+    /// codeword: the chains are independent, so the lookups of one symbol
+    /// overlap instead of queueing behind each other. Returns whether every
+    /// syndrome is zero, i.e. `codeword` is a codeword.
+    fn syndromes(&self, codeword: &[u8], synd: &mut [u8]) -> bool {
+        synd.fill(0);
+        for &c in codeword {
+            for (s, row) in synd.iter_mut().zip(self.root_rows.chunks_exact(256)) {
+                *s = row[*s as usize] ^ c;
+            }
+        }
+        synd.iter().all(|&s| s == 0)
     }
 
     /// Number of parity symbols appended by [`encode`](Self::encode).
@@ -123,14 +149,8 @@ impl RsCodec {
         let gf = Gf256::get();
         let t2 = self.nroots;
 
-        // Syndromes S_j = C(α^{fcr+j}), lowest-first vector.
         let mut synd = vec![0u8; t2];
-        let mut all_zero = true;
-        for (j, s) in synd.iter_mut().enumerate() {
-            *s = gf.poly_eval(codeword, gf.alpha_pow(FCR + j));
-            all_zero &= *s == 0;
-        }
-        if all_zero {
+        if self.syndromes(codeword, &mut synd) {
             return Ok(0);
         }
 
@@ -211,10 +231,8 @@ impl RsCodec {
         }
 
         // Verify: recompute syndromes; a miscorrection leaves them non-zero.
-        for j in 0..t2 {
-            if gf.poly_eval(codeword, gf.alpha_pow(FCR + j)) != 0 {
-                return Err(RsError::TooManyErrors);
-            }
+        if !self.syndromes(codeword, &mut synd) {
+            return Err(RsError::TooManyErrors);
         }
         Ok(positions.len())
     }
@@ -316,6 +334,25 @@ mod tests {
 
     fn sample_data(len: usize, seed: u8) -> Vec<u8> {
         (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
+    }
+
+    #[test]
+    fn one_pass_syndromes_are_the_serial_horner_evaluations() {
+        let gf = Gf256::get();
+        for (nroots, len) in [(32usize, 255usize), (32, 60), (16, 255), (2, 3)] {
+            let rs = RsCodec::new(nroots);
+            let mut cw = sample_data(len - nroots, 9);
+            let parity = rs.encode(&cw);
+            cw.extend_from_slice(&parity);
+            let mut synd = vec![0xAA; nroots];
+            assert!(rs.syndromes(&cw, &mut synd), "clean codeword");
+            cw[len / 2] ^= 0x5C;
+            cw[0] ^= 0x01;
+            assert!(!rs.syndromes(&cw, &mut synd));
+            for (j, &s) in synd.iter().enumerate() {
+                assert_eq!(s, gf.poly_eval(&cw, gf.alpha_pow(FCR + j)), "nroots {nroots} S_{j}");
+            }
+        }
     }
 
     #[test]

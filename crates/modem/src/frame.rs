@@ -13,11 +13,10 @@
 //! burst.
 
 use crate::constellation::Modulation;
+use crate::ofdm::demodulator::{BurstScanner, Frontend};
 use crate::ofdm::modulator::ModulatorScratch;
 use crate::ofdm::{Demodulator, Modulator};
 use crate::profile::Profile;
-use sonic_dsp::osc::PhasorTable;
-use sonic_dsp::C32;
 use sonic_fec::code_spec::FecError;
 use sonic_fec::{bits::bytes_to_bits, bits::bits_to_bytes, FecPipeline};
 use std::cell::RefCell;
@@ -122,24 +121,52 @@ fn header_decode(soft: &[f32]) -> Option<usize> {
     parse_header(&bits)
 }
 
+/// Audio samples [`FrameCodec::push`] hands down the chain at a time: the
+/// down-converted block, its baseband and the filter's frames together stay
+/// within a phone's L2 cache, and the baseband window is trimmed once a
+/// block. Not observable in what is decoded.
+const PUSH_BLOCK: usize = 4_096;
+
+/// What the framer is waiting for from the open burst.
+#[derive(Debug, Clone, Copy)]
+enum Rx {
+    /// No burst open.
+    Burst,
+    /// The header symbol of the burst that began at `start`.
+    Header { start: usize },
+    /// `symbols_left` more payload symbols of a `payload_len`-byte frame.
+    Payload {
+        start: usize,
+        payload_len: usize,
+        symbols_left: usize,
+    },
+}
+
 /// Reusable PHY codec for one profile.
 ///
-/// Owns the modulator, demodulator, FEC pipeline and all scratch memory
-/// (phasor tables, symbol buffers, soft-bit buffers), so repeated
-/// modulate/demodulate calls pay none of the per-call setup of the free
-/// functions' original implementations. Modulation is bit-identical to
-/// [`modulate_frame_reference`]; demodulation runs the overlap-save receive
-/// path, which recovers the same frames as [`demodulate_frames_reference`]
-/// (baseband differs only by FFT rounding, ~1e-6 relative).
+/// Owns the modulator, demodulator, FEC pipeline and all working memory, so
+/// repeated calls pay none of the per-call setup of the free functions'
+/// original implementations. Modulation is bit-identical to
+/// [`modulate_frame_reference`].
+///
+/// The receive side is one push-shaped chain — audio →
+/// [`Frontend`] → [`BurstScanner`] → header → [`FecPipeline::decode_soft`] →
+/// [`DemodFrame`] — that takes the stream [`push`](Self::push) by push and
+/// reports each burst as its last symbol arrives, holding one burst's soft
+/// bits and a block of baseband however long the stream runs.
+/// [`demodulate`](Self::demodulate) is one push and a
+/// [`flush`](Self::flush); it recovers the same frames as
+/// [`demodulate_frames_reference`] (whose direct-form baseband differs by
+/// FFT rounding, ~1e-6 relative).
 #[derive(Debug)]
 pub struct FrameCodec {
     modulator: Modulator,
     demodulator: Demodulator,
     fec: FecPipeline,
     mod_scratch: ModulatorScratch,
-    down_phasors: PhasorTable,
-    mixed: Vec<C32>,
-    baseband: Vec<C32>,
+    frontend: Frontend,
+    scanner: BurstScanner,
+    rx: Rx,
     hdr_soft: Vec<f32>,
     soft: Vec<f32>,
 }
@@ -147,14 +174,15 @@ pub struct FrameCodec {
 impl FrameCodec {
     /// Builds a codec (validates the profile).
     pub fn new(profile: &Profile) -> Self {
+        let demodulator = Demodulator::new(profile.clone());
         FrameCodec {
             modulator: Modulator::new(profile.clone()),
-            demodulator: Demodulator::new(profile.clone()),
             fec: FecPipeline::new(profile.fec),
             mod_scratch: ModulatorScratch::new(profile),
-            down_phasors: PhasorTable::new(profile.sample_rate, profile.center_freq),
-            mixed: Vec::new(),
-            baseband: Vec::new(),
+            frontend: demodulator.frontend(),
+            scanner: BurstScanner::new(&demodulator),
+            demodulator,
+            rx: Rx::Burst,
             hdr_soft: Vec::new(),
             soft: Vec::new(),
         }
@@ -190,95 +218,133 @@ impl FrameCodec {
             .modulate_bits_into(&header, &coded, &mut self.mod_scratch, audio);
     }
 
-    /// Scans an audio buffer and recovers every PHY frame in it.
+    /// Takes the next `audio` of the stream — a capture callback's worth or
+    /// a whole page — and appends to `out` every burst whose last symbol it
+    /// completes, in order: its payload, or the [`PhyError`] that lost it.
+    ///
+    /// `start_sample` counts from the first sample pushed since the codec
+    /// was built or last [`flush`](Self::flush)ed. Between bursts a push
+    /// allocates nothing.
+    // lint: no-alloc
+    pub fn push(&mut self, audio: &[f32], out: &mut Vec<DemodFrame>) {
+        for block in audio.chunks(PUSH_BLOCK) {
+            // lint: allow(no-alloc) — `Frontend::push`, itself no-alloc, not `Vec::push`
+            self.frontend.push(block, self.scanner.baseband());
+            self.scan(false, out);
+        }
+    }
+
+    /// Ends the stream: decodes what the samples still held back complete,
+    /// reports a burst the stream ended inside as [`PhyError::Truncated`],
+    /// and leaves the codec at the start of a new stream.
+    pub fn flush(&mut self, out: &mut Vec<DemodFrame>) {
+        self.frontend.flush(self.scanner.baseband());
+        self.scan(true, out);
+        self.scanner.reset(&self.demodulator);
+        self.rx = Rx::Burst;
+    }
+
+    /// Scans an audio buffer and recovers every PHY frame in it: one
+    /// [`push`](Self::push), then [`flush`](Self::flush).
     ///
     /// Returns one entry per detected burst, in order. Bursts whose header
     /// or payload could not be recovered are reported with their
     /// [`PhyError`] so loss-rate experiments can count them.
     pub fn demodulate(&mut self, audio: &[f32]) -> Vec<DemodFrame> {
-        self.demodulator.to_baseband_with(
-            audio,
-            &mut self.down_phasors,
-            &mut self.mixed,
-            &mut self.baseband,
-        );
-        scan_bursts(
-            &self.demodulator,
-            &self.fec,
-            &self.baseband,
-            &mut self.hdr_soft,
-            &mut self.soft,
-        )
+        let mut out = Vec::new();
+        self.push(audio, &mut out);
+        self.flush(&mut out);
+        out
     }
-}
 
-/// Recovers every PHY frame in a baseband buffer: per burst, the header
-/// symbol, then as many payload symbols as the header announces, then the
-/// FEC chain. `hdr_soft` and `soft` are working memory.
-fn scan_bursts(
-    demod: &Demodulator,
-    fec: &FecPipeline,
-    baseband: &[C32],
-    hdr_soft: &mut Vec<f32>,
-    soft: &mut Vec<f32>,
-) -> Vec<DemodFrame> {
-    let profile = demod.profile();
-    let mut out = Vec::new();
-    let mut cursor = 0usize;
-
-    while let Some(mut reader) = demod.open_burst_baseband(baseband, cursor) {
-        let start = reader.burst_start;
-        // Header symbol.
-        hdr_soft.clear();
-        if !reader.next_symbol(Modulation::Bpsk, hdr_soft) {
+    /// Works through the baseband that has arrived: per burst, the header
+    /// symbol, then as many payload symbols as the header announces, then
+    /// the FEC chain. Returns where the scanner runs out of samples; if the
+    /// stream has `ended` there, an open burst is cut off.
+    fn scan(&mut self, ended: bool, out: &mut Vec<DemodFrame>) {
+        let demod = &self.demodulator;
+        let profile = demod.profile();
+        let scanner = &mut self.scanner;
+        let mut close = |scanner: &mut BurstScanner, start_sample, payload| {
+            // lint: allow(no-alloc) — one entry per burst, into the caller's list
             out.push(DemodFrame {
-                start_sample: start,
-                payload: Err(PhyError::Truncated),
+                start_sample,
+                payload,
             });
-            break;
-        }
-        let Some(payload_len) = header_decode(hdr_soft) else {
-            out.push(DemodFrame {
-                start_sample: start,
-                payload: Err(PhyError::HeaderCorrupt),
-            });
-            // Skip past this burst's overhead symbols and rescan.
-            cursor = start + 4 * profile.symbol_len();
-            continue;
+            scanner.end_burst(demod);
+            Rx::Burst
         };
-
-        let coded_bits = profile.fec.coded_bits_len(payload_len);
-        let n_syms = coded_bits.div_ceil(profile.bits_per_symbol());
-        soft.clear();
-        soft.reserve(n_syms * profile.bits_per_symbol());
-        let mut truncated = false;
-        for _ in 0..n_syms {
-            if !reader.next_symbol(profile.modulation, soft) {
-                truncated = true;
-                break;
-            }
-        }
-        let payload = if truncated {
-            Err(PhyError::Truncated)
-        } else {
-            soft.truncate(coded_bits);
-            match fec.decode_soft(soft, payload_len) {
-                Ok(bytes) => Ok(bytes),
-                Err(FecError::Unrecoverable) | Err(FecError::LengthMismatch) => {
-                    Err(PhyError::PayloadUnrecoverable)
+        loop {
+            self.rx = match self.rx {
+                Rx::Burst => match scanner.open_burst(demod, ended) {
+                    Some(start) => Rx::Header { start },
+                    None => return,
+                },
+                Rx::Header { start } => {
+                    self.hdr_soft.clear();
+                    // lint: allow(no-alloc) — in a burst: one symbol's soft bits into a buffer that keeps its capacity
+                    let arrived = scanner.next_symbol(demod, Modulation::Bpsk, &mut self.hdr_soft);
+                    if !arrived {
+                        if ended {
+                            close(scanner, start, Err(PhyError::Truncated));
+                        }
+                        return;
+                    }
+                    // lint: allow(no-alloc) — per burst: the header's Viterbi pass returns owned bits
+                    match header_decode(&self.hdr_soft) {
+                        Some(payload_len) => {
+                            let symbols_left = profile
+                                .fec
+                                .coded_bits_len(payload_len)
+                                .div_ceil(profile.bits_per_symbol());
+                            self.soft.clear();
+                            self.soft.reserve(symbols_left * profile.bits_per_symbol());
+                            Rx::Payload {
+                                start,
+                                payload_len,
+                                symbols_left,
+                            }
+                        }
+                        // The search resumes past this burst's overhead symbols.
+                        None => close(scanner, start, Err(PhyError::HeaderCorrupt)),
+                    }
                 }
-            }
-        };
-        cursor = reader.position();
-        out.push(DemodFrame {
-            start_sample: start,
-            payload,
-        });
-        if truncated {
-            break;
+                Rx::Payload {
+                    start,
+                    payload_len,
+                    symbols_left: 0,
+                } => {
+                    self.soft.truncate(profile.fec.coded_bits_len(payload_len));
+                    // lint: allow(no-alloc) — per burst: the FEC chain returns the owned payload
+                    let payload = self.fec.decode_soft(&self.soft, payload_len).map_err(
+                        |(FecError::Unrecoverable | FecError::LengthMismatch)| {
+                            PhyError::PayloadUnrecoverable
+                        },
+                    );
+                    close(scanner, start, payload)
+                }
+                Rx::Payload {
+                    start,
+                    payload_len,
+                    symbols_left,
+                } => {
+                    // lint: allow(no-alloc) — in a burst: appends within the capacity reserved at its header
+                    let arrived = scanner.next_symbol(demod, profile.modulation, &mut self.soft);
+                    if !arrived {
+                        if ended {
+                            close(scanner, start, Err(PhyError::Truncated));
+                        }
+                        return;
+                    }
+                    Rx::Payload {
+                        start,
+                        payload_len,
+                        symbols_left: symbols_left - 1,
+                    }
+                }
+            };
         }
     }
-    out
 }
 
 thread_local! {
@@ -353,15 +419,16 @@ pub fn modulate_frame_reference(profile: &Profile, payload: &[u8]) -> Vec<f32> {
     modulator.modulate_bits(&header, &coded)
 }
 
-/// Executable specification of [`demodulate_frames`]: a fresh demodulator
-/// and FEC pipeline per call and the direct-form baseband conversion
-/// ([`Demodulator::to_baseband_reference`]) in place of the overlap-save
-/// one; the burst scan over that baseband is shared.
+/// Executable specification of [`demodulate_frames`]: a fresh codec per call
+/// and the direct-form baseband conversion
+/// ([`Demodulator::to_baseband_reference`]) in place of the [`Frontend`];
+/// the burst scan over that baseband is shared.
 pub fn demodulate_frames_reference(profile: &Profile, audio: &[f32]) -> Vec<DemodFrame> {
-    let demod = Demodulator::new(profile.clone());
-    let fec = FecPipeline::new(profile.fec);
-    let baseband = demod.to_baseband_reference(audio);
-    scan_bursts(&demod, &fec, &baseband, &mut Vec::new(), &mut Vec::new())
+    let mut codec = FrameCodec::new(profile);
+    *codec.scanner.baseband() = codec.demodulator.to_baseband_reference(audio);
+    let mut out = Vec::new();
+    codec.scan(true, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -526,6 +593,101 @@ mod tests {
             }
             assert_eq!(demodulate_frames(&p, slice).len(), reference.len());
         }
+    }
+
+    #[test]
+    fn pushed_in_capture_chunks_reports_each_burst_as_it_completes() {
+        let p = Profile::sonic_10k();
+        let a = payload(400, 1);
+        let b = payload(250, 2);
+        let mut audio = vec![0.0f32; 10_000];
+        audio.extend(modulate_frame(&p, &a));
+        let first_ends = audio.len();
+        audio.extend(std::iter::repeat_n(0.0, 30_000));
+        audio.extend(modulate_frame(&p, &b));
+
+        let mut codec = FrameCodec::new(&p);
+        let mut got = Vec::new();
+        for (i, chunk) in audio.chunks(4096).enumerate() {
+            codec.push(chunk, &mut got);
+            // A burst is out within a chunk of its last symbol (the wait is
+            // the low-pass's block and group delay), not at the flush.
+            let heard = (i + 1) * 4096;
+            if heard < first_ends - p.cp_len {
+                assert!(got.is_empty(), "after {heard} samples");
+            } else if heard >= first_ends + 4096 {
+                assert!(!got.is_empty(), "after {heard} samples");
+            }
+        }
+        codec.flush(&mut got);
+        let whole = demodulate_frames(&p, &audio);
+        assert_eq!(got.len(), 2);
+        for (x, y) in got.iter().zip(&whole) {
+            assert_eq!((x.start_sample, &x.payload), (y.start_sample, &y.payload));
+        }
+        assert_eq!(got[0].payload.as_ref().expect("first"), &a);
+        assert_eq!(got[1].payload.as_ref().expect("second"), &b);
+        // Positions count from the start of the stream: the lead, the
+        // modulator's guard and the low-pass delay.
+        let at = got[0].start_sample;
+        assert!(at >= 10_000 && at < 10_000 + p.symbol_len(), "at {at}");
+    }
+
+    #[test]
+    fn flush_fails_a_dangling_burst_and_starts_a_new_stream() {
+        let p = Profile::sonic_10k();
+        let audio = modulate_frame(&p, &payload(900, 4));
+        let mut codec = FrameCodec::new(&p);
+        let mut got = Vec::new();
+        // The capture ends mid-burst: the tail never arrives.
+        codec.push(&audio[..audio.len() / 2], &mut got);
+        assert!(got.is_empty(), "half a burst must not decode");
+        codec.flush(&mut got);
+        assert_eq!(got.len(), 1, "the dangling burst must surface as a loss");
+        assert_eq!(got[0].payload, Err(PhyError::Truncated));
+        // The codec is at sample 0 of a new stream.
+        let b = payload(300, 5);
+        let next = modulate_frame(&p, &b);
+        got.clear();
+        codec.push(&next, &mut got);
+        codec.flush(&mut got);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].payload.as_ref().expect("decoded"), &b);
+        assert_eq!(got[0].start_sample, demodulate_frames(&p, &next)[0].start_sample);
+    }
+
+    #[test]
+    fn a_dropout_costs_its_burst_and_not_the_next() {
+        // A tuner dropout chops a burst mid-payload and replaces the tail
+        // with silence. The header said how many symbols to read: the
+        // receiver reads them, fails the FEC, and searches on from there.
+        let p = Profile::sonic_10k();
+        let b = payload(200, 7);
+        let chopped = modulate_frame(&p, &payload(700, 6));
+        let mut audio = chopped[..chopped.len() / 3].to_vec();
+        audio.extend(std::iter::repeat_n(0.0f32, chopped.len()));
+        audio.extend(modulate_frame(&p, &b));
+        let mut codec = FrameCodec::new(&p);
+        let mut got = Vec::new();
+        for chunk in audio.chunks(4096) {
+            codec.push(chunk, &mut got);
+        }
+        codec.flush(&mut got);
+        assert_eq!(got.len(), 2);
+        assert_eq!(got[0].payload, Err(PhyError::PayloadUnrecoverable));
+        assert_eq!(got[1].payload.as_ref().expect("second burst decodes"), &b);
+    }
+
+    #[test]
+    fn silence_holds_no_more_than_a_few_blocks() {
+        let p = Profile::sonic_10k();
+        let mut codec = FrameCodec::new(&p);
+        let mut got = Vec::new();
+        for _ in 0..100 {
+            codec.push(&vec![0.0f32; 50_000], &mut got);
+        }
+        assert!(got.is_empty());
+        assert!(codec.scanner.baseband().len() <= 4 * PUSH_BLOCK);
     }
 
     #[test]

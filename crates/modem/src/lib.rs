@@ -12,14 +12,17 @@
 //! * [`constellation`] — Gray-mapped BPSK…1024-QAM with max-log soft demap.
 //! * [`ofdm`] — one burst on air: the modulator (preamble, training, header
 //!   and payload symbols → IFFT + cyclic prefix → upconversion), and the
-//!   demodulator (downconversion + overlap-save low-pass → Schmidl-Cox sync →
-//!   channel estimate → per-symbol FFT, equalizer, soft demap).
+//!   receiver's two streaming halves: the front end (periodic oscillator +
+//!   overlap-save low-pass, fed whole filter blocks) and the resumable burst
+//!   scanner (Schmidl-Cox sync → channel estimate → per-symbol FFT,
+//!   equalizer, soft demap), which suspends wherever its next step's samples
+//!   have not arrived.
 //! * [`frame`] — the PHY frame around a burst: coded length header, chained
-//!   FEC from `sonic-fec` over the payload, and the scan that recovers every
-//!   frame in a buffer. [`FrameCodec`] owns the plans and scratch; the free
+//!   FEC from `sonic-fec` over the payload. [`FrameCodec`] owns the plans,
+//!   the receive chain's state and all scratch: [`FrameCodec::push`] takes
+//!   audio as it is captured and reports each burst as it completes, and
+//!   every whole-buffer entry point is one push and a flush. The free
 //!   functions go through a per-thread codec cache.
-//! * [`stream`] — push-based receiver over [`demodulate_frames`] for audio
-//!   that arrives in chunks.
 //! * [`profile`] — named parameter sets with rate math.
 //! * [`fsk`], [`chirp`] — related-work baseline modems.
 //! * [`multi`] — multi-carrier aggregation (the paper's "multiple
@@ -30,8 +33,8 @@
 //! [`modulate_frame_reference`] differs from [`modulate_frame`] in mixing
 //! with a live oscillator instead of a phasor table (same symbol builder),
 //! and [`demodulate_frames_reference`] from [`demodulate_frames`] in the
-//! direct-form baseband filter instead of the overlap-save one (same burst
-//! scanner).
+//! live oscillator and direct-form baseband filter instead of the periodic
+//! one and overlap-save (same burst scanner).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,7 +49,6 @@ pub mod fsk;
 pub mod multi;
 pub mod ofdm;
 pub mod profile;
-pub mod stream;
 
 pub use frame::{
     demodulate_frames, demodulate_frames_reference, modulate_frame, modulate_frame_reference,

@@ -1,17 +1,20 @@
 //! OFDM burst demodulator.
 //!
-//! Pipeline per burst: down-convert → Schmidl-Cox detect → CFO derotate →
-//! channel estimate from the two training symbols → per-symbol FFT →
-//! one-tap equalization → pilot common-phase-error correction → max-log soft
-//! demap. The caller (the PHY framer) decides how many payload symbols to
-//! read based on the decoded header.
+//! Pipeline: down-convert → Schmidl-Cox detect → CFO derotate → channel
+//! estimate from the two training symbols → per-symbol FFT → one-tap
+//! equalization → pilot common-phase-error correction → max-log soft demap.
+//! All of it is push-shaped: the [`Frontend`] turns whatever audio has
+//! arrived into baseband, and the [`BurstScanner`] works through a window of
+//! that baseband, suspending wherever its next step needs samples that are
+//! not there yet. The caller (the PHY framer) decides how many payload
+//! symbols to read based on the decoded header.
 
 use super::carriers::CarrierPlan;
-use super::sync::{detect, SyncPoint};
+use super::sync::{Detector, SyncPoint};
 use crate::constellation::{demap_soft_batch, Modulation};
 use crate::profile::Profile;
 use sonic_dsp::fir::{design_lowpass, Fir, OverlapSave};
-use sonic_dsp::osc::{downconvert, Nco, PhasorTable};
+use sonic_dsp::osc::{downconvert, Nco, PeriodicOsc};
 use sonic_dsp::plan::{FftPlan, FirPlan};
 use sonic_dsp::split::SplitC32;
 use sonic_dsp::C32;
@@ -26,6 +29,9 @@ const LPF_TAPS: usize = 101;
 
 /// Group delay (samples) introduced by the baseband low-pass.
 pub const GROUP_DELAY: usize = (LPF_TAPS - 1) / 2;
+
+/// Schmidl-Cox metric above which the scanner takes a closer look.
+const SYNC_THRESHOLD: f32 = 0.35;
 
 /// Applies `e^{-j(phase0 + n·step)}` to `window[n]` with an incremental
 /// phasor: one complex multiply per sample instead of a libm sincos,
@@ -42,7 +48,8 @@ fn derotate_window(window: &mut [C32], phase0: f64, step: f64) {
     }
 }
 
-/// Reusable demodulator for one profile.
+/// The plans of one profile's receiver: everything that does not change
+/// from sample to sample.
 #[derive(Debug)]
 pub struct Demodulator {
     profile: Profile,
@@ -52,38 +59,9 @@ pub struct Demodulator {
     /// bit-identical to [`Fft::forward`].
     fft_plan: FftPlan,
     /// Shared overlap-save plan for the baseband low-pass, built once so
-    /// every [`to_baseband`](Self::to_baseband) call reuses the taps FFT.
+    /// every [`Frontend`] reuses the taps FFT.
     lpf_plan: Arc<FirPlan>,
     lpf_taps: Vec<f32>,
-}
-
-/// Demodulated symbols of one burst, produced lazily symbol-by-symbol.
-#[derive(Debug)]
-pub struct BurstReader<'a, 'b> {
-    demod: &'a Demodulator,
-    baseband: &'b [C32],
-    /// Channel estimate per logical carrier.
-    channel: Vec<C32>,
-    /// Index into `baseband` of the next symbol's CP start.
-    cursor: usize,
-    /// Sample position (in the original buffer) where the burst started.
-    pub burst_start: usize,
-    /// Sync diagnostics.
-    pub sync: SyncPoint,
-    /// Reused FFT window (avoids a per-symbol allocation).
-    sym_buf: Vec<C32>,
-    /// Reused split-plane FFT buffer for the SIMD transform path.
-    split_buf: SplitC32,
-    /// Reused gathered-carrier buffer (avoids a per-symbol allocation).
-    vals_buf: Vec<C32>,
-    /// Reused data-carrier axis planes for the batched soft demapper.
-    data_re: Vec<f32>,
-    /// Imaginary-axis twin of `data_re`.
-    data_im: Vec<f32>,
-    /// Reused per-data-carrier soft-output weights.
-    weights: Vec<f32>,
-    /// Reused working memory for [`demap_soft_batch`].
-    axis_buf: Vec<f32>,
 }
 
 impl Demodulator {
@@ -109,21 +87,35 @@ impl Demodulator {
         &self.profile
     }
 
+    /// A front end at the start of a stream.
+    ///
+    /// # Panics
+    /// Panics if the profile's carrier does not repeat within a second of
+    /// samples (see [`PeriodicOsc::new`]).
+    pub fn frontend(&self) -> Frontend {
+        Frontend {
+            osc: PeriodicOsc::new(self.profile.sample_rate, self.profile.center_freq),
+            mixed: Vec::new(),
+            block: self.lpf_plan.block(),
+            lpf: OverlapSave::new(vec![Arc::clone(&self.lpf_plan)]),
+        }
+    }
+
     /// Down-converts an audio buffer to complex baseband and rejects the
     /// −2·f_c mixing image. The output is delayed by [`GROUP_DELAY`] samples.
     ///
-    /// Allocating convenience over [`to_baseband_with`](Self::to_baseband_with)
-    /// (fresh phasor table and buffers per call); same samples.
+    /// One push through a fresh [`Frontend`], then its flush.
     pub fn to_baseband(&self, audio: &[f32]) -> Vec<C32> {
-        let mut phasors = PhasorTable::new(self.profile.sample_rate, self.profile.center_freq);
-        let (mut mixed, mut out) = (Vec::new(), Vec::new());
-        self.to_baseband_with(audio, &mut phasors, &mut mixed, &mut out);
+        let mut frontend = self.frontend();
+        let mut out = Vec::with_capacity(audio.len());
+        frontend.push(audio, &mut out);
+        frontend.flush(&mut out);
         out
     }
 
     /// Original direct-form baseband conversion (live oscillator, two
     /// per-sample real FIRs); kept as the executable specification for the
-    /// overlap-save path.
+    /// [`Frontend`].
     pub fn to_baseband_reference(&self, audio: &[f32]) -> Vec<C32> {
         let mut nco = Nco::new(self.profile.sample_rate, self.profile.center_freq);
         let mut mixed = Vec::with_capacity(audio.len());
@@ -135,155 +127,299 @@ impl Demodulator {
             .map(|v| C32::new(fir_re.push(v.re), fir_im.push(v.im)))
             .collect()
     }
+}
 
-    /// The receive path's baseband conversion, with cached oscillator
-    /// phasors and reused buffers: `out` receives the baseband, `mixed` is
-    /// working memory.
-    ///
-    /// The low-pass runs through the FFT overlap-save engine
-    /// ([`OverlapSave`] over I/Q): one complex filter replaces the original
-    /// pair of per-sample real FIRs. Output matches
-    /// [`to_baseband_reference`](Self::to_baseband_reference) to within FFT
-    /// rounding (~1e-6 relative), far below the noise floor of any channel
-    /// the sync and equalizer can survive.
-    pub fn to_baseband_with(
-        &self,
-        audio: &[f32],
-        phasors: &mut PhasorTable,
-        mixed: &mut Vec<C32>,
-        out: &mut Vec<C32>,
-    ) {
-        mixed.clear();
-        phasors.downconvert(audio, mixed);
-        out.clear();
-        OverlapSave::new(vec![Arc::clone(&self.lpf_plan)])
-            .process(mixed, std::slice::from_mut(out));
+/// The streaming front of the receive chain: audio in, low-passed complex
+/// baseband out, with state that does not grow with the stream.
+///
+/// The oscillator is one period of the carrier. The low-pass is the FFT
+/// overlap-save engine ([`OverlapSave`] over I/Q: one complex filter in place
+/// of the reference's pair of per-sample real FIRs, equal to it within FFT
+/// rounding, ~1e-6 relative), kept across pushes and only ever handed whole
+/// multiples of its block: an FFT frame that starts anywhere else rounds
+/// nearly every output sample differently, so the samples past the last
+/// whole block wait in `mixed` for the next push — or for
+/// [`flush`](Self::flush), whose short last frame is the one a single push
+/// of the whole stream ends with. However the audio is cut into pushes, the
+/// baseband is the same bits.
+#[derive(Debug)]
+pub struct Frontend {
+    osc: PeriodicOsc,
+    /// Down-converted samples not yet filtered.
+    mixed: Vec<C32>,
+    /// Samples per low-pass frame ([`FirPlan::block`]).
+    block: usize,
+    lpf: OverlapSave<C32>,
+}
+
+impl Frontend {
+    /// Takes the next `audio` of the stream and appends to `out` the
+    /// baseband of every low-pass block it completes.
+    // lint: no-alloc
+    pub fn push(&mut self, audio: &[f32], out: &mut Vec<C32>) {
+        self.osc.downconvert(audio, &mut self.mixed);
+        self.filter(self.mixed.len() / self.block * self.block, out);
     }
 
-    /// Searches pre-converted baseband from sample `from` for the next burst;
-    /// on success prepares the channel estimate and returns a reader
-    /// positioned at the header symbol. CFO is compensated lazily per symbol
-    /// window.
-    pub fn open_burst_baseband<'a, 'b>(
-        &'a self,
-        baseband: &'b [C32],
-        from: usize,
-    ) -> Option<BurstReader<'a, 'b>> {
-        let sync = detect(&self.profile, &self.plan, baseband, from, 0.35)?;
+    /// Ends the stream: appends the baseband of the samples still waiting,
+    /// and returns to the state of a new front end.
+    pub fn flush(&mut self, out: &mut Vec<C32>) {
+        self.filter(self.mixed.len(), out);
+        self.osc.reset();
+        self.lpf.reset();
+    }
 
-        let sym = self.profile.symbol_len();
-        let n = self.profile.fft_size;
-        let cp = self.profile.cp_len;
-        // Symbols: 0 preamble, 1..=2 training, 3 header, 4.. payload.
-        let t1 = sync.start + sym;
-        let t2 = t1 + sym;
-        if baseband.len() < t2 + sym {
-            return None;
+    fn filter(&mut self, n: usize, out: &mut Vec<C32>) {
+        if n > 0 {
+            // lint: allow(no-alloc) — `OverlapSave::process` (the name also resolves to `Fir::process`): grows only `out` and its own reused scratch
+            self.lpf.process(&self.mixed[..n], std::slice::from_mut(out));
+            self.mixed.drain(..n);
         }
+    }
+}
 
-        let derotate = |window: &mut [C32], abs_start: usize| {
-            if sync.cfo.abs() > 1e-7 {
-                let phase0 = (abs_start - sync.start) as f64 * sync.cfo as f64;
-                derotate_window(window, phase0, sync.cfo as f64);
-            }
+/// Where the scanner is in the stream.
+#[derive(Debug, Clone, Copy)]
+enum Stage {
+    /// Between bursts, looking for a preamble.
+    Search(Detector),
+    /// Synchronized; the two training symbols have not both arrived.
+    Training(SyncPoint),
+    /// Channel estimated; `cursor` is the stream sample where the next
+    /// symbol's cyclic prefix starts.
+    Symbols { sync: SyncPoint, cursor: usize },
+}
+
+/// The resumable burst scanner: finds bursts in a baseband stream and
+/// demodulates their symbols as the samples arrive.
+///
+/// It owns a window of the stream — [`baseband`](Self::baseband) is its
+/// growing end — and a position in it. Each step (the Schmidl-Cox sums, the
+/// fine-timing window, the training pair, one symbol) runs when every sample
+/// it reads has arrived, and otherwise leaves the scanner as it was and
+/// reports "not yet"; what lies behind the position is dropped. The steps
+/// are the whole-buffer receiver's, in its order, on the same samples, so
+/// where the stream is cut does not show in what comes out. Only the end of
+/// the stream changes a step: then windows stop where the samples do, and a
+/// burst whose symbols never came is cut off.
+#[derive(Debug)]
+pub struct BurstScanner {
+    /// Baseband from stream sample `base` to the newest.
+    window: Vec<C32>,
+    base: usize,
+    stage: Stage,
+    /// Channel estimate per logical carrier.
+    channel: Vec<C32>,
+    /// Reused FFT window.
+    sym_buf: Vec<C32>,
+    /// Reused split-plane FFT buffer for the SIMD transform path.
+    split_buf: SplitC32,
+    /// Reused gathered-carrier buffer.
+    vals_buf: Vec<C32>,
+    /// Reused data-carrier axis planes for the batched soft demapper.
+    data_re: Vec<f32>,
+    /// Imaginary-axis twin of `data_re`.
+    data_im: Vec<f32>,
+    /// Reused per-data-carrier soft-output weights.
+    weights: Vec<f32>,
+    /// Reused working memory for [`demap_soft_batch`].
+    axis_buf: Vec<f32>,
+}
+
+impl BurstScanner {
+    /// A scanner at the start of a stream.
+    pub fn new(demod: &Demodulator) -> Self {
+        let carriers = demod.plan.bins.len();
+        BurstScanner {
+            window: Vec::new(),
+            base: 0,
+            stage: Stage::Search(Detector::at(&demod.profile, 0)),
+            channel: vec![C32::ZERO; carriers],
+            sym_buf: Vec::with_capacity(demod.profile.fft_size),
+            split_buf: SplitC32::new(),
+            vals_buf: Vec::with_capacity(carriers),
+            data_re: Vec::new(),
+            data_im: Vec::new(),
+            weights: Vec::new(),
+            axis_buf: Vec::new(),
+        }
+    }
+
+    /// The growing end of the baseband window: append the stream's next
+    /// samples here, then call [`open_burst`](Self::open_burst) or
+    /// [`next_symbol`](Self::next_symbol) again.
+    pub fn baseband(&mut self) -> &mut Vec<C32> {
+        &mut self.window
+    }
+
+    /// Forgets the stream: the next baseband appended is stream sample 0.
+    pub fn reset(&mut self, demod: &Demodulator) {
+        self.window.clear();
+        self.base = 0;
+        self.stage = Stage::Search(Detector::at(&demod.profile, 0));
+    }
+
+    /// Samples of the stream received so far.
+    fn total(&self) -> usize {
+        self.base + self.window.len()
+    }
+
+    /// Drops the baseband behind the position, which no step reads again
+    /// (fine timing tries burst starts up to a cyclic prefix back, but
+    /// correlates the symbol body, which lies ahead). Runs where the scanner
+    /// suspends, and only once the dead part is half the window, so a sample
+    /// is moved at most once however small the pushes.
+    fn trim(&mut self) {
+        let position = match self.stage {
+            Stage::Search(detector) => detector.position(),
+            Stage::Training(sync) => sync.start,
+            Stage::Symbols { cursor, .. } => cursor,
         };
+        let dead = position.saturating_sub(self.base);
+        if dead >= self.window.len().div_ceil(2) {
+            self.window.drain(..dead);
+            self.base += dead;
+        }
+    }
 
+    /// Carries on to the next burst. On reaching one, estimates its channel
+    /// from the training pair and returns the stream sample where its
+    /// preamble began; the scanner then stands at the header symbol.
+    ///
+    /// `None` while the stream is live means the samples ran out first: call
+    /// again after appending more. Once the stream has `ended` it means
+    /// there is no further burst with its training symbols whole.
+    pub fn open_burst(&mut self, demod: &Demodulator, ended: bool) -> Option<usize> {
+        let profile = &demod.profile;
+        let sym = profile.symbol_len();
+        loop {
+            match self.stage {
+                Stage::Search(ref mut detector) => {
+                    let found = detector.detect(
+                        profile,
+                        &demod.plan,
+                        &self.window,
+                        self.base,
+                        ended,
+                        SYNC_THRESHOLD,
+                    );
+                    let Some(sync) = found else {
+                        self.trim();
+                        return None;
+                    };
+                    self.stage = Stage::Training(sync);
+                }
+                Stage::Training(sync) => {
+                    // Symbols: 0 preamble, 1..=2 training, 3 header, 4.. payload.
+                    let header = sync.start + 3 * sym;
+                    if self.total() < header {
+                        self.trim();
+                        return None;
+                    }
+                    self.estimate_channel(demod, sync);
+                    self.stage = Stage::Symbols {
+                        sync,
+                        cursor: header,
+                    };
+                    return Some(sync.start);
+                }
+                Stage::Symbols { sync, .. } => return Some(sync.start),
+            }
+        }
+    }
+
+    /// Leaves the burst: the search for the next one starts where the last
+    /// symbol read ended.
+    pub fn end_burst(&mut self, demod: &Demodulator) {
+        if let Stage::Symbols { cursor, .. } = self.stage {
+            self.stage = Stage::Search(Detector::at(&demod.profile, cursor));
+        }
+    }
+
+    /// Transforms the symbol whose cyclic prefix starts at stream sample
+    /// `at` of the burst synchronized by `sync`: CFO-derotated FFT window
+    /// into `vals_buf`, one value per logical carrier.
+    fn transform(&mut self, demod: &Demodulator, sync: SyncPoint, at: usize) {
+        let cp = demod.profile.cp_len;
         // FFT windows start a quarter-CP early: small timing errors and
         // filter tails then fall inside the cyclic prefix instead of
         // spilling ISI into the window. The resulting linear phase is part
         // of the channel estimate and cancels in equalization.
-        let backoff = cp / 4;
-        let mut channel = vec![C32::ZERO; self.plan.bins.len()];
-        let mut buf: Vec<C32> = Vec::with_capacity(n);
-        let mut split = SplitC32::new();
-        let mut vals: Vec<C32> = Vec::with_capacity(self.plan.bins.len());
-        for &t in &[t1, t2] {
-            let s = t + cp - backoff;
-            buf.clear();
-            buf.extend_from_slice(&baseband[s..s + n]);
-            derotate(&mut buf, s);
-            // Split-plane FFT: bit-identical to `Fft::forward`, with the
-            // butterflies running through the dispatched SIMD kernels.
-            split.copy_from_interleaved(&buf);
-            self.fft_plan.forward_split(&mut split.re, &mut split.im);
-            self.plan.gather_split_into(&split.re, &split.im, &mut vals);
-            for (h, (y, x)) in channel.iter_mut().zip(vals.iter().zip(&self.plan.training)) {
+        let s = at + cp - cp / 4;
+        let buf = &mut self.sym_buf;
+        buf.clear();
+        buf.extend_from_slice(&self.window[s - self.base..s - self.base + demod.profile.fft_size]);
+        if sync.cfo.abs() > 1e-7 {
+            let phase0 = (s - sync.start) as f64 * sync.cfo as f64;
+            derotate_window(buf, phase0, sync.cfo as f64);
+        }
+        // Split-plane FFT: bit-identical to `Fft::forward`, with the
+        // butterflies running through the dispatched SIMD kernels.
+        self.split_buf.copy_from_interleaved(buf);
+        demod
+            .fft_plan
+            .forward_split(&mut self.split_buf.re, &mut self.split_buf.im);
+        demod
+            .plan
+            .gather_split_into(&self.split_buf.re, &self.split_buf.im, &mut self.vals_buf);
+    }
+
+    /// Averages the two training symbols after `sync` into the per-carrier
+    /// channel estimate.
+    fn estimate_channel(&mut self, demod: &Demodulator, sync: SyncPoint) {
+        let sym = demod.profile.symbol_len();
+        self.channel.fill(C32::ZERO);
+        for t in [sync.start + sym, sync.start + 2 * sym] {
+            self.transform(demod, sync, t);
+            for (h, (y, x)) in self
+                .channel
+                .iter_mut()
+                .zip(self.vals_buf.iter().zip(&demod.plan.training))
+            {
                 *h += *y / *x;
             }
         }
-        for h in channel.iter_mut() {
-            *h = h.scale(0.5 / (self.profile.fft_size as f32).sqrt());
+        for h in self.channel.iter_mut() {
+            *h = h.scale(0.5 / (demod.profile.fft_size as f32).sqrt());
         }
         // Guard against dead carriers (channel nulls): floor the magnitude.
         // Soft outputs are additionally weighted by |h|² in `next_symbol`,
         // so a floored carrier contributes near-zero confidence (an erasure)
         // instead of amplified noise.
-        let avg: f32 =
-            channel.iter().map(|h| h.abs()).sum::<f32>() / channel.len().max(1) as f32;
+        let avg: f32 = self.channel.iter().map(|h| h.abs()).sum::<f32>()
+            / self.channel.len().max(1) as f32;
         let floor = (avg * 0.05).max(1e-6);
-        for h in channel.iter_mut() {
+        for h in self.channel.iter_mut() {
             if h.abs() < floor {
                 *h = C32::new(floor, 0.0);
             }
         }
-
-        Some(BurstReader {
-            demod: self,
-            baseband,
-            channel,
-            cursor: t2 + sym,
-            burst_start: sync.start,
-            sync,
-            sym_buf: buf,
-            split_buf: split,
-            vals_buf: vals,
-            data_re: Vec::new(),
-            data_im: Vec::new(),
-            weights: Vec::new(),
-            axis_buf: Vec::new(),
-        })
-    }
-}
-
-impl BurstReader<'_, '_> {
-    /// Sample index just past the last symbol consumed so far.
-    pub fn position(&self) -> usize {
-        self.cursor
     }
 
-    /// Whether another whole symbol is available in the buffer.
-    pub fn has_symbol(&self) -> bool {
-        self.cursor + self.demod.profile.symbol_len() <= self.baseband.len()
-    }
-
-    /// Demodulates the next symbol with the given modulation, appending one
-    /// equalized soft value per data bit to `soft`. Returns `false` when the
-    /// buffer is exhausted.
-    pub fn next_symbol(&mut self, modulation: Modulation, soft: &mut Vec<f32>) -> bool {
-        if !self.has_symbol() {
+    /// Demodulates the open burst's next symbol with the given modulation,
+    /// appending one equalized soft value per data bit to `soft`.
+    ///
+    /// Returns `false`, with nothing consumed, when no burst is open or the
+    /// whole symbol has not arrived: call again after appending more — or,
+    /// if the stream has ended, count the burst as cut off.
+    pub fn next_symbol(
+        &mut self,
+        demod: &Demodulator,
+        modulation: Modulation,
+        soft: &mut Vec<f32>,
+    ) -> bool {
+        let Stage::Symbols { sync, cursor } = self.stage else {
+            return false;
+        };
+        let p = &demod.profile;
+        let plan = &demod.plan;
+        if self.total() < cursor + p.symbol_len() {
+            self.trim();
             return false;
         }
-        let p = &self.demod.profile;
-        let plan = &self.demod.plan;
-        let cp = p.cp_len;
-        let n = p.fft_size;
-        let norm = 1.0 / (n as f32).sqrt();
-        // Same quarter-CP back-off as the channel estimator (phases cancel).
-        let s = self.cursor + cp - cp / 4;
-        let buf = &mut self.sym_buf;
-        buf.clear();
-        buf.extend_from_slice(&self.baseband[s..s + n]);
-        if self.sync.cfo.abs() > 1e-7 {
-            let phase0 = (s - self.burst_start) as f64 * self.sync.cfo as f64;
-            derotate_window(buf, phase0, self.sync.cfo as f64);
-        }
-        // Split-plane FFT (bit-identical to `Fft::forward`, SIMD butterflies).
-        self.split_buf.copy_from_interleaved(buf);
-        self.demod
-            .fft_plan
-            .forward_split(&mut self.split_buf.re, &mut self.split_buf.im);
+        self.transform(demod, sync, cursor);
+        let norm = 1.0 / (p.fft_size as f32).sqrt();
         let vals = &mut self.vals_buf;
-        plan.gather_split_into(&self.split_buf.re, &self.split_buf.im, vals);
         for v in vals.iter_mut() {
             *v = v.scale(norm);
         }
@@ -329,7 +465,10 @@ impl BurstReader<'_, '_> {
             &mut self.axis_buf,
             soft,
         );
-        self.cursor += p.symbol_len();
+        self.stage = Stage::Symbols {
+            sync,
+            cursor: cursor + p.symbol_len(),
+        };
         true
     }
 }
@@ -346,11 +485,12 @@ mod tests {
         let header: Vec<u8> = (0..80).map(|i| (i % 2) as u8).collect();
         let audio = m.modulate_bits(&header, payload_bits);
         let d = Demodulator::new(profile.clone());
-        let bb = d.to_baseband(&audio);
-        let mut reader = d.open_burst_baseband(&bb, 0).expect("burst detected");
+        let mut reader = BurstScanner::new(&d);
+        *reader.baseband() = d.to_baseband(&audio);
+        reader.open_burst(&d, true).expect("burst detected");
         // Header symbol first.
         let mut hdr_soft = Vec::new();
-        assert!(reader.next_symbol(Modulation::Bpsk, &mut hdr_soft));
+        assert!(reader.next_symbol(&d, Modulation::Bpsk, &mut hdr_soft));
         for (k, s) in hdr_soft.iter().take(80).enumerate() {
             assert_eq!(*s > 0.0, header[k] == 1, "header bit {k}");
         }
@@ -358,7 +498,7 @@ mod tests {
         let n_syms = payload_bits.len().div_ceil(per_sym);
         let mut soft = Vec::new();
         for _ in 0..n_syms {
-            assert!(reader.next_symbol(profile.modulation, &mut soft));
+            assert!(reader.next_symbol(&d, profile.modulation, &mut soft));
         }
         soft
     }
@@ -406,16 +546,17 @@ mod tests {
         let mut rx = vec![0.0f32; 777];
         rx.extend(audio.iter().map(|&x| x * 0.05));
         let d = Demodulator::new(profile.clone());
-        let bb = d.to_baseband(&rx);
-        let mut reader = d.open_burst_baseband(&bb, 0).expect("detected");
+        let mut reader = BurstScanner::new(&d);
+        *reader.baseband() = d.to_baseband(&rx);
+        assert!(reader.open_burst(&d, true).is_some(), "detected");
         let mut hdr = Vec::new();
-        assert!(reader.next_symbol(Modulation::Bpsk, &mut hdr));
+        assert!(reader.next_symbol(&d, Modulation::Bpsk, &mut hdr));
         for (k, s) in hdr.iter().take(80).enumerate() {
             assert!(*s > 0.0, "header bit {k} flipped");
         }
         let mut soft = Vec::new();
         for _ in 0..3 {
-            assert!(reader.next_symbol(profile.modulation, &mut soft));
+            assert!(reader.next_symbol(&d, profile.modulation, &mut soft));
         }
         for (i, (&b, &s)) in bits.iter().zip(&soft).enumerate() {
             assert_eq!(s > 0.0, b == 1, "bit {i}");
@@ -445,7 +586,8 @@ mod tests {
     #[test]
     fn open_burst_fails_on_silence() {
         let d = Demodulator::new(Profile::sonic_10k());
-        let bb = d.to_baseband(&vec![0.0; 50_000]);
-        assert!(d.open_burst_baseband(&bb, 0).is_none());
+        let mut scanner = BurstScanner::new(&d);
+        *scanner.baseband() = d.to_baseband(&vec![0.0; 50_000]);
+        assert!(scanner.open_burst(&d, true).is_none());
     }
 }

@@ -12,6 +12,12 @@
 //! against the known preamble waveform within a small window pins the symbol
 //! boundary to the sample. The angle of `P` also estimates the carrier
 //! frequency offset, which the demodulator removes before the FFT.
+//!
+//! The search is resumable: a [`Detector`] holds `(d, P, R)` and is handed
+//! whatever baseband exists so far. Where the next step needs samples that
+//! have not arrived it returns `None` with its sums untouched, and the next
+//! call carries on from the same `d` with the same arithmetic in the same
+//! order — so a stream cut anywhere detects what the whole buffer would.
 
 use super::carriers::CarrierPlan;
 use crate::profile::Profile;
@@ -20,8 +26,8 @@ use sonic_dsp::{simd, C32};
 /// Result of a successful burst detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncPoint {
-    /// Sample index (into the baseband buffer) of the first sample of the
-    /// preamble symbol's cyclic prefix.
+    /// Stream sample index of the first sample of the preamble symbol's
+    /// cyclic prefix.
     pub start: usize,
     /// Estimated carrier frequency offset in radians/sample.
     pub cfo: f32,
@@ -29,61 +35,121 @@ pub struct SyncPoint {
     pub metric: f32,
 }
 
-/// Reference preamble generator: the time-domain body (no CP) at baseband.
-///
-/// The waveform itself is precomputed once per [`CarrierPlan`]; this is a
-/// compatibility shim over [`CarrierPlan::preamble_body`].
-pub fn preamble_body(_profile: &Profile, plan: &CarrierPlan) -> Vec<C32> {
-    plan.preamble_body.clone()
+/// The sliding sums `(P, R)` of the metric at one position.
+fn sums_at(samples: &[C32], half: usize) -> (C32, f32) {
+    let (mut p, mut r) = (C32::ZERO, 0.0f32);
+    for (a, b) in samples[..half].iter().zip(&samples[half..2 * half]) {
+        p += a.mul_conj(*b).conj();
+        r += b.norm_sq();
+    }
+    (p, r)
 }
 
-/// Scans `baseband` from `from` for the next burst.
-///
-/// Returns `None` when no metric plateau above `threshold` exists after
-/// `from`. A typical threshold is 0.4; pure noise stays below ~0.1.
-pub fn detect(
-    profile: &Profile,
-    plan: &CarrierPlan,
-    baseband: &[C32],
-    from: usize,
-    threshold: f32,
-) -> Option<SyncPoint> {
-    let l = profile.fft_size;
-    let half = l / 2;
-    let cp = profile.cp_len;
-    if baseband.len() < from + l + cp + 1 {
-        return None;
+/// A suspended search for the next burst: the position `d` and the sliding
+/// sums there.
+#[derive(Debug, Clone, Copy)]
+pub struct Detector {
+    d: usize,
+    /// `(P(d), R(d))`, or `None` while the sums are still to be built.
+    sums: Option<(C32, f32)>,
+    /// Samples of the stream that must exist before the sums at `d` are
+    /// built — or, once the stream has ended, for the search to go on.
+    need: usize,
+}
+
+impl Detector {
+    /// A search from stream sample `from`.
+    pub fn at(profile: &Profile, from: usize) -> Self {
+        Detector {
+            d: from,
+            sums: None,
+            need: from + profile.fft_size + profile.cp_len + 1,
+        }
     }
 
-    // Sliding sums for P(d) and R(d).
-    let mut p = C32::ZERO;
-    let mut r = 0.0f32;
-    let d0 = from;
-    for m in 0..half {
-        p += baseband[d0 + m].mul_conj(baseband[d0 + m + half]).conj();
-        r += baseband[d0 + m + half].norm_sq();
+    /// The position the search has reached; no sample before it is read
+    /// again.
+    pub fn position(&self) -> usize {
+        self.d
     }
 
-    let reference = plan.preamble_body.as_slice();
-    let ref_energy = plan.preamble_energy;
+    /// Carries the search on over `window`, the baseband from stream sample
+    /// `base` to the newest one.
+    ///
+    /// Returns the next burst whose metric plateau rises above `threshold`
+    /// (the receiver passes 0.35; pure noise stays below ~0.1), or `None`
+    /// when the search has run out of samples. While the stream is live
+    /// (`ended` false) that means "call again with more": every step waits
+    /// until the samples it would read in the whole stream are all there.
+    /// Once it has `ended` the windows are clamped to what exists and `None`
+    /// means there is no further burst.
+    pub fn detect(
+        &mut self,
+        profile: &Profile,
+        plan: &CarrierPlan,
+        window: &[C32],
+        base: usize,
+        ended: bool,
+        threshold: f32,
+    ) -> Option<SyncPoint> {
+        let l = profile.fft_size;
+        let half = l / 2;
+        let cp = profile.cp_len;
+        let total = base + window.len();
+        let reference = plan.preamble_body.as_slice();
+        let ref_energy = plan.preamble_energy;
 
-    let last = baseband.len() - l - 1;
-    let mut d = d0;
-    while d < last {
-        let metric = if r > 1e-9 { p.norm_sq() / (r * r) } else { 0.0 };
-        if metric > threshold {
+        loop {
+            if total < self.need {
+                return None;
+            }
+            let from = self.d - base;
+            let (mut p, mut r) = match self.sums {
+                Some(sums) => sums,
+                None => sums_at(&window[from..], half),
+            };
+            // Position `d` is examined once `d + l + 1` is a sample of the
+            // stream, and reads up to `d + l` to slide on.
+            let last = total - l - 1;
+            let mut crossing = None;
+            let mut slid = 0;
+            for ((x0, xh), xl) in window[from..last - base]
+                .iter()
+                .zip(&window[from + half..])
+                .zip(&window[from + l..])
+            {
+                let metric = if r > 1e-9 { p.norm_sq() / (r * r) } else { 0.0 };
+                if metric > threshold {
+                    crossing = Some(metric);
+                    break;
+                }
+                // Slide by one sample.
+                p -= x0.mul_conj(*xh).conj();
+                p += xh.mul_conj(*xl).conj();
+                r -= xh.norm_sq();
+                r += xl.norm_sq();
+                slid += 1;
+            }
+            self.d += slid;
+            self.sums = Some((p, r));
+            let d = self.d;
             // Coarse hit: search the correlation peak in a window around d.
             // The threshold crossing happens on the metric's rising edge just
             // before the CP-long plateau, so the true CP start lies within
-            // [d - cp, d + 2·cp].
+            // [d - cp, d + 2·cp] — all of which must have arrived, unless the
+            // stream is over and the window stops where the stream does.
+            let metric = crossing?;
+            if !ended && total < d + 3 * cp + l {
+                return None;
+            }
             let win_lo = d.saturating_sub(cp);
-            let win_hi = (d + 2 * cp).min(baseband.len().saturating_sub(l + cp));
+            let win_hi = (d + 2 * cp).min(total.saturating_sub(l + cp));
             let mut best = None::<(usize, f32)>;
             for cand in win_lo..=win_hi {
                 // Correlate the *body* (skip CP) against the reference; the
                 // fused SIMD dot kernel returns Σ x·conj(h) and Σ |x|² in
                 // one sweep.
-                let body = &baseband[cand + cp..cand + cp + l];
+                let body = &window[cand + cp - base..cand + cp + l - base];
                 let (acc, energy) = simd::dot_mul_conj_energy(body, reference);
                 let score = if energy > 1e-9 {
                     acc.norm_sq() / (energy * ref_energy)
@@ -100,34 +166,15 @@ pub fn detect(
             if score > 0.1 {
                 // CFO from the Schmidl-Cox phase: Δφ over half a symbol.
                 let cfo = p.arg() / half as f32;
-                return Some(SyncPoint {
-                    start,
-                    cfo,
-                    metric,
-                });
+                return Some(SyncPoint { start, cfo, metric });
             }
-            // False alarm (e.g. tonal interference): skip past this plateau.
-            d += cp.max(1);
-            // Rebuild sliding sums at the new position.
-            if d >= last {
-                return None;
-            }
-            p = C32::ZERO;
-            r = 0.0;
-            for m in 0..half {
-                p += baseband[d + m].mul_conj(baseband[d + m + half]).conj();
-                r += baseband[d + m + half].norm_sq();
-            }
-            continue;
+            // False alarm (e.g. tonal interference): skip past this plateau
+            // and rebuild the sums there, once that position is examinable.
+            self.d = d + cp.max(1);
+            self.sums = None;
+            self.need = self.d + l + 2;
         }
-        // Slide by one sample.
-        p -= baseband[d].mul_conj(baseband[d + half]).conj();
-        p += baseband[d + half].mul_conj(baseband[d + l]).conj();
-        r -= baseband[d + half].norm_sq();
-        r += baseband[d + l].norm_sq();
-        d += 1;
     }
-    None
 }
 
 #[cfg(test)]
@@ -138,6 +185,17 @@ mod tests {
 
     fn to_baseband(profile: &Profile, audio: &[f32]) -> Vec<C32> {
         Demodulator::new(profile.clone()).to_baseband(audio)
+    }
+
+    /// One-shot search of a whole buffer from `from`.
+    fn detect(
+        profile: &Profile,
+        plan: &CarrierPlan,
+        baseband: &[C32],
+        from: usize,
+        threshold: f32,
+    ) -> Option<SyncPoint> {
+        Detector::at(profile, from).detect(profile, plan, baseband, 0, true, threshold)
     }
 
     #[test]

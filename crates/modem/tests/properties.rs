@@ -1,11 +1,16 @@
 //! Property tests: the cached scratch-buffer codec paths are bit-identical
-//! to the reference (allocate-per-call) implementations.
+//! to the reference (allocate-per-call) implementations, and the push-based
+//! receiver recovers the same bursts however its stream is cut.
 
 use proptest::prelude::*;
+use sonic_modem::frame::DemodFrame;
+use sonic_modem::ofdm::demodulator::BurstScanner;
+use sonic_modem::ofdm::Demodulator;
 use sonic_modem::{
     demodulate_frames, demodulate_frames_reference, modulate_frame, modulate_frame_reference,
-    Profile,
+    FrameCodec, Profile,
 };
+use std::sync::OnceLock;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -49,5 +54,225 @@ proptest! {
         }
         prop_assert!(!b.is_empty());
         prop_assert_eq!(b[0].payload.as_ref().expect("clean channel decodes"), &payload);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Cut points: however a stream is cut into pushes, the receiver recovers what
+// one push of the whole stream does.
+// ---------------------------------------------------------------------------
+
+fn bytes(n: usize, seed: usize) -> Vec<u8> {
+    (0..n).map(|k| (seed * 31 + k * 7 + (k >> 3)) as u8).collect()
+}
+
+/// A tone at 8 kHz: trips the Schmidl-Cox metric for as long as it lasts and
+/// never correlates with the preamble.
+fn tone(samples: usize) -> Vec<f32> {
+    (0..samples)
+        .map(|i| 0.3 * (std::f64::consts::TAU * 8_000.0 * i as f64 / 44_100.0).sin() as f32)
+        .collect()
+}
+
+/// The streams every cut-point test runs over, by name.
+fn streams() -> &'static [(&'static str, Vec<f32>)] {
+    static STREAMS: OnceLock<Vec<(&'static str, Vec<f32>)>> = OnceLock::new();
+    STREAMS.get_or_init(|| {
+        let p = Profile::sonic_10k();
+        // Four bursts of different lengths with silences between them.
+        let mut clean = Vec::new();
+        let mut starts = Vec::new();
+        for (i, (gap, len)) in [(700, 60), (5_000, 300), (1_313, 40), (2_900, 180)]
+            .into_iter()
+            .enumerate()
+        {
+            clean.extend(std::iter::repeat_n(0.0f32, gap));
+            starts.push(clean.len());
+            clean.extend(modulate_frame(&p, &bytes(len, i)));
+        }
+        clean.extend(std::iter::repeat_n(0.0f32, 1_000));
+
+        let mut x = 0x9E37_79B9u32;
+        let awgn: Vec<f32> = clean
+            .iter()
+            .map(|&s| {
+                let mut sum = 0.0f32;
+                for _ in 0..4 {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    sum += (x >> 8) as f32 / (1u32 << 24) as f32 - 0.5;
+                }
+                s + 0.18 * 1.732 * sum
+            })
+            .collect();
+        let heard = demodulate_frames(&p, &awgn);
+        assert!(heard.iter().any(|f| f.payload.is_ok()), "noise too loud for the test");
+        assert!(heard.iter().any(|f| f.payload.is_err()), "noise too quiet for the test");
+
+        let mut after_tone = tone(6_000);
+        after_tone.extend(std::iter::repeat_n(0.0f32, 6_000));
+        after_tone.extend(modulate_frame(&p, &bytes(90, 9)));
+        vec![
+            ("attenuated", clean.iter().map(|s| s * 0.02).collect()),
+            ("awgn", awgn),
+            // Ends half way through the last burst's symbols.
+            ("truncated tail", clean[..(starts[3] + clean.len()) / 2].to_vec()),
+            // Starts half way through the first burst's symbols.
+            ("starts mid-burst", clean[(starts[0] + starts[1]) / 2..].to_vec()),
+            ("tone", after_tone),
+            ("clean", clean),
+        ]
+    })
+}
+
+/// `audio` cut into pieces of the given `sizes`; what is left after the last
+/// size is one more piece.
+fn pieces(audio: &[f32], sizes: impl IntoIterator<Item = usize>) -> Vec<&[f32]> {
+    let mut rest = audio;
+    let mut pieces = Vec::new();
+    for size in sizes.into_iter().chain([usize::MAX]) {
+        let (head, tail) = rest.split_at(size.min(rest.len()));
+        pieces.push(head);
+        rest = tail;
+        if rest.is_empty() {
+            break;
+        }
+    }
+    pieces
+}
+
+/// Pushes `audio` in pieces of the given `sizes`, then flushes.
+fn pushed(p: &Profile, audio: &[f32], sizes: impl IntoIterator<Item = usize>) -> Vec<DemodFrame> {
+    let mut codec = FrameCodec::new(p);
+    let mut out = Vec::new();
+    for piece in pieces(audio, sizes) {
+        codec.push(piece, &mut out);
+    }
+    codec.flush(&mut out);
+    out
+}
+
+/// The same pushes driven through the front end and the scanner by hand, as
+/// bits: each burst's start sample, then the soft values of its first three
+/// symbols (so the search goes on from inside its payload). Finer than
+/// payloads: an ulp anywhere in the baseband, the sync sums or the channel
+/// estimate shows.
+fn soft_trace(p: &Profile, audio: &[f32], sizes: impl IntoIterator<Item = usize>) -> Vec<u32> {
+    let demod = Demodulator::new(p.clone());
+    let mut frontend = demod.frontend();
+    let mut scanner = BurstScanner::new(&demod);
+    let mut trace = Vec::new();
+    let mut soft = Vec::new();
+    let mut symbols_left = 0;
+    let mut scan = |scanner: &mut BurstScanner, ended: bool| loop {
+        if symbols_left == 0 {
+            let Some(start) = scanner.open_burst(&demod, ended) else {
+                return;
+            };
+            trace.push(start as u32);
+            symbols_left = 3;
+        }
+        soft.clear();
+        if !scanner.next_symbol(&demod, p.modulation, &mut soft) {
+            return;
+        }
+        trace.extend(soft.iter().map(|s| s.to_bits()));
+        symbols_left -= 1;
+        if symbols_left == 0 {
+            scanner.end_burst(&demod);
+        }
+    };
+    for piece in pieces(audio, sizes) {
+        frontend.push(piece, scanner.baseband());
+        scan(&mut scanner, false);
+    }
+    frontend.flush(scanner.baseband());
+    scan(&mut scanner, true);
+    trace
+}
+
+fn assert_same_bursts(name: &str, cut: &str, got: &[DemodFrame], want: &[DemodFrame]) {
+    assert_eq!(got.len(), want.len(), "{name}, {cut}: burst count");
+    for (g, w) in got.iter().zip(want) {
+        assert_eq!(g.start_sample, w.start_sample, "{name}, {cut}");
+        assert_eq!(g.payload, w.payload, "{name}, {cut}: burst at {}", w.start_sample);
+    }
+}
+
+/// The fixed cuts: a sample at a time, a capture callback at a time, and the
+/// whole stream in a push.
+#[test]
+fn sample_callback_and_whole_stream_pushes_recover_the_same_bursts() {
+    let p = Profile::sonic_10k();
+    for (name, audio) in streams() {
+        let want = demodulate_frames(&p, audio);
+        assert!(!want.is_empty(), "{name}");
+        let want_trace = soft_trace(&p, audio, []);
+        for (cut, size) in [("1-sample pushes", 1), ("4096-sample pushes", 4_096), ("one push", usize::MAX)] {
+            let sizes = || std::iter::repeat(size);
+            assert_same_bursts(name, cut, &pushed(&p, audio, sizes()), &want);
+            assert!(soft_trace(&p, audio, sizes()) == want_trace, "{name}, {cut}: soft bits");
+        }
+    }
+}
+
+/// One cut at every amount of baseband the scanner can be left holding (the
+/// low-pass lets it through a block at a time), over bursts at every
+/// alignment to those blocks and over a tone: each of the scanner's steps —
+/// building the sums, sliding, the fine-timing window, the rebuild after a
+/// false alarm, the training pair, the header, each payload symbol — is at
+/// some cut the one that runs out of samples.
+#[test]
+fn a_cut_at_every_suspension_point_recovers_the_same_bursts() {
+    let p = Profile::sonic_10k();
+    let block = 412;
+    let burst = modulate_frame(&p, &bytes(150, 3));
+    let mut cases: Vec<(String, Vec<f32>)> = (0..block)
+        .step_by(37)
+        .map(|lead| {
+            let mut audio = vec![0.0f32; lead];
+            audio.extend(&burst);
+            audio.extend(std::iter::repeat_n(0.0f32, 1_500));
+            (format!("lead {lead}"), audio)
+        })
+        .collect();
+    let mut toned = tone(3_000);
+    toned.extend(std::iter::repeat_n(0.0f32, 6_000));
+    toned.extend(&burst);
+    cases.push(("tone".into(), toned));
+    for (name, audio) in &cases {
+        let want = demodulate_frames(&p, audio);
+        assert_eq!(want.len(), 1, "{name}");
+        let want_trace = soft_trace(&p, audio, []);
+        for cut in (0..audio.len()).step_by(block) {
+            assert_same_bursts(name, &format!("cut at {cut}"), &pushed(&p, audio, [cut]), &want);
+            assert!(soft_trace(&p, audio, [cut]) == want_trace, "{name}, cut at {cut}: soft bits");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Any list of cuts, over every stream.
+    #[test]
+    fn any_cut_list_recovers_the_same_bursts(
+        stream in 0usize..6,
+        sizes in proptest::collection::vec(1usize..20_000, 0..24),
+    ) {
+        let p = Profile::sonic_10k();
+        let (name, audio) = &streams()[stream];
+        let got = pushed(&p, audio, sizes.iter().copied());
+        let want = demodulate_frames(&p, audio);
+        prop_assert_eq!(got.len(), want.len(), "{}: burst count", name);
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.start_sample, w.start_sample, "{}", name);
+            prop_assert_eq!(&g.payload, &w.payload, "{}", name);
+        }
+        prop_assert!(
+            soft_trace(&p, audio, sizes.iter().copied()) == soft_trace(&p, audio, []),
+            "{}: soft bits", name
+        );
     }
 }

@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example browse_session`
 
 use sonic::core::client::browser::ClickOutcome;
+use sonic::core::frame::Frame;
 use sonic::core::link;
 use sonic::core::server::render::Renderer;
 use sonic::core::{SonicClient, SonicServer};
@@ -69,16 +70,28 @@ fn main() {
     let audio = link::modulate(&profile, &frames);
     println!("{:.1} s of air time", audio.len() as f64 / profile.sample_rate);
 
-    // (5) both clients hear the same broadcast (cable-quality here).
-    let (rx_frames, stats) = link::demodulate(&profile, &audio);
-    println!(
-        "tuner output: {} bursts, {} frames recovered",
-        stats.bursts_detected, stats.frames_ok
-    );
-    for f in rx_frames {
-        user_c.receive_frame(f.clone());
-        user_b.receive_frame(f);
+    // (5) both clients hear the same broadcast (cable-quality here), one
+    // capture callback of the tuner's audio at a time; every frame comes
+    // out as its burst completes, stamped with when that burst went on air.
+    let on_air_at = arrival;
+    let mut tuner = link::Receiver::new(&profile);
+    let mut last_heard = on_air_at;
+    let mut deliver = |frame: Frame, at_s: f64| {
+        last_heard = on_air_at + at_s;
+        user_c.receive_frame_at(frame.clone(), last_heard);
+        user_b.receive_frame_at(frame, last_heard);
+    };
+    for callback in audio.chunks(4096) {
+        tuner.push(callback, &mut deliver);
     }
+    tuner.flush(&mut deliver);
+    let stats = tuner.stats();
+    println!(
+        "tuner output: {} bursts, {} frames recovered, the last burst {:.1} s into the broadcast",
+        stats.bursts_detected,
+        stats.frames_ok,
+        last_heard - on_air_at
+    );
     let hour = (arrival / 3600.0) as u64;
     for (name, client) in [("user-C", &mut user_c), ("user-B", &mut user_b)] {
         for page_id in client.pending_pages() {

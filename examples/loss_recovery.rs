@@ -6,7 +6,7 @@
 
 use sonic::core::link;
 use sonic::core::page::SimplifiedPage;
-use sonic::core::reassembly::Reassembler;
+use sonic::core::SonicClient;
 use sonic::image::interpolate::recover;
 use sonic::image::metrics::{edge_integrity, psnr};
 use sonic::image::pgm::save_ppm;
@@ -39,19 +39,32 @@ fn main() {
     let audio = link::modulate(&profile, &frames);
     let distance = 0.9;
     let received_audio = AcousticChannel::new(distance, 0xF1).transmit(&audio);
-    let (rx_frames, stats) = link::demodulate(&profile, &received_audio);
+    // The phone hears it a capture callback at a time; each frame reaches
+    // the client stamped with when its burst went on air.
+    let mut client = SonicClient::new(720, None);
+    let mut microphone = link::Receiver::new(&profile);
+    let mut deliver = |frame, at_s| client.receive_frame_at(frame, at_s);
+    for callback in received_audio.chunks(4096) {
+        microphone.push(callback, &mut deliver);
+    }
+    microphone.flush(&mut deliver);
+    let stats = microphone.stats();
     println!(
         "over {distance} m: {} of {} frames recovered ({} bursts failed)",
-        rx_frames.len(),
+        stats.frames_ok,
         frames.len(),
         stats.bursts_failed
     );
-
-    let mut reassembler = Reassembler::new();
-    for f in rx_frames {
-        reassembler.push(f);
+    let assembly = client.reassembler().assembly(page.page_id);
+    if let Some(assembly) = assembly {
+        println!(
+            "first frame heard {:.1} s into the broadcast, last {:.1} s",
+            assembly.first_seen_at(),
+            assembly.last_seen_at()
+        );
     }
-    match reassembler.take(page.page_id) {
+
+    match assembly.map(|a| a.finalize()) {
         Some(Ok(received)) => {
             let repaired = recover(&received.raster, &received.mask);
             println!(

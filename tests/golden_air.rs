@@ -71,7 +71,10 @@ fn transmit_audio_baseband_and_recovered_payloads_are_pinned() {
 
     let baseband = Demodulator::new(profile.clone()).to_baseband(&audio);
     assert_eq!(baseband.len(), audio.len());
-    assert_eq!(digest_c32(&baseband), 0x28d0_5914_7a5e_71dc, "rx baseband moved");
+    // Re-pinned once (from 0x28d0_5914_7a5e_71dc) when the receiver's
+    // oscillator became one repeated period of its `Nco`: 3 408 of these
+    // samples moved, by at most 1.23e-7 — an ulp at their size.
+    assert_eq!(digest_c32(&baseband), 0xedc2_0358_0989_65e4, "rx baseband moved");
 
     let recovered = demodulate_frames(&profile, &audio);
     assert_eq!(recovered.len(), 3);
