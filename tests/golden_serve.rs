@@ -1,0 +1,178 @@
+//! Golden digests of what the server answers and airs for an SMS.
+//!
+//! One fixed SMS script against [`SonicServer`] at scale 0.03 inside one
+//! hour — every request form, every rejection, a repeat while queued and a
+//! repeat after the drain — pinned as FNV-64 digests of the reply text and
+//! of the `Frame::encode` bytes each transmitter then airs; and the whole
+//! report of the benchmark-shaped cluster soak at two seeds. The digests
+//! were taken while a request still went render cache → `enqueue` and only
+//! the carousel through the artifact ladder — the fact that let the two
+//! become one path — and have not been edited since.
+
+use sonic::core::frame::Frame;
+use sonic::core::server::render::Renderer;
+use sonic::core::SonicServer;
+use sonic::image::hash::{fnv1a64, Fnv64};
+use sonic::pagegen::{Corpus, PageId};
+use sonic::sim::cluster::{run_cluster_soak, ClusterSoakConfig};
+use sonic::sms::geo::Coverage;
+use sonic::sms::queries::{format_nack, format_query, Engine, Nack};
+use sonic::sms::{gateway, GeoPoint};
+
+const HOUR: u64 = 5;
+
+/// Everything queued on every transmitter, in site order.
+fn drain(server: &mut SonicServer) -> Vec<(u32, Frame)> {
+    let mut aired = Vec::new();
+    for (&site, sched) in server.schedulers.iter_mut() {
+        while sched.backlog_bytes() > 0 {
+            aired.extend(sched.advance(10.0).into_iter().map(|f| (site, f)));
+        }
+    }
+    aired
+}
+
+/// How many frames, and the digest of each frame's bytes behind the id of
+/// the site that aired it.
+fn digest(aired: &[(u32, Frame)]) -> (usize, u64) {
+    let mut h = Fnv64::new();
+    for (site, f) in aired {
+        h.write(&site.to_le_bytes()).write(&f.encode());
+    }
+    (aired.len(), h.finish())
+}
+
+/// One step of the script: the reply's digest, then the count and digest of
+/// what a full drain airs after it (`None`: the step leaves the queues be).
+type Step = (&'static str, u64, Option<(usize, u64)>);
+
+/// Sends `msg` seven seconds after the previous step.
+fn sms(
+    steps: &mut Vec<Step>,
+    server: &mut SonicServer,
+    now_s: &mut f64,
+    name: &'static str,
+    msg: &str,
+    drains: bool,
+) -> (String, Vec<(u32, Frame)>) {
+    *now_s += 7.0;
+    let reply = server.handle_sms(msg, *now_s);
+    let aired = if drains { drain(server) } else { Vec::new() };
+    steps.push((name, fnv1a64(reply.as_bytes()), drains.then(|| digest(&aired))));
+    (reply, aired)
+}
+
+fn script() -> Vec<Step> {
+    let mut server = SonicServer::new(
+        Renderer::new(Corpus::small(4), 0.03),
+        Coverage::pakistan_demo(),
+        10_000.0,
+    );
+    let lahore = GeoPoint::new(31.52, 74.35);
+    let karachi = GeoPoint::new(24.86, 67.00);
+    let url_of = |site, page| {
+        let id = PageId { site, page };
+        server.renderer().corpus().layout(id, HOUR).url
+    };
+    let (landing, inner) = (url_of(0, 0), url_of(2, 3));
+    let (steps, srv, now) = (&mut Vec::new(), &mut server, &mut (HOUR as f64 * 3600.0));
+
+    let get_landing = gateway::format_request(&landing, &lahore);
+    let (reply, aired) = sms(steps, srv, now, "GET landing", &get_landing, true);
+    assert!(gateway::parse_ack(&reply).is_some(), "{reply}");
+    let landing_id = aired.first().expect("the page went on air").1.page_id();
+
+    let get_inner = gateway::format_request(&inner, &karachi);
+    sms(steps, srv, now, "GET inner", &get_inner, false);
+    sms(steps, srv, now, "GET inner, while queued", &get_inner, true);
+    sms(steps, srv, now, "GET inner, after the drain", &get_inner, true);
+
+    let search = format_query(Engine::Search, "cricket score today", &lahore);
+    let chat = format_query(Engine::Chat, "when does exam registration close", &karachi);
+    sms(steps, srv, now, "ASK SEARCH", &search, true);
+    sms(steps, srv, now, "ASK CHAT", &chat, false);
+    sms(steps, srv, now, "ASK CHAT, while queued", &chat, true);
+    sms(steps, srv, now, "ASK SEARCH, again", &search, true);
+
+    let nack = format_nack(&Nack {
+        page_id: landing_id,
+        meta: true,
+        columns: vec![(0, 1), (3, 0)],
+        location: lahore,
+    });
+    let (reply, _) = sms(steps, srv, now, "NACK", &nack, false);
+    assert!(gateway::parse_ack(&reply).is_some(), "{reply}");
+    *now += 1000.0; // past the coalescing window
+    assert_eq!(srv.pump_repairs(*now), 1);
+    steps.push(("the repair burst", 0, Some(digest(&drain(srv)))));
+
+    let unknown = format_nack(&Nack {
+        page_id: 0xDEAD_BEEF,
+        meta: true,
+        columns: vec![],
+        location: lahore,
+    });
+    sms(steps, srv, now, "NACK, unknown id", &unknown, true);
+    sms(steps, srv, now, "garbage", "hello?", true);
+    let nowhere = gateway::format_request(&landing, &GeoPoint::new(0.0, 0.0));
+    sms(steps, srv, now, "GET, uncovered location", &nowhere, true);
+    let off_corpus = gateway::format_request("https://nonexistent.pk/", &lahore);
+    sms(steps, srv, now, "GET, url outside the corpus", &off_corpus, true);
+    std::mem::take(steps)
+}
+
+/// The reply of "the repair burst" is 0: `pump_repairs` answers nobody. A
+/// drain that airs nothing digests to the empty stream's FNV offset.
+#[rustfmt::skip]
+const GOLDEN: [Step; 14] = [
+    ("GET landing", 0x344c_012b_ef85_bd44, Some((198, 0x0fd2_2432_bc28_4d5c))),
+    ("GET inner", 0x9d83_31b6_d6fb_73fb, None),
+    ("GET inner, while queued", 0x9d83_31b6_d6fb_73fb, Some((70, 0x74ff_7f7e_21a3_731d))),
+    ("GET inner, after the drain", 0x9d83_31b6_d6fb_73fb, Some((70, 0x74ff_7f7e_21a3_731d))),
+    ("ASK SEARCH", 0x7fab_3a5d_9090_1799, Some((42, 0x1d92_2466_a16a_3bda))),
+    ("ASK CHAT", 0xe0dc_21ac_2a63_873d, None),
+    ("ASK CHAT, while queued", 0xe0dc_21ac_2a63_873d, Some((34, 0xb324_0e73_5413_3c9c))),
+    ("ASK SEARCH, again", 0x7fab_3a5d_9090_1799, Some((42, 0x1d92_2466_a16a_3bda))),
+    ("NACK", 0x01c5_fab1_c2dd_b5c3, None),
+    ("the repair burst", 0, Some((49, 0x96e5_2afb_b173_51ca))),
+    ("NACK, unknown id", 0x8480_ab8c_3b95_fd24, Some((0, 0xcbf2_9ce4_8422_2325))),
+    ("garbage", 0xd56e_ad07_14e2_9aec, Some((0, 0xcbf2_9ce4_8422_2325))),
+    ("GET, uncovered location", 0xb116_9727_285a_1b92, Some((0, 0xcbf2_9ce4_8422_2325))),
+    ("GET, url outside the corpus", 0x906e_e0f3_86e0_e921, Some((0, 0xcbf2_9ce4_8422_2325))),
+];
+
+#[test]
+fn sms_script_replies_and_aired_frames_are_pinned() {
+    let steps = script();
+    assert_eq!(steps.len(), GOLDEN.len());
+    for (got, want) in steps.iter().zip(&GOLDEN) {
+        assert_eq!(got, want, "step {:?} moved", want.0);
+    }
+}
+
+/// The shape `benchmark/`'s `cluster_day` runs.
+fn soak_report(seed: u64) -> String {
+    let cfg = ClusterSoakConfig {
+        hours: 1,
+        seed,
+        sites: 8,
+        kills_per_hour: 1,
+        flood_hour: 0,
+        flood_per_tick: 96,
+        workers: 1,
+        store_dir: Some(std::env::temp_dir().join(format!(
+            "sonic-golden-serve-{}-{seed}",
+            std::process::id()
+        ))),
+        ..ClusterSoakConfig::default()
+    };
+    format!("{:?}", run_cluster_soak(&cfg))
+}
+
+#[test]
+fn benchmark_shaped_cluster_soak_reports_are_pinned() {
+    for (seed, want) in [(1, 0xeef5_8ffe_1983_029d), (7, 0x594b_11eb_32a0_1421)] {
+        let report = soak_report(seed);
+        assert_eq!(fnv1a64(report.as_bytes()), want, "seed {seed} moved: {report}");
+    }
+}
