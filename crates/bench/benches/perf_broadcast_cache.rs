@@ -256,7 +256,7 @@ fn warm_restart_cycle(
     let restart_s = t1.elapsed().as_secs_f64();
     black_box(&warm);
     let (entries, bytes) = {
-        let s = store.lock();
+        let s = store.borrow();
         (s.len(), s.live_bytes())
     };
     Ok((

@@ -60,7 +60,7 @@ mod tests {
     use sonic_sms::geo::GeoPoint;
 
     fn client_with_page(uplink: bool) -> SonicClient {
-        let client = SonicClient::new(
+        let mut client = SonicClient::new(
             720,
             if uplink {
                 Some(GeoPoint::new(31.5, 74.3))
@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn cached_target_navigates_instantly() {
-        let c = client_with_page(true);
+        let mut c = client_with_page(true);
         c.cache.put(
             CachedPage {
                 url: "https://a.pk/inner".into(),

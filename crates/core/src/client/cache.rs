@@ -1,9 +1,8 @@
 //! Client-side page cache with server-dictated TTLs (§3.1).
 
-use parking_lot::RwLock;
 use sonic_image::clickmap::ClickMap;
 use sonic_image::raster::Raster;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A stored, already-repaired page.
 #[derive(Debug, Clone)]
@@ -26,10 +25,10 @@ struct Entry {
     expires_hour: u64,
 }
 
-/// TTL page store.
+/// TTL page store, ordered by URL.
 #[derive(Debug, Default)]
 pub struct PageCache {
-    inner: RwLock<HashMap<String, Entry>>,
+    pages: BTreeMap<String, Entry>,
 }
 
 impl PageCache {
@@ -40,15 +39,14 @@ impl PageCache {
 
     /// Stores a page for `ttl_hours` from `now_hour`. Newer versions replace
     /// older ones; an older broadcast never clobbers a newer cached page.
-    pub fn put(&self, page: CachedPage, ttl_hours: u16, now_hour: u64) {
-        let mut map = self.inner.write();
-        if let Some(existing) = map.get(&page.url) {
+    pub fn put(&mut self, page: CachedPage, ttl_hours: u16, now_hour: u64) {
+        if let Some(existing) = self.pages.get(&page.url) {
             if existing.page.version > page.version && now_hour < existing.expires_hour {
                 return;
             }
         }
         let expires_hour = now_hour + ttl_hours.max(1) as u64;
-        map.insert(
+        self.pages.insert(
             page.url.clone(),
             Entry {
                 page,
@@ -59,8 +57,7 @@ impl PageCache {
 
     /// Fetches a live page.
     pub fn get(&self, url: &str, now_hour: u64) -> Option<CachedPage> {
-        let map = self.inner.read();
-        let e = map.get(url)?;
+        let e = self.pages.get(url)?;
         if now_hour < e.expires_hour {
             Some(e.page.clone())
         } else {
@@ -68,10 +65,9 @@ impl PageCache {
         }
     }
 
-    /// URLs of all live pages.
+    /// URLs of all live pages, in order.
     pub fn live_urls(&self, now_hour: u64) -> Vec<String> {
-        self.inner
-            .read()
+        self.pages
             .values()
             .filter(|e| now_hour < e.expires_hour)
             .map(|e| e.page.url.clone())
@@ -79,11 +75,10 @@ impl PageCache {
     }
 
     /// Evicts expired entries; returns the eviction count.
-    pub fn sweep(&self, now_hour: u64) -> usize {
-        let mut map = self.inner.write();
-        let before = map.len();
-        map.retain(|_, e| now_hour < e.expires_hour);
-        before - map.len()
+    pub fn sweep(&mut self, now_hour: u64) -> usize {
+        let before = self.pages.len();
+        self.pages.retain(|_, e| now_hour < e.expires_hour);
+        before - self.pages.len()
     }
 }
 
@@ -103,7 +98,7 @@ mod tests {
 
     #[test]
     fn ttl_expiry() {
-        let c = PageCache::new();
+        let mut c = PageCache::new();
         c.put(page("a", 0), 3, 10);
         assert!(c.get("a", 12).is_some());
         assert!(c.get("a", 13).is_none());
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn newer_version_replaces() {
-        let c = PageCache::new();
+        let mut c = PageCache::new();
         c.put(page("a", 1), 5, 0);
         c.put(page("a", 2), 5, 0);
         assert_eq!(c.get("a", 0).expect("live").version, 2);
@@ -119,7 +114,7 @@ mod tests {
 
     #[test]
     fn older_version_does_not_clobber() {
-        let c = PageCache::new();
+        let mut c = PageCache::new();
         c.put(page("a", 5), 5, 0);
         c.put(page("a", 3), 5, 0);
         assert_eq!(c.get("a", 0).expect("live").version, 5);
@@ -129,7 +124,7 @@ mod tests {
     fn stale_entry_can_be_replaced_by_older_version() {
         // Version numbers wrap (they are render hours); once expired, any
         // fresh broadcast wins.
-        let c = PageCache::new();
+        let mut c = PageCache::new();
         c.put(page("a", 5), 1, 0);
         c.put(page("a", 3), 5, 10);
         assert_eq!(c.get("a", 10).expect("live").version, 3);
@@ -137,7 +132,7 @@ mod tests {
 
     #[test]
     fn sweep_counts_evictions() {
-        let c = PageCache::new();
+        let mut c = PageCache::new();
         c.put(page("a", 0), 1, 0);
         c.put(page("b", 0), 9, 0);
         assert_eq!(c.sweep(5), 1);

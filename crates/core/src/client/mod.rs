@@ -148,9 +148,7 @@ impl SonicClient {
     /// The catalog of currently readable pages ("organized by content,
     /// popularity, and/or user interest" — here: alphabetically by URL).
     pub fn catalog(&self, now_hour: u64) -> Vec<String> {
-        let mut urls = self.cache.live_urls(now_hour);
-        urls.sort();
-        urls
+        self.cache.live_urls(now_hour)
     }
 }
 

@@ -1,86 +1,20 @@
-//! Server-side caches: the TTL-bound render cache and the
-//! content-addressed broadcast artifact cache.
+//! The server's cache: content-addressed page artifacts, in RAM and on disk.
 //!
 //! "The SONIC server produces a simplified version of the webpage, either
 //! from its cache, e.g., if recently requested by another user, or by
-//! directly accessing it" (§3.1). Entries expire after the page's TTL.
-//!
-//! The render cache sits behind a `parking_lot::RwLock` so that a server's
-//! SMS handler can look pages up through a shared reference.
+//! directly accessing it" (§3.1). One kind of entry serves the hourly
+//! carousel, an SMS page request and a search/chat answer alike; what decides
+//! reuse is the content address (`pipeline::refresh_page`), for a request
+//! also the build's TTL (`pipeline::refresh_request`).
 
 use crate::frame::{Frame, FRAME_SIZE};
 use crate::page::SimplifiedPage;
-use parking_lot::RwLock;
 use sonic_image::clickmap::ClickMap;
 use sonic_pagegen::PageId;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
-
-/// TTL-bound URL → page cache.
-#[derive(Debug, Default)]
-pub struct RenderCache {
-    inner: RwLock<BTreeMap<String, Entry>>,
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    page: Arc<SimplifiedPage>,
-    expires_hour: u64,
-}
-
-impl RenderCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fetches a live entry. The page is `Arc`-shared — a hit costs a
-    /// refcount bump, not a deep clone of the strip payload.
-    pub fn get(&self, url: &str, hour: u64) -> Option<Arc<SimplifiedPage>> {
-        let map = self.inner.read();
-        let e = map.get(url)?;
-        if hour < e.expires_hour {
-            Some(e.page.clone())
-        } else {
-            None
-        }
-    }
-
-    /// Inserts a page, expiring `ttl_hours` from `hour`.
-    pub fn put(&self, page: impl Into<Arc<SimplifiedPage>>, hour: u64) {
-        let page = page.into();
-        let expires_hour = hour + page.ttl_hours.max(1) as u64;
-        self.inner.write().insert(
-            page.url.clone(),
-            Entry {
-                page,
-                expires_hour,
-            },
-        );
-    }
-
-    /// Drops expired entries, returning how many were evicted.
-    pub fn sweep(&self, hour: u64) -> usize {
-        let mut map = self.inner.write();
-        let before = map.len();
-        map.retain(|_, e| hour < e.expires_hour);
-        before - map.len()
-    }
-
-    /// Live entry count.
-    pub fn len(&self, hour: u64) -> usize {
-        self.inner
-            .read()
-            .values()
-            .filter(|e| hour < e.expires_hour)
-            .count()
-    }
-
-    /// Whether no live entries exist.
-    pub fn is_empty(&self, hour: u64) -> bool {
-        self.len(hour) == 0
-    }
-}
 
 /// What the server keeps of one page: the simplified page and its frames,
 /// `Arc`-shared so the cache, every transmitter's scheduler and the caller
@@ -325,14 +259,15 @@ impl ArtifactCache {
 }
 
 /// One disk tier shared by N schedulers/refresh drivers — the "one store
-/// instead of N caches" handle. `parking_lot::Mutex` because store I/O is
-/// short and exclusive (append-only log + blob file).
-pub type SharedArtifactStore = Arc<parking_lot::Mutex<crate::server::store::ArtifactStore>>;
+/// instead of N caches" handle. The coordinator and its site nodes run on
+/// one thread, so sharing is `Rc<RefCell<_>>`; every borrow is one store
+/// call long.
+pub type SharedArtifactStore = Rc<RefCell<crate::server::store::ArtifactStore>>;
 
 /// Wraps an opened store into the shared handle [`TieredCache::with_store`]
-/// takes, so callers outside this crate never name the lock type.
+/// takes.
 pub fn share_store(store: crate::server::store::ArtifactStore) -> SharedArtifactStore {
-    Arc::new(parking_lot::Mutex::new(store))
+    Rc::new(RefCell::new(store))
 }
 
 /// What differs between the cache tiers `pipeline::refresh_page` runs over:
@@ -412,7 +347,7 @@ impl ArtifactTier for TieredCache {
 
     fn promote_if(&mut self, id: PageId, stored_ok: impl Fn(u64, u64) -> bool) -> bool {
         let loaded = {
-            let mut store = self.disk.lock();
+            let mut store = self.disk.borrow_mut();
             match store.entry_meta(id) {
                 Some((layout, raster, _)) if stored_ok(layout, raster) => store.load(id),
                 _ => None,
@@ -439,7 +374,7 @@ impl ArtifactTier for TieredCache {
         artifact: &Artifact,
         hour: u64,
     ) {
-        let mut store = self.disk.lock();
+        let mut store = self.disk.borrow_mut();
         if store
             .put(id, layout_hash, raster_hash, column_hashes, artifact, hour)
             .is_err()
@@ -456,62 +391,6 @@ mod tests {
     use super::*;
     use sonic_image::clickmap::ClickMap;
     use sonic_image::raster::Raster;
-
-    fn page(url: &str, ttl: u16) -> SimplifiedPage {
-        SimplifiedPage::from_raster(url, &Raster::new(4, 4), ClickMap::default(), 0, ttl)
-    }
-
-    #[test]
-    fn hit_within_ttl() {
-        let c = RenderCache::new();
-        c.put(page("a", 2), 10);
-        assert!(c.get("a", 10).is_some());
-        assert!(c.get("a", 11).is_some());
-        assert!(c.get("a", 12).is_none(), "expired at hour 12");
-    }
-
-    #[test]
-    fn miss_on_unknown() {
-        let c = RenderCache::new();
-        assert!(c.get("nope", 0).is_none());
-    }
-
-    #[test]
-    fn sweep_evicts_expired() {
-        let c = RenderCache::new();
-        c.put(page("a", 1), 0);
-        c.put(page("b", 10), 0);
-        assert_eq!(c.sweep(5), 1);
-        assert_eq!(c.len(5), 1);
-    }
-
-    #[test]
-    fn reinsert_refreshes() {
-        let c = RenderCache::new();
-        c.put(page("a", 1), 0);
-        assert!(c.get("a", 2).is_none());
-        c.put(page("a", 1), 2);
-        assert!(c.get("a", 2).is_some());
-    }
-
-    #[test]
-    fn zero_ttl_still_lives_one_hour() {
-        let c = RenderCache::new();
-        c.put(page("a", 0), 0);
-        assert!(c.get("a", 0).is_some());
-        assert!(c.get("a", 1).is_none());
-    }
-
-    #[test]
-    fn get_shares_instead_of_cloning() {
-        let c = RenderCache::new();
-        c.put(page("a", 4), 0);
-        let x = c.get("a", 0).expect("hit");
-        let y = c.get("a", 0).expect("hit");
-        assert!(Arc::ptr_eq(&x, &y), "hits must share one allocation");
-    }
-
-    // --- ArtifactCache ---
 
     fn artifact(url: &str, height: usize) -> Artifact {
         let p = Arc::new(SimplifiedPage::from_raster(

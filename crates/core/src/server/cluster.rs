@@ -17,8 +17,8 @@
 //!   warm-restart property doing double duty as a content distribution
 //!   network). A cold site answers `StoreMiss` and the coordinator falls
 //!   back to…
-//! * **`PushFrames`** — inline 100-byte link frames (query-result pages
-//!   and repair bursts, which never enter the store).
+//! * **`PushFrames`** — inline 100-byte link frames: requested pages,
+//!   query answers and repair bursts (the last two never enter the store).
 //!
 //! Failure handling, in order of escalation:
 //!
@@ -37,20 +37,19 @@
 //! [`ArtifactStore`]: crate::server::store::ArtifactStore
 //! [`RpcClient`]: crate::net::rpc::RpcClient
 
-use crate::chunker::page_to_frames;
 use crate::frame::Frame;
 use crate::net::codec::{frame_bytes, FrameDecoder};
 use crate::net::proto::{decode_msg, encode_msg, Msg, RefuseCode, Request, Response};
 use crate::net::rpc::{JobClass, RpcClient, RpcPolicy};
 use crate::net::transport::SimLink;
 use crate::page::SimplifiedPage;
-use crate::server::cache::{ArtifactCache, RenderCache, SharedArtifactStore, TieredCache};
+use crate::server::cache::{Artifact, ArtifactCache, SharedArtifactStore, TieredCache};
+use crate::server::front::{self, Front, Parsed, Uplink};
 use crate::server::pipeline::{self, PageJob};
 use crate::server::render::Renderer;
 use crate::server::repair::RepairPlanner;
 use crate::server::scheduler::{BroadcastScheduler, SlotKind};
 use sonic_pagegen::PageId;
-use sonic_sms::gateway;
 use sonic_sms::geo::Coverage;
 use sonic_sms::ingress::IngressQueue;
 use std::collections::BTreeMap;
@@ -60,13 +59,6 @@ use std::sync::Arc;
 /// the monolithic server's: the cluster's durable tier is the shared
 /// store, and sites hold their own frames.
 const CLUSTER_CACHE_BYTES: usize = 64 << 20;
-
-/// Entries the per-page chunked-frames memo may hold before it is cleared
-/// (a full clear is simpler than LRU and the memo rebuilds in one pass).
-const FRAMES_MEMO_CAP: usize = 512;
-
-/// A ready-to-push carousel artifact: the page plus its chunked frames.
-type PageArtifact = (Arc<SimplifiedPage>, Arc<Vec<Frame>>);
 
 /// Per-site service policy.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +151,7 @@ impl SiteNode {
         corpus_page: u32,
     ) -> Option<(Arc<SimplifiedPage>, Arc<Vec<Frame>>)> {
         let store = self.store.as_ref()?;
-        let loaded = store.lock().load(PageId {
+        let loaded = store.borrow_mut().load(PageId {
             site: corpus_site as usize,
             page: corpus_page as usize,
         })?;
@@ -368,10 +360,7 @@ pub struct CoordStats {
 pub struct Coordinator {
     /// Policy.
     pub config: CoordinatorConfig,
-    renderer: Renderer,
-    cache: RenderCache,
-    artifacts: TieredCache,
-    coverage: Coverage,
+    front: Front<TieredCache>,
     /// Site ids in ring order (failover walks this).
     ring: Vec<u32>,
     clients: BTreeMap<u32, RpcClient>,
@@ -379,16 +368,12 @@ pub struct Coordinator {
     next_ping_s: BTreeMap<u32, f64>,
     carousel_jobs: Vec<(u32, u32)>,
     carousel_hour: u64,
-    /// Latest carousel artifacts, for the `StoreMiss` inline fallback.
-    recent: BTreeMap<(u32, u32), PageArtifact>,
     /// `(site, page id) → suppress-until`: a `Done { eta_ms }` means the
     /// site's queue covers the page until that ETA, so re-pushing it
     /// before then would only re-send bytes the broadcast already owes
     /// every listener. Pruned each pump; cleared per site on recovery
     /// (a restarted scheduler starts empty).
     pushed: BTreeMap<(u32, u32), f64>,
-    /// Chunked frames per page id (bounded; cleared when full).
-    frames_memo: BTreeMap<u32, Arc<Vec<Frame>>>,
     /// NACK validation/coalescing and repair budgeting.
     pub repair: RepairPlanner,
     /// The gateway's bounded accept buffer.
@@ -414,18 +399,17 @@ impl Coordinator {
         let ingress = IngressQueue::new(config.ingress_capacity);
         Coordinator {
             config,
-            renderer,
-            cache: RenderCache::new(),
-            artifacts: TieredCache::with_store(ArtifactCache::new(CLUSTER_CACHE_BYTES), store),
-            coverage,
+            front: Front::new(
+                renderer,
+                coverage,
+                TieredCache::with_store(ArtifactCache::new(CLUSTER_CACHE_BYTES), store),
+            ),
             ring,
             clients,
             views: BTreeMap::new(),
             next_ping_s: BTreeMap::new(),
             carousel_jobs: Vec::new(),
             carousel_hour: 0,
-            recent: BTreeMap::new(),
-            frames_memo: BTreeMap::new(),
             pushed: BTreeMap::new(),
             repair: RepairPlanner::new(),
             ingress,
@@ -450,7 +434,7 @@ impl Coordinator {
 
     /// Access to the renderer (examples/benches).
     pub fn renderer(&self) -> &Renderer {
-        &self.renderer
+        &self.front.renderer
     }
 
     /// Offers one uplink SMS to the bounded ingress queue. Returns `false`
@@ -463,24 +447,13 @@ impl Coordinator {
     /// store and pushes them to every site as `PushStored` keys. The jobs
     /// are remembered as the hour's carousel for `Resume`.
     pub fn push_carousel(&mut self, hour: u64, top_n: usize, _now_s: f64) {
-        let n = top_n.min(self.renderer.corpus().sites.len());
-        let jobs: Vec<PageJob> = (0..n)
-            .map(|s| PageJob {
-                id: PageId { site: s, page: 0 },
-                hour,
-            })
-            .collect();
-        let artifacts = pipeline::refresh_frames_only(&self.renderer, &mut self.artifacts, &jobs);
         self.carousel_hour = hour;
-        self.carousel_jobs = jobs
+        self.carousel_jobs = self
+            .front
+            .popular(hour, top_n, &mut self.repair)
             .iter()
-            .map(|j| (j.id.site as u32, j.id.page as u32))
+            .map(|(id, _)| (id.site as u32, id.page as u32))
             .collect();
-        self.recent.clear();
-        for (key, a) in self.carousel_jobs.iter().zip(&artifacts) {
-            self.repair.register_page(a.page.clone());
-            self.recent.insert(*key, (a.page.clone(), a.frames.clone()));
-        }
         let sites = self.ring.clone();
         let carousel = self.carousel_jobs.clone();
         for site in sites {
@@ -525,18 +498,36 @@ impl Coordinator {
         None
     }
 
-    /// Submits a full-page frame push toward `site_id` (page requests ride
-    /// the covering site's queue even while it is down — the client holds
-    /// them and resends on recovery, so the user's radio still gets them).
-    fn submit_page(&mut self, site_id: u32, page: Arc<SimplifiedPage>, now_s: f64) {
-        self.repair.register_page(page.clone());
+    /// Submits one inline full-page frame push toward `site_id`, counting
+    /// whether the client's bounded queue took it.
+    fn submit_frames(&mut self, site_id: u32, a: &Artifact) -> bool {
+        let ok = self.clients.get_mut(&site_id).is_some_and(|c| {
+            c.submit(
+                JobClass::Page,
+                Request::PushFrames {
+                    page_id: a.page.page_id,
+                    kind: SlotKind::Full,
+                    frames: (*a.frames).clone(),
+                },
+            )
+        });
+        if !ok {
+            self.stats.submit_shed += 1;
+        }
+        ok
+    }
+
+    /// Pushes a requested page toward `site_id` (page requests ride the
+    /// covering site's queue even while it is down — the client holds them
+    /// and resends on recovery, so the user's radio still gets them).
+    fn submit_page(&mut self, site_id: u32, artifact: &Artifact, now_s: f64) {
         // Coalesce: a flood of requests for the same hot page needs one
         // push per site, not one per request — a duplicate would only
         // displace other work from the bounded queue and re-send bytes
         // the site's carousel already owes every listener. A push is a
         // duplicate while an identical RPC is still pending *or* while
         // the site's acknowledged broadcast ETA has not passed.
-        let pid = page.page_id;
+        let pid = artifact.page.page_id;
         let covered = self
             .pushed
             .get(&(site_id, pid))
@@ -549,74 +540,32 @@ impl Coordinator {
             });
         if covered {
             self.stats.pushes_coalesced += 1;
-            return;
-        }
-        // Chunking a page into frames is pure per page-id; memoize it so a
-        // flood of requests for the same hot page costs one chunking pass.
-        let frames = match self.frames_memo.get(&page.page_id) {
-            Some(f) => f.clone(),
-            None => {
-                if self.frames_memo.len() >= FRAMES_MEMO_CAP {
-                    self.frames_memo.clear();
-                }
-                let f = Arc::new(page_to_frames(&page));
-                self.frames_memo.insert(page.page_id, f.clone());
-                f
-            }
-        };
-        let ok = self.clients.get_mut(&site_id).is_some_and(|c| {
-            c.submit(
-                JobClass::Page,
-                Request::PushFrames {
-                    page_id: page.page_id,
-                    kind: SlotKind::Full,
-                    frames: (*frames).clone(),
-                },
-            )
-        });
-        if ok {
+        } else if self.submit_frames(site_id, artifact) {
             self.stats.pushes_frames += 1;
-        } else {
-            self.stats.submit_shed += 1;
         }
     }
 
     /// Parses and routes one ingress message.
     fn process_sms(&mut self, msg: &str, now_s: f64) {
         let hour = (now_s / 3600.0) as u64;
-        if let Some(nack) = sonic_sms::queries::parse_nack(msg) {
-            self.stats.sms_nacks += 1;
-            let Some(site_id) = self.coverage.best_for(&nack.location).map(|s| s.id) else {
-                self.stats.sms_rejected += 1;
-                return;
-            };
-            if self.repair.accept_nack(site_id, &nack, now_s).is_err() {
-                self.stats.sms_rejected += 1;
-            }
+        let Some(sms) = front::parse(msg) else {
+            self.stats.sms_rejected += 1;
             return;
+        };
+        match &sms {
+            Parsed::Nack(_) => self.stats.sms_nacks += 1,
+            Parsed::Ask(_) => self.stats.sms_queries += 1,
+            Parsed::Get(_) => self.stats.sms_requests += 1,
         }
-        // Past the parse a query and a page request are one flow: both
-        // name a location and a page.
-        let (location, url, query) = if let Some(q) = sonic_sms::queries::parse_query(msg) {
-            self.stats.sms_queries += 1;
-            (q.location, q.result_url(), Some(q))
-        } else if let Some(req) = gateway::parse_request(msg) {
-            self.stats.sms_requests += 1;
-            (req.location, req.url, None)
-        } else {
-            self.stats.sms_rejected += 1;
-            return;
-        };
-        let Some(site_id) = self.coverage.best_for(&location).map(|s| s.id) else {
-            self.stats.sms_rejected += 1;
-            return;
-        };
-        let page = super::get_or_render(&self.cache, &self.renderer, &url, query.as_ref(), hour);
-        let Some(page) = page else {
-            self.stats.sms_rejected += 1;
-            return;
-        };
-        self.submit_page(site_id, page, now_s);
+        match self.front.serve(sms, hour, &mut self.repair) {
+            Uplink::Nack { site, nack } => {
+                if self.repair.accept_nack(site.id, &nack, now_s).is_err() {
+                    self.stats.sms_rejected += 1;
+                }
+            }
+            Uplink::Page { site, artifact, .. } => self.submit_page(site.id, &artifact, now_s),
+            Uplink::NoCoverage | Uplink::Unavailable => self.stats.sms_rejected += 1,
+        }
     }
 
     /// Folds one completed RPC (request, response) pair into state.
@@ -661,25 +610,21 @@ impl Coordinator {
                 },
             ) => {
                 // The site's store tier is cold (fresh disk or eviction):
-                // resend the page as inline frames.
-                if let Some((page, frames)) =
-                    self.recent.get(&(corpus_site, corpus_page)).cloned()
-                {
-                    let ok = self.clients.get_mut(&site).is_some_and(|c| {
-                        c.submit(
-                            JobClass::Page,
-                            Request::PushFrames {
-                                page_id: page.page_id,
-                                kind: SlotKind::Full,
-                                frames: (*frames).clone(),
-                            },
-                        )
-                    });
-                    if ok {
-                        self.stats.inline_fallbacks += 1;
-                    } else {
-                        self.stats.submit_shed += 1;
-                    }
+                // resend the carousel's build of the page as inline frames.
+                // It comes off the ladder like any page — a hit, a promotion
+                // from the coordinator's own disk tier, or a rebuild.
+                let job = PageJob {
+                    id: PageId {
+                        site: corpus_site as usize,
+                        page: corpus_page as usize,
+                    },
+                    hour: self.carousel_hour,
+                };
+                let front = &mut self.front;
+                let built =
+                    pipeline::refresh_frames_only(&front.renderer, &mut front.artifacts, &[job]);
+                if self.submit_frames(site, &built[0]) {
+                    self.stats.inline_fallbacks += 1;
                 }
             }
             (
@@ -799,9 +744,11 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunker::page_to_frames;
     use crate::net::transport::LinkFaultPlan;
     use crate::server::store::ArtifactStore;
     use sonic_pagegen::Corpus;
+    use sonic_sms::gateway;
 
     fn store(dir: &std::path::Path) -> SharedArtifactStore {
         crate::server::cache::share_store(
@@ -894,36 +841,46 @@ mod tests {
 
     #[test]
     fn store_miss_falls_back_to_inline_frames() {
-        let dir = tempdir("cluster-miss");
-        let st = store(&dir);
-        let mut coord = coordinator_with(&st);
-        let coverage = Coverage::pakistan_demo();
-        // Sites WITHOUT a store: every PushStored answers StoreMiss.
-        let mut sites: BTreeMap<u32, SiteNode> = coverage
-            .sites
-            .iter()
-            .map(|s| {
-                (
-                    s.id,
-                    SiteNode::new(
-                        SiteConfig {
-                            site_id: s.id,
-                            ..SiteConfig::default()
-                        },
-                        None,
-                    ),
-                )
-            })
-            .collect();
-        let mut links = links_for(&coverage, 9);
-        coord.push_carousel(0, 3, 0.0);
-        run(&mut coord, &mut sites, &mut links, 0.0, 80);
-        assert!(coord.stats.inline_fallbacks >= 3, "{:?}", coord.stats);
-        for node in sites.values() {
-            assert!(node.stats.frames_pushes >= 3, "{:?}", node.stats);
-            assert_eq!(node.scheduler.backlog_bytes() % 100, 0);
+        // The second coordinator's RAM tier keeps one page: two of the three
+        // carousel pages are gone from it when the sites ask.
+        for ram_bytes in [CLUSTER_CACHE_BYTES, 1] {
+            let dir = tempdir("cluster-miss");
+            let st = store(&dir);
+            let mut coord = coordinator_with(&st);
+            coord.front.artifacts =
+                TieredCache::with_store(ArtifactCache::new(ram_bytes), st.clone());
+            let coverage = Coverage::pakistan_demo();
+            // Sites WITHOUT a store: every PushStored answers StoreMiss.
+            let mut sites: BTreeMap<u32, SiteNode> = coverage
+                .sites
+                .iter()
+                .map(|s| {
+                    (
+                        s.id,
+                        SiteNode::new(
+                            SiteConfig {
+                                site_id: s.id,
+                                ..SiteConfig::default()
+                            },
+                            None,
+                        ),
+                    )
+                })
+                .collect();
+            let mut links = links_for(&coverage, 9);
+            coord.push_carousel(0, 3, 0.0);
+            let evicted = coord.front.artifacts.ram.stats.evictions;
+            assert_eq!(evicted, if ram_bytes == 1 { 2 } else { 0 });
+            run(&mut coord, &mut sites, &mut links, 0.0, 80);
+            assert!(coord.stats.inline_fallbacks >= 3, "{:?}", coord.stats);
+            for node in sites.values() {
+                assert!(node.stats.frames_pushes >= 3, "{:?}", node.stats);
+                assert_eq!(node.scheduler.backlog_bytes() % 100, 0);
+            }
+            let promoted = coord.front.artifacts.ram.stats.disk_promotions;
+            assert_eq!(promoted > 0, ram_bytes == 1, "an evicted page comes back from disk");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1067,6 +1024,63 @@ mod tests {
         assert_eq!(coord.stats.sms_requests, 1);
         let covering = sites.get(&lahore.id).expect("covering site");
         assert!(covering.stats.frames_pushes >= 1, "{:?}", covering.stats);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sms_get_of_an_unchanged_carousel_page_keeps_the_hour_0_id() {
+        use crate::page::page_id_for;
+        let dir = tempdir("cluster-one-id");
+        let st = store(&dir);
+        let mut coord = coordinator_with(&st);
+        let coverage = Coverage::pakistan_demo();
+        let mut sites: BTreeMap<u32, SiteNode> = coverage
+            .sites
+            .iter()
+            .map(|s| (s.id, site_for(s.id, &st)))
+            .collect();
+        let mut links = links_for(&coverage, 17);
+        let corpus = coord.renderer().corpus().clone();
+        // A page hour 1 left alone and whose hour-0 build is inside its TTL.
+        let id = (0..4)
+            .map(|site| PageId { site, page: 0 })
+            .find(|&id| {
+                !corpus.changed(id, 0, 1)
+                    && corpus.sites[id.site].category.landing_churn_hours() > 1
+            })
+            .expect("hour 0→1 must leave some long-lived carousel page alone");
+        let url = corpus.layout(id, 1).url;
+        coord.push_carousel(0, 4, 0.0);
+        run(&mut coord, &mut sites, &mut links, 0.0, 7200);
+        coord.push_carousel(1, 4, 3600.0);
+        let lahore = &coverage.sites[0];
+        assert!(coord.accept_sms(&gateway::format_request(&url, &lahore.location)));
+        // The loop of `run`, keeping what the covering site airs.
+        let mut aired = Vec::new();
+        for step in 0..7200 {
+            let t = 3600.0 + step as f64 * 0.5;
+            coord.pump(t, &mut links);
+            for (site, node) in sites.iter_mut() {
+                node.service(t, links.get_mut(site).expect("link per site"));
+                let frames = node.advance(0.5);
+                if *site == lahore.id {
+                    aired.extend(frames);
+                }
+            }
+        }
+        assert_eq!(coord.stats.sms_requests, 1);
+        assert_eq!(
+            coord.stats.pushes_frames + coord.stats.pushes_coalesced,
+            1,
+            "{:?}",
+            coord.stats
+        );
+        let (v0, v1) = (page_id_for(&url, 0), page_id_for(&url, 1));
+        assert!(aired.iter().any(|f| f.page_id() == v0), "hour 1 re-airs the page");
+        assert!(
+            aired.iter().all(|f| f.page_id() != v1),
+            "an unchanged page went on air under a second id"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

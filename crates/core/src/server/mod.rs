@@ -3,6 +3,7 @@
 
 pub mod cache;
 pub mod cluster;
+mod front;
 pub mod pipeline;
 pub mod render;
 pub mod repair;
@@ -10,12 +11,12 @@ pub mod scheduler;
 pub mod store;
 
 use crate::page::SimplifiedPage;
-use cache::{ArtifactCache, RenderCache};
+use cache::ArtifactCache;
+use front::{Front, Uplink};
 use render::Renderer;
 use scheduler::BroadcastScheduler;
 use sonic_sms::gateway;
 use sonic_sms::geo::Coverage;
-use sonic_sms::queries::{self, Query};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -24,35 +25,10 @@ use std::sync::Arc;
 /// a long-running server.
 const ARTIFACT_CACHE_BYTES: usize = 256 << 20;
 
-/// The page an uplink SMS asks for, from `cache` while its entry lives, else
-/// rendered and cached from `hour` on: the answer to `query` when the SMS
-/// was an `ASK`, the corpus page at `url` when it was a `GET` (`None` for a
-/// URL outside the corpus). An `ASK`'s `url` is its [`Query::result_url`].
-pub(crate) fn get_or_render(
-    cache: &RenderCache,
-    renderer: &Renderer,
-    url: &str,
-    query: Option<&Query>,
-    hour: u64,
-) -> Option<Arc<SimplifiedPage>> {
-    if let Some(p) = cache.get(url, hour) {
-        return Some(p);
-    }
-    let page = Arc::new(match query {
-        Some(q) => renderer.answer(q, hour),
-        None => renderer.fetch(url, hour)?,
-    });
-    cache.put(page.clone(), hour);
-    Some(page)
-}
-
 /// The central SONIC server plus its transmitter fleet.
 #[derive(Debug)]
 pub struct SonicServer {
-    renderer: Renderer,
-    cache: RenderCache,
-    artifacts: ArtifactCache,
-    coverage: Coverage,
+    front: Front<ArtifactCache>,
     /// One broadcast scheduler per transmitter site id.
     pub schedulers: BTreeMap<u32, BroadcastScheduler>,
     /// NACK validation/coalescing and repair-burst scheduling.
@@ -69,19 +45,16 @@ impl SonicServer {
             .map(|s| (s.id, BroadcastScheduler::new(rate_bps)))
             .collect();
         SonicServer {
-            renderer,
-            cache: RenderCache::new(),
-            artifacts: ArtifactCache::new(ARTIFACT_CACHE_BYTES),
-            coverage,
+            front: Front::new(renderer, coverage, ArtifactCache::new(ARTIFACT_CACHE_BYTES)),
             schedulers,
             repair: repair::RepairPlanner::new(),
         }
     }
 
-    /// Renders (or serves from cache) the simplified page for `url` at
-    /// `hour`. The page is `Arc`-shared with the cache — no deep clone.
+    /// The simplified page for `url` at `hour`, through the artifact cache
+    /// (`Arc`-shared with it — no deep clone); `None` outside the corpus.
     pub fn get_page(&mut self, url: &str, hour: u64) -> Option<Arc<SimplifiedPage>> {
-        get_or_render(&self.cache, &self.renderer, url, None, hour)
+        self.front.corpus_page(url, hour).map(|a| a.page)
     }
 
     /// Handles one uplink SMS at absolute time `now_s` (hour derived).
@@ -91,26 +64,24 @@ impl SonicServer {
     /// search-engine / chatbot queries, whose answers are rendered into
     /// pages and broadcast like any other content. On success the page is
     /// enqueued on the transmitter covering the user and an ACK with the
-    /// ETA and frequency is returned.
+    /// ETA and frequency is returned. A repair NACK is validated against
+    /// the repair registry, coalesced with other clients' ranges, and ACKed
+    /// with an ETA covering the coalescing window plus the backlog.
     pub fn handle_sms(&mut self, msg: &str, now_s: f64) -> String {
         let hour = (now_s / 3600.0) as u64;
-        // Repair NACKs (all three grammars are disjoint): validate against
-        // the repair registry, coalesce with other clients' ranges, and ACK
-        // with an ETA covering the coalescing window plus the backlog.
-        if let Some(nack) = queries::parse_nack(msg) {
-            let Some(site) = self.coverage.best_for(&nack.location) else {
-                return gateway::format_err("no coverage at your location");
-            };
-            let (site_id, freq) = (site.id, site.freq_mhz);
-            return match self.repair.accept_nack(site_id, &nack, now_s) {
+        let Some(sms) = front::parse(msg) else {
+            return gateway::format_err("malformed request");
+        };
+        match self.front.serve(sms, hour, &mut self.repair) {
+            Uplink::Nack { site, nack } => match self.repair.accept_nack(site.id, &nack, now_s) {
                 Ok(wait_s) => {
                     let backlog = self
                         .schedulers
-                        .get(&site_id)
+                        .get(&site.id)
                         .map(|s| s.backlog_bytes() as f64 * 8.0 / s.rate_bps())
                         .unwrap_or(0.0);
                     let url = format!("{:X}", nack.page_id);
-                    gateway::format_ack(&url, (wait_s + backlog).ceil() as u64 + 1, freq)
+                    gateway::format_ack(&url, (wait_s + backlog).ceil() as u64 + 1, site.freq_mhz)
                 }
                 Err(repair::NackRejection::UnknownPage) => {
                     gateway::format_err("unknown page; re-request it")
@@ -119,32 +90,22 @@ impl SonicServer {
                 Err(repair::NackRejection::BudgetExhausted) => {
                     gateway::format_err("repair budget spent; wait for the next carousel")
                 }
-            };
+            },
+            Uplink::Page {
+                site,
+                url,
+                artifact,
+            } => {
+                let sched = self
+                    .schedulers
+                    .get_mut(&site.id)
+                    .expect("scheduler per site");
+                let eta = sched.enqueue_prechunked(artifact.page, artifact.frames, now_s);
+                gateway::format_ack(&url, eta as u64, site.freq_mhz)
+            }
+            Uplink::NoCoverage => gateway::format_err("no coverage at your location"),
+            Uplink::Unavailable => gateway::format_err("page unavailable"),
         }
-        // Queries next, then page requests. Past the parse the two are one
-        // flow: both name a location and a page.
-        let (location, url, query) = if let Some(q) = queries::parse_query(msg) {
-            (q.location, q.result_url(), Some(q))
-        } else if let Some(req) = gateway::parse_request(msg) {
-            (req.location, req.url, None)
-        } else {
-            return gateway::format_err("malformed request");
-        };
-        let Some(site) = self.coverage.best_for(&location) else {
-            return gateway::format_err("no coverage at your location");
-        };
-        let (site_id, freq) = (site.id, site.freq_mhz);
-        let Some(page) = get_or_render(&self.cache, &self.renderer, &url, query.as_ref(), hour)
-        else {
-            return gateway::format_err("page unavailable");
-        };
-        let sched = self
-            .schedulers
-            .get_mut(&site_id)
-            .expect("scheduler per site");
-        self.repair.register_page(page.clone());
-        let eta = sched.enqueue(page, now_s);
-        gateway::format_ack(&url, eta as u64, freq)
     }
 
     /// Schedules any repair bursts whose coalescing window or backoff has
@@ -165,15 +126,7 @@ impl SonicServer {
     /// a second push of an unchanged carousel costs hash lookups, and the
     /// schedulers' page-id dedupe keeps the backlog flat.
     pub fn push_popular(&mut self, hour: u64, top_n: usize, now_s: f64) {
-        let n = top_n.min(self.renderer.corpus().sites.len());
-        let jobs: Vec<pipeline::PageJob> = (0..n)
-            .map(|s| pipeline::PageJob {
-                id: sonic_pagegen::PageId { site: s, page: 0 },
-                hour,
-            })
-            .collect();
-        for a in &pipeline::refresh_frames_only(&self.renderer, &mut self.artifacts, &jobs) {
-            self.repair.register_page(a.page.clone());
+        for (_, a) in self.front.popular(hour, top_n, &mut self.repair) {
             for sched in self.schedulers.values_mut() {
                 sched.enqueue_prechunked(a.page.clone(), a.frames.clone(), now_s);
             }
@@ -182,12 +135,12 @@ impl SonicServer {
 
     /// Access to the renderer (for examples/benches).
     pub fn renderer(&self) -> &Renderer {
-        &self.renderer
+        &self.front.renderer
     }
 
     /// The broadcast artifact cache (reuse stats, byte budget).
     pub fn artifact_cache(&self) -> &ArtifactCache {
-        &self.artifacts
+        &self.front.artifacts
     }
 }
 
@@ -348,15 +301,118 @@ mod tests {
         assert!(srv.handle_sms(&bogus, 200.0).starts_with("ERR"));
     }
 
+    /// The drained frames of every scheduler, by site.
+    fn drain(srv: &mut SonicServer) -> BTreeMap<u32, Vec<crate::frame::Frame>> {
+        srv.schedulers
+            .iter_mut()
+            .map(|(&site, s)| {
+                let mut aired = Vec::new();
+                while s.backlog_bytes() > 0 {
+                    aired.extend(s.advance(60.0));
+                }
+                (site, aired)
+            })
+            .collect()
+    }
+
+    /// The standard corpus pushed at hours 0 and 1 (hour 0 drained), and its
+    /// landing pages that hour 1 left alone, split by whether the hour-0
+    /// build's TTL still runs in hour 1.
+    fn two_pushes() -> (SonicServer, Vec<String>, Vec<String>) {
+        let corpus = Corpus::standard();
+        let n = corpus.sites.len();
+        let mut srv = SonicServer::new(
+            Renderer::new(corpus.clone(), 0.03),
+            Coverage::pakistan_demo(),
+            10_000.0,
+        );
+        srv.push_popular(0, n, 0.0);
+        drain(&mut srv);
+        srv.push_popular(1, n, 3600.0);
+        let (live, expired): (Vec<_>, Vec<_>) = (0..n)
+            .map(|site| sonic_pagegen::PageId { site, page: 0 })
+            .filter(|&id| !corpus.changed(id, 0, 1))
+            .partition(|id| corpus.sites[id.site].category.landing_churn_hours() > 1);
+        let urls = |ids: Vec<sonic_pagegen::PageId>| -> Vec<String> {
+            ids.into_iter().map(|id| corpus.layout(id, 1).url).collect()
+        };
+        (srv, urls(live), urls(expired))
+    }
+
     #[test]
-    fn second_request_hits_render_cache() {
+    fn a_request_inside_the_ttl_airs_under_the_id_the_carousel_already_uses() {
+        use crate::page::page_id_for;
+        let (mut srv, live, _) = two_pushes();
+        assert!(!live.is_empty(), "hour 0→1 must leave some long-lived page alone");
+        let lahore = sonic_sms::GeoPoint::new(31.52, 74.35);
+        let queue_len = srv.schedulers[&1].queue_len();
+        let hits_before = srv.artifact_cache().stats.full_hits;
+        for url in &live {
+            let queued = srv.schedulers[&1]
+                .eta_for(page_id_for(url, 0))
+                .expect("the carousel queued the hour-0 build");
+            let reply = srv.handle_sms(&gateway::format_request(url, &lahore), 3610.0);
+            let ack = gateway::parse_ack(&reply).unwrap_or_else(|| panic!("ACK expected: {reply}"));
+            assert_eq!(ack.eta_s, queued as u64, "{url}: the queued entry's ETA");
+        }
+        assert_eq!(
+            srv.artifact_cache().stats.full_hits - hits_before,
+            live.len() as u64,
+            "every request was served from the cached build"
+        );
+        assert_eq!(srv.schedulers[&1].queue_len(), queue_len, "no page is queued twice");
+        let aired = drain(&mut srv);
+        for url in &live {
+            let (v0, v1) = (page_id_for(url, 0), page_id_for(url, 1));
+            assert!(aired[&1].iter().any(|f| f.page_id() == v0));
+            assert!(
+                aired[&1].iter().all(|f| f.page_id() != v1),
+                "{url} went on air under a second id"
+            );
+        }
+    }
+
+    /// The rule `pipeline::refresh_request` keeps from the URL cache it
+    /// replaced, and what it still costs: a second id for unmoved content.
+    #[test]
+    fn a_request_past_the_ttl_airs_the_cached_strips_under_this_hours_version() {
+        use crate::page::page_id_for;
+        let (mut srv, _, expired) = two_pushes();
+        assert!(!expired.is_empty(), "hour 0→1 must leave some hourly page alone");
+        let lahore = sonic_sms::GeoPoint::new(31.52, 74.35);
+        let misses_before = srv.artifact_cache().stats.misses;
+        for url in &expired {
+            let old = srv.get_page(url, 0).expect("hour 0 built it");
+            assert!(srv.handle_sms(&gateway::format_request(url, &lahore), 3610.0).starts_with("ACK"));
+            let new = srv.get_page(url, 1).expect("cached");
+            assert_eq!(new.page_id, page_id_for(url, 1));
+            assert_eq!(new.strips.strips, old.strips.strips);
+        }
+        assert_eq!(srv.artifact_cache().stats.misses, misses_before, "nothing rendered");
+        let aired = drain(&mut srv);
+        for url in &expired {
+            assert!(aired[&1].iter().any(|f| f.page_id() == page_id_for(url, 1)));
+        }
+    }
+
+    #[test]
+    fn repeated_query_renders_once_and_the_answers_cache_is_bounded() {
+        use sonic_sms::queries::{format_query, Engine};
         let mut srv = server();
-        let url = srv.renderer().corpus().layout(
-            sonic_pagegen::PageId { site: 1, page: 0 },
-            0,
-        ).url;
-        let a = srv.get_page(&url, 0).expect("render");
-        let b = srv.get_page(&url, 0).expect("cache");
-        assert_eq!(a.page_id, b.page_id);
+        let loc = sonic_sms::GeoPoint::new(31.52, 74.35);
+        let msg = format_query(Engine::Chat, "how do i renew my id card", &loc);
+        srv.handle_sms(&msg, 10.0);
+        srv.handle_sms(&msg, 20.0);
+        let stats = srv.front.answers.stats;
+        assert_eq!((stats.misses, stats.full_hits), (1, 1));
+        for i in 0..2_000 {
+            let msg = format_query(Engine::Search, &format!("price of item {i}"), &loc);
+            assert!(srv.handle_sms(&msg, 30.0).starts_with("ACK"));
+            drain(&mut srv);
+        }
+        let answers = &srv.front.answers;
+        assert!(answers.stats.evictions > 0, "{:?}", answers.stats);
+        assert!(answers.bytes() <= front::ANSWER_CACHE_BYTES);
+        assert!(answers.len() < 2_000);
     }
 }

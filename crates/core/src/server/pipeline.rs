@@ -3,24 +3,26 @@
 //!
 //! "The SONIC server produces a simplified version of the webpage, either
 //! from its cache … or by directly accessing it" (§3.1), once per page per
-//! hour. [`refresh_page`] is that step and the only place it is written:
-//! the hash ladder that decides how little work a page needs, the delta or
-//! cold build, and the store into every cache tier. What is cached is the
-//! simplified page and its frames, never a waveform: [`refresh_carousel`]
-//! is [`refresh_page`], then [`link::modulate`] of exactly the frames the
-//! slot airs; [`refresh_frames_only`] is the same loop without the second
-//! step.
+//! hour and once per SMS that asks. [`refresh_page`] is that step and the
+//! only place it is written: the hash ladder that decides how little work a
+//! page needs, the delta or cold build, and the store into every cache tier.
+//! What is cached is the simplified page and its frames, never a waveform:
+//! [`refresh_carousel`] is [`refresh_page`], then [`link::modulate`] of
+//! exactly the frames the slot airs; [`refresh_frames_only`] is the same
+//! loop without the second step; an SMS `GET` is `refresh_request` on the
+//! server's artifact tier, and an `ASK` is `refresh_answer`.
 
 use crate::chunker::page_to_frames;
 use crate::frame::Frame;
 use crate::link;
 use crate::page::SimplifiedPage;
 use crate::server::cache::{Artifact, ArtifactCache, ArtifactTier};
-use crate::server::render::{RenderedContent, Renderer};
-use sonic_image::hash::Fnv64;
+use crate::server::render::{hour_version, RenderedContent, Renderer};
+use sonic_image::hash::{fnv1a64, Fnv64};
 use sonic_image::strip;
 use sonic_modem::profile::Profile;
 use sonic_pagegen::PageId;
+use sonic_sms::queries::Query;
 use std::sync::Arc;
 
 /// One render request: a corpus page at an hour.
@@ -90,7 +92,7 @@ pub struct CarouselStats {
 
 /// Render-input content address: the layout hash folded with the device
 /// scaling factor (the raster is a pure function of both).
-fn layout_hash_scaled(renderer: &Renderer, id: PageId, hour: u64) -> u64 {
+pub(crate) fn layout_hash_scaled(renderer: &Renderer, id: PageId, hour: u64) -> u64 {
     let lh = renderer.corpus().layout(id, hour).content_hash();
     let mut h = Fnv64::new();
     h.write_u64(lh).write_u64(renderer.scale().to_bits());
@@ -277,6 +279,70 @@ fn refresh_job(renderer: &Renderer, tier: &mut impl ArtifactTier, job: PageJob) 
     })
 }
 
+/// [`refresh_page`] for an SMS request, which is not answered with a build
+/// past its TTL: the cached strips go out again under this hour's version,
+/// and that build replaces the cached one in RAM — not below it, where a
+/// site resolves the carousel's `PushStored` key. Nothing renders (a hit
+/// means the content did not move). This is the expiry rule of the URL cache this path
+/// replaced, kept because `tests/golden_serve.rs` pins what a request airs
+/// (its soak serves 192 `GET`s in hour 1); the carousel has no such rule, so
+/// from the hour a page's TTL runs out the two can still air one content
+/// under two ids (ROADMAP item 9(f), open).
+pub(crate) fn refresh_request(
+    tier: &mut impl ArtifactTier,
+    id: PageId,
+    layout_hash: u64,
+    hour: u64,
+    render: impl FnOnce() -> RenderedContent,
+) -> Artifact {
+    let artifact = refresh_page(tier, id, layout_hash, hour, render).artifact;
+    let (old, version) = (&artifact.page, hour_version(hour));
+    let expired = version.wrapping_sub(old.version) >= old.ttl_hours.max(1);
+    let Some((_, col_hashes)) = tier.ram().delta_basis(id).filter(|_| expired) else {
+        return artifact;
+    };
+    let page = Arc::new(SimplifiedPage::from_parts(
+        &old.url,
+        old.strips.clone(),
+        old.clickmap.clone(),
+        version,
+        old.ttl_hours,
+    ));
+    let fresh = Artifact {
+        frames: Arc::new(page_to_frames(&page)),
+        page,
+        audio: Arc::default(),
+    };
+    let rh = strip::raster_hash_from(old.strips.width, old.strips.height, &col_hashes);
+    tier.ram().insert(id, layout_hash, rh, col_hashes, fresh.clone());
+    fresh
+}
+
+/// [`refresh_request`] for the answer to a search/chat query, in `answers` —
+/// a RAM-only cache, since answers never enter the store. An answer's render
+/// is a pure function of engine, query text and scale, so their hash is its
+/// layout hash; its key is the hash of the result URL it airs under (two
+/// texts that share a URL share a slot, and the ladder tells them apart).
+pub(crate) fn refresh_answer(
+    renderer: &Renderer,
+    answers: &mut ArtifactCache,
+    query: &Query,
+    hour: u64,
+) -> Artifact {
+    let mut lh = Fnv64::new();
+    lh.write(query.engine.token().as_bytes())
+        .write(&[0])
+        .write(query.text.as_bytes())
+        .write_u64(renderer.scale().to_bits());
+    let id = PageId {
+        site: fnv1a64(query.result_url().as_bytes()) as usize,
+        page: 0,
+    };
+    refresh_request(answers, id, lh.finish(), hour, || {
+        renderer.answer(query, hour)
+    })
+}
+
 /// One carousel revolution: every job through [`refresh_page`], in job
 /// order, then [`link::modulate`] of exactly the frames each slot airs —
 /// into `artifact.audio` of a [`CarouselSlot::Full`] item (where the frozen
@@ -391,7 +457,8 @@ mod tests {
     /// What "bit-identical to a cold build" means: render, strip-encode and
     /// chunk run back to back with no cache anywhere.
     fn assert_is_cold_build(a: &Artifact, r: &Renderer, job: PageJob) {
-        let page = r.render(job.id, job.hour).into_page();
+        let c = r.render(job.id, job.hour);
+        let page = SimplifiedPage::from_raster(&c.url, &c.raster, c.clickmap, c.version, c.ttl_hours);
         assert_eq!(a.page.page_id, page.page_id);
         assert_eq!(a.page.meta_blob(), page.meta_blob());
         assert_eq!(a.page.strips.strips, page.strips.strips);

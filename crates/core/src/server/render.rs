@@ -6,7 +6,6 @@
 //! exactly the "expiration date set according to a time indicated by the
 //! server" of §3.1.
 
-use crate::page::SimplifiedPage;
 use sonic_image::clickmap::ClickMap;
 use sonic_image::raster::Raster;
 use sonic_pagegen::{Corpus, PageId};
@@ -30,28 +29,15 @@ pub struct RenderedContent {
     pub ttl_hours: u16,
 }
 
-impl RenderedContent {
-    /// Strip-encodes the screenshot from scratch: the cold build of the page.
-    pub fn into_page(self) -> SimplifiedPage {
-        SimplifiedPage::from_raster(
-            &self.url,
-            &self.raster,
-            self.clickmap,
-            self.version,
-            self.ttl_hours,
-        )
-    }
-}
-
 /// TTL of search-result and chat-answer pages, in hours.
 const ANSWER_TTL_HOURS: u16 = 6;
 
 /// The content version an hour stamps on what is rendered in it.
-fn hour_version(hour: u64) -> u16 {
+pub(crate) fn hour_version(hour: u64) -> u16 {
     (hour % u16::MAX as u64) as u16
 }
 
-/// Renders corpus pages into broadcastable [`SimplifiedPage`]s.
+/// Renders corpus pages into broadcastable [`SimplifiedPage`](crate::page::SimplifiedPage)s.
 #[derive(Debug)]
 pub struct Renderer {
     corpus: Corpus,
@@ -79,13 +65,6 @@ impl Renderer {
         self.scale
     }
 
-    /// Fetches + renders + strip-encodes a URL at `hour`; `None` for URLs
-    /// outside the corpus (the real system would fetch the live web here).
-    pub fn fetch(&self, url: &str, hour: u64) -> Option<SimplifiedPage> {
-        let id = self.corpus.find_url(url, hour)?;
-        Some(self.render(id, hour).into_page())
-    }
-
     /// Renders a known corpus page: versioned by the hour, with the site's
     /// churn period as TTL.
     pub fn render(&self, id: PageId, hour: u64) -> RenderedContent {
@@ -100,20 +79,20 @@ impl Renderer {
         }
     }
 
-    /// Renders the answer to a search-engine / chatbot query (§3.1) into a
-    /// page, broadcast like any other content.
-    pub fn answer(&self, q: &Query, hour: u64) -> SimplifiedPage {
+    /// Renders the answer to a search-engine / chatbot query (§3.1),
+    /// broadcast like any other content.
+    pub fn answer(&self, q: &Query, hour: u64) -> RenderedContent {
         let rendered = match q.engine {
             Engine::Search => sonic_pagegen::results::render_search_results(&q.text, 8, self.scale),
             Engine::Chat => sonic_pagegen::results::render_chat_answer(&q.text, self.scale),
         };
-        SimplifiedPage::from_raster(
-            &rendered.url,
-            &rendered.raster,
-            rendered.clickmap,
-            hour_version(hour),
-            ANSWER_TTL_HOURS,
-        )
+        RenderedContent {
+            url: rendered.url,
+            raster: rendered.raster,
+            clickmap: rendered.clickmap,
+            version: hour_version(hour),
+            ttl_hours: ANSWER_TTL_HOURS,
+        }
     }
 
     /// The `top_n` most popular landing page URLs at `hour`.
@@ -133,28 +112,20 @@ mod tests {
     }
 
     #[test]
-    fn fetch_known_url() {
+    fn render_known_page() {
         let r = renderer();
-        let url = r.corpus().layout(PageId { site: 0, page: 0 }, 5).url;
-        let page = r.fetch(&url, 5).expect("known url");
-        assert_eq!(page.url, url);
-        assert!(page.strips.width > 0);
-        assert!(page.ttl_hours >= 1);
+        let id = PageId { site: 0, page: 0 };
+        let content = r.render(id, 5);
+        assert_eq!(content.url, r.corpus().layout(id, 5).url);
+        assert!(content.raster.width() > 0);
+        assert!(content.ttl_hours >= 1);
     }
 
     #[test]
-    fn fetch_unknown_url_is_none() {
-        assert!(renderer().fetch("https://unknown.pk/", 0).is_none());
-    }
-
-    #[test]
-    fn version_changes_with_hour_for_news() {
+    fn version_changes_with_hour() {
         let r = renderer();
-        let id = PageId { site: 0, page: 0 }; // rank 1 = news
-        let url = r.corpus().layout(id, 1).url;
-        let a = r.fetch(&url, 1).expect("known url");
-        let b = r.fetch(&url, 2).expect("known url");
-        assert_ne!(a.page_id, b.page_id, "news pages re-version hourly");
+        let id = PageId { site: 0, page: 0 };
+        assert_ne!(r.render(id, 1).version, r.render(id, 2).version);
     }
 
     #[test]

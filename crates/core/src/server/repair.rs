@@ -497,7 +497,11 @@ mod tests {
         pl.register_page(p.clone());
         let mut scheds = BTreeMap::from([(0u32, BroadcastScheduler::new(8_000.0))]);
         // Full page already queued for broadcast.
-        scheds.get_mut(&0).expect("s").enqueue(p.clone(), 0.0);
+        let frames = Arc::new(page_to_frames(&p));
+        scheds
+            .get_mut(&0)
+            .expect("s")
+            .enqueue_prechunked(p.clone(), frames, 0.0);
         pl.accept_nack(0, &nack(p.page_id, vec![(1, 0)]), 0.0).expect("nack");
         assert_eq!(pl.schedule_due(1.0, &mut scheds), 0);
         assert_eq!(pl.pending_repairs(), 0, "queued broadcast serves the need");

@@ -6,7 +6,6 @@
 //! "estimate on when the page will be received" and the backlog counter is
 //! what Figure 4(c) plots.
 
-use crate::chunker::page_to_frames;
 use crate::frame::{Frame, FRAME_SIZE};
 use crate::page::SimplifiedPage;
 use std::collections::VecDeque;
@@ -100,24 +99,14 @@ impl BroadcastScheduler {
         self.queue.len()
     }
 
-    /// Enqueues a page (deduplicating by page id) and returns the ETA in
+    /// Enqueues a page with its frames as the artifact cache chunked them
+    /// (the same `Arc`s go to every transmitter) and returns the ETA in
     /// seconds until its broadcast completes.
-    pub fn enqueue(&mut self, page: impl Into<Arc<SimplifiedPage>>, now_s: f64) -> f64 {
-        let page = page.into();
-        if let Some(eta) = self.eta_if_queued(page.page_id) {
-            return eta;
-        }
-        let frames = Arc::new(page_to_frames(&page));
-        self.enqueue_prechunked(page, frames, now_s)
-    }
-
-    /// Enqueues a page whose frames are already chunked (the artifact
-    /// cache's zero-copy path: the same `Arc`s go to every transmitter).
     ///
-    /// Dedupes by page id like [`enqueue`](Self::enqueue): a re-push of an
-    /// unchanged page — same url and version, hence same id and identical
-    /// frames — returns the existing entry's ETA instead of doubling the
-    /// backlog. A full page also supersedes any not-yet-started delta or
+    /// Dedupes by page id: a re-push of an unchanged page — same url and
+    /// version, hence same id and identical frames — returns the existing
+    /// entry's ETA instead of doubling the backlog. A full page also
+    /// supersedes any not-yet-started delta or
     /// repair burst for the same page id (it is a superset of both), so a
     /// NACK repair queued the same tick cannot double-schedule the page.
     pub fn enqueue_prechunked(
@@ -293,10 +282,16 @@ mod tests {
         SimplifiedPage::from_raster(url, &img, ClickMap::default(), 0, 1)
     }
 
+    /// Chunks `page` and enqueues it as a full-page slot.
+    fn enqueue_page(s: &mut BroadcastScheduler, page: SimplifiedPage, now_s: f64) -> f64 {
+        let frames = Arc::new(crate::chunker::page_to_frames(&page));
+        s.enqueue_prechunked(Arc::new(page), frames, now_s)
+    }
+
     #[test]
     fn drains_at_configured_rate() {
         let mut s = BroadcastScheduler::new(8_000.0); // 1000 B/s
-        s.enqueue(page("a", 100), 0.0);
+        enqueue_page(&mut s, page("a", 100), 0.0);
         let total = s.backlog_bytes();
         let frames = s.advance(1.0);
         assert_eq!(frames.len(), 10, "1000 B/s = 10 frames/s");
@@ -306,10 +301,10 @@ mod tests {
     #[test]
     fn eta_reflects_queue_position() {
         let mut s = BroadcastScheduler::new(8_000.0);
-        let eta_a = s.enqueue(page("a", 50), 0.0);
+        let eta_a = enqueue_page(&mut s, page("a", 50), 0.0);
         let p_b = page("b", 50);
         let id_b = p_b.page_id;
-        let eta_b = s.enqueue(p_b, 0.0);
+        let eta_b = enqueue_page(&mut s, p_b, 0.0);
         assert!(eta_b > eta_a, "b is behind a");
         assert!((s.eta_for(id_b).expect("queued") - eta_b).abs() < 1e-9);
     }
@@ -317,9 +312,9 @@ mod tests {
     #[test]
     fn duplicate_enqueue_is_deduplicated() {
         let mut s = BroadcastScheduler::new(8_000.0);
-        s.enqueue(page("a", 60), 0.0);
+        enqueue_page(&mut s, page("a", 60), 0.0);
         let before = s.backlog_bytes();
-        s.enqueue(page("a", 60), 1.0);
+        enqueue_page(&mut s, page("a", 60), 1.0);
         assert_eq!(s.backlog_bytes(), before, "no duplicate queue entry");
         assert_eq!(s.queue_len(), 1);
     }
@@ -328,7 +323,7 @@ mod tests {
     fn idle_budget_does_not_accumulate() {
         let mut s = BroadcastScheduler::new(8_000.0);
         assert!(s.advance(100.0).is_empty());
-        s.enqueue(page("a", 40), 100.0);
+        enqueue_page(&mut s, page("a", 40), 100.0);
         // Only the new dt's budget applies.
         let frames = s.advance(0.1);
         assert_eq!(frames.len(), 1);
@@ -339,7 +334,7 @@ mod tests {
         let mut s = BroadcastScheduler::new(80_000.0);
         let p = page("a", 30);
         let want = crate::chunker::page_to_frames(&p);
-        s.enqueue(p, 0.0);
+        enqueue_page(&mut s, p, 0.0);
         let mut got = Vec::new();
         for _ in 0..100 {
             got.extend(s.advance(0.05));
@@ -358,11 +353,11 @@ mod tests {
             assert_eq!(s.backlog_pages(), s.queue.len());
         };
         check(&s);
-        s.enqueue(page("a", 60), 0.0);
+        enqueue_page(&mut s, page("a", 60), 0.0);
         check(&s);
-        s.enqueue(page("b", 100), 0.0);
+        enqueue_page(&mut s, page("b", 100), 0.0);
         check(&s);
-        s.enqueue(page("a", 60), 0.0); // duplicate: no change
+        enqueue_page(&mut s, page("a", 60), 0.0); // duplicate: no change
         check(&s);
         for _ in 0..200 {
             s.advance(0.05);
@@ -383,9 +378,6 @@ mod tests {
         // Re-push of the same page version: dedup, backlog unchanged.
         let eta2 = s.enqueue_prechunked(p.clone(), frames.clone(), 1.0);
         assert!((eta2 - eta).abs() < 1e-9);
-        assert_eq!(s.queue_len(), 1);
-        // Mixing owned and prechunked enqueues dedupes too.
-        s.enqueue(page("a", 50), 2.0);
         assert_eq!(s.queue_len(), 1);
         // Everything drains in order and matches the shared frame sequence.
         let mut got = Vec::new();
@@ -478,7 +470,7 @@ mod tests {
     #[test]
     fn fractional_budget_carries_over() {
         let mut s = BroadcastScheduler::new(8_000.0);
-        s.enqueue(page("a", 100), 0.0);
+        enqueue_page(&mut s, page("a", 100), 0.0);
         // 0.05 s = 50 B: no frame yet; the next 0.05 s completes one.
         assert!(s.advance(0.05).is_empty());
         assert_eq!(s.advance(0.05).len(), 1);

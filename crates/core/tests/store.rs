@@ -335,25 +335,25 @@ fn previous_format_store_is_dropped_entry_by_entry_and_rebuilt() {
     let fresh = TempDir::new("prev-fresh");
     let (mut tier, store) = open_tier(fresh.path());
     let built = refresh_frames_only(&r, &mut tier, &[job]).pop().unwrap();
-    let (layout_hash, raster_hash, _) = store.lock().entry_meta(job.id).unwrap();
-    let hashes = store.lock().load(job.id).unwrap().column_hashes;
+    let (layout_hash, raster_hash, _) = store.borrow().entry_meta(job.id).unwrap();
+    let hashes = store.borrow_mut().load(job.id).unwrap().column_hashes;
 
     // The same page as the previous version left it on disk.
     let dir = TempDir::new("prev-planted");
     let old = previous_format_blob(&built, &hashes);
     plant(dir.path(), job.id, layout_hash, raster_hash, &old);
     let (mut tier, store) = open_tier(dir.path());
-    assert_eq!(store.lock().len(), 1, "the index record itself is valid");
+    assert_eq!(store.borrow().len(), 1, "the index record itself is valid");
 
     // The first rung finds the layout hash it wants, loads, and is refused.
     let rebuilt = refresh_frames_only(&r, &mut tier, &[job]).pop().unwrap();
-    assert_eq!(store.lock().stats.corrupt_blobs, 1);
+    assert_eq!(store.borrow().stats.corrupt_blobs, 1);
     assert_eq!(tier.ram.stats.disk_promotions, 0);
     assert_eq!(tier.ram.stats.misses, 1, "rebuilt cold, not from the old strips");
     assert_eq!(*rebuilt.frames, *built.frames);
 
     // ... and the rebuild took the entry's place.
-    let mut store = store.lock();
+    let mut store = store.borrow_mut();
     assert_eq!(store.len(), 1);
     assert!(store.blob_file_bytes() > old.len() as u64, "appended after the old blob");
     assert_eq!(*store.load(job.id).expect("overwritten").artifact.frames, *built.frames);

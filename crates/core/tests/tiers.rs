@@ -153,7 +153,7 @@ fn no_tier_holds_audio_and_every_aired_slot_is_its_frames_modulated() {
             + in_ram.page.strips.total_bytes()
             + in_ram.page.url.len()
             + hashes.len() * 8;
-        let on_disk = store.lock().load(job.id).expect("stored");
+        let on_disk = store.borrow_mut().load(job.id).expect("stored");
         assert!(on_disk.artifact.audio.is_empty(), "{:?}: audio on disk", job.id);
         assert_eq!(*on_disk.artifact.frames, *in_ram.frames);
     }

@@ -5,6 +5,7 @@ use crate::layout::{generate, page_changed, Layout, PageKind};
 use crate::render::{render, RenderedPage};
 use crate::site::SiteProfile;
 use crate::tranco::pk_top_sites;
+use std::collections::BTreeMap;
 
 /// Pages per site (landing + 3 internal).
 pub const PAGES_PER_SITE: usize = 4;
@@ -34,21 +35,29 @@ impl PageId {
 pub struct Corpus {
     /// Ranked sites.
     pub sites: Vec<SiteProfile>,
+    /// Canonical URL → page. A URL comes from the site's domain and static
+    /// seeds, never the hour, so the table is built once.
+    urls: BTreeMap<String, PageId>,
 }
 
 impl Corpus {
     /// Builds the standard 25-site corpus with a fixed seed.
     pub fn standard() -> Self {
-        Corpus {
-            sites: pk_top_sites(25, 0x50_4B), // "PK"
-        }
+        Self::small(25)
     }
 
     /// Smaller corpus for quick tests (n sites).
     pub fn small(n_sites: usize) -> Self {
-        Corpus {
-            sites: pk_top_sites(n_sites, 0x50_4B),
-        }
+        let mut corpus = Corpus {
+            sites: pk_top_sites(n_sites, 0x50_4B), // "PK"
+            urls: BTreeMap::new(),
+        };
+        corpus.urls = corpus
+            .pages()
+            .into_iter()
+            .map(|id| (corpus.layout(id, 0).url, id))
+            .collect();
+        corpus
     }
 
     /// All page ids (site-major: 4 pages per site).
@@ -75,10 +84,8 @@ impl Corpus {
     }
 
     /// Looks up a page id by URL (exact match on the canonical URL).
-    pub fn find_url(&self, url: &str, hour: u64) -> Option<PageId> {
-        self.pages()
-            .into_iter()
-            .find(|&id| self.layout(id, hour).url == url)
+    pub fn find_url(&self, url: &str) -> Option<PageId> {
+        self.urls.get(url).copied()
     }
 
     /// Fraction of pages that changed in the hour ending at `hour`.
@@ -120,10 +127,11 @@ mod tests {
     #[test]
     fn find_url_roundtrips() {
         let c = Corpus::small(4);
-        let id = PageId { site: 2, page: 1 };
-        let url = c.layout(id, 0).url;
-        assert_eq!(c.find_url(&url, 0), Some(id));
-        assert_eq!(c.find_url("https://nope.pk/", 0), None);
+        // At any hour: a page keeps its URL while its content churns.
+        for (id, hour) in c.pages().into_iter().zip([0, 1, 7, 30, 500].into_iter().cycle()) {
+            assert_eq!(c.find_url(&c.layout(id, hour).url), Some(id));
+        }
+        assert_eq!(c.find_url("https://nope.pk/"), None);
     }
 
     #[test]

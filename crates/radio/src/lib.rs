@@ -30,12 +30,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod channel;
-pub mod databands;
 pub mod faults;
 pub mod fm;
 pub mod mpx;
 pub mod rds;
-pub mod rds_services;
 pub mod rssi;
 pub mod stack;
 

@@ -314,7 +314,7 @@ pub fn run_warm_restart(
     // Phase 2: reopen from the index log; refresh must promote, not render.
     let store = share_store(ArtifactStore::open(dir, byte_budget)?);
     {
-        let s = store.lock();
+        let s = store.borrow();
         report.store_entries = s.len();
         report.store_bytes = s.live_bytes();
     }

@@ -7,7 +7,7 @@
 //! saves ~100 KB for 75 % of pages; CDF tails ≈ 2× the 90th percentile.
 
 use super::sizes::{calibration_factor, measure_scaled, SizeConfig};
-use crate::stats;
+use crate::{pool, stats};
 use sonic_pagegen::Corpus;
 
 /// Experiment configuration.
@@ -72,10 +72,6 @@ pub fn run_experiment(cfg: &Config) -> Fig4bResult {
     let base = SizeConfig::paper_default();
     let calibration = calibration_factor(&corpus, cfg.scale, base, cfg.calibration_samples);
     let extrapolate = calibration / (cfg.scale * cfg.scale);
-    let pages = corpus.pages();
-
-    // Parallelize over pages with scoped threads (renders dominate).
-    let n_workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     let mut curves: Vec<Curve> = cfg
         .configs
         .iter()
@@ -85,41 +81,25 @@ pub fn run_experiment(cfg: &Config) -> Fig4bResult {
         })
         .collect();
 
-    let chunks: Vec<Vec<sonic_pagegen::PageId>> = pages
-        .chunks(pages.len().div_ceil(n_workers))
-        .map(|c| c.to_vec())
-        .collect();
-    let results: Vec<Vec<Vec<f64>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|chunk| {
-                let corpus = &corpus;
-                let configs = &cfg.configs;
-                s.spawn(move || {
-                    let mut per_cfg: Vec<Vec<f64>> = vec![Vec::new(); configs.len()];
-                    for &id in chunk {
-                        for hour in 0..cfg.hours {
-                            // Only measure fresh versions; carry sizes across
-                            // unchanged hours like the paper's hourly snapshots.
-                            let fresh = hour == 0 || corpus.changed(id, hour - 1, hour);
-                            for (k, &sc) in configs.iter().enumerate() {
-                                if fresh {
-                                    let b = measure_scaled(corpus, id, hour, cfg.scale, sc)
-                                        * extrapolate;
-                                    per_cfg[k].push(b);
-                                } else if let Some(&prev) = per_cfg[k].last() {
-                                    per_cfg[k].push(prev);
-                                }
-                            }
-                        }
-                    }
-                    per_cfg
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("worker")).collect()
+    // One job per page (renders dominate): its sizes per config, hour by hour.
+    let per_page = pool::run_ordered(corpus.pages(), pool::default_workers(), |id| {
+        let mut per_cfg: Vec<Vec<f64>> = vec![Vec::new(); cfg.configs.len()];
+        for hour in 0..cfg.hours {
+            // Only measure fresh versions; carry sizes across
+            // unchanged hours like the paper's hourly snapshots.
+            let fresh = hour == 0 || corpus.changed(id, hour - 1, hour);
+            for (k, &sc) in cfg.configs.iter().enumerate() {
+                if fresh {
+                    let b = measure_scaled(&corpus, id, hour, cfg.scale, sc) * extrapolate;
+                    per_cfg[k].push(b);
+                } else if let Some(&prev) = per_cfg[k].last() {
+                    per_cfg[k].push(prev);
+                }
+            }
+        }
+        per_cfg
     });
-    for per_cfg in results {
+    for per_cfg in per_page {
         for (k, sizes) in per_cfg.into_iter().enumerate() {
             curves[k].sizes_bytes.extend(sizes);
         }

@@ -4,15 +4,14 @@
 //! repetitions, distances × repetitions, pages × loss rates). Each job is a
 //! pure function of its inputs — the channel RNG is seeded per job — so they
 //! can run on any thread in any order without changing a single result.
-//! [`run_ordered`] fans a job list over a pool of scoped workers connected by
-//! **bounded** crossbeam channels (a slow consumer stalls the feeder instead
-//! of letting results pile up), and a sequence-tagged reorder buffer yields
-//! the outputs in job order. The returned vector is therefore identical to
+//! [`run_ordered`] fans a job list over scoped `std` workers that claim
+//! `(index, job)` pairs from one shared iterator, and puts each result into
+//! the slot of its index. The returned vector is therefore identical to
 //! `jobs.into_iter().map(f)` no matter how many workers run — seed-stable
-//! parallelism, not racy speedup.
+//! parallelism, not racy speedup. This is the only place the workspace
+//! spawns threads.
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Default worker count: `SONIC_SIM_WORKERS` if set, else the machine's
 /// available parallelism. A value of 1 disables threading entirely.
@@ -39,53 +38,32 @@ where
         return jobs.into_iter().map(f).collect();
     }
 
-    // Bounded queues: the feeder stalls when workers fall behind, and the
-    // workers stall when the sink does, so in-flight memory stays O(workers).
-    let depth = workers * 2;
-    let (job_tx, job_rx) = bounded::<(usize, I)>(depth);
-    let (out_tx, out_rx) = bounded::<(usize, O)>(depth);
-
+    // Workers claim the next `(index, job)` under a lock held for that one
+    // `next()`, never across `f`, and hand back what they ran; the results
+    // land in their jobs' slots after the join.
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let mut out: Vec<Option<O>> = (0..total).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let job_rx: Receiver<(usize, I)> = job_rx.clone();
-            let out_tx: Sender<(usize, O)> = out_tx.clone();
-            let f = &f;
-            scope.spawn(move || {
-                for (seq, job) in job_rx {
-                    if out_tx.send((seq, f(job))).is_err() {
-                        return;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let claimed = queue.lock().expect("`next()` does not panic").next();
+                        let Some((i, job)) = claimed else { break };
+                        done.push((i, f(job)));
                     }
-                }
-            });
-        }
-        // The scope keeps the clones alive inside the workers; drop ours so
-        // the channels close once the feeder finishes and workers drain.
-        drop(job_rx);
-        drop(out_tx);
-
-        scope.spawn(move || {
-            for (seq, job) in jobs.into_iter().enumerate() {
-                if job_tx.send((seq, job)).is_err() {
-                    return;
-                }
-            }
-        });
-
-        // Reorder sink: emit strictly by sequence number.
-        let mut pending: BTreeMap<usize, O> = BTreeMap::new();
-        let mut out: Vec<O> = Vec::with_capacity(total);
-        let mut next = 0usize;
-        for (seq, o) in out_rx {
-            pending.insert(seq, o);
-            while let Some(v) = pending.remove(&next) {
-                out.push(v);
-                next += 1;
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            for (i, o) in handle.join().expect("a job panicked") {
+                out[i] = Some(o);
             }
         }
-        assert!(pending.is_empty(), "worker pool lost results");
-        assert_eq!(out.len(), total, "worker pool lost results");
-        out
-    })
+    });
+    out.into_iter().map(|o| o.expect("every job ran")).collect()
 }
 
 #[cfg(test)]

@@ -156,12 +156,14 @@ proptest! {
     ) {
         use sonic::core::server::scheduler::BroadcastScheduler;
         use sonic::core::page::SimplifiedPage;
+        use std::sync::Arc;
         let mut s = BroadcastScheduler::new(16_000.0);
         let mut total = 0usize;
         for (i, h) in heights.iter().enumerate() {
             let img = Raster::filled(6, *h, Rgb::new(i as u8, 0, 0));
             let p = SimplifiedPage::from_raster(&format!("u{i}"), &img, ClickMap::default(), 0, 1);
-            s.enqueue(p, 0.0);
+            let frames = Arc::new(sonic::core::chunker::page_to_frames(&p));
+            s.enqueue_prechunked(Arc::new(p), frames, 0.0);
             total = s.backlog_bytes().max(total);
         }
         let initial = s.backlog_bytes();
