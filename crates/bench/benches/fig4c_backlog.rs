@@ -21,13 +21,6 @@ fn main() {
         res.inflow_bps_n100 / 1000.0,
         res.calibration
     );
-    println!(
-        "size sweep: {} encodes, band cache {:.1}% hit ({} hits / {} misses)",
-        res.size_stats.encodes,
-        res.size_stats.band_hit_rate() * 100.0,
-        res.size_stats.band_hits,
-        res.size_stats.band_misses
-    );
 
     let mut table = Table::new(&["series", "peak MB", "mean MB", "idle hours", "final MB"]);
     for (s, t) in &res.traces {

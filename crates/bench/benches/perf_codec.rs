@@ -1,52 +1,55 @@
-//! Criterion micro-benchmarks of the image pipeline: page render, SWP
-//! encode/decode, strip encode, interpolation repair.
+//! The image pipeline's five stages, timed one by one: page render, SWP
+//! encode and decode, strip encode, interpolation repair.
+//!
+//! Timings only — there is no reference twin to take a ratio against, so
+//! nothing is gated; `BENCH_codec.json` is the trajectory. `--smoke` runs
+//! each stage once.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use sonic_bench::{time, Report};
 use sonic_image::interpolate::{recover, LossMask};
 use sonic_image::{codec, strip};
 use sonic_pagegen::{Corpus, PageId};
 use std::hint::black_box;
 
-fn bench_render(c: &mut Criterion) {
-    let corpus = Corpus::standard();
-    let id = PageId { site: 0, page: 0 };
-    c.bench_function("pagegen_render_scale02", |b| {
-        b.iter(|| corpus.render(black_box(id), 9, 0.2))
-    });
-}
+fn main() {
+    let mut r = Report::from_args("perf_codec", "codec");
+    let (samples, iters) = if r.smoke() { (1, 1) } else { (10, 3) };
 
-fn bench_swp(c: &mut Criterion) {
     let corpus = Corpus::standard();
+    r.timing(
+        "pagegen_render_scale02",
+        time(samples, iters, || {
+            black_box(corpus.render(black_box(PageId { site: 0, page: 0 }), 9, 0.2));
+        }),
+    );
+
     let page = corpus.render(PageId { site: 0, page: 1 }, 0, 0.2);
-    c.bench_function("swp_encode_q10", |b| {
-        b.iter(|| codec::encode(black_box(&page.raster), 10))
-    });
+    r.timing(
+        "swp_encode_q10",
+        time(samples, iters, || {
+            black_box(codec::encode(black_box(&page.raster), 10));
+        }),
+    );
     let data = codec::encode(&page.raster, 10);
-    c.bench_function("swp_decode_q10", |b| {
-        b.iter(|| codec::decode(black_box(&data)).expect("decodes"))
-    });
-}
-
-fn bench_strip(c: &mut Criterion) {
-    let corpus = Corpus::standard();
-    let page = corpus.render(PageId { site: 0, page: 1 }, 0, 0.2);
-    c.bench_function("strip_encode", |b| {
-        b.iter(|| strip::encode(black_box(&page.raster)))
-    });
-}
-
-fn bench_interpolate(c: &mut Criterion) {
-    let corpus = Corpus::standard();
-    let page = corpus.render(PageId { site: 0, page: 1 }, 0, 0.2);
+    r.timing(
+        "swp_decode_q10",
+        time(samples, iters, || {
+            black_box(codec::decode(black_box(&data)).expect("decodes"));
+        }),
+    );
+    r.timing(
+        "strip_encode",
+        time(samples, iters, || {
+            black_box(strip::encode(black_box(&page.raster)));
+        }),
+    );
     let mask = LossMask::random(page.raster.width(), page.raster.height(), 0.1, 1);
-    c.bench_function("interpolate_10pct", |b| {
-        b.iter(|| recover(black_box(&page.raster), black_box(&mask)))
-    });
-}
+    r.timing(
+        "interpolate_10pct",
+        time(samples, iters, || {
+            black_box(recover(black_box(&page.raster), black_box(&mask)));
+        }),
+    );
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(10);
-    targets = bench_render, bench_swp, bench_strip, bench_interpolate
+    r.finish()
 }
-criterion_main!(benches);

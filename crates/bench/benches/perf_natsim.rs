@@ -15,13 +15,16 @@
 //!    bench stays minutes, not hours; the engine's epoch jobs make the
 //!    full run identical by the same argument).
 //!
-//! `--smoke` scales everything down (2 h × 2 000 listeners), still asserts
+//! The throughput gate is the engine's stated floor, not a noise margin:
+//! this host reads 20–25 × above it (CHANGES.md, PR 24).
+//!
+//! `--smoke` scales everything down (2 h × 2 000 listeners), still checks
 //! the memory budget and replay identity, and enforces no throughput gate
-//! — CI uses it to prove the engine runs and the invariants hold.
-//! Results go to `BENCH_natsim.json` at the repo root either way.
+//! — CI uses it to prove the engine runs and the invariants hold. A full
+//! run's results go to `BENCH_natsim.json` at the repo root.
 
+use sonic_bench::{timed, Bound, Report};
 use sonic_sim::scenario::{self, ScenarioConfig};
-use std::time::Instant;
 
 /// Throughput the fast path must sustain, in listener-hours per second.
 const GATE_LISTENER_HOURS_PER_S: f64 = 50_000.0;
@@ -33,8 +36,8 @@ const AGGREGATE_BUDGET_BYTES: usize = 256 * 1024;
 const STATE_BUDGET_BYTES: usize = 16 * 1024 * 1024;
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let mut all_pass = true;
+    let mut r = Report::from_args("perf_natsim", "natsim");
+    let smoke = r.smoke();
 
     // --- 1. fast-path throughput ------------------------------------------
     let gate_cfg = if smoke {
@@ -46,26 +49,14 @@ fn main() {
             ..ScenarioConfig::national(0x4A11)
         }
     };
-    let t0 = Instant::now();
-    let gate_run = scenario::run(&gate_cfg);
-    let gate_elapsed = t0.elapsed().as_secs_f64();
-    let lh_per_s = gate_run.listener_hours as f64 / gate_elapsed;
-    let gate_enforced = !smoke;
-    let gate_ok = !gate_enforced || lh_per_s >= GATE_LISTENER_HOURS_PER_S;
-    all_pass &= gate_ok;
-    println!(
-        "fast_path      {:>9} listener-hours in {:>7.2} s = {:>9.0} lh/s (need >= {:.0})  [{}]",
-        gate_run.listener_hours,
-        gate_elapsed,
-        lh_per_s,
-        GATE_LISTENER_HOURS_PER_S,
-        if !gate_enforced {
-            "info"
-        } else if gate_ok {
-            "PASS"
-        } else {
-            "FAIL"
-        },
+    let (gate_run, gate_elapsed) = timed(|| scenario::run(&gate_cfg));
+    r.row("fast_path.listener_hours", gate_run.listener_hours as f64, "count");
+    r.row("fast_path.elapsed_s", gate_elapsed, "s");
+    r.gate(
+        "fast_path.listener_hours_per_s",
+        gate_run.listener_hours as f64 / gate_elapsed,
+        "lh/s",
+        Bound::AtLeast(GATE_LISTENER_HOURS_PER_S),
     );
 
     // --- 2. the 72-hour national run under the memory budget ---------------
@@ -77,21 +68,19 @@ fn main() {
             ..ScenarioConfig::national(0x4A12)
         }
     };
-    let t0 = Instant::now();
-    let full = scenario::run(&full_cfg);
-    let full_elapsed = t0.elapsed().as_secs_f64();
+    let (full, full_elapsed) = timed(|| scenario::run(&full_cfg));
     let agg_bytes = full.aggregates.bytes();
-    let mem_ok = agg_bytes < AGGREGATE_BUDGET_BYTES && full.state_bytes < STATE_BUDGET_BYTES;
-    all_pass &= mem_ok;
-    println!(
-        "full_run       {:>9} listener-hours in {:>7.2} s, aggregates {} B (budget {}), state {} B (budget {})  [{}]",
-        full.listener_hours,
-        full_elapsed,
-        agg_bytes,
-        AGGREGATE_BUDGET_BYTES,
-        full.state_bytes,
-        STATE_BUDGET_BYTES,
-        if mem_ok { "PASS" } else { "FAIL" },
+    r.row("full_run.hours", full_cfg.hours as f64, "h");
+    r.row("full_run.listeners", full_cfg.listeners as f64, "count");
+    r.row("full_run.listener_hours", full.listener_hours as f64, "count");
+    r.row("full_run.elapsed_s", full_elapsed, "s");
+    r.row("full_run.aggregate_bytes", agg_bytes as f64, "B");
+    r.row("full_run.aggregate_budget_bytes", AGGREGATE_BUDGET_BYTES as f64, "B");
+    r.row("full_run.state_bytes", full.state_bytes as f64, "B");
+    r.row("full_run.state_budget_bytes", STATE_BUDGET_BYTES as f64, "B");
+    r.check(
+        "full_run.within_memory_budget",
+        agg_bytes < AGGREGATE_BUDGET_BYTES && full.state_bytes < STATE_BUDGET_BYTES,
     );
 
     // --- 3. replay identity across worker counts ----------------------------
@@ -103,49 +92,7 @@ fn main() {
     };
     let serial = scenario::run(&slice(1));
     let pooled = scenario::run(&slice(5));
-    let replay_ok = serial.text == pooled.text;
-    all_pass &= replay_ok;
-    println!(
-        "replay         1 vs 5 workers, same seed: reports {}  [{}]",
-        if replay_ok { "byte-identical" } else { "DIVERGE" },
-        if replay_ok { "PASS" } else { "FAIL" },
-    );
+    r.check("replay.identical_at_1_and_5_workers", serial.text == pooled.text);
 
-    // --- machine-readable trajectory file -----------------------------------
-    let gate_json = if gate_enforced {
-        format!("{GATE_LISTENER_HOURS_PER_S:.0}")
-    } else {
-        "null".to_string()
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"perf_natsim\",\n  \"smoke\": {smoke},\n  \
-         \"gate_enforced\": {gate_enforced},\n  \"results\": {{\n    \
-         \"listener_hours\": {},\n    \"fast_path_elapsed_s\": {:.3},\n    \
-         \"listener_hours_per_s\": {:.0},\n    \"gate_listener_hours_per_s\": {gate_json},\n    \
-         \"full_run_hours\": {},\n    \"full_run_listeners\": {},\n    \
-         \"full_run_elapsed_s\": {:.3},\n    \"aggregate_bytes\": {agg_bytes},\n    \
-         \"aggregate_budget_bytes\": {AGGREGATE_BUDGET_BYTES},\n    \
-         \"state_bytes\": {},\n    \"state_budget_bytes\": {STATE_BUDGET_BYTES},\n    \
-         \"replay_identical\": {replay_ok}\n  }},\n  \"pass\": {all_pass}\n}}\n",
-        gate_run.listener_hours,
-        gate_elapsed,
-        lh_per_s,
-        full_cfg.hours,
-        full_cfg.listeners,
-        full_elapsed,
-        full.state_bytes,
-    );
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_natsim.json");
-    match std::fs::write(&out, json) {
-        Ok(()) => println!("\nresults written to {}", out.display()),
-        Err(e) => println!("\ncould not write {}: {e}", out.display()),
-    }
-
-    if !all_pass {
-        println!("perf_natsim: some acceptance checks FAILED");
-        std::process::exit(1);
-    }
-    println!("perf_natsim: all acceptance checks PASS");
+    r.finish()
 }

@@ -55,18 +55,6 @@ pub fn page_to_frames(page: &SimplifiedPage) -> Vec<Frame> {
     frames
 }
 
-/// Number of frames a page costs on air (what the scheduler accounts).
-pub fn frame_count(page: &SimplifiedPage) -> usize {
-    let meta_parts = page.meta_blob().len().div_ceil(FRAME_PAYLOAD);
-    let strip_frames: usize = page
-        .strips
-        .strips
-        .iter()
-        .map(|s| s.len().div_ceil(FRAME_PAYLOAD).max(1))
-        .sum();
-    meta_parts * META_REPEATS + strip_frames
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,12 +71,6 @@ mod tests {
             }
         }
         SimplifiedPage::from_raster("https://t.pk/page", &img, ClickMap::default(), 1, 12)
-    }
-
-    #[test]
-    fn frame_count_matches_emission() {
-        let p = page(20, 40);
-        assert_eq!(page_to_frames(&p).len(), frame_count(&p));
     }
 
     #[test]

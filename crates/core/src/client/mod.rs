@@ -3,7 +3,6 @@
 
 pub mod browser;
 pub mod cache;
-pub mod uplink;
 
 use crate::frame::Frame;
 use crate::reassembly::{AssemblyError, Reassembler, ReassemblerConfig};

@@ -1084,6 +1084,98 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `[Done, Pong, Refused]` counts and frames aired over one carousel
+    /// day — 10 sites × 2 h × top 2, a `PushStored` per page plus a `Ping`
+    /// per site per hour — with every request handed to `SiteNode::handle`
+    /// (`transported == false`) or sent through an `RpcClient` over a clean
+    /// `SimLink`.
+    fn carousel_day_acks(dir: &std::path::Path, transported: bool) -> ([u64; 3], u64) {
+        const SITES: u32 = 10;
+        const TOP_N: usize = 2;
+        let st = store(dir);
+        let renderer = Renderer::new(Corpus::small(TOP_N), 0.1);
+        let mut tiered = TieredCache::with_store(ArtifactCache::new(64 << 20), st.clone());
+        let mut sites: BTreeMap<u32, SiteNode> = (0..SITES).map(|id| (id, site_for(id, &st))).collect();
+        let mut clients: BTreeMap<u32, RpcClient> = (0..SITES)
+            .map(|id| (id, RpcClient::new(RpcPolicy::default())))
+            .collect();
+        let mut links: BTreeMap<u32, SimLink> = (0..SITES)
+            .map(|id| (id, SimLink::symmetric(LinkFaultPlan::clean(0xC1_05_7E_99 ^ u64::from(id)))))
+            .collect();
+
+        let (mut acks, mut frames_aired) = ([0u64; 3], 0u64);
+        let mut count = |resp: &Response| match resp {
+            Response::Done { .. } => acks[0] += 1,
+            Response::Pong { .. } => acks[1] += 1,
+            Response::Refused { .. } => acks[2] += 1,
+        };
+        for h in 0..2u64 {
+            let hour_start = h as f64 * 3600.0;
+            let jobs: Vec<PageJob> = (0..TOP_N)
+                .map(|s| PageJob {
+                    id: PageId { site: s, page: 0 },
+                    hour: h,
+                })
+                .collect();
+            pipeline::refresh_frames_only(&renderer, &mut tiered, &jobs);
+            for id in 0..SITES {
+                let reqs = jobs
+                    .iter()
+                    .map(|j| Request::PushStored {
+                        corpus_site: j.id.site as u32,
+                        corpus_page: j.id.page as u32,
+                        hour: h,
+                    })
+                    .chain(std::iter::once(Request::Ping));
+                for req in reqs {
+                    if transported {
+                        let class = if matches!(req, Request::Ping) {
+                            JobClass::Control
+                        } else {
+                            JobClass::Page
+                        };
+                        assert!(clients.get_mut(&id).unwrap().submit(class, req), "clean-link submit shed");
+                    } else {
+                        count(&sites.get_mut(&id).unwrap().handle(req, hour_start));
+                    }
+                }
+            }
+            let mut now = hour_start;
+            while clients.values().any(|c| c.has_pending(|_| true)) {
+                for (id, client) in clients.iter_mut() {
+                    let link = links.get_mut(id).unwrap();
+                    for (_, resp) in client.tick(now, &mut link.a_to_b, &mut link.b_to_a) {
+                        count(&resp);
+                    }
+                }
+                for (id, site) in sites.iter_mut() {
+                    site.service(now, links.get_mut(id).unwrap());
+                }
+                now += 0.05;
+                assert!(now < hour_start + 500.0, "clean-link RPCs failed to converge");
+            }
+            for site in sites.values_mut() {
+                frames_aired += site.advance(3600.0).len() as u64;
+            }
+        }
+        (acks, frames_aired)
+    }
+
+    /// The wire changes nothing about what the fleet did: framing, CRC,
+    /// deadlines, windows and response folding ack the same day the same way.
+    #[test]
+    fn direct_and_transported_days_ack_identically() {
+        let (direct_dir, wire_dir) = (tempdir("cluster-parity-direct"), tempdir("cluster-parity-wire"));
+        let direct = carousel_day_acks(&direct_dir, false);
+        let wire = carousel_day_acks(&wire_dir, true);
+        assert_eq!(direct, wire, "([done, pong, refused], frames_aired)");
+        let ([done, pongs, refused], frames_aired) = direct;
+        assert_eq!((done, pongs, refused), (40, 20, 0), "2 pages + 1 ping × 10 sites × 2 h");
+        assert!(frames_aired > 0, "the day went on air");
+        let _ = std::fs::remove_dir_all(&direct_dir);
+        let _ = std::fs::remove_dir_all(&wire_dir);
+    }
+
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let pid = std::process::id();
         let dir = std::env::temp_dir().join(format!("sonic-{tag}-{pid}"));

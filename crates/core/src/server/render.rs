@@ -94,13 +94,6 @@ impl Renderer {
             ttl_hours: ANSWER_TTL_HOURS,
         }
     }
-
-    /// The `top_n` most popular landing page URLs at `hour`.
-    pub fn popular_landing_urls(&self, top_n: usize, hour: u64) -> Vec<String> {
-        (0..top_n.min(self.corpus.sites.len()))
-            .map(|s| self.corpus.layout(PageId { site: s, page: 0 }, hour).url)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -126,16 +119,6 @@ mod tests {
         let r = renderer();
         let id = PageId { site: 0, page: 0 };
         assert_ne!(r.render(id, 1).version, r.render(id, 2).version);
-    }
-
-    #[test]
-    fn popular_urls_are_landing_pages() {
-        let r = renderer();
-        let urls = r.popular_landing_urls(3, 0);
-        assert_eq!(urls.len(), 3);
-        for u in urls {
-            assert!(u.ends_with('/'), "{u} must be a landing page");
-        }
     }
 
     #[test]

@@ -154,16 +154,6 @@ impl RepairPlanner {
         }
     }
 
-    /// Number of repairable pages currently registered.
-    pub fn registered_pages(&self) -> usize {
-        self.registry.len()
-    }
-
-    /// Outstanding (site, page) repairs not yet scheduled.
-    pub fn pending_repairs(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Highest repair-burst count spent on any (site, page) over the
     /// planner's lifetime — always within `config.max_attempts_per_page`
     /// (the soak asserts this).
@@ -411,7 +401,7 @@ mod tests {
         assert_eq!(entry.columns.get(&3), Some(&1), "min from_seq wins");
         assert_eq!(entry.columns.get(&5), Some(&0));
         assert_eq!(entry.clients, 2);
-        assert_eq!(pl.pending_repairs(), 1, "one coalesced entry");
+        assert_eq!(pl.pending.len(), 1, "one coalesced entry");
     }
 
     #[test]
@@ -504,7 +494,7 @@ mod tests {
             .enqueue_prechunked(p.clone(), frames, 0.0);
         pl.accept_nack(0, &nack(p.page_id, vec![(1, 0)]), 0.0).expect("nack");
         assert_eq!(pl.schedule_due(1.0, &mut scheds), 0);
-        assert_eq!(pl.pending_repairs(), 0, "queued broadcast serves the need");
+        assert_eq!(pl.pending.len(), 0, "queued broadcast serves the need");
         assert_eq!(pl.stats.bursts_scheduled, 0);
     }
 
@@ -542,7 +532,7 @@ mod tests {
         // be fresh, and the url still holds a single pending entry.
         pl.register_page(v2.clone());
         pl.accept_nack(0, &nack(v2.page_id, vec![(1, 0)]), 20.0).expect("v2 fresh budget");
-        assert_eq!(pl.pending_repairs(), 1, "one entry per (site, url) lineage");
+        assert_eq!(pl.pending.len(), 1, "one entry per (site, url) lineage");
         assert_eq!(pl.schedule_due(21.0, &mut scheds), 1, "v2 burst airs");
         assert_eq!(pl.stats.bursts_scheduled, 2);
     }
@@ -559,7 +549,7 @@ mod tests {
         for p in &pages {
             pl.register_page(p.clone());
         }
-        assert_eq!(pl.registered_pages(), 3);
+        assert_eq!(pl.registry.len(), 3);
         assert_eq!(
             pl.accept_nack(0, &nack(pages[0].page_id, vec![(0, 0)]), 0.0),
             Err(NackRejection::UnknownPage),

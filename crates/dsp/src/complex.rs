@@ -43,15 +43,6 @@ impl C32 {
         }
     }
 
-    /// Creates a complex number from polar coordinates.
-    #[inline]
-    pub fn from_polar(mag: f32, theta: f32) -> Self {
-        C32 {
-            re: mag * theta.cos(),
-            im: mag * theta.sin(),
-        }
-    }
-
     /// Complex conjugate.
     #[inline]
     pub fn conj(self) -> Self {
@@ -245,7 +236,7 @@ mod tests {
 
     #[test]
     fn polar_roundtrip() {
-        let z = C32::from_polar(2.0, 0.7);
+        let z = C32::from_angle(0.7).scale(2.0);
         assert!((z.abs() - 2.0).abs() < 1e-6);
         assert!((z.arg() - 0.7).abs() < 1e-6);
     }

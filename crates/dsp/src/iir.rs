@@ -1,4 +1,4 @@
-//! IIR sections: biquads and the FM pre-/de-emphasis shelf.
+//! IIR sections: the FM pre-/de-emphasis shelves.
 //!
 //! Broadcast FM boosts treble before modulation (pre-emphasis) and cuts it
 //! symmetrically in the receiver (de-emphasis) to fight the triangular noise
@@ -6,96 +6,6 @@
 //! constant of 50 µs (75 µs in the Americas); SONIC's radio substrate applies
 //! them around the data band exactly as a real exciter/tuner would.
 
-use std::f64::consts::PI;
-
-/// Direct-form-I biquad section.
-#[derive(Debug, Clone)]
-pub struct Biquad {
-    b0: f32,
-    b1: f32,
-    b2: f32,
-    a1: f32,
-    a2: f32,
-    x1: f32,
-    x2: f32,
-    y1: f32,
-    y2: f32,
-}
-
-impl Biquad {
-    /// Creates a biquad from normalized coefficients (a0 == 1).
-    pub fn new(b0: f32, b1: f32, b2: f32, a1: f32, a2: f32) -> Self {
-        Biquad {
-            b0,
-            b1,
-            b2,
-            a1,
-            a2,
-            x1: 0.0,
-            x2: 0.0,
-            y1: 0.0,
-            y2: 0.0,
-        }
-    }
-
-    /// RBJ-cookbook low-pass at `fc` Hz, quality `q`, for sample rate `fs`.
-    pub fn lowpass(fs: f64, fc: f64, q: f64) -> Self {
-        let w0 = 2.0 * PI * fc / fs;
-        let alpha = w0.sin() / (2.0 * q);
-        let cosw = w0.cos();
-        let a0 = 1.0 + alpha;
-        Biquad::new(
-            (((1.0 - cosw) / 2.0) / a0) as f32,
-            ((1.0 - cosw) / a0) as f32,
-            (((1.0 - cosw) / 2.0) / a0) as f32,
-            ((-2.0 * cosw) / a0) as f32,
-            ((1.0 - alpha) / a0) as f32,
-        )
-    }
-
-    /// RBJ-cookbook high-pass at `fc` Hz, quality `q`, for sample rate `fs`.
-    pub fn highpass(fs: f64, fc: f64, q: f64) -> Self {
-        let w0 = 2.0 * PI * fc / fs;
-        let alpha = w0.sin() / (2.0 * q);
-        let cosw = w0.cos();
-        let a0 = 1.0 + alpha;
-        Biquad::new(
-            (((1.0 + cosw) / 2.0) / a0) as f32,
-            ((-(1.0 + cosw)) / a0) as f32,
-            (((1.0 + cosw) / 2.0) / a0) as f32,
-            ((-2.0 * cosw) / a0) as f32,
-            ((1.0 - alpha) / a0) as f32,
-        )
-    }
-
-    /// Filters one sample.
-    #[inline]
-    pub fn push(&mut self, x: f32) -> f32 {
-        let y = self.b0 * x + self.b1 * self.x1 + self.b2 * self.x2
-            - self.a1 * self.y1
-            - self.a2 * self.y2;
-        self.x2 = self.x1;
-        self.x1 = x;
-        self.y2 = self.y1;
-        self.y1 = y;
-        y
-    }
-
-    /// Filters a block in place.
-    pub fn process(&mut self, buf: &mut [f32]) {
-        for v in buf.iter_mut() {
-            *v = self.push(*v);
-        }
-    }
-
-    /// Clears internal state.
-    pub fn reset(&mut self) {
-        self.x1 = 0.0;
-        self.x2 = 0.0;
-        self.y1 = 0.0;
-        self.y2 = 0.0;
-    }
-}
 
 /// Single-pole de-emphasis filter (`tau` seconds, e.g. 50e-6).
 ///
@@ -174,34 +84,12 @@ mod tests {
 
     fn tone(fs: f64, f: f64, n: usize) -> Vec<f32> {
         (0..n)
-            .map(|i| (2.0 * PI * f * i as f64 / fs).sin() as f32)
+            .map(|i| (std::f64::consts::TAU * f * i as f64 / fs).sin() as f32)
             .collect()
     }
 
     fn rms(x: &[f32]) -> f32 {
         (x.iter().map(|&v| v * v).sum::<f32>() / x.len() as f32).sqrt()
-    }
-
-    #[test]
-    fn biquad_lowpass_attenuates_high() {
-        let fs = 48000.0;
-        let mut lp = Biquad::lowpass(fs, 1000.0, 0.707);
-        let mut low = tone(fs, 200.0, 4800);
-        let mut high = tone(fs, 12000.0, 4800);
-        lp.process(&mut low);
-        lp.reset();
-        lp.process(&mut high);
-        assert!(rms(&low[1000..]) > 0.6);
-        assert!(rms(&high[1000..]) < 0.02);
-    }
-
-    #[test]
-    fn biquad_highpass_attenuates_low() {
-        let fs = 48000.0;
-        let mut hp = Biquad::highpass(fs, 5000.0, 0.707);
-        let mut low = tone(fs, 100.0, 4800);
-        hp.process(&mut low);
-        assert!(rms(&low[1000..]) < 0.01);
     }
 
     #[test]

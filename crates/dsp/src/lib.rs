@@ -15,11 +15,11 @@
 //! * [`window`] — Hann / Hamming / Blackman / rectangular window functions.
 //! * [`fir`] — windowed-sinc FIR design, the direct-form [`fir::Fir`] and the
 //!   FFT overlap-save engine [`fir::OverlapSave`].
-//! * [`iir`] — biquad sections and first-order shelves (FM de-/pre-emphasis).
+//! * [`iir`] — first-order shelves (FM de-/pre-emphasis).
 //! * [`resample`] — polyphase rational resampler.
 //! * [`osc`] — numerically controlled oscillator and quadrature mixer.
 //! * [`goertzel`] — single-bin DFT power detector (used by the FSK modem).
-//! * [`measure`] — power, RMS, dB conversions and SNR estimation helpers.
+//! * [`measure`] — mean power and RMS.
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
 //! * [`simd`] — runtime-dispatched SIMD kernels with scalar twins.
 //! * [`plan`] — planned split-plane transforms: [`plan::FftPlan`] (receive FFT

@@ -1,9 +1,5 @@
-//! Level and SNR measurement helpers.
-//!
-//! These are the primitives behind the RSSI readings the evaluation reports:
-//! a receiver's RSSI is just the received signal power expressed in dB
-//! relative to a reference, and frame-loss-vs-RSSI curves fall out of the
-//! noise power the channel adds.
+//! Level measurement helpers: mean power and RMS, the primitives behind
+//! the RSSI readings the evaluation reports.
 
 /// Mean power of a real signal (`mean(x²)`).
 pub fn power(signal: &[f32]) -> f64 {
@@ -18,57 +14,6 @@ pub fn rms(signal: &[f32]) -> f64 {
     power(signal).sqrt()
 }
 
-/// Converts a power ratio to decibels. Zero or negative input saturates to
-/// -400 dB, well below anything physical, so callers can subtract safely.
-pub fn db_from_power(p: f64) -> f64 {
-    if p <= 0.0 {
-        -400.0
-    } else {
-        10.0 * p.log10()
-    }
-}
-
-/// Converts decibels to a power ratio.
-pub fn power_from_db(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Converts an amplitude ratio to decibels (20·log10).
-pub fn db_from_amplitude(a: f64) -> f64 {
-    if a <= 0.0 {
-        -400.0
-    } else {
-        20.0 * a.log10()
-    }
-}
-
-/// Converts decibels to an amplitude ratio.
-pub fn amplitude_from_db(db: f64) -> f64 {
-    10f64.powf(db / 20.0)
-}
-
-/// Estimates SNR in dB given a clean reference and the received signal.
-///
-/// The error signal is `received - reference`; both slices must be aligned
-/// and equally long.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn snr_db(reference: &[f32], received: &[f32]) -> f64 {
-    assert_eq!(reference.len(), received.len(), "aligned slices required");
-    let sig = power(reference);
-    let noise: f64 = reference
-        .iter()
-        .zip(received)
-        .map(|(&r, &x)| {
-            let e = (x - r) as f64;
-            e * e
-        })
-        .sum::<f64>()
-        / reference.len().max(1) as f64;
-    db_from_power(sig) - db_from_power(noise)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,34 +24,6 @@ mod tests {
             .map(|i| (2.0 * std::f64::consts::PI * 100.0 * i as f64 / 48000.0).sin() as f32)
             .collect();
         assert!((power(&sig) - 0.5).abs() < 1e-3);
-    }
-
-    #[test]
-    fn db_roundtrip() {
-        for &db in &[-60.0, -3.0, 0.0, 10.0] {
-            assert!((db_from_power(power_from_db(db)) - db).abs() < 1e-9);
-            assert!((db_from_amplitude(amplitude_from_db(db)) - db).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn zero_power_saturates() {
-        assert_eq!(db_from_power(0.0), -400.0);
-        assert_eq!(db_from_amplitude(-1.0), -400.0);
-    }
-
-    #[test]
-    fn snr_matches_injected_noise() {
-        let reference: Vec<f32> = (0..10000).map(|i| ((i as f32) * 0.1).sin()).collect();
-        // Add noise 20 dB below the signal.
-        let noise_amp = (power(&reference) / 100.0).sqrt() as f32 * std::f32::consts::SQRT_2;
-        let received: Vec<f32> = reference
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| r + noise_amp * ((i as f32) * 1.7).sin())
-            .collect();
-        let snr = snr_db(&reference, &received);
-        assert!((snr - 20.0).abs() < 1.0, "snr={snr}");
     }
 
     #[test]

@@ -41,12 +41,6 @@ impl Nco {
         z
     }
 
-    /// Returns the next real cosine sample.
-    #[inline]
-    pub fn next_cos(&mut self) -> f32 {
-        self.next().re
-    }
-
     /// Current phase in radians.
     pub fn phase(&self) -> f64 {
         self.phase

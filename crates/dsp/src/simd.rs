@@ -101,7 +101,7 @@ pub fn backend() -> Backend {
 }
 
 /// In-process dispatch override: `force_scalar(true)` routes every kernel to
-/// its scalar twin until `force_scalar(false)`. Used by the `perf_dsp` bench
+/// its scalar twin until `force_scalar(false)`. Used by the `perf_rx` bench
 /// and the parity tests; the `SONIC_DSP_FORCE_SCALAR=1` environment variable
 /// is the equivalent process-wide switch.
 pub fn force_scalar(on: bool) {

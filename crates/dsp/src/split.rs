@@ -57,12 +57,6 @@ impl SplitC32 {
         self.im.resize(n, 0.0);
     }
 
-    /// Zero-fills both planes without changing the length.
-    pub fn fill_zero(&mut self) {
-        self.re.fill(0.0);
-        self.im.fill(0.0);
-    }
-
     /// Builds a split buffer from interleaved complex samples.
     pub fn from_interleaved(src: &[C32]) -> Self {
         let mut s = SplitC32::zeroed(src.len());
@@ -78,24 +72,6 @@ impl SplitC32 {
             self.im[i] = v.im;
         }
     }
-
-    /// Writes the buffer out as interleaved complex samples.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != self.len()`.
-    pub fn write_interleaved(&self, out: &mut [C32]) {
-        assert_eq!(out.len(), self.len(), "interleaved target length mismatch");
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = C32::new(self.re[i], self.im[i]);
-        }
-    }
-
-    /// Appends the buffer to `out` as interleaved complex samples.
-    pub fn append_interleaved(&self, out: &mut Vec<C32>) {
-        let start = out.len();
-        out.resize(start + self.len(), C32::ZERO);
-        self.write_interleaved(&mut out[start..]);
-    }
 }
 
 #[cfg(test)]
@@ -103,16 +79,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrips_through_interleaved() {
+    fn interleaved_samples_land_in_the_two_planes() {
         let src: Vec<C32> = (0..37).map(|i| C32::new(i as f32, -(i as f32))).collect();
         let s = SplitC32::from_interleaved(&src);
         assert_eq!(s.len(), 37);
-        let mut back = vec![C32::ZERO; 37];
-        s.write_interleaved(&mut back);
+        let back: Vec<C32> = s.re.iter().zip(&s.im).map(|(&re, &im)| C32::new(re, im)).collect();
         assert_eq!(src, back);
-        let mut appended = vec![C32::ONE];
-        s.append_interleaved(&mut appended);
-        assert_eq!(&appended[1..], &src[..]);
     }
 
     #[test]
@@ -121,9 +93,6 @@ mod tests {
         assert!(s.is_empty());
         s.resize(9);
         assert_eq!(s.len(), 9);
-        s.re[3] = 1.0;
-        s.fill_zero();
-        assert_eq!(s.re[3], 0.0);
         s.clear();
         assert!(s.is_empty());
     }

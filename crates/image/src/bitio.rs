@@ -37,11 +37,6 @@ impl BitWriter {
         self.write_bits(bit as u32, 1);
     }
 
-    /// Number of whole bytes that `finish` would produce right now.
-    pub fn byte_len(&self) -> usize {
-        self.buf.len() + usize::from(self.nbits > 0)
-    }
-
     /// Pads the final partial byte with zeros and returns the buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
@@ -88,11 +83,6 @@ impl<'a> BitReader<'a> {
         }
         Some(v)
     }
-
-    /// Bits consumed so far.
-    pub fn bit_position(&self) -> usize {
-        self.pos * 8 + self.bit as usize
-    }
 }
 
 #[cfg(test)]
@@ -128,26 +118,5 @@ mod tests {
         assert!(r.read_bits(8).is_some());
         assert_eq!(r.read_bit(), None);
         assert_eq!(r.read_bits(4), None);
-    }
-
-    #[test]
-    fn byte_len_counts_partial() {
-        let mut w = BitWriter::new();
-        assert_eq!(w.byte_len(), 0);
-        w.write_bits(0, 3);
-        assert_eq!(w.byte_len(), 1);
-        w.write_bits(0, 5);
-        assert_eq!(w.byte_len(), 1);
-        w.write_bit(true);
-        assert_eq!(w.byte_len(), 2);
-    }
-
-    #[test]
-    fn bit_position_tracks() {
-        let mut r = BitReader::new(&[0, 0]);
-        r.read_bits(5);
-        assert_eq!(r.bit_position(), 5);
-        r.read_bits(8);
-        assert_eq!(r.bit_position(), 13);
     }
 }

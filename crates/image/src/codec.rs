@@ -102,8 +102,7 @@ fn encode_plane_symbols(plane: &PlaneSpec, q: &QuantTables, out: &mut Vec<Sym>) 
 
 /// Symbols for one 8-row band of blocks (block row `by`), chaining the DC
 /// predictor from `prev_dc`. Returns the predictor value after the band —
-/// the DC chain is the only state crossing band boundaries, which is what
-/// makes bands the natural cache granule for [`SwpCache`].
+/// the DC chain is the only state crossing band boundaries.
 fn encode_band_symbols(
     plane: &PlaneSpec,
     q: &QuantTables,
@@ -174,141 +173,8 @@ fn encode_band_symbols(
     prev_dc
 }
 
-/// Content address of one 8-row band of a plane, folding in everything the
-/// band's symbols depend on *except* the incoming DC predictor (which is a
-/// separate key component): quality, chroma table choice, plane width and
-/// the exact source rows (edge replication only ever reads rows inside the
-/// band, so the row bytes are sufficient).
-fn band_hash(plane: &PlaneSpec, quality: u8, by: usize) -> u64 {
-    let mut h = crate::hash::Fnv64::new();
-    h.write(&[quality, plane.chroma as u8]);
-    h.write_u64(plane.width as u64);
-    let y0 = by * 8;
-    let y1 = (y0 + 8).min(plane.height);
-    h.write_u64((y1 - y0) as u64);
-    for y in y0..y1 {
-        let row = &plane.data[y * plane.width..(y + 1) * plane.width];
-        for &v in row {
-            h.write(&v.to_bits().to_le_bytes());
-        }
-    }
-    h.finish()
-}
-
-#[derive(Clone)]
-struct CachedBand {
-    syms: Vec<Sym>,
-    dc_out: i32,
-}
-
-/// Band-symbol cache for [`encode_cached`].
-///
-/// SWP's DC prediction chains across the whole plane, so a band's symbols
-/// are a pure function of (band pixels, quality, chroma, width, incoming
-/// DC). Keying on exactly that pair keeps cached encodes bit-identical to
-/// cold ones while skipping the DCT/quantize/run-length work for bands
-/// whose pixels did not change — on carousel refreshes that is most of the
-/// page. The shared Huffman table is rebuilt from the (identical) symbol
-/// stream every call, so the serialized bytes match [`encode`] exactly.
-#[derive(Default)]
-pub struct SwpCache {
-    map: std::collections::HashMap<(u64, i32), CachedBand>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SwpCache {
-    /// Evict everything once the map holds this many bands (~a few hundred
-    /// pages of bands; entries are small symbol vectors, not pixels).
-    const MAX_BANDS: usize = 1 << 18;
-
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Band lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Band lookups that had to run the block coder.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Cached band count.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// [`encode`] with band-level memoization. Bit-identical output; repeated
-/// encodes of mostly-unchanged rasters skip the transform work for every
-/// clean band.
-pub fn encode_cached(img: &Raster, quality: u8, cache: &mut SwpCache) -> Vec<u8> {
-    let q = QuantTables::for_quality(quality);
-    let planes = Ycbcr420::from_raster(img);
-    let specs = [
-        PlaneSpec {
-            data: &planes.y,
-            width: planes.width,
-            height: planes.height,
-            chroma: false,
-        },
-        PlaneSpec {
-            data: &planes.cb,
-            width: planes.cw(),
-            height: planes.ch(),
-            chroma: true,
-        },
-        PlaneSpec {
-            data: &planes.cr,
-            width: planes.cw(),
-            height: planes.ch(),
-            chroma: true,
-        },
-    ];
-
-    let mut syms = Vec::new();
-    for spec in &specs {
-        let bh = spec.height.div_ceil(8);
-        let mut prev_dc = 0i32;
-        for by in 0..bh {
-            let key = (band_hash(spec, q.quality, by), prev_dc);
-            if let Some(band) = cache.map.get(&key) {
-                syms.extend_from_slice(&band.syms);
-                prev_dc = band.dc_out;
-                cache.hits += 1;
-            } else {
-                let start = syms.len();
-                let dc_out = encode_band_symbols(spec, &q, by, prev_dc, &mut syms);
-                if cache.map.len() >= SwpCache::MAX_BANDS {
-                    cache.map.clear();
-                }
-                cache.map.insert(
-                    key,
-                    CachedBand {
-                        syms: syms[start..].to_vec(),
-                        dc_out,
-                    },
-                );
-                prev_dc = dc_out;
-                cache.misses += 1;
-            }
-        }
-    }
-
-    serialize_swp(img, &q, &syms)
-}
-
-/// Shared tail of [`encode`]/[`encode_cached`]: global Huffman table from
-/// the symbol stream, then header + entropy-coded bits.
+/// The tail of [`encode`]: global Huffman table from the symbol stream,
+/// then header + entropy-coded bits.
 fn serialize_swp(img: &Raster, q: &QuantTables, syms: &[Sym]) -> Vec<u8> {
     let mut freqs = [0u64; 256];
     for s in syms {
@@ -632,47 +498,6 @@ mod tests {
         let data = encode(&img, 50);
         let cut = &data[..data.len() / 2];
         assert_eq!(decode(cut), Err(CodecError::Truncated));
-    }
-
-    #[test]
-    fn cached_encode_is_bit_identical() {
-        let img = page(117, 83);
-        let mut cache = SwpCache::new();
-        for quality in [10u8, 50, 90] {
-            let cold = encode(&img, quality);
-            let warm_first = encode_cached(&img, quality, &mut cache);
-            let warm_second = encode_cached(&img, quality, &mut cache);
-            assert_eq!(cold, warm_first, "q{quality} first pass");
-            assert_eq!(cold, warm_second, "q{quality} second pass");
-        }
-        assert!(cache.hits() > 0, "second passes must hit");
-    }
-
-    #[test]
-    fn cached_encode_tracks_mutations_bit_identically() {
-        let mut img = page(96, 96);
-        let mut cache = SwpCache::new();
-        let _ = encode_cached(&img, 10, &mut cache);
-        // Mutate a single band worth of rows; the re-encode must match a
-        // cold encode exactly even though most bands come from the cache.
-        img.fill_rect(10, 40, 30, 6, Rgb::new(5, 200, 5));
-        let misses_before = cache.misses();
-        let warm = encode_cached(&img, 10, &mut cache);
-        assert_eq!(warm, encode(&img, 10));
-        let new_misses = cache.misses() - misses_before;
-        // 96×96: 12 luma bands + 2×6 chroma bands = 24 total; only the
-        // touched bands (plus DC-chain fallout downstream of them) miss.
-        assert!(new_misses < 24, "only dirty bands re-encode, got {new_misses}");
-        assert!(cache.hits() > 0);
-    }
-
-    #[test]
-    fn cache_len_and_empty() {
-        let mut cache = SwpCache::new();
-        assert!(cache.is_empty());
-        let _ = encode_cached(&page(32, 32), 10, &mut cache);
-        assert!(!cache.is_empty());
-        assert!(!cache.is_empty());
     }
 
     #[test]

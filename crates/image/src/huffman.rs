@@ -58,7 +58,7 @@ impl Huffman {
             }
             1 => {
                 lengths[used[0]] = 1;
-                return Huffman::from_lengths_internal(lengths);
+                return Huffman::from_lengths(lengths);
             }
             _ => {}
         }
@@ -106,15 +106,10 @@ impl Huffman {
 
         // Length-limit to MAX_LEN by repeatedly demoting (rare at our sizes).
         limit_lengths(&mut lengths);
-        Huffman::from_lengths_internal(lengths)
+        Huffman::from_lengths(lengths)
     }
 
-    /// Rebuilds a code from serialized lengths.
-    pub fn from_lengths(lengths: [u8; 256]) -> Self {
-        Huffman::from_lengths_internal(lengths)
-    }
-
-    fn from_lengths_internal(lengths: [u8; 256]) -> Self {
+    fn from_lengths(lengths: [u8; 256]) -> Self {
         // Canonical assignment: sort by (length, symbol).
         let mut order: Vec<usize> = (0..256).filter(|&s| lengths[s] > 0).collect();
         order.sort_by_key(|&s| (lengths[s], s));
@@ -151,7 +146,7 @@ impl Huffman {
             lengths[2 * i] = data[i] >> 4;
             lengths[2 * i + 1] = data[i] & 0x0F;
         }
-        Huffman::from_lengths_internal(lengths)
+        Huffman::from_lengths(lengths)
     }
 
     /// Encodes one symbol.

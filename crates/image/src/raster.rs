@@ -59,19 +59,6 @@ impl Raster {
         Raster::filled(width, height, Rgb::WHITE)
     }
 
-    /// Builds a raster from raw RGB bytes.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != width * height * 3`.
-    pub fn from_rgb(width: usize, height: usize, data: Vec<u8>) -> Self {
-        assert_eq!(data.len(), width * height * 3, "raw buffer size mismatch");
-        Raster {
-            width,
-            height,
-            data,
-        }
-    }
-
     /// Width in pixels.
     pub fn width(&self) -> usize {
         self.width
@@ -212,11 +199,5 @@ mod tests {
         assert!(Rgb::WHITE.luma() > 250);
         assert!(Rgb::BLACK.luma() < 2);
         assert!(Rgb::new(0, 255, 0).luma() > Rgb::new(0, 0, 255).luma());
-    }
-
-    #[test]
-    #[should_panic(expected = "size mismatch")]
-    fn from_rgb_checks_len() {
-        let _ = Raster::from_rgb(2, 2, vec![0; 11]);
     }
 }

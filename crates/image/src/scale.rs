@@ -30,11 +30,6 @@ pub fn device_factor(screen_width: usize) -> f64 {
     screen_width as f64 / 1080.0
 }
 
-/// Scales a page image to a device's screen width.
-pub fn scale_to_device(img: &Raster, screen_width: usize) -> Raster {
-    scale(img, device_factor(screen_width))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,7 +70,7 @@ mod tests {
     fn redmi_go_width_shrinks_page() {
         // Xiaomi Redmi Go: 720-px-wide screen.
         let img = Raster::new(1080, 300);
-        let out = scale_to_device(&img, 720);
+        let out = scale(&img, device_factor(720));
         assert_eq!(out.width(), 720);
         assert_eq!(out.height(), 200);
     }

@@ -252,24 +252,6 @@ pub fn demap_soft_reference(modulation: Modulation, y: C32, scale: f32, out: &mu
     }
 }
 
-/// Hard decision: nearest constellation point's bit pattern, MSB first.
-pub fn demap_hard(modulation: Modulation, y: C32, out: &mut Vec<u8>) {
-    let k = modulation.bits_per_symbol();
-    let pts = cached_points(modulation);
-    let mut best = 0usize;
-    let mut best_d = f32::MAX;
-    for (pattern, &p) in pts.iter().enumerate() {
-        let d = (y - p).norm_sq();
-        if d < best_d {
-            best_d = d;
-            best = pattern;
-        }
-    }
-    for bit in 0..k {
-        out.push(((best >> (k - 1 - bit)) & 1) as u8);
-    }
-}
-
 fn cached_points(modulation: Modulation) -> &'static [C32] {
     use std::sync::OnceLock;
     static CACHE: OnceLock<[Vec<C32>; 6]> = OnceLock::new();
@@ -324,20 +306,6 @@ mod tests {
                 for j in i + 1..pts.len() {
                     assert!((pts[i] - pts[j]).abs() > 1e-6, "{} duplicate point", m.name());
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn hard_demap_inverts_map() {
-        for m in ALL {
-            let k = m.bits_per_symbol();
-            for pattern in 0..1usize << k {
-                let bits: Vec<u8> = (0..k).map(|i| ((pattern >> (k - 1 - i)) & 1) as u8).collect();
-                let p = map_bits(m, &bits);
-                let mut got = Vec::new();
-                demap_hard(m, p, &mut got);
-                assert_eq!(got, bits, "{} pattern {pattern}", m.name());
             }
         }
     }
@@ -420,16 +388,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn noisy_point_still_demaps_nearest() {
-        let m = Modulation::Qam64;
-        let bits = [1u8, 0, 1, 1, 0, 1];
-        let p = map_bits(m, &bits) + C32::new(0.02, -0.03);
-        let mut got = Vec::new();
-        demap_hard(m, p, &mut got);
-        assert_eq!(got, bits);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Data-over-sound modems for SONIC. The workhorse is the OFDM modem the
 //! paper builds on the Quiet library's "audible-7k-channel" profile: 92 data
 //! subcarriers around a 9.2 kHz audio carrier inside the FM mono band,
-//! reaching ~10 kbps with the sonic profile. Baseline modems from the
-//! related-work section (GGwave-style FSK, chirp signalling) are implemented
-//! for comparison benches.
+//! reaching ~10 kbps with the sonic profile. (The related-work baselines the
+//! rate table compares against live beside that table, in
+//! `sonic-sim::experiments::rates`.)
 //!
 //! Layering (bottom up):
 //!
@@ -24,9 +24,6 @@
 //!   every whole-buffer entry point is one push and a flush. The free
 //!   functions go through a per-thread codec cache.
 //! * [`profile`] — named parameter sets with rate math.
-//! * [`fsk`], [`chirp`] — related-work baseline modems.
-//! * [`multi`] — multi-carrier aggregation (the paper's "multiple
-//!   frequencies" rate-scaling argument).
 //!
 //! Each fast path is written once and shares everything with its
 //! `*_reference` oracle except the kernel the oracle exists for:
@@ -42,11 +39,8 @@
 // we only permit in tests.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod chirp;
 pub mod constellation;
 pub mod frame;
-pub mod fsk;
-pub mod multi;
 pub mod ofdm;
 pub mod profile;
 

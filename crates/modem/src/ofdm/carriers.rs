@@ -179,17 +179,7 @@ impl CarrierPlan {
         self.bins.iter().map(|&b| fft_buf[b]).collect()
     }
 
-    /// [`gather`](Self::gather) into a reused buffer (cleared first).
-    pub fn gather_into(&self, fft_buf: &[C32], out: &mut Vec<C32>) {
-        assert_eq!(fft_buf.len(), self.fft_size);
-        out.clear();
-        out.resize(self.bins.len(), C32::ZERO);
-        for (o, &b) in out.iter_mut().zip(&self.bins) {
-            *o = fft_buf[b];
-        }
-    }
-
-    /// [`gather_into`](Self::gather_into) from split-plane (SoA) FFT output,
+    /// [`gather`](Self::gather) into a reused buffer (cleared first), from split-plane (SoA) FFT output,
     /// as produced by [`sonic_dsp::plan::FftPlan::forward_split`].
     pub fn gather_split_into(&self, re: &[f32], im: &[f32], out: &mut Vec<C32>) {
         assert_eq!(re.len(), self.fft_size);

@@ -78,15 +78,6 @@ impl Profile {
         }
     }
 
-    /// Robust low-rate mode for weak receivers (ablation bench).
-    pub fn robust_3k() -> Self {
-        Profile {
-            name: "robust-3k",
-            modulation: Modulation::Bpsk,
-            ..Profile::audible_7k()
-        }
-    }
-
     /// Total active subcarriers (data + pilots).
     pub fn active_carriers(&self) -> usize {
         self.data_carriers + self.pilot_carriers
@@ -120,16 +111,6 @@ impl Profile {
     /// Coded bits per OFDM symbol.
     pub fn bits_per_symbol(&self) -> usize {
         self.data_carriers * self.modulation.bits_per_symbol()
-    }
-
-    /// Net payload rate in bits/second for frames of `payload_len` bytes,
-    /// accounting for FEC overhead and the preamble/training/header symbols.
-    pub fn net_rate_bps(&self, payload_len: usize) -> f64 {
-        let coded_bits = self.fec.coded_bits_len(payload_len);
-        let payload_syms = coded_bits.div_ceil(self.bits_per_symbol());
-        // preamble + 2 training + 1 header.
-        let total_syms = payload_syms + 4;
-        (payload_len * 8) as f64 / (total_syms as f64 * self.symbol_duration())
     }
 
     /// Audio samples needed to transmit one frame of `payload_len` bytes.
@@ -185,7 +166,7 @@ mod tests {
         let after_inner = raw * 0.5;
         assert!(after_inner > 10_000.0, "post-inner {after_inner}");
         // Net rate with full chain and big frames lands near 9 kbps.
-        let net = p.net_rate_bps(4096);
+        let net = (4096.0 * 8.0) / (p.frame_samples(4096) as f64 / p.sample_rate);
         assert!(net > 8_000.0 && net < 11_000.0, "net {net}");
     }
 
@@ -204,11 +185,6 @@ mod tests {
         assert!(p.frame_samples(1000) > p.frame_samples(100));
         // Empty payload still costs the 4 overhead symbols.
         assert_eq!(p.frame_samples(0), 4 * p.symbol_len());
-    }
-
-    #[test]
-    fn robust_profile_is_slower_than_sonic() {
-        assert!(Profile::robust_3k().raw_rate_bps() < Profile::sonic_10k().raw_rate_bps() / 4.0);
     }
 
     #[test]

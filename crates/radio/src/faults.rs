@@ -13,16 +13,15 @@
 //!
 //! Two fidelities share one taxonomy:
 //!
-//! * **Sample level** — [`FaultPlan::apply_audio`] / [`FaultPlan::apply_baseband`]
-//!   mutate real signal buffers and are wrapped around the physical channels
-//!   by [`FaultyRfChannel`] / [`FaultyAcousticChannel`]. Used by link-scale
-//!   experiments (seconds of audio).
+//! * **Sample level** — [`FaultPlan::apply_baseband`] mutates the FM complex
+//!   baseband between the RF channel and the receiver
+//!   ([`crate::stack::FmLink::with_faults`]). Used by link-scale experiments
+//!   (seconds of audio).
 //! * **Frame level** — [`FaultPlan::frame_fate`] samples the same schedule
 //!   at one OFDM-frame granularity for day-scale simulations where running
 //!   the DSP chain for 86 400 s of audio is unaffordable. The mapping from
 //!   impairment to loss probability is documented on [`Fault`].
 
-use crate::channel::{AcousticChannel, RfChannel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sonic_dsp::C32;
@@ -172,76 +171,14 @@ impl FaultPlan {
         self.faults.is_empty()
     }
 
-    /// Whether the receiver is muted at `t_s`.
-    pub fn muted_at(&self, t_s: f64) -> bool {
-        self.faults.iter().any(|f| match f {
-            Fault::Mute { start_s, len_s } => t_s >= *start_s && t_s < *start_s + *len_s,
-            _ => false,
-        })
-    }
-
-    /// Applies the plan to real audio captured at `fs` Hz, where
-    /// `audio[0]` is absolute stream time `t0_s`.
+    /// Applies the plan to complex FM baseband at `fs` Hz, where `bb[0]` is
+    /// absolute stream time `t0_s`; the co-channel impairment is a second
+    /// carrier at the frequency offset.
     ///
     /// Deterministic and chunking-independent: splitting a buffer and
     /// applying the plan to each half (with the right `t0_s`) yields the
     /// same samples, except that an impulse burst is clipped at chunk
     /// boundaries. Clock drift may change the buffer length (sample slips).
-    pub fn apply_audio(&self, audio: &mut Vec<f32>, t0_s: f64, fs: f64) {
-        if self.is_empty() || audio.is_empty() {
-            return;
-        }
-        for (idx, fault) in self.faults.iter().enumerate() {
-            match *fault {
-                Fault::Impulse {
-                    rate_per_s,
-                    amp,
-                    len_s,
-                } => {
-                    for ev in impulse_events(self.seed, idx as u64, rate_per_s, len_s, t0_s, fs, audio.len()) {
-                        for (k, (re, _)) in ev.noise.iter().enumerate() {
-                            let at = ev.start + k as i64;
-                            if at >= 0 && (at as usize) < audio.len() {
-                                audio[at as usize] += amp * re;
-                            }
-                        }
-                    }
-                }
-                Fault::CoChannel { offset_hz, level } => {
-                    let phase = unit_f64(mix3(self.seed, idx as u64, 0x7031)) * std::f64::consts::TAU;
-                    for (i, s) in audio.iter_mut().enumerate() {
-                        let t = t0_s + i as f64 / fs;
-                        *s += level
-                            * (std::f64::consts::TAU * offset_hz * t + phase).sin() as f32;
-                    }
-                }
-                Fault::Mute { start_s, len_s } => {
-                    mute_span(audio, t0_s, fs, start_s, len_s, |s| *s = 0.0);
-                }
-                Fault::Fade {
-                    start_s,
-                    len_s,
-                    depth_db,
-                } => {
-                    for (i, s) in audio.iter_mut().enumerate() {
-                        let t = t0_s + i as f64 / fs;
-                        let g = fade_gain(t, start_s, len_s, depth_db);
-                        if g < 1.0 {
-                            *s *= g as f32;
-                        }
-                    }
-                }
-                Fault::ClockDrift { ppm } => {
-                    apply_drift(audio, t0_s, fs, ppm);
-                }
-            }
-        }
-    }
-
-    /// Applies the plan to complex FM baseband at `fs` Hz (stream time of
-    /// the first sample = `t0_s`). Same guarantees as
-    /// [`apply_audio`](Self::apply_audio); the co-channel impairment becomes
-    /// a second carrier at the frequency offset.
     pub fn apply_baseband(&self, bb: &mut Vec<C32>, t0_s: f64, fs: f64) {
         if self.is_empty() || bb.is_empty() {
             return;
@@ -640,85 +577,21 @@ fn gaussian_pair(rng: &mut StdRng) -> (f32, f32) {
     ((r * th.cos()) as f32, (r * th.sin()) as f32)
 }
 
-/// [`RfChannel`] wrapped with a [`FaultPlan`] applied at complex baseband.
-///
-/// Tracks absolute stream time across calls so a plan's schedule lines up
-/// with the transmission timeline however the audio is chunked. With an
-/// empty plan the output is bit-identical to the bare channel.
-#[derive(Debug, Clone)]
-pub struct FaultyRfChannel {
-    /// The underlying AWGN/fade channel.
-    pub inner: RfChannel,
-    /// The impairment schedule.
-    pub plan: FaultPlan,
-    stream_samples: u64,
-}
-
-impl FaultyRfChannel {
-    /// Wraps an RF channel with a plan.
-    pub fn new(inner: RfChannel, plan: FaultPlan) -> Self {
-        FaultyRfChannel {
-            inner,
-            plan,
-            stream_samples: 0,
-        }
-    }
-
-    /// Applies channel then plan to FM complex baseband at
-    /// [`crate::MPX_RATE`].
-    pub fn transmit(&mut self, baseband: &[C32]) -> Vec<C32> {
-        let t0 = self.stream_samples as f64 / crate::MPX_RATE;
-        self.stream_samples += baseband.len() as u64;
-        let mut out = self.inner.transmit(baseband);
-        self.plan.apply_baseband(&mut out, t0, crate::MPX_RATE);
-        out
-    }
-}
-
-/// [`AcousticChannel`] wrapped with a [`FaultPlan`] applied to the captured
-/// audio at [`crate::AUDIO_RATE`]. Empty plan ⇒ bit-identical passthrough
-/// to the bare channel.
-#[derive(Debug, Clone)]
-pub struct FaultyAcousticChannel {
-    /// The underlying speaker→air→mic channel.
-    pub inner: AcousticChannel,
-    /// The impairment schedule.
-    pub plan: FaultPlan,
-    stream_samples: u64,
-}
-
-impl FaultyAcousticChannel {
-    /// Wraps an acoustic channel with a plan.
-    pub fn new(inner: AcousticChannel, plan: FaultPlan) -> Self {
-        FaultyAcousticChannel {
-            inner,
-            plan,
-            stream_samples: 0,
-        }
-    }
-
-    /// Applies hop then plan to audio.
-    pub fn transmit(&mut self, audio: &[f32]) -> Vec<f32> {
-        let t0 = self.stream_samples as f64 / crate::AUDIO_RATE;
-        self.stream_samples += audio.len() as u64;
-        let mut out = self.inner.transmit(audio);
-        self.plan.apply_audio(&mut out, t0, crate::AUDIO_RATE);
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tone(n: usize, f: f64, fs: f64, amp: f32) -> Vec<f32> {
+    fn tone(n: usize, f: f64, fs: f64, amp: f32) -> Vec<C32> {
         (0..n)
-            .map(|i| amp * (std::f64::consts::TAU * f * i as f64 / fs).sin() as f32)
+            .map(|i| {
+                let th = std::f64::consts::TAU * f * i as f64 / fs;
+                C32::new(amp * th.cos() as f32, amp * th.sin() as f32)
+            })
             .collect()
     }
 
-    fn rms(x: &[f32]) -> f32 {
-        (x.iter().map(|&v| v * v).sum::<f32>() / x.len().max(1) as f32).sqrt()
+    fn rms(x: &[C32]) -> f32 {
+        (x.iter().map(|v| v.norm_sq()).sum::<f32>() / x.len().max(1) as f32).sqrt()
     }
 
     #[test]
@@ -726,32 +599,10 @@ mod tests {
         let plan = FaultPlan::none();
         let orig = tone(10_000, 1000.0, crate::AUDIO_RATE, 0.4);
         let mut audio = orig.clone();
-        plan.apply_audio(&mut audio, 0.0, crate::AUDIO_RATE);
+        plan.apply_baseband(&mut audio, 0.0, crate::AUDIO_RATE);
         assert_eq!(audio, orig);
         for i in 0..100 {
             assert_eq!(plan.frame_fate(i as f64 * 0.1, 0.3, i), FrameFate::Delivered);
-        }
-    }
-
-    #[test]
-    fn zero_fault_wrappers_are_bit_identical_to_bare_channels() {
-        let carrier = vec![C32::new(1.0, 0.0); 8_000];
-        let bare = RfChannel::new(-80.0, 7).transmit(&carrier);
-        let wrapped =
-            FaultyRfChannel::new(RfChannel::new(-80.0, 7), FaultPlan::none()).transmit(&carrier);
-        assert_eq!(bare.len(), wrapped.len());
-        for (a, b) in bare.iter().zip(&wrapped) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-
-        let sig = tone(8_820, 1_000.0, crate::AUDIO_RATE, 0.3);
-        let bare = AcousticChannel::new(0.5, 3).transmit(&sig);
-        let wrapped = FaultyAcousticChannel::new(AcousticChannel::new(0.5, 3), FaultPlan::none())
-            .transmit(&sig);
-        assert_eq!(bare.len(), wrapped.len());
-        for (a, b) in bare.iter().zip(&wrapped) {
-            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -761,12 +612,12 @@ mod tests {
         let orig = tone(44_100, 1000.0, crate::AUDIO_RATE, 0.4);
         let mut a = orig.clone();
         let mut b = orig.clone();
-        plan.apply_audio(&mut a, 0.0, crate::AUDIO_RATE);
-        plan.apply_audio(&mut b, 0.0, crate::AUDIO_RATE);
+        plan.apply_baseband(&mut a, 0.0, crate::AUDIO_RATE);
+        plan.apply_baseband(&mut b, 0.0, crate::AUDIO_RATE);
         assert_eq!(a, b);
         let other = FaultPlan::hostile(43);
         let mut c = orig.clone();
-        other.apply_audio(&mut c, 0.0, crate::AUDIO_RATE);
+        other.apply_baseband(&mut c, 0.0, crate::AUDIO_RATE);
         assert_ne!(a, c, "different seeds must differ");
     }
 
@@ -797,18 +648,18 @@ mod tests {
         let fs = crate::AUDIO_RATE;
         let orig = tone(44_100, 700.0, fs, 0.4);
         let mut whole = orig.clone();
-        plan.apply_audio(&mut whole, 0.0, fs);
+        plan.apply_baseband(&mut whole, 0.0, fs);
         let mut chunked = Vec::new();
         let cut = 17_123;
         let mut head = orig[..cut].to_vec();
         let mut tail = orig[cut..].to_vec();
-        plan.apply_audio(&mut head, 0.0, fs);
-        plan.apply_audio(&mut tail, cut as f64 / fs, fs);
+        plan.apply_baseband(&mut head, 0.0, fs);
+        plan.apply_baseband(&mut tail, cut as f64 / fs, fs);
         chunked.extend(head);
         chunked.extend(tail);
         assert_eq!(whole.len(), chunked.len());
         for (i, (a, b)) in whole.iter().zip(&chunked).enumerate() {
-            assert!((a - b).abs() < 1e-6, "sample {i}: {a} vs {b}");
+            assert!((*a - *b).abs() < 1e-6, "sample {i}: {a:?} vs {b:?}");
         }
     }
 
@@ -823,9 +674,9 @@ mod tests {
         };
         let fs = crate::AUDIO_RATE;
         let mut audio = tone(13_230, 1000.0, fs, 0.4); // 0.3 s
-        plan.apply_audio(&mut audio, 0.0, fs);
+        plan.apply_baseband(&mut audio, 0.0, fs);
         let in_window = &audio[(0.12 * fs) as usize..(0.18 * fs) as usize];
-        assert!(in_window.iter().all(|&s| s == 0.0), "window must be silent");
+        assert!(in_window.iter().all(|&s| s == C32::new(0.0, 0.0)), "window must be silent");
         assert!(rms(&audio[..(0.09 * fs) as usize]) > 0.2, "head intact");
         assert!(rms(&audio[(0.21 * fs) as usize..]) > 0.2, "tail intact");
     }
@@ -842,10 +693,10 @@ mod tests {
         };
         let fs = crate::AUDIO_RATE;
         let n = (10.0 * fs) as usize;
-        let mut audio = vec![0.0f32; n];
-        plan.apply_audio(&mut audio, 0.0, fs);
+        let mut audio = vec![C32::new(0.0, 0.0); n];
+        plan.apply_baseband(&mut audio, 0.0, fs);
         // ~30 bursts × 441 samples of ~2.0 RMS noise in 441k samples.
-        let burst_samples = audio.iter().filter(|&&s| s.abs() > 0.5).count();
+        let burst_samples = audio.iter().filter(|s| s.re.abs() > 0.5).count();
         assert!(
             burst_samples > 5_000 && burst_samples < 40_000,
             "burst sample count {burst_samples}"
@@ -864,7 +715,7 @@ mod tests {
         };
         let fs = crate::AUDIO_RATE;
         let mut audio = tone(44_100, 1000.0, fs, 0.4);
-        plan.apply_audio(&mut audio, 0.0, fs);
+        plan.apply_baseband(&mut audio, 0.0, fs);
         let mid = rms(&audio[(0.4 * fs) as usize..(0.6 * fs) as usize]);
         let out = rms(&audio[..(0.25 * fs) as usize]);
         assert!(mid < out * 0.1, "faded {mid} vs clear {out}");
@@ -878,8 +729,8 @@ mod tests {
         };
         let fs = crate::AUDIO_RATE;
         let n = (10.0 * fs) as usize;
-        let mut audio = vec![1.0f32; n];
-        plan.apply_audio(&mut audio, 0.0, fs);
+        let mut audio = vec![C32::new(1.0, 0.0); n];
+        plan.apply_baseband(&mut audio, 0.0, fs);
         let slipped = n - audio.len();
         // 100 ppm over 441k samples ≈ 44 slips.
         assert!((30..60).contains(&slipped), "slips {slipped}");

@@ -4,9 +4,7 @@
 //! (20 kbps, N=200). Claims: 10 kbps rarely reaches zero but stays bounded;
 //! 20/40 kbps drain; N=200@20 kbps ≈ N=100@10 kbps.
 
-use super::sizes::{
-    calibration_factor, sizes_from_corpus_with_stats, SizeConfig, SizeMeasureStats,
-};
+use super::sizes::{calibration_factor, sizes_from_corpus, SizeConfig};
 use crate::broadcast::{mean_inflow_bps, simulate, BacklogTrace};
 use sonic_pagegen::{Corpus, PageId};
 
@@ -54,9 +52,6 @@ pub struct Fig4cResult {
     pub inflow_bps_n100: f64,
     /// Calibration factor used for sizes.
     pub calibration: f64,
-    /// SWP band-cache effectiveness over the size sweep (the expensive part
-    /// of the figure) — reported so the measurement cost is auditable.
-    pub size_stats: SizeMeasureStats,
 }
 
 /// Builds the N-page catalog (N=200 duplicates the corpus, modeling a
@@ -72,8 +67,7 @@ pub fn run_experiment(cfg: &Config) -> Fig4cResult {
     let size_cfg = SizeConfig::paper_default();
     let calibration = calibration_factor(&corpus, cfg.scale, size_cfg, 3);
     let pages100 = catalog(&corpus, 100);
-    let (sizes, size_stats) =
-        sizes_from_corpus_with_stats(&corpus, &pages100, cfg.hours, cfg.scale, size_cfg, calibration);
+    let sizes = sizes_from_corpus(&corpus, &pages100, cfg.hours, cfg.scale, size_cfg, calibration);
     let inflow = mean_inflow_bps(&corpus, &pages100, &sizes, cfg.hours);
 
     let traces = cfg
@@ -89,7 +83,6 @@ pub fn run_experiment(cfg: &Config) -> Fig4cResult {
         traces,
         inflow_bps_n100: inflow,
         calibration,
-        size_stats,
     }
 }
 

@@ -6,10 +6,19 @@
 //! 1187.5 bps subcarrier. Rates are *measured* by timing real modulated
 //! audio, not just computed.
 
-use sonic_modem::chirp::ChirpConfig;
+// The related-work baselines are whole modems with their own round-trip
+// tests; the table only needs their modulators and rate math.
+#[allow(dead_code)]
+mod chirp;
+#[allow(dead_code)]
+mod fsk;
+#[allow(dead_code)]
+mod multi;
+
+use chirp::ChirpConfig;
+use fsk::FskConfig;
+use multi::MultiCarrier;
 use sonic_modem::frame::modulate_frame;
-use sonic_modem::fsk::FskConfig;
-use sonic_modem::multi::MultiCarrier;
 use sonic_modem::profile::Profile;
 use sonic_radio::rds::RDS_BPS;
 
@@ -71,7 +80,7 @@ pub fn run_experiment() -> Vec<RateRow> {
         raw_bps: fsk.raw_rate_bps(),
         measured_bps: Some({
             let payload = vec![0x5Au8; 32];
-            let audio = sonic_modem::fsk::modulate(&fsk, &payload);
+            let audio = fsk::modulate(&fsk, &payload);
             32.0 * 8.0 / (audio.len() as f64 / fsk.sample_rate)
         }),
         notes: "16-FSK, 32 baud".into(),
@@ -83,7 +92,7 @@ pub fn run_experiment() -> Vec<RateRow> {
         raw_bps: chirp.raw_rate_bps(),
         measured_bps: Some({
             let payload = vec![0xC3u8; 4];
-            let audio = sonic_modem::chirp::modulate(&chirp, &payload);
+            let audio = chirp::modulate(&chirp, &payload);
             4.0 * 8.0 / (audio.len() as f64 / chirp.sample_rate)
         }),
         notes: "1 bit/chirp, 2–6 kHz sweeps".into(),

@@ -7,8 +7,8 @@
 //! chunks round-robin, doubling/quadrupling throughput for the Figure 4(c)
 //! rate scenarios (20 kbps, 40 kbps).
 
-use crate::frame::{demodulate_frames, modulate_frame, PhyError};
-use crate::profile::Profile;
+use sonic_modem::frame::{demodulate_frames, modulate_frame, PhyError};
+use sonic_modem::profile::Profile;
 
 /// A set of OFDM carriers acting as one logical channel.
 #[derive(Debug, Clone)]

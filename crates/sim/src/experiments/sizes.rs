@@ -6,7 +6,7 @@
 //! the extrapolation is auditable.
 
 use crate::broadcast::CachedSizes;
-use sonic_image::codec::{self, SwpCache};
+use sonic_image::codec;
 use sonic_pagegen::{Corpus, PageId};
 use std::collections::BTreeMap;
 
@@ -32,28 +32,12 @@ impl SizeConfig {
 /// Measures one page version's encoded size at `scale`, in bytes (scaled
 /// resolution — not yet extrapolated).
 pub fn measure_scaled(corpus: &Corpus, id: PageId, hour: u64, scale: f64, cfg: SizeConfig) -> f64 {
-    let mut cache = SwpCache::new();
-    measure_scaled_cached(corpus, id, hour, scale, cfg, &mut cache)
-}
-
-/// [`measure_scaled`] against a persistent band cache: hourly re-measurement
-/// of a mostly-unchanged catalog re-encodes only the bands whose pixels (or
-/// DC prediction chain) changed; output bytes are identical to the uncached
-/// encoder's.
-pub fn measure_scaled_cached(
-    corpus: &Corpus,
-    id: PageId,
-    hour: u64,
-    scale: f64,
-    cfg: SizeConfig,
-    cache: &mut SwpCache,
-) -> f64 {
     let rendered = corpus.render(id, hour, scale);
     let raster = match cfg.pixel_height {
         Some(ph) => rendered.raster.crop_height(((ph as f64) * scale) as usize),
         None => rendered.raster,
     };
-    codec::encode_cached(&raster, cfg.quality, cache).len() as f64
+    codec::encode(&raster, cfg.quality).len() as f64
 }
 
 /// Measures the full-scale/naive-extrapolation calibration factor on
@@ -81,29 +65,6 @@ pub fn calibration_factor(corpus: &Corpus, scale: f64, cfg: SizeConfig, n_sample
     }
 }
 
-/// Band-cache effectiveness over a [`sizes_from_corpus`] sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SizeMeasureStats {
-    /// Page-version encodes performed (page changes × hours measured).
-    pub encodes: usize,
-    /// SWP band encodes answered from the cache.
-    pub band_hits: u64,
-    /// SWP band encodes computed fresh.
-    pub band_misses: u64,
-}
-
-impl SizeMeasureStats {
-    /// Fraction of band encodes served from the cache (0 when none ran).
-    pub fn band_hit_rate(&self) -> f64 {
-        let total = self.band_hits + self.band_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.band_hits as f64 / total as f64
-        }
-    }
-}
-
 /// Builds a full-scale-equivalent size cache for the backlog simulation:
 /// each page's size is measured once per content version (sizes repeat
 /// until the page changes).
@@ -115,33 +76,16 @@ pub fn sizes_from_corpus(
     cfg: SizeConfig,
     calibration: f64,
 ) -> CachedSizes {
-    sizes_from_corpus_with_stats(corpus, pages, hours, scale, cfg, calibration).0
-}
-
-/// [`sizes_from_corpus`] plus band-cache statistics: one [`SwpCache`]
-/// persists across the whole sweep, so an hourly page change that leaves
-/// most 8-row bands untouched only re-encodes the dirty bands. Sizes are
-/// bit-identical to the uncached measurement.
-pub fn sizes_from_corpus_with_stats(
-    corpus: &Corpus,
-    pages: &[PageId],
-    hours: u64,
-    scale: f64,
-    cfg: SizeConfig,
-    calibration: f64,
-) -> (CachedSizes, SizeMeasureStats) {
     let mut map = BTreeMap::new();
     let extrapolate = calibration / (scale * scale);
     let mut total = 0.0f64;
     let mut count = 0usize;
-    let mut cache = SwpCache::new();
     for &id in pages {
         let mut last_bytes = 0.0f64;
         for hour in 0..hours {
             let fresh = hour == 0 || corpus.changed(id, hour - 1, hour);
             if fresh {
-                last_bytes =
-                    measure_scaled_cached(corpus, id, hour, scale, cfg, &mut cache) * extrapolate;
+                last_bytes = measure_scaled(corpus, id, hour, scale, cfg) * extrapolate;
                 total += last_bytes;
                 count += 1;
             }
@@ -149,18 +93,10 @@ pub fn sizes_from_corpus_with_stats(
         }
     }
     let default_bytes = if count > 0 { total / count as f64 } else { 150_000.0 };
-    let stats = SizeMeasureStats {
-        encodes: count,
-        band_hits: cache.hits(),
-        band_misses: cache.misses(),
-    };
-    (
-        CachedSizes {
-            map,
-            default_bytes,
-        },
-        stats,
-    )
+    CachedSizes {
+        map,
+        default_bytes,
+    }
 }
 
 #[cfg(test)]
@@ -236,33 +172,6 @@ mod tests {
             }
             assert!(b > 0.0);
         }
-    }
-
-    #[test]
-    fn cached_sweep_matches_uncached_and_reuses_bands() {
-        let c = Corpus::small(3);
-        let pages: Vec<PageId> = (0..3).map(|s| PageId { site: s, page: 0 }).collect();
-        let cfg = SizeConfig::paper_default();
-        let plain = sizes_from_corpus(&c, &pages, 6, 0.1, cfg, 1.0);
-        let (cached, stats) = sizes_from_corpus_with_stats(&c, &pages, 6, 0.1, cfg, 1.0);
-        for &id in &pages {
-            for h in 0..6 {
-                assert_eq!(
-                    plain.bytes(id, h),
-                    cached.bytes(id, h),
-                    "page {id:?} hour {h}"
-                );
-            }
-        }
-        assert!(stats.encodes >= pages.len(), "at least one encode per page");
-        assert!(stats.band_misses > 0);
-        // Hourly page mutations leave most 8-row bands untouched, so the
-        // persistent cache must see real reuse across the sweep.
-        assert!(
-            stats.band_hits > 0,
-            "persistent band cache must hit across hours: {stats:?}"
-        );
-        assert!(stats.band_hit_rate() > 0.0 && stats.band_hit_rate() < 1.0);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * [`carousel`] — incremental delta-carousel and warm-restart loops over
 //!   the tiered artifact store.
 //! * [`study`] — the 151-rater perceptual panel model (Figure 5).
-//! * [`workload`], [`des`] — request workloads and a small event simulator
-//!   for day-in-the-life runs.
+//! * [`workload`] — request workloads for day-in-the-life runs.
 //! * [`chaos`], [`cluster`] — seeded fault soaks: one server's radio path,
 //!   and the multi-site control plane (kill/restart, link faults, floods).
 //! * [`scenario`], [`terrain`] — the country-scale streaming engine:
@@ -30,7 +29,6 @@ pub mod broadcast;
 pub mod carousel;
 pub mod chaos;
 pub mod cluster;
-pub mod des;
 pub mod experiments;
 pub mod linksim;
 pub mod pool;

@@ -10,6 +10,7 @@ use sonic_core::frame::Frame;
 use sonic_core::link::{self, FRAMES_PER_BURST};
 use sonic_modem::profile::Profile;
 use sonic_radio::channel::AcousticChannel;
+use sonic_radio::faults::FaultPlan;
 use sonic_radio::stack::FmLink;
 
 /// Which physical path the frames take after the modem.
@@ -68,9 +69,11 @@ pub fn test_frames(n: usize, seed: u8) -> Vec<Frame> {
 ///
 /// Pre-emphasis boosts 9.2 kHz ~3×, and OFDM has ~10 dB PAPR; 0.08 RMS in
 /// keeps composite peaks under full deviation without clipping.
-const FM_INPUT_RMS: f32 = 0.08;
+pub const FM_INPUT_RMS: f32 = 0.08;
 
-fn scale_to_rms(audio: &mut [f32], target: f32) {
+/// Scales `audio` in place to an RMS level of `target` (silence stays
+/// silence).
+pub fn scale_to_rms(audio: &mut [f32], target: f32) {
     let rms = (audio.iter().map(|&x| x * x).sum::<f32>() / audio.len().max(1) as f32).sqrt();
     if rms > 1e-12 {
         let g = target / rms;
@@ -82,40 +85,10 @@ fn scale_to_rms(audio: &mut [f32], target: f32) {
 
 /// Runs `n_frames` frames through the configured chain.
 pub fn run(profile: &Profile, setup: ChannelSetup, n_frames: usize, seed: u64) -> LinkRunResult {
-    let frames = test_frames(n_frames, seed as u8);
-    let mut audio = link::modulate(profile, &frames);
-
-    let received_audio = match setup {
-        ChannelSetup::Cable => audio,
-        ChannelSetup::Acoustic { distance_m } => {
-            AcousticChannel::new(distance_m, seed).transmit(&audio)
-        }
-        ChannelSetup::Fm { rssi_db } => {
-            scale_to_rms(&mut audio, FM_INPUT_RMS);
-            FmLink::new(rssi_db, seed).transmit(&audio, None).mono
-        }
-        ChannelSetup::FmThenAcoustic {
-            rssi_db,
-            distance_m,
-        } => {
-            scale_to_rms(&mut audio, FM_INPUT_RMS);
-            let mono = FmLink::new(rssi_db, seed).transmit(&audio, None).mono;
-            AcousticChannel::new(distance_m, seed ^ 0x5A5A).transmit(&mono)
-        }
-    };
-
-    let (got, stats) = link::demodulate(profile, &received_audio);
-    let frames_received = got.len().min(n_frames);
-    LinkRunResult {
-        frames_sent: n_frames,
-        frames_received,
-        bursts_failed: stats.bursts_failed
-            + n_frames.div_ceil(FRAMES_PER_BURST).saturating_sub(stats.bursts_detected),
-        frame_loss: 1.0 - frames_received as f64 / n_frames.max(1) as f64,
-    }
+    run_with(profile, setup, n_frames, seed, FaultPlan::none())
 }
 
-/// Runs `n_frames` frames over the FM chain with a [`sonic_radio::faults::FaultPlan`] injected
+/// Runs `n_frames` frames over the FM chain with a [`FaultPlan`] injected
 /// on the RF hop (impulses, co-channel interferer, mutes, clock drift,
 /// fades — see `sonic_radio::faults`). With an empty plan this is exactly
 /// [`run`] with [`ChannelSetup::Fm`].
@@ -124,15 +97,45 @@ pub fn run_fm_with_faults(
     rssi_db: f64,
     n_frames: usize,
     seed: u64,
-    faults: sonic_radio::faults::FaultPlan,
+    faults: FaultPlan,
+) -> LinkRunResult {
+    run_with(profile, ChannelSetup::Fm { rssi_db }, n_frames, seed, faults)
+}
+
+/// The one chain: frames → modem → `setup`'s hops (`faults` on the RF hop,
+/// if it has one) → receiver → loss accounting.
+fn run_with(
+    profile: &Profile,
+    setup: ChannelSetup,
+    n_frames: usize,
+    seed: u64,
+    faults: FaultPlan,
 ) -> LinkRunResult {
     let frames = test_frames(n_frames, seed as u8);
     let mut audio = link::modulate(profile, &frames);
-    scale_to_rms(&mut audio, FM_INPUT_RMS);
-    let received_audio = FmLink::new(rssi_db, seed)
-        .with_faults(faults)
-        .transmit(&audio, None)
-        .mono;
+    let fm_hop = |audio: &mut [f32], rssi_db: f64| {
+        scale_to_rms(audio, FM_INPUT_RMS);
+        FmLink::new(rssi_db, seed)
+            .with_faults(faults)
+            .transmit(audio, None)
+            .mono
+    };
+
+    let received_audio = match setup {
+        ChannelSetup::Cable => audio,
+        ChannelSetup::Acoustic { distance_m } => {
+            AcousticChannel::new(distance_m, seed).transmit(&audio)
+        }
+        ChannelSetup::Fm { rssi_db } => fm_hop(&mut audio, rssi_db),
+        ChannelSetup::FmThenAcoustic {
+            rssi_db,
+            distance_m,
+        } => {
+            let mono = fm_hop(&mut audio, rssi_db);
+            AcousticChannel::new(distance_m, seed ^ 0x5A5A).transmit(&mono)
+        }
+    };
+
     let (got, stats) = link::demodulate(profile, &received_audio);
     let frames_received = got.len().min(n_frames);
     LinkRunResult {
@@ -203,7 +206,6 @@ mod tests {
 
     #[test]
     fn zero_fault_plan_matches_plain_fm_run() {
-        use sonic_radio::faults::FaultPlan;
         let profile = Profile::sonic_10k();
         let plain = run(&profile, ChannelSetup::Fm { rssi_db: -86.0 }, 40, 7);
         let empty = run_fm_with_faults(&profile, -86.0, 40, 7, FaultPlan::none());
@@ -214,7 +216,6 @@ mod tests {
 
     #[test]
     fn hostile_faults_degrade_a_clean_link() {
-        use sonic_radio::faults::FaultPlan;
         let profile = Profile::sonic_10k();
         let clean = run(&profile, ChannelSetup::Fm { rssi_db: -70.0 }, 80, 6);
         let faulty = run_fm_with_faults(&profile, -70.0, 80, 6, FaultPlan::hostile(9));

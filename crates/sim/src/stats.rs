@@ -82,22 +82,6 @@ impl std::fmt::Display for BoxStats {
     }
 }
 
-/// Empirical CDF: returns `(value, fraction ≤ value)` points.
-pub fn cdf(xs: &[f64]) -> Vec<(f64, f64)> {
-    let mut v = xs.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let n = v.len() as f64;
-    v.into_iter()
-        .enumerate()
-        .map(|(i, x)| (x, (i + 1) as f64 / n))
-        .collect()
-}
-
-/// Value at a given CDF fraction (inverse CDF at `frac` in `[0, 1]`).
-pub fn cdf_value_at(xs: &[f64], frac: f64) -> f64 {
-    percentile(xs, frac * 100.0)
-}
-
 /// Relative value accuracy of [`QuantileSketch`]: a reported quantile is
 /// within `±SKETCH_ALPHA · |true value|` of the exact sample quantile.
 pub const SKETCH_ALPHA: f64 = 0.01;
@@ -271,19 +255,6 @@ impl QuantileSketch {
         // BTreeMap node overhead amortizes to roughly 2× payload.
         std::mem::size_of::<Self>() + self.buckets.len() * 2 * (4 + 8)
     }
-
-    /// Renders `min/p50/p90/p99/max` with fixed formatting (report lines
-    /// must be byte-stable across worker counts).
-    pub fn summary_line(&self) -> String {
-        format!(
-            "min {:.3} | p50 {:.3} | p90 {:.3} | p99 {:.3} | max {:.3}",
-            if self.count == 0 { 0.0 } else { self.min },
-            self.quantile(0.50),
-            self.quantile(0.90),
-            self.quantile(0.99),
-            if self.count == 0 { 0.0 } else { self.max },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -317,17 +288,6 @@ mod tests {
         let b = BoxStats::of(&xs);
         assert!(b.min <= b.q1 && b.q1 <= b.median && b.median <= b.q3 && b.q3 <= b.max);
         assert!((b.median - 49.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cdf_is_monotone_and_ends_at_one() {
-        let xs = [3.0, 1.0, 2.0, 2.0];
-        let c = cdf(&xs);
-        assert_eq!(c.len(), 4);
-        assert!((c.last().expect("non-empty").1 - 1.0).abs() < 1e-12);
-        for w in c.windows(2) {
-            assert!(w[1].0 >= w[0].0 && w[1].1 > w[0].1);
-        }
     }
 
     #[test]

@@ -79,11 +79,6 @@ pub struct Panel {
 }
 
 impl Panel {
-    /// Creates the paper's panel: 151 raters.
-    pub fn paper_panel(seed: u64) -> Self {
-        Panel::new(151, seed)
-    }
-
     /// Creates a panel of `n` raters.
     pub fn new(n: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -15,7 +15,7 @@
 //! count. Each site gets an independent field (different propagation paths
 //! see different obstructions).
 
-use sonic_radio::rssi::{rssi_band, PathLoss};
+use sonic_radio::rssi::PathLoss;
 
 /// Hash step shared with the fault machinery (SplitMix64).
 fn mix(mut z: u64) -> u64 {
@@ -189,12 +189,6 @@ impl TerrainGrid {
             }
         }
         (best as u8, self.rssi_db(best, x_m, y_m))
-    }
-
-    /// Quantized RSSI band at a point (see [`sonic_radio::rssi::rssi_band`]).
-    pub fn band_at(&self, x_m: f64, y_m: f64) -> (u8, u8) {
-        let (site, rssi) = self.best_site(x_m, y_m);
-        (site, rssi_band(rssi))
     }
 }
 

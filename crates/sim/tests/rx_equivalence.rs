@@ -9,25 +9,14 @@
 use sonic_core::link;
 use sonic_modem::{demodulate_frames, demodulate_frames_reference, Profile};
 use sonic_radio::stack::FmLink;
-use sonic_sim::linksim::test_frames;
-
-/// Mirrors the link harness' FM input drive level.
-fn scale_to_rms(audio: &mut [f32], target: f32) {
-    let rms = (audio.iter().map(|&x| x * x).sum::<f32>() / audio.len().max(1) as f32).sqrt();
-    if rms > 1e-12 {
-        let g = target / rms;
-        for v in audio.iter_mut() {
-            *v *= g;
-        }
-    }
-}
+use sonic_sim::linksim::{scale_to_rms, test_frames, FM_INPUT_RMS};
 
 /// Runs one seeded RSSI point through both receive paths and returns the
 /// number of PHY frames recovered by (fast, reference).
 fn frames_recovered(profile: &Profile, rssi_db: f64, seed: u64) -> (usize, usize) {
     let frames = test_frames(sonic_core::link::FRAMES_PER_BURST, seed as u8);
     let mut audio = link::modulate(profile, &frames);
-    scale_to_rms(&mut audio, 0.08);
+    scale_to_rms(&mut audio, FM_INPUT_RMS);
 
     let link_pair = FmLink::new(rssi_db, seed);
     let fast_mono = link_pair.transmit(&audio, None).mono;

@@ -15,18 +15,7 @@ use sonic_core::link;
 use sonic_dsp::simd;
 use sonic_modem::{demodulate_frames, Profile};
 use sonic_radio::stack::FmLink;
-use sonic_sim::linksim::test_frames;
-
-/// Mirrors the link harness' FM input drive level.
-fn scale_to_rms(audio: &mut [f32], target: f32) {
-    let rms = (audio.iter().map(|&x| x * x).sum::<f32>() / audio.len().max(1) as f32).sqrt();
-    if rms > 1e-12 {
-        let g = target / rms;
-        for v in audio.iter_mut() {
-            *v *= g;
-        }
-    }
-}
+use sonic_sim::linksim::{scale_to_rms, test_frames, FM_INPUT_RMS};
 
 /// One seeded `fm_rx_page`-shaped run: page burst → FM link at `rssi_db` →
 /// full receive chain. Returns every recovered frame as
@@ -35,7 +24,7 @@ fn scale_to_rms(audio: &mut [f32], target: f32) {
 fn rx_page(profile: &Profile, rssi_db: f64, seed: u64) -> Vec<(usize, Result<Vec<u8>, String>)> {
     let frames = test_frames(link::FRAMES_PER_BURST, seed as u8);
     let mut audio = link::modulate(profile, &frames);
-    scale_to_rms(&mut audio, 0.08);
+    scale_to_rms(&mut audio, FM_INPUT_RMS);
     let mono = FmLink::new(rssi_db, seed).transmit(&audio, None).mono;
     demodulate_frames(profile, &mono)
         .into_iter()

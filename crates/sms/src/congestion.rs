@@ -80,14 +80,6 @@ impl CongestionModel {
             }
         }
     }
-
-    /// Offered load at which the mean queue delay first reaches `delay_s`
-    /// (the inverse knee — used to size scenario demand curves).
-    pub fn load_for_delay(&self, delay_s: f64) -> f64 {
-        let d = delay_s.max(0.0);
-        // d = s·ρ/(1−ρ)  ⇒  ρ = d/(d+s).
-        self.capacity_per_s * d / (d + self.service_s)
-    }
 }
 
 #[cfg(test)]
@@ -134,20 +126,6 @@ mod tests {
             assert!(
                 through <= m.capacity_per_s * (1.0 + 1e-9),
                 "throughput {through} at ρ={mult}"
-            );
-        }
-    }
-
-    #[test]
-    fn knee_inverse_roundtrips() {
-        let m = CongestionModel::default();
-        for d in [0.01, 0.5, 5.0, 60.0] {
-            let load = m.load_for_delay(d);
-            let p = m.under_load(load);
-            assert!(
-                (p.queue_delay_s - d).abs() / d < 1e-6,
-                "delay {d}: got {}",
-                p.queue_delay_s
             );
         }
     }

@@ -1,6 +1,7 @@
 //! A day in the life of a SONIC transmitter: 24 hours of hourly content
-//! churn, popularity pushes, and SMS-driven requests, simulated with the
-//! discrete-event core. Prints the hourly backlog and request statistics.
+//! churn, popularity pushes, and SMS-driven requests. Every event is known
+//! up front, so the simulator is the event list sorted by time. Prints the
+//! hourly backlog and request statistics.
 //!
 //! The popularity push runs through the content-addressed broadcast
 //! artifact cache: the first push of the day builds every page cold
@@ -13,7 +14,6 @@
 use sonic::core::server::render::Renderer;
 use sonic::core::SonicServer;
 use sonic::pagegen::Corpus;
-use sonic::sim::des::Simulator;
 use sonic::sim::workload::{generate, PageRequest};
 use sonic::sms::gateway;
 use sonic::sms::geo::Coverage;
@@ -43,26 +43,23 @@ fn main() {
     let renderer = Renderer::new(corpus, 0.05);
     let mut server = SonicServer::new(renderer, Coverage::pakistan_demo(), 10_000.0);
     let mut sms = SmsNetwork::typical(1);
-    let mut sim: Simulator<Ev> = Simulator::new();
-    for r in requests {
-        sim.schedule_at(r.at_s, Ev::Request(r));
-    }
-    for h in 0..24u64 {
-        sim.schedule_at(h as f64 * 3600.0 + 1.0, Ev::HourTick(h));
-    }
+    let mut events: Vec<(f64, Ev)> = requests.into_iter().map(|r| (r.at_s, Ev::Request(r))).collect();
+    events.extend((0..24u64).map(|h| (h as f64 * 3600.0 + 1.0, Ev::HourTick(h))));
+    // Stable: events at the same instant fire in the order listed above.
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
 
     let mut acked = 0usize;
     let mut errors = 0usize;
     let mut lost = 0usize;
     let mut last_drain = 0.0f64;
-    while let Some(ev) = sim.next() {
+    for (now, ev) in events {
         // Drain all transmitters for the elapsed wall time.
-        let dt = sim.now() - last_drain;
-        last_drain = sim.now();
+        let dt = now - last_drain;
+        last_drain = now;
         for sched in server.schedulers.values_mut() {
             let _ = sched.advance(dt);
         }
-        match ev.payload {
+        match ev {
             Ev::Request(r) => {
                 let hour = (r.at_s / 3600.0) as u64;
                 let url = server
@@ -90,7 +87,7 @@ fn main() {
                 if h == 6 || h == 7 {
                     let before = server.artifact_cache().stats;
                     let t = std::time::Instant::now();
-                    server.push_popular(h, 5, sim.now());
+                    server.push_popular(h, 5, now);
                     let elapsed = t.elapsed().as_secs_f64();
                     let s = server.artifact_cache().stats;
                     println!(

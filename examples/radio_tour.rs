@@ -12,7 +12,7 @@ use sonic::dsp::goertzel;
 use sonic::modem::profile::Profile;
 use sonic::radio::rds::{decode_groups, encode_group, Group};
 use sonic::radio::stack::FmLink;
-use sonic::sim::linksim::test_frames;
+use sonic::sim::linksim::{scale_to_rms, test_frames, FM_INPUT_RMS};
 
 fn main() {
     let profile = Profile::sonic_10k();
@@ -26,13 +26,11 @@ fn main() {
 
     // SONIC data on the 9.2 kHz carrier, mixed with the music.
     let frames = test_frames(40, 1);
-    let data_audio = link::modulate(&profile, &frames);
+    let mut data_audio = link::modulate(&profile, &frames);
+    scale_to_rms(&mut data_audio, FM_INPUT_RMS);
     let mut mono = music;
-    let g = 0.08 / (data_audio.iter().map(|&x| x * x).sum::<f32>() / data_audio.len() as f32).sqrt();
-    for (i, d) in data_audio.iter().enumerate() {
-        if i < mono.len() {
-            mono[i] += d * g;
-        }
+    for (m, d) in mono.iter_mut().zip(&data_audio) {
+        *m += d;
     }
 
     // RDS: the station identifies itself.

@@ -11,9 +11,9 @@
 //!
 //! | layer | crate | contents |
 //! |---|---|---|
-//! | DSP | [`dsp`] | FFT, FIR/IIR, resampling, NCO, Goertzel |
+//! | DSP | [`dsp`] | FFT, FIR, emphasis shelves, resampling, NCO, Goertzel |
 //! | FEC | [`fec`] | CRC-32, K=9 Viterbi ("v29"), RS(255,223) ("rs8") |
-//! | modem | [`modem`] | 92-subcarrier OFDM @ 9.2 kHz, FSK/chirp baselines |
+//! | modem | [`modem`] | 92-subcarrier OFDM @ 9.2 kHz: burst, frame, profiles |
 //! | radio | [`radio`] | FM multiplex, FM mod/demod, RDS, channel models |
 //! | image | [`image`] | SWP (WebP-analog) codec, strip coding, interpolation |
 //! | pages | [`pagegen`] | deterministic webpage renderer + corpus |
