@@ -1,20 +1,16 @@
 //! Figure 4(b): CDF of rendered-page image sizes for (Q, PH) combinations.
 //!
 //! Prints CDF landmarks per curve, extrapolated to full 1080-px-wide pages.
-//! Knobs: `SONIC_FIG4B_SCALE` (default 0.12 here), `SONIC_FIG4B_HOURS`
-//! (default 8 here; the paper rendered 72 hourly snapshots).
+//! Knobs: `SONIC_FIG4B_SCALE`, `SONIC_FIG4B_HOURS` (the paper rendered 72
+//! hourly snapshots).
 
 use sonic_sim::experiments::fig4b::{run_experiment, Config};
 use sonic_sim::report::{kb, Table};
 
 fn main() {
-    // Single-core default trims; export the env vars to run closer to paper
+    // Single-core defaults; export the env vars to run closer to paper
     // scale (see EXPERIMENTS.md).
-    let cfg = Config {
-        scale: sonic_sim::experiments::env_or("SONIC_FIG4B_SCALE", 0.12),
-        hours: sonic_sim::experiments::env_or("SONIC_FIG4B_HOURS", 8),
-        ..Config::default()
-    };
+    let cfg = Config::default();
     println!(
         "Figure 4(b) — image size CDFs (scale {}, {} hourly snapshots, 100 pages)",
         cfg.scale, cfg.hours

@@ -1,16 +1,13 @@
 //! Figure 4(c): data-to-broadcast backlog over 48 h per rate / catalog size.
 //!
 //! Prints the hourly backlog series (MB) for each (rate, N) pair. Knobs:
-//! `SONIC_FIG4C_HOURS` (default 48), `SONIC_FIG4C_SCALE` (default 0.08 here).
+//! `SONIC_FIG4C_HOURS`, `SONIC_FIG4C_SCALE`.
 
 use sonic_sim::experiments::fig4c::{run_experiment, Config};
 use sonic_sim::report::Table;
 
 fn main() {
-    let cfg = Config {
-        scale: sonic_sim::experiments::env_or("SONIC_FIG4C_SCALE", 0.08),
-        ..Config::default()
-    };
+    let cfg = Config::default();
     println!(
         "Figure 4(c) — backlog over {} h (size scale {}, calibration applied)",
         cfg.hours, cfg.scale

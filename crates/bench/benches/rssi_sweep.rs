@@ -1,16 +1,12 @@
 //! §4 "Variable RSSI": frame loss across receiver signal strengths.
 //!
-//! Knobs: `SONIC_RSSI_REPS` (default 8 here), `SONIC_RSSI_BURSTS` (default 2).
+//! Knobs: `SONIC_RSSI_REPS`, `SONIC_RSSI_BURSTS`.
 
 use sonic_sim::experiments::rssi::{run_experiment, Config};
 use sonic_sim::report::{pct, Table};
 
 fn main() {
-    let cfg = Config {
-        reps: sonic_sim::experiments::env_or("SONIC_RSSI_REPS", 8),
-        bursts_per_rep: sonic_sim::experiments::env_or("SONIC_RSSI_BURSTS", 2),
-        ..Config::default()
-    };
+    let cfg = Config::default();
     println!(
         "Variable RSSI — frame loss over the FM chain, cable client ({} reps x {} bursts)",
         cfg.reps, cfg.bursts_per_rep

@@ -27,5 +27,5 @@ pub mod transport;
 
 pub use codec::{FrameDecoder, MAX_WIRE_PAYLOAD, WIRE_HEADER};
 pub use proto::{Msg, Request, Response};
-pub use rpc::{JobClass, RpcClient, RpcPolicy};
+pub use rpc::{JobClass, RpcClient};
 pub use transport::{LinkFaultPlan, Pipe, SimLink};

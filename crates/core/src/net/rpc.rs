@@ -12,6 +12,13 @@
 //! without flapping health; while down, only probe pings flow, and the
 //! first response of any kind flips the site back `Up` (the coordinator
 //! then issues a warm-restart `Resume`).
+//!
+//! Every coordinator runs the same numbers, so they are constants here
+//! rather than a policy struct: a 5 s deadline (`DEADLINE_S`), 3
+//! attempts (`MAX_ATTEMPTS`) 2 s · 2ⁿ apart (`BACKOFF_BASE_S`), 8 in
+//! flight (`MAX_OUTSTANDING`), 64 queued ([`MAX_QUEUED`]), `Down` after
+//! 3 control expiries (`FAIL_THRESHOLD`) and a probe every 15 s
+//! (`PROBE_INTERVAL_S`).
 
 use super::codec::{frame_bytes, FrameDecoder};
 use super::proto::{decode_msg, encode_msg, Msg, Request, Response};
@@ -33,39 +40,21 @@ pub enum JobClass {
     Control = 3,
 }
 
-/// RPC policy knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RpcPolicy {
-    /// Seconds an attempt may remain unanswered before it expires.
-    pub deadline_s: f64,
-    /// Attempts (first try + retries) per RPC before giving up.
-    pub max_attempts: u32,
-    /// Base of the exponential backoff between attempts: attempt `n`
-    /// waits `backoff_base_s · 2^(n-1)` after its expiry.
-    pub backoff_base_s: f64,
-    /// Most RPCs in flight at once (send window).
-    pub max_outstanding: usize,
-    /// Most requests waiting in the send queue; beyond it, shedding.
-    pub max_queued: usize,
-    /// Consecutive control-class expiries that trip the site `Down`.
-    pub fail_threshold: u32,
-    /// Seconds between probe pings while `Down`.
-    pub probe_interval_s: f64,
-}
-
-impl Default for RpcPolicy {
-    fn default() -> Self {
-        RpcPolicy {
-            deadline_s: 5.0,
-            max_attempts: 3,
-            backoff_base_s: 2.0,
-            max_outstanding: 8,
-            max_queued: 64,
-            fail_threshold: 3,
-            probe_interval_s: 15.0,
-        }
-    }
-}
+/// Seconds an attempt may remain unanswered before it expires.
+const DEADLINE_S: f64 = 5.0;
+/// Attempts (first try + retries) per RPC before giving up.
+const MAX_ATTEMPTS: u32 = 3;
+/// Base of the exponential backoff between attempts: attempt `n` waits
+/// `BACKOFF_BASE_S · 2^(n-1)` after its expiry.
+const BACKOFF_BASE_S: f64 = 2.0;
+/// Most RPCs in flight at once (send window).
+const MAX_OUTSTANDING: usize = 8;
+/// Most requests waiting in the send queue; beyond it, shedding.
+pub const MAX_QUEUED: usize = 64;
+/// Consecutive control-class expiries that trip the site `Down`.
+const FAIL_THRESHOLD: u32 = 3;
+/// Seconds between probe pings while `Down`.
+const PROBE_INTERVAL_S: f64 = 15.0;
 
 /// Client counters (soak assertions and diagnostics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,17 +98,16 @@ struct Flight {
 }
 
 /// Health of the remote site as seen through this client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Health {
+    #[default]
     Up,
     Down,
 }
 
 /// The coordinator-side endpoint of one coordinator↔site link.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RpcClient {
-    /// Policy knobs.
-    pub policy: RpcPolicy,
     next_id: u64,
     queue: VecDeque<Flight>,
     /// id → (flight, deadline). Sent, awaiting a response.
@@ -141,22 +129,9 @@ pub struct RpcClient {
 }
 
 impl RpcClient {
-    /// A client under `policy`, starting healthy.
-    pub fn new(policy: RpcPolicy) -> Self {
-        RpcClient {
-            policy,
-            next_id: 0,
-            queue: VecDeque::new(),
-            outstanding: BTreeMap::new(),
-            backoff: BTreeMap::new(),
-            decoder: FrameDecoder::new(),
-            health: Health::Up,
-            consecutive_failures: 0,
-            next_probe_s: 0.0,
-            recovered_flag: false,
-            last_rx_progress_s: 0.0,
-            stats: RpcStats::default(),
-        }
+    /// A client with nothing queued, starting healthy.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Whether the site currently counts as healthy.
@@ -203,7 +178,7 @@ impl RpcClient {
     /// waits. Returns whether the request was accepted.
     pub fn submit(&mut self, class: JobClass, req: Request) -> bool {
         self.stats.submitted += 1;
-        if self.queue.len() >= self.policy.max_queued.max(1) {
+        if self.queue.len() >= MAX_QUEUED {
             let victim = self
                 .queue
                 .iter()
@@ -248,7 +223,7 @@ impl RpcClient {
         let wrote = tx.send(&frame_bytes(&payload), now_s);
         self.stats.sent += 1;
         if wrote {
-            let deadline = now_s + self.policy.deadline_s;
+            let deadline = now_s + DEADLINE_S;
             self.outstanding.insert(id, (flight, deadline));
             self.stats.peak_outstanding = self.stats.peak_outstanding.max(self.outstanding.len());
         } else {
@@ -266,20 +241,18 @@ impl RpcClient {
         // fleet flap under load.
         if flight.class == JobClass::Control {
             self.consecutive_failures += 1;
-            if self.consecutive_failures >= self.policy.fail_threshold
-                && self.health == Health::Up
-            {
+            if self.consecutive_failures >= FAIL_THRESHOLD && self.health == Health::Up {
                 self.health = Health::Down;
                 self.stats.downs += 1;
-                self.next_probe_s = now_s + self.policy.probe_interval_s;
+                self.next_probe_s = now_s + PROBE_INTERVAL_S;
             }
         }
-        if flight.attempts >= self.policy.max_attempts {
+        if flight.attempts >= MAX_ATTEMPTS {
             self.stats.gave_up += 1;
             return;
         }
         let shift = (flight.attempts.saturating_sub(1)).min(16);
-        let retry_at = now_s + self.policy.backoff_base_s * f64::from(1u32 << shift);
+        let retry_at = now_s + BACKOFF_BASE_S * f64::from(1u32 << shift);
         self.backoff.insert(id, (flight, retry_at));
     }
 
@@ -320,7 +293,7 @@ impl RpcClient {
         // abandon it and re-scan rather than livelock.
         if self.decoder.buffered() == 0 || self.decoder.stats.frames > frames_before {
             self.last_rx_progress_s = now_s;
-        } else if now_s - self.last_rx_progress_s > self.policy.deadline_s {
+        } else if now_s - self.last_rx_progress_s > DEADLINE_S {
             self.decoder.force_resync();
             self.last_rx_progress_s = now_s;
         }
@@ -346,7 +319,7 @@ impl RpcClient {
             .map(|(&id, _)| id)
             .collect();
         for id in due {
-            if self.outstanding.len() >= self.policy.max_outstanding {
+            if self.outstanding.len() >= MAX_OUTSTANDING {
                 break;
             }
             if self.health == Health::Down {
@@ -359,14 +332,14 @@ impl RpcClient {
 
         // 4. Fresh sends (or probes while down).
         if self.health == Health::Up {
-            while self.outstanding.len() < self.policy.max_outstanding {
+            while self.outstanding.len() < MAX_OUTSTANDING {
                 let Some(flight) = self.queue.pop_front() else {
                     break;
                 };
                 self.send_flight(flight, now_s, tx);
             }
         } else if now_s >= self.next_probe_s {
-            self.next_probe_s = now_s + self.policy.probe_interval_s;
+            self.next_probe_s = now_s + PROBE_INTERVAL_S;
             self.stats.probes += 1;
             self.send_flight(
                 Flight {
@@ -413,18 +386,39 @@ mod tests {
         n
     }
 
+    /// Ticks the client every 0.1 s over `[from_s, to_s)` against a site
+    /// that reads every request and answers only if `answer`.
+    fn run(
+        client: &mut RpcClient,
+        link: &mut SimLink,
+        site: &mut FrameDecoder,
+        (from_s, to_s): (f64, f64),
+        answer: bool,
+    ) -> Vec<(Request, Response)> {
+        let mut done = Vec::new();
+        for t in (from_s * 10.0) as u32..(to_s * 10.0) as u32 {
+            let now = f64::from(t) * 0.1;
+            done.extend(client.tick(now, &mut link.a_to_b, &mut link.b_to_a));
+            pump_site(link, site, now, answer);
+        }
+        done
+    }
+
+    /// When a lone control RPC to a silent site spends its last attempt:
+    /// each attempt waits out the deadline, each retry its backoff.
+    fn give_up_s() -> f64 {
+        (1..MAX_ATTEMPTS).fold(DEADLINE_S, |t, n| {
+            t + BACKOFF_BASE_S * f64::from(1u32 << (n - 1)) + DEADLINE_S
+        })
+    }
+
     #[test]
     fn request_completes_over_clean_link() {
         let mut link = SimLink::symmetric(LinkFaultPlan::clean(5));
-        let mut client = RpcClient::new(RpcPolicy::default());
+        let mut client = RpcClient::new();
         let mut site = FrameDecoder::new();
         assert!(client.submit(JobClass::Page, Request::Ping));
-        let mut done = Vec::new();
-        for t in 0..10 {
-            let now = t as f64 * 0.1;
-            done.extend(client.tick(now, &mut link.a_to_b, &mut link.b_to_a));
-            pump_site(&mut link, &mut site, now, true);
-        }
+        let done = run(&mut client, &mut link, &mut site, (0.0, 1.0), true);
         assert_eq!(done.len(), 1);
         assert_eq!(client.stats.completed, 1);
         assert!(client.is_up());
@@ -432,55 +426,65 @@ mod tests {
 
     #[test]
     fn silence_expires_retries_then_gives_up_and_marks_down() {
-        let policy = RpcPolicy {
-            deadline_s: 1.0,
-            max_attempts: 3,
-            backoff_base_s: 1.0,
-            fail_threshold: 3,
-            ..RpcPolicy::default()
-        };
+        // 5 s + (2 + 5) s + (4 + 5) s: the third expiry is both the last
+        // attempt and the third consecutive control failure.
+        assert_eq!(give_up_s(), 21.0);
+        assert_eq!(MAX_ATTEMPTS, FAIL_THRESHOLD);
         let mut link = SimLink::symmetric(LinkFaultPlan::clean(6));
-        let mut client = RpcClient::new(policy);
+        let mut client = RpcClient::new();
         let mut site = FrameDecoder::new();
         client.submit(JobClass::Control, Request::Ping);
-        for t in 0..300 {
-            let now = t as f64 * 0.1;
-            client.tick(now, &mut link.a_to_b, &mut link.b_to_a);
-            pump_site(&mut link, &mut site, now, false); // site reads, never answers
-        }
+        // Site reads, never answers.
+        run(
+            &mut client,
+            &mut link,
+            &mut site,
+            (0.0, give_up_s() - 0.5),
+            false,
+        );
+        assert!(client.is_up(), "two expiries are under the threshold");
+        assert_eq!(client.stats.gave_up, 0);
+        run(
+            &mut client,
+            &mut link,
+            &mut site,
+            (give_up_s() - 0.5, give_up_s() + 0.5),
+            false,
+        );
         assert_eq!(client.stats.gave_up, 1);
         assert_eq!(client.stats.retries, 2, "3 attempts = 2 retries");
         assert!(!client.is_up(), "threshold expiries trip Down");
+        assert_eq!(client.stats.probes, 0, "the first probe waits an interval");
+        let probe_s = give_up_s() + PROBE_INTERVAL_S;
+        run(
+            &mut client,
+            &mut link,
+            &mut site,
+            (give_up_s() + 0.5, probe_s + 0.5),
+            false,
+        );
         assert!(client.stats.probes > 0, "down sites get probed");
     }
 
     #[test]
     fn recovery_flips_up_and_sets_edge_flag() {
-        let policy = RpcPolicy {
-            deadline_s: 0.5,
-            max_attempts: 1,
-            fail_threshold: 1,
-            probe_interval_s: 1.0,
-            ..RpcPolicy::default()
-        };
         let mut link = SimLink::symmetric(LinkFaultPlan::clean(8));
-        let mut client = RpcClient::new(policy);
+        let mut client = RpcClient::new();
         let mut site = FrameDecoder::new();
         client.submit(JobClass::Control, Request::Ping);
         // Phase 1: silence until Down.
-        for t in 0..40 {
-            let now = t as f64 * 0.1;
-            client.tick(now, &mut link.a_to_b, &mut link.b_to_a);
-            pump_site(&mut link, &mut site, now, false);
-        }
+        let down_s = give_up_s() + 1.0;
+        run(&mut client, &mut link, &mut site, (0.0, down_s), false);
         assert!(!client.is_up());
         assert!(!client.take_recovered());
-        // Phase 2: the site answers probes again.
-        for t in 40..80 {
-            let now = t as f64 * 0.1;
-            client.tick(now, &mut link.a_to_b, &mut link.b_to_a);
-            pump_site(&mut link, &mut site, now, true);
-        }
+        // Phase 2: the site answers the next probe.
+        run(
+            &mut client,
+            &mut link,
+            &mut site,
+            (down_s, down_s + PROBE_INTERVAL_S + 1.0),
+            true,
+        );
         assert!(client.is_up());
         assert!(client.take_recovered(), "edge observed once");
         assert!(!client.take_recovered(), "…exactly once");
@@ -489,37 +493,30 @@ mod tests {
 
     #[test]
     fn queue_sheds_repairs_before_pages() {
-        let policy = RpcPolicy {
-            max_queued: 2,
-            ..RpcPolicy::default()
-        };
-        let mut client = RpcClient::new(policy);
+        let mut client = RpcClient::new();
         assert!(client.submit(JobClass::Repair, Request::Ping));
-        assert!(client.submit(JobClass::Page, Request::Ping));
+        for _ in 1..MAX_QUEUED {
+            assert!(client.submit(JobClass::Page, Request::Ping));
+        }
         // Queue full. A page push evicts the queued repair…
         assert!(client.submit(JobClass::Page, Request::Ping));
         assert_eq!(client.stats.shed_repairs, 1);
         // …but an incoming repair is refused when nothing cheaper waits.
         assert!(!client.submit(JobClass::Repair, Request::Ping));
         assert_eq!(client.stats.shed_repairs, 2);
-        assert_eq!(client.queued(), 2, "bounded");
+        assert_eq!(client.queued(), MAX_QUEUED, "bounded");
     }
 
     #[test]
     fn outstanding_window_is_bounded() {
-        let policy = RpcPolicy {
-            max_outstanding: 4,
-            max_queued: 64,
-            ..RpcPolicy::default()
-        };
         let mut link = SimLink::symmetric(LinkFaultPlan::clean(9));
-        let mut client = RpcClient::new(policy);
+        let mut client = RpcClient::new();
         for _ in 0..30 {
             client.submit(JobClass::Page, Request::Ping);
         }
         client.tick(0.0, &mut link.a_to_b, &mut link.b_to_a);
-        assert_eq!(client.outstanding.len(), 4);
-        assert_eq!(client.stats.peak_outstanding, 4);
-        assert_eq!(client.queued(), 26);
+        assert_eq!(client.outstanding.len(), MAX_OUTSTANDING);
+        assert_eq!(client.stats.peak_outstanding, MAX_OUTSTANDING);
+        assert_eq!(client.queued(), 30 - MAX_OUTSTANDING);
     }
 }

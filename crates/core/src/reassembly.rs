@@ -336,12 +336,13 @@ pub struct ReassemblerConfig {
     /// Seconds after a page's first frame before [`Reassembler::poll_expired`]
     /// reports it for forced (possibly degraded) finalization.
     pub page_deadline_s: f64,
-    /// Finalized page ids remembered (FIFO) so late frames for an
-    /// already-finalized page — e.g. a repair burst arriving after the
-    /// deadline forced the page out — cannot re-open an assembly and
-    /// re-enter the NACK-eligible set.
-    pub max_finalized_ids: usize,
 }
+
+/// Finalized page ids remembered (FIFO) so late frames for an
+/// already-finalized page — e.g. a repair burst arriving after the
+/// deadline forced the page out — cannot re-open an assembly and
+/// re-enter the NACK-eligible set.
+const MAX_FINALIZED_IDS: usize = 64;
 
 impl Default for ReassemblerConfig {
     fn default() -> Self {
@@ -351,7 +352,6 @@ impl Default for ReassemblerConfig {
             max_bytes: 4 << 20,
             max_pages: 16,
             page_deadline_s: 900.0,
-            max_finalized_ids: 64,
         }
     }
 }
@@ -366,7 +366,7 @@ impl Default for ReassemblerConfig {
 pub struct Reassembler {
     pages: HashMap<u32, PageAssembly>,
     /// Successfully finalized page ids, FIFO-bounded by
-    /// `config.max_finalized_ids`. Page ids embed the content version, so
+    /// `MAX_FINALIZED_IDS`. Page ids embed the content version, so
     /// an id never legitimately returns with different content; frames
     /// seen here are stragglers to ignore, not a new broadcast to track.
     finalized: VecDeque<u32>,
@@ -432,9 +432,9 @@ impl Reassembler {
     /// page and must be able to receive the rebroadcast under the same id.
     pub fn take(&mut self, page_id: u32) -> Option<Result<ReceivedPage, AssemblyError>> {
         let result = self.pages.remove(&page_id).map(|a| a.finalize())?;
-        if result.is_ok() && self.config.max_finalized_ids > 0 && !self.is_finalized(page_id) {
+        if result.is_ok() && !self.is_finalized(page_id) {
             self.finalized.push_back(page_id);
-            while self.finalized.len() > self.config.max_finalized_ids {
+            while self.finalized.len() > MAX_FINALIZED_IDS {
                 self.finalized.pop_front();
             }
         }
@@ -654,7 +654,6 @@ mod tests {
             max_bytes: 3_000,
             max_pages: 64,
             page_deadline_s: 1e9,
-            ..ReassemblerConfig::default()
         });
         // Three pages, ~frames interleaved with distinct activity times.
         let pages: Vec<SimplifiedPage> = (0..3)
@@ -817,12 +816,9 @@ mod tests {
 
     #[test]
     fn finalized_id_memory_is_bounded_fifo() {
-        let mut r = Reassembler::with_config(ReassemblerConfig {
-            max_finalized_ids: 2,
-            ..ReassemblerConfig::default()
-        });
+        let mut r = Reassembler::new();
         let mut ids = Vec::new();
-        for i in 0..4u32 {
+        for i in 0..MAX_FINALIZED_IDS as u32 + 2 {
             let img = Raster::filled(4, 8, Rgb::new(i as u8 + 1, 0, 0));
             let p = SimplifiedPage::from_raster(&format!("https://t{i}.pk/"), &img, ClickMap::default(), 1, 1);
             for f in page_to_frames(&p) {
@@ -831,8 +827,11 @@ mod tests {
             assert!(r.take(p.page_id).expect("tracked").is_ok());
             ids.push(p.page_id);
         }
-        assert!(!r.is_finalized(ids[0]), "oldest tombstones age out");
-        assert!(r.is_finalized(ids[2]) && r.is_finalized(ids[3]));
+        assert!(
+            !r.is_finalized(ids[0]) && !r.is_finalized(ids[1]),
+            "oldest tombstones age out"
+        );
+        assert!(ids[2..].iter().all(|&id| r.is_finalized(id)));
     }
 
     #[test]

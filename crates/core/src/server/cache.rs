@@ -79,18 +79,6 @@ pub struct ArtifactCacheStats {
     pub disk_promotions: u64,
 }
 
-impl ArtifactCacheStats {
-    /// Fraction of refresh lookups that avoided a cold build.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.full_hits + self.delta_hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            (self.full_hits + self.delta_hits) as f64 / total as f64
-        }
-    }
-}
-
 /// Content-addressed broadcast artifact cache (the tentpole of the warm
 /// refresh path).
 ///
@@ -477,15 +465,5 @@ mod tests {
         c.insert(pid(0), 2, 2, Arc::new(vec![0; 6]), artifact("a", 100));
         assert_eq!(c.bytes(), after_first, "replacement must not accumulate");
         assert_eq!(c.len(), 1);
-    }
-
-    #[test]
-    fn hit_rate_accounts_all_paths() {
-        let mut s = ArtifactCacheStats::default();
-        assert_eq!(s.hit_rate(), 0.0);
-        s.full_hits = 3;
-        s.delta_hits = 1;
-        s.misses = 1;
-        assert!((s.hit_rate() - 0.8).abs() < 1e-12);
     }
 }

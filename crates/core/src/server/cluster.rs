@@ -34,13 +34,21 @@
 //!   before deltas before full pages, control traffic never — at three
 //!   independent bounded queues (SMS ingress, RPC client, site backlog).
 //!
+//! The bounds are constants beside the code that reads them, one value
+//! each: the coordinator pings every `PING_INTERVAL_S`, holds
+//! [`INGRESS_CAPACITY`] SMS and handles `INGRESS_DRAIN_PER_PUMP` per
+//! pump; a site sheds repairs above `SHED_REPAIR_BYTES`, deltas above
+//! `SHED_DELTA_BYTES`, everything above [`MAX_BACKLOG_PAGES`], and
+//! re-scans a stalled request stream after `STALL_RESYNC_S`. The RPC
+//! numbers live in [`crate::net::rpc`].
+//!
 //! [`ArtifactStore`]: crate::server::store::ArtifactStore
 //! [`RpcClient`]: crate::net::rpc::RpcClient
 
 use crate::frame::Frame;
 use crate::net::codec::{frame_bytes, FrameDecoder};
 use crate::net::proto::{decode_msg, encode_msg, Msg, RefuseCode, Request, Response};
-use crate::net::rpc::{JobClass, RpcClient, RpcPolicy};
+use crate::net::rpc::{JobClass, RpcClient};
 use crate::net::transport::SimLink;
 use crate::page::SimplifiedPage;
 use crate::server::cache::{Artifact, ArtifactCache, SharedArtifactStore, TieredCache};
@@ -60,37 +68,17 @@ use std::sync::Arc;
 /// store, and sites hold their own frames.
 const CLUSTER_CACHE_BYTES: usize = 64 << 20;
 
-/// Per-site service policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SiteConfig {
-    /// The transmitter site id this node serves.
-    pub site_id: u32,
-    /// Broadcast payload rate.
-    pub rate_bps: f64,
-    /// Hard cap on queued pages: every push is refused above it.
-    pub max_backlog_pages: usize,
-    /// Backlog bytes above which repair pushes are shed (first to go).
-    pub shed_repair_bytes: usize,
-    /// Backlog bytes above which delta pushes are shed (second to go;
-    /// must be ≥ the repair threshold for the class order to hold).
-    pub shed_delta_bytes: usize,
-    /// Seconds received bytes may sit undecoded before the request decoder
-    /// abandons its pending frame and re-scans (torn-frame livelock guard).
-    pub stall_resync_s: f64,
-}
-
-impl Default for SiteConfig {
-    fn default() -> Self {
-        SiteConfig {
-            site_id: 0,
-            rate_bps: 80_000.0,
-            max_backlog_pages: 512,
-            shed_repair_bytes: 256 << 10,
-            shed_delta_bytes: 512 << 10,
-            stall_resync_s: 10.0,
-        }
-    }
-}
+/// Hard cap on a site's queued pages: every push is refused above it.
+pub const MAX_BACKLOG_PAGES: usize = 512;
+/// Site backlog bytes above which repair pushes are shed (first to go).
+const SHED_REPAIR_BYTES: usize = 256 << 10;
+/// Site backlog bytes above which delta pushes are shed (second to go;
+/// must be ≥ `SHED_REPAIR_BYTES` for the class order to hold).
+const SHED_DELTA_BYTES: usize = 512 << 10;
+/// Seconds received bytes may sit undecoded before a site's request
+/// decoder abandons its pending frame and re-scans (torn-frame livelock
+/// guard).
+const STALL_RESYNC_S: f64 = 10.0;
 
 /// Site-node counters (soak assertions and diagnostics).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -117,8 +105,8 @@ pub struct SiteStats {
 /// transport, optionally backed by the shared artifact store.
 #[derive(Debug)]
 pub struct SiteNode {
-    /// Service policy.
-    pub config: SiteConfig,
+    /// The transmitter site id this node serves.
+    pub site_id: u32,
     /// The site's broadcast scheduler (airs via [`advance`](Self::advance)).
     pub scheduler: BroadcastScheduler,
     store: Option<SharedArtifactStore>,
@@ -130,13 +118,13 @@ pub struct SiteNode {
 }
 
 impl SiteNode {
-    /// A fresh site node. Pass the shared store for the warm `PushStored` /
-    /// `Resume` paths; without one every stored push answers `StoreMiss`.
-    pub fn new(config: SiteConfig, store: Option<SharedArtifactStore>) -> Self {
-        let rate = config.rate_bps;
+    /// A fresh node for `site_id`, broadcasting at `rate_bps`. Pass the
+    /// shared store for the warm `PushStored` / `Resume` paths; without one
+    /// every stored push answers `StoreMiss`.
+    pub fn new(site_id: u32, rate_bps: f64, store: Option<SharedArtifactStore>) -> Self {
         SiteNode {
-            config,
-            scheduler: BroadcastScheduler::new(rate),
+            site_id,
+            scheduler: BroadcastScheduler::new(rate_bps),
             store,
             decoder: FrameDecoder::new(),
             last_rx_progress_s: 0.0,
@@ -164,7 +152,7 @@ impl SiteNode {
         self.stats.requests += 1;
         match req {
             Request::Ping => Response::Pong {
-                site_id: self.config.site_id,
+                site_id: self.site_id,
                 backlog_bytes: self.scheduler.backlog_bytes() as u64,
                 backlog_pages: self.scheduler.backlog_pages() as u32,
                 pages_completed: self.scheduler.completed_pages,
@@ -174,7 +162,7 @@ impl SiteNode {
                 corpus_page,
                 ..
             } => {
-                if self.scheduler.backlog_pages() >= self.config.max_backlog_pages {
+                if self.scheduler.backlog_pages() >= MAX_BACKLOG_PAGES {
                     self.stats.refused_overload += 1;
                     return Response::Refused {
                         code: RefuseCode::Overloaded,
@@ -202,9 +190,9 @@ impl SiteNode {
                 frames,
             } => {
                 let backlog = self.scheduler.backlog_bytes();
-                let shed = self.scheduler.backlog_pages() >= self.config.max_backlog_pages
-                    || (kind == SlotKind::Repair && backlog > self.config.shed_repair_bytes)
-                    || (kind == SlotKind::Delta && backlog > self.config.shed_delta_bytes);
+                let shed = self.scheduler.backlog_pages() >= MAX_BACKLOG_PAGES
+                    || (kind == SlotKind::Repair && backlog > SHED_REPAIR_BYTES)
+                    || (kind == SlotKind::Delta && backlog > SHED_DELTA_BYTES);
                 if shed {
                     self.stats.refused_overload += 1;
                     return Response::Refused {
@@ -261,12 +249,12 @@ impl SiteNode {
             handled += 1;
         }
         // Stall watchdog: bytes buffered with no decode progress for the
-        // configured horizon means the decoder is waiting on a torn
+        // stall horizon means the decoder is waiting on a torn
         // frame's tail — abandon it and re-scan rather than livelock
         // (later requests would otherwise be swallowed forever).
         if self.decoder.buffered() == 0 || self.decoder.stats.frames > frames_before {
             self.last_rx_progress_s = now_s;
-        } else if now_s - self.last_rx_progress_s > self.config.stall_resync_s {
+        } else if now_s - self.last_rx_progress_s > STALL_RESYNC_S {
             self.decoder.force_resync();
             self.last_rx_progress_s = now_s;
         }
@@ -279,30 +267,13 @@ impl SiteNode {
     }
 }
 
-/// Coordinator policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoordinatorConfig {
-    /// Per-site RPC deadlines, budgets and health thresholds.
-    pub rpc: RpcPolicy,
-    /// Seconds between health pings to an `Up` site.
-    pub ping_interval_s: f64,
-    /// Bound on the SMS ingress queue.
-    pub ingress_capacity: usize,
-    /// Most ingress messages processed per [`Coordinator::pump`] call
-    /// (keeps one pump's work bounded during floods).
-    pub ingress_drain_per_pump: usize,
-}
-
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig {
-            rpc: RpcPolicy::default(),
-            ping_interval_s: 30.0,
-            ingress_capacity: 256,
-            ingress_drain_per_pump: 32,
-        }
-    }
-}
+/// Seconds between health pings to an `Up` site.
+const PING_INTERVAL_S: f64 = 20.0;
+/// Bound on the SMS ingress queue.
+pub const INGRESS_CAPACITY: usize = 256;
+/// Most ingress messages processed per [`Coordinator::pump`] call (keeps
+/// one pump's work bounded during floods).
+const INGRESS_DRAIN_PER_PUMP: usize = 64;
 
 /// The coordinator's last-reported view of one site (from `Pong`s).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -358,8 +329,6 @@ pub struct CoordStats {
 /// fault-injected links, and owns the gateway ingress + repair planning.
 #[derive(Debug)]
 pub struct Coordinator {
-    /// Policy.
-    pub config: CoordinatorConfig,
     front: Front<TieredCache>,
     /// Site ids in ring order (failover walks this).
     ring: Vec<u32>,
@@ -385,20 +354,10 @@ pub struct Coordinator {
 impl Coordinator {
     /// Builds a coordinator over a renderer, a transmitter fleet and the
     /// store shared with every site.
-    pub fn new(
-        renderer: Renderer,
-        coverage: Coverage,
-        store: SharedArtifactStore,
-        config: CoordinatorConfig,
-    ) -> Self {
+    pub fn new(renderer: Renderer, coverage: Coverage, store: SharedArtifactStore) -> Self {
         let ring: Vec<u32> = coverage.sites.iter().map(|s| s.id).collect();
-        let clients = ring
-            .iter()
-            .map(|&id| (id, RpcClient::new(config.rpc.clone())))
-            .collect();
-        let ingress = IngressQueue::new(config.ingress_capacity);
+        let clients = ring.iter().map(|&id| (id, RpcClient::new())).collect();
         Coordinator {
-            config,
             front: Front::new(
                 renderer,
                 coverage,
@@ -412,7 +371,7 @@ impl Coordinator {
             carousel_hour: 0,
             pushed: BTreeMap::new(),
             repair: RepairPlanner::new(),
-            ingress,
+            ingress: IngressQueue::new(INGRESS_CAPACITY),
             stats: CoordStats::default(),
         }
     }
@@ -647,7 +606,7 @@ impl Coordinator {
     pub fn pump(&mut self, now_s: f64, links: &mut BTreeMap<u32, SimLink>) {
         // Expired broadcast ETAs no longer suppress anything; drop them.
         self.pushed.retain(|_, &mut until| until > now_s);
-        for _ in 0..self.config.ingress_drain_per_pump {
+        for _ in 0..INGRESS_DRAIN_PER_PUMP {
             let Some(msg) = self.ingress.pop() else { break };
             self.process_sms(&msg, now_s);
         }
@@ -689,8 +648,7 @@ impl Coordinator {
                 {
                     self.stats.pings += 1;
                 }
-                self.next_ping_s
-                    .insert(site, now_s + self.config.ping_interval_s);
+                self.next_ping_s.insert(site, now_s + PING_INTERVAL_S);
             }
         }
 
@@ -744,7 +702,6 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunker::page_to_frames;
     use crate::net::transport::LinkFaultPlan;
     use crate::server::store::ArtifactStore;
     use sonic_pagegen::Corpus;
@@ -759,12 +716,7 @@ mod tests {
     fn coordinator_with(st: &SharedArtifactStore) -> Coordinator {
         let corpus = Corpus::small(6);
         let renderer = Renderer::new(corpus, 0.1);
-        Coordinator::new(
-            renderer,
-            Coverage::pakistan_demo(),
-            st.clone(),
-            CoordinatorConfig::default(),
-        )
+        Coordinator::new(renderer, Coverage::pakistan_demo(), st.clone())
     }
 
     fn links_for(coverage: &Coverage, seed: u64) -> BTreeMap<u32, SimLink> {
@@ -780,14 +732,11 @@ mod tests {
             .collect()
     }
 
+    /// The rate every test site broadcasts at.
+    const SITE_RATE_BPS: f64 = 80_000.0;
+
     fn site_for(id: u32, st: &SharedArtifactStore) -> SiteNode {
-        SiteNode::new(
-            SiteConfig {
-                site_id: id,
-                ..SiteConfig::default()
-            },
-            Some(st.clone()),
-        )
+        SiteNode::new(id, SITE_RATE_BPS, Some(st.clone()))
     }
 
     /// Runs `steps` half-second turns of the full loop.
@@ -830,7 +779,7 @@ mod tests {
             assert!(
                 node.stats.store_hits >= 4,
                 "site {} loaded carousel from the shared store: {:?}",
-                node.config.site_id,
+                node.site_id,
                 node.stats
             );
             assert_eq!(node.stats.store_misses, 0);
@@ -854,18 +803,7 @@ mod tests {
             let mut sites: BTreeMap<u32, SiteNode> = coverage
                 .sites
                 .iter()
-                .map(|s| {
-                    (
-                        s.id,
-                        SiteNode::new(
-                            SiteConfig {
-                                site_id: s.id,
-                                ..SiteConfig::default()
-                            },
-                            None,
-                        ),
-                    )
-                })
+                .map(|s| (s.id, SiteNode::new(s.id, SITE_RATE_BPS, None)))
                 .collect();
             let mut links = links_for(&coverage, 9);
             coord.push_carousel(0, 3, 0.0);
@@ -928,76 +866,67 @@ mod tests {
 
     #[test]
     fn overloaded_site_sheds_repairs_before_pages() {
-        let mut node = SiteNode::new(
-            SiteConfig {
-                site_id: 3,
-                rate_bps: 8_000.0,
-                max_backlog_pages: 1_000,
-                shed_repair_bytes: 2_000,
-                shed_delta_bytes: 100_000,
-                ..SiteConfig::default()
-            },
-            None,
-        );
-        // Fill past the repair threshold with a full-page push.
-        let frames: Vec<Frame> = {
-            let mut img = sonic_image::raster::Raster::new(6, 300);
-            let mut x = 3u32;
-            for yy in 0..300 {
-                for xx in 0..6 {
-                    x = x.wrapping_mul(1103515245).wrapping_add(12345);
-                    img.set(
-                        xx,
-                        yy,
-                        sonic_image::raster::Rgb::new((x >> 16) as u8, (x >> 8) as u8, x as u8),
-                    );
-                }
-            }
-            let p = SimplifiedPage::from_raster(
-                "https://x.pk/",
-                &img,
-                sonic_image::clickmap::ClickMap::default(),
-                0,
-                1,
+        use crate::frame::{FRAME_PAYLOAD, FRAME_SIZE};
+        let mut node = SiteNode::new(3, 8_000.0, None);
+        // A push of `bytes` of backlog, as one column's strip frames.
+        let push = |node: &mut SiteNode, page_id: u32, kind: SlotKind, bytes: usize| {
+            let n = bytes.div_ceil(FRAME_SIZE);
+            let frames = (0..n)
+                .map(|seq| Frame::Strip {
+                    page_id,
+                    column: 0,
+                    seq: seq as u16,
+                    last: seq + 1 == n,
+                    payload: vec![0; FRAME_PAYLOAD],
+                })
+                .collect();
+            let resp = node.handle(
+                Request::PushFrames {
+                    page_id,
+                    kind,
+                    frames,
+                },
+                0.0,
             );
-            page_to_frames(&p)
+            (resp, node.scheduler.backlog_bytes())
         };
-        let resp = node.handle(
-            Request::PushFrames {
-                page_id: 1,
-                kind: SlotKind::Full,
-                frames: frames.clone(),
-            },
-            0.0,
+        let refused = Response::Refused {
+            code: RefuseCode::Overloaded,
+        };
+        // Fill past the repair threshold with a full-page push.
+        let (resp, backlog) = push(&mut node, 1, SlotKind::Full, SHED_REPAIR_BYTES + 1);
+        assert!(matches!(resp, Response::Done { .. }));
+        assert!(backlog > SHED_REPAIR_BYTES && backlog <= SHED_DELTA_BYTES);
+        // Repairs now shed, while deltas and full pages still land...
+        assert_eq!(push(&mut node, 2, SlotKind::Repair, FRAME_SIZE).0, refused);
+        assert!(matches!(
+            push(&mut node, 3, SlotKind::Delta, FRAME_SIZE).0,
+            Response::Done { .. }
+        ));
+        let (resp, backlog) = push(
+            &mut node,
+            4,
+            SlotKind::Full,
+            SHED_DELTA_BYTES - SHED_REPAIR_BYTES,
         );
         assert!(matches!(resp, Response::Done { .. }));
-        assert!(node.scheduler.backlog_bytes() > 2_000);
-        // Repairs now shed...
-        let resp = node.handle(
-            Request::PushFrames {
-                page_id: 2,
-                kind: SlotKind::Repair,
-                frames: frames.iter().take(3).cloned().collect(),
-            },
-            0.0,
-        );
-        assert_eq!(
-            resp,
-            Response::Refused {
-                code: RefuseCode::Overloaded
-            }
-        );
-        // ...while full pages still land.
-        let resp = node.handle(
-            Request::PushFrames {
-                page_id: 3,
-                kind: SlotKind::Full,
-                frames,
-            },
-            0.0,
-        );
-        assert!(matches!(resp, Response::Done { .. }));
-        assert_eq!(node.stats.refused_overload, 1);
+        assert!(backlog > SHED_DELTA_BYTES);
+        // ...then deltas shed too, and full pages still land.
+        assert_eq!(push(&mut node, 5, SlotKind::Delta, FRAME_SIZE).0, refused);
+        assert!(matches!(
+            push(&mut node, 6, SlotKind::Full, FRAME_SIZE).0,
+            Response::Done { .. }
+        ));
+        assert_eq!(node.stats.refused_overload, 2);
+        // The page cap refuses every class, full pages included.
+        let mut id = 7;
+        while node.scheduler.backlog_pages() < MAX_BACKLOG_PAGES {
+            let (resp, _) = push(&mut node, id, SlotKind::Full, FRAME_SIZE);
+            assert!(matches!(resp, Response::Done { .. }));
+            id += 1;
+        }
+        assert_eq!(push(&mut node, id, SlotKind::Full, FRAME_SIZE).0, refused);
+        assert_eq!(node.stats.refused_overload, 3);
     }
 
     #[test]
@@ -1096,9 +1025,8 @@ mod tests {
         let renderer = Renderer::new(Corpus::small(TOP_N), 0.1);
         let mut tiered = TieredCache::with_store(ArtifactCache::new(64 << 20), st.clone());
         let mut sites: BTreeMap<u32, SiteNode> = (0..SITES).map(|id| (id, site_for(id, &st))).collect();
-        let mut clients: BTreeMap<u32, RpcClient> = (0..SITES)
-            .map(|id| (id, RpcClient::new(RpcPolicy::default())))
-            .collect();
+        let mut clients: BTreeMap<u32, RpcClient> =
+            (0..SITES).map(|id| (id, RpcClient::new())).collect();
         let mut links: BTreeMap<u32, SimLink> = (0..SITES)
             .map(|id| (id, SimLink::symmetric(LinkFaultPlan::clean(0xC1_05_7E_99 ^ u64::from(id)))))
             .collect();

@@ -256,7 +256,6 @@ mod tests {
     #[test]
     fn nack_round_trip_schedules_targeted_repair() {
         let mut srv = server();
-        srv.repair.config.coalesce_s = 5.0;
         let loc = sonic_sms::GeoPoint::new(31.52, 74.35); // Lahore, site 0
         let url = srv
             .renderer()
@@ -286,9 +285,9 @@ mod tests {
         });
         let reply = srv.handle_sms(&nack, 100.0);
         assert!(reply.starts_with("ACK"), "{reply}");
-        // Before the coalescing window: nothing scheduled.
-        assert_eq!(srv.pump_repairs(101.0), 0);
-        assert_eq!(srv.pump_repairs(106.0), 1, "repair burst after window");
+        // Before the coalescing window closes: nothing scheduled.
+        assert_eq!(srv.pump_repairs(99.0 + repair::COALESCE_S), 0);
+        assert_eq!(srv.pump_repairs(101.0 + repair::COALESCE_S), 1, "repair burst after window");
         assert!(srv.schedulers.get(&site).expect("site").backlog_bytes() > 0);
         assert!(srv.repair.stats.frames_scheduled > 0);
         // A NACK for an unknown page id is refused.

@@ -19,6 +19,12 @@
 //!
 //! Repair frames carry the original page id, so receivers fold them into
 //! the same `PageAssembly` that produced the loss map.
+//!
+//! The policy is one operating point, written down as constants: a 30 s
+//! coalescing window (`COALESCE_S`), 60 s · 2ⁿ backoff
+//! (`BACKOFF_BASE_S`), 4 bursts per page edition
+//! ([`MAX_ATTEMPTS_PER_PAGE`]) and the 256 most recent pages repairable
+//! (`MAX_REGISTRY_PAGES`).
 
 use crate::chunker::page_to_frames;
 use crate::frame::Frame;
@@ -28,31 +34,16 @@ use sonic_sms::queries::Nack;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-/// Repair policy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepairConfig {
-    /// Repair bursts allowed per (site, page) before NACKs are refused.
-    pub max_attempts_per_page: u32,
-    /// Delay before the first repair burst (coalescing window: NACKs from
-    /// other clients arriving meanwhile merge into the same burst).
-    pub coalesce_s: f64,
-    /// Base of the exponential backoff between repair bursts for one page:
-    /// attempt `n` waits `backoff_base_s · 2^(n-1)`.
-    pub backoff_base_s: f64,
-    /// Most recently broadcast pages kept repairable (bounded registry).
-    pub max_registry_pages: usize,
-}
-
-impl Default for RepairConfig {
-    fn default() -> Self {
-        RepairConfig {
-            max_attempts_per_page: 4,
-            coalesce_s: 30.0,
-            backoff_base_s: 60.0,
-            max_registry_pages: 256,
-        }
-    }
-}
+/// Repair bursts allowed per (site, page) before NACKs are refused.
+pub const MAX_ATTEMPTS_PER_PAGE: u32 = 4;
+/// Delay before the first repair burst (coalescing window: NACKs from
+/// other clients arriving meanwhile merge into the same burst).
+pub(crate) const COALESCE_S: f64 = 30.0;
+/// Base of the exponential backoff between repair bursts for one page:
+/// attempt `n` waits `BACKOFF_BASE_S · 2^(n-1)`.
+const BACKOFF_BASE_S: f64 = 60.0;
+/// Most recently broadcast pages kept repairable (bounded registry).
+const MAX_REGISTRY_PAGES: usize = 256;
 
 /// Why a NACK was not accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,8 +101,6 @@ pub struct RepairStats {
 /// fleet.
 #[derive(Debug, Default)]
 pub struct RepairPlanner {
-    /// Policy knobs.
-    pub config: RepairConfig,
     /// (site id, url-base id) → outstanding coalesced need. Keyed by the
     /// version-independent base of the page id (url hash), so one url
     /// holds exactly one entry per site across editions: when the hour
@@ -125,17 +114,9 @@ pub struct RepairPlanner {
 }
 
 impl RepairPlanner {
-    /// Creates a planner with the default policy.
+    /// Creates an empty planner.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a planner with an explicit policy.
-    pub fn with_config(config: RepairConfig) -> Self {
-        RepairPlanner {
-            config,
-            ..Self::default()
-        }
     }
 
     /// Makes a broadcast page repairable. Call on every enqueue; re-registering
@@ -145,7 +126,7 @@ impl RepairPlanner {
         if self.registry.insert(id, page).is_none() {
             self.registry_order.push_back(id);
         }
-        while self.registry.len() > self.config.max_registry_pages {
+        while self.registry.len() > MAX_REGISTRY_PAGES {
             if let Some(old) = self.registry_order.pop_front() {
                 self.registry.remove(&old);
             } else {
@@ -155,7 +136,7 @@ impl RepairPlanner {
     }
 
     /// Highest repair-burst count spent on any (site, page) over the
-    /// planner's lifetime — always within `config.max_attempts_per_page`
+    /// planner's lifetime — always within [`MAX_ATTEMPTS_PER_PAGE`]
     /// (the soak asserts this).
     pub fn max_attempts_used(&self) -> u32 {
         self.stats.max_attempts_on_page
@@ -186,7 +167,7 @@ impl RepairPlanner {
             .or_insert_with(|| PageRepair {
                 page_id: nack.page_id,
                 version,
-                next_eligible_s: now_s + self.config.coalesce_s,
+                next_eligible_s: now_s + COALESCE_S,
                 ..PageRepair::default()
             });
         if entry.version != version || entry.page_id != nack.page_id {
@@ -196,11 +177,11 @@ impl RepairPlanner {
             *entry = PageRepair {
                 page_id: nack.page_id,
                 version,
-                next_eligible_s: now_s + self.config.coalesce_s,
+                next_eligible_s: now_s + COALESCE_S,
                 ..PageRepair::default()
             };
         }
-        if entry.attempts >= self.config.max_attempts_per_page {
+        if entry.attempts >= MAX_ATTEMPTS_PER_PAGE {
             self.stats.nacks_rejected += 1;
             self.stats.budget_exhausted += 1;
             return Err(NackRejection::BudgetExhausted);
@@ -277,7 +258,7 @@ impl RepairPlanner {
             repair.columns.clear();
             repair.clients = 0;
             repair.next_eligible_s = now_s
-                + self.config.backoff_base_s * f64::from(1u32 << (repair.attempts - 1).min(16));
+                + BACKOFF_BASE_S * f64::from(1u32 << (repair.attempts - 1).min(16));
             bursts.push(DueBurst {
                 site_id,
                 page,
@@ -428,84 +409,87 @@ mod tests {
         );
     }
 
+    /// Spends a page's whole retry budget from `t`: a NACK, then its burst
+    /// once the coalescing window or backoff has passed, then a drain.
+    /// Returns the time after the last drain.
+    fn spend_budget(
+        pl: &mut RepairPlanner,
+        scheds: &mut BTreeMap<u32, BroadcastScheduler>,
+        page_id: u32,
+        mut t: f64,
+    ) -> f64 {
+        for _ in 0..MAX_ATTEMPTS_PER_PAGE {
+            pl.accept_nack(0, &nack(page_id, vec![(1, 0)]), t).expect("in budget");
+            // Past both the window and the longest backoff (60 s · 2³).
+            t += 1_000.0;
+            assert_eq!(pl.schedule_due(t, scheds), 1);
+            while !scheds.get_mut(&0).expect("s").advance(1.0).is_empty() {}
+        }
+        t
+    }
+
     #[test]
     fn scheduling_waits_for_coalesce_window_then_backs_off() {
-        let mut pl = RepairPlanner::with_config(RepairConfig {
-            coalesce_s: 30.0,
-            backoff_base_s: 100.0,
-            ..RepairConfig::default()
-        });
+        let mut pl = RepairPlanner::new();
         let p = noisy_page("https://d.pk/", 6, 300);
         pl.register_page(p.clone());
         let mut scheds = BTreeMap::from([(0u32, BroadcastScheduler::new(80_000.0))]);
         pl.accept_nack(0, &nack(p.page_id, vec![(1, 0)]), 0.0).expect("nack");
-        assert_eq!(pl.schedule_due(10.0, &mut scheds), 0, "inside coalesce window");
-        assert_eq!(pl.schedule_due(31.0, &mut scheds), 1);
+        assert_eq!(pl.schedule_due(COALESCE_S - 1.0, &mut scheds), 0, "inside coalesce window");
+        let mut burst_at = COALESCE_S + 1.0;
+        assert_eq!(pl.schedule_due(burst_at, &mut scheds), 1);
         assert!(scheds.get(&0).expect("site").backlog_bytes() > 0);
-        // Drain the scheduler so the page is no longer queued.
-        while !scheds.get_mut(&0).expect("site").advance(1.0).is_empty() {}
-        // A fresh NACK must wait for the backoff (100 s × 2^0 after burst 1).
-        pl.accept_nack(0, &nack(p.page_id, vec![(1, 0)]), 32.0).expect("nack2");
-        assert_eq!(pl.schedule_due(80.0, &mut scheds), 0, "inside backoff");
-        assert_eq!(pl.schedule_due(132.0, &mut scheds), 1);
+        // Each fresh NACK waits out BACKOFF_BASE_S · 2^(n-1) after burst n.
+        for n in 1..MAX_ATTEMPTS_PER_PAGE {
+            // Drain the scheduler so the page is no longer queued.
+            while !scheds.get_mut(&0).expect("site").advance(1.0).is_empty() {}
+            let eligible = burst_at + BACKOFF_BASE_S * f64::from(1u32 << (n - 1));
+            pl.accept_nack(0, &nack(p.page_id, vec![(1, 0)]), burst_at + 1.0).expect("nack");
+            assert_eq!(pl.schedule_due(eligible - 1.0, &mut scheds), 0, "inside backoff {n}");
+            burst_at = eligible + 1.0;
+            assert_eq!(pl.schedule_due(burst_at, &mut scheds), 1, "after backoff {n}");
+        }
+        assert_eq!(pl.max_attempts_used(), MAX_ATTEMPTS_PER_PAGE);
     }
 
     #[test]
     fn retry_budget_exhausts_and_rejects_further_nacks() {
-        let mut pl = RepairPlanner::with_config(RepairConfig {
-            max_attempts_per_page: 2,
-            coalesce_s: 0.0,
-            backoff_base_s: 1.0,
-            ..RepairConfig::default()
-        });
+        let mut pl = RepairPlanner::new();
         let p = noisy_page("https://e.pk/", 6, 300);
         pl.register_page(p.clone());
         let mut scheds = BTreeMap::from([(0u32, BroadcastScheduler::new(1e9))]);
-        let mut t = 0.0;
-        for _ in 0..2 {
-            pl.accept_nack(0, &nack(p.page_id, vec![(1, 0)]), t).expect("in budget");
-            t += 1.0;
-            assert_eq!(pl.schedule_due(t, &mut scheds), 1);
-            while !scheds.get_mut(&0).expect("s").advance(1.0).is_empty() {}
-            t += 1_000.0;
-        }
+        let t = spend_budget(&mut pl, &mut scheds, p.page_id, 0.0);
         assert_eq!(
             pl.accept_nack(0, &nack(p.page_id, vec![(1, 0)]), t),
             Err(NackRejection::BudgetExhausted)
         );
-        assert_eq!(pl.stats.bursts_scheduled, 2);
+        assert_eq!(pl.stats.bursts_scheduled, MAX_ATTEMPTS_PER_PAGE as usize);
         assert_eq!(pl.stats.budget_exhausted, 1);
     }
 
     #[test]
     fn queued_page_satisfies_repair_without_spending_budget() {
-        let mut pl = RepairPlanner::with_config(RepairConfig {
-            coalesce_s: 0.0,
-            ..RepairConfig::default()
-        });
+        let mut pl = RepairPlanner::new();
         let p = noisy_page("https://f.pk/", 6, 300);
         pl.register_page(p.clone());
         let mut scheds = BTreeMap::from([(0u32, BroadcastScheduler::new(8_000.0))]);
-        // Full page already queued for broadcast.
+        // Full page already queued for broadcast, and still queued when the
+        // coalescing window closes.
         let frames = Arc::new(page_to_frames(&p));
         scheds
             .get_mut(&0)
             .expect("s")
             .enqueue_prechunked(p.clone(), frames, 0.0);
         pl.accept_nack(0, &nack(p.page_id, vec![(1, 0)]), 0.0).expect("nack");
-        assert_eq!(pl.schedule_due(1.0, &mut scheds), 0);
+        assert!(scheds[&0].eta_full_for(p.page_id).is_some());
+        assert_eq!(pl.schedule_due(COALESCE_S + 1.0, &mut scheds), 0);
         assert_eq!(pl.pending.len(), 0, "queued broadcast serves the need");
         assert_eq!(pl.stats.bursts_scheduled, 0);
     }
 
     #[test]
     fn new_hour_version_resets_the_retry_budget() {
-        let mut pl = RepairPlanner::with_config(RepairConfig {
-            max_attempts_per_page: 1,
-            coalesce_s: 0.0,
-            backoff_base_s: 1.0,
-            ..RepairConfig::default()
-        });
+        let mut pl = RepairPlanner::new();
         let mut img = Raster::new(6, 300);
         let mut x = 9u32;
         for yy in 0..300 {
@@ -520,41 +504,37 @@ mod tests {
         assert_ne!(v1.page_id, v2.page_id, "version is mixed into the id");
         pl.register_page(v1.clone());
         let mut scheds = BTreeMap::from([(0u32, BroadcastScheduler::new(1e9))]);
-        // Exhaust v1's budget of one burst.
-        pl.accept_nack(0, &nack(v1.page_id, vec![(1, 0)]), 0.0).expect("v1 in budget");
-        assert_eq!(pl.schedule_due(1.0, &mut scheds), 1);
-        while !scheds.get_mut(&0).expect("s").advance(1.0).is_empty() {}
+        // Exhaust v1's budget.
+        let t = spend_budget(&mut pl, &mut scheds, v1.page_id, 0.0);
         assert_eq!(
-            pl.accept_nack(0, &nack(v1.page_id, vec![(1, 0)]), 10.0),
+            pl.accept_nack(0, &nack(v1.page_id, vec![(1, 0)]), t),
             Err(NackRejection::BudgetExhausted)
         );
         // The next hour's edition of the same url arrives: its budget must
         // be fresh, and the url still holds a single pending entry.
         pl.register_page(v2.clone());
-        pl.accept_nack(0, &nack(v2.page_id, vec![(1, 0)]), 20.0).expect("v2 fresh budget");
+        pl.accept_nack(0, &nack(v2.page_id, vec![(1, 0)]), t + 10.0).expect("v2 fresh budget");
         assert_eq!(pl.pending.len(), 1, "one entry per (site, url) lineage");
-        assert_eq!(pl.schedule_due(21.0, &mut scheds), 1, "v2 burst airs");
-        assert_eq!(pl.stats.bursts_scheduled, 2);
+        assert_eq!(pl.schedule_due(t + 10.0 + COALESCE_S, &mut scheds), 1, "v2 burst airs");
+        assert_eq!(pl.stats.bursts_scheduled, MAX_ATTEMPTS_PER_PAGE as usize + 1);
     }
 
     #[test]
     fn registry_is_bounded_fifo() {
-        let mut pl = RepairPlanner::with_config(RepairConfig {
-            max_registry_pages: 3,
-            ..RepairConfig::default()
-        });
-        let pages: Vec<_> = (0..5)
+        let mut pl = RepairPlanner::new();
+        let pages: Vec<_> = (0..=MAX_REGISTRY_PAGES)
             .map(|i| noisy_page(&format!("https://g{i}.pk/"), 4, 50))
             .collect();
         for p in &pages {
             pl.register_page(p.clone());
         }
-        assert_eq!(pl.registry.len(), 3);
+        assert_eq!(pl.registry.len(), MAX_REGISTRY_PAGES);
         assert_eq!(
             pl.accept_nack(0, &nack(pages[0].page_id, vec![(0, 0)]), 0.0),
             Err(NackRejection::UnknownPage),
             "oldest page aged out"
         );
-        assert!(pl.accept_nack(0, &nack(pages[4].page_id, vec![(0, 0)]), 0.0).is_ok());
+        assert!(pl.accept_nack(0, &nack(pages[1].page_id, vec![(0, 0)]), 0.0).is_ok());
+        assert!(pl.accept_nack(0, &nack(pages[MAX_REGISTRY_PAGES].page_id, vec![(0, 0)]), 0.0).is_ok());
     }
 }

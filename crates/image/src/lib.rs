@@ -18,7 +18,7 @@
 //!   (§3.3, Figure 1 right).
 //! * [`clickmap`] — DRIVESHAFT-style interactivity maps (§3.2).
 //! * [`scale`] — nearest-neighbor rescaling by the device scaling factor.
-//! * [`pgm`] — PPM/PGM export so examples can render results to disk.
+//! * [`pgm`] — PPM export so examples can render results to disk.
 //! * [`metrics`] — PSNR, edge integrity and text-corruption measures that
 //!   feed the synthetic user study (Figure 5).
 

@@ -1,4 +1,4 @@
-//! PPM/PGM export — the only file IO in the crate, so examples can write
+//! PPM export — the only file IO in the crate, so examples can write
 //! inspectable images (Figure 1 reproductions) without an image library.
 
 use crate::raster::Raster;
@@ -10,18 +10,6 @@ pub fn save_ppm(img: &Raster, path: &Path) -> std::io::Result<()> {
     let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
     writeln!(f, "P6\n{} {}\n255", img.width(), img.height())?;
     f.write_all(img.bytes())?;
-    Ok(())
-}
-
-/// Writes a binary PGM (P5) of the luma plane.
-pub fn save_pgm(img: &Raster, path: &Path) -> std::io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "P5\n{} {}\n255", img.width(), img.height())?;
-    let luma: Vec<u8> = (0..img.height())
-        .flat_map(|y| (0..img.width()).map(move |x| (x, y)))
-        .map(|(x, y)| img.get(x, y).luma())
-        .collect();
-    f.write_all(&luma)?;
     Ok(())
 }
 
@@ -42,17 +30,5 @@ mod tests {
         let header = b"P6\n7 5\n255\n";
         assert_eq!(&data[..header.len()], header);
         assert_eq!(&data[header.len()..], img.bytes());
-    }
-
-    #[test]
-    fn pgm_has_expected_size() {
-        let img = Raster::new(9, 4);
-        let dir = std::env::temp_dir().join("sonic_image_tests");
-        std::fs::create_dir_all(&dir).expect("tmp dir");
-        let path = dir.join("luma.pgm");
-        save_pgm(&img, &path).expect("write");
-        let data = std::fs::read(&path).expect("read");
-        // Header "P5\n9 4\n255\n" = 11 bytes + 36 luma bytes.
-        assert_eq!(data.len(), 11 + 36);
     }
 }

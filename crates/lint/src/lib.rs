@@ -24,17 +24,15 @@
 //! * **R6 `safety-comment`** — any `unsafe` block requires a
 //!   `// SAFETY:` line (the crates also `#![forbid(unsafe_code)]`).
 //!
-//! Diagnostics carry `file:line:rule`, a machine-readable `--json` mode, a
-//! checked-in [`baseline`](crate::baseline) (`lint-baseline.json`) so
-//! pre-existing violations burn down instead of blocking, and a
-//! `--deny-new` CI gate. See DESIGN.md §9 for the rule rationale and the
+//! Diagnostics carry `file:line:rule` and a machine-readable `--json`
+//! mode. Any finding fails the run: fix it, or `// lint: allow` it with a
+//! justification. See DESIGN.md §9 for the rule rationale and the
 //! `// lint:` annotation grammar.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod resolve;
@@ -42,7 +40,6 @@ pub mod rules;
 pub mod scan;
 pub mod workspace;
 
-pub use baseline::{Baseline, Comparison};
 pub use graph::{CallGraph, GraphStats};
 pub use rules::{analyze, Finding, Rule};
 pub use workspace::SourceFile;
@@ -90,34 +87,51 @@ pub fn format_finding(f: &Finding) -> String {
 }
 
 /// Renders findings as a JSON array for `--json` mode.
-pub fn findings_to_json(findings: &[Finding], new_flags: Option<&[bool]>) -> String {
+pub fn findings_to_json(findings: &[Finding]) -> String {
     use std::fmt::Write as _;
     let mut s = String::from("[\n");
     for (i, f) in findings.iter().enumerate() {
-        let newness = match new_flags {
-            Some(flags) => format!(", \"new\": {}", flags.get(i).copied().unwrap_or(true)),
-            None => String::new(),
-        };
         let chain = if f.chain.is_empty() {
             String::new()
         } else {
-            let items: Vec<String> = f.chain.iter().map(|c| baseline::json_str(c)).collect();
+            let items: Vec<String> = f.chain.iter().map(|c| json_str(c)).collect();
             format!(", \"chain\": [{}]", items.join(", "))
         };
         let _ = write!(
             s,
-            "  {{ \"file\": {}, \"line\": {}, \"rule\": {}, \"slug\": {}, \"key\": {}, \"message\": {}{}{} }}",
-            baseline::json_str(&f.file),
+            "  {{ \"file\": {}, \"line\": {}, \"rule\": {}, \"slug\": {}, \"key\": {}, \"message\": {}{} }}",
+            json_str(&f.file),
             f.line,
-            baseline::json_str(f.rule.id()),
-            baseline::json_str(f.rule.slug()),
-            baseline::json_str(&f.key),
-            baseline::json_str(&f.message),
-            chain,
-            newness
+            json_str(f.rule.id()),
+            json_str(f.rule.slug()),
+            json_str(&f.key),
+            json_str(&f.message),
+            chain
         );
         s.push_str(if i + 1 < findings.len() { ",\n" } else { "\n" });
     }
     s.push_str("]\n");
     s
+}
+
+/// Escapes a string as a JSON string literal.
+fn json_str(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }

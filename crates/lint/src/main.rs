@@ -1,41 +1,32 @@
 //! `sonic-lint` CLI.
 //!
 //! ```text
-//! cargo run -p sonic-lint -- --workspace --deny-new          # CI gate
-//! cargo run -p sonic-lint -- --workspace                     # report all
+//! cargo run -p sonic-lint -- --workspace                     # CI gate: report all
 //! cargo run -p sonic-lint -- --workspace --json              # machine mode
-//! cargo run -p sonic-lint -- --workspace --write-baseline    # ratchet
 //! cargo run -p sonic-lint -- --workspace --graph-stats       # call-graph health
 //! ```
 //!
-//! Exit codes: 0 clean (or informational run), 1 new findings under
-//! `--deny-new`, 2 usage/IO error.
+//! Exit codes: 0 no findings (or `--graph-stats`), 1 any finding, 2
+//! usage/IO error.
 
 #![forbid(unsafe_code)]
 #![deny(clippy::unwrap_used)]
 
-use sonic_lint::{baseline::Baseline, findings_to_json, format_finding, lint_workspace};
+use sonic_lint::{findings_to_json, format_finding, lint_workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Options {
     root: PathBuf,
-    baseline_path: PathBuf,
     json: bool,
-    deny_new: bool,
-    write_baseline: bool,
     graph_stats: bool,
 }
 
-const USAGE: &str = "usage: sonic-lint --workspace [--root DIR] [--baseline FILE] \
-[--json] [--deny-new] [--write-baseline] [--graph-stats]";
+const USAGE: &str = "usage: sonic-lint --workspace [--root DIR] [--json] [--graph-stats]";
 
 fn parse_args() -> Result<Options, String> {
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut json = false;
-    let mut deny_new = false;
-    let mut write_baseline = false;
     let mut graph_stats = false;
     let mut workspace = false;
 
@@ -44,17 +35,10 @@ fn parse_args() -> Result<Options, String> {
         match arg.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
-            "--deny-new" => deny_new = true,
-            "--write-baseline" => write_baseline = true,
             "--graph-stats" => graph_stats = true,
             "--root" => {
                 root = Some(PathBuf::from(
                     args.next().ok_or("--root needs a directory")?,
-                ))
-            }
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(
-                    args.next().ok_or("--baseline needs a file")?,
                 ))
             }
             "--help" | "-h" => return Err(USAGE.to_string()),
@@ -67,13 +51,9 @@ fn parse_args() -> Result<Options, String> {
     let root = root
         .or_else(|| std::env::current_dir().ok())
         .ok_or("cannot determine working directory")?;
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.json"));
     Ok(Options {
         root,
-        baseline_path,
         json,
-        deny_new,
-        write_baseline,
         graph_stats,
     })
 }
@@ -114,73 +94,19 @@ fn main() -> ExitCode {
         }
     };
 
-    if opts.write_baseline {
-        let base = Baseline::from_findings(&findings);
-        if let Err(e) = std::fs::write(&opts.baseline_path, base.write()) {
-            eprintln!("sonic-lint: cannot write {}: {e}", opts.baseline_path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "sonic-lint: wrote baseline with {} finding(s) across {} triple(s) to {}",
-            findings.len(),
-            base.entries.len(),
-            opts.baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let base = match std::fs::read_to_string(&opts.baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "sonic-lint: malformed baseline {}: {e}",
-                    opts.baseline_path.display()
-                );
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => Baseline::default(), // no baseline: everything is "new"
-    };
-    let cmp = base.compare(&findings);
-
     if opts.json {
-        let flags: Vec<bool> = {
-            // `compare` preserves order within each class; rebuild per-finding
-            // newness by membership (file,line,rule,key are unique enough).
-            findings
-                .iter()
-                .map(|f| cmp.new.contains(f))
-                .collect()
-        };
-        print!("{}", findings_to_json(&findings, Some(&flags)));
+        print!("{}", findings_to_json(&findings));
     } else {
-        let shown: &[_] = if opts.deny_new { &cmp.new } else { &findings };
-        for f in shown {
+        for f in &findings {
             println!("{}", format_finding(f));
         }
-        eprintln!(
-            "sonic-lint: {} finding(s): {} baselined, {} new, {} baseline entr{} burned down",
-            findings.len(),
-            cmp.baselined.len(),
-            cmp.new.len(),
-            cmp.stale.len(),
-            if cmp.stale.len() == 1 { "y" } else { "ies" },
-        );
-        if !cmp.stale.is_empty() {
-            eprintln!(
-                "sonic-lint: run with --write-baseline to ratchet the burned-down entries"
-            );
-        }
+        eprintln!("sonic-lint: {} finding(s)", findings.len());
     }
 
-    if opts.deny_new && !cmp.new.is_empty() {
-        eprintln!(
-            "sonic-lint: {} new finding(s) not covered by {} — fix them or (only with reviewer sign-off) re-baseline",
-            cmp.new.len(),
-            opts.baseline_path.display()
-        );
-        return ExitCode::FAILURE;
+    if findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("sonic-lint: fix each finding, or `// lint: allow` it with a justification");
+        ExitCode::FAILURE
     }
-    ExitCode::SUCCESS
 }

@@ -89,10 +89,10 @@ pub struct Finding {
     pub line: u32,
     /// Violated rule.
     pub rule: Rule,
-    /// Stable matching key for the baseline. Lexical findings key on the
-    /// offending token/fn name; transitive findings key on the full call
-    /// chain (`render_into→helper→Vec::new`) so a finding survives line
-    /// drift but dies when the chain is broken.
+    /// Line-independent identity of the finding. Lexical findings key on
+    /// the offending token/fn name; transitive findings key on the full
+    /// call chain (`render_into→helper→Vec::new`), which names the path to
+    /// break.
     pub key: String,
     /// Human-readable message (transitive messages embed the chain).
     pub message: String,
@@ -992,7 +992,7 @@ fn parse_number(text: &str) -> Option<f64> {
         .ok()
 }
 
-/// Canonical baseline key for a magic literal: underscores stripped,
+/// Canonical key for a magic literal: underscores stripped,
 /// trailing `.0` dropped (`228_000.0` → `228000`).
 fn normalize_number(text: &str) -> String {
     let s: String = text.chars().filter(|&c| c != '_').collect();

@@ -1,7 +1,7 @@
 //! Deterministic workspace file walker.
 //!
 //! Collects every `.rs` file the lint pass should see, in sorted order so
-//! diagnostics and the baseline are stable across machines:
+//! diagnostics are stable across machines:
 //!
 //! * `crates/*/{src,tests,examples,benches}/**` — library + test code;
 //! * top-level `src/`, `tests/`, `examples/`;

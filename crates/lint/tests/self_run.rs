@@ -1,9 +1,9 @@
-//! Workspace self-run: linting the real tree must produce zero findings
-//! beyond the checked-in baseline. This is the same gate CI runs via
-//! `cargo run -p sonic-lint -- --workspace --deny-new`, wired into
-//! `cargo test` so a violation fails fast and locally.
+//! Workspace self-run: linting the real tree must produce zero findings.
+//! This is the same gate CI runs via `cargo run -p sonic-lint --
+//! --workspace`, wired into `cargo test` so a violation fails fast and
+//! locally.
 
-use sonic_lint::{lint_workspace, Baseline};
+use sonic_lint::lint_workspace;
 use std::path::Path;
 
 fn workspace_root() -> std::path::PathBuf {
@@ -14,40 +14,16 @@ fn workspace_root() -> std::path::PathBuf {
 }
 
 #[test]
-fn workspace_has_zero_non_baselined_findings() {
-    let root = workspace_root();
-    let findings = lint_workspace(&root).expect("lint workspace");
-    let baseline_text = std::fs::read_to_string(root.join("lint-baseline.json"))
-        .expect("lint-baseline.json is checked in");
-    let baseline = Baseline::parse(&baseline_text).expect("baseline parses");
-    let cmp = baseline.compare(&findings);
+fn workspace_has_zero_findings() {
+    let findings = lint_workspace(&workspace_root()).expect("lint workspace");
     assert!(
-        cmp.new.is_empty(),
-        "new lint findings not covered by lint-baseline.json:\n{}",
-        cmp.new
+        findings.is_empty(),
+        "lint findings (fix each, or `// lint: allow` it with a justification):\n{}",
+        findings
             .iter()
             .map(sonic_lint::format_finding)
             .collect::<Vec<_>>()
             .join("\n")
-    );
-}
-
-#[test]
-fn baseline_is_fully_burned_down() {
-    // The baseline existed to burn down, not to grow: the grandfathered R1
-    // `.push`/`.extend` findings in streaming `_into` functions were all
-    // fixed (indexed writes into pre-sized buffers) or, for the two
-    // `Fir::push` false positives, suppressed with an inline
-    // `// lint: allow(no-alloc)` that documents why. If this test fails
-    // because you re-baselined a finding, fix the code instead.
-    let root = workspace_root();
-    let baseline_text = std::fs::read_to_string(root.join("lint-baseline.json"))
-        .expect("lint-baseline.json is checked in");
-    let baseline = Baseline::parse(&baseline_text).expect("baseline parses");
-    assert!(
-        baseline.entries.is_empty(),
-        "lint-baseline.json must stay empty; found {:?}",
-        baseline.entries.keys().collect::<Vec<_>>()
     );
 }
 

@@ -87,19 +87,6 @@ impl Corpus {
     pub fn find_url(&self, url: &str) -> Option<PageId> {
         self.urls.get(url).copied()
     }
-
-    /// Fraction of pages that changed in the hour ending at `hour`.
-    pub fn hourly_change_fraction(&self, hour: u64) -> f64 {
-        if hour == 0 {
-            return 1.0;
-        }
-        let pages = self.pages();
-        let changed = pages
-            .iter()
-            .filter(|&&id| self.changed(id, hour - 1, hour))
-            .count();
-        changed as f64 / pages.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -141,7 +128,11 @@ mod tests {
         // every hour (news landing pages), most don't. Fig 4c needs the
         // resulting byte inflow to sit just below the 10 kbps drain, which
         // at ~190 KB mean page size means ~0.10–0.25 of pages per hour.
-        let avg: f64 = (1..=24).map(|h| c.hourly_change_fraction(h)).sum::<f64>() / 24.0;
+        let pages = c.pages();
+        let changes: usize = (1..=24u64)
+            .map(|h| pages.iter().filter(|&&id| c.changed(id, h - 1, h)).count())
+            .sum();
+        let avg = changes as f64 / (24 * pages.len()) as f64;
         assert!(avg > 0.08 && avg < 0.30, "avg hourly change {avg}");
     }
 

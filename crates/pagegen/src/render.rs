@@ -9,7 +9,7 @@
 //! report the measured full-scale/reduced-scale size calibration they use.
 
 use crate::font::{glyph, ADVANCE, GLYPH_H};
-use crate::layout::{Block, BlockKind, Layout, PageKind};
+use crate::layout::{Block, BlockKind, Layout};
 use crate::site::SiteProfile;
 use crate::text::{wrap, TextGen};
 use crate::tranco::mix;
@@ -242,19 +242,19 @@ pub fn render(site: &SiteProfile, layout: &Layout, scale: f64) -> RenderedPage {
     }
 }
 
-/// Convenience: generate + render a page in one call.
-pub fn render_page(site: &SiteProfile, page: PageKind, hour: u64, scale: f64) -> RenderedPage {
-    let layout = crate::layout::generate(site, page, hour);
-    render(site, &layout, scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::PageKind;
     use crate::tranco::pk_top_sites;
 
     fn site() -> SiteProfile {
         pk_top_sites(25, 7).remove(0)
+    }
+
+    /// Lays out and renders one page, as `Corpus::render` does.
+    fn rendered(site: &SiteProfile, page: PageKind, hour: u64, scale: f64) -> RenderedPage {
+        render(site, &crate::layout::generate(site, page, hour), scale)
     }
 
     #[test]
@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn page_has_text_and_clicks() {
         let s = site();
-        let page = render_page(&s, PageKind::Landing, 0, 0.25);
+        let page = rendered(&s, PageKind::Landing, 0, 0.25);
         let text_px = page.text_mask.iter().filter(|&&b| b).count();
         assert!(text_px > 500, "text pixels {text_px}");
         assert!(page.clickmap.regions.len() >= 5, "clicks {}", page.clickmap.regions.len());
@@ -279,8 +279,8 @@ mod tests {
     #[test]
     fn render_is_deterministic() {
         let s = site();
-        let a = render_page(&s, PageKind::Landing, 3, 0.2);
-        let b = render_page(&s, PageKind::Landing, 3, 0.2);
+        let a = rendered(&s, PageKind::Landing, 3, 0.2);
+        let b = rendered(&s, PageKind::Landing, 3, 0.2);
         assert_eq!(a.raster, b.raster);
     }
 
@@ -288,15 +288,15 @@ mod tests {
     fn hour_change_changes_news_pixels() {
         let s = site(); // rank 1 is News in the mix
         // Daytime hours — overnight (hours 0–5) content is frozen.
-        let a = render_page(&s, PageKind::Landing, 9, 0.2);
-        let b = render_page(&s, PageKind::Landing, 10, 0.2);
+        let a = rendered(&s, PageKind::Landing, 9, 0.2);
+        let b = rendered(&s, PageKind::Landing, 10, 0.2);
         assert!(a.raster.mean_abs_diff(&b.raster) > 1.0, "hero must change hourly");
     }
 
     #[test]
     fn click_targets_are_on_site_or_ads() {
         let s = site();
-        let page = render_page(&s, PageKind::Landing, 0, 0.2);
+        let page = rendered(&s, PageKind::Landing, 0, 0.2);
         for r in &page.clickmap.regions {
             assert!(
                 r.target.contains(&s.domain) || r.target.contains("ads."),
@@ -309,7 +309,7 @@ mod tests {
     #[test]
     fn content_is_not_blank() {
         let s = site();
-        let page = render_page(&s, PageKind::Internal(1), 0, 0.2);
+        let page = rendered(&s, PageKind::Internal(1), 0, 0.2);
         // A blank white page would have zero diff to a white raster.
         let blank = Raster::new(page.raster.width(), page.raster.height());
         assert!(page.raster.mean_abs_diff(&blank) > 5.0);

@@ -63,11 +63,6 @@ impl RfChannel {
         }
     }
 
-    /// Carrier-to-noise ratio in dB.
-    pub fn cnr_db(&self) -> f64 {
-        self.rssi_db - self.noise_floor_db
-    }
-
     /// Applies the channel to FM complex baseband (unit envelope in, noisy
     /// unit-ish envelope out).
     ///
@@ -206,15 +201,6 @@ impl AcousticChannel {
         }
         out
     }
-
-    /// In-band SNR estimate in dB for a signal of the given RMS, useful for
-    /// calibration plots (the OFDM band is ~4.1 kHz of the 22.05 kHz total).
-    pub fn expected_snr_db(&self, signal_rms: f32) -> f64 {
-        let sig = (signal_rms * self.nominal_gain()) as f64;
-        let band_share = 4_134.0 / (crate::AUDIO_RATE / 2.0);
-        let noise_in_band = (self.noise_rms as f64) * band_share.sqrt();
-        20.0 * (sig / noise_in_band).log10()
-    }
 }
 
 #[cfg(test)]
@@ -258,12 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn rf_cnr_is_rssi_minus_floor() {
-        let ch = RfChannel::new(-80.0, 7);
-        assert!((ch.cnr_db() - 13.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn acoustic_attenuates_with_distance() {
         let sig = tone(44_100, 9_200.0, 0.35);
         let r_near = rms(&AcousticChannel::new(0.1, 42).transmit(&sig));
@@ -301,13 +281,6 @@ mod tests {
             ratio_far < ratio_near * 0.8,
             "near {ratio_near} far {ratio_far}"
         );
-    }
-
-    #[test]
-    fn expected_snr_declines_with_distance() {
-        let s1 = AcousticChannel::new(0.1, 0).expected_snr_db(0.35);
-        let s2 = AcousticChannel::new(1.0, 0).expected_snr_db(0.35);
-        assert!(s1 > s2 + 15.0, "{s1} vs {s2}");
     }
 
     #[test]

@@ -433,28 +433,6 @@ impl BurstLossCurve {
         let d = m + z * s;
         (d + 0.5).clamp(0.0, self.n_alive as f32) as u32
     }
-
-    /// Batched SoA evaluation: fills `delivered[i]` for the listener with
-    /// global id `listener0 + i`, RSSI band `bands[i]` and drift class
-    /// `classes[i]`. One pass per burst over the population arrays — the
-    /// scenario engine's hot loop.
-    ///
-    /// # Panics
-    /// Panics if the three slices differ in length.
-    // lint: no-alloc
-    pub fn sample_delivered_into(
-        &self,
-        listener0: u64,
-        bands: &[u8],
-        classes: &[u8],
-        delivered: &mut [u32],
-    ) {
-        assert_eq!(bands.len(), delivered.len(), "SoA length mismatch");
-        assert_eq!(classes.len(), delivered.len(), "SoA length mismatch");
-        for i in 0..delivered.len() {
-            delivered[i] = self.sample_delivered(listener0 + i as u64, bands[i], classes[i]);
-        }
-    }
 }
 
 /// One impulse event overlapping a buffer: `start` is the burst's first
@@ -845,23 +823,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_soa_pass_equals_scalar_calls_and_replays() {
+    fn sampled_fates_stay_alive_bounded_and_replay() {
         let plan = FaultPlan::hostile(31);
         let curve = plan.burst_loss_curve(20.0, 0.04, 40, 9);
-        let bands: Vec<u8> = (0..257u32)
-            .map(|i| crate::rssi::rssi_band(-95.0 + f64::from(i % 60) * 0.5))
-            .collect();
-        let classes: Vec<u8> = (0..257u32).map(|i| (i % 4) as u8).collect();
-        let mut batch = vec![0u32; bands.len()];
-        curve.sample_delivered_into(1_000, &bands, &classes, &mut batch);
-        for (i, &d) in batch.iter().enumerate() {
-            let scalar = curve.sample_delivered(1_000 + i as u64, bands[i], classes[i]);
-            assert_eq!(d, scalar, "listener {i}");
-            assert!(d <= curve.n_alive);
+        let again = plan.burst_loss_curve(20.0, 0.04, 40, 9);
+        for i in 0..257u32 {
+            let band = crate::rssi::rssi_band(-95.0 + f64::from(i % 60) * 0.5);
+            let class = (i % 4) as u8;
+            let d = curve.sample_delivered(1_000 + u64::from(i), band, class);
+            assert!(d <= curve.n_alive, "listener {i}");
+            assert_eq!(
+                d,
+                again.sample_delivered(1_000 + u64::from(i), band, class),
+                "same seed ⇒ same fates"
+            );
         }
-        let mut again = vec![0u32; bands.len()];
-        curve.sample_delivered_into(1_000, &bands, &classes, &mut again);
-        assert_eq!(batch, again, "same seed ⇒ same fates");
     }
 
     #[test]

@@ -95,7 +95,6 @@ fn air_and_verify(
         max_bytes: usize::MAX / 2,
         max_pages: usize::MAX / 2,
         page_deadline_s: f64::INFINITY,
-        ..ReassemblerConfig::default()
     });
     loop {
         let frames = sched.advance(60.0);

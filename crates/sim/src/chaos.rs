@@ -15,10 +15,12 @@
 //!   targeted repair bursts under the per-page retry budget with
 //!   exponential backoff.
 //!
-//! Everything is a pure function of [`ChaosSoakConfig`]: frame fates hash
-//! from `(plan seed, frame nonce)`, the SMS networks run seeded RNGs, and
-//! every map iteration is sorted — the same config replays to an identical
-//! [`ChaosSoakReport`].
+//! Everything is a pure function of [`ChaosSoakConfig`] (a day length and
+//! a seed) and the constants beside it — one transmitter at 10 kbps, the
+//! 4-site corpus at scale 0.1, a phone-sized reassembler, two NACKs per
+//! page with a 300 s grace each: frame fates hash from `(plan seed, frame
+//! nonce)`, the SMS networks run seeded RNGs, and every map iteration is
+//! sorted — the same config replays to an identical [`ChaosSoakReport`].
 
 use sonic_core::client::SonicClient;
 use sonic_core::reassembly::ReassemblerConfig;
@@ -30,26 +32,33 @@ use sonic_sms::geo::{Coverage, GeoPoint};
 use sonic_sms::network::{SmsChaos, SmsNetwork};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Parameters of one soak run (fully determines the report).
+/// Transmitter rate in bits/s.
+pub const RATE_BPS: f64 = 10_000.0;
+/// Synthetic corpus size (sites; page 0 of each is the content pool).
+const CORPUS_SITES: usize = 4;
+/// Render scale (0.1 = smoke-sized pages).
+const RENDER_SCALE: f64 = 0.1;
+/// Client-side reassembler budget under test: a quarter of the default
+/// bytes, half its pages, two thirds of its deadline.
+pub const REASSEMBLER: ReassemblerConfig = ReassemblerConfig {
+    max_bytes: 1 << 20,
+    max_pages: 8,
+    page_deadline_s: 600.0,
+};
+/// NACKs the client may spend per page before force-finalizing.
+const MAX_NACKS_PER_PAGE: u32 = 2;
+/// Seconds the client waits for repair after a NACK before giving up and
+/// finalizing degraded.
+const NACK_GRACE_S: f64 = 300.0;
+
+/// Parameters of one soak run (with the constants above, fully
+/// determines the report).
 #[derive(Debug, Clone)]
 pub struct ChaosSoakConfig {
     /// Broadcast day length in hours (24 = the paper's day; 2 = smoke).
     pub hours: u32,
     /// Master seed: fault plan, SMS networks and frame fates derive from it.
     pub seed: u64,
-    /// Transmitter rate in bits/s.
-    pub rate_bps: f64,
-    /// Synthetic corpus size (sites; page 0 of each is the content pool).
-    pub corpus_sites: usize,
-    /// Render scale (0.1 = smoke-sized pages).
-    pub render_scale: f64,
-    /// Client-side reassembler budget under test.
-    pub reassembler: ReassemblerConfig,
-    /// NACKs the client may spend per page before force-finalizing.
-    pub max_nacks_per_page: u32,
-    /// Seconds the client waits for repair after a NACK before giving up
-    /// and finalizing degraded.
-    pub nack_grace_s: f64,
 }
 
 impl Default for ChaosSoakConfig {
@@ -57,17 +66,6 @@ impl Default for ChaosSoakConfig {
         ChaosSoakConfig {
             hours: 2,
             seed: 0x50A4_C0DE,
-            rate_bps: 10_000.0,
-            corpus_sites: 4,
-            render_scale: 0.1,
-            reassembler: ReassemblerConfig {
-                max_bytes: 1 << 20,
-                max_pages: 8,
-                page_deadline_s: 600.0,
-                ..ReassemblerConfig::default()
-            },
-            max_nacks_per_page: 2,
-            nack_grace_s: 300.0,
         }
     }
 }
@@ -177,19 +175,19 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
     let plan = hostile_day(cfg.seed, cfg.hours);
     let total_s = u64::from(cfg.hours) * 3600;
     // Drain window: no new content, but in-flight repairs/graces settle.
-    let end_s = total_s + cfg.nack_grace_s as u64 + 600;
+    let end_s = total_s + NACK_GRACE_S as u64 + 600;
 
     let coverage = Coverage::pakistan_demo();
     let user_loc = GeoPoint::new(31.52, 74.35); // Lahore
     let site_id = coverage.best_for(&user_loc).expect("Lahore is covered").id;
-    let renderer = Renderer::new(Corpus::small(cfg.corpus_sites), cfg.render_scale);
-    let mut srv = SonicServer::new(renderer, coverage, cfg.rate_bps);
+    let renderer = Renderer::new(Corpus::small(CORPUS_SITES), RENDER_SCALE);
+    let mut srv = SonicServer::new(renderer, coverage, RATE_BPS);
     let mut client = SonicClient::new(720, Some(user_loc));
-    client.set_reassembler_config(cfg.reassembler.clone());
+    client.set_reassembler_config(REASSEMBLER);
 
     // The client wants every site's landing page: sites 0..2 ride the
     // hourly carousel, the rest only exist if requested over SMS.
-    let n_sites = cfg.corpus_sites.min(srv.renderer().corpus().sites.len());
+    let n_sites = CORPUS_SITES.min(srv.renderer().corpus().sites.len());
     let carousel_n = 2.min(n_sites);
     let wanted: Vec<String> = (0..n_sites)
         .map(|s| {
@@ -216,7 +214,7 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
     let mut to_server: InFlight = Vec::new();
     let mut to_client: InFlight = Vec::new();
 
-    let airtime_s = sonic_core::frame::FRAME_SIZE as f64 * 8.0 / cfg.rate_bps;
+    let airtime_s = sonic_core::frame::FRAME_SIZE as f64 * 8.0 / RATE_BPS;
     let mut nonce = 0u64;
     // Client-side repair bookkeeping: page → NACKs spent, and the time at
     // which an expired page stops waiting for repair.
@@ -348,7 +346,7 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
                 continue; // still waiting on a repair burst
             }
             let spent = *nacks_for.get(&id).unwrap_or(&0);
-            let nack = if spent < cfg.max_nacks_per_page {
+            let nack = if spent < MAX_NACKS_PER_PAGE {
                 client.compose_nack(id)
             } else {
                 None
@@ -360,7 +358,7 @@ pub fn run_chaos_soak(cfg: &ChaosSoakConfig) -> ChaosSoakReport {
                         to_server.extend(arrivals.into_iter().map(|a| (a.at, a.text)));
                     }
                     nacks_for.insert(id, spent + 1);
-                    force_at.insert(id, tf + cfg.nack_grace_s);
+                    force_at.insert(id, tf + NACK_GRACE_S);
                 }
                 _ => {
                     finalize(
@@ -416,7 +414,7 @@ mod tests {
         assert!(report.frames_sent > 0, "{report:?}");
         assert!(report.frames_lost > 0, "mute windows must bite: {report:?}");
         assert!(
-            report.peak_reassembler_bytes <= cfg.reassembler.max_bytes,
+            report.peak_reassembler_bytes <= REASSEMBLER.max_bytes,
             "{report:?}"
         );
         assert_eq!(report, run_chaos_soak(&cfg), "same seed ⇒ same outcome");

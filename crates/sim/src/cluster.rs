@@ -19,18 +19,19 @@
 //! [`pool::run_ordered`] in 60-second epochs, so the heavy accounting
 //! fans out across workers while the fold order — and therefore the
 //! report — is identical at any worker count. Everything else is a pure
-//! function of `(config, seed)`: the same config replays to an identical
-//! [`ClusterSoakReport`].
+//! function of `(config, seed)` and the constants beside the config — the
+//! 6-site corpus at scale 0.1, a top-4 carousel, 10-minute outages, 3
+//! background `GET`s a minute and a 30-minute drain: the same config
+//! replays to an identical [`ClusterSoakReport`]. The coordinator and
+//! sites run the control plane's own constants
+//! ([`sonic_core::server::cluster`], [`sonic_core::net::rpc`]).
 
 use crate::pool;
 use sonic_core::frame::Frame;
-use sonic_core::net::rpc::RpcPolicy;
 use sonic_core::net::transport::{LinkFaultPlan, SimLink};
 use sonic_core::page::page_id_for;
 use sonic_core::server::cache::share_store;
-use sonic_core::server::cluster::{
-    Coordinator, CoordinatorConfig, SiteConfig, SiteNode, SiteStats,
-};
+use sonic_core::server::cluster::{Coordinator, SiteNode, SiteStats};
 use sonic_core::server::render::Renderer;
 use sonic_core::server::store::ArtifactStore;
 use sonic_pagegen::{Corpus, PageId};
@@ -53,7 +54,21 @@ fn mix3(a: u64, b: u64, c: u64) -> u64 {
     mix(mix(mix(a) ^ b) ^ c)
 }
 
-/// Parameters of one cluster soak (fully determines the report).
+/// Synthetic corpus size (page 0 of each site is the content pool).
+const CORPUS_SITES: usize = 6;
+/// Render scale (0.1 = smoke-sized pages).
+const RENDER_SCALE: f64 = 0.1;
+/// Landing pages pushed to every site each hour.
+const CAROUSEL_TOP_N: usize = 4;
+/// Seconds a killed site stays dead before restarting.
+const DOWN_TIME_S: f64 = 600.0;
+/// Background page requests per simulated minute.
+const GETS_PER_MINUTE: usize = 3;
+/// Seconds of quiet drain after the last hour (backlogs must empty).
+const DRAIN_S: f64 = 1800.0;
+
+/// Parameters of one cluster soak (with the constants above, fully
+/// determines the report).
 #[derive(Debug, Clone)]
 pub struct ClusterSoakConfig {
     /// Broadcast day length in hours (24 = full day; 2 = smoke).
@@ -64,28 +79,16 @@ pub struct ClusterSoakConfig {
     pub sites: usize,
     /// Per-site broadcast payload rate.
     pub rate_bps: f64,
-    /// Synthetic corpus size (page 0 of each site is the content pool).
-    pub corpus_sites: usize,
-    /// Render scale (0.1 = smoke-sized pages).
-    pub render_scale: f64,
-    /// Landing pages pushed to every site each hour.
-    pub carousel_top_n: usize,
     /// Simulation step in seconds (must divide 3600).
     pub tick_s: f64,
     /// Sites killed per hour.
     pub kills_per_hour: usize,
-    /// Seconds a killed site stays dead before restarting.
-    pub down_time_s: f64,
     /// Hour during which the SMS gateway is flooded.
     pub flood_hour: u32,
     /// Flood messages offered per tick during the flood hour.
     pub flood_per_tick: usize,
-    /// Background page requests per simulated minute.
-    pub gets_per_minute: usize,
     /// Worker threads for the listener digest stage (report-invariant).
     pub workers: usize,
-    /// Seconds of quiet drain after the last hour (backlogs must empty).
-    pub drain_s: f64,
     /// Artifact-store directory; `None` derives one under the system temp
     /// dir and removes it afterwards.
     pub store_dir: Option<PathBuf>,
@@ -98,17 +101,11 @@ impl Default for ClusterSoakConfig {
             seed: 0xC1_05_7E_12,
             sites: 50,
             rate_bps: 8_000.0,
-            corpus_sites: 6,
-            render_scale: 0.1,
-            carousel_top_n: 4,
             tick_s: 1.0,
             kills_per_hour: 2,
-            down_time_s: 600.0,
             flood_hour: 1,
             flood_per_tick: 96,
-            gets_per_minute: 3,
             workers: pool::default_workers(),
-            drain_s: 1800.0,
             store_dir: None,
         }
     }
@@ -250,28 +247,13 @@ pub fn run_cluster_soak(cfg: &ClusterSoakConfig) -> ClusterSoakReport {
 fn run_in(cfg: &ClusterSoakConfig, dir: &std::path::Path) -> ClusterSoakReport {
     let store = share_store(ArtifactStore::open(dir, 256 << 20).expect("open store"));
     let coverage = synthetic_coverage(cfg.sites);
-    let renderer = Renderer::new(Corpus::small(cfg.corpus_sites), cfg.render_scale);
-    let coord_cfg = CoordinatorConfig {
-        rpc: RpcPolicy {
-            deadline_s: 5.0,
-            probe_interval_s: 15.0,
-            ..RpcPolicy::default()
-        },
-        ping_interval_s: 20.0,
-        ingress_capacity: 256,
-        ingress_drain_per_pump: 64,
-    };
-    let mut coord = Coordinator::new(renderer, coverage.clone(), store.clone(), coord_cfg);
+    let renderer = Renderer::new(Corpus::small(CORPUS_SITES), RENDER_SCALE);
+    let mut coord = Coordinator::new(renderer, coverage.clone(), store.clone());
 
-    let site_cfg = |id: u32| SiteConfig {
-        site_id: id,
-        rate_bps: cfg.rate_bps,
-        ..SiteConfig::default()
-    };
     let mut sites: BTreeMap<u32, SiteNode> = coverage
         .sites
         .iter()
-        .map(|s| (s.id, SiteNode::new(site_cfg(s.id), Some(store.clone()))))
+        .map(|s| (s.id, SiteNode::new(s.id, cfg.rate_bps, Some(store.clone()))))
         .collect();
     let mut links: BTreeMap<u32, SimLink> = coverage
         .sites
@@ -279,7 +261,7 @@ fn run_in(cfg: &ClusterSoakConfig, dir: &std::path::Path) -> ClusterSoakReport {
         .map(|s| (s.id, SimLink::symmetric(link_plan(cfg.seed, s.id, cfg.hours))))
         .collect();
 
-    // Seed-derived kill schedule: (t_kill, site), restarts down_time later.
+    // Seed-derived kill schedule: (t_kill, site), restarts DOWN_TIME_S later.
     let mut kill_schedule: Vec<(f64, u32)> = Vec::new();
     for h in 0..u64::from(cfg.hours) {
         for i in 0..cfg.kills_per_hour as u64 {
@@ -299,12 +281,12 @@ fn run_in(cfg: &ClusterSoakConfig, dir: &std::path::Path) -> ClusterSoakReport {
     let ticks_per_hour = (3600.0 / cfg.tick_s).round() as u64;
     let ticks_per_minute = (60.0 / cfg.tick_s).round() as u64;
     let day_ticks = ticks_per_hour * u64::from(cfg.hours);
-    let drain_ticks = (cfg.drain_s / cfg.tick_s).round() as u64;
+    let drain_ticks = (DRAIN_S / cfg.tick_s).round() as u64;
     let total_ticks = day_ticks + drain_ticks;
 
     let corpus_urls: Vec<Vec<String>> = (0..u64::from(cfg.hours))
         .map(|h| {
-            (0..cfg.corpus_sites)
+            (0..CORPUS_SITES)
                 .map(|s| {
                     coord
                         .renderer()
@@ -340,7 +322,7 @@ fn run_in(cfg: &ClusterSoakConfig, dir: &std::path::Path) -> ClusterSoakReport {
 
         // Hourly carousel push (day only).
         if in_day && tick % ticks_per_hour == 0 {
-            coord.push_carousel(hour, cfg.carousel_top_n, t);
+            coord.push_carousel(hour, CAROUSEL_TOP_N, t);
         }
 
         // Kills due this tick.
@@ -354,7 +336,7 @@ fn run_in(cfg: &ClusterSoakConfig, dir: &std::path::Path) -> ClusterSoakReport {
                     l.b_to_a.flush_inflight();
                 }
                 report.kills += 1;
-                pending_restarts.insert(victim, t + cfg.down_time_s);
+                pending_restarts.insert(victim, t + DOWN_TIME_S);
             }
         }
         // Restarts due (kills restart even into the drain window).
@@ -365,15 +347,15 @@ fn run_in(cfg: &ClusterSoakConfig, dir: &std::path::Path) -> ClusterSoakReport {
             .collect();
         for site in due {
             pending_restarts.remove(&site);
-            sites.insert(site, SiteNode::new(site_cfg(site), Some(store.clone())));
+            sites.insert(site, SiteNode::new(site, cfg.rate_bps, Some(store.clone())));
             report.restarts += 1;
         }
 
         // Background page requests, one batch per simulated minute.
         if in_day && tick % ticks_per_minute == 0 {
-            for g in 0..cfg.gets_per_minute as u64 {
+            for g in 0..GETS_PER_MINUTE as u64 {
                 let h = mix3(cfg.seed ^ 0x6E7, tick, g);
-                let url = &corpus_urls[hour as usize][(h % cfg.corpus_sites as u64) as usize];
+                let url = &corpus_urls[hour as usize][(h % CORPUS_SITES as u64) as usize];
                 let at = &coverage.sites[(mix(h) % cfg.sites as u64) as usize].location;
                 coord.accept_sms(&gateway::format_request(url, at));
             }
@@ -385,7 +367,7 @@ fn run_in(cfg: &ClusterSoakConfig, dir: &std::path::Path) -> ClusterSoakReport {
                 let h = mix3(cfg.seed ^ 0xF_100D, tick, f);
                 let at = &coverage.sites[(mix(h) % cfg.sites as u64) as usize].location;
                 let msg = if h.is_multiple_of(3) {
-                    let url = &corpus_urls[hour as usize][(h % cfg.corpus_sites as u64) as usize];
+                    let url = &corpus_urls[hour as usize][(h % CORPUS_SITES as u64) as usize];
                     format_nack(&Nack {
                         page_id: page_id_for(url, version),
                         meta: false,
@@ -393,8 +375,8 @@ fn run_in(cfg: &ClusterSoakConfig, dir: &std::path::Path) -> ClusterSoakReport {
                         location: *at,
                     })
                 } else {
-                    let url = &corpus_urls[hour as usize]
-                        [(mix(h ^ 1) % cfg.corpus_sites as u64) as usize];
+                    let url =
+                        &corpus_urls[hour as usize][(mix(h ^ 1) % CORPUS_SITES as u64) as usize];
                     gateway::format_request(url, at)
                 };
                 coord.accept_sms(&msg);
@@ -459,9 +441,6 @@ mod tests {
             sites: 10,
             kills_per_hour: 1,
             flood_hour: 0,
-            // A full site backlog (10 pages ≈ 920 s of airtime) plus late
-            // retry deliveries must drain completely.
-            drain_s: 1200.0,
             ..ClusterSoakConfig::default()
         }
     }
@@ -475,7 +454,10 @@ mod tests {
         assert_eq!(report.restarts, report.kills, "{report:?}");
         assert_eq!(report.hung_pages, 0, "{report:?}");
         assert!(report.sms_shed > 0, "flood must exceed the ingress bound");
-        assert!(report.peak_ingress_depth <= 256, "{report:?}");
+        assert!(
+            report.peak_ingress_depth <= sonic_core::server::cluster::INGRESS_CAPACITY as u64,
+            "{report:?}"
+        );
     }
 
     #[test]

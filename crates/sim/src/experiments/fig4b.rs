@@ -26,8 +26,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: super::env_or("SONIC_FIG4B_SCALE", 0.2),
-            hours: super::env_or("SONIC_FIG4B_HOURS", 12),
+            scale: super::env_or("SONIC_FIG4B_SCALE", 0.12),
+            hours: super::env_or("SONIC_FIG4B_HOURS", 8),
             configs: vec![
                 SizeConfig { quality: 10, pixel_height: Some(10_000) },
                 SizeConfig { quality: 10, pixel_height: None },

@@ -32,8 +32,8 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             rssi_db: PAPER_RSSI_DB.to_vec(),
-            reps: super::env_or("SONIC_RSSI_REPS", 10),
-            bursts_per_rep: super::env_or("SONIC_RSSI_BURSTS", 3),
+            reps: super::env_or("SONIC_RSSI_REPS", 8),
+            bursts_per_rep: super::env_or("SONIC_RSSI_BURSTS", 2),
             profile: Profile::sonic_10k(),
             seed: 0x2551,
         }

@@ -5,7 +5,7 @@
 //! cargo run --release --example chaos_soak -- --smoke # 1 h CI smoke
 //! ```
 
-use sonic_sim::chaos::{run_chaos_soak, ChaosSoakConfig};
+use sonic_sim::chaos::{run_chaos_soak, ChaosSoakConfig, RATE_BPS};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -15,7 +15,7 @@ fn main() {
     };
     println!(
         "chaos soak: {} h, seed {:#x}, {} bps",
-        cfg.hours, cfg.seed, cfg.rate_bps
+        cfg.hours, cfg.seed, RATE_BPS
     );
     let report = run_chaos_soak(&cfg);
     println!(
