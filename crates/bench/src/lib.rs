@@ -4,7 +4,8 @@
 //!
 //! * `fig*` / `rssi_sweep` / `modem_rates` / `ablation_*` print the table or
 //!   series the paper reports (EXPERIMENTS.md maps each to its figure and
-//!   lists the `SONIC_*` knobs that trade runtime for fidelity).
+//!   lists the `SONIC_*` knobs that trade runtime for fidelity), and
+//!   `viterbi_fer` the inner code's FER table for both Viterbi decoders.
 //! * `perf_rx`, `perf_codec`, `perf_broadcast_cache`, `perf_natsim` say what
 //!   `benchmark/` (one page's whole trip) cannot: fast vs reference vs
 //!   forced-scalar per kernel, the image codec's stages, the cache/store

@@ -1,9 +1,14 @@
 //! Rate-1/2, constraint-length-9 convolutional encoder — libfec's "v29".
 //!
-//! Generators are the classic K=9 pair 561/753 (octal), the same free-
-//! distance-24 code used by IS-95 and implemented by libfec. Each block is
-//! terminated with `K-1 = 8` tail zeros so the Viterbi decoder starts and
-//! ends in the all-zero state.
+//! Generators are the classic K=9 pair 561/753 (octal) of IS-95 and libfec,
+//! free distance 12 — the weight of a single 1's response, pinned by a test.
+//! Bit `k` of each octal constant taps the input delayed by `k` (newest bit
+//! at the LSB of the shift register). The textbook reading, which libfec
+//! implements with the bit-reversed constants 0x1af/0x11d, is the other way
+//! round (MSB = current input), so this code is that one time-reversed: the
+//! same free distance and weight spectrum, not the same bits. Every bit on
+//! air depends on this reading. Each block is terminated with `K-1 = 8` tail
+//! zeros so the Viterbi decoder starts and ends in the all-zero state.
 
 /// Constraint length.
 pub const K: usize = 9;
@@ -15,7 +20,7 @@ pub const POLY_A: u16 = 0o561;
 pub const POLY_B: u16 = 0o753;
 
 #[inline]
-fn parity(x: u16) -> u8 {
+const fn parity(x: u16) -> u8 {
     (x.count_ones() & 1) as u8
 }
 
@@ -40,7 +45,7 @@ pub fn coded_len(info_bits: usize) -> usize {
 /// Transition table shared with the Viterbi decoder: for `state` (previous 8
 /// bits, newest at LSB) and input `bit`, returns `(next_state, out_a, out_b)`.
 #[inline]
-pub fn step(state: u16, bit: u8) -> (u16, u8, u8) {
+pub const fn step(state: u16, bit: u8) -> (u16, u8, u8) {
     let sr = ((state << 1) | bit as u16) & 0x1FF;
     (sr & 0xFF, parity(sr & POLY_A), parity(sr & POLY_B))
 }
@@ -87,14 +92,16 @@ mod tests {
     }
 
     #[test]
-    fn single_one_impulse_response_has_weight_ge_free_distance_lower_bound() {
-        // The minimum weight of any non-zero codeword of this K=9 code is 12
-        // per generator... the full free distance is 24 across both outputs
-        // over the constraint span; a single 1 followed by tail produces
-        // exactly the impulse response whose weight equals d_free = 24? For
-        // 561/753 d_free is 12 per some conventions; just sanity-check it is
-        // substantial (> 10) which is what gives the coding gain.
-        let w: u32 = encode(&[1]).iter().map(|&b| b as u32).sum();
-        assert!(w >= 10, "impulse weight {w}");
+    fn impulse_response_is_the_interleaved_generator_taps_with_weight_d_free() {
+        // Known answer from the octal definitions alone: a single 1 plus the
+        // 8-bit tail is K = 9 steps, and step k emits tap k (bit k) of 561,
+        // then of 753.
+        //   561 = 1 0 1 1 1 0 0 0 1 (bit 8 … bit 0)
+        //   753 = 1 1 1 1 0 1 0 1 1
+        let want = [1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 1];
+        let coded = encode(&[1]);
+        assert_eq!(coded, want);
+        // d_free of the K = 9, r = 1/2 code is 12.
+        assert_eq!(coded.iter().map(|&b| u32::from(b)).sum::<u32>(), 12);
     }
 }
