@@ -21,9 +21,12 @@
 //! * [`goertzel`] — single-bin DFT power detector (used by the FSK modem).
 //! * [`measure`] — mean power and RMS.
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
-//! * [`simd`] — runtime-dispatched SIMD kernels with scalar twins.
+//! * [`simd`] — the four runtime-dispatched SIMD kernels that measurably pay
+//!   (FIR MAC, two lane-split reductions, QAM soft demap), each with its
+//!   scalar twin.
 //! * [`plan`] — planned split-plane transforms: [`plan::FftPlan`] (receive FFT
-//!   and overlap-save frames) and the shareable [`plan::FirPlan`].
+//!   and overlap-save frames, plain scalar butterflies) and the shareable
+//!   [`plan::FirPlan`].
 
 // `unsafe` is denied everywhere except the `simd` kernel module, which opts
 // back in item-by-item; every unsafe block there carries a `// SAFETY:`

@@ -2,12 +2,13 @@
 //!
 //! [`FftPlan`] is the split-plane (SoA) counterpart of [`crate::fft::Fft`]:
 //! the bit-reversal permutation and **per-stage contiguous twiddle tables**
-//! are computed once, and every butterfly stage runs through the
-//! runtime-dispatched [`crate::simd::butterfly_radix2`] kernel. Twiddles are
-//! evaluated with the same `f64` angles as `Fft`, and the kernel's scalar
-//! twin performs the same arithmetic as the interleaved butterflies, so the
-//! scalar path is bit-identical to `Fft` — SIMD dispatch is bit-identical to
-//! the scalar path by kernel construction.
+//! are computed once, and every butterfly span of every stage is one call of
+//! the plain scalar `butterfly_radix2` below. Twiddles are evaluated with
+//! the same `f64` angles as `Fft`, and the butterfly performs the same
+//! arithmetic as the interleaved one, so the transform is bit-identical to
+//! `Fft`. The butterfly and the overlap-save spectrum multiply
+//! (`cmul_in_place`) are plain loops over equal-length split planes: a
+//! vector path for either moved no benchmark workload (DESIGN §11).
 //!
 //! [`FirPlan`] is the shareable, immutable half of an overlap-save FIR: the
 //! FFT plan plus the tap spectrum. Streaming state (history tail, frame
@@ -16,7 +17,6 @@
 //! many simulated receivers per tick without re-planning.
 
 use crate::complex::C32;
-use crate::simd;
 use crate::split::SplitC32;
 use std::sync::Arc;
 
@@ -115,12 +115,7 @@ impl FftPlan {
             for start in (0..n).step_by(len) {
                 let (a_re, b_re) = re[start..start + len].split_at_mut(half);
                 let (a_im, b_im) = im[start..start + len].split_at_mut(half);
-                if half >= 8 {
-                    simd::butterfly_radix2(a_re, a_im, b_re, b_im, wr, wi);
-                } else {
-                    // Short spans: skip per-call dispatch, same arithmetic.
-                    simd::butterfly_radix2_reference(a_re, a_im, b_re, b_im, wr, wi);
-                }
+                butterfly_radix2(a_re, a_im, b_re, b_im, wr, wi);
             }
             len <<= 1;
             s += 1;
@@ -269,13 +264,57 @@ impl FirPlan {
         let n = self.fft.len();
         assert!(frames.len().is_multiple_of(n), "frame batch length mismatch");
         for start in (0..frames.len()).step_by(n) {
-            simd::cmul_in_place(
+            cmul_in_place(
                 &mut frames.re[start..start + n],
                 &mut frames.im[start..start + n],
                 &self.spec.re,
                 &self.spec.im,
             );
         }
+    }
+}
+
+/// One radix-2 butterfly span on split planes: for each `k`,
+/// `t = b[k]·w[k]; b[k] = a[k] − t; a[k] = a[k] + t`.
+///
+/// `a` and `b` are the two halves of one butterfly block; `tw` holds the
+/// stage's contiguous twiddles. All six planes have the same length.
+fn butterfly_radix2(
+    a_re: &mut [f32],
+    a_im: &mut [f32],
+    b_re: &mut [f32],
+    b_im: &mut [f32],
+    tw_re: &[f32],
+    tw_im: &[f32],
+) {
+    let h = a_re.len();
+    // Resliced to one length, so the compiler can drop the loop's bounds
+    // checks.
+    let (a_im, b_re, b_im) = (&mut a_im[..h], &mut b_re[..h], &mut b_im[..h]);
+    let (tw_re, tw_im) = (&tw_re[..h], &tw_im[..h]);
+    for k in 0..h {
+        let tr = b_re[k] * tw_re[k] - b_im[k] * tw_im[k];
+        let ti = b_re[k] * tw_im[k] + b_im[k] * tw_re[k];
+        let ar = a_re[k];
+        let ai = a_im[k];
+        a_re[k] = ar + tr;
+        a_im[k] = ai + ti;
+        b_re[k] = ar - tr;
+        b_im[k] = ai - ti;
+    }
+}
+
+/// Elementwise complex multiply-in-place on split planes:
+/// `a[i] *= b[i]` with `(re, im) = (ar·br − ai·bi, ar·bi + ai·br)`, the
+/// arithmetic of `C32`'s `Mul`. All four planes have the same length.
+fn cmul_in_place(a_re: &mut [f32], a_im: &mut [f32], b_re: &[f32], b_im: &[f32]) {
+    let n = a_re.len();
+    let (a_im, b_re, b_im) = (&mut a_im[..n], &b_re[..n], &b_im[..n]);
+    for i in 0..n {
+        let ar = a_re[i];
+        let ai = a_im[i];
+        a_re[i] = ar * b_re[i] - ai * b_im[i];
+        a_im[i] = ar * b_im[i] + ai * b_re[i];
     }
 }
 

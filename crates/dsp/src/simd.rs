@@ -1,5 +1,15 @@
 //! Runtime-dispatched SIMD kernels for the DSP hot paths.
 //!
+//! Four kernels live here — [`fir_mac`], [`dot`], [`dot_mul_conj_energy`]
+//! and [`qam_axis_soft`] — because their vector paths measurably pay: the
+//! last three on a benchmark workload's `unit_xrt`, `fir_mac` on the
+//! `*_reference` receive paths and Fig 4a's acoustic channel (DESIGN §11
+//! has the per-kernel table). A vector path stays only while pinning that
+//! one kernel to its scalar twin moves a workload's `unit_xrt` beyond the
+//! host's spread; a kernel that fails the test becomes one plain scalar
+//! function beside its caller (the FFT butterfly and spectrum multiply in
+//! [`crate::plan`], the FM discriminator pair in `sonic_radio::fm`).
+//!
 //! Every kernel here comes in (up to) three implementations:
 //!
 //! * a **scalar twin** named `*_reference` — the executable specification,
@@ -202,519 +212,6 @@ unsafe fn fir_mac_neon(taps: &[f32], window: &[f32], out: &mut [f32]) {
 }
 
 // ---------------------------------------------------------------------------
-// Pointwise complex multiply on split planes (overlap-save spectrum product)
-// ---------------------------------------------------------------------------
-
-/// Elementwise complex multiply-in-place on split planes:
-/// `a[i] *= b[i]` with `(re, im) = (ar·br − ai·bi, ar·bi + ai·br)`.
-///
-/// Bit-exact with [`cmul_in_place_reference`] (and with `C32`'s `Mul`).
-pub fn cmul_in_place(a_re: &mut [f32], a_im: &mut [f32], b_re: &[f32], b_im: &[f32]) {
-    let n = a_re.len();
-    assert!(
-        a_im.len() == n && b_re.len() == n && b_im.len() == n,
-        "plane length mismatch"
-    );
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch returned Avx2, so the CPU supports AVX2.
-        Backend::Avx2 => unsafe { cmul_in_place_avx2(a_re, a_im, b_re, b_im) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch returned Neon, so the CPU supports NEON.
-        Backend::Neon => unsafe { cmul_in_place_neon(a_re, a_im, b_re, b_im) },
-        _ => cmul_in_place_reference(a_re, a_im, b_re, b_im),
-    }
-}
-
-/// Scalar twin of [`cmul_in_place`].
-pub fn cmul_in_place_reference(a_re: &mut [f32], a_im: &mut [f32], b_re: &[f32], b_im: &[f32]) {
-    for i in 0..a_re.len() {
-        let ar = a_re[i];
-        let ai = a_im[i];
-        a_re[i] = ar * b_re[i] - ai * b_im[i];
-        a_im[i] = ar * b_im[i] + ai * b_re[i];
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller guarantees AVX2 is available.
-unsafe fn cmul_in_place_avx2(a_re: &mut [f32], a_im: &mut [f32], b_re: &[f32], b_im: &[f32]) {
-    use std::arch::x86_64::*;
-    let n = a_re.len();
-    let n8 = n / 8 * 8;
-    let mut i = 0;
-    while i < n8 {
-        // SAFETY: i + 7 < n8 ≤ length of all four equal-length planes.
-        unsafe {
-            let ar = _mm256_loadu_ps(a_re.as_ptr().add(i));
-            let ai = _mm256_loadu_ps(a_im.as_ptr().add(i));
-            let br = _mm256_loadu_ps(b_re.as_ptr().add(i));
-            let bi = _mm256_loadu_ps(b_im.as_ptr().add(i));
-            let nr = _mm256_sub_ps(_mm256_mul_ps(ar, br), _mm256_mul_ps(ai, bi));
-            let ni = _mm256_add_ps(_mm256_mul_ps(ar, bi), _mm256_mul_ps(ai, br));
-            _mm256_storeu_ps(a_re.as_mut_ptr().add(i), nr);
-            _mm256_storeu_ps(a_im.as_mut_ptr().add(i), ni);
-        }
-        i += 8;
-    }
-    cmul_in_place_reference(&mut a_re[n8..], &mut a_im[n8..], &b_re[n8..], &b_im[n8..]);
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: caller guarantees NEON is available.
-unsafe fn cmul_in_place_neon(a_re: &mut [f32], a_im: &mut [f32], b_re: &[f32], b_im: &[f32]) {
-    use std::arch::aarch64::*;
-    let n = a_re.len();
-    let n4 = n / 4 * 4;
-    let mut i = 0;
-    while i < n4 {
-        // SAFETY: i + 3 < n4 ≤ length of all four equal-length planes.
-        unsafe {
-            let ar = vld1q_f32(a_re.as_ptr().add(i));
-            let ai = vld1q_f32(a_im.as_ptr().add(i));
-            let br = vld1q_f32(b_re.as_ptr().add(i));
-            let bi = vld1q_f32(b_im.as_ptr().add(i));
-            let nr = vsubq_f32(vmulq_f32(ar, br), vmulq_f32(ai, bi));
-            let ni = vaddq_f32(vmulq_f32(ar, bi), vmulq_f32(ai, br));
-            vst1q_f32(a_re.as_mut_ptr().add(i), nr);
-            vst1q_f32(a_im.as_mut_ptr().add(i), ni);
-        }
-        i += 4;
-    }
-    cmul_in_place_reference(&mut a_re[n4..], &mut a_im[n4..], &b_re[n4..], &b_im[n4..]);
-}
-
-// ---------------------------------------------------------------------------
-// Radix-2 FFT butterfly stage on split planes
-// ---------------------------------------------------------------------------
-
-/// One radix-2 butterfly span on split planes: for each `k`,
-/// `t = b[k]·w[k]; b[k] = a[k] − t; a[k] = a[k] + t`.
-///
-/// `a` and `b` are the two halves of one butterfly block; `tw` holds the
-/// stage's contiguous twiddles. Bit-exact with
-/// [`butterfly_radix2_reference`].
-pub fn butterfly_radix2(
-    a_re: &mut [f32],
-    a_im: &mut [f32],
-    b_re: &mut [f32],
-    b_im: &mut [f32],
-    tw_re: &[f32],
-    tw_im: &[f32],
-) {
-    let h = a_re.len();
-    assert!(
-        a_im.len() == h && b_re.len() == h && b_im.len() == h && tw_re.len() == h && tw_im.len() == h,
-        "butterfly plane length mismatch"
-    );
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch returned Avx2, so the CPU supports AVX2.
-        Backend::Avx2 => unsafe { butterfly_radix2_avx2(a_re, a_im, b_re, b_im, tw_re, tw_im) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch returned Neon, so the CPU supports NEON.
-        Backend::Neon => unsafe { butterfly_radix2_neon(a_re, a_im, b_re, b_im, tw_re, tw_im) },
-        _ => butterfly_radix2_reference(a_re, a_im, b_re, b_im, tw_re, tw_im),
-    }
-}
-
-/// Scalar twin of [`butterfly_radix2`].
-pub fn butterfly_radix2_reference(
-    a_re: &mut [f32],
-    a_im: &mut [f32],
-    b_re: &mut [f32],
-    b_im: &mut [f32],
-    tw_re: &[f32],
-    tw_im: &[f32],
-) {
-    for k in 0..a_re.len() {
-        let tr = b_re[k] * tw_re[k] - b_im[k] * tw_im[k];
-        let ti = b_re[k] * tw_im[k] + b_im[k] * tw_re[k];
-        let ar = a_re[k];
-        let ai = a_im[k];
-        a_re[k] = ar + tr;
-        a_im[k] = ai + ti;
-        b_re[k] = ar - tr;
-        b_im[k] = ai - ti;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller guarantees AVX2 is available.
-unsafe fn butterfly_radix2_avx2(
-    a_re: &mut [f32],
-    a_im: &mut [f32],
-    b_re: &mut [f32],
-    b_im: &mut [f32],
-    tw_re: &[f32],
-    tw_im: &[f32],
-) {
-    use std::arch::x86_64::*;
-    let h = a_re.len();
-    let h8 = h / 8 * 8;
-    let mut k = 0;
-    while k < h8 {
-        // SAFETY: k + 7 < h8 ≤ length of all six equal-length planes.
-        unsafe {
-            let br = _mm256_loadu_ps(b_re.as_ptr().add(k));
-            let bi = _mm256_loadu_ps(b_im.as_ptr().add(k));
-            let wr = _mm256_loadu_ps(tw_re.as_ptr().add(k));
-            let wi = _mm256_loadu_ps(tw_im.as_ptr().add(k));
-            let tr = _mm256_sub_ps(_mm256_mul_ps(br, wr), _mm256_mul_ps(bi, wi));
-            let ti = _mm256_add_ps(_mm256_mul_ps(br, wi), _mm256_mul_ps(bi, wr));
-            let ar = _mm256_loadu_ps(a_re.as_ptr().add(k));
-            let ai = _mm256_loadu_ps(a_im.as_ptr().add(k));
-            _mm256_storeu_ps(a_re.as_mut_ptr().add(k), _mm256_add_ps(ar, tr));
-            _mm256_storeu_ps(a_im.as_mut_ptr().add(k), _mm256_add_ps(ai, ti));
-            _mm256_storeu_ps(b_re.as_mut_ptr().add(k), _mm256_sub_ps(ar, tr));
-            _mm256_storeu_ps(b_im.as_mut_ptr().add(k), _mm256_sub_ps(ai, ti));
-        }
-        k += 8;
-    }
-    butterfly_radix2_reference(
-        &mut a_re[h8..],
-        &mut a_im[h8..],
-        &mut b_re[h8..],
-        &mut b_im[h8..],
-        &tw_re[h8..],
-        &tw_im[h8..],
-    );
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: caller guarantees NEON is available.
-unsafe fn butterfly_radix2_neon(
-    a_re: &mut [f32],
-    a_im: &mut [f32],
-    b_re: &mut [f32],
-    b_im: &mut [f32],
-    tw_re: &[f32],
-    tw_im: &[f32],
-) {
-    use std::arch::aarch64::*;
-    let h = a_re.len();
-    let h4 = h / 4 * 4;
-    let mut k = 0;
-    while k < h4 {
-        // SAFETY: k + 3 < h4 ≤ length of all six equal-length planes.
-        unsafe {
-            let br = vld1q_f32(b_re.as_ptr().add(k));
-            let bi = vld1q_f32(b_im.as_ptr().add(k));
-            let wr = vld1q_f32(tw_re.as_ptr().add(k));
-            let wi = vld1q_f32(tw_im.as_ptr().add(k));
-            let tr = vsubq_f32(vmulq_f32(br, wr), vmulq_f32(bi, wi));
-            let ti = vaddq_f32(vmulq_f32(br, wi), vmulq_f32(bi, wr));
-            let ar = vld1q_f32(a_re.as_ptr().add(k));
-            let ai = vld1q_f32(a_im.as_ptr().add(k));
-            vst1q_f32(a_re.as_mut_ptr().add(k), vaddq_f32(ar, tr));
-            vst1q_f32(a_im.as_mut_ptr().add(k), vaddq_f32(ai, ti));
-            vst1q_f32(b_re.as_mut_ptr().add(k), vsubq_f32(ar, tr));
-            vst1q_f32(b_im.as_mut_ptr().add(k), vsubq_f32(ai, ti));
-        }
-        k += 4;
-    }
-    butterfly_radix2_reference(
-        &mut a_re[h4..],
-        &mut a_im[h4..],
-        &mut b_re[h4..],
-        &mut b_im[h4..],
-        &tw_re[h4..],
-        &tw_im[h4..],
-    );
-}
-
-// ---------------------------------------------------------------------------
-// FM discriminator product: a[i]·conj(b[i]) into split planes
-// ---------------------------------------------------------------------------
-
-/// Elementwise `a[i]·conj(b[i])` from interleaved inputs into split planes:
-/// `(re, im) = (ar·br + ai·bi, ai·br − ar·bi)`.
-///
-/// The FM discriminator calls this with `b` = `a` delayed by one sample.
-/// Bit-exact with [`mul_conj_split_reference`] (and with `C32::mul_conj`).
-pub fn mul_conj_split(a: &[C32], b: &[C32], out_re: &mut [f32], out_im: &mut [f32]) {
-    let n = a.len();
-    assert!(
-        b.len() == n && out_re.len() == n && out_im.len() == n,
-        "mul_conj plane length mismatch"
-    );
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch returned Avx2, so the CPU supports AVX2.
-        Backend::Avx2 => unsafe { mul_conj_split_avx2(a, b, out_re, out_im) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch returned Neon, so the CPU supports NEON.
-        Backend::Neon => unsafe { mul_conj_split_neon(a, b, out_re, out_im) },
-        _ => mul_conj_split_reference(a, b, out_re, out_im),
-    }
-}
-
-/// Scalar twin of [`mul_conj_split`].
-pub fn mul_conj_split_reference(a: &[C32], b: &[C32], out_re: &mut [f32], out_im: &mut [f32]) {
-    for i in 0..a.len() {
-        let x = a[i];
-        let y = b[i];
-        out_re[i] = x.re * y.re + x.im * y.im;
-        out_im[i] = x.im * y.re - x.re * y.im;
-    }
-}
-
-/// Deinterleaves 8 complex samples (16 floats at `ptr`) into (re, im)
-/// vectors.
-///
-/// # Safety
-/// `ptr` must be valid for reading 16 `f32`s.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: `unsafe fn` required by target_feature; contract documented above.
-unsafe fn deinterleave8_avx2(
-    ptr: *const f32,
-) -> (std::arch::x86_64::__m256, std::arch::x86_64::__m256) {
-    use std::arch::x86_64::*;
-    // SAFETY: caller guarantees 16 readable floats at ptr.
-    let (v0, v1) = unsafe { (_mm256_loadu_ps(ptr), _mm256_loadu_ps(ptr.add(8))) };
-    // v0 = r0 i0 r1 i1 | r2 i2 r3 i3, v1 = r4 i4 r5 i5 | r6 i6 r7 i7.
-    // shuffle picks (0,2) of each 128-bit lane: re = r0 r1 r4 r5 | r2 r3 r6 r7.
-    let re = _mm256_shuffle_ps(v0, v1, 0b10_00_10_00);
-    let im = _mm256_shuffle_ps(v0, v1, 0b11_01_11_01);
-    let order = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
-    (
-        _mm256_permutevar8x32_ps(re, order),
-        _mm256_permutevar8x32_ps(im, order),
-    )
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller guarantees AVX2 is available.
-unsafe fn mul_conj_split_avx2(a: &[C32], b: &[C32], out_re: &mut [f32], out_im: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = a.len();
-    let n8 = n / 8 * 8;
-    let mut i = 0;
-    while i < n8 {
-        // SAFETY: i + 7 < n8 ≤ a.len() == b.len(); C32 is two f32s, so 8
-        // complex samples are 16 readable floats; stores stay below n8 ≤
-        // out plane lengths.
-        unsafe {
-            let (ar, ai) = deinterleave8_avx2(a.as_ptr().add(i).cast::<f32>());
-            let (br, bi) = deinterleave8_avx2(b.as_ptr().add(i).cast::<f32>());
-            let re = _mm256_add_ps(_mm256_mul_ps(ar, br), _mm256_mul_ps(ai, bi));
-            let im = _mm256_sub_ps(_mm256_mul_ps(ai, br), _mm256_mul_ps(ar, bi));
-            _mm256_storeu_ps(out_re.as_mut_ptr().add(i), re);
-            _mm256_storeu_ps(out_im.as_mut_ptr().add(i), im);
-        }
-        i += 8;
-    }
-    mul_conj_split_reference(&a[n8..], &b[n8..], &mut out_re[n8..], &mut out_im[n8..]);
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: caller guarantees NEON is available.
-unsafe fn mul_conj_split_neon(a: &[C32], b: &[C32], out_re: &mut [f32], out_im: &mut [f32]) {
-    use std::arch::aarch64::*;
-    let n = a.len();
-    let n4 = n / 4 * 4;
-    let mut i = 0;
-    while i < n4 {
-        // SAFETY: i + 3 < n4 ≤ a.len() == b.len(); C32 is two f32s, so
-        // vld2q reads 8 valid floats and deinterleaves; stores stay below
-        // n4 ≤ out plane lengths.
-        unsafe {
-            let av = vld2q_f32(a.as_ptr().add(i).cast::<f32>());
-            let bv = vld2q_f32(b.as_ptr().add(i).cast::<f32>());
-            let (ar, ai) = (av.0, av.1);
-            let (br, bi) = (bv.0, bv.1);
-            let re = vaddq_f32(vmulq_f32(ar, br), vmulq_f32(ai, bi));
-            let im = vsubq_f32(vmulq_f32(ai, br), vmulq_f32(ar, bi));
-            vst1q_f32(out_re.as_mut_ptr().add(i), re);
-            vst1q_f32(out_im.as_mut_ptr().add(i), im);
-        }
-        i += 4;
-    }
-    mul_conj_split_reference(&a[n4..], &b[n4..], &mut out_re[n4..], &mut out_im[n4..]);
-}
-
-// ---------------------------------------------------------------------------
-// Polynomial atan2 over split planes (discriminator angle extraction)
-// ---------------------------------------------------------------------------
-
-/// Polynomial `atan` on `[-1, 1]` (Abramowitz & Stegun 4.4.49 form),
-/// max error ≈ 1e-5 rad. Shared by the scalar twin and the FM demodulator.
-#[inline(always)]
-pub fn fast_atan(z: f32) -> f32 {
-    let z2 = z * z;
-    z * (0.999_866
-        + z2 * (-0.330_299_5 + z2 * (0.180_141 + z2 * (-0.085_133 + 0.020_835_1 * z2))))
-}
-
-/// Branch-light `atan2` built on [`fast_atan`]; max error ≈ 1e-5 rad.
-/// Returns 0 at the origin (the discriminator maps a dead carrier to
-/// silence).
-#[inline(always)]
-pub fn fast_atan2(y: f32, x: f32) -> f32 {
-    use std::f32::consts::{FRAC_PI_2, PI};
-    let ax = x.abs();
-    let ay = y.abs();
-    if ax == 0.0 && ay == 0.0 {
-        return 0.0;
-    }
-    let mut a = if ay > ax {
-        FRAC_PI_2 - fast_atan(ax / ay)
-    } else {
-        fast_atan(ay / ax)
-    };
-    if x < 0.0 {
-        a = PI - a;
-    }
-    if y < 0.0 {
-        a = -a;
-    }
-    a
-}
-
-/// `out[i] = fast_atan2(y[i], x[i]) · scale` over whole planes.
-///
-/// Bit-exact with [`atan2_scale_reference`]: the vector path evaluates the
-/// same polynomial in the same order and resolves the quadrant branches
-/// with blends over identical operands.
-pub fn atan2_scale(y: &[f32], x: &[f32], scale: f32, out: &mut [f32]) {
-    let n = y.len();
-    assert!(x.len() == n && out.len() == n, "atan2 plane length mismatch");
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch returned Avx2, so the CPU supports AVX2.
-        Backend::Avx2 => unsafe { atan2_scale_avx2(y, x, scale, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch returned Neon, so the CPU supports NEON.
-        Backend::Neon => unsafe { atan2_scale_neon(y, x, scale, out) },
-        _ => atan2_scale_reference(y, x, scale, out),
-    }
-}
-
-/// Scalar twin of [`atan2_scale`].
-pub fn atan2_scale_reference(y: &[f32], x: &[f32], scale: f32, out: &mut [f32]) {
-    for i in 0..y.len() {
-        out[i] = fast_atan2(y[i], x[i]) * scale;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller guarantees AVX2 is available.
-unsafe fn atan2_scale_avx2(y: &[f32], x: &[f32], scale: f32, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = y.len();
-    let n8 = n / 8 * 8;
-    let abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff));
-    let sign_mask = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN));
-    let zero = _mm256_setzero_ps();
-    let pi = _mm256_set1_ps(std::f32::consts::PI);
-    let pi2 = _mm256_set1_ps(std::f32::consts::FRAC_PI_2);
-    let (c0, c1, c2, c3, c4) = (
-        _mm256_set1_ps(0.999_866),
-        _mm256_set1_ps(-0.330_299_5),
-        _mm256_set1_ps(0.180_141),
-        _mm256_set1_ps(-0.085_133),
-        _mm256_set1_ps(0.020_835_1),
-    );
-    let sv = _mm256_set1_ps(scale);
-    let mut i = 0;
-    while i < n8 {
-        // SAFETY: i + 7 < n8 ≤ length of the three equal-length planes.
-        unsafe {
-            let yv = _mm256_loadu_ps(y.as_ptr().add(i));
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i));
-            let ax = _mm256_and_ps(xv, abs_mask);
-            let ay = _mm256_and_ps(yv, abs_mask);
-            // swap lanes compute FRAC_PI_2 − atan(ax/ay), others atan(ay/ax).
-            let swap = _mm256_cmp_ps::<_CMP_GT_OQ>(ay, ax);
-            let num = _mm256_blendv_ps(ay, ax, swap);
-            let den = _mm256_blendv_ps(ax, ay, swap);
-            let z = _mm256_div_ps(num, den);
-            let z2 = _mm256_mul_ps(z, z);
-            // Same Horner order as fast_atan: c3 + c4·z2, ×z2, +c2, ….
-            let mut p = _mm256_add_ps(c3, _mm256_mul_ps(c4, z2));
-            p = _mm256_add_ps(c2, _mm256_mul_ps(z2, p));
-            p = _mm256_add_ps(c1, _mm256_mul_ps(z2, p));
-            p = _mm256_add_ps(c0, _mm256_mul_ps(z2, p));
-            let atan = _mm256_mul_ps(z, p);
-            let mut a = _mm256_blendv_ps(atan, _mm256_sub_ps(pi2, atan), swap);
-            let xneg = _mm256_cmp_ps::<_CMP_LT_OQ>(xv, zero);
-            a = _mm256_blendv_ps(a, _mm256_sub_ps(pi, a), xneg);
-            let yneg = _mm256_cmp_ps::<_CMP_LT_OQ>(yv, zero);
-            a = _mm256_blendv_ps(a, _mm256_xor_ps(a, sign_mask), yneg);
-            // Origin → exactly 0 (the scalar early-out).
-            let origin = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_EQ_OQ>(ax, zero),
-                _mm256_cmp_ps::<_CMP_EQ_OQ>(ay, zero),
-            );
-            a = _mm256_blendv_ps(a, zero, origin);
-            _mm256_storeu_ps(out.as_mut_ptr().add(i), _mm256_mul_ps(a, sv));
-        }
-        i += 8;
-    }
-    atan2_scale_reference(&y[n8..], &x[n8..], scale, &mut out[n8..]);
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: caller guarantees NEON is available.
-unsafe fn atan2_scale_neon(y: &[f32], x: &[f32], scale: f32, out: &mut [f32]) {
-    use std::arch::aarch64::*;
-    let n = y.len();
-    let n4 = n / 4 * 4;
-    let zero = vdupq_n_f32(0.0);
-    let pi = vdupq_n_f32(std::f32::consts::PI);
-    let pi2 = vdupq_n_f32(std::f32::consts::FRAC_PI_2);
-    let (c0, c1, c2, c3, c4) = (
-        vdupq_n_f32(0.999_866),
-        vdupq_n_f32(-0.330_299_5),
-        vdupq_n_f32(0.180_141),
-        vdupq_n_f32(-0.085_133),
-        vdupq_n_f32(0.020_835_1),
-    );
-    let sign_bit = vdupq_n_u32(0x8000_0000);
-    let sv = vdupq_n_f32(scale);
-    let mut i = 0;
-    while i < n4 {
-        // SAFETY: i + 3 < n4 ≤ length of the three equal-length planes.
-        unsafe {
-            let yv = vld1q_f32(y.as_ptr().add(i));
-            let xv = vld1q_f32(x.as_ptr().add(i));
-            let ax = vabsq_f32(xv);
-            let ay = vabsq_f32(yv);
-            let swap = vcgtq_f32(ay, ax);
-            let num = vbslq_f32(swap, ax, ay);
-            let den = vbslq_f32(swap, ay, ax);
-            let z = vdivq_f32(num, den);
-            let z2 = vmulq_f32(z, z);
-            let mut p = vaddq_f32(c3, vmulq_f32(c4, z2));
-            p = vaddq_f32(c2, vmulq_f32(z2, p));
-            p = vaddq_f32(c1, vmulq_f32(z2, p));
-            p = vaddq_f32(c0, vmulq_f32(z2, p));
-            let atan = vmulq_f32(z, p);
-            let mut a = vbslq_f32(swap, vsubq_f32(pi2, atan), atan);
-            let xneg = vcltq_f32(xv, zero);
-            a = vbslq_f32(xneg, vsubq_f32(pi, a), a);
-            let yneg = vcltq_f32(yv, zero);
-            let negated = vreinterpretq_f32_u32(veorq_u32(vreinterpretq_u32_f32(a), sign_bit));
-            a = vbslq_f32(yneg, negated, a);
-            let origin = vandq_u32(vceqq_f32(ax, zero), vceqq_f32(ay, zero));
-            a = vbslq_f32(origin, zero, a);
-            vst1q_f32(out.as_mut_ptr().add(i), vmulq_f32(a, sv));
-        }
-        i += 4;
-    }
-    atan2_scale_reference(&y[n4..], &x[n4..], scale, &mut out[n4..]);
-}
-
-// ---------------------------------------------------------------------------
 // Correlation reduction: Σ a[i]·conj(b[i]) and Σ |a[i]|²
 // ---------------------------------------------------------------------------
 
@@ -784,8 +281,16 @@ unsafe fn dot_mul_conj_energy_avx2(a: &[C32], b: &[C32]) -> (C32, f32) {
         // SAFETY: i + 7 < n8 ≤ a.len() == b.len(); 8 complex samples are 16
         // readable floats each.
         unsafe {
-            let (ar, ai) = deinterleave8_avx2(a.as_ptr().add(i).cast::<f32>());
-            let (br, bi) = deinterleave8_avx2(b.as_ptr().add(i).cast::<f32>());
+            let pa = a.as_ptr().add(i).cast::<f32>();
+            let pb = b.as_ptr().add(i).cast::<f32>();
+            let (a0, a1) = (_mm256_loadu_ps(pa), _mm256_loadu_ps(pa.add(8)));
+            let (b0, b1) = (_mm256_loadu_ps(pb), _mm256_loadu_ps(pb.add(8)));
+            // Even floats of each 128-bit lane are re, odd are im; the
+            // shuffles leave vector lane k holding element LANE_ELEM[k].
+            let ar = _mm256_shuffle_ps(a0, a1, 0b10_00_10_00);
+            let ai = _mm256_shuffle_ps(a0, a1, 0b11_01_11_01);
+            let br = _mm256_shuffle_ps(b0, b1, 0b10_00_10_00);
+            let bi = _mm256_shuffle_ps(b0, b1, 0b11_01_11_01);
             vr = _mm256_add_ps(
                 vr,
                 _mm256_add_ps(_mm256_mul_ps(ar, br), _mm256_mul_ps(ai, bi)),
@@ -801,14 +306,23 @@ unsafe fn dot_mul_conj_energy_avx2(a: &[C32], b: &[C32]) -> (C32, f32) {
         }
         i += 8;
     }
+    // Vector lane k accumulated element LANE_ELEM[k] of every chunk, i.e.
+    // the scalar twin's lane LANE_ELEM[k]: put each sum in its lane.
+    const LANE_ELEM: [usize; DOT_LANES] = [0, 1, 4, 5, 2, 3, 6, 7];
+    let mut vec_lanes = [[0.0f32; DOT_LANES]; 3];
+    // SAFETY: each array is 8 f32s, exactly one __m256.
+    unsafe {
+        _mm256_storeu_ps(vec_lanes[0].as_mut_ptr(), vr);
+        _mm256_storeu_ps(vec_lanes[1].as_mut_ptr(), vi);
+        _mm256_storeu_ps(vec_lanes[2].as_mut_ptr(), ve);
+    }
     let mut acc_re = [0.0f32; DOT_LANES];
     let mut acc_im = [0.0f32; DOT_LANES];
     let mut en = [0.0f32; DOT_LANES];
-    // SAFETY: the arrays are 8 f32s, exactly one __m256 each.
-    unsafe {
-        _mm256_storeu_ps(acc_re.as_mut_ptr(), vr);
-        _mm256_storeu_ps(acc_im.as_mut_ptr(), vi);
-        _mm256_storeu_ps(en.as_mut_ptr(), ve);
+    for (k, &l) in LANE_ELEM.iter().enumerate() {
+        acc_re[l] = vec_lanes[0][k];
+        acc_im[l] = vec_lanes[1][k];
+        en[l] = vec_lanes[2][k];
     }
     // Tail elements continue the lane rotation exactly like the scalar twin.
     for (j, (&x, &h)) in a[n8..].iter().zip(&b[n8..]).enumerate() {
@@ -1190,91 +704,6 @@ mod tests {
             let got = dot(&big_a[1..], &big_b[1..]);
             let want = dot_reference(&big_a[1..], &big_b[1..]);
             assert_eq!(got.to_bits(), want.to_bits(), "n={n}: {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn cmul_in_place_matches_cmul_in_place_reference_bit_exactly() {
-        for &n in &LENS {
-            let (br, bi) = (noise(n, 5), noise(n, 6));
-            let mut gr = noise(n, 7);
-            let mut gi = noise(n, 8);
-            let mut wr = gr.clone();
-            let mut wi = gi.clone();
-            cmul_in_place(&mut gr, &mut gi, &br, &bi);
-            cmul_in_place_reference(&mut wr, &mut wi, &br, &bi);
-            for i in 0..n {
-                assert_eq!(gr[i].to_bits(), wr[i].to_bits(), "re n={n} i={i}");
-                assert_eq!(gi[i].to_bits(), wi[i].to_bits(), "im n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn butterfly_radix2_matches_butterfly_radix2_reference_bit_exactly() {
-        for &n in &LENS {
-            let (tr, ti) = (noise(n, 21), noise(n, 22));
-            let mut g = [noise(n, 31), noise(n, 32), noise(n, 33), noise(n, 34)];
-            let mut w = g.clone();
-            {
-                let [ar, ai, br, bi] = &mut g;
-                butterfly_radix2(ar, ai, br, bi, &tr, &ti);
-            }
-            {
-                let [ar, ai, br, bi] = &mut w;
-                butterfly_radix2_reference(ar, ai, br, bi, &tr, &ti);
-            }
-            for p in 0..4 {
-                for i in 0..n {
-                    assert_eq!(g[p][i].to_bits(), w[p][i].to_bits(), "plane {p} n={n} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mul_conj_split_matches_mul_conj_split_reference_bit_exactly() {
-        for &n in &LENS {
-            let big_a = cnoise(n + 1, 41);
-            let big_b = cnoise(n + 1, 42);
-            // Offset 1 = unaligned complex slice start.
-            let (a, b) = (&big_a[1..], &big_b[1..]);
-            let mut gr = vec![0.0f32; n];
-            let mut gi = vec![0.0f32; n];
-            let mut wr = vec![0.0f32; n];
-            let mut wi = vec![0.0f32; n];
-            mul_conj_split(a, b, &mut gr, &mut gi);
-            mul_conj_split_reference(a, b, &mut wr, &mut wi);
-            for i in 0..n {
-                assert_eq!(gr[i].to_bits(), wr[i].to_bits(), "re n={n} i={i}");
-                assert_eq!(gi[i].to_bits(), wi[i].to_bits(), "im n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn atan2_scale_matches_atan2_scale_reference_bit_exactly() {
-        for &n in &LENS {
-            let mut y = noise(n, 51);
-            let mut x = noise(n, 52);
-            // Force the special lanes: origin, axes, negative halves.
-            if n >= 8 {
-                y[0] = 0.0;
-                x[0] = 0.0;
-                y[1] = 0.0;
-                x[2] = 0.0;
-                y[3] = -0.0;
-                x[3] = -1.0;
-                x[4] = -x[4].abs();
-                y[5] = -y[5].abs();
-            }
-            let mut got = vec![0.0f32; n];
-            let mut want = vec![0.0f32; n];
-            atan2_scale(&y, &x, 0.37, &mut got);
-            atan2_scale_reference(&y, &x, 0.37, &mut want);
-            for i in 0..n {
-                assert_eq!(got[i].to_bits(), want[i].to_bits(), "n={n} i={i}");
-            }
         }
     }
 

@@ -287,37 +287,6 @@ proptest! {
         }
     }
 
-    /// The discriminator kernels (`x·conj(y)` product and scaled atan2) are
-    /// bit-identical to their scalar twins on random odd lengths and
-    /// unaligned slice starts.
-    #[test]
-    fn simd_discriminator_kernels_match_reference_bit_exactly(
-        n in 0usize..300,
-        offset in 0usize..4,
-        scale in 0.1f32..10.0,
-        seed in any::<u32>(),
-    ) {
-        let mut rnd = lcg(seed);
-        let a: Vec<C32> = (0..offset + n).map(|_| C32::new(rnd(), rnd())).collect();
-        let b: Vec<C32> = (0..offset + n).map(|_| C32::new(rnd(), rnd())).collect();
-        let (a, b) = (&a[offset..], &b[offset..]);
-        let (mut re_f, mut im_f) = (vec![0.0f32; n], vec![0.0f32; n]);
-        let (mut re_r, mut im_r) = (vec![0.0f32; n], vec![0.0f32; n]);
-        simd::mul_conj_split(a, b, &mut re_f, &mut im_f);
-        simd::mul_conj_split_reference(a, b, &mut re_r, &mut im_r);
-        for i in 0..n {
-            prop_assert_eq!(re_f[i].to_bits(), re_r[i].to_bits(), "re[{}]", i);
-            prop_assert_eq!(im_f[i].to_bits(), im_r[i].to_bits(), "im[{}]", i);
-        }
-        let mut ang_f = vec![0.0f32; n];
-        let mut ang_r = vec![0.0f32; n];
-        simd::atan2_scale(&im_f, &re_f, scale, &mut ang_f);
-        simd::atan2_scale_reference(&im_r, &re_r, scale, &mut ang_r);
-        for i in 0..n {
-            prop_assert_eq!(ang_f[i].to_bits(), ang_r[i].to_bits(), "angle[{}]", i);
-        }
-    }
-
     /// The planned split-plane forward FFT is bit-identical to the
     /// interleaved `Fft::forward`, and the planned round trip
     /// (forward ∘ inverse) recovers the input within 1e-5 RMS.

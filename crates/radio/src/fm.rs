@@ -6,9 +6,12 @@
 //! than a real RF carrier) halves the sample rate for the same Carson
 //! bandwidth while keeping the physics — including the threshold effect —
 //! intact.
+//!
+//! The discriminator is two plain scalar loops over a block (`mul_conj_split`,
+//! then the polynomial `atan2_scale`): a vector path for them moved no
+//! benchmark workload (DESIGN §11).
 
 use crate::{FM_DEVIATION, MPX_RATE};
-use sonic_dsp::simd;
 use sonic_dsp::split::SplitC32;
 use sonic_dsp::C32;
 use std::f64::consts::TAU;
@@ -61,7 +64,7 @@ const BLOCK: usize = 16_384;
 pub struct FmDemodulator {
     inv_k: f64,
     prev: C32,
-    /// Split-plane scratch for the quadrature products (SIMD kernel input).
+    /// Split-plane scratch for the quadrature products.
     scratch: SplitC32,
 }
 
@@ -83,13 +86,11 @@ impl FmDemodulator {
 
     /// Demodulates a block, appending recovered composite samples to `out`.
     ///
-    /// Fast path: the quadrature products `x[n]·x*[n-1]` run through the
-    /// runtime-dispatched SIMD kernel [`simd::mul_conj_split`] into a
-    /// split-plane scratch buffer, then [`simd::atan2_scale`] converts them
-    /// to angles with a polynomial `atan2` (error ≈ 1e-5 rad ≈ 5e-6
-    /// composite units — far below the discriminator's own noise floor).
-    /// The libm-per-sample original is kept as
-    /// [`FmDemodulator::demodulate_into_reference`].
+    /// Fast path: the quadrature products `x[n]·x*[n-1]` go into a
+    /// split-plane scratch buffer, then a polynomial `atan2` converts them
+    /// to angles (error ≤ 1.2e-5 rad ≈ 6e-6 composite units — far below the
+    /// discriminator's own noise floor). The libm-per-sample original is
+    /// kept as [`FmDemodulator::demodulate_into_reference`].
     pub fn demodulate_into(&mut self, baseband: &[C32], out: &mut Vec<f32>) {
         let start = out.len();
         out.resize(start + baseband.len(), 0.0);
@@ -103,9 +104,9 @@ impl FmDemodulator {
             let d0 = block[0].mul_conj(self.prev);
             re[0] = d0.re;
             im[0] = d0.im;
-            simd::mul_conj_split(&block[1..], &block[..n - 1], &mut re[1..], &mut im[1..]);
+            mul_conj_split(&block[1..], &block[..n - 1], &mut re[1..], &mut im[1..]);
             self.prev = block[n - 1];
-            simd::atan2_scale(im, re, self.inv_k as f32, angles);
+            atan2_scale(im, re, self.inv_k as f32, angles);
         }
     }
 
@@ -117,6 +118,65 @@ impl FmDemodulator {
             self.prev = x;
             out.push((d.arg() as f64 * self.inv_k) as f32);
         }
+    }
+}
+
+/// Elementwise `a[i]·conj(b[i])` from interleaved inputs into split planes:
+/// `(re, im) = (ar·br + ai·bi, ai·br − ar·bi)`, the arithmetic of
+/// `C32::mul_conj`. All four slices have the same length.
+fn mul_conj_split(a: &[C32], b: &[C32], out_re: &mut [f32], out_im: &mut [f32]) {
+    let n = a.len();
+    let (b, out_re, out_im) = (&b[..n], &mut out_re[..n], &mut out_im[..n]);
+    for i in 0..n {
+        let (x, y) = (a[i], b[i]);
+        out_re[i] = x.re * y.re + x.im * y.im;
+        out_im[i] = x.im * y.re - x.re * y.im;
+    }
+}
+
+/// Polynomial `atan` on `[-1, 1]` (Abramowitz & Stegun 4.4.49 form); its
+/// maximum error evaluated in `f32` is 1.15e-5 rad, at |z| ≈ 0.395.
+#[inline(always)]
+fn fast_atan(z: f32) -> f32 {
+    let z2 = z * z;
+    z * (0.999_866 + z2 * (-0.330_299_5 + z2 * (0.180_141 + z2 * (-0.085_133 + 0.020_835_1 * z2))))
+}
+
+/// Branch-free `atan2` built on [`fast_atan`]; at most 1.17e-5 rad from
+/// `f32::atan2` (`fast_atan2_tracks_libm_in_every_quadrant` holds it to
+/// 1.2e-5 in all four quadrants and on the axes).
+/// Returns 0 at the origin (the discriminator maps a dead carrier to
+/// silence), and +π where libm returns −π (`y = −0`, `x < 0`): the same
+/// angle.
+#[inline(always)]
+fn fast_atan2(y: f32, x: f32) -> f32 {
+    use std::f32::consts::{FRAC_PI_2, PI};
+    let ax = x.abs();
+    let ay = y.abs();
+    // Every `if` picks between values already computed (the origin's 0/0
+    // is computed and dropped), so the block loop has no data-dependent
+    // branch. Received FM has angles in every quadrant: the same arithmetic
+    // with early-return branches ran 2–4× slower on `RfChannel` output at
+    // −70 to −86 dB.
+    let swap = ay > ax;
+    let (num, den) = if swap { (ax, ay) } else { (ay, ax) };
+    let p = fast_atan(num / den);
+    let a = if swap { FRAC_PI_2 - p } else { p };
+    let a = if x < 0.0 { PI - a } else { a };
+    let a = if y < 0.0 { -a } else { a };
+    if ax == 0.0 && ay == 0.0 {
+        0.0
+    } else {
+        a
+    }
+}
+
+/// `out[i] = fast_atan2(y[i], x[i]) · scale` over three equal-length planes.
+fn atan2_scale(y: &[f32], x: &[f32], scale: f32, out: &mut [f32]) {
+    let n = y.len();
+    let (x, out) = (&x[..n], &mut out[..n]);
+    for i in 0..n {
+        out[i] = fast_atan2(y[i], x[i]) * scale;
     }
 }
 
@@ -197,6 +257,39 @@ mod tests {
         for (u, v) in a.iter().zip(&b) {
             assert!((u - v).abs() < 2e-4, "{u} vs {v}");
         }
+    }
+
+    #[test]
+    fn fast_atan2_tracks_libm_in_every_quadrant() {
+        use std::f32::consts::{FRAC_PI_2, PI};
+        // Signed zeros: the origin is silence, and at y = −0, x < 0 the
+        // polynomial says +π where libm says −π (one angle).
+        for (y, x) in [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)] {
+            assert_eq!(fast_atan2(y, x), 0.0, "origin ({y}, {x})");
+        }
+        assert_eq!(fast_atan2(-0.0, -1.0), PI);
+        assert_eq!(fast_atan2(0.0, -1.0), PI);
+        assert_eq!(fast_atan2(-0.0, 1.0), 0.0);
+        assert_eq!(fast_atan2(1.0, -0.0), FRAC_PI_2);
+        assert_eq!(fast_atan2(-1.0, 0.0), -FRAC_PI_2);
+        // A 401 × 401 grid over [−1, 1]² (both axes included) at three
+        // magnitudes; the origin and y = −0 are the cases above.
+        let mut worst = 0.0f32;
+        for mag in [1e-20f32, 1.0, 1e20] {
+            for i in -200..=200 {
+                for j in -200..=200 {
+                    let (y, x) = (mag * i as f32 / 200.0, mag * j as f32 / 200.0);
+                    if y == 0.0 && x == 0.0 {
+                        continue;
+                    }
+                    let err = (fast_atan2(y, x) - y.atan2(x)).abs();
+                    assert!(err <= 1.2e-5, "atan2({y}, {x}): error {err} rad");
+                    worst = worst.max(err);
+                }
+            }
+        }
+        // The grid reaches the polynomial's peak, so the bound is tight.
+        assert!(worst > 1.1e-5, "worst error {worst} rad");
     }
 
     #[test]

@@ -22,17 +22,12 @@ pub struct BacklogTrace {
     pub idle_hours: usize,
 }
 
-/// Size provider: page → broadcast bytes at a given hour.
+/// Page → broadcast bytes at a given hour, measured once and cached.
 ///
 /// The full pipeline (render + strip-encode) is too slow to run 100 pages ×
-/// 48 hours inside a bench loop, so callers may pass measured-and-cached
-/// sizes or a calibrated model; `sizes_from_corpus` below builds the cache.
-pub trait SizeModel {
-    /// Broadcast bytes of a page version at `hour`.
-    fn bytes(&self, id: PageId, hour: u64) -> f64;
-}
-
-/// A size model backed by a per-(page, version-epoch) cache.
+/// 48 hours inside a bench loop, so the simulation reads sizes measured
+/// once per page version; `experiments::sizes::sizes_from_corpus` builds
+/// the cache.
 #[derive(Debug)]
 pub struct CachedSizes {
     /// Page sizes keyed by (site, page, hour) — caller fills via closure.
@@ -41,8 +36,9 @@ pub struct CachedSizes {
     pub default_bytes: f64,
 }
 
-impl SizeModel for CachedSizes {
-    fn bytes(&self, id: PageId, hour: u64) -> f64 {
+impl CachedSizes {
+    /// Broadcast bytes of a page version at `hour`.
+    pub fn bytes(&self, id: PageId, hour: u64) -> f64 {
         *self
             .map
             .get(&(id.site, id.page, hour))
@@ -57,7 +53,7 @@ impl SizeModel for CachedSizes {
 pub fn simulate(
     corpus: &Corpus,
     pages: &[PageId],
-    sizes: &dyn SizeModel,
+    sizes: &CachedSizes,
     rate_bps: f64,
     hours: u64,
 ) -> BacklogTrace {
@@ -91,12 +87,7 @@ pub fn simulate(
 }
 
 /// Mean inflow rate in bits/second implied by the corpus churn and sizes.
-pub fn mean_inflow_bps(
-    corpus: &Corpus,
-    pages: &[PageId],
-    sizes: &dyn SizeModel,
-    hours: u64,
-) -> f64 {
+pub fn mean_inflow_bps(corpus: &Corpus, pages: &[PageId], sizes: &CachedSizes, hours: u64) -> f64 {
     let mut total = 0.0;
     for hour in 1..hours {
         for &id in pages {
@@ -112,10 +103,11 @@ pub fn mean_inflow_bps(
 mod tests {
     use super::*;
 
-    struct FlatSizes(f64);
-    impl SizeModel for FlatSizes {
-        fn bytes(&self, _: PageId, _: u64) -> f64 {
-            self.0
+    /// Every page version the same size: no entries, only the fallback.
+    fn flat_sizes(bytes: f64) -> CachedSizes {
+        CachedSizes {
+            map: BTreeMap::new(),
+            default_bytes: bytes,
         }
     }
 
@@ -128,7 +120,7 @@ mod tests {
     #[test]
     fn higher_rate_drains_more() {
         let (c, pages) = setup();
-        let sizes = FlatSizes(150_000.0);
+        let sizes = flat_sizes(150_000.0);
         let slow = simulate(&c, &pages, &sizes, 10_000.0, 48);
         let fast = simulate(&c, &pages, &sizes, 40_000.0, 48);
         let peak = |t: &BacklogTrace| {
@@ -144,7 +136,7 @@ mod tests {
     #[test]
     fn backlog_is_bounded_not_divergent() {
         let (c, pages) = setup();
-        let sizes = FlatSizes(150_000.0);
+        let sizes = flat_sizes(150_000.0);
         let t = simulate(&c, &pages, &sizes, 10_000.0, 96);
         // "SONIC is scalable, meaning that the amount of data to be sent
         // does not grow indefinitely": second-half peak ≈ first-half peak.
@@ -157,7 +149,7 @@ mod tests {
     #[test]
     fn double_catalog_doubles_inflow() {
         let (c, pages) = setup();
-        let sizes = FlatSizes(100_000.0);
+        let sizes = flat_sizes(100_000.0);
         let single = mean_inflow_bps(&c, &pages, &sizes, 48);
         let doubled: Vec<PageId> = pages.iter().chain(pages.iter()).copied().collect();
         let double = mean_inflow_bps(&c, &doubled, &sizes, 48);
@@ -173,7 +165,7 @@ mod tests {
         let (c, pages) = setup();
         // ~330 KB is the measured mean size of *changed* pages (changes are
         // dominated by the tall news landing pages; cf. Fig 4b tails).
-        let sizes = FlatSizes(330_000.0);
+        let sizes = flat_sizes(330_000.0);
         let inflow = mean_inflow_bps(&c, &pages, &sizes, 48);
         assert!(
             inflow > 7_000.0 && inflow < 13_000.0,
@@ -194,10 +186,7 @@ mod tests {
 
     #[test]
     fn missing_size_uses_default() {
-        let sizes = CachedSizes {
-            map: BTreeMap::new(),
-            default_bytes: 123.0,
-        };
+        let sizes = flat_sizes(123.0);
         assert_eq!(sizes.bytes(PageId { site: 0, page: 0 }, 5), 123.0);
     }
 }

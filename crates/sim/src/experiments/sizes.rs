@@ -102,7 +102,6 @@ pub fn sizes_from_corpus(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::broadcast::SizeModel;
 
     #[test]
     fn quality_orders_sizes() {

@@ -88,22 +88,9 @@ pub fn run(profile: &Profile, setup: ChannelSetup, n_frames: usize, seed: u64) -
     run_with(profile, setup, n_frames, seed, FaultPlan::none())
 }
 
-/// Runs `n_frames` frames over the FM chain with a [`FaultPlan`] injected
-/// on the RF hop (impulses, co-channel interferer, mutes, clock drift,
-/// fades — see `sonic_radio::faults`). With an empty plan this is exactly
-/// [`run`] with [`ChannelSetup::Fm`].
-pub fn run_fm_with_faults(
-    profile: &Profile,
-    rssi_db: f64,
-    n_frames: usize,
-    seed: u64,
-    faults: FaultPlan,
-) -> LinkRunResult {
-    run_with(profile, ChannelSetup::Fm { rssi_db }, n_frames, seed, faults)
-}
-
 /// The one chain: frames → modem → `setup`'s hops (`faults` on the RF hop,
-/// if it has one) → receiver → loss accounting.
+/// if it has one: impulses, co-channel interferer, mutes, clock drift,
+/// fades — see `sonic_radio::faults`) → receiver → loss accounting.
 fn run_with(
     profile: &Profile,
     setup: ChannelSetup,
@@ -208,7 +195,8 @@ mod tests {
     fn zero_fault_plan_matches_plain_fm_run() {
         let profile = Profile::sonic_10k();
         let plain = run(&profile, ChannelSetup::Fm { rssi_db: -86.0 }, 40, 7);
-        let empty = run_fm_with_faults(&profile, -86.0, 40, 7, FaultPlan::none());
+        let fm = ChannelSetup::Fm { rssi_db: -86.0 };
+        let empty = run_with(&profile, fm, 40, 7, FaultPlan::none());
         assert_eq!(plain.frames_received, empty.frames_received);
         assert_eq!(plain.bursts_failed, empty.bursts_failed);
         assert_eq!(plain.frame_loss, empty.frame_loss);
@@ -218,7 +206,8 @@ mod tests {
     fn hostile_faults_degrade_a_clean_link() {
         let profile = Profile::sonic_10k();
         let clean = run(&profile, ChannelSetup::Fm { rssi_db: -70.0 }, 80, 6);
-        let faulty = run_fm_with_faults(&profile, -70.0, 80, 6, FaultPlan::hostile(9));
+        let fm = ChannelSetup::Fm { rssi_db: -70.0 };
+        let faulty = run_with(&profile, fm, 80, 6, FaultPlan::hostile(9));
         assert_eq!(clean.frame_loss, 0.0, "{clean:?}");
         assert!(
             faulty.frame_loss > 0.0,
