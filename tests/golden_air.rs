@@ -14,7 +14,8 @@ use sonic::image::hash::Fnv64;
 use sonic::modem::ofdm::Demodulator;
 use sonic::modem::frame::DemodFrame;
 use sonic::modem::{demodulate_frames, modulate_frame, PhyError, Profile};
-use sonic::radio::mpx::{compose, decompose, MpxInput};
+use sonic::radio::channel::AcousticChannel;
+use sonic::radio::mpx::{compose, decompose, decompose_reference, MpxInput};
 use sonic::radio::stack::FmLink;
 
 fn digest_f32(samples: &[f32]) -> u64 {
@@ -113,6 +114,38 @@ fn mpx_decompose_is_pinned_with_and_without_a_stereo_channel() {
     assert_eq!(digest_f32(&out.mono), 0x470d_3dd6_1288_a815, "mono (pilot) moved");
     let stereo = out.stereo_diff.expect("pilot detected");
     assert_eq!(digest_f32(&stereo), 0x8344_3d8e_b574_f497, "stereo difference moved");
+}
+
+/// The direct-form FIR's two users: the reference decomposer's band selects
+/// (the oracle every fast receive path is tested against) and the acoustic
+/// hop's speaker response, on the composites the test above decomposes.
+#[test]
+fn direct_form_paths_are_pinned() {
+    let profile = Profile::sonic_10k();
+    let mono = link::modulate(&profile, &frames()[..10]);
+
+    let out = decompose_reference(&compose(&MpxInput {
+        mono: mono.clone(),
+        ..Default::default()
+    }));
+    assert!(out.stereo_diff.is_none());
+    assert_eq!(digest_f32(&out.mono), 0x77f5_5309_3fdb_aa43, "reference mono (no pilot) moved");
+
+    let diff: Vec<f32> = (0..mono.len())
+        .map(|i| 0.3 * (std::f64::consts::TAU * 2_500.0 * i as f64 / 44_100.0).sin() as f32)
+        .collect();
+    let out = decompose_reference(&compose(&MpxInput {
+        mono: mono.clone(),
+        stereo_diff: Some(diff),
+        ..Default::default()
+    }));
+    assert_eq!(digest_f32(&out.mono), 0xf694_f7f7_0ad5_c778, "reference mono (pilot) moved");
+    let stereo = out.stereo_diff.expect("pilot detected");
+    assert_eq!(digest_f32(&stereo), 0xf43a_3b1f_4e91_e0f3, "reference stereo difference moved");
+
+    let heard = AcousticChannel::new(0.5, 1).transmit(&mono);
+    assert_eq!(heard.len(), mono.len());
+    assert_eq!(digest_f32(&heard), 0x7a80_c3af_db64_79fb, "acoustic hop moved");
 }
 
 /// Folds one `demodulate_frames` result into `h`: burst count, then per burst
