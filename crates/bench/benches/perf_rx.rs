@@ -22,6 +22,13 @@
 //! inside the receive it belongs to, and that case's `vs_scalar` fell
 //! when the discriminator (and the FFT) stopped dispatching.
 //!
+//! The reference decomposer's band selects are the direct-form FIR, one
+//! `Fir::push` per sample with no vector path (the `fir_mac` kernel that
+//! ran it across outputs is gone: no benchmark workload reached it). So
+//! the `vs_reference` ratios of `mpx_decompose_1s` and `fm_rx_page` are
+//! ~31× and ~20× (~2.5× and ~3× while the oracle ran on that kernel), and
+//! their gates were re-derived from runs of the per-sample form.
+//!
 //! The two Viterbi cases' reference is the `f32` decoder; their other two
 //! columns run the integer decoder, so `vs_scalar` is its SIMD kernel over
 //! its own scalar twin. The OFDM case decodes its FEC as well, and its
@@ -132,7 +139,7 @@ fn main() {
             black_box(decompose(black_box(&comp)));
         },
         Need {
-            vs_reference: 1.7,
+            vs_reference: 24.7,
             vs_scalar: 2.0,
         },
     );
@@ -191,7 +198,7 @@ fn main() {
             black_box(rx_fast());
         },
         Need {
-            vs_reference: 2.4,
+            vs_reference: 15.4,
             vs_scalar: 1.6,
         },
     );

@@ -8,31 +8,14 @@
 //! independent of its size — with per-chunk coin flips a large page push
 //! would essentially never arrive intact and retries could not converge.
 //! Every fate is a pure function of `(seed, nonce, chunk index)` through
-//! the same SplitMix64 ladder as `sonic_radio::faults`, so a run is
+//! `sonic_radio::faults`' SplitMix64 ladder, so a run is
 //! byte-identical for a given seed at any wall clock or host — lint rule
 //! R3 applies to this module.
 //!
 //! A [`SimLink`] pairs two pipes into a duplex coordinator↔site link.
 
+use sonic_radio::faults::{mix, mix3, unit_f64};
 use std::collections::VecDeque;
-
-/// SplitMix64 step — the hash behind all schedule-derived randomness.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Combines seed material into one hash word.
-fn mix3(a: u64, b: u64, c: u64) -> u64 {
-    mix(mix(mix(a) ^ b) ^ c)
-}
-
-/// Uniform f64 in [0,1) from a hash word.
-fn unit_f64(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
 
 /// A seeded impairment schedule for one pipe direction.
 #[derive(Debug, Clone, PartialEq)]

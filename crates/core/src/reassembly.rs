@@ -183,11 +183,6 @@ impl PageAssembly {
         }
     }
 
-    /// Frames ingested so far.
-    pub fn frames_seen(&self) -> usize {
-        self.frames_seen
-    }
-
     /// Payload bytes buffered by this assembly.
     pub fn buffered_bytes(&self) -> usize {
         self.bytes

@@ -381,11 +381,6 @@ impl Coordinator {
         self.clients.get(&site).is_some_and(RpcClient::is_up)
     }
 
-    /// Last-reported per-site views.
-    pub fn views(&self) -> &BTreeMap<u32, SiteView> {
-        &self.views
-    }
-
     /// The per-site RPC clients (stats, queue depths).
     pub fn clients(&self) -> &BTreeMap<u32, RpcClient> {
         &self.clients

@@ -233,7 +233,7 @@ mod tests {
         srv.push_popular(0, 2, 0.0);
         for sched in srv.schedulers.values() {
             assert!(sched.backlog_bytes() > 0, "scheduler must have work");
-            assert_eq!(sched.queue_len(), 2);
+            assert_eq!(sched.backlog_pages(), 2);
         }
     }
 
@@ -249,7 +249,7 @@ mod tests {
         let backlog2: Vec<usize> = srv.schedulers.values().map(|s| s.backlog_bytes()).collect();
         assert_eq!(backlog, backlog2, "re-push must not double the backlog");
         for sched in srv.schedulers.values() {
-            assert_eq!(sched.queue_len(), 3);
+            assert_eq!(sched.backlog_pages(), 3);
         }
     }
 
@@ -344,7 +344,7 @@ mod tests {
         let (mut srv, live, _) = two_pushes();
         assert!(!live.is_empty(), "hour 0→1 must leave some long-lived page alone");
         let lahore = sonic_sms::GeoPoint::new(31.52, 74.35);
-        let queue_len = srv.schedulers[&1].queue_len();
+        let queue_len = srv.schedulers[&1].backlog_pages();
         let hits_before = srv.artifact_cache().stats.full_hits;
         for url in &live {
             let queued = srv.schedulers[&1]
@@ -359,7 +359,7 @@ mod tests {
             live.len() as u64,
             "every request was served from the cached build"
         );
-        assert_eq!(srv.schedulers[&1].queue_len(), queue_len, "no page is queued twice");
+        assert_eq!(srv.schedulers[&1].backlog_pages(), queue_len, "no page is queued twice");
         let aired = drain(&mut srv);
         for url in &live {
             let (v0, v1) = (page_id_for(url, 0), page_id_for(url, 1));

@@ -29,7 +29,7 @@
 use crate::chunker::page_to_frames;
 use crate::frame::Frame;
 use crate::page::SimplifiedPage;
-use crate::server::scheduler::BroadcastScheduler;
+use crate::server::scheduler::{BroadcastScheduler, SlotKind};
 use sonic_sms::queries::Nack;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -284,7 +284,7 @@ impl RepairPlanner {
         let mut scheduled = 0usize;
         for b in bursts {
             if let Some(sched) = schedulers.get_mut(&b.site_id) {
-                sched.enqueue_repair(b.page, b.frames, now_s);
+                sched.enqueue_frames(b.page.page_id, SlotKind::Repair, b.frames, now_s);
                 scheduled += 1;
             }
         }

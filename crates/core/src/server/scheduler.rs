@@ -88,14 +88,8 @@ impl BroadcastScheduler {
         self.backlog_bytes
     }
 
-    /// Pages waiting to be broadcast (alias of [`queue_len`](Self::queue_len)
-    /// named for the backlog monitoring API). O(1).
+    /// Pages waiting to be broadcast. O(1).
     pub fn backlog_pages(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Queued page count.
-    pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
@@ -131,25 +125,14 @@ impl BroadcastScheduler {
         self.enqueue_frames(page.page_id, SlotKind::Delta, delta_frames, now_s)
     }
 
-    /// Enqueues a targeted repair burst. A queued *full* page serves the
-    /// repair for free (it is a superset of any range), and an existing
-    /// repair entry coalesces; a queued delta does not satisfy it — the
-    /// delta's columns are the hour's dirty set, not the client's loss set.
-    pub fn enqueue_repair(
-        &mut self,
-        page: Arc<SimplifiedPage>,
-        frames: Arc<Vec<Frame>>,
-        now_s: f64,
-    ) -> f64 {
-        self.enqueue_frames(page.page_id, SlotKind::Repair, frames, now_s)
-    }
-
     /// Enqueues an explicit frame sequence under a bare page id — the wire
-    /// path: a cluster site handed a `PushFrames` RPC has frames and an id
-    /// but no page object. Dedupe/supersede rules match the page-based
-    /// enqueues: a full slot dedupes against a queued full and supersedes
-    /// not-yet-started delta/repair entries; a delta dedupes against any
-    /// queued entry; a repair dedupes against queued full/repair entries.
+    /// path (a cluster site handed a `PushFrames` RPC has frames and an id
+    /// but no page object) and the targeted repair burst. A full slot
+    /// dedupes against a queued full and supersedes not-yet-started
+    /// delta/repair entries; a delta dedupes against any queued entry; a
+    /// repair dedupes against queued full/repair entries (a full page serves
+    /// it for free, a repair coalesces) but not against a delta, whose
+    /// columns are the hour's dirty set, not the client's loss set.
     pub fn enqueue_frames(
         &mut self,
         page_id: u32,
@@ -316,7 +299,7 @@ mod tests {
         let before = s.backlog_bytes();
         enqueue_page(&mut s, page("a", 60), 1.0);
         assert_eq!(s.backlog_bytes(), before, "no duplicate queue entry");
-        assert_eq!(s.queue_len(), 1);
+        assert_eq!(s.backlog_pages(), 1);
     }
 
     #[test]
@@ -378,7 +361,7 @@ mod tests {
         // Re-push of the same page version: dedup, backlog unchanged.
         let eta2 = s.enqueue_prechunked(p.clone(), frames.clone(), 1.0);
         assert!((eta2 - eta).abs() < 1e-9);
-        assert_eq!(s.queue_len(), 1);
+        assert_eq!(s.backlog_pages(), 1);
         // Everything drains in order and matches the shared frame sequence.
         let mut got = Vec::new();
         for _ in 0..200 {
@@ -393,7 +376,7 @@ mod tests {
         let mut s = BroadcastScheduler::new(8_000.0);
         let p = Arc::new(page("a", 40));
         s.enqueue_prechunked(p, Arc::new(Vec::new()), 0.0);
-        assert_eq!(s.queue_len(), 0);
+        assert_eq!(s.backlog_pages(), 0);
         assert!(s.advance(10.0).is_empty());
     }
 
@@ -403,17 +386,17 @@ mod tests {
         let p = Arc::new(page("a", 60));
         let all = Arc::new(crate::chunker::page_to_frames(&p));
         let repair: Arc<Vec<Frame>> = Arc::new(all.iter().take(3).cloned().collect());
-        s.enqueue_repair(p.clone(), repair.clone(), 0.0);
-        assert_eq!(s.queue_len(), 1);
+        s.enqueue_frames(p.page_id, SlotKind::Repair, repair.clone(), 0.0);
+        assert_eq!(s.backlog_pages(), 1);
         // Same tick, the full page arrives: the repair entry is dropped, not
         // double-scheduled.
         s.enqueue_prechunked(p.clone(), all.clone(), 0.0);
-        assert_eq!(s.queue_len(), 1);
+        assert_eq!(s.backlog_pages(), 1);
         assert_eq!(s.backlog_bytes(), all.len() * FRAME_SIZE);
         // And the full entry now serves later repairs for free.
         assert!(s.eta_full_for(p.page_id).is_some());
         let before = s.backlog_bytes();
-        s.enqueue_repair(p.clone(), repair, 1.0);
+        s.enqueue_frames(p.page_id, SlotKind::Repair, repair, 1.0);
         assert_eq!(s.backlog_bytes(), before);
     }
 
@@ -427,14 +410,14 @@ mod tests {
         s.enqueue_delta(p.clone(), delta.clone(), 0.0);
         assert!(s.eta_full_for(p.page_id).is_none(), "delta is not a full slot");
         // A repair for ranges the delta may not carry still schedules.
-        s.enqueue_repair(p.clone(), repair.clone(), 0.0);
-        assert_eq!(s.queue_len(), 2);
+        s.enqueue_frames(p.page_id, SlotKind::Repair, repair.clone(), 0.0);
+        assert_eq!(s.backlog_pages(), 2);
         assert!(s.repair_queued(p.page_id));
         // A second repair for the same page coalesces.
         let before = s.backlog_bytes();
-        s.enqueue_repair(p.clone(), repair, 1.0);
+        s.enqueue_frames(p.page_id, SlotKind::Repair, repair, 1.0);
         assert_eq!(s.backlog_bytes(), before);
-        assert_eq!(s.queue_len(), 2);
+        assert_eq!(s.backlog_pages(), 2);
     }
 
     #[test]
@@ -449,7 +432,7 @@ mod tests {
         // Re-push of the delta dedupes.
         let eta2 = s.enqueue_delta(p.clone(), delta.clone(), 1.0);
         assert!((eta2 - eta).abs() < 1e-9);
-        assert_eq!(s.queue_len(), 1);
+        assert_eq!(s.backlog_pages(), 1);
         // With a full entry queued, a delta for the same page is covered.
         let q = Arc::new(page("b", 60));
         let q_frames = Arc::new(crate::chunker::page_to_frames(&q));

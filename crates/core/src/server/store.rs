@@ -39,7 +39,7 @@ use sonic_image::strip::StripImage;
 use sonic_pagegen::PageId;
 use std::collections::BTreeMap;
 use std::io::{self, Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Index record framing: `"SIDX"` little-endian.
@@ -112,7 +112,6 @@ pub struct StoreStats {
 /// formats and crash-safety rules.
 #[derive(Debug)]
 pub struct ArtifactStore {
-    dir: PathBuf,
     data: std::fs::File,
     index: std::fs::File,
     entries: BTreeMap<PageId, StoreEntry>,
@@ -132,8 +131,8 @@ impl ArtifactStore {
     /// `byte_budget` live blob bytes, replaying and crash-repairing the
     /// index log.
     pub fn open(dir: impl AsRef<Path>, byte_budget: u64) -> io::Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
         let data = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
@@ -147,7 +146,6 @@ impl ArtifactStore {
             .truncate(false)
             .open(dir.join("index.log"))?;
         let mut store = ArtifactStore {
-            dir,
             data,
             index,
             entries: BTreeMap::new(),
@@ -254,11 +252,6 @@ impl ArtifactStore {
         }
     }
 
-    /// Store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Live entry count.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -281,11 +274,6 @@ impl ArtifactStore {
     /// Total bytes appended to `blobs.dat` (live + dead).
     pub fn blob_file_bytes(&self) -> u64 {
         self.append_off
-    }
-
-    /// Configured live-byte budget.
-    pub fn byte_budget(&self) -> u64 {
-        self.byte_budget
     }
 
     /// The content addresses of a live entry, without touching the data

@@ -45,7 +45,7 @@ fn mutate_columns(img: &mut Raster, edits: &[(usize, usize, u8)]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The warm path — [`strip::encode_delta`] against the previous strips,
+    /// The warm path — [`strip::encode_delta_prehashed`] against the previous strips,
     /// [`SimplifiedPage::from_parts`], re-chunk — produces strips, page id
     /// and frames identical to building the mutated raster cold, across
     /// random rasters and random column mutations (including the empty
@@ -64,12 +64,13 @@ proptest! {
         mutate_columns(&mut mutated, &edits);
 
         // Basis page (the "previous hour" in the cache).
-        let (strips0, hashes0) = strip::encode_with_hashes(&base);
+        let (strips0, hashes0) = (strip::encode(&base), strip::column_hashes(&base));
         let page0 = SimplifiedPage::from_parts(
             url, strips0, ClickMap::default(), version, ttl);
 
         // Warm path: strip delta against the basis.
-        let d = strip::encode_delta(&mutated, &page0.strips, &hashes0);
+        let d = strip::encode_delta_prehashed(
+            &mutated, &page0.strips, &hashes0, strip::column_hashes(&mutated));
         prop_assert_eq!(d.reused + d.reencoded, w, "one verdict per column");
         let page1 = SimplifiedPage::from_parts(
             url, d.strips, ClickMap::default(), version, ttl);

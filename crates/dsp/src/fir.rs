@@ -1,18 +1,18 @@
 //! FIR filter design and streaming application.
 //!
-//! Filters are designed with the windowed-sinc method (Hamming window by
-//! default), which is plenty for the roll-offs the FM multiplexer and the
+//! Filters are designed with the windowed-sinc method (Hamming window),
+//! which is plenty for the roll-offs the FM multiplexer and the
 //! acoustic channel models need. Two ways to apply one: the direct form
-//! ([`Fir`], exact, `O(taps)` per sample — short filters and the oracle the
-//! fast path is tested against) and FFT overlap-save ([`OverlapSave`], the
-//! long receive-side filters). Streaming state is kept in the filter so the
-//! radio pipeline can process audio in arbitrary block sizes.
+//! ([`Fir`], one sample at a time, `O(taps)` per sample — the acoustic hop's
+//! speaker response and the oracle the fast path is tested against) and FFT
+//! overlap-save ([`OverlapSave`], the long receive-side filters). Streaming
+//! state is kept in the filter so the radio pipeline can process audio in
+//! arbitrary block sizes.
 
 use crate::complex::C32;
 use crate::plan::FirPlan;
-use crate::simd;
 use crate::split::SplitC32;
-use crate::window::{generate, Window};
+use crate::window::hamming;
 use std::f64::consts::PI;
 use std::sync::Arc;
 
@@ -28,7 +28,7 @@ pub fn design_lowpass(taps: usize, cutoff: f64) -> Vec<f32> {
     assert!(taps > 0, "need at least one tap");
     assert!(cutoff > 0.0 && cutoff < 0.5, "cutoff must be in (0, 0.5), got {cutoff}");
     let m = (taps - 1) as f64 / 2.0;
-    let window = generate(Window::Hamming, taps);
+    let window = hamming(taps);
     let mut h: Vec<f32> = (0..taps)
         .map(|i| {
             let t = i as f64 - m;
@@ -64,15 +64,13 @@ pub fn design_bandpass(taps: usize, low: f64, high: f64) -> Vec<f32> {
         .collect()
 }
 
-/// A streaming FIR filter with internal history.
+/// A streaming direct-form FIR filter with internal history.
 #[derive(Debug, Clone)]
 pub struct Fir {
     taps: Vec<f32>,
-    /// Circular history of the most recent `taps.len()-1` inputs.
+    /// Circular history of the most recent `taps.len()` inputs.
     history: Vec<f32>,
     pos: usize,
-    /// Linearized window scratch for [`Fir::process`].
-    scratch: Vec<f32>,
 }
 
 impl Fir {
@@ -87,21 +85,10 @@ impl Fir {
             taps,
             history: vec![0.0; n],
             pos: 0,
-            scratch: Vec::new(),
         }
     }
 
-    /// Group delay in samples for the linear-phase designs in this module.
-    pub fn delay(&self) -> usize {
-        (self.taps.len() - 1) / 2
-    }
-
-    /// The coefficient vector.
-    pub fn taps(&self) -> &[f32] {
-        &self.taps
-    }
-
-    /// Filters one sample.
+    /// Filters one sample: taps newest-first, accumulated in tap order.
     #[inline]
     pub fn push(&mut self, x: f32) -> f32 {
         let n = self.taps.len();
@@ -116,52 +103,14 @@ impl Fir {
         acc
     }
 
-    /// Filters a block in place.
-    ///
-    /// Linearizes history + block into a contiguous scratch window so every
-    /// output is a straight dot product over a contiguous slice — no
-    /// per-sample circular-index wraparound or memmove. Accumulation order
-    /// matches [`Fir::push`], so the output is bit-identical to
-    /// [`Fir::process_reference`].
+    /// Filters a block in place, one [`push`](Self::push) per sample.
     pub fn process(&mut self, buf: &mut [f32]) {
-        if buf.is_empty() {
-            return;
-        }
-        let n = self.taps.len();
-        let m = n - 1;
-        // scratch = the m most recent inputs (oldest→newest) ++ buf.
-        self.scratch.clear();
-        self.scratch.reserve(m + buf.len());
-        for j in 1..n {
-            self.scratch.push(self.history[(self.pos + j) % n]);
-        }
-        self.scratch.extend_from_slice(buf);
-        // Taps newest-first over each window, accumulated in `push` order;
-        // the kernel vectorizes across outputs so every output's sum is
-        // still bit-identical to the scalar twin.
-        simd::fir_mac(&self.taps, &self.scratch, buf);
-        // Restore the circular history invariant for subsequent `push`es:
-        // slots 0..m hold the m most recent samples oldest→newest and the
-        // next write lands on slot m.
-        let e = self.scratch.len();
-        self.history[..m].copy_from_slice(&self.scratch[e - m..]);
-        self.pos = m;
-    }
-
-    /// Original per-sample implementation of [`Fir::process`], kept as the
-    /// executable specification for equivalence tests.
-    pub fn process_reference(&mut self, buf: &mut [f32]) {
         for v in buf.iter_mut() {
             *v = self.push(*v);
         }
     }
-
-    /// Resets the history to silence.
-    pub fn reset(&mut self) {
-        self.history.fill(0.0);
-        self.pos = 0;
-    }
 }
+
 /// Picks the overlap-save FFT size for a tap count: the block length
 /// (`fft − taps + 1`) stays at least ~3× the tap count so the two
 /// transforms amortize well.
@@ -438,14 +387,6 @@ mod tests {
     }
 
     #[test]
-    fn fir_reset_clears_history() {
-        let mut fir = Fir::new(vec![1.0, 1.0]);
-        fir.push(5.0);
-        fir.reset();
-        assert_eq!(fir.push(0.0), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "cutoff")]
     fn rejects_bad_cutoff() {
         let _ = design_lowpass(11, 0.6);
@@ -460,25 +401,6 @@ mod tests {
                 ((x >> 16) as f32 / 32768.0) - 1.0
             })
             .collect()
-    }
-
-    #[test]
-    fn process_is_bit_identical_to_reference() {
-        let taps = design_lowpass(101, 0.2);
-        let sig = noise(1000, 7);
-        let mut a = Fir::new(taps.clone());
-        let mut b = Fir::new(taps);
-        let mut got = sig.clone();
-        let mut want = sig;
-        // Split the block processing at awkward boundaries to exercise the
-        // history hand-off.
-        let (g1, g2) = got.split_at_mut(137);
-        a.process(g1);
-        a.process(g2);
-        b.process_reference(&mut want);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
     }
 
     #[test]
@@ -528,7 +450,7 @@ mod tests {
             };
             let sig = noise(2000, taps_len as u32);
             let mut want = sig.clone();
-            Fir::new(taps.clone()).process_reference(&mut want);
+            Fir::new(taps.clone()).process(&mut want);
             let mut got = [Vec::new()];
             OverlapSave::new(vec![FirPlan::shared(&taps)]).process(&sig, &mut got);
             for (i, (g, w)) in got[0].iter().zip(&want).enumerate() {

@@ -12,18 +12,17 @@
 //! * [`complex`] — minimal `C32` complex type used throughout the stack.
 //! * [`fft`] — interleaved [`Fft`]: the transmit IFFT (radix-4) and the scalar
 //!   oracle of [`plan::FftPlan`]'s forward transform (radix-2).
-//! * [`window`] — Hann / Hamming / Blackman / rectangular window functions.
-//! * [`fir`] — windowed-sinc FIR design, the direct-form [`fir::Fir`] and the
-//!   FFT overlap-save engine [`fir::OverlapSave`].
+//! * [`window`] — the Hamming window of the FIR designs and the OFDM burst's
+//!   raised-cosine edge.
+//! * [`fir`] — windowed-sinc FIR design, the per-sample direct-form
+//!   [`fir::Fir`] and the FFT overlap-save engine [`fir::OverlapSave`].
 //! * [`iir`] — first-order shelves (FM de-/pre-emphasis).
 //! * [`resample`] — polyphase rational resampler.
 //! * [`osc`] — numerically controlled oscillator and quadrature mixer.
 //! * [`goertzel`] — single-bin DFT power detector (used by the FSK modem).
-//! * [`measure`] — mean power and RMS.
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
-//! * [`simd`] — the four runtime-dispatched SIMD kernels that measurably pay
-//!   (FIR MAC, two lane-split reductions, QAM soft demap), each with its
-//!   scalar twin.
+//! * [`simd`] — the three runtime-dispatched SIMD kernels that measurably pay
+//!   (two lane-split reductions, QAM soft demap), each with its scalar twin.
 //! * [`plan`] — planned split-plane transforms: [`plan::FftPlan`] (receive FFT
 //!   and overlap-save frames, plain scalar butterflies) and the shareable
 //!   [`plan::FirPlan`].
@@ -42,7 +41,6 @@ pub mod fft;
 pub mod fir;
 pub mod goertzel;
 pub mod iir;
-pub mod measure;
 pub mod osc;
 pub mod plan;
 pub mod resample;

@@ -1,14 +1,14 @@
 //! Runtime-dispatched SIMD kernels for the DSP hot paths.
 //!
-//! Four kernels live here — [`fir_mac`], [`dot`], [`dot_mul_conj_energy`]
-//! and [`qam_axis_soft`] — because their vector paths measurably pay: the
-//! last three on a benchmark workload's `unit_xrt`, `fir_mac` on the
-//! `*_reference` receive paths and Fig 4a's acoustic channel (DESIGN §11
-//! has the per-kernel table). A vector path stays only while pinning that
-//! one kernel to its scalar twin moves a workload's `unit_xrt` beyond the
-//! host's spread; a kernel that fails the test becomes one plain scalar
-//! function beside its caller (the FFT butterfly and spectrum multiply in
-//! [`crate::plan`], the FM discriminator pair in `sonic_radio::fm`).
+//! Three kernels live here — [`dot`], [`dot_mul_conj_energy`] and
+//! [`qam_axis_soft`] — because their vector paths measurably pay on a
+//! benchmark workload's `unit_xrt` (DESIGN §11 has the per-kernel table). A
+//! vector path stays only while pinning that one kernel to its scalar twin
+//! moves a workload's `unit_xrt` beyond the host's spread; a kernel that
+//! fails the test becomes one plain scalar function beside its caller (the
+//! FFT butterfly and spectrum multiply in [`crate::plan`], the FM
+//! discriminator pair in `sonic_radio::fm`), or goes if its caller already
+//! has one (the direct-form FIR is [`crate::fir::Fir::push`]'s loop).
 //!
 //! Every kernel here comes in (up to) three implementations:
 //!
@@ -116,99 +116,6 @@ pub fn backend() -> Backend {
 /// is the equivalent process-wide switch.
 pub fn force_scalar(on: bool) {
     FORCED.store(u8::from(on), Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------------
-// FIR multiply-accumulate across outputs
-// ---------------------------------------------------------------------------
-
-/// Dense FIR dot products: `out[i] = Σ_k taps[k]·window[i + T − 1 − k]`
-/// (taps newest-first over a linearized window, `T = taps.len()`).
-///
-/// `window.len()` must equal `out.len() + taps.len() − 1`. Bit-exact with
-/// [`fir_mac_reference`]: the vector path runs 8 (AVX2) or 4 (NEON) outputs
-/// side by side while each output still accumulates taps in scalar order.
-pub fn fir_mac(taps: &[f32], window: &[f32], out: &mut [f32]) {
-    assert_eq!(
-        window.len(),
-        out.len() + taps.len() - 1,
-        "window must hold history + block"
-    );
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch returned Avx2, so the CPU supports AVX2.
-        Backend::Avx2 => unsafe { fir_mac_avx2(taps, window, out) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch returned Neon, so the CPU supports NEON.
-        Backend::Neon => unsafe { fir_mac_neon(taps, window, out) },
-        _ => fir_mac_reference(taps, window, out),
-    }
-}
-
-/// Scalar twin of [`fir_mac`] (the executable specification).
-pub fn fir_mac_reference(taps: &[f32], window: &[f32], out: &mut [f32]) {
-    let t = taps.len();
-    for (i, o) in out.iter_mut().enumerate() {
-        let win = &window[i..i + t];
-        let mut acc = 0.0f32;
-        for (&c, &x) in taps.iter().zip(win.iter().rev()) {
-            acc += c * x;
-        }
-        *o = acc;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller guarantees AVX2 is available.
-unsafe fn fir_mac_avx2(taps: &[f32], window: &[f32], out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let t = taps.len();
-    let n8 = out.len() / 8 * 8;
-    let wp = window.as_ptr();
-    let mut i = 0;
-    while i < n8 {
-        let mut acc = _mm256_setzero_ps();
-        // Output i+j (j < 8) needs window[(i+j) + t−1 − k]: one unaligned
-        // contiguous load per tap covers all 8 lanes.
-        for (k, &c) in taps.iter().enumerate() {
-            let cv = _mm256_set1_ps(c);
-            // SAFETY: i + t − 1 − k + 7 ≤ (n8 − 8) + t − 1 + 7 <
-            // out.len() + t − 1 = window.len(), so the 8-float load is in
-            // bounds.
-            let xv = unsafe { _mm256_loadu_ps(wp.add(i + t - 1 - k)) };
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(cv, xv));
-        }
-        // SAFETY: i + 7 < n8 ≤ out.len(), so the 8-float store is in bounds.
-        unsafe { _mm256_storeu_ps(out.as_mut_ptr().add(i), acc) };
-        i += 8;
-    }
-    fir_mac_reference(taps, &window[n8..], &mut out[n8..]);
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: caller guarantees NEON is available.
-unsafe fn fir_mac_neon(taps: &[f32], window: &[f32], out: &mut [f32]) {
-    use std::arch::aarch64::*;
-    let t = taps.len();
-    let n4 = out.len() / 4 * 4;
-    let wp = window.as_ptr();
-    let mut i = 0;
-    while i < n4 {
-        let mut acc = vdupq_n_f32(0.0);
-        for (k, &c) in taps.iter().enumerate() {
-            let cv = vdupq_n_f32(c);
-            // SAFETY: i + t − 1 − k + 3 < out.len() + t − 1 = window.len().
-            let xv = unsafe { vld1q_f32(wp.add(i + t - 1 - k)) };
-            // Separate mul + add (not vfmaq) to stay bit-exact with scalar.
-            acc = vaddq_f32(acc, vmulq_f32(cv, xv));
-        }
-        // SAFETY: i + 3 < n4 ≤ out.len().
-        unsafe { vst1q_f32(out.as_mut_ptr().add(i), acc) };
-        i += 4;
-    }
-    fir_mac_reference(taps, &window[n4..], &mut out[n4..]);
 }
 
 // ---------------------------------------------------------------------------
@@ -674,25 +581,6 @@ mod tests {
         assert_eq!(Backend::Avx2.name(), "avx2");
         assert_eq!(Backend::Neon.name(), "neon");
         let _ = backend();
-    }
-
-    #[test]
-    fn fir_mac_matches_fir_mac_reference_bit_exactly() {
-        for &n in &LENS {
-            for taps_len in [1usize, 5, 32] {
-                let taps = noise(taps_len, 3);
-                // Offset 1 into a larger buffer = unaligned window start.
-                let big = noise(n + taps_len, 11 + n as u32);
-                let window = &big[1..];
-                let mut got = vec![0.0f32; n];
-                let mut want = vec![0.0f32; n];
-                fir_mac(&taps, window, &mut got);
-                fir_mac_reference(&taps, window, &mut want);
-                for (g, w) in got.iter().zip(&want) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "n={n} taps={taps_len}");
-                }
-            }
-        }
     }
 
     #[test]

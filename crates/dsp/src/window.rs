@@ -1,58 +1,21 @@
 //! Window functions for spectral shaping.
 //!
-//! The OFDM transmitter applies a short raised-cosine edge taper to reduce
-//! out-of-band splatter into the rest of the FM mono band; measurement code
-//! uses Hann windows before FFTs.
+//! The FIR designs taper their windowed sinc with a Hamming window; the OFDM
+//! transmitter applies a short raised-cosine edge taper to reduce
+//! out-of-band splatter into the rest of the FM mono band.
 
 use std::f64::consts::PI;
 
-/// Window shapes supported by [`generate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Window {
-    /// All-ones window (no shaping).
-    Rectangular,
-    /// Hann window: `0.5 - 0.5·cos(2πn/(N-1))`.
-    Hann,
-    /// Hamming window: `0.54 - 0.46·cos(2πn/(N-1))`.
-    Hamming,
-    /// Blackman window (three-term, a0=0.42).
-    Blackman,
-}
-
-/// Generates a window of length `n`.
-///
-/// For `n == 1` every shape degenerates to `[1.0]`.
-pub fn generate(kind: Window, n: usize) -> Vec<f32> {
-    if n == 0 {
-        return Vec::new();
-    }
+/// Hamming window of length `n`: `0.54 − 0.46·cos(2πi/(n−1))`, and `[1.0]`
+/// for `n == 1`.
+pub fn hamming(n: usize) -> Vec<f32> {
     if n == 1 {
         return vec![1.0];
     }
-    let m = (n - 1) as f64;
+    let m = n.saturating_sub(1) as f64;
     (0..n)
-        .map(|i| {
-            let x = 2.0 * PI * i as f64 / m;
-            let w = match kind {
-                Window::Rectangular => 1.0,
-                Window::Hann => 0.5 - 0.5 * x.cos(),
-                Window::Hamming => 0.54 - 0.46 * x.cos(),
-                Window::Blackman => 0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos(),
-            };
-            w as f32
-        })
+        .map(|i| (0.54 - 0.46 * (2.0 * PI * i as f64 / m).cos()) as f32)
         .collect()
-}
-
-/// Multiplies `buf` by the window in place.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn apply(buf: &mut [f32], window: &[f32]) {
-    assert_eq!(buf.len(), window.len(), "window length mismatch");
-    for (b, w) in buf.iter_mut().zip(window) {
-        *b *= w;
-    }
 }
 
 /// Raised-cosine edge ramp of length `n` rising from 0 to 1.
@@ -74,43 +37,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hann_endpoints_are_zero() {
-        let w = generate(Window::Hann, 64);
-        assert!(w[0].abs() < 1e-6);
-        assert!(w[63].abs() < 1e-6);
-        assert!((w[31] - 1.0).abs() < 0.01);
-    }
-
-    #[test]
     fn hamming_endpoints_are_nonzero() {
-        let w = generate(Window::Hamming, 64);
+        let w = hamming(64);
         assert!((w[0] - 0.08).abs() < 1e-3);
     }
 
     #[test]
-    fn rectangular_is_flat() {
-        assert!(generate(Window::Rectangular, 8).iter().all(|&x| x == 1.0));
-    }
-
-    #[test]
-    fn blackman_is_symmetric() {
-        let w = generate(Window::Blackman, 33);
-        for i in 0..16 {
-            assert!((w[i] - w[32 - i]).abs() < 1e-6);
-        }
-    }
-
-    #[test]
     fn degenerate_sizes() {
-        assert!(generate(Window::Hann, 0).is_empty());
-        assert_eq!(generate(Window::Hann, 1), vec![1.0]);
-    }
-
-    #[test]
-    fn apply_multiplies() {
-        let mut buf = vec![2.0; 4];
-        apply(&mut buf, &[0.0, 0.5, 1.0, 0.25]);
-        assert_eq!(buf, vec![0.0, 1.0, 2.0, 0.5]);
+        assert!(hamming(0).is_empty());
+        assert_eq!(hamming(1), vec![1.0]);
     }
 
     #[test]

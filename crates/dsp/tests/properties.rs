@@ -5,8 +5,7 @@ use sonic_dsp::fft::Fft;
 use sonic_dsp::fir::{design_bandpass, design_lowpass, Fir, OverlapSave, Sample};
 use sonic_dsp::plan::{FftPlan, FirPlan};
 use sonic_dsp::resample::Resampler;
-use sonic_dsp::simd;
-use sonic_dsp::window::{generate, Window};
+use sonic_dsp::window::hamming;
 use sonic_dsp::C32;
 use std::sync::Arc;
 
@@ -264,29 +263,6 @@ proptest! {
         );
     }
 
-    /// The dispatched FIR MAC kernel is bit-identical to its scalar twin on
-    /// random taps, random (including zero) output lengths, and unaligned
-    /// window offsets.
-    #[test]
-    fn simd_fir_mac_matches_reference_bit_exactly(
-        n_taps in 1usize..64,
-        n in 0usize..300,
-        offset in 0usize..8,
-        seed in any::<u32>(),
-    ) {
-        let mut rnd = lcg(seed);
-        let taps: Vec<f32> = (0..n_taps).map(|_| rnd()).collect();
-        let window: Vec<f32> = (0..offset + n + n_taps - 1).map(|_| rnd()).collect();
-        let view = &window[offset..];
-        let mut fast = vec![0.0f32; n];
-        let mut reference = vec![0.0f32; n];
-        simd::fir_mac(&taps, view, &mut fast);
-        simd::fir_mac_reference(&taps, view, &mut reference);
-        for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
-            prop_assert_eq!(f.to_bits(), r.to_bits(), "sample {}: {} vs {}", i, f, r);
-        }
-    }
-
     /// The planned split-plane forward FFT is bit-identical to the
     /// interleaved `Fft::forward`, and the planned round trip
     /// (forward ∘ inverse) recovers the input within 1e-5 RMS.
@@ -316,16 +292,14 @@ proptest! {
         prop_assert!(err.sqrt() <= 1e-5, "round-trip RMS {} at n = {}", err.sqrt(), n);
     }
 
-    /// Windows are bounded in [0, 1] and symmetric.
+    /// The Hamming window is bounded in [0.08, 1] and symmetric.
     #[test]
     fn window_bounds(n in 2usize..512) {
-        for kind in [Window::Hann, Window::Hamming, Window::Blackman] {
-            let w = generate(kind, n);
-            for (i, &v) in w.iter().enumerate() {
-                prop_assert!((-1e-6..=1.0 + 1e-6).contains(&v), "{kind:?}[{i}] = {v}");
-                let mirror = w[n - 1 - i];
-                prop_assert!((v - mirror).abs() < 1e-5, "{kind:?} asymmetric at {i}");
-            }
+        let w = hamming(n);
+        for (i, &v) in w.iter().enumerate() {
+            prop_assert!((0.08 - 1e-6..=1.0 + 1e-6).contains(&v), "w[{i}] = {v}");
+            let mirror = w[n - 1 - i];
+            prop_assert!((v - mirror).abs() < 1e-5, "asymmetric at {i}");
         }
     }
 }

@@ -88,7 +88,7 @@ impl StripImage {
 ///
 /// Column bitstreams are fully independent (that is the §3.3 design), so a
 /// caller holding a previous encode may splice unchanged columns' bytes and
-/// call this only for dirty ones; see [`encode_delta`].
+/// call this only for dirty ones; see [`encode_delta_prehashed`].
 pub fn encode_column(pixels: &[Rgb]) -> Vec<u8> {
     let h = pixels.len();
     let mut w = BitWriter::new();
@@ -193,15 +193,10 @@ pub fn column_hashes(img: &Raster) -> Vec<u64> {
     (0..img.width()).map(|x| hash_column(&img.column(x))).collect()
 }
 
-/// Whole-raster content address: dimensions folded with every column hash,
-/// so it is consistent with [`column_hashes`] (equal columns ⇒ equal page).
-pub fn raster_hash(img: &Raster) -> u64 {
-    raster_hash_from(img.width(), img.height(), &column_hashes(img))
-}
-
-/// [`raster_hash`] from precomputed [`column_hashes`] — lets a caller that
-/// already holds the per-column index derive the whole-raster address
-/// without a second pass over the pixels.
+/// Whole-raster content address: dimensions folded with every column hash
+/// from [`column_hashes`] (equal columns ⇒ equal page), so a caller that
+/// already holds the per-column index derives it without a second pass over
+/// the pixels.
 pub fn raster_hash_from(width: usize, height: usize, col_hashes: &[u64]) -> u64 {
     debug_assert_eq!(col_hashes.len(), width, "one hash per column");
     let mut h = Fnv64::new();
@@ -225,51 +220,22 @@ pub struct DeltaEncode {
     pub reencoded: usize,
 }
 
-/// Encodes a raster, computing per-column hashes alongside (the cold path
-/// of the artifact cache — one pass fills both the strips and the index a
-/// later [`encode_delta`] diffs against).
-pub fn encode_with_hashes(img: &Raster) -> (StripImage, Vec<u64>) {
-    let mut hashes = Vec::with_capacity(img.width());
-    let strips = (0..img.width())
-        .map(|x| {
-            let col = img.column(x);
-            hashes.push(hash_column(&col));
-            encode_column(&col)
-        })
-        .collect();
-    (
-        StripImage {
-            width: img.width(),
-            height: img.height(),
-            strips,
-        },
-        hashes,
-    )
-}
-
 /// Re-encodes only the columns whose content changed since a previous
 /// encode, splicing the unchanged columns' bitstreams verbatim.
 ///
-/// `prev`/`prev_hashes` must come from the same encoder ([`encode_with_hashes`]
-/// or an earlier `encode_delta`). The result is bit-identical to running
-/// [`encode`] on `img` from scratch: column bitstreams are pure functions
-/// of their pixels, so a hash-equal column's bytes can be copied.
+/// `prev`/`prev_hashes` must come from the same encoder ([`encode`] with
+/// [`column_hashes`], or an earlier delta), and `hashes` are the new image's
+/// [`column_hashes`], which a pipeline already holds from its whole-page
+/// content address. The result is bit-identical to running [`encode`] on
+/// `img` from scratch: column bitstreams are pure functions of their
+/// pixels, so a hash-equal column's bytes can be copied, and its pixels are
+/// never touched.
 ///
 /// # Panics
-/// Panics if `prev_hashes` does not have one hash per previous column, or
-/// if the previous image's dimensions differ from `img` (dimension changes
-/// invalidate every strip — callers fall back to a full encode).
-pub fn encode_delta(img: &Raster, prev: &StripImage, prev_hashes: &[u64]) -> DeltaEncode {
-    encode_delta_prehashed(img, prev, prev_hashes, column_hashes(img))
-}
-
-/// [`encode_delta`] with the new image's [`column_hashes`] supplied by the
-/// caller, so a pipeline that already hashed the raster (for its whole-page
-/// content address) does not hash the pixels a second time. Unchanged
-/// columns are proven by hash alone — their pixels are never touched.
-///
-/// # Panics
-/// As [`encode_delta`]; additionally if `hashes` is not one per column.
+/// Panics if `prev_hashes` does not have one hash per previous column, if
+/// `hashes` is not one per new column, or if the previous image's
+/// dimensions differ from `img` (dimension changes invalidate every strip —
+/// callers fall back to a full encode).
 pub fn encode_delta_prehashed(
     img: &Raster,
     prev: &StripImage,
@@ -455,19 +421,9 @@ mod tests {
     }
 
     #[test]
-    fn encode_with_hashes_matches_plain_encode() {
-        let img = page(24, 40);
-        let (coded, hashes) = encode_with_hashes(&img);
-        let plain = encode(&img);
-        assert_eq!(coded.strips, plain.strips);
-        assert_eq!(hashes, column_hashes(&img));
-        assert_eq!(hashes.len(), img.width());
-    }
-
-    #[test]
     fn delta_encode_is_bit_identical_to_cold_encode() {
         let base = page(30, 48);
-        let (prev, prev_hashes) = encode_with_hashes(&base);
+        let (prev, prev_hashes) = (encode(&base), column_hashes(&base));
 
         // Mutate a handful of columns (deterministic pseudo-random pattern).
         let mut mutated = base.clone();
@@ -479,7 +435,7 @@ mod tests {
             }
         }
 
-        let delta = encode_delta(&mutated, &prev, &prev_hashes);
+        let delta = encode_delta_prehashed(&mutated, &prev, &prev_hashes, column_hashes(&mutated));
         let cold = encode(&mutated);
         assert_eq!(delta.strips.strips, cold.strips, "splice must be bit-identical");
         assert_eq!(delta.hashes, column_hashes(&mutated));
@@ -490,8 +446,8 @@ mod tests {
     #[test]
     fn delta_encode_identical_raster_reuses_everything() {
         let img = page(16, 24);
-        let (prev, prev_hashes) = encode_with_hashes(&img);
-        let delta = encode_delta(&img, &prev, &prev_hashes);
+        let (prev, prev_hashes) = (encode(&img), column_hashes(&img));
+        let delta = encode_delta_prehashed(&img, &prev, &prev_hashes, column_hashes(&img));
         assert_eq!(delta.reused, 16);
         assert_eq!(delta.reencoded, 0);
         assert_eq!(delta.strips.strips, prev.strips);
@@ -501,37 +457,15 @@ mod tests {
     #[should_panic(expected = "identical dimensions")]
     fn delta_encode_rejects_dimension_change() {
         let img = page(16, 24);
-        let (prev, prev_hashes) = encode_with_hashes(&img);
+        let (prev, prev_hashes) = (encode(&img), column_hashes(&img));
         let taller = page(16, 32);
-        let _ = encode_delta(&taller, &prev, &prev_hashes);
-    }
-
-    #[test]
-    fn prehashed_delta_matches_self_hashing_delta() {
-        let base = page(30, 48);
-        let (prev, prev_hashes) = encode_with_hashes(&base);
-        let mut mutated = base.clone();
-        for y in 0..48 {
-            mutated.set(9, y, Rgb::new(0, 200, (y * 3) as u8));
-        }
-        let own = encode_delta(&mutated, &prev, &prev_hashes);
-        let pre = encode_delta_prehashed(&mutated, &prev, &prev_hashes, column_hashes(&mutated));
-        assert_eq!(own.strips.strips, pre.strips.strips);
-        assert_eq!(own.hashes, pre.hashes);
-        assert_eq!((own.reused, own.reencoded), (pre.reused, pre.reencoded));
-    }
-
-    #[test]
-    fn raster_hash_from_matches_raster_hash() {
-        let img = page(21, 33);
-        assert_eq!(
-            raster_hash(&img),
-            raster_hash_from(img.width(), img.height(), &column_hashes(&img))
-        );
+        let _ = encode_delta_prehashed(&taller, &prev, &prev_hashes, column_hashes(&taller));
     }
 
     #[test]
     fn raster_hash_tracks_content_and_dimensions() {
+        let raster_hash =
+            |img: &Raster| raster_hash_from(img.width(), img.height(), &column_hashes(img));
         let a = page(16, 24);
         let mut b = a.clone();
         assert_eq!(raster_hash(&a), raster_hash(&b));

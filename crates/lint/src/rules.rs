@@ -24,7 +24,7 @@
 //! (`fm_rx_page → demap_soft → Vec::push`) so it is actionable.
 
 use crate::graph::{self, CallGraph};
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::scan::ScannedFile;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -210,6 +210,79 @@ fn push_finding(out: &mut Vec<Finding>, f: &ScannedFile, line: u32, rule: Rule, 
     });
 }
 
+/// One ident token with its neighbours in the stream being scanned: the
+/// whole file for the lexical rules, one fn body for the transitive pass.
+/// The R1/R3/R4 constructs are matched here and only here.
+struct At<'a> {
+    tok: &'a Token,
+    prev_is_dot: bool,
+    next: Option<&'a Token>,
+    next2: Option<&'a Token>,
+}
+
+impl<'a> At<'a> {
+    /// Token `i` of `f`, neighbours from the file's token stream.
+    fn in_file(f: &'a ScannedFile, i: usize) -> Self {
+        At {
+            tok: &f.tokens[i],
+            prev_is_dot: i > 0 && f.tokens[i - 1].is_punct("."),
+            next: f.tokens.get(i + 1),
+            next2: f.tokens.get(i + 2),
+        }
+    }
+
+    /// Entry `k` of a fn body's token indices, neighbours from the body.
+    fn in_body(f: &'a ScannedFile, toks: &[usize], k: usize) -> Self {
+        At {
+            tok: &f.tokens[toks[k]],
+            prev_is_dot: k > 0 && f.tokens[toks[k - 1]].is_punct("."),
+            next: toks.get(k + 1).map(|&j| &f.tokens[j]),
+            next2: toks.get(k + 2).map(|&j| &f.tokens[j]),
+        }
+    }
+
+    fn next_is(&self, punct: &str) -> bool {
+        self.next.is_some_and(|t| t.is_punct(punct))
+    }
+
+    /// R1: `vec!` / `format!`, `Vec::new` / `Vec::with_capacity` /
+    /// `Box::new`, `.push(` / `.collect(` / `.collect::<…>(` / `.clone()` …
+    fn alloc(&self) -> Option<String> {
+        let t = self.tok.text.as_str();
+        if R1_MACROS.contains(&t) && self.next_is("!") {
+            return Some(format!("{t}!"));
+        }
+        if self.next_is("::") {
+            if let Some(m) = self.next2.filter(|m| {
+                m.kind == TokenKind::Ident && R1_PATHS.iter().any(|(ty, me)| *ty == t && *me == m.text)
+            }) {
+                return Some(format!("{t}::{}", m.text));
+            }
+        }
+        (self.prev_is_dot && R1_METHODS.contains(&t) && (self.next_is("(") || self.next_is("::")))
+            .then(|| format!(".{t}"))
+    }
+
+    /// R3: hash-ordered containers, wall clocks, thread RNG, `Instant::now`.
+    fn det(&self) -> Option<String> {
+        let t = self.tok.text.as_str();
+        if R3_IDENTS.contains(&t) {
+            return Some(t.to_string());
+        }
+        (t == "Instant" && self.next_is("::") && self.next2.is_some_and(|m| m.is_ident("now")))
+            .then(|| "Instant::now".to_string())
+    }
+
+    /// R4: `panic!`-family macros, `.unwrap(` / `.expect(`.
+    fn panics(&self) -> Option<String> {
+        let t = self.tok.text.as_str();
+        if R4_MACROS.contains(&t) && self.next_is("!") {
+            return Some(format!("{t}!"));
+        }
+        (self.prev_is_dot && R4_METHODS.contains(&t) && self.next_is("(")).then(|| format!(".{t}"))
+    }
+}
+
 /// R1: walk tokens inside no-alloc fns, match allocation constructs.
 fn rule_no_alloc(f: &ScannedFile, out: &mut Vec<Finding>) {
     for (i, tok) in f.tokens.iter().enumerate() {
@@ -217,40 +290,16 @@ fn rule_no_alloc(f: &ScannedFile, out: &mut Vec<Finding>) {
         if !ctx.fn_no_alloc || ctx.in_test || tok.kind != TokenKind::Ident {
             continue;
         }
-        let fname = ctx.fn_name.as_deref().unwrap_or("?");
-        let next = f.tokens.get(i + 1);
-        let next2 = f.tokens.get(i + 2);
-        // `vec!` / `format!`
-        if R1_MACROS.contains(&tok.text.as_str()) && next.map(|t| t.is_punct("!")).unwrap_or(false)
-        {
-            let key = format!("{}!", tok.text);
-            push_finding(out, f, tok.line, Rule::NoAlloc, &key,
-                format!("`{key}` allocates inside no-alloc fn `{fname}`"));
+        let Some(key) = At::in_file(f, i).alloc() else {
             continue;
-        }
-        // `Vec::new` / `Vec::with_capacity` / `Box::new`
-        if next.map(|t| t.is_punct("::")).unwrap_or(false) {
-            if let Some(m) = next2 {
-                if m.kind == TokenKind::Ident
-                    && R1_PATHS.iter().any(|(ty, me)| *ty == tok.text && *me == m.text)
-                {
-                    let key = format!("{}::{}", tok.text, m.text);
-                    push_finding(out, f, tok.line, Rule::NoAlloc, &key,
-                        format!("`{key}` allocates inside no-alloc fn `{fname}`"));
-                    continue;
-                }
-            }
-        }
-        // `.push(` / `.collect(` / `.collect::<…>(` / `.clone()` …
-        let prev_is_dot = i > 0 && f.tokens[i - 1].is_punct(".");
-        if prev_is_dot
-            && R1_METHODS.contains(&tok.text.as_str())
-            && next.map(|t| t.is_punct("(") || t.is_punct("::")).unwrap_or(false)
-        {
-            let key = format!(".{}", tok.text);
-            push_finding(out, f, tok.line, Rule::NoAlloc, &key,
-                format!("`{key}(…)` may allocate inside no-alloc fn `{fname}`"));
-        }
+        };
+        let fname = ctx.fn_name.as_deref().unwrap_or("?");
+        let msg = if key.starts_with('.') {
+            format!("`{key}(…)` may allocate inside no-alloc fn `{fname}`")
+        } else {
+            format!("`{key}` allocates inside no-alloc fn `{fname}`")
+        };
+        push_finding(out, f, tok.line, Rule::NoAlloc, &key, msg);
     }
 }
 
@@ -305,25 +354,18 @@ fn rule_determinism(f: &ScannedFile, out: &mut Vec<Finding>) {
         if f.ctx[i].in_test || tok.kind != TokenKind::Ident {
             continue;
         }
-        if R3_IDENTS.contains(&tok.text.as_str()) {
-            let hint = match tok.text.as_str() {
-                "HashMap" => "use BTreeMap: iteration order must not depend on the hasher",
-                "HashSet" => "use BTreeSet: iteration order must not depend on the hasher",
-                "SystemTime" => "use simulated time: results must be a pure function of the seed",
-                _ => "use a seeded RNG threaded from the experiment seed",
-            };
-            push_finding(out, f, tok.line, Rule::Determinism, &tok.text,
-                format!("`{}` in deterministic scope — {hint}", tok.text));
+        let Some(key) = At::in_file(f, i).det() else {
             continue;
-        }
-        // `Instant::now`
-        if tok.text == "Instant"
-            && f.tokens.get(i + 1).map(|t| t.is_punct("::")).unwrap_or(false)
-            && f.tokens.get(i + 2).map(|t| t.is_ident("now")).unwrap_or(false)
-        {
-            push_finding(out, f, tok.line, Rule::Determinism, "Instant::now",
-                "`Instant::now` in deterministic scope — wall-clock reads break seeded reproducibility".to_string());
-        }
+        };
+        let hint = match key.as_str() {
+            "HashMap" => "use BTreeMap: iteration order must not depend on the hasher",
+            "HashSet" => "use BTreeSet: iteration order must not depend on the hasher",
+            "SystemTime" => "use simulated time: results must be a pure function of the seed",
+            "Instant::now" => "wall-clock reads break seeded reproducibility",
+            _ => "use a seeded RNG threaded from the experiment seed",
+        };
+        push_finding(out, f, tok.line, Rule::Determinism, &key,
+            format!("`{key}` in deterministic scope — {hint}"));
     }
 }
 
@@ -336,24 +378,15 @@ fn rule_panic_free(f: &ScannedFile, out: &mut Vec<Finding>) {
         if f.ctx[i].in_test || tok.kind != TokenKind::Ident {
             continue;
         }
-        let next = f.tokens.get(i + 1);
-        if R4_MACROS.contains(&tok.text.as_str())
-            && next.map(|t| t.is_punct("!")).unwrap_or(false)
-        {
-            let key = format!("{}!", tok.text);
-            push_finding(out, f, tok.line, Rule::PanicFree, &key,
-                format!("`{key}` in the decode chain — degrade with a typed error instead of dying"));
+        let Some(key) = At::in_file(f, i).panics() else {
             continue;
-        }
-        let prev_is_dot = i > 0 && f.tokens[i - 1].is_punct(".");
-        if prev_is_dot
-            && R4_METHODS.contains(&tok.text.as_str())
-            && next.map(|t| t.is_punct("(")).unwrap_or(false)
-        {
-            let key = format!(".{}", tok.text);
-            push_finding(out, f, tok.line, Rule::PanicFree, &key,
-                format!("`{key}(…)` in the decode chain — propagate the error, a corrupt frame must not kill the receiver"));
-        }
+        };
+        let msg = if key.ends_with('!') {
+            format!("`{key}` in the decode chain — degrade with a typed error instead of dying")
+        } else {
+            format!("`{key}(…)` in the decode chain — propagate the error, a corrupt frame must not kill the receiver")
+        };
+        push_finding(out, f, tok.line, Rule::PanicFree, &key, msg);
     }
 }
 
@@ -416,65 +449,20 @@ struct Sinks {
 /// transitive pass decides scope at the *root*).
 fn body_sinks(f: &ScannedFile, toks: &[usize]) -> Sinks {
     let mut s = Sinks::default();
-    for (k, &i) in toks.iter().enumerate() {
-        let tok = &f.tokens[i];
-        if tok.kind != TokenKind::Ident {
+    for k in 0..toks.len() {
+        let at = At::in_body(f, toks, k);
+        let line = at.tok.line;
+        if at.tok.kind != TokenKind::Ident {
             continue;
         }
-        let next = toks.get(k + 1).map(|&j| &f.tokens[j]);
-        let prev_is_dot = k > 0 && f.tokens[toks[k - 1]].is_punct(".");
-        let next2 = toks.get(k + 2).map(|&j| &f.tokens[j]);
-
-        // R1 alloc constructs.
-        if s.alloc.is_none() && !f.allowed("R1", "no-alloc", tok.line) {
-            if R1_MACROS.contains(&tok.text.as_str())
-                && next.map(|t| t.is_punct("!")).unwrap_or(false)
-            {
-                s.alloc = Some((format!("{}!", tok.text), tok.line));
-            } else if next.map(|t| t.is_punct("::")).unwrap_or(false)
-                && next2
-                    .map(|m| {
-                        m.kind == TokenKind::Ident
-                            && R1_PATHS.iter().any(|(ty, me)| *ty == tok.text && *me == m.text)
-                    })
-                    .unwrap_or(false)
-            {
-                s.alloc = Some((
-                    format!("{}::{}", tok.text, next2.map(|m| m.text.as_str()).unwrap_or("")),
-                    tok.line,
-                ));
-            } else if prev_is_dot
-                && R1_METHODS.contains(&tok.text.as_str())
-                && next.map(|t| t.is_punct("(") || t.is_punct("::")).unwrap_or(false)
-            {
-                s.alloc = Some((format!(".{}", tok.text), tok.line));
-            }
+        if s.alloc.is_none() && !f.allowed("R1", "no-alloc", line) {
+            s.alloc = at.alloc().map(|key| (key, line));
         }
-
-        // R3 determinism sinks.
-        if s.det.is_none() && !f.allowed("R3", "determinism", tok.line) {
-            if R3_IDENTS.contains(&tok.text.as_str()) {
-                s.det = Some((tok.text.clone(), tok.line));
-            } else if tok.text == "Instant"
-                && next.map(|t| t.is_punct("::")).unwrap_or(false)
-                && next2.map(|t| t.is_ident("now")).unwrap_or(false)
-            {
-                s.det = Some(("Instant::now".to_string(), tok.line));
-            }
+        if s.det.is_none() && !f.allowed("R3", "determinism", line) {
+            s.det = at.det().map(|key| (key, line));
         }
-
-        // R4 panic sinks.
-        if s.panics.is_none() && !f.allowed("R4", "panic-free", tok.line) {
-            if R4_MACROS.contains(&tok.text.as_str())
-                && next.map(|t| t.is_punct("!")).unwrap_or(false)
-            {
-                s.panics = Some((format!("{}!", tok.text), tok.line));
-            } else if prev_is_dot
-                && R4_METHODS.contains(&tok.text.as_str())
-                && next.map(|t| t.is_punct("(")).unwrap_or(false)
-            {
-                s.panics = Some((format!(".{}", tok.text), tok.line));
-            }
+        if s.panics.is_none() && !f.allowed("R4", "panic-free", line) {
+            s.panics = at.panics().map(|key| (key, line));
         }
     }
     s

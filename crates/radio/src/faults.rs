@@ -101,8 +101,10 @@ pub enum FrameFate {
     Lost,
 }
 
-/// SplitMix64 step — the hash behind all schedule-derived randomness.
-fn mix(mut z: u64) -> u64 {
+/// SplitMix64 step — the hash behind all schedule-derived randomness, here
+/// and in every seeded simulation built on it (link faults, terrain,
+/// listener populations, the cluster soak).
+pub fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -110,13 +112,20 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// Combines seed material into one hash word.
-fn mix3(a: u64, b: u64, c: u64) -> u64 {
+pub fn mix3(a: u64, b: u64, c: u64) -> u64 {
     mix(mix(mix(a) ^ b) ^ c)
 }
 
 /// Uniform f64 in [0,1) from a hash word.
-fn unit_f64(h: u64) -> f64 {
+pub fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Standard normal (approximately) from one hash word: sum of four 16-bit
+/// uniform lanes, Irwin–Hall shaped (σ of the sum of 4 uniforms = √(4/12)).
+pub fn gauss(h: u64) -> f64 {
+    let sum = (h & 0xFFFF) + ((h >> 16) & 0xFFFF) + ((h >> 32) & 0xFFFF) + ((h >> 48) & 0xFFFF);
+    (sum as f64 / 65_535.0 - 2.0) / 0.577_35
 }
 
 /// A seeded, composable impairment schedule.

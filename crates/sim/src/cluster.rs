@@ -35,24 +35,12 @@ use sonic_core::server::cluster::{Coordinator, SiteNode, SiteStats};
 use sonic_core::server::render::Renderer;
 use sonic_core::server::store::ArtifactStore;
 use sonic_pagegen::{Corpus, PageId};
+use sonic_radio::faults::{mix, mix3};
 use sonic_sms::gateway;
 use sonic_sms::geo::{Coverage, GeoPoint, TransmitterSite};
 use sonic_sms::queries::{format_nack, Nack};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-
-/// Hash step shared with the fault machinery (SplitMix64).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Combines seed material into one hash word.
-fn mix3(a: u64, b: u64, c: u64) -> u64 {
-    mix(mix(mix(a) ^ b) ^ c)
-}
 
 /// Synthetic corpus size (page 0 of each site is the content pool).
 const CORPUS_SITES: usize = 6;

@@ -32,12 +32,12 @@
 use crate::linksim;
 use crate::pool::{self, run_ordered};
 use crate::scenario::aggregate::ScenarioAggregates;
-use crate::scenario::population::{mix, mix3, unit_f64, Population};
+use crate::scenario::population::Population;
 use crate::terrain::{TerrainConfig, TerrainGrid};
 use crate::workload::diurnal_factor;
 use sonic_core::frame::FRAME_SIZE;
 use sonic_core::link::FRAMES_PER_BURST;
-use sonic_radio::faults::{Fault, FaultPlan, DRIFT_CLASSES};
+use sonic_radio::faults::{mix, mix3, unit_f64, Fault, FaultPlan, DRIFT_CLASSES};
 use sonic_radio::rssi::{band_center_db, rssi_band, rssi_frame_loss};
 use sonic_sms::CongestionModel;
 

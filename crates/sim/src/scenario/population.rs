@@ -13,31 +13,7 @@
 //! in parallel on any worker count and still replay byte-identically.
 
 use crate::terrain::TerrainGrid;
-use sonic_radio::faults::DRIFT_CLASSES;
-
-/// SplitMix64 step (same constants as the fault machinery).
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Combines seed material into one hash word.
-pub(crate) fn mix3(a: u64, b: u64, c: u64) -> u64 {
-    mix(mix(mix(a) ^ b) ^ c)
-}
-
-/// Uniform f64 in [0,1) from a hash word.
-pub(crate) fn unit_f64(h: u64) -> f64 {
-    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-/// Standard normal (approximately) from one hash word (Irwin–Hall, 4 lanes).
-pub(crate) fn gauss(h: u64) -> f64 {
-    let sum = (h & 0xFFFF) + ((h >> 16) & 0xFFFF) + ((h >> 32) & 0xFFFF) + ((h >> 48) & 0xFFFF);
-    (sum as f64 / 65_535.0 - 2.0) / 0.577_35
-}
+use sonic_radio::faults::{gauss, mix, mix3, unit_f64, DRIFT_CLASSES};
 
 /// One population center.
 #[derive(Debug, Clone, Copy)]

@@ -15,27 +15,8 @@
 //! count. Each site gets an independent field (different propagation paths
 //! see different obstructions).
 
+use sonic_radio::faults::{gauss, mix3};
 use sonic_radio::rssi::PathLoss;
-
-/// Hash step shared with the fault machinery (SplitMix64).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Combines seed material into one hash word.
-fn mix3(a: u64, b: u64, c: u64) -> u64 {
-    mix(mix(mix(a) ^ b) ^ c)
-}
-
-/// Standard normal (approximately) from one hash word: sum of four 16-bit
-/// uniform lanes, Irwin–Hall shaped (σ of the sum of 4 uniforms = √(4/12)).
-fn gauss(h: u64) -> f64 {
-    let sum = (h & 0xFFFF) + ((h >> 16) & 0xFFFF) + ((h >> 32) & 0xFFFF) + ((h >> 48) & 0xFFFF);
-    (sum as f64 / 65_535.0 - 2.0) / 0.577_35
-}
 
 /// One broadcast transmitter on the plane.
 #[derive(Debug, Clone, Copy)]
@@ -120,11 +101,6 @@ impl TerrainGrid {
             });
         }
         TerrainGrid { cfg, sites }
-    }
-
-    /// The region configuration.
-    pub fn config(&self) -> &TerrainConfig {
-        &self.cfg
     }
 
     /// The transmitter sites.
