@@ -4,12 +4,13 @@
 //! which is plenty for the roll-offs the FM multiplexer and the
 //! acoustic channel models need. Two ways to apply one: the direct form
 //! ([`Fir`], one sample at a time, `O(taps)` per sample — the acoustic hop's
-//! speaker response and the oracle the fast path is tested against) and FFT
-//! overlap-save ([`OverlapSave`], the long receive-side filters). Streaming
-//! state is kept in the filter so the radio pipeline can process audio in
-//! arbitrary block sizes.
+//! speaker response and the oracle the fast paths are tested against) and FFT
+//! overlap-save ([`OverlapSave`], the MPX decomposer's long real band
+//! selects). A filter whose output is decimated runs as a polyphase
+//! [`crate::resample::Resampler`] instead, which computes only the outputs it
+//! keeps. Streaming state is kept in the filter so the radio pipeline can
+//! process audio in arbitrary block sizes.
 
-use crate::complex::C32;
 use crate::plan::FirPlan;
 use crate::split::SplitC32;
 use crate::window::hamming;
@@ -125,102 +126,37 @@ const BATCH: usize = 8;
 /// Most bands one [`OverlapSave`] engine filters per pass.
 pub const MAX_BANDS: usize = 8;
 
-/// A sample type [`OverlapSave`] can stream (`f32` and [`C32`]).
+/// Streaming FFT overlap-save convolution of a real signal: the one fast
+/// FIR engine.
 ///
-/// The engine's frames are complex split planes and its taps are real, so a
-/// frame's two planes convolve independently. A complex signal fills both
-/// with one block; a real signal packs two *consecutive* blocks, the first
-/// in the real plane and the second in the imaginary plane, halving the
-/// transform count. That packing is all the engine needs to know about its
-/// sample type, and it enters only here.
-pub trait Sample: Copy {
-    /// Silence.
-    const ZERO: Self;
-    /// Input blocks one FFT frame carries.
-    const BLOCKS: usize;
-
-    /// Fills one frame's planes from `window`: the `m` samples of history
-    /// before the frame's first new sample, then its new samples (at most
-    /// `BLOCKS × block`). The planes' remainder is zeroed.
-    fn gather(window: &[Self], m: usize, block: usize, re: &mut [f32], im: &mut [f32]);
-
-    /// Reads a filtered frame's `out.len()` new samples back out of its
-    /// planes (the first `m` outputs of each plane are circular-wrap garbage).
-    fn scatter(re: &[f32], im: &[f32], m: usize, block: usize, out: &mut [Self]);
-}
-
-impl Sample for f32 {
-    const ZERO: Self = 0.0;
-    const BLOCKS: usize = 2;
-
-    fn gather(window: &[f32], m: usize, block: usize, re: &mut [f32], im: &mut [f32]) {
-        // Block A = the first `a` new samples, block B the rest; each plane
-        // gets its block behind the `m` samples that precede it. An empty
-        // block B still carries its history: the planes share one transform,
-        // so what rides in `im` shapes the rounding of `re`.
-        let a = (window.len() - m).min(block);
-        re[..m + a].copy_from_slice(&window[..m + a]);
-        re[m + a..].fill(0.0);
-        let b_end = window.len() - a;
-        im[..b_end].copy_from_slice(&window[a..]);
-        im[b_end..].fill(0.0);
-    }
-
-    fn scatter(re: &[f32], im: &[f32], m: usize, block: usize, out: &mut [f32]) {
-        let (a, b) = out.split_at_mut(out.len().min(block));
-        a.copy_from_slice(&re[m..m + a.len()]);
-        b.copy_from_slice(&im[m..m + b.len()]);
-    }
-}
-
-impl Sample for C32 {
-    const ZERO: Self = C32::ZERO;
-    const BLOCKS: usize = 1;
-
-    fn gather(window: &[C32], _m: usize, _block: usize, re: &mut [f32], im: &mut [f32]) {
-        for ((r, i), v) in re.iter_mut().zip(im.iter_mut()).zip(window) {
-            *r = v.re;
-            *i = v.im;
-        }
-        re[window.len()..].fill(0.0);
-        im[window.len()..].fill(0.0);
-    }
-
-    fn scatter(re: &[f32], im: &[f32], m: usize, _block: usize, out: &mut [C32]) {
-        for ((o, &r), &i) in out.iter_mut().zip(&re[m..]).zip(&im[m..]) {
-            *o = C32::new(r, i);
-        }
-    }
-}
-
-/// Streaming FFT overlap-save convolution: the one fast FIR engine.
-///
-/// Filters a real or complex signal through 1..=[`MAX_BANDS`] equal-shape
-/// [`FirPlan`]s. Per batch of frames the loop is gather → **one** forward
-/// transform → per band: tap-spectrum multiply, inverse transform, scatter —
-/// so `B` bands cost `1 + B` transforms per frame instead of `2B`, and each
-/// band's output is bit-identical to filtering it alone. Against the direct
-/// form ([`Fir::process`]) the output differs only by FFT rounding (relative
-/// error ~1e-6) while the cost per sample drops from `O(taps)` to
-/// `O(log taps)`.
+/// Filters the signal through 1..=[`MAX_BANDS`] equal-shape [`FirPlan`]s.
+/// The frames are complex split planes and the taps are real, so a frame's
+/// two planes convolve independently: each frame packs two *consecutive*
+/// blocks, the first in the real plane and the second in the imaginary
+/// plane, halving the transform count. Per batch of frames the loop is
+/// gather → **one** forward transform → per band: tap-spectrum multiply,
+/// inverse transform, scatter — so `B` bands cost `1 + B` transforms per
+/// frame instead of `2B`, and each band's output is bit-identical to
+/// filtering it alone. Against the direct form ([`Fir::process`]) the
+/// output differs only by FFT rounding (relative error ~1e-6) while the cost
+/// per sample drops from `O(taps)` to `O(log taps)`.
 ///
 /// Plans are shared (`Arc`), so an engine is cheap to build per call; the
 /// `taps − 1` sample tail carries across [`process`](Self::process) calls
-/// for callers that stream. A stream cut into calls at multiples of
-/// `BLOCKS ×` [`FirPlan::block`] comes out bit-identical to one call over
-/// all of it, because every FFT frame then holds the same samples; cut
-/// anywhere else the frames shift, and the output is the same filter with
-/// different rounding (an ulp on most samples). Users: the OFDM receiver's
-/// I/Q baseband low-pass (complex, one band, streamed in whole blocks) and
-/// the MPX decomposer's band selects (real; mono + pilot + RDS in one pass,
-/// the stereo branch one at a time).
+/// for callers that stream. A stream cut into calls at multiples of two
+/// [`FirPlan::block`]s comes out bit-identical to one call over all of it,
+/// because every FFT frame then holds the same samples; cut anywhere else
+/// the frames shift, and the output is the same filter with different
+/// rounding (an ulp on most samples). Users: the MPX decomposer's band
+/// selects (mono + pilot + RDS in one pass, the stereo branch one at a
+/// time).
 #[derive(Debug, Clone)]
-pub struct OverlapSave<T: Sample> {
+pub struct OverlapSave {
     plans: Vec<Arc<FirPlan>>,
     /// The `taps − 1` most recent inputs (streaming history).
-    tail: Vec<T>,
+    tail: Vec<f32>,
     /// `tail ++ input`; every frame is a contiguous window of it.
-    ext: Vec<T>,
+    ext: Vec<f32>,
     /// Forward spectra of up to [`BATCH`] frames, shared by every band.
     frames: SplitC32,
     /// Working copy of `frames` for every band but the last, which consumes
@@ -228,7 +164,7 @@ pub struct OverlapSave<T: Sample> {
     band: SplitC32,
 }
 
-impl<T: Sample> OverlapSave<T> {
+impl OverlapSave {
     /// Builds an engine over shared plans, one per band, starting from
     /// silence.
     ///
@@ -251,16 +187,11 @@ impl<T: Sample> OverlapSave<T> {
         );
         OverlapSave {
             plans,
-            tail: vec![T::ZERO; taps - 1],
+            tail: vec![0.0; taps - 1],
             ext: Vec::new(),
             frames: SplitC32::new(),
             band: SplitC32::new(),
         }
-    }
-
-    /// Forgets the stream so far: the next input follows silence again.
-    pub fn reset(&mut self) {
-        self.tail.fill(T::ZERO);
     }
 
     /// Filters `input` through every band, appending band `b`'s
@@ -268,17 +199,17 @@ impl<T: Sample> OverlapSave<T> {
     ///
     /// # Panics
     /// Panics unless `outputs` has one entry per band.
-    pub fn process(&mut self, input: &[T], outputs: &mut [Vec<T>]) {
+    pub fn process(&mut self, input: &[f32], outputs: &mut [Vec<f32>]) {
         assert_eq!(outputs.len(), self.plans.len(), "one output per band");
         let total = input.len();
         for out in outputs.iter_mut() {
-            out.resize(out.len() + total, T::ZERO);
+            out.resize(out.len() + total, 0.0);
         }
         let m = self.tail.len();
         let fft = self.plans[0].fft();
         let n = fft.len();
         let block = self.plans[0].block();
-        let step = T::BLOCKS * block;
+        let step = 2 * block;
         self.ext.clear();
         self.ext.extend_from_slice(&self.tail);
         self.ext.extend_from_slice(input);
@@ -293,15 +224,20 @@ impl<T: Sample> OverlapSave<T> {
                 start..start + step.min(total - start)
             };
             self.frames.resize(nb * n);
-            for f in 0..nb {
-                let r = new(f);
-                T::gather(
-                    &self.ext[r.start..r.end + m],
-                    m,
-                    block,
-                    &mut self.frames.re[f * n..(f + 1) * n],
-                    &mut self.frames.im[f * n..(f + 1) * n],
-                );
+            let planes = self.frames.re.chunks_exact_mut(n).zip(self.frames.im.chunks_exact_mut(n));
+            for (f, (re, im)) in planes.enumerate() {
+                // Block A = the frame's first `a` new samples, block B the
+                // rest; each plane gets its block behind the `m` samples
+                // that precede it. An empty block B still carries its
+                // history: the planes share one transform, so what rides in
+                // `im` shapes the rounding of `re`.
+                let window = &self.ext[new(f).start..new(f).end + m];
+                let a = (window.len() - m).min(block);
+                re[..m + a].copy_from_slice(&window[..m + a]);
+                re[m + a..].fill(0.0);
+                let b_end = window.len() - a;
+                im[..b_end].copy_from_slice(&window[a..]);
+                im[b_end..].fill(0.0);
             }
             fft.forward_batch(&mut self.frames);
             for (b, (plan, out)) in self.plans.iter().zip(outputs.iter_mut()).enumerate() {
@@ -315,15 +251,15 @@ impl<T: Sample> OverlapSave<T> {
                 plan.apply_spectrum(work);
                 plan.fft().inverse_batch(work);
                 let fresh = out.len() - total;
-                for f in 0..nb {
+                let planes = work.re.chunks_exact(n).zip(work.im.chunks_exact(n));
+                for (f, (re, im)) in planes.enumerate() {
+                    // The first `m` outputs of each plane are circular-wrap
+                    // garbage; the block's new samples follow.
                     let r = new(f);
-                    T::scatter(
-                        &work.re[f * n..(f + 1) * n],
-                        &work.im[f * n..(f + 1) * n],
-                        m,
-                        block,
-                        &mut out[fresh + r.start..fresh + r.end],
-                    );
+                    let frame_out = &mut out[fresh + r.start..fresh + r.end];
+                    let (a, b) = frame_out.split_at_mut(r.len().min(block));
+                    a.copy_from_slice(&re[m..m + a.len()]);
+                    b.copy_from_slice(&im[m..m + b.len()]);
                 }
             }
             p += nb * step;
@@ -404,14 +340,10 @@ mod tests {
     }
 
     #[test]
-    fn overlap_save_cut_at_block_multiples_is_bit_identical_to_one_call() {
+    fn overlap_save_cut_at_frame_multiples_is_bit_identical_to_one_call() {
         let plan = FirPlan::shared(&design_lowpass(101, 0.17));
-        let block = plan.block();
-        let sig: Vec<C32> = noise(20 * block + 123, 5)
-            .iter()
-            .zip(&noise(20 * block + 123, 6))
-            .map(|(&re, &im)| C32::new(re, im))
-            .collect();
+        let frame = 2 * plan.block();
+        let sig = noise(20 * frame + 123, 5);
         let run = |cuts: &[usize]| {
             let mut engine = OverlapSave::new(vec![Arc::clone(&plan)]);
             let mut out = [Vec::new()];
@@ -424,16 +356,10 @@ mod tests {
             out
         };
         let whole = run(&[]);
-        // Past a batch of frames, mid-batch, back to back, and a reset engine.
-        assert_eq!(run(&[block, 3 * block, 4 * block, 15 * block]), whole);
-        let mut engine = OverlapSave::new(vec![Arc::clone(&plan)]);
-        engine.process(&sig[..777], &mut [Vec::new()]);
-        engine.reset();
-        let mut again = [Vec::new()];
-        engine.process(&sig, &mut again);
-        assert_eq!(again[0], whole);
+        // Past a batch of frames, mid-batch and back to back.
+        assert_eq!(run(&[frame, 3 * frame, 4 * frame, 15 * frame]), whole);
         // A cut anywhere else is the same filter, rounded differently.
-        let ragged = run(&[block + 1]);
+        let ragged = run(&[frame / 2]);
         assert_ne!(ragged, whole);
         for (a, b) in ragged.iter().zip(&whole) {
             assert!((*a - *b).abs() < 1e-5);

@@ -15,10 +15,12 @@
 //! * [`window`] — the Hamming window of the FIR designs and the OFDM burst's
 //!   raised-cosine edge.
 //! * [`fir`] — windowed-sinc FIR design, the per-sample direct-form
-//!   [`fir::Fir`] and the FFT overlap-save engine [`fir::OverlapSave`].
+//!   [`fir::Fir`] and the real FFT overlap-save engine [`fir::OverlapSave`].
 //! * [`iir`] — first-order shelves (FM de-/pre-emphasis).
-//! * [`resample`] — polyphase rational resampler.
-//! * [`osc`] — numerically controlled oscillator and quadrature mixer.
+//! * [`resample`] — polyphase rational resampler, and decimator from given
+//!   taps.
+//! * [`osc`] — numerically controlled oscillator, its one-period replay and
+//!   quadrature mixer.
 //! * [`goertzel`] — single-bin DFT power detector (used by the FSK modem).
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
 //! * [`simd`] — the three runtime-dispatched SIMD kernels that measurably pay

@@ -168,28 +168,28 @@ impl PeriodicOsc {
         self.table.len()
     }
 
-    /// Returns to the phase of stream sample 0.
-    pub fn reset(&mut self) {
-        self.pos = 0;
+    /// This oscillator as a signal that keeps every `stride`-th sample from
+    /// sample `first` sees it, from the start: one period of the phasors of
+    /// samples `first`, `first + stride`, `first + 2·stride`, …
+    pub fn decimated(&self, stride: usize, first: usize) -> Self {
+        let n = self.table.len();
+        // The kept samples' phasors repeat once `period` strides are whole periods.
+        let period = (1..=n).find(|p| (p * stride).is_multiple_of(n)).unwrap_or(n);
+        PeriodicOsc {
+            table: (0..period).map(|m| self.table[(first + m * stride) % n]).collect(),
+            pos: 0,
+        }
     }
 
-    /// [`downconvert`] continuing from where the last call stopped; appends
-    /// to `out`.
-    pub fn downconvert(&mut self, passband: &[f32], out: &mut Vec<C32>) {
-        let start = out.len();
-        out.resize(start + passband.len(), C32::ZERO);
-        let mut mixed = &mut out[start..];
-        let mut rest = passband;
-        while !rest.is_empty() {
-            let run = rest.len().min(self.table.len() - self.pos);
-            let (head, tail) = mixed.split_at_mut(run);
-            for ((o, &x), c) in head.iter_mut().zip(rest).zip(&self.table[self.pos..]) {
-                *o = c.conj().scale(x * std::f32::consts::SQRT_2);
-            }
-            self.pos = (self.pos + run) % self.table.len();
-            mixed = tail;
-            rest = &rest[run..];
+    /// The next sample's phasor.
+    #[inline]
+    pub fn advance(&mut self) -> C32 {
+        let c = self.table[self.pos];
+        self.pos += 1;
+        if self.pos == self.table.len() {
+            self.pos = 0;
         }
+        c
     }
 }
 
@@ -319,28 +319,24 @@ mod tests {
     #[test]
     fn periodic_osc_is_its_nco_for_one_period_and_an_ulp_off_after() {
         let (fs, fc) = (44_100.0, 9_200.0);
-        let passband: Vec<f32> = (0..100_000).map(|i| ((i * 37 % 201) as f32 - 100.0) / 100.0).collect();
-        let mut want = Vec::new();
-        downconvert(&mut Nco::new(fs, fc), &passband, &mut want);
+        let mut nco = Nco::new(fs, fc);
+        let want: Vec<C32> = (0..100_000).map(|_| nco.next()).collect();
         let mut osc = PeriodicOsc::new(fs, fc);
-        let mut got = Vec::new();
-        // Ragged pushes: the position carries across calls and period ends.
-        for chunk in passband.chunks(1_000) {
-            osc.downconvert(chunk, &mut got);
-        }
-        assert_eq!(got.len(), want.len());
+        let got: Vec<C32> = (0..want.len()).map(|_| osc.advance()).collect();
         let bits = |v: &C32| (v.re.to_bits(), v.im.to_bits());
         for (w, g) in want.iter().zip(&got).take(osc.period()) {
             assert_eq!(bits(w), bits(g));
         }
-        // |x·√2| ≤ √2 and the phasors differ by at most an ulp of 1.0.
         for (k, (w, g)) in want.iter().zip(&got).enumerate() {
-            assert!((*w - *g).abs() < 2.0 * f32::EPSILON, "sample {k}: {w:?} vs {g:?}");
+            assert!((*w - *g).abs() < f32::EPSILON, "sample {k}: {w:?} vs {g:?}");
         }
-        osc.reset();
-        let mut again = Vec::new();
-        osc.downconvert(&passband[..500], &mut again);
-        assert_eq!(again, got[..500]);
+        // Every 4th phasor from sample 2: 441 is odd, so all 441 of them.
+        let mut quarter = PeriodicOsc::new(fs, fc).decimated(4, 2);
+        assert_eq!(quarter.period(), 441);
+        for m in 0..2_000 {
+            assert_eq!(bits(&quarter.advance()), bits(&got[4 * m + 2]), "kept sample {m}");
+        }
+        assert_eq!(PeriodicOsc::new(fs, 10_500.0).decimated(3, 0).period(), 7);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! The radio substrate runs at 480 kHz while the audio modem runs at
 //! 44.1/48 kHz; this module converts between arbitrary rational rates with a
-//! windowed-sinc polyphase kernel.
+//! windowed-sinc polyphase kernel. The same engine, given its taps, is the
+//! OFDM receiver's decimating I/Q low-pass.
 
 use crate::fir::design_lowpass;
 use crate::simd;
@@ -62,6 +63,26 @@ impl Resampler {
         for c in &mut proto {
             *c *= up as f32; // compensate zero-stuffing loss
         }
+        Self::polyphase(&proto, up, down, 0)
+    }
+
+    /// Decimates by `factor` through the FIR `taps`: of the filter's
+    /// outputs it computes only those at inputs `first`, `first + factor`,
+    /// `first + 2·factor`, … of the stream, each one [`simd::dot`] of the
+    /// taps against the window of inputs ending there. The tail carries
+    /// across calls, so however the stream is cut the outputs are the same
+    /// bits.
+    ///
+    /// # Panics
+    /// Panics if `taps` is empty or `first >= factor`.
+    pub fn decimator(taps: &[f32], factor: usize, first: usize) -> Self {
+        assert!(first < factor, "first kept output {first} must precede the {factor}th input");
+        Self::polyphase(taps, 1, factor, first)
+    }
+
+    /// Splits `proto` (at the rate upsampled by `up`) into its `up` phases.
+    fn polyphase(proto: &[f32], up: usize, down: usize, phase: usize) -> Self {
+        let taps_per_phase = proto.len().div_ceil(up);
         let mut phases = vec![vec![0.0f32; taps_per_phase]; up];
         for (i, &c) in proto.iter().enumerate() {
             // Reversed tap order (oldest-first) so `process_into` reads each
@@ -74,7 +95,7 @@ impl Resampler {
             phases,
             tail: vec![0.0; taps_per_phase - 1],
             ext: Vec::new(),
-            phase: 0,
+            phase,
         }
     }
 
@@ -85,23 +106,19 @@ impl Resampler {
 
     /// Resamples a block, appending outputs to `out`.
     pub fn process_into(&mut self, input: &[f32], out: &mut Vec<f32>) {
-        // Walk the phase accumulator once up front so the output region can
-        // be sized exactly — no amortized growth in the streaming path.
-        let mut count = 0usize;
-        let mut ph = self.phase;
-        for _ in 0..input.len() {
-            while ph < self.up {
-                count += 1;
-                ph += self.down;
-            }
-            ph -= self.up;
-        }
+        // On the virtual upsampled clock each input is `up` ticks and an
+        // output fires every `down` ticks, the first `phase` ticks into this
+        // block: the output at tick `τ` is phase `τ % up` of the filter over
+        // the window ending at input `τ / up`. Counting them up front sizes
+        // the output region exactly — no amortized growth in the streaming
+        // path.
+        let ticks = input.len() * self.up;
+        let count = ticks.saturating_sub(self.phase).div_ceil(self.down);
         let start = out.len();
         out.resize(start + count, 0.0);
         if input.is_empty() {
             return;
         }
-        let o = &mut out[start..];
         // Linearize the delay line once per block instead of rotating a
         // history buffer per sample: with `ext = tail ++ input`, the window
         // ending at `input[i]` is the contiguous slice `ext[i..i + T]`
@@ -111,17 +128,18 @@ impl Resampler {
         self.ext.resize(m + input.len(), 0.0);
         self.ext[..m].copy_from_slice(&self.tail);
         self.ext[m..].copy_from_slice(input);
-        let mut j = 0usize;
-        for i in 0..input.len() {
-            // Each input advances the virtual upsampled clock by `up` ticks;
-            // outputs fire every `down` ticks.
-            while self.phase < self.up {
-                o[j] = simd::dot(&self.phases[self.phase], &self.ext[i..i + t]);
-                j += 1;
-                self.phase += self.down;
+        let (step, carry) = (self.down / self.up, self.down % self.up);
+        let (mut i, mut p) = (self.phase / self.up, self.phase % self.up);
+        for o in &mut out[start..] {
+            *o = simd::dot(&self.phases[p], &self.ext[i..i + t]);
+            i += step;
+            p += carry;
+            if p >= self.up {
+                p -= self.up;
+                i += 1;
             }
-            self.phase -= self.up;
         }
+        self.phase = self.phase + count * self.down - ticks;
         // The last T − 1 samples of this block seed the next window.
         self.tail.copy_from_slice(&self.ext[self.ext.len() - m..]);
     }
@@ -175,6 +193,35 @@ mod tests {
         assert_eq!(r.ratio(), (1, 10));
         let r = Resampler::new(44100, 48000, 8);
         assert_eq!(r.ratio(), (160, 147));
+    }
+
+    #[test]
+    fn decimator_keeps_every_factorth_direct_form_output_at_any_cut() {
+        let taps = design_lowpass(101, 0.06);
+        let sig: Vec<f32> = (0..5_000)
+            .map(|i| (i * 7_919 % 2_003) as f32 / 1_001.5 - 1.0)
+            .collect();
+        let mut fir = crate::fir::Fir::new(taps.clone());
+        let direct: Vec<f32> = sig.iter().map(|&x| fir.push(x)).collect();
+        let run = |cuts: &[usize]| {
+            let mut d = Resampler::decimator(&taps, 4, 2);
+            let mut out = Vec::new();
+            let mut from = 0;
+            for &cut in cuts.iter().chain([&sig.len()]) {
+                d.process_into(&sig[from..cut], &mut out);
+                from = cut;
+            }
+            out
+        };
+        let whole = run(&[]);
+        assert_eq!(whole.len(), 1_250);
+        for (m, y) in whole.iter().enumerate() {
+            assert!((y - direct[4 * m + 2]).abs() < 1e-5, "output {m}");
+        }
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for cuts in [&[1usize, 2, 3, 997][..], &[50, 51, 4_001], &[2_500]] {
+            assert_eq!(bits(&run(cuts)), bits(&whole), "cuts {cuts:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sonic_dsp::fft::Fft;
-use sonic_dsp::fir::{design_bandpass, design_lowpass, Fir, OverlapSave, Sample};
+use sonic_dsp::fir::{design_bandpass, design_lowpass, Fir, OverlapSave};
 use sonic_dsp::plan::{FftPlan, FirPlan};
 use sonic_dsp::resample::Resampler;
 use sonic_dsp::window::hamming;
@@ -27,7 +27,7 @@ fn direct_form(taps: &[f32], signal: &[f32]) -> Vec<f32> {
 /// Feeds `signal` through a fresh overlap-save engine over `plans`: first
 /// `cuts[0]`, `cuts[1]`, … samples at a time, then the remainder in one call
 /// (no cuts = one shot). Returns one output per band.
-fn overlap_save<T: Sample>(plans: &[Arc<FirPlan>], signal: &[T], cuts: &[usize]) -> Vec<Vec<T>> {
+fn overlap_save(plans: &[Arc<FirPlan>], signal: &[f32], cuts: &[usize]) -> Vec<Vec<f32>> {
     let mut engine = OverlapSave::new(plans.to_vec());
     let mut outs = vec![Vec::new(); plans.len()];
     let mut rest = signal;
@@ -49,57 +49,30 @@ fn max_diff(a: &[f32], b: &[f32]) -> f32 {
         .fold(0.0, f32::max)
 }
 
-/// The one property of the overlap-save engine, checked on a real signal and
-/// on a complex one built from it, for any bank of equal-length tap sets:
+/// The one property of the overlap-save engine, for any bank of equal-length
+/// tap sets:
 ///
 /// (a) `k` bands in one pass equal `k` single-band passes over the same
 ///     plans, to the bit;
 /// (b) streaming through `cuts` equals one shot within 1e-5;
 /// (c) every band agrees with the direct-form [`Fir::push`] oracle within
 ///     1e-4.
-fn check_overlap_save(bank: &[Vec<f32>], real: &[f32], cuts: &[usize]) {
+fn check_overlap_save(bank: &[Vec<f32>], signal: &[f32], cuts: &[usize]) {
     let plans: Vec<_> = bank.iter().map(|t| FirPlan::shared(t)).collect();
-    let n = real.len();
-    let imag: Vec<f32> = (0..n).map(|i| 0.5 * real[(i + 7) % n]).collect();
-    let complex: Vec<C32> = real
-        .iter()
-        .zip(&imag)
-        .map(|(&r, &i)| C32::new(r, i))
-        .collect();
-    let planes = |v: &[C32]| -> (Vec<f32>, Vec<f32>) { v.iter().map(|c| (c.re, c.im)).unzip() };
-
-    let real_once = overlap_save(&plans, real, &[]);
-    let real_cut = overlap_save(&plans, real, cuts);
-    let complex_once = overlap_save(&plans, &complex, &[]);
-    let complex_cut = overlap_save(&plans, &complex, cuts);
+    let n = signal.len();
+    let once = overlap_save(&plans, signal, &[]);
+    let cut = overlap_save(&plans, signal, cuts);
     for (b, taps) in bank.iter().enumerate() {
         let ctx = format!(
             "{} taps, band {b} of {}, {n} samples, cuts {cuts:?}",
             taps.len(),
             bank.len()
         );
-        let (re_once, im_once) = planes(&complex_once[b]);
-        let (re_cut, im_cut) = planes(&complex_cut[b]);
-
-        let real_alone = overlap_save(&plans[b..=b], real, &[]);
-        let (re_alone, im_alone) = planes(&overlap_save(&plans[b..=b], &complex, &[])[0]);
+        let alone = overlap_save(&plans[b..=b], signal, &[]);
         let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
-        assert_eq!(bits(&real_once[b]), bits(&real_alone[0]), "(a) real: {ctx}");
-        assert_eq!(bits(&re_once), bits(&re_alone), "(a) complex re: {ctx}");
-        assert_eq!(bits(&im_once), bits(&im_alone), "(a) complex im: {ctx}");
-
-        assert!(
-            max_diff(&real_cut[b], &real_once[b]) < 1e-5,
-            "(b) real: {ctx}"
-        );
-        assert!(max_diff(&re_cut, &re_once) < 1e-5, "(b) complex re: {ctx}");
-        assert!(max_diff(&im_cut, &im_once) < 1e-5, "(b) complex im: {ctx}");
-
-        let want_re = direct_form(taps, real);
-        let want_im = direct_form(taps, &imag);
-        assert!(max_diff(&real_once[b], &want_re) < 1e-4, "(c) real: {ctx}");
-        assert!(max_diff(&re_once, &want_re) < 1e-4, "(c) complex re: {ctx}");
-        assert!(max_diff(&im_once, &want_im) < 1e-4, "(c) complex im: {ctx}");
+        assert_eq!(bits(&once[b]), bits(&alone[0]), "(a) {ctx}");
+        assert!(max_diff(&cut[b], &once[b]) < 1e-5, "(b) {ctx}");
+        assert!(max_diff(&once[b], &direct_form(taps, signal)) < 1e-4, "(c) {ctx}");
     }
 }
 
@@ -128,8 +101,6 @@ fn overlap_save_engine_named_rows() {
         &noise(3000, 42),
         &[13, 250, 999, 1],
     );
-    // The OFDM receiver's shape: a 101-tap low-pass over I/Q, cut mid-stream.
-    check_overlap_save(&[design_lowpass(101, 0.22)], &noise(1500, 5), &[733]);
 }
 
 /// The bank shares one frame scratch sized for eight bands; a ninth is a
@@ -138,7 +109,7 @@ fn overlap_save_engine_named_rows() {
 #[should_panic(expected = "1..=8 bands")]
 fn overlap_save_rejects_a_ninth_band() {
     let plan = FirPlan::shared(&[1.0]);
-    let _ = OverlapSave::<f32>::new(vec![plan; 9]);
+    let _ = OverlapSave::new(vec![plan; 9]);
 }
 
 proptest! {
@@ -239,6 +210,41 @@ proptest! {
             _ => (0..len).map(|_| rnd()).collect(),
         };
         check_overlap_save(&bank, &signal, &cuts);
+    }
+
+    /// A decimator from given taps keeps the direct form's outputs at
+    /// `first`, `first + factor`, … within rounding, and is the same bits
+    /// however its input is cut.
+    #[test]
+    fn decimator_is_the_direct_form_kept_and_cut_anywhere(
+        n_taps in 1usize..200,
+        factor in 1usize..9,
+        first_seed in any::<usize>(),
+        len in 0usize..3_000,
+        cuts in proptest::collection::vec(0usize..700, 0..6),
+        seed in any::<u32>(),
+    ) {
+        let mut rnd = lcg(seed);
+        let taps: Vec<f32> = (0..n_taps).map(|_| rnd() / n_taps as f32).collect();
+        let signal: Vec<f32> = (0..len).map(|_| rnd()).collect();
+        let first = first_seed % factor;
+        let run = |cuts: &[usize]| {
+            let mut d = Resampler::decimator(&taps, factor, first);
+            let mut out = Vec::new();
+            let mut rest = &signal[..];
+            for &cut in cuts.iter().chain([&usize::MAX]) {
+                let (now, later) = rest.split_at(cut.min(rest.len()));
+                d.process_into(now, &mut out);
+                rest = later;
+            }
+            out
+        };
+        let whole = run(&[]);
+        let direct = direct_form(&taps, &signal);
+        let want: Vec<f32> = direct.into_iter().skip(first).step_by(factor).collect();
+        prop_assert!(max_diff(&whole, &want) < 1e-5);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        prop_assert_eq!(bits(&run(&cuts)), bits(&whole));
     }
 
     /// Low-pass design always has unit DC gain.

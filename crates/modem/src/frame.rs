@@ -53,7 +53,9 @@ impl std::error::Error for PhyError {}
 /// One recovered frame (or the reason it was lost) plus its position.
 #[derive(Debug, Clone)]
 pub struct DemodFrame {
-    /// Sample index where the burst's preamble began.
+    /// Audio sample index where the burst's preamble began, as the
+    /// receiver's timing places it (to within a baseband sample: four audio
+    /// samples, see [`crate::ofdm::demodulator::audio_sample`]).
     pub start_sample: usize,
     /// Recovered payload or the failure mode.
     pub payload: Result<Vec<u8>, PhyError>,
@@ -122,9 +124,9 @@ fn header_decode(soft: &[f32]) -> Option<usize> {
 }
 
 /// Audio samples [`FrameCodec::push`] hands down the chain at a time: the
-/// down-converted block, its baseband and the filter's frames together stay
-/// within a phone's L2 cache, and the baseband window is trimmed once a
-/// block. Not observable in what is decoded.
+/// block, its I/Q planes and its baseband together stay within a phone's L1
+/// or L2 cache, and the baseband window is trimmed once a block. Not
+/// observable in what is decoded.
 const PUSH_BLOCK: usize = 4_096;
 
 /// What the framer is waiting for from the open burst.
@@ -157,7 +159,7 @@ enum Rx {
 /// [`demodulate`](Self::demodulate) is one push and a
 /// [`flush`](Self::flush); it recovers the same frames as
 /// [`demodulate_frames_reference`] (whose direct-form baseband differs by
-/// FFT rounding, ~1e-6 relative).
+/// rounding, ~1e-7 relative).
 #[derive(Debug)]
 pub struct FrameCodec {
     modulator: Modulator,
@@ -234,12 +236,13 @@ impl FrameCodec {
         }
     }
 
-    /// Ends the stream: decodes what the samples still held back complete,
-    /// reports a burst the stream ended inside as [`PhyError::Truncated`],
-    /// and leaves the codec at the start of a new stream.
+    /// Ends the stream: decodes what the windows clamped to its end
+    /// complete, reports a burst the stream ended inside as
+    /// [`PhyError::Truncated`], and leaves the codec at the start of a new
+    /// stream.
     pub fn flush(&mut self, out: &mut Vec<DemodFrame>) {
-        self.frontend.flush(self.scanner.baseband());
         self.scan(true, out);
+        self.frontend = self.demodulator.frontend();
         self.scanner.reset(&self.demodulator);
         self.rx = Rx::Burst;
     }
@@ -420,9 +423,9 @@ pub fn modulate_frame_reference(profile: &Profile, payload: &[u8]) -> Vec<f32> {
 }
 
 /// Executable specification of [`demodulate_frames`]: a fresh codec per call
-/// and the direct-form baseband conversion
-/// ([`Demodulator::to_baseband_reference`]) in place of the [`Frontend`];
-/// the burst scan over that baseband is shared.
+/// and the direct-form baseband conversion at the audio rate, every fourth
+/// sample kept ([`Demodulator::to_baseband_reference`]), in place of the
+/// [`Frontend`]; the burst scan over that baseband is shared.
 pub fn demodulate_frames_reference(profile: &Profile, audio: &[f32]) -> Vec<DemodFrame> {
     let mut codec = FrameCodec::new(profile);
     *codec.scanner.baseband() = codec.demodulator.to_baseband_reference(audio);
@@ -529,6 +532,21 @@ mod tests {
     }
 
     #[test]
+    fn a_carrier_three_hertz_off_still_decodes() {
+        let p = Profile::sonic_10k();
+        let data = payload(1000, 8);
+        for offset in [-3.0, 3.0] {
+            let tx = Profile {
+                center_freq: p.center_freq + offset,
+                ..p.clone()
+            };
+            let frames = demodulate_frames(&p, &modulate_frame(&tx, &data));
+            assert_eq!(frames.len(), 1, "{offset} Hz");
+            assert_eq!(frames[0].payload.as_ref().expect("decoded"), &data, "{offset} Hz");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "too large")]
     fn oversize_payload_rejected() {
         let p = Profile::sonic_10k();
@@ -611,7 +629,7 @@ mod tests {
         for (i, chunk) in audio.chunks(4096).enumerate() {
             codec.push(chunk, &mut got);
             // A burst is out within a chunk of its last symbol (the wait is
-            // the low-pass's block and group delay), not at the flush.
+            // the low-pass's group delay), not at the flush.
             let heard = (i + 1) * 4096;
             if heard < first_ends - p.cp_len {
                 assert!(got.is_empty(), "after {heard} samples");
@@ -687,7 +705,7 @@ mod tests {
             codec.push(&vec![0.0f32; 50_000], &mut got);
         }
         assert!(got.is_empty());
-        assert!(codec.scanner.baseband().len() <= 4 * PUSH_BLOCK);
+        assert!(codec.scanner.baseband().len() <= PUSH_BLOCK);
     }
 
     #[test]

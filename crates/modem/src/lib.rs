@@ -12,11 +12,11 @@
 //! * [`constellation`] — Gray-mapped BPSK…1024-QAM with max-log soft demap.
 //! * [`ofdm`] — one burst on air: the modulator (preamble, training, header
 //!   and payload symbols → IFFT + cyclic prefix → upconversion), and the
-//!   receiver's two streaming halves: the front end (periodic oscillator +
-//!   overlap-save low-pass, fed whole filter blocks) and the resumable burst
-//!   scanner (Schmidl-Cox sync → channel estimate → per-symbol FFT,
-//!   equalizer, soft demap), which suspends wherever its next step's samples
-//!   have not arrived.
+//!   receiver's two streaming halves: the front end (polyphase low-pass that
+//!   keeps every fourth sample, periodic oscillator) and the resumable burst
+//!   scanner at a quarter of the audio rate (Schmidl-Cox sync → channel
+//!   estimate → per-symbol FFT, equalizer, soft demap), which suspends
+//!   wherever its next step's samples have not arrived.
 //! * [`frame`] — the PHY frame around a burst: coded length header, chained
 //!   FEC from `sonic-fec` over the payload. [`FrameCodec`] owns the plans,
 //!   the receive chain's state and all scratch: [`FrameCodec::push`] takes
@@ -30,8 +30,8 @@
 //! [`modulate_frame_reference`] differs from [`modulate_frame`] in mixing
 //! with a live oscillator instead of a phasor table (same symbol builder),
 //! and [`demodulate_frames_reference`] from [`demodulate_frames`] in the
-//! live oscillator and direct-form baseband filter instead of the periodic
-//! one and overlap-save (same burst scanner).
+//! live oscillator and direct-form baseband filter at the audio rate instead
+//! of the periodic one and the decimator (same burst scanner).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

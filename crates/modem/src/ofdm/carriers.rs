@@ -64,8 +64,9 @@ pub struct CarrierPlan {
     pub training: Vec<C32>,
     /// Known preamble values on the *even* logical carriers (Schmidl-Cox).
     pub preamble: Vec<C32>,
-    /// Time-domain preamble symbol body (no CP) at complex baseband, cached
-    /// so burst detection does not re-run an IFFT on every scan.
+    /// Time-domain preamble symbol body (no CP) at complex baseband in the
+    /// plan's FFT size, cached so burst detection does not re-run an IFFT on
+    /// every scan.
     pub preamble_body: Vec<C32>,
     /// Total energy of [`preamble_body`](Self::preamble_body).
     pub preamble_energy: f32,
@@ -75,8 +76,20 @@ pub struct CarrierPlan {
 impl CarrierPlan {
     /// Builds the plan for a profile.
     pub fn new(profile: &Profile) -> Self {
+        Self::with_fft_size(profile, profile.fft_size)
+    }
+
+    /// The profile's carriers in an `fft_size`-point grid: the same offsets
+    /// from the carrier, the same pilots, training and preamble values — the
+    /// plan of a receiver whose baseband is decimated from the profile's
+    /// rate (offset −48 is bin 208 of 256 where it is bin 976 of 1 024).
+    ///
+    /// # Panics
+    /// Panics if the profile is invalid or its carriers do not fit.
+    pub fn with_fft_size(profile: &Profile, fft_size: usize) -> Self {
         profile.validate();
         let active = profile.active_carriers();
+        assert!(active < fft_size / 2, "{active} carriers do not fit a {fft_size}-point FFT");
         let half = active / 2;
         // Offsets −half…−1, +1…+(active-half); center bin of the *carrier*
         // frequency is DC after downconversion.
@@ -90,7 +103,7 @@ impl CarrierPlan {
             let bin = if off >= 0 {
                 off as usize
             } else {
-                (profile.fft_size as isize + off) as usize
+                (fft_size as isize + off) as usize
             };
             bins.push(bin);
         }
@@ -129,13 +142,13 @@ impl CarrierPlan {
 
         // Cache the preamble's time-domain body: IFFT of the scattered
         // preamble values, scaled by √N like every transmitted symbol.
-        let fft = sonic_dsp::Fft::new(profile.fft_size);
-        let mut preamble_body = vec![C32::ZERO; profile.fft_size];
+        let fft = sonic_dsp::Fft::new(fft_size);
+        let mut preamble_body = vec![C32::ZERO; fft_size];
         for (v, &b) in preamble.iter().zip(&bins) {
             preamble_body[b] = *v;
         }
         fft.inverse(&mut preamble_body);
-        let gain = (profile.fft_size as f32).sqrt();
+        let gain = (fft_size as f32).sqrt();
         for v in preamble_body.iter_mut() {
             *v = v.scale(gain);
         }
@@ -150,7 +163,7 @@ impl CarrierPlan {
             preamble,
             preamble_body,
             preamble_energy,
-            fft_size: profile.fft_size,
+            fft_size,
         }
     }
 
@@ -248,6 +261,34 @@ mod tests {
             }
         }
         assert!(active >= plan.bins.len() / 3, "enough preamble energy");
+    }
+
+    /// A quarter of the samples of a 1 024-point symbol, transformed in 256
+    /// points, hold the same carriers in the quarter-size plan's bins.
+    #[test]
+    fn quarter_grid_holds_the_same_carriers() {
+        let p = Profile::sonic_10k();
+        let full = plan();
+        let quarter = CarrierPlan::with_fft_size(&p, p.fft_size / 4);
+        assert_eq!((&quarter.pilot_idx, &quarter.data_idx), (&full.pilot_idx, &full.data_idx));
+        assert_eq!((&quarter.training, &quarter.preamble), (&full.training, &full.preamble));
+        let values: Vec<C32> = (0..full.bins.len())
+            .map(|i| C32::from_angle(i as f64 * 0.7).scale(1.0 + (i % 3) as f32))
+            .collect();
+        let mut symbol = vec![C32::ZERO; p.fft_size];
+        full.scatter(&values, &mut symbol);
+        sonic_dsp::Fft::new(p.fft_size).inverse(&mut symbol);
+        let mut kept: Vec<C32> = symbol.iter().step_by(4).copied().collect();
+        sonic_dsp::Fft::new(p.fft_size / 4).forward(&mut kept);
+        // x[4m] = (1/1024)·Σ X·e^{j2πkm/256}, so the 256-point transform is X/4.
+        for (i, (got, want)) in quarter.gather(&kept).iter().zip(&values).enumerate() {
+            assert!((got.scale(4.0) - *want).abs() < 1e-5, "carrier {i}");
+        }
+        // The preamble body is the full one's every 4th sample, at twice the
+        // amplitude (both are scaled by √N).
+        for (q, f) in quarter.preamble_body.iter().zip(full.preamble_body.iter().step_by(4)) {
+            assert!((*q - f.scale(2.0)).abs() < 1e-5);
+        }
     }
 
     #[test]

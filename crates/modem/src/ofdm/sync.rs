@@ -10,8 +10,11 @@
 //! is computed with O(1) sliding updates, giving O(N) scanning over arbitrary
 //! audio. A threshold crossing yields a coarse position; a cross-correlation
 //! against the known preamble waveform within a small window pins the symbol
-//! boundary to the sample. The angle of `P` also estimates the carrier
-//! frequency offset, which the demodulator removes before the FFT.
+//! boundary to the baseband sample (four audio samples: what is left over is
+//! a timing offset inside the cyclic prefix, a linear phase across the
+//! carriers that the training symbols' channel estimate takes out). The
+//! angle of `P` also estimates the carrier frequency offset, which the
+//! demodulator removes before the FFT.
 //!
 //! The search is resumable: a [`Detector`] holds `(d, P, R)` and is handed
 //! whatever baseband exists so far. Where the next step needs samples that
@@ -20,16 +23,15 @@
 //! order — so a stream cut anywhere detects what the whole buffer would.
 
 use super::carriers::CarrierPlan;
-use crate::profile::Profile;
 use sonic_dsp::{simd, C32};
 
 /// Result of a successful burst detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncPoint {
-    /// Stream sample index of the first sample of the preamble symbol's
-    /// cyclic prefix.
+    /// Stream (baseband) sample index of the first sample of the preamble
+    /// symbol's cyclic prefix.
     pub start: usize,
-    /// Estimated carrier frequency offset in radians/sample.
+    /// Estimated carrier frequency offset in radians per baseband sample.
     pub cfo: f32,
     /// Peak value of the timing metric (0..1, for diagnostics).
     pub metric: f32,
@@ -49,6 +51,8 @@ fn sums_at(samples: &[C32], half: usize) -> (C32, f32) {
 /// sums there.
 #[derive(Debug, Clone, Copy)]
 pub struct Detector {
+    /// Cyclic prefix, in the samples searched.
+    cp: usize,
     d: usize,
     /// `(P(d), R(d))`, or `None` while the sums are still to be built.
     sums: Option<(C32, f32)>,
@@ -58,12 +62,14 @@ pub struct Detector {
 }
 
 impl Detector {
-    /// A search from stream sample `from`.
-    pub fn at(profile: &Profile, from: usize) -> Self {
+    /// A search from stream sample `from` for bursts whose symbols are
+    /// `plan.fft_size()` samples behind a `cp`-sample prefix.
+    pub fn at(plan: &CarrierPlan, cp: usize, from: usize) -> Self {
         Detector {
+            cp,
             d: from,
             sums: None,
-            need: from + profile.fft_size + profile.cp_len + 1,
+            need: from + plan.fft_size() + cp + 1,
         }
     }
 
@@ -85,16 +91,15 @@ impl Detector {
     /// means there is no further burst.
     pub fn detect(
         &mut self,
-        profile: &Profile,
         plan: &CarrierPlan,
         window: &[C32],
         base: usize,
         ended: bool,
         threshold: f32,
     ) -> Option<SyncPoint> {
-        let l = profile.fft_size;
+        let l = plan.fft_size();
         let half = l / 2;
-        let cp = profile.cp_len;
+        let cp = self.cp;
         let total = base + window.len();
         let reference = plan.preamble_body.as_slice();
         let ref_energy = plan.preamble_energy;
@@ -180,22 +185,35 @@ impl Detector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ofdm::demodulator::{Demodulator, GROUP_DELAY};
+    use crate::ofdm::demodulator::{audio_sample, Demodulator, DECIMATION, GROUP_DELAY};
     use crate::ofdm::modulator::Modulator;
+    use crate::profile::Profile;
 
     fn to_baseband(profile: &Profile, audio: &[f32]) -> Vec<C32> {
         Demodulator::new(profile.clone()).to_baseband(audio)
     }
 
+    /// The receiver's carrier plan, in the decimated grid.
+    fn plan(profile: &Profile) -> CarrierPlan {
+        CarrierPlan::with_fft_size(profile, profile.fft_size / DECIMATION)
+    }
+
     /// One-shot search of a whole buffer from `from`.
     fn detect(
         profile: &Profile,
-        plan: &CarrierPlan,
         baseband: &[C32],
         from: usize,
         threshold: f32,
     ) -> Option<SyncPoint> {
-        Detector::at(profile, from).detect(profile, plan, baseband, 0, true, threshold)
+        let plan = plan(profile);
+        let mut detector = Detector::at(&plan, profile.cp_len / DECIMATION, from);
+        detector.detect(&plan, baseband, 0, true, threshold)
+    }
+
+    /// `start`, in audio samples, within a baseband sample of `want`.
+    fn assert_near(start: usize, want: usize) {
+        let at = audio_sample(start);
+        assert!(at.abs_diff(want) <= DECIMATION, "start {at} want {want}");
     }
 
     #[test]
@@ -204,27 +222,21 @@ mod tests {
         let p = m.profile().clone();
         let audio = m.modulate_bits(&[1; 80], &vec![0u8; p.bits_per_symbol()]);
         // Prepend silence so the burst starts at a known sample.
-        let lead = 5000usize;
-        let mut signal = vec![0.0f32; lead];
-        signal.extend_from_slice(&audio);
-        let bb = to_baseband(&p, &signal);
-        let plan = CarrierPlan::new(&p);
-        let sp = detect(&p, &plan, &bb, 0, 0.4).expect("must detect");
-        // Burst audio begins with cp_len guard zeros, then the preamble CP;
-        // the baseband LPF shifts everything by its group delay.
-        let want = lead + p.cp_len + GROUP_DELAY;
-        assert!(
-            (sp.start as isize - want as isize).abs() <= 4,
-            "start {} want {want}",
-            sp.start
-        );
-        assert!(sp.cfo.abs() < 0.01, "cfo {}", sp.cfo);
+        for lead in [5000usize, 5001, 5002, 5003] {
+            let mut signal = vec![0.0f32; lead];
+            signal.extend_from_slice(&audio);
+            let bb = to_baseband(&p, &signal);
+            let sp = detect(&p, &bb, 0, 0.4).expect("must detect");
+            // Burst audio begins with cp_len guard zeros, then the preamble
+            // CP; the baseband LPF shifts everything by its group delay.
+            assert_near(sp.start, lead + p.cp_len + GROUP_DELAY);
+            assert!(sp.cfo.abs() < 0.01, "cfo {}", sp.cfo);
+        }
     }
 
     #[test]
     fn no_detection_in_noise() {
         let p = Profile::sonic_10k();
-        let plan = CarrierPlan::new(&p);
         // Deterministic pseudo-noise.
         let mut x = 1u32;
         let noise: Vec<f32> = (0..20000)
@@ -234,15 +246,14 @@ mod tests {
             })
             .collect();
         let bb = to_baseband(&p, &noise);
-        assert!(detect(&p, &plan, &bb, 0, 0.5).is_none());
+        assert!(detect(&p, &bb, 0, 0.5).is_none());
     }
 
     #[test]
     fn no_detection_in_silence() {
         let p = Profile::sonic_10k();
-        let plan = CarrierPlan::new(&p);
-        let bb = vec![C32::ZERO; 30000];
-        assert!(detect(&p, &plan, &bb, 0, 0.4).is_none());
+        let bb = vec![C32::ZERO; 30000 / DECIMATION];
+        assert!(detect(&p, &bb, 0, 0.4).is_none());
     }
 
     #[test]
@@ -252,19 +263,14 @@ mod tests {
         let burst = m.modulate_bits(&[0; 80], &vec![1u8; p.bits_per_symbol()]);
         let mut signal = vec![0.0f32; 1000];
         signal.extend_from_slice(&burst);
-        signal.extend(std::iter::repeat_n(0.0, 3000));
+        signal.extend(std::iter::repeat_n(0.0, 3001));
         let second_at = signal.len();
         signal.extend_from_slice(&burst);
         let bb = to_baseband(&p, &signal);
-        let plan = CarrierPlan::new(&p);
-        let first = detect(&p, &plan, &bb, 0, 0.4).expect("first");
-        let next_from = first.start + p.symbol_len() * 5;
-        let second = detect(&p, &plan, &bb, next_from, 0.4).expect("second");
-        let want = second_at + p.cp_len + GROUP_DELAY;
-        assert!(
-            (second.start as isize - want as isize).abs() <= 4,
-            "second {} want {want}",
-            second.start
-        );
+        let first = detect(&p, &bb, 0, 0.4).expect("first");
+        assert_near(first.start, 1000 + p.cp_len + GROUP_DELAY);
+        let next_from = first.start + p.symbol_len() / DECIMATION * 5;
+        let second = detect(&p, &bb, next_from, 0.4).expect("second");
+        assert_near(second.start, second_at + p.cp_len + GROUP_DELAY);
     }
 }

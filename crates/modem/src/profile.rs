@@ -128,6 +128,10 @@ impl Profile {
     pub fn validate(&self) {
         assert!(self.fft_size.is_power_of_two(), "fft_size must be a power of two");
         assert!(self.cp_len < self.fft_size, "cp must be shorter than the symbol");
+        assert!(
+            self.fft_size.is_multiple_of(4) && self.cp_len.is_multiple_of(4),
+            "fft_size and cp_len must be multiples of 4: the receiver decimates by 4"
+        );
         assert!(self.active_carriers() < self.fft_size / 2, "too many subcarriers");
         let half_bw = self.bandwidth() / 2.0;
         assert!(
@@ -192,6 +196,14 @@ mod tests {
     fn validate_rejects_bad_fft() {
         let mut p = Profile::audible_7k();
         p.fft_size = 1000;
+        p.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "multiples of 4")]
+    fn validate_rejects_a_prefix_the_receiver_cannot_decimate() {
+        let mut p = Profile::sonic_10k();
+        p.cp_len = 126;
         p.validate();
     }
 }

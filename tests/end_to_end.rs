@@ -6,6 +6,9 @@ use sonic::core::link;
 use sonic::core::server::render::Renderer;
 use sonic::core::{SonicClient, SonicServer};
 use sonic::modem::profile::Profile;
+use sonic::modem::ofdm::demodulator::GROUP_DELAY;
+use sonic::modem::{demodulate_frames, modulate_frame};
+use sonic::radio::stack::FmLink;
 use sonic::pagegen::{Corpus, PageId};
 use sonic::radio::channel::AcousticChannel;
 use sonic::sms::geo::Coverage;
@@ -158,4 +161,27 @@ fn interleaved_pages_share_the_air() {
         assert!(report.pixel_loss < 1e-12, "{}", report.url);
     }
     assert_eq!(client.catalog(0).len(), 2);
+}
+
+/// The receiver keeps every 4th audio sample: a burst decodes whichever of
+/// them its symbols fall between, straight off the cable and through the FM
+/// link, and its start is placed within one kept sample.
+#[test]
+fn a_burst_decodes_at_every_lead_between_kept_samples() {
+    let profile = Profile::sonic_10k();
+    let payload: Vec<u8> = (0..300).map(|k| (k * 37 + k / 7) as u8).collect();
+    let burst = modulate_frame(&profile, &payload);
+    for lead in 0..8 {
+        let mut cable = vec![0.0f32; lead];
+        cable.extend(&burst);
+        let fm = FmLink::new(-70.0, 7).transmit(&cable, None).mono;
+        for (path, heard) in [("cable", &cable), ("FM at -70 dB", &fm)] {
+            let got = demodulate_frames(&profile, heard);
+            assert_eq!(got.len(), 1, "{path}, lead {lead}");
+            assert_eq!(got[0].payload.as_ref().ok(), Some(&payload), "{path}, lead {lead}");
+        }
+        let start = demodulate_frames(&profile, &cable)[0].start_sample;
+        let want = lead + profile.cp_len + GROUP_DELAY;
+        assert!(start.abs_diff(want) <= 4, "lead {lead}: start {start}, want {want}");
+    }
 }
