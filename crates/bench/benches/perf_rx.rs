@@ -29,6 +29,16 @@
 //! ~31× and ~20× (~2.5× and ~3× while the oracle ran on that kernel), and
 //! their gates were re-derived from runs of the per-sample form.
 //!
+//! Both decomposers filter only what is on air: the mono band over the
+//! whole composite, the RDS band over the detector's half-second probe,
+//! the pilot decided by a fold with no filter. The reference lost two of
+//! its three per-sample band selects and the fast path two of its three
+//! overlap-save bands, so on this one-second composite (half of it the
+//! RDS probe) `mpx_decompose_1s.vs_reference` fell to 15–19× and
+//! `fm_rx_page.vs_reference` to 16–19×, while both `vs_scalar` rose
+//! (3.2–3.6× and 3.9–4.4×: the resampler's `simd::dot` is a larger share
+//! of what is left); all four gates were re-derived.
+//!
 //! The two Viterbi cases' reference is the `f32` decoder; their other two
 //! columns run the integer decoder, so `vs_scalar` is its SIMD kernel over
 //! its own scalar twin. The OFDM case decodes its FEC as well, and its
@@ -119,9 +129,10 @@ fn main() {
     let reps = if smoke { (1, 1) } else { (15, 2) };
 
     // --- mpx_decompose_1s --------------------------------------------------
-    // One second (228 000 samples) of composite carrying mono audio (worst
-    // case: every band filter runs; no pilot, so the stereo branch is
-    // skipped in all columns).
+    // One second (228 000 samples) of composite carrying mono audio, the
+    // trip's case: the mono low-pass runs over all of it, the RDS band over
+    // the detector's half-second probe, and with no pilot line the stereo
+    // branch is skipped in all columns.
     let n_mpx = if smoke { 22_800 } else { MPX_RATE as usize };
     let mono: Vec<f32> = (0..n_mpx * 441 / 2280)
         .map(|i| 0.4 * (std::f64::consts::TAU * 1_000.0 * i as f64 / 44_100.0).sin() as f32)
@@ -146,8 +157,8 @@ fn main() {
             black_box(decompose(black_box(&comp)));
         },
         Need {
-            vs_reference: 24.7,
-            vs_scalar: 2.0,
+            vs_reference: 11.7,
+            vs_scalar: 2.5,
         },
     );
 
@@ -205,8 +216,8 @@ fn main() {
             black_box(rx_fast());
         },
         Need {
-            vs_reference: 15.4,
-            vs_scalar: 1.6,
+            vs_reference: 12.6,
+            vs_scalar: 3.1,
         },
     );
 

@@ -123,23 +123,17 @@ pub(crate) fn overlap_save_fft_size(taps: usize) -> usize {
 /// the per-batch bookkeeping while keeping the frame scratch around L2-sized.
 const BATCH: usize = 8;
 
-/// Most bands one [`OverlapSave`] engine filters per pass.
-pub const MAX_BANDS: usize = 8;
-
-/// Streaming FFT overlap-save convolution of a real signal: the one fast
-/// FIR engine.
+/// Streaming FFT overlap-save convolution of a real signal through one
+/// [`FirPlan`]: the one fast FIR engine.
 ///
-/// Filters the signal through 1..=[`MAX_BANDS`] equal-shape [`FirPlan`]s.
 /// The frames are complex split planes and the taps are real, so a frame's
 /// two planes convolve independently: each frame packs two *consecutive*
 /// blocks, the first in the real plane and the second in the imaginary
 /// plane, halving the transform count. Per batch of frames the loop is
-/// gather → **one** forward transform → per band: tap-spectrum multiply,
-/// inverse transform, scatter — so `B` bands cost `1 + B` transforms per
-/// frame instead of `2B`, and each band's output is bit-identical to
-/// filtering it alone. Against the direct form ([`Fir::process`]) the
-/// output differs only by FFT rounding (relative error ~1e-6) while the cost
-/// per sample drops from `O(taps)` to `O(log taps)`.
+/// gather → forward transform → tap-spectrum multiply → inverse transform →
+/// scatter. Against the direct form ([`Fir::process`]) the output differs
+/// only by FFT rounding (relative error ~1e-6) while the cost per sample
+/// drops from `O(taps)` to `O(log taps)`.
 ///
 /// Plans are shared (`Arc`), so an engine is cheap to build per call; the
 /// `taps − 1` sample tail carries across [`process`](Self::process) calls
@@ -148,72 +142,43 @@ pub const MAX_BANDS: usize = 8;
 /// because every FFT frame then holds the same samples; cut anywhere else
 /// the frames shift, and the output is the same filter with different
 /// rounding (an ulp on most samples). Users: the MPX decomposer's band
-/// selects (mono + pilot + RDS in one pass, the stereo branch one at a
-/// time).
+/// selects, and its mono low-pass fed in such chunks.
 #[derive(Debug, Clone)]
 pub struct OverlapSave {
-    plans: Vec<Arc<FirPlan>>,
+    plan: Arc<FirPlan>,
     /// The `taps − 1` most recent inputs (streaming history).
     tail: Vec<f32>,
     /// `tail ++ input`; every frame is a contiguous window of it.
     ext: Vec<f32>,
-    /// Forward spectra of up to [`BATCH`] frames, shared by every band.
+    /// Spectra of up to [`BATCH`] frames.
     frames: SplitC32,
-    /// Working copy of `frames` for every band but the last, which consumes
-    /// `frames` itself.
-    band: SplitC32,
 }
 
 impl OverlapSave {
-    /// Builds an engine over shared plans, one per band, starting from
-    /// silence.
-    ///
-    /// # Panics
-    /// Panics unless there are 1..=[`MAX_BANDS`] plans that agree on FFT
-    /// size and tap count (the bands share one forward transform, so every
-    /// band must gather identical frames).
-    pub fn new(plans: Vec<Arc<FirPlan>>) -> Self {
-        assert!(
-            (1..=MAX_BANDS).contains(&plans.len()),
-            "overlap-save engine takes 1..={MAX_BANDS} bands, got {}",
-            plans.len()
-        );
-        let (n, taps) = (plans[0].fft().len(), plans[0].taps_len());
-        assert!(
-            plans
-                .iter()
-                .all(|p| p.fft().len() == n && p.taps_len() == taps),
-            "all bands must share FFT size and tap count"
-        );
+    /// Builds an engine over a shared plan, starting from silence.
+    pub fn new(plan: Arc<FirPlan>) -> Self {
+        let taps = plan.taps_len();
         OverlapSave {
-            plans,
+            plan,
             tail: vec![0.0; taps - 1],
             ext: Vec::new(),
             frames: SplitC32::new(),
-            band: SplitC32::new(),
         }
     }
 
-    /// Filters `input` through every band, appending band `b`'s
-    /// `input.len()` output samples to `outputs[b]`.
-    ///
-    /// # Panics
-    /// Panics unless `outputs` has one entry per band.
-    pub fn process(&mut self, input: &[f32], outputs: &mut [Vec<f32>]) {
-        assert_eq!(outputs.len(), self.plans.len(), "one output per band");
+    /// Filters `input`, appending its `input.len()` output samples to `out`.
+    pub fn process(&mut self, input: &[f32], out: &mut Vec<f32>) {
         let total = input.len();
-        for out in outputs.iter_mut() {
-            out.resize(out.len() + total, 0.0);
-        }
+        let fresh = out.len();
+        out.resize(fresh + total, 0.0);
         let m = self.tail.len();
-        let fft = self.plans[0].fft();
+        let fft = self.plan.fft();
         let n = fft.len();
-        let block = self.plans[0].block();
+        let block = self.plan.block();
         let step = 2 * block;
         self.ext.clear();
         self.ext.extend_from_slice(&self.tail);
         self.ext.extend_from_slice(input);
-        let last = self.plans.len() - 1;
         let mut p = 0usize;
         while p < total {
             // Every frame but the signal's last takes a full `step` of new
@@ -240,27 +205,17 @@ impl OverlapSave {
                 im[b_end..].fill(0.0);
             }
             fft.forward_batch(&mut self.frames);
-            for (b, (plan, out)) in self.plans.iter().zip(outputs.iter_mut()).enumerate() {
-                let work = if b < last {
-                    self.band.re.clone_from(&self.frames.re);
-                    self.band.im.clone_from(&self.frames.im);
-                    &mut self.band
-                } else {
-                    &mut self.frames
-                };
-                plan.apply_spectrum(work);
-                plan.fft().inverse_batch(work);
-                let fresh = out.len() - total;
-                let planes = work.re.chunks_exact(n).zip(work.im.chunks_exact(n));
-                for (f, (re, im)) in planes.enumerate() {
-                    // The first `m` outputs of each plane are circular-wrap
-                    // garbage; the block's new samples follow.
-                    let r = new(f);
-                    let frame_out = &mut out[fresh + r.start..fresh + r.end];
-                    let (a, b) = frame_out.split_at_mut(r.len().min(block));
-                    a.copy_from_slice(&re[m..m + a.len()]);
-                    b.copy_from_slice(&im[m..m + b.len()]);
-                }
+            self.plan.apply_spectrum(&mut self.frames);
+            fft.inverse_batch(&mut self.frames);
+            let planes = self.frames.re.chunks_exact(n).zip(self.frames.im.chunks_exact(n));
+            for (f, (re, im)) in planes.enumerate() {
+                // The first `m` outputs of each plane are circular-wrap
+                // garbage; the block's new samples follow.
+                let r = new(f);
+                let frame_out = &mut out[fresh + r.start..fresh + r.end];
+                let (a, b) = frame_out.split_at_mut(r.len().min(block));
+                a.copy_from_slice(&re[m..m + a.len()]);
+                b.copy_from_slice(&im[m..m + b.len()]);
             }
             p += nb * step;
         }
@@ -345,14 +300,13 @@ mod tests {
         let frame = 2 * plan.block();
         let sig = noise(20 * frame + 123, 5);
         let run = |cuts: &[usize]| {
-            let mut engine = OverlapSave::new(vec![Arc::clone(&plan)]);
-            let mut out = [Vec::new()];
+            let mut engine = OverlapSave::new(Arc::clone(&plan));
+            let mut out = Vec::new();
             let mut from = 0;
             for &cut in cuts.iter().chain([&sig.len()]) {
                 engine.process(&sig[from..cut], &mut out);
                 from = cut;
             }
-            let [out] = out;
             out
         };
         let whole = run(&[]);
@@ -377,9 +331,9 @@ mod tests {
             let sig = noise(2000, taps_len as u32);
             let mut want = sig.clone();
             Fir::new(taps.clone()).process(&mut want);
-            let mut got = [Vec::new()];
-            OverlapSave::new(vec![FirPlan::shared(&taps)]).process(&sig, &mut got);
-            for (i, (g, w)) in got[0].iter().zip(&want).enumerate() {
+            let mut got = Vec::new();
+            OverlapSave::new(FirPlan::shared(&taps)).process(&sig, &mut got);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert!((g - w).abs() < 1e-4, "taps {taps_len} sample {i}: {g} vs {w}");
             }
         }

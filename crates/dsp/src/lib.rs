@@ -22,6 +22,8 @@
 //! * [`osc`] — numerically controlled oscillator, its one-period replay and
 //!   quadrature mixer.
 //! * [`goertzel`] — single-bin DFT power detector (used by the FSK modem).
+//! * [`math`] — branch-free `f64` sine/cosine and logarithm that vectorise
+//!   in block loops (the FM modulator and the RF and acoustic channels).
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
 //! * [`simd`] — the three runtime-dispatched SIMD kernels that measurably pay
 //!   (two lane-split reductions, QAM soft demap), each with its scalar twin.
@@ -43,6 +45,7 @@ pub mod fft;
 pub mod fir;
 pub mod goertzel;
 pub mod iir;
+pub mod math;
 pub mod osc;
 pub mod plan;
 pub mod resample;

@@ -24,20 +24,20 @@ fn direct_form(taps: &[f32], signal: &[f32]) -> Vec<f32> {
     signal.iter().map(|&x| fir.push(x)).collect()
 }
 
-/// Feeds `signal` through a fresh overlap-save engine over `plans`: first
+/// Feeds `signal` through a fresh overlap-save engine over `plan`: first
 /// `cuts[0]`, `cuts[1]`, … samples at a time, then the remainder in one call
-/// (no cuts = one shot). Returns one output per band.
-fn overlap_save(plans: &[Arc<FirPlan>], signal: &[f32], cuts: &[usize]) -> Vec<Vec<f32>> {
-    let mut engine = OverlapSave::new(plans.to_vec());
-    let mut outs = vec![Vec::new(); plans.len()];
+/// (no cuts = one shot).
+fn overlap_save(plan: &Arc<FirPlan>, signal: &[f32], cuts: &[usize]) -> Vec<f32> {
+    let mut engine = OverlapSave::new(Arc::clone(plan));
+    let mut out = Vec::new();
     let mut rest = signal;
     for &cut in cuts {
         let (now, later) = rest.split_at(cut.min(rest.len()));
-        engine.process(now, &mut outs);
+        engine.process(now, &mut out);
         rest = later;
     }
-    engine.process(rest, &mut outs);
-    outs
+    engine.process(rest, &mut out);
+    out
 }
 
 /// Largest absolute difference between two equally long streams.
@@ -49,31 +49,19 @@ fn max_diff(a: &[f32], b: &[f32]) -> f32 {
         .fold(0.0, f32::max)
 }
 
-/// The one property of the overlap-save engine, for any bank of equal-length
-/// tap sets:
+/// The one property of the overlap-save engine, for any tap set:
 ///
-/// (a) `k` bands in one pass equal `k` single-band passes over the same
-///     plans, to the bit;
-/// (b) streaming through `cuts` equals one shot within 1e-5;
-/// (c) every band agrees with the direct-form [`Fir::push`] oracle within
+/// (a) streaming through `cuts` equals one shot within 1e-5;
+/// (b) the output agrees with the direct-form [`Fir::push`] oracle within
 ///     1e-4.
-fn check_overlap_save(bank: &[Vec<f32>], signal: &[f32], cuts: &[usize]) {
-    let plans: Vec<_> = bank.iter().map(|t| FirPlan::shared(t)).collect();
+fn check_overlap_save(taps: &[f32], signal: &[f32], cuts: &[usize]) {
+    let plan = FirPlan::shared(taps);
     let n = signal.len();
-    let once = overlap_save(&plans, signal, &[]);
-    let cut = overlap_save(&plans, signal, cuts);
-    for (b, taps) in bank.iter().enumerate() {
-        let ctx = format!(
-            "{} taps, band {b} of {}, {n} samples, cuts {cuts:?}",
-            taps.len(),
-            bank.len()
-        );
-        let alone = overlap_save(&plans[b..=b], signal, &[]);
-        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
-        assert_eq!(bits(&once[b]), bits(&alone[0]), "(a) {ctx}");
-        assert!(max_diff(&cut[b], &once[b]) < 1e-5, "(b) {ctx}");
-        assert!(max_diff(&once[b], &direct_form(taps, signal)) < 1e-4, "(c) {ctx}");
-    }
+    let once = overlap_save(&plan, signal, &[]);
+    let cut = overlap_save(&plan, signal, cuts);
+    let ctx = format!("{} taps, {n} samples, cuts {cuts:?}", taps.len());
+    assert!(max_diff(&cut, &once) < 1e-5, "(a) {ctx}");
+    assert!(max_diff(&once, &direct_form(taps, signal)) < 1e-4, "(b) {ctx}");
 }
 
 /// The fixed cases the engine's three predecessors were tested on, as rows
@@ -84,8 +72,8 @@ fn overlap_save_engine_named_rows() {
         let mut rnd = lcg(seed);
         (0..n).map(|_| rnd()).collect()
     };
-    // The MPX decomposer's shape: three 257-tap band selects over one
-    // signal; empty, sub-block, exactly one block, odd multi-batch lengths.
+    // The MPX decomposer's shape: 257-tap band selects; empty, sub-block,
+    // exactly one block, odd multi-batch lengths.
     let bank = [
         design_lowpass(257, 0.07),
         design_bandpass(257, 0.15, 0.25),
@@ -93,23 +81,12 @@ fn overlap_save_engine_named_rows() {
     ];
     let block = FirPlan::new(&bank[0]).block();
     for len in [0usize, 7, block, 8 * block + 123, 20_001, 16 * block + 4321] {
-        check_overlap_save(&bank, &noise(len, len as u32 + 3), &[block / 2]);
+        for taps in &bank {
+            check_overlap_save(taps, &noise(len, len as u32 + 3), &[block / 2]);
+        }
     }
     // Odd cuts, including ones smaller than the tap count.
-    check_overlap_save(
-        &[design_lowpass(257, 0.1)],
-        &noise(3000, 42),
-        &[13, 250, 999, 1],
-    );
-}
-
-/// The bank shares one frame scratch sized for eight bands; a ninth is a
-/// construction error, not a panic on first use.
-#[test]
-#[should_panic(expected = "1..=8 bands")]
-fn overlap_save_rejects_a_ninth_band() {
-    let plan = FirPlan::shared(&[1.0]);
-    let _ = OverlapSave::new(vec![plan; 9]);
+    check_overlap_save(&design_lowpass(257, 0.1), &noise(3000, 42), &[13, 250, 999, 1]);
 }
 
 proptest! {
@@ -173,14 +150,13 @@ proptest! {
     }
 
     /// [`check_overlap_save`] over random tap counts (1 tap, the FFT
-    /// path's minimum size, odd lengths), band counts, signal lengths
+    /// path's minimum size, odd lengths), signal lengths
     /// (empty, under a block, exactly a block, several batches and odd),
     /// signal shapes (impulse, step — the worst case for accumulated DC
     /// error — and noise) and cuts.
     #[test]
     fn overlap_save_engine(
         n_taps in 1usize..300,
-        bands in 1usize..=4,
         len_class in 0usize..4,
         shape in 0usize..3,
         cuts in proptest::collection::vec(1usize..700, 0..6),
@@ -189,14 +165,10 @@ proptest! {
         let mut rnd = lcg(seed);
         // Taps of unit L1 norm bound the output by the input's peak, so the
         // absolute error bounds mean the same at every tap count.
-        let bank: Vec<Vec<f32>> = (0..bands)
-            .map(|_| {
-                let taps: Vec<f32> = (0..n_taps).map(|_| rnd()).collect();
-                let l1 = taps.iter().map(|t| t.abs()).sum::<f32>().max(f32::MIN_POSITIVE);
-                taps.iter().map(|t| t / l1).collect()
-            })
-            .collect();
-        let block = FirPlan::new(&bank[0]).block();
+        let taps: Vec<f32> = (0..n_taps).map(|_| rnd()).collect();
+        let l1 = taps.iter().map(|t| t.abs()).sum::<f32>().max(f32::MIN_POSITIVE);
+        let taps: Vec<f32> = taps.iter().map(|t| t / l1).collect();
+        let block = FirPlan::new(&taps).block();
         let len = match len_class {
             0 => 0,
             1 => 1 + seed as usize % (block - 1),
@@ -209,7 +181,7 @@ proptest! {
             1 => vec![1.0; len],
             _ => (0..len).map(|_| rnd()).collect(),
         };
-        check_overlap_save(&bank, &signal, &cuts);
+        check_overlap_save(&taps, &signal, &cuts);
     }
 
     /// A decimator from given taps keeps the direct form's outputs at

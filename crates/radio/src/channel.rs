@@ -15,16 +15,32 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sonic_dsp::fir::{design_bandpass, Fir};
+use sonic_dsp::math;
 use sonic_dsp::C32;
+use std::f64::consts::TAU;
+
+/// Draws Box-Muller's two uniforms: `u1` clamped away from zero, then `u2`.
+fn uniforms(rng: &mut StdRng) -> (f64, f64) {
+    (rng.random::<f64>().max(1e-12), rng.random())
+}
+
+/// A unit-variance Gaussian pair from Box-Muller's uniforms, with the
+/// branch-free [`math`] kernels in place of libm (the same `f32`s).
+#[inline(always)]
+fn box_muller(u1: f64, u2: f64) -> (f32, f32) {
+    let r = (-2.0 * math::ln(u1)).sqrt();
+    let (sin, cos) = math::sin_cos(TAU * u2);
+    ((r * cos) as f32, (r * sin) as f32)
+}
 
 /// Generates a unit-variance Gaussian pair via Box-Muller.
 fn gaussian(rng: &mut StdRng) -> (f32, f32) {
-    let u1: f64 = rng.random::<f64>().max(1e-12);
-    let u2: f64 = rng.random();
-    let r = (-2.0 * u1.ln()).sqrt();
-    let th = std::f64::consts::TAU * u2;
-    ((r * th.cos()) as f32, (r * th.sin()) as f32)
+    let (u1, u2) = uniforms(rng);
+    box_muller(u1, u2)
 }
+
+/// Samples the RF channel draws and converts per block.
+const BLOCK: usize = 1_024;
 
 /// Perfect audio path (integrated tuner or jack cable).
 #[derive(Debug, Clone, Default)]
@@ -70,26 +86,40 @@ impl RfChannel {
     /// RSSI — real signal strength is never static — which is what turns
     /// the FM threshold into the paper's "fluctuating frame loss rate
     /// between 2 and 15 %" band instead of a binary cliff.
+    ///
+    /// A block at a time: the uniforms are drawn in the per-sample order
+    /// (`u1`, `u2` per sample, after the two fade parameters), then the fade
+    /// and the Box-Muller noise are computed over the block with the
+    /// [`math`] kernels.
     pub fn transmit(&mut self, baseband: &[C32]) -> Vec<C32> {
         // Keep the carrier at unit amplitude and scale the noise: only the
         // ratio matters to the discriminator.
         let noise_power = 10f64.powf((self.noise_floor_db - self.rssi_db) / 10.0);
         let sigma = (noise_power / 2.0).sqrt() as f32;
         let fade_hz = 0.02 + self.rng.random::<f64>() * 0.06;
-        let fade_phase = self.rng.random::<f64>() * std::f64::consts::TAU;
+        let fade_phase = self.rng.random::<f64>() * TAU;
         let fade_depth_db = 3.0f64;
-        baseband
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                let fade_db = fade_depth_db
-                    * (std::f64::consts::TAU * fade_hz * i as f64 / crate::MPX_RATE + fade_phase)
-                        .sin();
-                let g = 10f32.powf(fade_db as f32 / 20.0);
-                let (n1, n2) = gaussian(&mut self.rng);
-                x.scale(g) + C32::new(n1 * sigma, n2 * sigma)
-            })
-            .collect()
+        let mut out = vec![C32::ZERO; baseband.len()];
+        let mut u = [(0.0f64, 0.0f64); BLOCK];
+        let mut gain = [0.0f32; BLOCK];
+        for (b, (block, noisy)) in baseband.chunks(BLOCK).zip(out.chunks_mut(BLOCK)).enumerate() {
+            for u in &mut u[..block.len()] {
+                *u = uniforms(&mut self.rng);
+            }
+            for (k, g) in gain[..block.len()].iter_mut().enumerate() {
+                let i = b * BLOCK + k;
+                let (sin, _) = math::sin_cos(TAU * fade_hz * i as f64 / crate::MPX_RATE + fade_phase);
+                *g = (fade_depth_db * sin) as f32 / 20.0;
+            }
+            for g in &mut gain[..block.len()] {
+                *g = 10f32.powf(*g);
+            }
+            for ((o, &x), (&g, &(u1, u2))) in noisy.iter_mut().zip(block).zip(gain.iter().zip(&u)) {
+                let (n1, n2) = box_muller(u1, u2);
+                *o = x.scale(g) + C32::new(n1 * sigma, n2 * sigma);
+            }
+        }
+        out
     }
 }
 
@@ -168,7 +198,7 @@ impl AcousticChannel {
         // all-or-nothing transmissions.
         let fade_depth_db = (0.8 + 2.2 * self.distance_m) as f32;
         let fade_hz = 0.4 + self.rng.random::<f64>() * 0.6;
-        let fade_phase = self.rng.random::<f64>() * std::f64::consts::TAU;
+        let fade_phase = self.rng.random::<f64>() * TAU;
         let burst_per_s = 0.35;
         let burst_len = (0.12 * fs) as usize;
         let mut burst_left = 0usize;
@@ -183,7 +213,7 @@ impl AcousticChannel {
                 s += e2 * direct[i - echo2];
             }
             let fade_db = fade_depth_db
-                * ((std::f64::consts::TAU * fade_hz * i as f64 / fs + fade_phase).sin() as f32
+                * ((TAU * fade_hz * i as f64 / fs + fade_phase).sin() as f32
                     - 1.0)
                 / 2.0; // in [-depth, 0]
             s *= 10f32.powf(fade_db / 20.0);
@@ -209,7 +239,7 @@ mod tests {
 
     fn tone(n: usize, f: f64, amp: f32) -> Vec<f32> {
         (0..n)
-            .map(|i| amp * (std::f64::consts::TAU * f * i as f64 / crate::AUDIO_RATE).sin() as f32)
+            .map(|i| amp * (TAU * f * i as f64 / crate::AUDIO_RATE).sin() as f32)
             .collect()
     }
 

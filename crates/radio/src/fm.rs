@@ -12,6 +12,7 @@
 //! benchmark workload (DESIGN §11).
 
 use crate::{FM_DEVIATION, MPX_RATE};
+use sonic_dsp::math;
 use sonic_dsp::split::SplitC32;
 use sonic_dsp::C32;
 use std::f64::consts::TAU;
@@ -41,20 +42,34 @@ impl FmModulator {
 
     /// Modulates a composite block (values nominally in [-1, 1]), appending
     /// complex baseband samples to `out`.
+    ///
+    /// A block at a time: the phase is integrated sample by sample into a
+    /// scratch, then the block is converted to phasors by the branch-free
+    /// [`math::sin_cos`], whose `f32` casts are libm's (`C32::from_angle`).
     pub fn modulate_into(&mut self, composite: &[f32], out: &mut Vec<C32>) {
         let start = out.len();
         out.resize(start + composite.len(), C32::ZERO);
-        for (o, &x) in out[start..].iter_mut().zip(composite) {
-            self.phase += self.k * x as f64;
-            if self.phase > TAU {
-                self.phase -= TAU;
-            } else if self.phase < -TAU {
-                self.phase += TAU;
+        let mut phases = [0.0f64; MOD_BLOCK];
+        for (block, phasors) in composite.chunks(MOD_BLOCK).zip(out[start..].chunks_mut(MOD_BLOCK)) {
+            for (p, &x) in phases.iter_mut().zip(block) {
+                self.phase += self.k * x as f64;
+                if self.phase > TAU {
+                    self.phase -= TAU;
+                } else if self.phase < -TAU {
+                    self.phase += TAU;
+                }
+                *p = self.phase;
             }
-            *o = C32::from_angle(self.phase);
+            for (o, &p) in phasors.iter_mut().zip(&phases) {
+                let (sin, cos) = math::sin_cos(p);
+                *o = C32::new(cos as f32, sin as f32);
+            }
         }
     }
 }
+
+/// Phases the modulator integrates before converting them to phasors.
+const MOD_BLOCK: usize = 1_024;
 
 /// Samples the discriminator's split-plane scratch holds.
 const BLOCK: usize = 16_384;

@@ -151,28 +151,107 @@ fn band_filters() -> &'static BandFilters {
     })
 }
 
-/// Selects `bands` out of one signal, either with the fast overlap-save
-/// engine — one pass, the forward FFT of every frame shared by all `K`
-/// bands (`1 + K` transforms per frame instead of `2K`) — or with the direct
-/// form the decomposer originally used, band by band. Per band the two
-/// differ only by FFT rounding (~1e-6 relative).
-fn band_select<const K: usize>(signal: &[f32], bands: [Band; K], fast: bool) -> [Vec<f32>; K] {
-    let f = band_filters();
-    if fast {
-        let mut outs = bands.map(|_| Vec::with_capacity(signal.len()));
-        let plans = bands
-            .iter()
-            .map(|&b| Arc::clone(&f.plans[b as usize]))
-            .collect();
-        OverlapSave::new(plans).process(signal, &mut outs);
-        outs
-    } else {
-        bands.map(|b| {
-            let mut out = signal.to_vec();
-            Fir::new(f.taps[b as usize].clone()).process(&mut out);
-            out
-        })
+/// One band-select filter, either the fast overlap-save engine or the
+/// direct form the decomposer originally used. The two differ only by FFT
+/// rounding (~1e-6 relative); both stream, and both give the same bits at
+/// every cut the decomposer makes.
+enum BandFilter {
+    Fast(OverlapSave),
+    Direct(Fir),
+}
+
+impl BandFilter {
+    fn new(band: Band, fast: bool) -> Self {
+        let f = band_filters();
+        if fast {
+            BandFilter::Fast(OverlapSave::new(Arc::clone(&f.plans[band as usize])))
+        } else {
+            BandFilter::Direct(Fir::new(f.taps[band as usize].clone()))
+        }
     }
+
+    /// Filters `input`, appending its outputs to `out`.
+    fn process(&mut self, input: &[f32], out: &mut Vec<f32>) {
+        match self {
+            BandFilter::Fast(engine) => engine.process(input, out),
+            BandFilter::Direct(fir) => {
+                let start = out.len();
+                out.extend_from_slice(input);
+                fir.process(&mut out[start..]);
+            }
+        }
+    }
+}
+
+/// Selects one band out of a whole signal.
+fn band_select(signal: &[f32], band: Band, fast: bool) -> Vec<f32> {
+    let mut out = Vec::with_capacity(signal.len());
+    BandFilter::new(band, fast).process(signal, &mut out);
+    out
+}
+
+/// Composite samples per chunk of the mono path: 16 overlap-save steps of
+/// two [`FirPlan::block`]s, 16 × 3 584 = 57 344 samples, a quarter second.
+fn mono_chunk() -> usize {
+    16 * 2 * band_filters().plans[Band::MonoLp as usize].block()
+}
+
+/// Low-passes a 228 kHz signal to the mono band, converts it to 44.1 kHz and
+/// de-emphasizes it. The low-pass is fed a chunk at a time, each a whole
+/// number of overlap-save steps, so the output is the bits of one call over
+/// the whole signal while the 228 kHz band never exists whole.
+fn to_audio(signal: &[f32], fast: bool) -> Vec<f32> {
+    let chunk = mono_chunk();
+    let mut low = BandFilter::new(Band::MonoLp, fast);
+    let mut down = Resampler::new(MPX_RATE as usize, AUDIO_RATE as usize, 32);
+    let mut band = Vec::with_capacity(chunk.min(signal.len()));
+    let mut audio = Vec::with_capacity(signal.len() / 5);
+    for piece in signal.chunks(chunk) {
+        band.clear();
+        low.process(piece, &mut band);
+        down.process_into(&band, &mut audio);
+    }
+    Deemphasis::new(AUDIO_RATE, 50e-6).process(&mut audio);
+    audio
+}
+
+/// Composite samples per period of the 19 kHz pilot (`MPX_RATE / 19 kHz`).
+const PILOT_PERIOD: usize = 12;
+
+/// Amplitude of the composite's 19 kHz line: the signal folded by the
+/// pilot's period (`f64` sums), then that period's first DFT bin. A pilot
+/// reads its level (0.09 on a clean link, 0.088 at −86 dB); discriminator
+/// noise and the mono, stereo and RDS services average out (0.0002–0.0003
+/// with no pilot at −70 to −86 dB).
+fn pilot_line(composite: &[f32]) -> f64 {
+    let mut fold = [0.0f64; PILOT_PERIOD];
+    let periods = composite.chunks_exact(PILOT_PERIOD);
+    for period in periods.clone() {
+        for (acc, &x) in fold.iter_mut().zip(period) {
+            *acc += x as f64;
+        }
+    }
+    let count = periods.len().max(1) as f64;
+    let (mut re, mut im) = (0.0f64, 0.0f64);
+    for (k, &acc) in fold.iter().enumerate() {
+        let th = TAU * k as f64 / PILOT_PERIOD as f64;
+        re += acc * th.cos();
+        im -= acc * th.sin();
+    }
+    2.0 * (re * re + im * im).sqrt() / (PILOT_PERIOD as f64 * count)
+}
+
+/// Composite samples the RDS detector decodes (half a second, ≈ 5.7
+/// groups).
+const RDS_PROBE: usize = MPX_RATE as usize / 2;
+
+/// RDS is on air when a group with all four checkwords right decodes from
+/// the composite's first [`RDS_PROBE`] samples. Noise passes one 26-bit
+/// block's check with probability 2⁻¹⁰, a whole group with 2⁻⁴⁰.
+fn rds_on_air(composite: &[f32], fast: bool) -> bool {
+    let probe = &composite[..composite.len().min(RDS_PROBE)];
+    let bits = rds::demodulate_subcarrier(&band_select(probe, Band::RdsBp, fast));
+    !rds::decode_groups(&bits).is_empty()
 }
 
 /// Splits a 228 kHz composite back into its services.
@@ -180,42 +259,38 @@ fn band_select<const K: usize>(signal: &[f32], bands: [Band; K], fast: bool) -> 
 /// This is the fast receive path: every 257-tap band filter runs through the
 /// FFT overlap-save engine ([`OverlapSave`]) instead of the direct form, and
 /// the 44.1 kHz conversions stay in the polyphase [`Resampler`], which only
-/// computes taps at the decimated output rate. Output matches
-/// [`decompose_reference`] to within FFT rounding (~1e-6 relative — property
-/// tests bound the RMS error and check the frame-loss curve is unchanged).
+/// computes taps at the decimated output rate. Only what is on air is
+/// filtered: the mono path always, the stereo branch when the composite has
+/// a 19 kHz line (`pilot_line`), the RDS band when a valid group decodes
+/// from its first half second. Output matches [`decompose_reference`] to
+/// within FFT rounding (~1e-6 relative — property tests bound the RMS error
+/// and check the frame-loss curve is unchanged).
 pub fn decompose(composite: &[f32]) -> MpxOutput {
     decompose_impl(composite, true)
 }
 
 /// Direct-form reference decomposer (the original implementation), kept as
-/// the executable specification for the fast path.
+/// the executable specification for the fast path. It makes the same
+/// presence decisions.
 pub fn decompose_reference(composite: &[f32]) -> MpxOutput {
     decompose_impl(composite, false)
 }
 
 fn decompose_impl(composite: &[f32], fast: bool) -> MpxOutput {
-    // The three always-on band selections all filter the same composite.
-    let [mono_hi, pilot, rds_band] =
-        band_select(composite, [Band::MonoLp, Band::PilotBp, Band::RdsBp], fast);
+    // --- mono path: LPF 16 kHz, downsample, de-emphasize ---
+    let mono = to_audio(composite, fast);
 
-    // --- mono path: LPF 15 kHz, downsample, de-emphasize ---
-    let mut down = Resampler::new(MPX_RATE as usize, AUDIO_RATE as usize, 32);
-    let mut mono = Vec::with_capacity(composite.len() / 5);
-    down.process_into(&mono_hi, &mut mono);
-    Deemphasis::new(AUDIO_RATE, 50e-6).process(&mut mono);
-
-    // --- pilot detection ---
-    let pilot_power: f32 =
-        pilot.iter().map(|&x| x * x).sum::<f32>() / composite.len().max(1) as f32;
-    let has_pilot = pilot_power > (level::PILOT * level::PILOT) * 0.5 * 0.2;
-
-    // --- stereo difference ---
-    let stereo_diff = if has_pilot {
-        let [band] = band_select(composite, [Band::StereoBp], fast);
+    // --- stereo difference, when a pilot is on air ---
+    // The level the band-power test this replaces used, 20 % of the
+    // pilot's power, as an amplitude of its line.
+    let has_pilot = pilot_line(composite) > (level::PILOT as f64) * 0.2f64.sqrt();
+    let stereo_diff = has_pilot.then(|| {
+        let pilot = band_select(composite, Band::PilotBp, fast);
+        let band = band_select(composite, Band::StereoBp, fast);
         // Regenerate 38 kHz by squaring the pilot (classic receiver trick):
         // sin²(ωt) = (1 − cos 2ωt)/2 ⇒ bandpass at 38 kHz gives −cos(2ωt)/2.
         let squared: Vec<f32> = pilot.iter().map(|&p| p * p).collect();
-        let [sq] = band_select(&squared, [Band::CarrierBp], fast);
+        let sq = band_select(&squared, Band::CarrierBp, fast);
         // Normalize the regenerated carrier to unit amplitude.
         let carrier_rms =
             (sq.iter().map(|&x| x * x).sum::<f32>() / sq.len().max(1) as f32).sqrt();
@@ -238,21 +313,12 @@ fn decompose_impl(composite: &[f32], fast: bool) -> MpxOutput {
                 -2.0 * b * c * norm * 2.0 / level::STEREO
             })
             .collect();
-        let [mixed] = band_select(&mixed, [Band::MonoLp], fast);
-        let mut down2 = Resampler::new(MPX_RATE as usize, AUDIO_RATE as usize, 32);
-        let mut diff = Vec::with_capacity(mixed.len() / 5);
-        down2.process_into(&mixed, &mut diff);
-        Deemphasis::new(AUDIO_RATE, 50e-6).process(&mut diff);
-        Some(diff)
-    } else {
-        None
-    };
+        to_audio(&mixed, fast)
+    });
 
-    // --- RDS ---
-    let rds_power: f32 =
-        rds_band.iter().map(|&x| x * x).sum::<f32>() / rds_band.len().max(1) as f32;
-    let rds_bits = if rds_power > (level::RDS * level::RDS) * 0.05 {
-        rds::demodulate_subcarrier(&rds_band)
+    // --- RDS, when a group decodes ---
+    let rds_bits = if rds_on_air(composite, fast) {
+        rds::demodulate_subcarrier(&band_select(composite, Band::RdsBp, fast))
     } else {
         Vec::new()
     };
@@ -350,14 +416,19 @@ mod tests {
         assert!(leak < 0.1, "mono leak {leak}");
     }
 
+    /// Bits of `groups` copies of one RDS group.
+    fn rds_groups(groups: usize) -> Vec<u8> {
+        rds::encode_group(&rds::Group([0x54A8, 0x0408, 0x2020, 0x4849])).repeat(groups)
+    }
+
     #[test]
     fn fast_decompose_matches_reference() {
-        // All services active so every band filter (including the stereo
+        // All services on air so every band filter (including the stereo
         // branch with its squared-pilot 38 kHz regeneration) runs.
         let comp = compose(&MpxInput {
             mono: tone(1_000.0, 44_100, 0.4),
             stereo_diff: Some(tone(2_500.0, 44_100, 0.3)),
-            rds_bits: Some([1, 0, 1, 1, 0, 0, 1, 0].repeat(24)),
+            rds_bits: Some(rds_groups(8)),
         });
         let fast = decompose(&comp);
         let slow = decompose_reference(&comp);
@@ -376,7 +447,66 @@ mod tests {
         let fd = fast.stereo_diff.expect("fast pilot");
         let sd = slow.stereo_diff.expect("reference pilot");
         assert!(rel_rms(&fd, &sd) < 1e-4, "stereo diff diverged");
+        assert!(!fast.rds_bits.is_empty(), "RDS on air");
         assert_eq!(fast.rds_bits, slow.rds_bits, "RDS bits must be identical");
+    }
+
+    #[test]
+    fn pilot_line_reads_the_pilot_level_and_nothing_else() {
+        let mono = tone(9_200.0, 44_100, 0.5);
+        let bare = compose(&MpxInput {
+            mono: mono.clone(),
+            rds_bits: Some(rds_groups(12)),
+            ..Default::default()
+        });
+        assert!(pilot_line(&bare) < 1e-3, "no pilot: {}", pilot_line(&bare));
+        let stereo = compose(&MpxInput {
+            mono,
+            stereo_diff: Some(tone(2_500.0, 44_100, 0.3)),
+            rds_bits: Some(rds_groups(12)),
+        });
+        let line = pilot_line(&stereo);
+        assert!((line - level::PILOT as f64).abs() < 2e-3, "pilot: {line}");
+        assert_eq!(pilot_line(&[]), 0.0);
+    }
+
+    /// Pattern bits that are no RDS group: a band-power detector saw the
+    /// subcarrier; the checkwords do not.
+    #[test]
+    fn rds_without_a_valid_group_is_not_on_air() {
+        let comp = compose(&MpxInput {
+            mono: tone(1_000.0, 44_100, 0.4),
+            rds_bits: Some([1, 0, 1, 1, 0, 0, 1, 0].repeat(100)),
+            ..Default::default()
+        });
+        assert!(decompose(&comp).rds_bits.is_empty());
+        assert!(decompose_reference(&comp).rds_bits.is_empty());
+    }
+
+    /// The mono path's chunks do not show: at lengths around and past the
+    /// chunk size, `decompose`'s mono is one whole-buffer pass of the
+    /// low-pass, the resampler and the de-emphasis.
+    #[test]
+    fn mono_chunks_are_the_whole_buffer_pass() {
+        let chunk = mono_chunk();
+        let long = tone(7_300.0, (3 * chunk + 77) / 5 + 10, 0.6);
+        let comp = compose(&MpxInput {
+            mono: long,
+            ..Default::default()
+        });
+        for len in [chunk - 1, chunk, chunk + 1, 3 * chunk + 77] {
+            let comp = &comp[..len];
+            let band = band_select(comp, Band::MonoLp, true);
+            let mut whole = Vec::new();
+            Resampler::new(MPX_RATE as usize, AUDIO_RATE as usize, 32).process_into(&band, &mut whole);
+            Deemphasis::new(AUDIO_RATE, 50e-6).process(&mut whole);
+            let got = decompose(comp).mono;
+            assert_eq!(got.len(), whole.len(), "length {len}");
+            assert!(
+                got.iter().zip(&whole).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "length {len}"
+            );
+        }
     }
 
     #[test]
