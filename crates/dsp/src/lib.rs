@@ -10,8 +10,6 @@
 //! Contents:
 //!
 //! * [`complex`] — minimal `C32` complex type used throughout the stack.
-//! * [`fft`] — interleaved [`Fft`]: the transmit IFFT (radix-4) and the scalar
-//!   oracle of [`plan::FftPlan`]'s forward transform (radix-2).
 //! * [`window`] — the Hamming window of the FIR designs and the OFDM burst's
 //!   raised-cosine edge.
 //! * [`fir`] — windowed-sinc FIR design, the per-sample direct-form
@@ -19,17 +17,18 @@
 //! * [`iir`] — first-order shelves (FM de-/pre-emphasis).
 //! * [`resample`] — polyphase rational resampler, and decimator from given
 //!   taps.
-//! * [`osc`] — numerically controlled oscillator, its one-period replay and
-//!   quadrature mixer.
+//! * [`osc`] — numerically controlled oscillator and its one-period replay
+//!   [`osc::PeriodicOsc`], the carrier of both the transmitter and the
+//!   receiver.
 //! * [`goertzel`] — single-bin DFT power detector (used by the FSK modem).
 //! * [`math`] — branch-free `f64` sine/cosine and logarithm that vectorise
 //!   in block loops (the FM modulator and the RF and acoustic channels).
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
 //! * [`simd`] — the three runtime-dispatched SIMD kernels that measurably pay
 //!   (two lane-split reductions, QAM soft demap), each with its scalar twin.
-//! * [`plan`] — planned split-plane transforms: [`plan::FftPlan`] (receive FFT
-//!   and overlap-save frames, plain scalar butterflies) and the shareable
-//!   [`plan::FirPlan`].
+//! * [`plan`] — planned split-plane transforms: [`plan::FftPlan`], the one FFT
+//!   (transmit IFFT, receive FFT and overlap-save frames, plain scalar radix-2
+//!   butterflies), and the shareable [`plan::FirPlan`].
 
 // `unsafe` is denied everywhere except the `simd` kernel module, which opts
 // back in item-by-item; every unsafe block there carries a `// SAFETY:`
@@ -41,7 +40,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod complex;
-pub mod fft;
 pub mod fir;
 pub mod goertzel;
 pub mod iir;
@@ -55,6 +53,5 @@ pub mod split;
 pub mod window;
 
 pub use complex::C32;
-pub use fft::Fft;
 pub use plan::{FftPlan, FirPlan};
 pub use split::SplitC32;

@@ -1,9 +1,11 @@
-//! Numerically controlled oscillator and quadrature mixing.
+//! Numerically controlled oscillator and its one-period replay.
 //!
-//! The OFDM modem is built at complex baseband; the NCO shifts it up to the
-//! 9.2 kHz audio carrier for transmission and back down in the receiver. The
-//! phase accumulator runs in `f64` so multi-minute broadcasts keep phase
-//! coherence.
+//! The OFDM modem is built at complex baseband and mixed up to the 9.2 kHz
+//! audio carrier for transmission and back down in the receiver. Both
+//! directions replay one period of the carrier's phasors ([`PeriodicOsc`]),
+//! tabulated once from the live [`Nco`], whose phase accumulator runs in
+//! `f64`; the live oscillator itself mixes only in the receiver's
+//! executable specification ([`downconvert`]).
 
 use crate::complex::C32;
 use std::f64::consts::TAU;
@@ -45,89 +47,25 @@ impl Nco {
     pub fn phase(&self) -> f64 {
         self.phase
     }
-
-    /// Resets phase to zero.
-    pub fn reset(&mut self) {
-        self.phase = 0.0;
-    }
 }
 
-/// A cached phasor sequence replaying an [`Nco`]'s exact output.
-///
-/// `Nco::next` costs an `f64` sin+cos per sample, which dominates the OFDM
-/// modulate path. The phase sequence is a pure function of the sample index
-/// for a given `(fs, freq)`, so a table built by running the *same* phase
-/// recurrence (including the ±τ wraps) is bit-identical to a fresh `Nco` —
-/// mixing through the table produces byte-identical audio while paying the
-/// trig cost only once per table slot.
-///
-/// The table replays from sample 0, which is what a burst modulator wants
-/// (every burst starts at phase zero). It grows on demand to the longest
-/// burst modulated so far and is kept for the codec's lifetime: 8 bytes a
-/// sample, ≈ 1.3 MB for a maximum-length SONIC burst at 44.1 kHz. A stream
-/// that never restarts — the receive side — uses [`PeriodicOsc`] instead,
-/// whose state does not grow.
-#[derive(Debug, Clone)]
-pub struct PhasorTable {
-    step: f64,
-    /// Phase of the *next* (not yet tabulated) sample.
-    phase_end: f64,
-    table: Vec<C32>,
-}
-
-impl PhasorTable {
-    /// Creates an empty table for `freq` Hz at sample rate `fs`.
-    pub fn new(fs: f64, freq: f64) -> Self {
-        PhasorTable {
-            step: TAU * freq / fs,
-            phase_end: 0.0,
-            table: Vec::new(),
-        }
-    }
-
-    /// Extends the table so at least `n` phasors are cached.
-    pub fn ensure(&mut self, n: usize) {
-        self.table.reserve(n.saturating_sub(self.table.len()));
-        while self.table.len() < n {
-            // Exactly Nco::next: emit at the current phase, then advance
-            // and wrap. Any deviation here would break bit-exactness with
-            // the reference oscillator.
-            // lint: allow(no-alloc) — phasor table grows on demand, retained for the codec lifetime
-            self.table.push(C32::from_angle(self.phase_end));
-            self.phase_end += self.step;
-            if self.phase_end > TAU {
-                self.phase_end -= TAU;
-            } else if self.phase_end < -TAU {
-                self.phase_end += TAU;
-            }
-        }
-    }
-
-    /// The first `n` phasors (growing the table if needed).
-    pub fn phasors(&mut self, n: usize) -> &[C32] {
-        self.ensure(n);
-        &self.table[..n]
-    }
-
-    /// [`upconvert`] from sample index 0 using cached phasors; appends to
-    /// `out`. Bit-identical to mixing with a fresh `Nco`.
-    pub fn upconvert(&mut self, baseband: &[C32], out: &mut Vec<f32>) {
-        let phasors = self.phasors(baseband.len());
-        out.reserve(baseband.len());
-        for (&x, &c) in baseband.iter().zip(phasors) {
-            // lint: allow(no-alloc) — appends within the capacity reserved above
-            out.push((x * c).re * std::f32::consts::SQRT_2);
-        }
-    }
-
+/// Samples in one period of a `freq` Hz carrier at sample rate `fs`: the
+/// shortest run that holds a whole number of cycles, or `None` if none does
+/// within one second of samples (every whole number of hertz at a
+/// whole-hertz sample rate does).
+pub fn carrier_period(fs: f64, freq: f64) -> Option<usize> {
+    (1usize..)
+        .take_while(|&p| p as f64 <= fs)
+        .find(|&p| (p as f64 * freq / fs).fract() == 0.0)
 }
 
 /// One period of an [`Nco`], replayed for as long as the stream lasts: the
-/// receive side's oscillator.
+/// oscillator of both the transmitter, which [`restart`](Self::restart)s it
+/// at every burst (each starts at phase zero), and the receiver.
 ///
 /// A carrier whose frequency is a rational fraction of the sample rate
 /// repeats exactly — 9 200 Hz at 44 100 Hz every 441 samples — so one period
-/// of phasors and a position in it are all the state a down-converter needs,
+/// of phasors and a position in it are all the state a mixer needs,
 /// however long the station has been on. The period is the `Nco`'s own first
 /// one: the first [`period`](Self::period) samples are bit-identical to a
 /// fresh `Nco`, and from there on the live oscillator, whose `f64` phase
@@ -141,21 +79,17 @@ pub struct PeriodicOsc {
 }
 
 impl PeriodicOsc {
-    /// Tabulates one period of `freq` Hz at sample rate `fs`.
+    /// Tabulates one period ([`carrier_period`]) of `freq` Hz at sample rate
+    /// `fs`.
     ///
     /// # Panics
-    /// Panics if the carrier does not repeat within one second of samples
-    /// (every whole number of hertz at a whole-hertz sample rate does).
+    /// Panics if the carrier does not repeat within one second of samples.
     pub fn new(fs: f64, freq: f64) -> Self {
-        // The shortest run of samples that holds a whole number of cycles.
-        let mut period = 1usize;
-        while (period as f64 * freq / fs).fract() != 0.0 {
-            period += 1;
-            assert!(
-                period as f64 <= fs,
-                "a {freq} Hz carrier does not repeat within one second at {fs} Hz"
-            );
-        }
+        let period = carrier_period(fs, freq).unwrap_or(0);
+        assert!(
+            period > 0,
+            "a {freq} Hz carrier does not repeat within one second at {fs} Hz"
+        );
         let mut nco = Nco::new(fs, freq);
         PeriodicOsc {
             table: (0..period).map(|_| nco.next()).collect(),
@@ -181,6 +115,13 @@ impl PeriodicOsc {
         }
     }
 
+    /// Back to the start: the next [`advance`](Self::advance) returns the
+    /// first phasor of the period (phase zero, unless
+    /// [`decimated`](Self::decimated) from a later sample).
+    pub fn restart(&mut self) {
+        self.pos = 0;
+    }
+
     /// The next sample's phasor.
     #[inline]
     pub fn advance(&mut self) -> C32 {
@@ -190,16 +131,6 @@ impl PeriodicOsc {
             self.pos = 0;
         }
         c
-    }
-}
-
-/// Up-converts complex baseband to a real passband signal on `carrier` Hz.
-///
-/// `real(x[n] · e^{jωn})` — appends to `out`.
-pub fn upconvert(nco: &mut Nco, baseband: &[C32], out: &mut Vec<f32>) {
-    for &x in baseband {
-        let c = nco.next();
-        out.push((x * c).re * std::f32::consts::SQRT_2);
     }
 }
 
@@ -249,12 +180,17 @@ mod tests {
         let baseband: Vec<C32> = (0..4096)
             .map(|i| C32::from_angle(TAU * 50.0 * i as f64 / fs))
             .collect();
-        let mut up = Nco::new(fs, fc);
-        let mut pass = Vec::new();
-        upconvert(&mut up, &baseband, &mut pass);
-        let mut down = Nco::new(fs, fc);
+        // Up the way the modulator mixes, from a restarted oscillator.
+        let mut osc = PeriodicOsc::new(fs, fc);
+        osc.advance();
+        osc.restart();
+        let pass: Vec<f32> = baseband
+            .iter()
+            .map(|&x| (x * osc.advance()).re * std::f32::consts::SQRT_2)
+            .collect();
+        // Down the way the receiver's specification mixes.
         let mut back = Vec::new();
-        downconvert(&mut down, &pass, &mut back);
+        downconvert(&mut Nco::new(fs, fc), &pass, &mut back);
         // back = baseband + image at 2fc; average short windows to kill the image.
         let win = 64; // ~ 2fc period multiple
         let mut err = 0.0f32;
@@ -269,45 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn phasor_table_matches_nco_bit_for_bit() {
-        for freq in [9_200.0, -9_200.0, 123.456] {
-            let mut nco = Nco::new(44_100.0, freq);
-            let mut table = PhasorTable::new(44_100.0, freq);
-            // Grow in stages to exercise incremental extension.
-            table.ensure(10);
-            let phasors = table.phasors(5000).to_vec();
-            for (k, &p) in phasors.iter().enumerate() {
-                let want = nco.next();
-                assert_eq!(p.re.to_bits(), want.re.to_bits(), "re at {k}");
-                assert_eq!(p.im.to_bits(), want.im.to_bits(), "im at {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn phasor_table_mixing_matches_nco_mixing() {
-        let fs = 44_100.0;
-        let fc = 9_200.0;
-        let baseband: Vec<C32> = (0..3000)
-            .map(|i| C32::from_angle(TAU * 43.0 * i as f64 / fs))
-            .collect();
-        let mut want = Vec::new();
-        upconvert(&mut Nco::new(fs, fc), &baseband, &mut want);
-        let mut table = PhasorTable::new(fs, fc);
-        let mut got = Vec::new();
-        table.upconvert(&baseband, &mut got);
-        assert_eq!(
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn periodic_osc_finds_the_shortest_period() {
         for (freq, period) in [(9_200.0, 441), (10_500.0, 21), (7_000.0, 63), (11_400.0, 147)] {
             assert_eq!(PeriodicOsc::new(44_100.0, freq).period(), period, "{freq} Hz");
         }
         assert_eq!(PeriodicOsc::new(48_000.0, 1_187.5).period(), 768);
+        assert_eq!(carrier_period(44_100.0, 9_197.0), Some(44_100));
+        assert_eq!(carrier_period(44_100.0, 123.456), None);
     }
 
     #[test]

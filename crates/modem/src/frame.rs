@@ -411,9 +411,9 @@ pub fn demodulate_frames(profile: &Profile, audio: &[f32]) -> Vec<DemodFrame> {
 }
 
 /// Original per-call implementation of [`modulate_frame`], kept as the
-/// executable specification: builds a fresh modulator and FEC pipeline and
-/// mixes with a live oscillator. Property tests assert the cached path
-/// produces byte-identical audio.
+/// executable specification: a fresh modulator, FEC pipeline and modulator
+/// scratch per call. Property tests assert the cached codec, whose scratch
+/// is reused across frames, produces byte-identical audio.
 pub fn modulate_frame_reference(profile: &Profile, payload: &[u8]) -> Vec<f32> {
     let modulator = Modulator::new(profile.clone());
     let fec = FecPipeline::new(profile.fec);

@@ -11,7 +11,8 @@
 //!
 //! * [`constellation`] — Gray-mapped BPSK…1024-QAM with max-log soft demap.
 //! * [`ofdm`] — one burst on air: the modulator (preamble, training, header
-//!   and payload symbols → IFFT + cyclic prefix → upconversion), and the
+//!   and payload symbols → IFFT + cyclic prefix → upconversion on the
+//!   periodic oscillator the receiver also runs), and the
 //!   receiver's two streaming halves: the front end (polyphase low-pass that
 //!   keeps every fourth sample, periodic oscillator) and the resumable burst
 //!   scanner at a quarter of the audio rate (Schmidl-Cox sync → channel
@@ -26,12 +27,13 @@
 //! * [`profile`] — named parameter sets with rate math.
 //!
 //! Each fast path is written once and shares everything with its
-//! `*_reference` oracle except the kernel the oracle exists for:
-//! [`modulate_frame_reference`] differs from [`modulate_frame`] in mixing
-//! with a live oscillator instead of a phasor table (same symbol builder),
-//! and [`demodulate_frames_reference`] from [`demodulate_frames`] in the
-//! live oscillator and direct-form baseband filter at the audio rate instead
-//! of the periodic one and the decimator (same burst scanner).
+//! `*_reference` oracle except what the oracle exists for:
+//! [`modulate_frame_reference`] differs from [`modulate_frame`] only in
+//! building a fresh modulator and scratch per call instead of reusing the
+//! cached codec's, and [`demodulate_frames_reference`] from
+//! [`demodulate_frames`] in the live oscillator and direct-form baseband
+//! filter at the audio rate instead of the periodic one and the decimator
+//! (same burst scanner).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

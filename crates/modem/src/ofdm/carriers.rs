@@ -5,6 +5,8 @@
 //! through the logical indices; the rest carry data.
 
 use crate::profile::Profile;
+use sonic_dsp::plan::FftPlan;
+use sonic_dsp::split::SplitC32;
 use sonic_dsp::C32;
 
 /// A small PRBS used for pilot and reference values (x⁷+x⁶+1, period 127).
@@ -65,8 +67,8 @@ pub struct CarrierPlan {
     /// Known preamble values on the *even* logical carriers (Schmidl-Cox).
     pub preamble: Vec<C32>,
     /// Time-domain preamble symbol body (no CP) at complex baseband in the
-    /// plan's FFT size, cached so burst detection does not re-run an IFFT on
-    /// every scan.
+    /// plan's FFT size, as [`synthesize`](Self::synthesize) makes it: cached
+    /// so burst detection does not re-run an IFFT on every scan.
     pub preamble_body: Vec<C32>,
     /// Total energy of [`preamble_body`](Self::preamble_body).
     pub preamble_energy: f32,
@@ -140,31 +142,22 @@ impl CarrierPlan {
             })
             .collect();
 
-        // Cache the preamble's time-domain body: IFFT of the scattered
-        // preamble values, scaled by √N like every transmitted symbol.
-        let fft = sonic_dsp::Fft::new(fft_size);
-        let mut preamble_body = vec![C32::ZERO; fft_size];
-        for (v, &b) in preamble.iter().zip(&bins) {
-            preamble_body[b] = *v;
-        }
-        fft.inverse(&mut preamble_body);
-        let gain = (fft_size as f32).sqrt();
-        for v in preamble_body.iter_mut() {
-            *v = v.scale(gain);
-        }
-        let preamble_energy = preamble_body.iter().map(|v| v.norm_sq()).sum();
-
-        CarrierPlan {
+        let mut plan = CarrierPlan {
             bins,
             pilot_idx,
             data_idx,
             pilot_values,
             training,
             preamble,
-            preamble_body,
-            preamble_energy,
+            preamble_body: Vec::new(),
+            preamble_energy: 0.0,
             fft_size,
-        }
+        };
+        let mut body = SplitC32::new();
+        plan.synthesize(&FftPlan::new(fft_size), &plan.preamble, &mut body);
+        plan.preamble_body = body.re.iter().zip(&body.im).map(|(&re, &im)| C32::new(re, im)).collect();
+        plan.preamble_energy = plan.preamble_body.iter().map(|v| v.norm_sq()).sum();
+        plan
     }
 
     /// FFT size the bins index into.
@@ -172,28 +165,33 @@ impl CarrierPlan {
         self.fft_size
     }
 
-    /// Places per-carrier values into a zeroed FFT buffer.
+    /// One symbol's body (no cyclic prefix) at complex baseband into `body`:
+    /// `values`, one per logical carrier, on their bins, inverse-transformed
+    /// by `fft` and scaled by √N, which keeps a symbol's energy independent
+    /// of the FFT size. Every transmitted symbol and the preamble template
+    /// are made here.
     ///
     /// # Panics
-    /// Panics if `values.len()` differs from the number of carriers or the
-    /// buffer from the FFT size.
-    pub fn scatter(&self, values: &[C32], fft_buf: &mut [C32]) {
+    /// Panics if `values.len()` differs from the number of carriers or
+    /// `fft` from the plan's FFT size.
+    pub fn synthesize(&self, fft: &FftPlan, values: &[C32], body: &mut SplitC32) {
         assert_eq!(values.len(), self.bins.len());
-        assert_eq!(fft_buf.len(), self.fft_size);
-        fft_buf.fill(C32::ZERO);
+        assert_eq!(fft.len(), self.fft_size);
+        body.clear();
+        body.resize(self.fft_size);
         for (v, &b) in values.iter().zip(&self.bins) {
-            fft_buf[b] = *v;
+            body.re[b] = v.re;
+            body.im[b] = v.im;
+        }
+        fft.inverse_split(&mut body.re, &mut body.im);
+        let gain = (self.fft_size as f32).sqrt();
+        for x in body.re.iter_mut().chain(body.im.iter_mut()) {
+            *x *= gain;
         }
     }
 
-    /// Collects per-carrier values from an FFT output buffer.
-    pub fn gather(&self, fft_buf: &[C32]) -> Vec<C32> {
-        assert_eq!(fft_buf.len(), self.fft_size);
-        self.bins.iter().map(|&b| fft_buf[b]).collect()
-    }
-
-    /// [`gather`](Self::gather) into a reused buffer (cleared first), from split-plane (SoA) FFT output,
-    /// as produced by [`sonic_dsp::plan::FftPlan::forward_split`].
+    /// Collects per-carrier values into a reused buffer (cleared first) from
+    /// split-plane FFT output, as [`FftPlan::forward_split`] produces it.
     pub fn gather_split_into(&self, re: &[f32], im: &[f32], out: &mut Vec<C32>) {
         assert_eq!(re.len(), self.fft_size);
         assert_eq!(im.len(), self.fft_size);
@@ -237,15 +235,23 @@ mod tests {
         }
     }
 
+    /// The receiver's forward transform of a synthesized symbol gathers its
+    /// values back, √N times larger.
     #[test]
-    fn scatter_gather_roundtrip() {
+    fn synthesize_then_gather_roundtrip() {
         let plan = plan();
+        let fft = FftPlan::new(plan.fft_size());
         let values: Vec<C32> = (0..plan.bins.len())
             .map(|i| C32::new(i as f32, -(i as f32)))
             .collect();
-        let mut buf = vec![C32::ZERO; plan.fft_size()];
-        plan.scatter(&values, &mut buf);
-        assert_eq!(plan.gather(&buf), values);
+        let mut body = SplitC32::new();
+        plan.synthesize(&fft, &values, &mut body);
+        fft.forward_split(&mut body.re, &mut body.im);
+        let mut got = Vec::new();
+        plan.gather_split_into(&body.re, &body.im, &mut got);
+        for (i, (g, v)) in got.iter().zip(&values).enumerate() {
+            assert!((g.scale(1.0 / 32.0) - *v).abs() < 1e-4, "carrier {i}: {g:?} vs {v:?}");
+        }
     }
 
     #[test]
@@ -275,14 +281,18 @@ mod tests {
         let values: Vec<C32> = (0..full.bins.len())
             .map(|i| C32::from_angle(i as f64 * 0.7).scale(1.0 + (i % 3) as f32))
             .collect();
-        let mut symbol = vec![C32::ZERO; p.fft_size];
-        full.scatter(&values, &mut symbol);
-        sonic_dsp::Fft::new(p.fft_size).inverse(&mut symbol);
-        let mut kept: Vec<C32> = symbol.iter().step_by(4).copied().collect();
-        sonic_dsp::Fft::new(p.fft_size / 4).forward(&mut kept);
-        // x[4m] = (1/1024)·Σ X·e^{j2πkm/256}, so the 256-point transform is X/4.
-        for (i, (got, want)) in quarter.gather(&kept).iter().zip(&values).enumerate() {
-            assert!((got.scale(4.0) - *want).abs() < 1e-5, "carrier {i}");
+        let mut symbol = SplitC32::new();
+        full.synthesize(&FftPlan::new(p.fft_size), &values, &mut symbol);
+        let mut kept = SplitC32 {
+            re: symbol.re.iter().step_by(4).copied().collect(),
+            im: symbol.im.iter().step_by(4).copied().collect(),
+        };
+        FftPlan::new(p.fft_size / 4).forward_split(&mut kept.re, &mut kept.im);
+        // x[4m] = (√1024/1024)·Σ X·e^{j2πkm/256}, so the 256-point transform is 8·X.
+        let mut got = Vec::new();
+        quarter.gather_split_into(&kept.re, &kept.im, &mut got);
+        for (i, (got, want)) in got.iter().zip(&values).enumerate() {
+            assert!((got.scale(1.0 / 8.0) - *want).abs() < 1e-5, "carrier {i}");
         }
         // The preamble body is the full one's every 4th sample, at twice the
         // amplitude (both are scaled by √N).

@@ -80,8 +80,7 @@ pub struct Demodulator {
     plan: CarrierPlan,
     /// Cyclic prefix in baseband samples.
     cp: usize,
-    /// Planned split-plane FFT for the per-symbol forward transforms,
-    /// bit-identical to [`sonic_dsp::Fft::forward`].
+    /// Planned split-plane FFT for the per-symbol forward transforms.
     fft_plan: FftPlan,
     lpf_taps: Vec<f32>,
     /// A new [`Frontend`]'s state, cloned per stream.
@@ -89,11 +88,10 @@ pub struct Demodulator {
 }
 
 impl Demodulator {
-    /// Creates a demodulator (validates the profile).
+    /// Creates a demodulator.
     ///
     /// # Panics
-    /// Panics if the profile's carrier does not repeat within a second of
-    /// samples (see [`PeriodicOsc::new`]).
+    /// Panics if the profile is invalid (see [`Profile::validate`]).
     pub fn new(profile: Profile) -> Self {
         let fft_size = profile.fft_size / DECIMATION;
         let plan = CarrierPlan::with_fft_size(&profile, fft_size);
@@ -393,8 +391,6 @@ impl BurstScanner {
             let phase0 = (s - sync.start) as f64 * sync.cfo as f64;
             derotate_window(buf, phase0, sync.cfo as f64);
         }
-        // Split-plane FFT: bit-identical to `Fft::forward`, with the
-        // butterflies running through the dispatched SIMD kernels.
         self.split_buf.copy_from_interleaved(buf);
         demod
             .fft_plan

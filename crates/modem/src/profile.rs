@@ -120,11 +120,15 @@ impl Profile {
         (payload_syms + 4) * self.symbol_len()
     }
 
-    /// Checks structural invariants; called by the modem constructors.
+    /// Checks structural invariants; called by the modem constructors, so a
+    /// profile that fails here panics in `Modulator::new` and
+    /// `Demodulator::new` alike.
     ///
     /// # Panics
-    /// Panics when the profile cannot be realized (carrier doesn't fit the
-    /// band, FFT not a power of two, …).
+    /// Panics when the profile cannot be realized: the band does not fit,
+    /// the FFT is not a power of two, or the carrier does not repeat within
+    /// one second of samples — both directions mix with one period of it
+    /// ([`sonic_dsp::osc::PeriodicOsc`]).
     pub fn validate(&self) {
         assert!(self.fft_size.is_power_of_two(), "fft_size must be a power of two");
         assert!(self.cp_len < self.fft_size, "cp must be shorter than the symbol");
@@ -143,6 +147,12 @@ impl Profile {
         assert!(
             self.center_freq + half_bw < self.sample_rate / 2.0,
             "band extends beyond Nyquist"
+        );
+        assert!(
+            sonic_dsp::osc::carrier_period(self.sample_rate, self.center_freq).is_some(),
+            "a {} Hz carrier does not repeat within one second at {} Hz",
+            self.center_freq,
+            self.sample_rate
         );
     }
 }
@@ -196,6 +206,14 @@ mod tests {
     fn validate_rejects_bad_fft() {
         let mut p = Profile::audible_7k();
         p.fft_size = 1000;
+        p.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not repeat within one second")]
+    fn validate_rejects_a_carrier_with_no_period() {
+        let mut p = Profile::sonic_10k();
+        p.center_freq = 9_200.5;
         p.validate();
     }
 

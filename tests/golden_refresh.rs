@@ -7,7 +7,9 @@
 //! frame byte or one audio ulp — or classifies a page differently — fails
 //! here. The digests were taken while the audio refresh and the carousel
 //! refresh were still two functions that produced the same artifacts — the
-//! fact that let them become one — and have not been edited since.
+//! fact that let them become one. The audio columns were re-pinned once,
+//! when the transmitter moved to the receiver's FFT and oscillator; the
+//! kind, changed-column and frame columns have not been edited since.
 
 use sonic::core::frame::Frame;
 use sonic::core::server::cache::{Artifact, ArtifactCache};
@@ -99,27 +101,27 @@ fn row(item: &CarouselItem) -> Row {
 /// full-width sections — so each delta slot is its artifact.
 #[rustfmt::skip]
 const GOLDEN: [Row; 24] = [
-    ('F', 0, 0x19bd_a41c_4c66_2f68, 0xb8d3_2d25_07f5_12e3, 0x19bd_a41c_4c66_2f68, 0xb8d3_2d25_07f5_12e3),
-    ('F', 0, 0x6535_ca48_e96d_03bc, 0x1d88_d84d_8da8_7804, 0x6535_ca48_e96d_03bc, 0x1d88_d84d_8da8_7804),
-    ('F', 0, 0x1904_cc83_01bc_2a49, 0x230d_702e_f327_488f, 0x1904_cc83_01bc_2a49, 0x230d_702e_f327_488f),
-    ('F', 0, 0xf656_8005_b1c2_a4e9, 0x0f8d_0eae_4d34_c9b5, 0xf656_8005_b1c2_a4e9, 0x0f8d_0eae_4d34_c9b5),
-    ('F', 0, 0xc36f_0ef6_051f_b4c8, 0x5e3d_bbfd_3fae_0f15, 0xc36f_0ef6_051f_b4c8, 0x5e3d_bbfd_3fae_0f15),
-    ('F', 0, 0x3b91_2e5a_b031_fda3, 0x82fd_bf0a_0555_39f4, 0x3b91_2e5a_b031_fda3, 0x82fd_bf0a_0555_39f4),
-    ('F', 0, 0xe5bc_6075_d1b6_63af, 0x18e1_ca7f_0eef_994d, 0xe5bc_6075_d1b6_63af, 0x18e1_ca7f_0eef_994d),
-    ('F', 0, 0x788b_6307_854f_8c45, 0x85ef_efc4_5452_7624, 0x788b_6307_854f_8c45, 0x85ef_efc4_5452_7624),
-    ('D', 54, 0xbbd6_ef99_2598_b465, 0x3503_5f3d_f3be_5026, 0xbbd6_ef99_2598_b465, 0xcbf2_9ce4_8422_2325),
+    ('F', 0, 0x19bd_a41c_4c66_2f68, 0xfdaf_79c9_35ea_a23a, 0x19bd_a41c_4c66_2f68, 0xfdaf_79c9_35ea_a23a),
+    ('F', 0, 0x6535_ca48_e96d_03bc, 0x133e_9173_8ee2_9e36, 0x6535_ca48_e96d_03bc, 0x133e_9173_8ee2_9e36),
+    ('F', 0, 0x1904_cc83_01bc_2a49, 0x09f7_a80c_da65_e6cc, 0x1904_cc83_01bc_2a49, 0x09f7_a80c_da65_e6cc),
+    ('F', 0, 0xf656_8005_b1c2_a4e9, 0x4f68_868c_a5cb_3e78, 0xf656_8005_b1c2_a4e9, 0x4f68_868c_a5cb_3e78),
+    ('F', 0, 0xc36f_0ef6_051f_b4c8, 0x3d34_2a43_9814_629b, 0xc36f_0ef6_051f_b4c8, 0x3d34_2a43_9814_629b),
+    ('F', 0, 0x3b91_2e5a_b031_fda3, 0xdc6c_948d_e3bb_faf2, 0x3b91_2e5a_b031_fda3, 0xdc6c_948d_e3bb_faf2),
+    ('F', 0, 0xe5bc_6075_d1b6_63af, 0xea03_5ed7_390c_9f48, 0xe5bc_6075_d1b6_63af, 0xea03_5ed7_390c_9f48),
+    ('F', 0, 0x788b_6307_854f_8c45, 0xed3e_fcf0_6334_6bed, 0x788b_6307_854f_8c45, 0xed3e_fcf0_6334_6bed),
+    ('D', 54, 0xbbd6_ef99_2598_b465, 0x52bf_53e7_9fda_e05a, 0xbbd6_ef99_2598_b465, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x6535_ca48_e96d_03bc, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x1904_cc83_01bc_2a49, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xf656_8005_b1c2_a4e9, 0xcbf2_9ce4_8422_2325),
-    ('D', 54, 0xc940_7034_801b_3be1, 0xc0f2_64ad_6ec5_da48, 0xc940_7034_801b_3be1, 0xcbf2_9ce4_8422_2325),
+    ('D', 54, 0xc940_7034_801b_3be1, 0x9f9e_2e10_2419_b0e2, 0xc940_7034_801b_3be1, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x3b91_2e5a_b031_fda3, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xe5bc_6075_d1b6_63af, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x788b_6307_854f_8c45, 0xcbf2_9ce4_8422_2325),
-    ('D', 54, 0xb736_9f69_33b8_f566, 0x759d_e2ba_631a_fec9, 0xb736_9f69_33b8_f566, 0xcbf2_9ce4_8422_2325),
-    ('D', 54, 0x40e4_3366_bcb5_b9b9, 0xcd13_0874_77b7_d5ff, 0x40e4_3366_bcb5_b9b9, 0xcbf2_9ce4_8422_2325),
+    ('D', 54, 0xb736_9f69_33b8_f566, 0xe1f4_d79d_9d30_167a, 0xb736_9f69_33b8_f566, 0xcbf2_9ce4_8422_2325),
+    ('D', 54, 0x40e4_3366_bcb5_b9b9, 0xe578_ed01_ec77_ba8f, 0x40e4_3366_bcb5_b9b9, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x1904_cc83_01bc_2a49, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xf656_8005_b1c2_a4e9, 0xcbf2_9ce4_8422_2325),
-    ('D', 54, 0x0adb_cad7_a910_0a6c, 0x2188_cc31_7df8_69a1, 0x0adb_cad7_a910_0a6c, 0xcbf2_9ce4_8422_2325),
+    ('D', 54, 0x0adb_cad7_a910_0a6c, 0xa4ca_6b97_51e9_1b57, 0x0adb_cad7_a910_0a6c, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x3b91_2e5a_b031_fda3, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0xe5bc_6075_d1b6_63af, 0xcbf2_9ce4_8422_2325),
     ('U', 0, 0xcbf2_9ce4_8422_2325, 0xcbf2_9ce4_8422_2325, 0x788b_6307_854f_8c45, 0xcbf2_9ce4_8422_2325),
