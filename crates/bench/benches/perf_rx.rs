@@ -52,6 +52,13 @@
 //! went to a quarter of the audio rate (~7× and ~2× before, 26–34× and
 //! 4.4–5.9× after), and both gates were re-derived.
 //!
+//! The burst detector's preamble correlation does not dispatch (DESIGN
+//! §11's keep-rule removed its vector paths): every column of
+//! `fm_rx_page` and `ofdm_demodulate_1kB` runs the same scalar loop for
+//! it. Neither `vs_scalar` fell with it (five alternated full runs a side:
+//! 3.6–4.5× against 3.4–4.0× and 5.4–6.1× against 5.3–5.8×), so no gate
+//! was re-derived.
+//!
 //! Gate values: 0.8 × the worst ratio in at least five full runs on the
 //! 2-core AVX2 host `BENCH_rx.json` names, rounded down; CHANGES.md lists
 //! the runs.

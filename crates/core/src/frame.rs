@@ -11,9 +11,9 @@
 //! 1..5   page_id     (u32 BE — url hash ⊕ version)
 //! 5..7   field_a     (u16 BE — meta: part seq; strip: column index)
 //! 7..9   field_b     (u16 BE — meta: part total; strip: seq, MSB = last)
-//! 9      payload_len (u8, ≤ 87)
-//! 10..97 payload     (87 B, zero-padded)
-//! 97..100 — wait, see below —
+//! 9      payload_len (u8, ≤ 86)
+//! 10..96 payload     (86 B, zero-padded)
+//! 96..100 crc32      (u32 BE over bytes 0..96)
 //! ```
 //!
 //! Header (10 B) + payload (86 B) + CRC-32 (4 B) = 100 B, so
@@ -243,6 +243,49 @@ mod tests {
             payload: vec![0; FRAME_PAYLOAD + 1],
         };
         let _ = f.encode();
+    }
+
+    /// The wire bytes of one frame of each kind, pinned: a layout change has
+    /// to re-pin them on purpose.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        fn hex(s: &str) -> Vec<u8> {
+            (0..s.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("hex"))
+                .collect()
+        }
+        let meta = Frame::Meta {
+            page_id: 0x1234_5678,
+            seq: 2,
+            total: 5,
+            payload: b"SONIC meta".to_vec(),
+        };
+        let strip = Frame::Strip {
+            page_id: 0xCAFE_F00D,
+            column: 1079,
+            seq: 3,
+            last: true,
+            payload: (0..FRAME_PAYLOAD as u8)
+                .map(|i| i.wrapping_mul(3).wrapping_add(1))
+                .collect(),
+        };
+        let meta_wire = hex(concat!(
+            "4d12345678000200050a534f4e4943206d657461000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "b6e54216",
+        ));
+        let strip_wire = hex(concat!(
+            "53cafef00d04378003560104070a0d101316191c1f2225282b2e3134373a3d40",
+            "4346494c4f5255585b5e6164676a6d707376797c7f8285888b8e9194979a9da0",
+            "a3a6a9acafb2b5b8bbbec1c4c7cacdd0d3d6d9dcdfe2e5e8ebeef1f4f7fafd00",
+            "dd62119f",
+        ));
+        for (frame, wire) in [(meta, meta_wire), (strip, strip_wire)] {
+            assert_eq!(frame.encode().as_slice(), wire.as_slice(), "{frame:?}");
+            assert_eq!(Frame::decode(&wire), Ok(frame));
+        }
     }
 
     #[test]

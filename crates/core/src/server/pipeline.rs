@@ -287,7 +287,7 @@ fn refresh_job(renderer: &Renderer, tier: &mut impl ArtifactTier, job: PageJob) 
 /// replaced, kept because `tests/golden_serve.rs` pins what a request airs
 /// (its soak serves 192 `GET`s in hour 1); the carousel has no such rule, so
 /// from the hour a page's TTL runs out the two can still air one content
-/// under two ids (ROADMAP item 9(f), open).
+/// under two ids (ROADMAP item 10(b), open).
 pub(crate) fn refresh_request(
     tier: &mut impl ArtifactTier,
     id: PageId,

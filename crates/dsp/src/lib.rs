@@ -24,8 +24,8 @@
 //! * [`math`] — branch-free `f64` sine/cosine and logarithm that vectorise
 //!   in block loops (the FM modulator and the RF and acoustic channels).
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
-//! * [`simd`] — the three runtime-dispatched SIMD kernels that measurably pay
-//!   (two lane-split reductions, QAM soft demap), each with its scalar twin.
+//! * [`simd`] — the two runtime-dispatched SIMD kernels that measurably pay
+//!   (the lane-split `dot`, QAM soft demap), each with its scalar twin.
 //! * [`plan`] — planned split-plane transforms: [`plan::FftPlan`], the one FFT
 //!   (transmit IFFT, receive FFT and overlap-save frames, plain scalar radix-2
 //!   butterflies), and the shareable [`plan::FirPlan`].

@@ -1,14 +1,16 @@
 //! Runtime-dispatched SIMD kernels for the DSP hot paths.
 //!
-//! Three kernels live here — [`dot`], [`dot_mul_conj_energy`] and
-//! [`qam_axis_soft`] — because their vector paths measurably pay on a
-//! benchmark workload's `unit_xrt` (DESIGN §11 has the per-kernel table). A
-//! vector path stays only while pinning that one kernel to its scalar twin
-//! moves a workload's `unit_xrt` beyond the host's spread; a kernel that
-//! fails the test becomes one plain scalar function beside its caller (the
-//! FFT butterfly and spectrum multiply in [`crate::plan`], the FM
-//! discriminator pair in `sonic_radio::fm`), or goes if its caller already
-//! has one (the direct-form FIR is [`crate::fir::Fir::push`]'s loop).
+//! Two kernels live here — [`dot`] and [`qam_axis_soft`] — because their
+//! vector paths measurably pay on a benchmark workload's `unit_xrt` (DESIGN
+//! §11 has the per-kernel table; the one other dispatched kernel is the
+//! Viterbi's `sonic_fec::viterbi::acs_step`). A vector path stays only while
+//! pinning that one kernel to its scalar twin moves a workload's `unit_xrt`
+//! down beyond the parent's quartile spread; a kernel that fails the test
+//! becomes one plain scalar function beside its caller (the FFT butterfly
+//! and spectrum multiply in [`crate::plan`], the FM discriminator pair in
+//! `sonic_radio::fm`, the burst detector's correlation in
+//! `sonic_modem::ofdm::sync`), or goes if its caller already has one (the
+//! direct-form FIR is [`crate::fir::Fir::push`]'s loop).
 //!
 //! Every kernel here comes in (up to) three implementations:
 //!
@@ -34,7 +36,6 @@
 //! compare both paths in one run), the `SONIC_DSP_FORCE_SCALAR=1`
 //! environment variable, and CPU feature detection.
 
-use crate::complex::C32;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which kernel implementation dispatch selected.
@@ -119,10 +120,10 @@ pub fn force_scalar(on: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Correlation reduction: Σ a[i]·conj(b[i]) and Σ |a[i]|²
+// Real dot product: Σ a[i]·b[i]
 // ---------------------------------------------------------------------------
 
-/// Number of independent accumulator lanes used by [`dot_mul_conj_energy`].
+/// Number of independent accumulator lanes used by [`dot`].
 ///
 /// The sum is *defined* as a LANES-way split: element `i` of a full chunk
 /// goes to lane `i mod LANES`, tail elements continue in lane order, and the
@@ -130,170 +131,6 @@ pub fn force_scalar(on: bool) {
 /// vector paths implement exactly this, so results are bit-identical across
 /// backends (NEON accumulates pairs of 4-wide vectors to match).
 pub const DOT_LANES: usize = 8;
-
-/// Correlates `a` against `b`, returning `(Σ a[i]·conj(b[i]), Σ |a[i]|²)`
-/// with the lane-split accumulation order described at [`DOT_LANES`].
-pub fn dot_mul_conj_energy(a: &[C32], b: &[C32]) -> (C32, f32) {
-    assert_eq!(a.len(), b.len(), "correlation length mismatch");
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch returned Avx2, so the CPU supports AVX2.
-        Backend::Avx2 => unsafe { dot_mul_conj_energy_avx2(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch returned Neon, so the CPU supports NEON.
-        Backend::Neon => unsafe { dot_mul_conj_energy_neon(a, b) },
-        _ => dot_mul_conj_energy_reference(a, b),
-    }
-}
-
-/// Scalar twin of [`dot_mul_conj_energy`].
-pub fn dot_mul_conj_energy_reference(a: &[C32], b: &[C32]) -> (C32, f32) {
-    let mut acc_re = [0.0f32; DOT_LANES];
-    let mut acc_im = [0.0f32; DOT_LANES];
-    let mut en = [0.0f32; DOT_LANES];
-    for (i, (&x, &h)) in a.iter().zip(b).enumerate() {
-        let l = i % DOT_LANES;
-        acc_re[l] += x.re * h.re + x.im * h.im;
-        acc_im[l] += x.im * h.re - x.re * h.im;
-        en[l] += x.re * x.re + x.im * x.im;
-    }
-    reduce_lanes(&acc_re, &acc_im, &en)
-}
-
-/// Sequential lane reduction shared by every backend.
-fn reduce_lanes(acc_re: &[f32; DOT_LANES], acc_im: &[f32; DOT_LANES], en: &[f32; DOT_LANES]) -> (C32, f32) {
-    let mut r = 0.0f32;
-    let mut i = 0.0f32;
-    let mut e = 0.0f32;
-    for l in 0..DOT_LANES {
-        r += acc_re[l];
-        i += acc_im[l];
-        e += en[l];
-    }
-    (C32::new(r, i), e)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: caller guarantees AVX2 is available.
-unsafe fn dot_mul_conj_energy_avx2(a: &[C32], b: &[C32]) -> (C32, f32) {
-    use std::arch::x86_64::*;
-    let n = a.len();
-    let n8 = n / 8 * 8;
-    let mut vr = _mm256_setzero_ps();
-    let mut vi = _mm256_setzero_ps();
-    let mut ve = _mm256_setzero_ps();
-    let mut i = 0;
-    while i < n8 {
-        // SAFETY: i + 7 < n8 ≤ a.len() == b.len(); 8 complex samples are 16
-        // readable floats each.
-        unsafe {
-            let pa = a.as_ptr().add(i).cast::<f32>();
-            let pb = b.as_ptr().add(i).cast::<f32>();
-            let (a0, a1) = (_mm256_loadu_ps(pa), _mm256_loadu_ps(pa.add(8)));
-            let (b0, b1) = (_mm256_loadu_ps(pb), _mm256_loadu_ps(pb.add(8)));
-            // Even floats of each 128-bit lane are re, odd are im; the
-            // shuffles leave vector lane k holding element LANE_ELEM[k].
-            let ar = _mm256_shuffle_ps(a0, a1, 0b10_00_10_00);
-            let ai = _mm256_shuffle_ps(a0, a1, 0b11_01_11_01);
-            let br = _mm256_shuffle_ps(b0, b1, 0b10_00_10_00);
-            let bi = _mm256_shuffle_ps(b0, b1, 0b11_01_11_01);
-            vr = _mm256_add_ps(
-                vr,
-                _mm256_add_ps(_mm256_mul_ps(ar, br), _mm256_mul_ps(ai, bi)),
-            );
-            vi = _mm256_add_ps(
-                vi,
-                _mm256_sub_ps(_mm256_mul_ps(ai, br), _mm256_mul_ps(ar, bi)),
-            );
-            ve = _mm256_add_ps(
-                ve,
-                _mm256_add_ps(_mm256_mul_ps(ar, ar), _mm256_mul_ps(ai, ai)),
-            );
-        }
-        i += 8;
-    }
-    // Vector lane k accumulated element LANE_ELEM[k] of every chunk, i.e.
-    // the scalar twin's lane LANE_ELEM[k]: put each sum in its lane.
-    const LANE_ELEM: [usize; DOT_LANES] = [0, 1, 4, 5, 2, 3, 6, 7];
-    let mut vec_lanes = [[0.0f32; DOT_LANES]; 3];
-    // SAFETY: each array is 8 f32s, exactly one __m256.
-    unsafe {
-        _mm256_storeu_ps(vec_lanes[0].as_mut_ptr(), vr);
-        _mm256_storeu_ps(vec_lanes[1].as_mut_ptr(), vi);
-        _mm256_storeu_ps(vec_lanes[2].as_mut_ptr(), ve);
-    }
-    let mut acc_re = [0.0f32; DOT_LANES];
-    let mut acc_im = [0.0f32; DOT_LANES];
-    let mut en = [0.0f32; DOT_LANES];
-    for (k, &l) in LANE_ELEM.iter().enumerate() {
-        acc_re[l] = vec_lanes[0][k];
-        acc_im[l] = vec_lanes[1][k];
-        en[l] = vec_lanes[2][k];
-    }
-    // Tail elements continue the lane rotation exactly like the scalar twin.
-    for (j, (&x, &h)) in a[n8..].iter().zip(&b[n8..]).enumerate() {
-        let l = j % DOT_LANES;
-        acc_re[l] += x.re * h.re + x.im * h.im;
-        acc_im[l] += x.im * h.re - x.re * h.im;
-        en[l] += x.re * x.re + x.im * x.im;
-    }
-    reduce_lanes(&acc_re, &acc_im, &en)
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: caller guarantees NEON is available.
-unsafe fn dot_mul_conj_energy_neon(a: &[C32], b: &[C32]) -> (C32, f32) {
-    use std::arch::aarch64::*;
-    let n = a.len();
-    let n8 = n / 8 * 8;
-    // Two 4-wide accumulators per quantity model the 8 scalar lanes: lanes
-    // 0..4 live in the first vector, 4..8 in the second.
-    let mut vr0 = vdupq_n_f32(0.0);
-    let mut vr1 = vdupq_n_f32(0.0);
-    let mut vi0 = vdupq_n_f32(0.0);
-    let mut vi1 = vdupq_n_f32(0.0);
-    let mut ve0 = vdupq_n_f32(0.0);
-    let mut ve1 = vdupq_n_f32(0.0);
-    let mut i = 0;
-    while i < n8 {
-        // SAFETY: i + 7 < n8 ≤ a.len() == b.len(); each vld2q reads 8 valid
-        // floats (4 complex samples).
-        unsafe {
-            let a0 = vld2q_f32(a.as_ptr().add(i).cast::<f32>());
-            let b0 = vld2q_f32(b.as_ptr().add(i).cast::<f32>());
-            let a1 = vld2q_f32(a.as_ptr().add(i + 4).cast::<f32>());
-            let b1 = vld2q_f32(b.as_ptr().add(i + 4).cast::<f32>());
-            vr0 = vaddq_f32(vr0, vaddq_f32(vmulq_f32(a0.0, b0.0), vmulq_f32(a0.1, b0.1)));
-            vr1 = vaddq_f32(vr1, vaddq_f32(vmulq_f32(a1.0, b1.0), vmulq_f32(a1.1, b1.1)));
-            vi0 = vaddq_f32(vi0, vsubq_f32(vmulq_f32(a0.1, b0.0), vmulq_f32(a0.0, b0.1)));
-            vi1 = vaddq_f32(vi1, vsubq_f32(vmulq_f32(a1.1, b1.0), vmulq_f32(a1.0, b1.1)));
-            ve0 = vaddq_f32(ve0, vaddq_f32(vmulq_f32(a0.0, a0.0), vmulq_f32(a0.1, a0.1)));
-            ve1 = vaddq_f32(ve1, vaddq_f32(vmulq_f32(a1.0, a1.0), vmulq_f32(a1.1, a1.1)));
-        }
-        i += 8;
-    }
-    let mut acc_re = [0.0f32; DOT_LANES];
-    let mut acc_im = [0.0f32; DOT_LANES];
-    let mut en = [0.0f32; DOT_LANES];
-    // SAFETY: each half-array is 4 f32s, exactly one float32x4_t.
-    unsafe {
-        vst1q_f32(acc_re.as_mut_ptr(), vr0);
-        vst1q_f32(acc_re.as_mut_ptr().add(4), vr1);
-        vst1q_f32(acc_im.as_mut_ptr(), vi0);
-        vst1q_f32(acc_im.as_mut_ptr().add(4), vi1);
-        vst1q_f32(en.as_mut_ptr(), ve0);
-        vst1q_f32(en.as_mut_ptr().add(4), ve1);
-    }
-    for (j, (&x, &h)) in a[n8..].iter().zip(&b[n8..]).enumerate() {
-        let l = j % DOT_LANES;
-        acc_re[l] += x.re * h.re + x.im * h.im;
-        acc_im[l] += x.im * h.re - x.re * h.im;
-        en[l] += x.re * x.re + x.im * x.im;
-    }
-    reduce_lanes(&acc_re, &acc_im, &en)
-}
 
 /// Real dot product `Σ a[i]·b[i]` with the lane-split accumulation order
 /// described at [`DOT_LANES`]. Bit-exact with [`dot_reference`].
@@ -565,12 +402,6 @@ mod tests {
             .collect()
     }
 
-    fn cnoise(n: usize, seed: u32) -> Vec<C32> {
-        let re = noise(n, seed);
-        let im = noise(n, seed.wrapping_mul(7).wrapping_add(13));
-        re.iter().zip(&im).map(|(&r, &i)| C32::new(r, i)).collect()
-    }
-
     /// Lengths chosen to exercise empty, sub-vector, odd, and full-vector
     /// paths (plus unaligned offsets below).
     const LENS: [usize; 7] = [0, 1, 3, 7, 8, 31, 257];
@@ -592,20 +423,6 @@ mod tests {
             let got = dot(&big_a[1..], &big_b[1..]);
             let want = dot_reference(&big_a[1..], &big_b[1..]);
             assert_eq!(got.to_bits(), want.to_bits(), "n={n}: {got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn dot_mul_conj_energy_matches_dot_mul_conj_energy_reference_bit_exactly() {
-        for &n in &LENS {
-            let big_a = cnoise(n + 1, 61);
-            let big_b = cnoise(n + 1, 62);
-            let (a, b) = (&big_a[1..], &big_b[1..]);
-            let (gc, ge) = dot_mul_conj_energy(a, b);
-            let (wc, we) = dot_mul_conj_energy_reference(a, b);
-            assert_eq!(gc.re.to_bits(), wc.re.to_bits(), "n={n}");
-            assert_eq!(gc.im.to_bits(), wc.im.to_bits(), "n={n}");
-            assert_eq!(ge.to_bits(), we.to_bits(), "n={n}");
         }
     }
 
@@ -632,14 +449,12 @@ mod tests {
         force_scalar(false);
         let _ = backend();
         // Kernels still agree after toggling.
-        let a = cnoise(33, 91);
-        let b = cnoise(33, 92);
-        let with_dispatch = dot_mul_conj_energy(&a, &b);
+        let a = noise(33, 91);
+        let b = noise(33, 92);
+        let with_dispatch = dot(&a, &b);
         force_scalar(true);
-        let forced = dot_mul_conj_energy(&a, &b);
+        let forced = dot(&a, &b);
         force_scalar(false);
-        assert_eq!(with_dispatch.0.re.to_bits(), forced.0.re.to_bits());
-        assert_eq!(with_dispatch.0.im.to_bits(), forced.0.im.to_bits());
-        assert_eq!(with_dispatch.1.to_bits(), forced.1.to_bits());
+        assert_eq!(with_dispatch.to_bits(), forced.to_bits());
     }
 }

@@ -128,7 +128,6 @@ fn parse_use_tree(toks: &[&crate::lexer::Token], base: &mut Vec<String>, out: &m
 
 /// Resolves call sites against the symbol table.
 pub struct Resolver<'a> {
-    files: &'a [ScannedFile],
     fns: &'a [FnNode],
     by_name: &'a BTreeMap<&'a str, Vec<usize>>,
     imports: Vec<Imports>,
@@ -143,7 +142,6 @@ impl<'a> Resolver<'a> {
     ) -> Self {
         let imports = files.iter().map(parse_imports).collect();
         Resolver {
-            files,
             fns,
             by_name,
             imports,
@@ -280,12 +278,6 @@ impl<'a> Resolver<'a> {
             .filter(|&i| self.fns[i].owner.is_none())
             .collect();
         prefer_near(&free, self.fns, caller)
-    }
-
-    /// The workspace-relative path of a node's file (used by rules for
-    /// diagnostics).
-    pub fn path_of(&self, node: &FnNode) -> &str {
-        &self.files[node.file].path
     }
 }
 

@@ -21,7 +21,8 @@
 //! file or fn) and **transitively** over the [`crate::graph`] call graph —
 //! a violation anywhere in the reachable non-test callee set flags the
 //! root, and the diagnostic prints the full call chain
-//! (`fm_rx_page → demap_soft → Vec::push`) so it is actionable.
+//! (`mix_into → shape → scale → grow → Vec::new`, the `r1_transitive`
+//! fixture's) so it is actionable.
 
 use crate::graph::{self, CallGraph};
 use crate::lexer::{Token, TokenKind};

@@ -71,12 +71,6 @@ impl Modulation {
     }
 }
 
-/// Binary-reflected Gray code of `v`.
-#[inline]
-fn gray(v: u32) -> u32 {
-    v ^ (v >> 1)
-}
-
 /// Inverse Gray code.
 #[inline]
 fn gray_inv(mut g: u32) -> u32 {
@@ -123,70 +117,20 @@ pub fn points(modulation: Modulation) -> Vec<C32> {
         .collect()
 }
 
-/// Max-log soft demapper: appends `bits_per_symbol` soft values (positive ⇔
-/// bit 1) for the received point `y`.
-///
-/// `scale` multiplies the output; pass the estimated SNR-ish confidence or
-/// 1.0 if the Viterbi input is normalized elsewhere.
-///
-/// Exploits the Gray-mapped square structure: the I bits depend only on
-/// `y.re` and the Q bits only on `y.im`, and in the max-log LLR the
-/// unconstrained axis' minimum distance² cancels, so each axis is demapped
-/// independently over its √M PAM levels instead of searching all M points.
-/// Output equals [`demap_soft_reference`] up to f32 rounding.
-pub fn demap_soft(modulation: Modulation, y: C32, scale: f32, out: &mut Vec<f32>) {
-    let norm = modulation.norm();
-    if modulation == Modulation::Bpsk {
-        let d0 = {
-            let dx = y.re + norm;
-            dx * dx + y.im * y.im
-        };
-        let d1 = {
-            let dx = y.re - norm;
-            dx * dx + y.im * y.im
-        };
-        out.push((d0 - d1) * scale);
-        return;
-    }
-    let half = modulation.bits_per_symbol() / 2;
-    let m = 1u32 << half;
-    let axis = |x: f32, out: &mut Vec<f32>| {
-        // Max half = 5 (1024-QAM).
-        let mut min0 = [f32::MAX; 5];
-        let mut min1 = [f32::MAX; 5];
-        for idx in 0..m {
-            let v = (2 * idx as i32 - (m as i32 - 1)) as f32 * norm;
-            let dx = x - v;
-            let d = dx * dx;
-            let g = gray(idx);
-            for bit in 0..half {
-                if (g >> (half - 1 - bit)) & 1 == 1 {
-                    if d < min1[bit] {
-                        min1[bit] = d;
-                    }
-                } else if d < min0[bit] {
-                    min0[bit] = d;
-                }
-            }
-        }
-        for bit in 0..half {
-            out.push((min0[bit] - min1[bit]) * scale);
-        }
-    };
-    // Bit order matches [`map_bits`]: first half I (MSB first), then Q.
-    axis(y.re, out);
-    axis(y.im, out);
-}
-
-/// Batched max-log soft demapper: demaps many received points of one
-/// modulation in a single sweep, appending `bits_per_symbol` soft values per
-/// point to `out` in the same per-point order as [`demap_soft`].
+/// Max-log soft demapper over a batch of received points of one modulation:
+/// appends `bits_per_symbol` soft values per point (positive ⇔ bit 1) to
+/// `out`, point by point in [`map_bits`]' bit order.
 ///
 /// Inputs are axis-split (`re[i]`/`im[i]` are point `i`), `scales[i]` is the
-/// per-point output weight, `scratch` is reusable working memory. The axis
-/// sweeps run through the runtime-dispatched SIMD kernel
-/// [`sonic_dsp::simd::qam_axis_soft`]; output is bit-identical to calling
-/// [`demap_soft`] point by point (BPSK falls back to exactly that).
+/// per-point output weight, `scratch` is reusable working memory.
+///
+/// Exploits the Gray-mapped square structure: the I bits depend only on the
+/// real part and the Q bits only on the imaginary part, and in the max-log
+/// LLR the unconstrained axis' minimum distance² cancels, so each axis is
+/// demapped independently over its √M PAM levels instead of searching all
+/// M points. The axis sweeps run through the runtime-dispatched SIMD kernel
+/// [`sonic_dsp::simd::qam_axis_soft`]. Output equals
+/// [`demap_soft_reference`] up to f32 rounding.
 pub fn demap_soft_batch(
     modulation: Modulation,
     re: &[f32],
@@ -198,10 +142,13 @@ pub fn demap_soft_batch(
     assert_eq!(re.len(), im.len(), "axis planes must match");
     assert_eq!(re.len(), scales.len(), "one scale per point");
     if modulation == Modulation::Bpsk {
-        // BPSK mixes both axes into one metric; the per-point path is
-        // already a two-point search, so there is nothing to vectorize.
+        // BPSK mixes both axes into one metric over two points: nothing to
+        // vectorize.
+        let norm = modulation.norm();
         for ((&x, &y), &s) in re.iter().zip(im).zip(scales) {
-            demap_soft(modulation, C32::new(x, y), s, out);
+            let d0 = (x + norm) * (x + norm) + y * y;
+            let d1 = (x - norm) * (x - norm) + y * y;
+            out.push((d0 - d1) * s);
         }
         return;
     }
@@ -226,8 +173,9 @@ pub fn demap_soft_batch(
     }
 }
 
-/// Original full-constellation max-log demapper, kept as the executable
-/// specification for the per-axis fast path.
+/// Full-constellation max-log demapper of one point, the executable
+/// specification of [`demap_soft_batch`]: every one of the M points, no
+/// per-axis split.
 pub fn demap_soft_reference(modulation: Modulation, y: C32, scale: f32, out: &mut Vec<f32>) {
     let k = modulation.bits_per_symbol();
     let pts = cached_points(modulation);
@@ -280,6 +228,11 @@ fn cached_points(modulation: Modulation) -> &'static [C32] {
 mod tests {
     use super::*;
 
+    /// Binary-reflected Gray code of `v`.
+    fn gray(v: u32) -> u32 {
+        v ^ (v >> 1)
+    }
+
     const ALL: [Modulation; 6] = [
         Modulation::Bpsk,
         Modulation::Qpsk,
@@ -310,15 +263,22 @@ mod tests {
         }
     }
 
+    /// [`demap_soft_batch`] of the single point `y`.
+    fn demap_one(m: Modulation, y: C32, scale: f32) -> Vec<f32> {
+        let (mut scratch, mut out) = (Vec::new(), Vec::new());
+        demap_soft_batch(m, &[y.re], &[y.im], &[scale], &mut scratch, &mut out);
+        out
+    }
+
     #[test]
     fn soft_demap_sign_matches_bits_on_clean_points() {
         for m in ALL {
             let k = m.bits_per_symbol();
             for pattern in 0..1usize << k {
-                let bits: Vec<u8> = (0..k).map(|i| ((pattern >> (k - 1 - i)) & 1) as u8).collect();
-                let p = map_bits(m, &bits);
-                let mut soft = Vec::new();
-                demap_soft(m, p, 1.0, &mut soft);
+                let bits: Vec<u8> = (0..k)
+                    .map(|i| ((pattern >> (k - 1 - i)) & 1) as u8)
+                    .collect();
+                let soft = demap_one(m, map_bits(m, &bits), 1.0);
                 for (s, &b) in soft.iter().zip(&bits) {
                     assert_eq!(*s > 0.0, b == 1, "{} pattern {pattern}", m.name());
                 }
@@ -342,49 +302,33 @@ mod tests {
     }
 
     #[test]
-    fn per_axis_demap_matches_full_search() {
-        // Random received points, every modulation: the factorized demapper
-        // must agree with the exhaustive reference (same max-log LLRs).
+    fn batch_demap_matches_full_search() {
+        // Random received points, every modulation, batches that end in a
+        // SIMD tail: the per-axis demapper must agree with the exhaustive
+        // reference (same max-log LLRs).
         let mut x = 0x5EEDu32;
         let mut rnd = move || {
             x = x.wrapping_mul(1103515245).wrapping_add(12345);
             ((x >> 16) as f32 / 32768.0) - 1.0
         };
         for m in ALL {
-            for _ in 0..200 {
-                let y = C32::new(rnd() * 1.5, rnd() * 1.5);
-                let (mut fast, mut full) = (Vec::new(), Vec::new());
-                demap_soft(m, y, 1.3, &mut fast);
-                demap_soft_reference(m, y, 1.3, &mut full);
-                assert_eq!(fast.len(), full.len());
-                for (a, b) in fast.iter().zip(&full) {
-                    assert!((a - b).abs() < 1e-5, "{} {y:?}: {a} vs {b}", m.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_demap_is_bit_identical_to_per_point() {
-        let mut x = 0xB00Bu32;
-        let mut rnd = move || {
-            x = x.wrapping_mul(1103515245).wrapping_add(12345);
-            ((x >> 16) as f32 / 32768.0) - 1.0
-        };
-        for m in ALL {
-            for n in [0usize, 1, 5, 92] {
+            for n in [0usize, 1, 5, 92, 200] {
                 let re: Vec<f32> = (0..n).map(|_| rnd() * 1.5).collect();
                 let im: Vec<f32> = (0..n).map(|_| rnd() * 1.5).collect();
                 let scales: Vec<f32> = (0..n).map(|_| rnd().abs() + 0.1).collect();
-                let mut want = Vec::new();
+                let mut full = Vec::new();
                 for i in 0..n {
-                    demap_soft(m, C32::new(re[i], im[i]), scales[i], &mut want);
+                    demap_soft_reference(m, C32::new(re[i], im[i]), scales[i], &mut full);
                 }
-                let (mut scratch, mut got) = (Vec::new(), Vec::new());
-                demap_soft_batch(m, &re, &im, &scales, &mut scratch, &mut got);
-                assert_eq!(want.len(), got.len(), "{} n={n}", m.name());
-                for (k, (a, b)) in want.iter().zip(&got).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{} n={n} soft {k}", m.name());
+                let (mut scratch, mut fast) = (Vec::new(), Vec::new());
+                demap_soft_batch(m, &re, &im, &scales, &mut scratch, &mut fast);
+                assert_eq!(fast.len(), full.len(), "{} n={n}", m.name());
+                for (k, (a, b)) in fast.iter().zip(&full).enumerate() {
+                    assert!(
+                        (a - b).abs() < 1e-5,
+                        "{} n={n} soft {k}: {a} vs {b}",
+                        m.name()
+                    );
                 }
             }
         }

@@ -148,8 +148,8 @@ enum Rx {
 ///
 /// Owns the modulator, demodulator, FEC pipeline and all working memory, so
 /// repeated calls pay none of the per-call setup of the free functions'
-/// original implementations. Modulation is bit-identical to
-/// [`modulate_frame_reference`].
+/// original implementations. A codec modulates the same bits whatever it
+/// modulated before: its scratch is overwritten, never read.
 ///
 /// The receive side is one push-shaped chain — audio →
 /// [`Frontend`] → [`BurstScanner`] → header → [`FecPipeline::decode_soft`] →
@@ -373,7 +373,7 @@ fn with_codec<R>(profile: &Profile, f: impl FnOnce(&mut FrameCodec) -> R) -> R {
 /// Modulates one payload into audio samples with the given profile.
 ///
 /// Uses a thread-local [`FrameCodec`] cache keyed by profile; output is
-/// bit-identical to [`modulate_frame_reference`].
+/// bit-identical to a fresh [`FrameCodec`]'s.
 ///
 /// # Panics
 /// Panics if `payload.len() > MAX_PAYLOAD`.
@@ -408,18 +408,6 @@ pub fn modulated_samples(profile: &Profile, payload_len: usize) -> usize {
 /// cache keyed by profile.
 pub fn demodulate_frames(profile: &Profile, audio: &[f32]) -> Vec<DemodFrame> {
     with_codec(profile, |codec| codec.demodulate(audio))
-}
-
-/// Original per-call implementation of [`modulate_frame`], kept as the
-/// executable specification: a fresh modulator, FEC pipeline and modulator
-/// scratch per call. Property tests assert the cached codec, whose scratch
-/// is reused across frames, produces byte-identical audio.
-pub fn modulate_frame_reference(profile: &Profile, payload: &[u8]) -> Vec<f32> {
-    let modulator = Modulator::new(profile.clone());
-    let fec = FecPipeline::new(profile.fec);
-    let header = header_coded_bits(payload.len());
-    let coded = fec.encode(payload);
-    modulator.modulate_bits(&header, &coded)
 }
 
 /// Executable specification of [`demodulate_frames`]: a fresh codec per call
@@ -554,19 +542,19 @@ mod tests {
     }
 
     #[test]
-    fn cached_modulate_is_bit_identical_to_reference() {
+    fn reused_codec_modulates_as_a_fresh_one() {
         for p in [Profile::sonic_10k(), Profile::audible_7k()] {
             let mut codec = FrameCodec::new(&p);
             for (n, seed) in [(0usize, 0u8), (1, 4), (333, 8), (1000, 12)] {
                 let data = payload(n, seed);
-                let fast = codec.modulate(&data);
+                let reused = codec.modulate(&data);
                 let free = modulate_frame(&p, &data);
-                let reference = modulate_frame_reference(&p, &data);
-                assert_eq!(fast.len(), reference.len(), "len {n}");
-                for (i, (a, b)) in fast.iter().zip(&reference).enumerate() {
+                let fresh = FrameCodec::new(&p).modulate(&data);
+                assert_eq!(reused.len(), fresh.len(), "len {n}");
+                for (i, (a, b)) in reused.iter().zip(&fresh).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "len {n} sample {i}");
                 }
-                assert_eq!(free, reference, "free fn, len {n}");
+                assert_eq!(free, fresh, "free fn, len {n}");
             }
         }
     }
@@ -595,9 +583,9 @@ mod tests {
         let p = Profile::sonic_10k();
         let a = payload(300, 21);
         let b = payload(777, 22);
-        let mut audio = modulate_frame_reference(&p, &a);
+        let mut audio = modulate_frame(&p, &a);
         audio.extend(std::iter::repeat_n(0.0, 1500));
-        audio.extend(modulate_frame_reference(&p, &b));
+        audio.extend(modulate_frame(&p, &b));
         // Also exercise the truncated-tail path.
         let cut = audio.len() - p.symbol_len();
         for slice in [&audio[..], &audio[..cut]] {
@@ -717,8 +705,8 @@ mod tests {
         for (n, seed) in [(900usize, 1u8), (10, 2), (450, 3)] {
             let data = payload(n, seed);
             let audio = codec.modulate(&data);
-            let reference = modulate_frame_reference(&p, &data);
-            assert_eq!(audio, reference, "modulate len {n}");
+            let fresh = FrameCodec::new(&p).modulate(&data);
+            assert_eq!(audio, fresh, "modulate len {n}");
             let frames = codec.demodulate(&audio);
             assert_eq!(frames.len(), 1);
             assert_eq!(frames[0].payload.as_ref().expect("decoded"), &data);

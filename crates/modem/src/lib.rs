@@ -28,12 +28,14 @@
 //!
 //! Each fast path is written once and shares everything with its
 //! `*_reference` oracle except what the oracle exists for:
-//! [`modulate_frame_reference`] differs from [`modulate_frame`] only in
-//! building a fresh modulator and scratch per call instead of reusing the
-//! cached codec's, and [`demodulate_frames_reference`] from
-//! [`demodulate_frames`] in the live oscillator and direct-form baseband
-//! filter at the audio rate instead of the periodic one and the decimator
-//! (same burst scanner).
+//! [`demodulate_frames_reference`] differs from [`demodulate_frames`] in the
+//! live oscillator and direct-form baseband filter at the audio rate instead
+//! of the periodic one and the decimator (same burst scanner), and
+//! [`constellation::demap_soft_reference`] from the receiver's
+//! [`constellation::demap_soft_batch`] in searching all M points instead of
+//! each axis's √M. The cached codec is checked against a fresh
+//! [`FrameCodec`], not a twin: the slow path is the fast one with empty
+//! scratch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +49,6 @@ pub mod ofdm;
 pub mod profile;
 
 pub use frame::{
-    demodulate_frames, demodulate_frames_reference, modulate_frame, modulate_frame_reference,
-    FrameCodec, PhyError,
+    demodulate_frames, demodulate_frames_reference, modulate_frame, FrameCodec, PhyError,
 };
 pub use profile::Profile;

@@ -251,7 +251,7 @@ pub struct BurstScanner {
     channel: Vec<C32>,
     /// Reused FFT window.
     sym_buf: Vec<C32>,
-    /// Reused split-plane FFT buffer for the SIMD transform path.
+    /// Reused split-plane buffer for the per-symbol FFT.
     split_buf: SplitC32,
     /// Reused gathered-carrier buffer.
     vals_buf: Vec<C32>,

@@ -176,7 +176,10 @@ impl Modulator {
             burst[end - 1 - i] *= r;
         }
     }
+}
 
+#[cfg(test)]
+impl Modulator {
     /// [`modulate_bits_into`](Self::modulate_bits_into) on a fresh scratch,
     /// into a new buffer.
     pub fn modulate_bits(&self, header_bits: &[u8], payload_bits: &[u8]) -> Vec<f32> {

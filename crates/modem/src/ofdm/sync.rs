@@ -23,7 +23,7 @@
 //! order — so a stream cut anywhere detects what the whole buffer would.
 
 use super::carriers::CarrierPlan;
-use sonic_dsp::{simd, C32};
+use sonic_dsp::C32;
 
 /// Result of a successful burst detection.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,6 +45,39 @@ fn sums_at(samples: &[C32], half: usize) -> (C32, f32) {
         r += b.norm_sq();
     }
     (p, r)
+}
+
+/// Accumulator lanes of [`correlate`]: element `i` goes to lane `i mod 8`
+/// and the lanes are summed in order at the end. Eight lanes, not one
+/// running sum: the burst starts `golden_air` pins were found in this order.
+const LANES: usize = 8;
+
+/// Correlates a candidate body `a` against the preamble `b`:
+/// `(Σ a[i]·conj(b[i]), Σ |a[i]|²)`, in [`LANES`] accumulators.
+fn correlate(a: &[C32], b: &[C32]) -> (C32, f32) {
+    let mut acc_re = [0.0f32; LANES];
+    let mut acc_im = [0.0f32; LANES];
+    let mut en = [0.0f32; LANES];
+    for (i, (&x, &h)) in a.iter().zip(b).enumerate() {
+        let l = i % LANES;
+        acc_re[l] += x.re * h.re + x.im * h.im;
+        acc_im[l] += x.im * h.re - x.re * h.im;
+        en[l] += x.re * x.re + x.im * x.im;
+    }
+    reduce_lanes(&acc_re, &acc_im, &en)
+}
+
+/// Sums each quantity's lanes in lane order.
+fn reduce_lanes(acc_re: &[f32; LANES], acc_im: &[f32; LANES], en: &[f32; LANES]) -> (C32, f32) {
+    let mut r = 0.0f32;
+    let mut i = 0.0f32;
+    let mut e = 0.0f32;
+    for l in 0..LANES {
+        r += acc_re[l];
+        i += acc_im[l];
+        e += en[l];
+    }
+    (C32::new(r, i), e)
 }
 
 /// A suspended search for the next burst: the position `d` and the sliding
@@ -151,11 +184,10 @@ impl Detector {
             let win_hi = (d + 2 * cp).min(total.saturating_sub(l + cp));
             let mut best = None::<(usize, f32)>;
             for cand in win_lo..=win_hi {
-                // Correlate the *body* (skip CP) against the reference; the
-                // fused SIMD dot kernel returns Σ x·conj(h) and Σ |x|² in
-                // one sweep.
+                // Correlate the *body* (skip CP) against the reference:
+                // Σ x·conj(h) and Σ |x|² in one sweep.
                 let body = &window[cand + cp - base..cand + cp + l - base];
-                let (acc, energy) = simd::dot_mul_conj_energy(body, reference);
+                let (acc, energy) = correlate(body, reference);
                 let score = if energy > 1e-9 {
                     acc.norm_sq() / (energy * ref_energy)
                 } else {

@@ -1,6 +1,6 @@
-//! Property tests: the cached scratch-buffer codec paths are bit-identical
-//! to the reference (allocate-per-call) implementations, and the push-based
-//! receiver recovers the same bursts however its stream is cut.
+//! Property tests: the cached codec modulates the bits a fresh one does,
+//! demodulates what the direct-form reference receiver does, and the
+//! push-based receiver recovers the same bursts however its stream is cut.
 //!
 //! The cut-point tests catch state that leaks across a push boundary: the
 //! detector's sums rebuilt instead of resumed, a scanner step that runs
@@ -15,22 +15,22 @@ use sonic_modem::frame::DemodFrame;
 use sonic_modem::ofdm::demodulator::BurstScanner;
 use sonic_modem::ofdm::Demodulator;
 use sonic_modem::{
-    demodulate_frames, demodulate_frames_reference, modulate_frame, modulate_frame_reference,
-    FrameCodec, Profile,
+    demodulate_frames, demodulate_frames_reference, modulate_frame, FrameCodec, Profile,
 };
 use std::sync::OnceLock;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Scratch-path modulation produces bit-identical audio for any payload.
+    /// The cached codec, its scratch reused across cases, modulates any
+    /// payload to the bits a fresh codec does.
     #[test]
-    fn modulate_matches_reference(
+    fn modulate_matches_a_fresh_codec(
         payload in proptest::collection::vec(any::<u8>(), 0..400),
         wide in any::<bool>(),
     ) {
         let p = if wide { Profile::cable_64k() } else { Profile::sonic_10k() };
-        let a = modulate_frame_reference(&p, &payload);
+        let a = FrameCodec::new(&p).modulate(&payload);
         let b = modulate_frame(&p, &payload);
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {

@@ -9,7 +9,7 @@
 use crate::channel::RfChannel;
 use crate::faults::FaultPlan;
 use crate::fm::{FmDemodulator, FmModulator};
-use crate::mpx::{compose, decompose, decompose_reference, MpxInput, MpxOutput};
+use crate::mpx::{compose, decompose, MpxInput, MpxOutput};
 
 /// One FM transmitter/receiver pair over an RF path.
 #[derive(Debug, Clone)]
@@ -40,43 +40,23 @@ impl FmLink {
         self
     }
 
-    /// Sends mono audio (and optional RDS bits) through the full FM chain
-    /// and returns the tuner's output services (fast receive path).
+    /// Sends mono audio (and optional RDS bits) through the full FM chain —
+    /// compose → FM modulate → RF channel (and its fault plan) → FM
+    /// demodulate → decompose — and returns the tuner's output services.
     pub fn transmit(&self, mono: &[f32], rds_bits: Option<Vec<u8>>) -> MpxOutput {
-        let received = self.over_the_air(mono, rds_bits);
-        let mut demodulator = FmDemodulator::default();
-        let mut recovered = Vec::with_capacity(received.len());
-        demodulator.demodulate_into(&received, &mut recovered);
-        decompose(&recovered)
-    }
-
-    /// Same link, but demodulated through the direct-form reference receive
-    /// path ([`FmDemodulator::demodulate_into_reference`] +
-    /// [`decompose_reference`]). Used by benches and equivalence tests; the
-    /// channel noise is identical to [`FmLink::transmit`] for a given seed.
-    pub fn transmit_reference(&self, mono: &[f32], rds_bits: Option<Vec<u8>>) -> MpxOutput {
-        let received = self.over_the_air(mono, rds_bits);
-        let mut demodulator = FmDemodulator::default();
-        let mut recovered = Vec::with_capacity(received.len());
-        demodulator.demodulate_into_reference(&received, &mut recovered);
-        decompose_reference(&recovered)
-    }
-
-    /// Shared transmit half: compose → FM modulate → RF channel.
-    fn over_the_air(&self, mono: &[f32], rds_bits: Option<Vec<u8>>) -> Vec<sonic_dsp::C32> {
         let composite = compose(&MpxInput {
             mono: mono.to_vec(),
             stereo_diff: None,
             rds_bits,
         });
-        let mut modulator = FmModulator::default();
         let mut baseband = Vec::with_capacity(composite.len());
-        modulator.modulate_into(&composite, &mut baseband);
-
-        let mut channel = RfChannel::new(self.rssi_db, self.seed);
-        let mut received = channel.transmit(&baseband);
-        self.faults.apply_baseband(&mut received, 0.0, crate::MPX_RATE);
-        received
+        FmModulator::default().modulate_into(&composite, &mut baseband);
+        let mut received = RfChannel::new(self.rssi_db, self.seed).transmit(&baseband);
+        self.faults
+            .apply_baseband(&mut received, 0.0, crate::MPX_RATE);
+        let mut recovered = Vec::with_capacity(received.len());
+        FmDemodulator::default().demodulate_into(&received, &mut recovered);
+        decompose(&recovered)
     }
 }
 

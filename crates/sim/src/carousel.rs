@@ -1,21 +1,13 @@
-//! Incremental delta-carousel and warm-restart harnesses.
+//! The ticker carousel harness and the receiver check it shares.
 //!
-//! Three closed loops over the server's tiered refresh path:
-//!
-//! * [`run_delta_carousel`] — hour-by-hour corpus churn where changed pages
-//!   air only their delta frames (meta bracket + changed columns). The
-//!   synthetic corpus swaps full-width sections, so a changed page's delta
-//!   covers every column — the air win in this regime is the unchanged
-//!   pages airing nothing, and the report proves the delta path never costs
-//!   more than a full carousel.
 //! * [`run_ticker_carousel`] — seeded partial-width updates (a ticker or
 //!   sidebar column band changes, the rest of the page is untouched): the
 //!   regime where column-granular deltas cut air bytes outright and
 //!   receivers patch the un-aired columns from their cached prior raster.
-//! * [`run_warm_restart`] — builds an hour's corpus into a disk-backed
-//!   [`ArtifactStore`], drops every in-RAM handle, reopens the store from
-//!   its index log, and refreshes again: every page must be served by
-//!   promotion from disk, not re-rendered.
+//!   `perf_broadcast_cache` times it.
+//! * [`air_and_verify`] — airs one revolution and checks every receiver
+//!   decode. The corpus-churn loop in `crates/sim/tests/carousel.rs` uses
+//!   it too.
 //!
 //! Every receiver decode goes through the production [`Reassembler`] and is
 //! verified pixel-identical to a lossless decode of the server's artifact.
@@ -24,21 +16,15 @@
 //! is consulted — timing belongs to the bench harness, not this module.
 
 use sonic_core::reassembly::{Reassembler, ReassemblerConfig};
-use sonic_core::server::cache::{share_store, ArtifactCache, TieredCache};
-use sonic_core::server::pipeline::{
-    carousel_stats, refresh_carousel, refresh_page, CarouselItem, CarouselSlot, PageJob,
-};
-use sonic_core::server::render::{RenderedContent, Renderer};
+use sonic_core::server::cache::ArtifactCache;
+use sonic_core::server::pipeline::{carousel_stats, refresh_page, CarouselItem, CarouselSlot};
+use sonic_core::server::render::RenderedContent;
 use sonic_core::server::scheduler::BroadcastScheduler;
-use sonic_core::server::store::ArtifactStore;
 use sonic_image::hash::Fnv64;
 use sonic_image::raster::{Raster, Rgb};
 use sonic_image::strip;
-use sonic_modem::profile::Profile;
 use sonic_pagegen::Corpus;
 use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 
 /// What an incremental carousel run did, and whether every receiver decode
 /// matched the server's artifacts. Same inputs ⇒ same report.
@@ -68,8 +54,9 @@ pub struct DeltaCarouselReport {
 /// Airs one revolution's slots through a [`BroadcastScheduler`], reassembles
 /// every aired page with the production receiver, patches deliberately
 /// un-aired columns from the client's prior rasters and verifies each
-/// result against a lossless decode of the server artifact.
-fn air_and_verify(
+/// result against a lossless decode of the server artifact. Air bytes are
+/// added to `report` only when `count_air` (not on a cold build).
+pub fn air_and_verify(
     items: &[CarouselItem],
     client: &mut BTreeMap<String, Raster>,
     report: &mut DeltaCarouselReport,
@@ -135,41 +122,6 @@ fn air_and_verify(
         }
         client.insert(page.url.clone(), page.raster);
     }
-}
-
-/// Runs `hours` carousel revolutions (after a cold build at `start_hour`)
-/// over the whole corpus at `scale`, verifying every receiver decode.
-/// Synthetic corpora freeze content overnight — start at hour ≥ 6 to see
-/// churn.
-pub fn run_delta_carousel(
-    corpus: Corpus,
-    scale: f64,
-    start_hour: u64,
-    hours: u64,
-) -> DeltaCarouselReport {
-    let renderer = Renderer::new(corpus, scale);
-    let profile = Profile::sonic_10k();
-    let mut cache = ArtifactCache::unbounded();
-    let pages = renderer.corpus().pages();
-    let mut report = DeltaCarouselReport {
-        pages: pages.len(),
-        hours,
-        ..DeltaCarouselReport::default()
-    };
-    // Receiver-side prior rasters, keyed by URL (what a client caches).
-    let mut client: BTreeMap<String, Raster> = BTreeMap::new();
-    for hour in start_hour..=start_hour + hours {
-        let jobs: Vec<PageJob> = pages.iter().map(|&id| PageJob { id, hour }).collect();
-        let (items, stats) = refresh_carousel(&renderer, &mut cache, &jobs, &profile);
-        let warm = hour > start_hour;
-        if warm {
-            report.full_slots += stats.full_slots;
-            report.delta_slots += stats.delta_slots;
-            report.unchanged += stats.unchanged;
-        }
-        air_and_verify(&items, &mut client, &mut report, warm);
-    }
-    report
 }
 
 /// A deterministic LCG step (the repo's test-randomness idiom).
@@ -261,98 +213,9 @@ pub fn run_ticker_carousel(
     report
 }
 
-/// What a warm restart did versus the cold boot that seeded it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WarmRestartReport {
-    /// Pages refreshed in each phase.
-    pub pages: usize,
-    /// Cold misses in the boot phase (every page, on an empty store).
-    pub cold_misses: u64,
-    /// Pages served by disk promotion after the restart — must equal
-    /// `pages` for a clean store.
-    pub promoted: u64,
-    /// Misses after the restart — must be 0.
-    pub warm_misses: u64,
-    /// Entries in the reopened store's index.
-    pub store_entries: usize,
-    /// Live blob bytes in the reopened store.
-    pub store_bytes: u64,
-}
-
-/// Cold-boots an hour's corpus into a disk store at `dir`, drops all RAM
-/// state, reopens the store (index-log rebuild) and refreshes the same
-/// hour again through a fresh RAM tier.
-pub fn run_warm_restart(
-    corpus: Corpus,
-    scale: f64,
-    hour: u64,
-    dir: &Path,
-    byte_budget: u64,
-) -> io::Result<WarmRestartReport> {
-    let renderer = Renderer::new(corpus, scale);
-    let profile = Profile::sonic_10k();
-    let jobs: Vec<PageJob> = renderer
-        .corpus()
-        .pages()
-        .iter()
-        .map(|&id| PageJob { id, hour })
-        .collect();
-    let mut report = WarmRestartReport {
-        pages: jobs.len(),
-        ..WarmRestartReport::default()
-    };
-
-    // Phase 1: cold boot onto an empty store.
-    {
-        let store = share_store(ArtifactStore::open(dir, byte_budget)?);
-        let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
-        let _ = refresh_carousel(&renderer, &mut tiered, &jobs, &profile);
-        report.cold_misses = tiered.ram.stats.misses;
-    } // RAM tier and store handle drop here: nothing survives but the files.
-
-    // Phase 2: reopen from the index log; refresh must promote, not render.
-    let store = share_store(ArtifactStore::open(dir, byte_budget)?);
-    {
-        let s = store.borrow();
-        report.store_entries = s.len();
-        report.store_bytes = s.live_bytes();
-    }
-    let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
-    let _ = refresh_carousel(&renderer, &mut tiered, &jobs, &profile);
-    report.promoted = tiered.ram.stats.disk_promotions;
-    report.warm_misses = tiered.ram.stats.misses;
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct TempDir(std::path::PathBuf);
-    impl TempDir {
-        fn new(tag: &str) -> Self {
-            let p = std::env::temp_dir().join(format!("sonic-sim-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&p);
-            TempDir(p)
-        }
-    }
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    #[test]
-    fn corpus_churn_decodes_clean_and_never_costs_more() {
-        let report = run_delta_carousel(Corpus::small(4), 0.05, 6, 3);
-        assert_eq!(report.decode_mismatches, 0);
-        assert!(report.delta_slots > 0, "no delta slots: {report:?}");
-        assert!(report.unchanged > 0);
-        assert!(report.air_bytes_incremental <= report.air_bytes_full_carousel);
-        // Deterministic: same inputs, same report.
-        let again = run_delta_carousel(Corpus::small(4), 0.05, 6, 3);
-        assert_eq!(report, again);
-    }
 
     #[test]
     fn ticker_carousel_saves_air_and_patches_from_prior() {
@@ -366,17 +229,5 @@ mod tests {
         assert!(report.columns_patched > 0);
         let again = run_ticker_carousel(Corpus::small(3), 0.05, 3, 0.2);
         assert_eq!(report, again);
-    }
-
-    #[test]
-    fn warm_restart_promotes_everything() {
-        let dir = TempDir::new("warm");
-        let report =
-            run_warm_restart(Corpus::small(3), 0.05, 6, &dir.0, u64::MAX).expect("store io");
-        assert_eq!(report.cold_misses, report.pages as u64);
-        assert_eq!(report.promoted, report.pages as u64);
-        assert_eq!(report.warm_misses, 0);
-        assert_eq!(report.store_entries, report.pages);
-        assert!(report.store_bytes > 0);
     }
 }

@@ -8,8 +8,8 @@
 //!   accounting (Figures 4a and the RSSI sweep).
 //! * [`pool`] — deterministic worker pool the sweeps fan out on.
 //! * [`broadcast`] — hourly backlog recurrence (Figure 4c).
-//! * [`carousel`] — incremental delta-carousel and warm-restart loops over
-//!   the tiered artifact store.
+//! * [`carousel`] — the ticker-update carousel loop over the artifact
+//!   cache, each revolution decoded by the production receiver.
 //! * [`study`] — the 151-rater perceptual panel model (Figure 5).
 //! * [`workload`] — request workloads for day-in-the-life runs.
 //! * [`chaos`], [`cluster`] — seeded fault soaks: one server's radio path,

@@ -8,8 +8,27 @@
 
 use sonic_core::link;
 use sonic_modem::{demodulate_frames, demodulate_frames_reference, Profile};
+use sonic_radio::channel::RfChannel;
+use sonic_radio::fm::{FmDemodulator, FmModulator};
+use sonic_radio::mpx::{compose, decompose_reference, MpxInput};
 use sonic_radio::stack::FmLink;
 use sonic_sim::linksim::{scale_to_rms, test_frames, FM_INPUT_RMS};
+
+/// The mono `FmLink::new(rssi_db, seed).transmit(audio, None)` recovers,
+/// received by the direct-form reference discriminator and decomposer.
+fn reference_mono(audio: &[f32], rssi_db: f64, seed: u64) -> Vec<f32> {
+    let composite = compose(&MpxInput {
+        mono: audio.to_vec(),
+        stereo_diff: None,
+        rds_bits: None,
+    });
+    let mut baseband = Vec::new();
+    FmModulator::default().modulate_into(&composite, &mut baseband);
+    let received = RfChannel::new(rssi_db, seed).transmit(&baseband);
+    let mut recovered = Vec::new();
+    FmDemodulator::default().demodulate_into_reference(&received, &mut recovered);
+    decompose_reference(&recovered).mono
+}
 
 /// Runs one seeded RSSI point through both receive paths and returns the
 /// number of PHY frames recovered by (fast, reference).
@@ -18,9 +37,8 @@ fn frames_recovered(profile: &Profile, rssi_db: f64, seed: u64) -> (usize, usize
     let mut audio = link::modulate(profile, &frames);
     scale_to_rms(&mut audio, FM_INPUT_RMS);
 
-    let link_pair = FmLink::new(rssi_db, seed);
-    let fast_mono = link_pair.transmit(&audio, None).mono;
-    let ref_mono = link_pair.transmit_reference(&audio, None).mono;
+    let fast_mono = FmLink::new(rssi_db, seed).transmit(&audio, None).mono;
+    let ref_mono = reference_mono(&audio, rssi_db, seed);
 
     let fast = demodulate_frames(profile, &fast_mono)
         .iter()
