@@ -16,11 +16,10 @@
 //! only: on a scalar host (or under `SONIC_DSP_FORCE_SCALAR=1`) dispatched
 //! *is* scalar, and the ratios are reported without a verdict.
 //!
-//! The FM discriminator has no case of its own: nothing in it dispatches
-//! (it is two plain scalar loops in `sonic_radio::fm`), so its scalar and
-//! dispatched columns would time the same code. `fm_rx_page` times it
-//! inside the receive it belongs to, and that case's `vs_scalar` fell
-//! when the discriminator (and the FFT) stopped dispatching.
+//! The FM discriminator has no case of its own: `fm_rx_page` times it
+//! inside the receive it belongs to. Its two loops are one
+//! `simd::vectorized` block, so the scalar column runs them compiled for
+//! the baseline and the dispatched column compiled for AVX2.
 //!
 //! The reference decomposer's band selects are the direct-form FIR, one
 //! `Fir::push` per sample with no vector path (the `fir_mac` kernel that
@@ -36,7 +35,7 @@
 //! overlap-save bands, so on this one-second composite (half of it the
 //! RDS probe) `mpx_decompose_1s.vs_reference` fell to 15–19× and
 //! `fm_rx_page.vs_reference` to 16–19×, while both `vs_scalar` rose
-//! (3.2–3.6× and 3.9–4.4×: the resampler's `simd::dot` is a larger share
+//! (3.2–3.6× and 3.9–4.4×: the resampler's polyphase kernel is a larger share
 //! of what is left); all four gates were re-derived.
 //!
 //! The two Viterbi cases' reference is the `f32` decoder; their other two
@@ -47,7 +46,7 @@
 //!
 //! The OFDM case's reference filters at the audio rate (two per-sample
 //! direct-form FIRs, every fourth output kept) while its fast path computes
-//! only the kept outputs, each a `simd::dot` per plane — whose scalar twin
+//! only the kept outputs, one `simd::polyphase` block per plane — whose scalar twin
 //! is what the scalar column runs. Both its ratios rose when the receiver
 //! went to a quarter of the audio rate (~7× and ~2× before, 26–34× and
 //! 4.4–5.9× after), and both gates were re-derived.

@@ -25,7 +25,8 @@
 //!   in block loops (the FM modulator and the RF and acoustic channels).
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).
 //! * [`simd`] — the two runtime-dispatched SIMD kernels that measurably pay
-//!   (the lane-split `dot`, QAM soft demap), each with its scalar twin.
+//!   (the polyphase FIR block, QAM soft demap), each with its scalar twin,
+//!   and [`simd::vectorized`], which compiles a plain block loop for AVX2.
 //! * [`plan`] — planned split-plane transforms: [`plan::FftPlan`], the one FFT
 //!   (transmit IFFT, receive FFT and overlap-save frames, plain scalar radix-2
 //!   butterflies), and the shareable [`plan::FirPlan`].

@@ -1,7 +1,7 @@
 //! Rational resampling.
 //!
-//! The radio substrate runs at 480 kHz while the audio modem runs at
-//! 44.1/48 kHz; this module converts between arbitrary rational rates with a
+//! The radio substrate runs at 228 kHz while the audio modem runs at
+//! 44.1 kHz; this module converts between arbitrary rational rates with a
 //! windowed-sinc polyphase kernel. The same engine, given its taps, is the
 //! OFDM receiver's decimating I/Q low-pass.
 
@@ -25,11 +25,12 @@ pub struct Resampler {
     up: usize,
     /// Downsampling factor M.
     down: usize,
-    /// Polyphase filter bank, stored oldest-sample-first so each output is a
-    /// forward dot product against a contiguous input window:
-    /// `phases[p][k]` multiplies the window sample `taps_per_phase − 1 − k`
-    /// steps behind the newest.
-    phases: Vec<Vec<f32>>,
+    /// Polyphase filter bank, `up` phases of `taps_per_phase` coefficients
+    /// one after the other, each stored oldest-sample-first so each output
+    /// is a forward dot product against a contiguous input window:
+    /// `bank[p · taps_per_phase + k]` multiplies the window sample
+    /// `taps_per_phase − 1 − k` steps behind the newest.
+    bank: Vec<f32>,
     /// Last `taps_per_phase − 1` input samples (oldest first), carried
     /// between blocks.
     tail: Vec<f32>,
@@ -68,8 +69,9 @@ impl Resampler {
 
     /// Decimates by `factor` through the FIR `taps`: of the filter's
     /// outputs it computes only those at inputs `first`, `first + factor`,
-    /// `first + 2·factor`, … of the stream, each one [`simd::dot`] of the
-    /// taps against the window of inputs ending there. The tail carries
+    /// `first + 2·factor`, … of the stream, each one lane-split dot product
+    /// ([`simd::dot_reference`]'s sum) of the taps against the window of
+    /// inputs ending there. The tail carries
     /// across calls, so however the stream is cut the outputs are the same
     /// bits.
     ///
@@ -83,16 +85,16 @@ impl Resampler {
     /// Splits `proto` (at the rate upsampled by `up`) into its `up` phases.
     fn polyphase(proto: &[f32], up: usize, down: usize, phase: usize) -> Self {
         let taps_per_phase = proto.len().div_ceil(up);
-        let mut phases = vec![vec![0.0f32; taps_per_phase]; up];
+        let mut bank = vec![0.0f32; taps_per_phase * up];
         for (i, &c) in proto.iter().enumerate() {
             // Reversed tap order (oldest-first) so `process_into` reads each
             // window as one contiguous forward slice.
-            phases[i % up][taps_per_phase - 1 - i / up] = c;
+            bank[(i % up) * taps_per_phase + taps_per_phase - 1 - i / up] = c;
         }
         Resampler {
             up,
             down,
-            phases,
+            bank,
             tail: vec![0.0; taps_per_phase - 1],
             ext: Vec::new(),
             phase,
@@ -123,22 +125,12 @@ impl Resampler {
         // history buffer per sample: with `ext = tail ++ input`, the window
         // ending at `input[i]` is the contiguous slice `ext[i..i + T]`
         // (oldest first), matching the reversed tap order built in `new`.
+        // The whole block is then one dispatched kernel call.
         let m = self.tail.len();
-        let t = m + 1;
         self.ext.resize(m + input.len(), 0.0);
         self.ext[..m].copy_from_slice(&self.tail);
         self.ext[m..].copy_from_slice(input);
-        let (step, carry) = (self.down / self.up, self.down % self.up);
-        let (mut i, mut p) = (self.phase / self.up, self.phase % self.up);
-        for o in &mut out[start..] {
-            *o = simd::dot(&self.phases[p], &self.ext[i..i + t]);
-            i += step;
-            p += carry;
-            if p >= self.up {
-                p -= self.up;
-                i += 1;
-            }
-        }
+        simd::polyphase(&self.bank, self.up, self.down, &self.ext, self.phase, &mut out[start..]);
         self.phase = self.phase + count * self.down - ticks;
         // The last T − 1 samples of this block seed the next window.
         self.tail.copy_from_slice(&self.ext[self.ext.len() - m..]);
@@ -221,6 +213,43 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for cuts in [&[1usize, 2, 3, 997][..], &[50, 51, 4_001], &[2_500]] {
             assert_eq!(bits(&run(cuts)), bits(&whole), "cuts {cuts:?}");
+        }
+    }
+
+    /// Each output of a stream cut in two at every point is
+    /// [`simd::dot_reference`] of its phase over its window of the
+    /// zero-started input: on the radio's 32-tap upsampler, its 192-tap
+    /// downsampler and a decimator shaped like the modem's (101 taps, not a
+    /// multiple of eight). The cuts end blocks inside groups of eight
+    /// outputs and between them.
+    #[test]
+    fn polyphase_blocks_match_dot_reference_at_every_cut() {
+        let cases = [
+            (Resampler::new(44_100, 228_000, 32), 32, 120),
+            (Resampler::new(228_000, 44_100, 32), 192, 900),
+            (Resampler::decimator(&design_lowpass(101, 0.06), 4, 2), 101, 300),
+        ];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (fresh, taps, len) in cases {
+            let (up, down) = fresh.ratio();
+            assert_eq!(fresh.bank.len(), up * taps);
+            let sig: Vec<f32> = (0..len).map(|i| (i * 7_919 % 2_003) as f32 / 1_001.5 - 1.0).collect();
+            let mut padded = vec![0.0f32; taps - 1];
+            padded.extend_from_slice(&sig);
+            let want: Vec<f32> = (fresh.phase..len * up)
+                .step_by(down)
+                .map(|tick| {
+                    let (i, p) = (tick / up, tick % up);
+                    simd::dot_reference(&fresh.bank[p * taps..][..taps], &padded[i..][..taps])
+                })
+                .collect();
+            for cut in 0..=len {
+                let mut r = fresh.clone();
+                let mut out = Vec::new();
+                r.process_into(&sig[..cut], &mut out);
+                r.process_into(&sig[cut..], &mut out);
+                assert_eq!(bits(&out), bits(&want), "{taps} taps, cut at {cut}");
+            }
         }
     }
 

@@ -16,6 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sonic_dsp::fir::{design_bandpass, Fir};
 use sonic_dsp::math;
+use sonic_dsp::simd::{self, Block};
 use sonic_dsp::C32;
 use std::f64::consts::TAU;
 
@@ -65,9 +66,10 @@ pub struct RfChannel {
 }
 
 impl RfChannel {
-    /// Default noise floor: calibrated so the paper's observed behaviour
-    /// (clean above −85 dB, 2–15 % loss to −90 dB, dead below) emerges from
-    /// the FM threshold.
+    /// Default noise floor. With it the FM threshold is a cliff one dB
+    /// wide, as `benchmark/README.md` measures it at `trip_fm`'s input
+    /// level: 0 % of bursts lost at −84 dB, 7 % at −84.5 dB, 50 % at
+    /// −86 dB.
     pub const DEFAULT_NOISE_FLOOR_DB: f64 = -93.0;
 
     /// Creates an RF channel at a given RSSI.
@@ -90,36 +92,81 @@ impl RfChannel {
     /// A block at a time: the uniforms are drawn in the per-sample order
     /// (`u1`, `u2` per sample, after the two fade parameters), then the fade
     /// and the Box-Muller noise are computed over the block with the
-    /// [`math`] kernels.
+    /// [`math`] kernels, in one [`simd::vectorized`] call.
+    ///
+    /// # Panics
+    /// Panics if `baseband` has 2³² samples or more (the fade's sample
+    /// index is a `u32`, which vectorises where a `usize` does not).
     pub fn transmit(&mut self, baseband: &[C32]) -> Vec<C32> {
+        assert!(
+            u32::try_from(baseband.len()).is_ok(),
+            "{} samples: the fade index is a u32",
+            baseband.len()
+        );
         // Keep the carrier at unit amplitude and scale the noise: only the
         // ratio matters to the discriminator.
         let noise_power = 10f64.powf((self.noise_floor_db - self.rssi_db) / 10.0);
         let sigma = (noise_power / 2.0).sqrt() as f32;
         let fade_hz = 0.02 + self.rng.random::<f64>() * 0.06;
         let fade_phase = self.rng.random::<f64>() * TAU;
-        let fade_depth_db = 3.0f64;
         let mut out = vec![C32::ZERO; baseband.len()];
         let mut u = [(0.0f64, 0.0f64); BLOCK];
         let mut gain = [0.0f32; BLOCK];
         for (b, (block, noisy)) in baseband.chunks(BLOCK).zip(out.chunks_mut(BLOCK)).enumerate() {
-            for u in &mut u[..block.len()] {
+            let n = block.len();
+            for u in &mut u[..n] {
                 *u = uniforms(&mut self.rng);
             }
-            for (k, g) in gain[..block.len()].iter_mut().enumerate() {
-                let i = b * BLOCK + k;
-                let (sin, _) = math::sin_cos(TAU * fade_hz * i as f64 / crate::MPX_RATE + fade_phase);
-                *g = (fade_depth_db * sin) as f32 / 20.0;
-            }
-            for g in &mut gain[..block.len()] {
-                *g = 10f32.powf(*g);
-            }
-            for ((o, &x), (&g, &(u1, u2))) in noisy.iter_mut().zip(block).zip(gain.iter().zip(&u)) {
-                let (n1, n2) = box_muller(u1, u2);
-                *o = x.scale(g) + C32::new(n1 * sigma, n2 * sigma);
-            }
+            simd::vectorized(Mix {
+                block,
+                // Below 2³², asserted above.
+                first: (b * BLOCK) as u32,
+                u: &u[..n],
+                fade_hz,
+                fade_phase,
+                sigma,
+                gain: &mut gain[..n],
+                out: noisy,
+            });
         }
         out
+    }
+}
+
+/// The RF channel over one block starting at sample `first`: the carrier's
+/// slow fade (±3 dB at `fade_hz` from `fade_phase`) as a gain per sample
+/// into the scratch `gain`, then the faded carrier plus Box-Muller noise of
+/// the uniforms `u` into `out`. All slices have the block's length.
+struct Mix<'a> {
+    block: &'a [C32],
+    first: u32,
+    u: &'a [(f64, f64)],
+    fade_hz: f64,
+    fade_phase: f64,
+    sigma: f32,
+    gain: &'a mut [f32],
+    out: &'a mut [C32],
+}
+
+impl Block for Mix<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let Mix { block, first, u, fade_hz, fade_phase, sigma, gain, out } = self;
+        let fade_depth_db = 3.0f64;
+        // A bounded range: its steps carry no overflow check even where
+        // overflow checks are on, so the loop vectorises there too.
+        let end = first + gain.len() as u32;
+        for (g, i) in gain.iter_mut().zip(first..end) {
+            let (sin, _) = math::sin_cos(TAU * fade_hz * f64::from(i) / crate::MPX_RATE + fade_phase);
+            *g = (fade_depth_db * sin) as f32 / 20.0;
+        }
+        for g in gain.iter_mut() {
+            *g = 10f32.powf(*g);
+        }
+        for ((o, &x), (&g, &(u1, u2))) in out.iter_mut().zip(block).zip(gain.iter().zip(u)) {
+            let (n1, n2) = box_muller(u1, u2);
+            *o = x.scale(g) + C32::new(n1 * sigma, n2 * sigma);
+        }
     }
 }
 

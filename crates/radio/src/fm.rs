@@ -7,12 +7,15 @@
 //! bandwidth while keeping the physics — including the threshold effect —
 //! intact.
 //!
-//! The discriminator is two plain scalar loops over a block (`mul_conj_split`,
-//! then the polynomial `atan2_scale`): a vector path for them moved no
-//! benchmark workload (DESIGN §11).
+//! Both directions work a block at a time, and each block is one
+//! [`simd::vectorized`] call: the modulator's phasor conversion, and the
+//! discriminator's two loops (`mul_conj_split`, then the polynomial
+//! `atan2_scale`), are plain Rust loops compiled for AVX2 when the CPU has
+//! it, with the same bits either way (DESIGN §11).
 
 use crate::{FM_DEVIATION, MPX_RATE};
 use sonic_dsp::math;
+use sonic_dsp::simd::{self, Block};
 use sonic_dsp::split::SplitC32;
 use sonic_dsp::C32;
 use std::f64::consts::TAU;
@@ -45,7 +48,8 @@ impl FmModulator {
     ///
     /// A block at a time: the phase is integrated sample by sample into a
     /// scratch, then the block is converted to phasors by the branch-free
-    /// [`math::sin_cos`], whose `f32` casts are libm's (`C32::from_angle`).
+    /// [`math::sin_cos`], whose `f32` casts are libm's (`C32::from_angle`),
+    /// in one [`simd::vectorized`] call.
     pub fn modulate_into(&mut self, composite: &[f32], out: &mut Vec<C32>) {
         let start = out.len();
         out.resize(start + composite.len(), C32::ZERO);
@@ -60,10 +64,23 @@ impl FmModulator {
                 }
                 *p = self.phase;
             }
-            for (o, &p) in phasors.iter_mut().zip(&phases) {
-                let (sin, cos) = math::sin_cos(p);
-                *o = C32::new(cos as f32, sin as f32);
-            }
+            simd::vectorized(Phasors { phases: &phases, out: phasors });
+        }
+    }
+}
+
+/// The modulator's phasor conversion over one block: `out[i] = e^{j·phases[i]}`.
+struct Phasors<'a> {
+    phases: &'a [f64],
+    out: &'a mut [C32],
+}
+
+impl Block for Phasors<'_> {
+    #[inline(always)]
+    fn run(self) {
+        for (o, &p) in self.out.iter_mut().zip(self.phases) {
+            let (sin, cos) = math::sin_cos(p);
+            *o = C32::new(cos as f32, sin as f32);
         }
     }
 }
@@ -115,13 +132,15 @@ impl FmDemodulator {
         // carries the discriminator across blocks as it does across calls.
         for (block, angles) in baseband.chunks(BLOCK).zip(out[start..].chunks_mut(BLOCK)) {
             let n = block.len();
-            let (re, im) = (&mut self.scratch.re[..n], &mut self.scratch.im[..n]);
-            let d0 = block[0].mul_conj(self.prev);
-            re[0] = d0.re;
-            im[0] = d0.im;
-            mul_conj_split(&block[1..], &block[..n - 1], &mut re[1..], &mut im[1..]);
+            simd::vectorized(Discriminate {
+                block,
+                prev: self.prev,
+                re: &mut self.scratch.re[..n],
+                im: &mut self.scratch.im[..n],
+                scale: self.inv_k as f32,
+                out: angles,
+            });
             self.prev = block[n - 1];
-            atan2_scale(im, re, self.inv_k as f32, angles);
         }
     }
 
@@ -136,9 +155,36 @@ impl FmDemodulator {
     }
 }
 
+/// The discriminator over one block: the quadrature products of `block`
+/// (its first against `prev`, the last sample of the block before) into the
+/// split planes `re`, `im`, then their scaled angles into `out`. All slices
+/// have the block's length.
+struct Discriminate<'a> {
+    block: &'a [C32],
+    prev: C32,
+    re: &'a mut [f32],
+    im: &'a mut [f32],
+    scale: f32,
+    out: &'a mut [f32],
+}
+
+impl Block for Discriminate<'_> {
+    #[inline(always)]
+    fn run(self) {
+        let Discriminate { block, prev, re, im, scale, out } = self;
+        let n = block.len();
+        let d0 = block[0].mul_conj(prev);
+        re[0] = d0.re;
+        im[0] = d0.im;
+        mul_conj_split(&block[1..], &block[..n - 1], &mut re[1..], &mut im[1..]);
+        atan2_scale(im, re, scale, out);
+    }
+}
+
 /// Elementwise `a[i]·conj(b[i])` from interleaved inputs into split planes:
 /// `(re, im) = (ar·br + ai·bi, ai·br − ar·bi)`, the arithmetic of
 /// `C32::mul_conj`. All four slices have the same length.
+#[inline(always)]
 fn mul_conj_split(a: &[C32], b: &[C32], out_re: &mut [f32], out_im: &mut [f32]) {
     let n = a.len();
     let (b, out_re, out_im) = (&b[..n], &mut out_re[..n], &mut out_im[..n]);
@@ -187,6 +233,7 @@ fn fast_atan2(y: f32, x: f32) -> f32 {
 }
 
 /// `out[i] = fast_atan2(y[i], x[i]) · scale` over three equal-length planes.
+#[inline(always)]
 fn atan2_scale(y: &[f32], x: &[f32], scale: f32, out: &mut [f32]) {
     let n = y.len();
     let (x, out) = (&x[..n], &mut out[..n]);
