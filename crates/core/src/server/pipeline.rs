@@ -283,11 +283,16 @@ fn refresh_job(renderer: &Renderer, tier: &mut impl ArtifactTier, job: PageJob) 
 /// past its TTL: the cached strips go out again under this hour's version,
 /// and that build replaces the cached one in RAM — not below it, where a
 /// site resolves the carousel's `PushStored` key. Nothing renders (a hit
-/// means the content did not move). This is the expiry rule of the URL cache this path
-/// replaced, kept because `tests/golden_serve.rs` pins what a request airs
-/// (its soak serves 192 `GET`s in hour 1); the carousel has no such rule, so
-/// from the hour a page's TTL runs out the two can still air one content
-/// under two ids (ROADMAP item 10(b), open).
+/// means the content did not move). This is the expiry rule of the URL
+/// cache this path replaced, and it is load-bearing: a client drops its
+/// cached copy at receipt hour + TTL, while its reassembler ignores frames
+/// of the last 64 ids it finalized, so a re-air under the old id would
+/// never reach a client that still remembers that id (the server test
+/// `a_client_whose_copy_expired_gets_the_page_back_by_asking_again`).
+/// `tests/golden_serve.rs` pins what a request airs as well (its soak
+/// serves 192 `GET`s in hour 1). The carousel has no such rule, so from the
+/// hour a page's TTL runs out the two can air one content under two ids
+/// (ROADMAP item 10(b)).
 pub(crate) fn refresh_request(
     tier: &mut impl ArtifactTier,
     id: PageId,
