@@ -14,7 +14,8 @@ use crate::page::SimplifiedPage;
 /// Number of times the metadata region appears in the frame stream.
 pub const META_REPEATS: usize = 2;
 
-fn meta_frames(page: &SimplifiedPage) -> Vec<Frame> {
+/// One copy of the page's metadata region as frames.
+pub(crate) fn meta_frames(page: &SimplifiedPage) -> Vec<Frame> {
     let meta = page.meta_blob();
     let parts: Vec<&[u8]> = meta.chunks(FRAME_PAYLOAD).collect();
     let total = parts.len() as u16;
@@ -30,25 +31,35 @@ fn meta_frames(page: &SimplifiedPage) -> Vec<Frame> {
         .collect()
 }
 
+/// Appends `column`'s strip frames from chunk `from_seq` on to `out`. An
+/// empty strip is one empty `last` frame; a column the page lacks, none.
+pub(crate) fn column_frames(
+    page: &SimplifiedPage,
+    column: usize,
+    from_seq: u16,
+    out: &mut Vec<Frame>,
+) {
+    let Some(strip) = page.strips.strips.get(column) else {
+        return;
+    };
+    let chunks = strip.len().div_ceil(FRAME_PAYLOAD).max(1);
+    for seq in usize::from(from_seq)..chunks {
+        let start = seq * FRAME_PAYLOAD;
+        out.push(Frame::Strip {
+            page_id: page.page_id,
+            column: column as u16,
+            seq: seq as u16,
+            last: seq == chunks - 1,
+            payload: strip[start..(start + FRAME_PAYLOAD).min(strip.len())].to_vec(),
+        });
+    }
+}
+
 /// Serializes a page into its broadcast frame sequence.
 pub fn page_to_frames(page: &SimplifiedPage) -> Vec<Frame> {
     let mut frames = meta_frames(page);
-    for (column, strip) in page.strips.strips.iter().enumerate() {
-        let chunks: Vec<&[u8]> = if strip.is_empty() {
-            vec![&[][..]]
-        } else {
-            strip.chunks(FRAME_PAYLOAD).collect()
-        };
-        let last_idx = chunks.len() - 1;
-        for (seq, chunk) in chunks.iter().enumerate() {
-            frames.push(Frame::Strip {
-                page_id: page.page_id,
-                column: column as u16,
-                seq: seq as u16,
-                last: seq == last_idx,
-                payload: chunk.to_vec(),
-            });
-        }
+    for column in 0..page.strips.strips.len() {
+        column_frames(page, column, 0, &mut frames);
     }
     // Second metadata copy at the tail (time diversity).
     frames.extend(meta_frames(page));

@@ -621,7 +621,9 @@ impl Coordinator {
                     Request::PushFrames {
                         page_id: b.page.page_id,
                         kind: SlotKind::Repair,
-                        frames: (*b.frames).clone(),
+                        // The burst was built just now and its `Arc` is
+                        // not shared: move the frames out.
+                        frames: Arc::try_unwrap(b.frames).unwrap_or_else(|f| (*f).clone()),
                     },
                 )
             });

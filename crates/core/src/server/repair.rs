@@ -26,7 +26,7 @@
 //! ([`MAX_ATTEMPTS_PER_PAGE`]) and the 256 most recent pages repairable
 //! (`MAX_REGISTRY_PAGES`).
 
-use crate::chunker::page_to_frames;
+use crate::chunker::{column_frames, meta_frames};
 use crate::frame::Frame;
 use crate::page::SimplifiedPage;
 use crate::server::scheduler::{BroadcastScheduler, SlotKind};
@@ -309,24 +309,24 @@ fn base_id(page_id: u32, version: u16) -> u32 {
     page_id ^ ((u32::from(version) << 16) | u32::from(version))
 }
 
-/// The subset of a page's frames covering the coalesced ranges: all meta
-/// frames when requested, and each damaged column's chunks from its lowest
-/// missing seq onward.
+/// The subset of a page's frames covering the coalesced ranges: both meta
+/// copies when requested, and each damaged column's chunks from its lowest
+/// missing seq onward, in broadcast order. Only those frames are built.
 fn repair_frames(page: &SimplifiedPage, meta: bool, columns: &BTreeMap<u16, u16>) -> Vec<Frame> {
-    page_to_frames(page)
-        .into_iter()
-        .filter(|f| match f {
-            Frame::Meta { .. } => meta,
-            Frame::Strip { column, seq, .. } => {
-                columns.get(column).is_some_and(|&from| *seq >= from)
-            }
-        })
-        .collect()
+    let meta = if meta { meta_frames(page) } else { Vec::new() };
+    let mut frames = meta.clone();
+    for (&column, &from) in columns {
+        column_frames(page, usize::from(column), from, &mut frames);
+    }
+    frames.extend(meta);
+    frames
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunker::page_to_frames;
+    use crate::frame::FRAME_PAYLOAD;
     use sonic_image::clickmap::ClickMap;
     use sonic_image::raster::{Raster, Rgb};
     use sonic_sms::geo::GeoPoint;
@@ -407,6 +407,51 @@ mod tests {
             frames.iter().any(|f| matches!(f, Frame::Meta { .. })),
             "meta requested"
         );
+    }
+
+    /// `repair_frames` before it built only what it resends: the whole
+    /// page chunked, then filtered. Kept as the oracle.
+    fn filtered_page_frames(
+        page: &SimplifiedPage,
+        meta: bool,
+        columns: &BTreeMap<u16, u16>,
+    ) -> Vec<Frame> {
+        page_to_frames(page)
+            .into_iter()
+            .filter(|f| match f {
+                Frame::Meta { .. } => meta,
+                Frame::Strip { column, seq, .. } => {
+                    columns.get(column).is_some_and(|&from| *seq >= from)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn repair_frames_equal_the_filtered_whole_page() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        let mut nonempty = 0;
+        for case in 0..24 {
+            let (w, h) = (1 + draw(12) as usize, 1 + draw(400) as usize);
+            let p = noisy_page(&format!("https://r{case}.pk/"), w, h);
+            let longest = p.strips.strips.iter().map(Vec::len).max().unwrap_or(0);
+            let max_seq = longest / FRAME_PAYLOAD + 2;
+            let meta = draw(2) == 0;
+            let columns: BTreeMap<u16, u16> = (0..draw(w as u64 + 1))
+                .map(|_| (draw(w as u64) as u16, draw(max_seq as u64) as u16))
+                .collect();
+            let want = filtered_page_frames(&p, meta, &columns);
+            let got = repair_frames(&p, meta, &columns);
+            assert_eq!(got, want, "case {case}: {w}×{h}");
+            nonempty += usize::from(!want.is_empty());
+        }
+        assert!(nonempty >= 12, "{nonempty} of 24 cases resend anything");
     }
 
     /// Spends a page's whole retry budget from `t`: a NACK, then its burst

@@ -9,7 +9,181 @@
 //! the way a transport endpoint does.
 
 use proptest::prelude::*;
-use sonic_core::net::codec::{encode_frame, frame_bytes, FrameDecoder};
+use sonic_core::net::codec::{
+    encode_frame, frame_bytes, DecoderStats, FrameDecoder, MAX_WIRE_PAYLOAD, WIRE_HEADER,
+};
+use sonic_fec::crc32;
+
+/// The decoder before its CRC prefix table, kept as the oracle: the same
+/// scan, but every resync candidate's payload is hashed from scratch, so a
+/// resync costs O(buffer × candidate length). `stats.hashed_bytes` counts
+/// that cost.
+#[derive(Default)]
+struct ReferenceDecoder {
+    buf: Vec<u8>,
+    head: usize,
+    stats: DecoderStats,
+    scanning: bool,
+}
+
+impl ReferenceDecoder {
+    fn feed(&mut self, bytes: &[u8]) {
+        self.compact();
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn compact(&mut self) {
+        if self.head > 4096 && self.head * 2 >= self.buf.len() {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
+    fn skip_byte(&mut self) {
+        if !self.scanning {
+            self.scanning = true;
+            self.stats.resyncs += 1;
+        }
+        self.head += 1;
+        self.stats.skipped_bytes += 1;
+    }
+
+    fn force_resync(&mut self) {
+        if self.buf.len() > self.head {
+            self.skip_byte();
+        }
+    }
+
+    fn next_frame(&mut self) -> Option<Vec<u8>> {
+        loop {
+            let avail = self.buf.len() - self.head;
+            if avail < WIRE_HEADER {
+                return None;
+            }
+            let at = self.head;
+            let word = |i: usize| {
+                u32::from_be_bytes([
+                    self.buf[i],
+                    self.buf[i + 1],
+                    self.buf[i + 2],
+                    self.buf[i + 3],
+                ])
+            };
+            let (len, want) = (word(at) as usize, word(at + 4));
+            if len > MAX_WIRE_PAYLOAD {
+                self.skip_byte();
+                continue;
+            }
+            if avail < WIRE_HEADER + len {
+                if self.scanning {
+                    self.skip_byte();
+                    continue;
+                }
+                return None;
+            }
+            let payload = &self.buf[at + WIRE_HEADER..at + WIRE_HEADER + len];
+            self.stats.hashed_bytes += len as u64;
+            if crc32(payload) != want {
+                self.stats.crc_failures += 1;
+                self.skip_byte();
+                continue;
+            }
+            let frame = payload.to_vec();
+            self.head += WIRE_HEADER + len;
+            self.scanning = false;
+            self.stats.frames += 1;
+            self.compact();
+            return Some(frame);
+        }
+    }
+}
+
+/// Stats with the CRC cost masked out: the one counter the two decoders
+/// are meant to differ on.
+fn decisions(stats: DecoderStats) -> DecoderStats {
+    DecoderStats {
+        hashed_bytes: 0,
+        ..stats
+    }
+}
+
+/// Runs both decoders over `bytes` fed in chunks cycling through `splits`,
+/// calling `force_resync` on both before draining the feeds listed in
+/// `resync_at`; asserts after every call that they emitted the same frame
+/// and hold the same stats and buffer. Returns both decoders' final stats.
+fn decode_against_reference(
+    bytes: &[u8],
+    splits: &[usize],
+    resync_at: &[usize],
+) -> (DecoderStats, DecoderStats) {
+    let (mut d, mut r) = (FrameDecoder::new(), ReferenceDecoder::default());
+    let (mut at, mut feed) = (0, 0);
+    while at < bytes.len() {
+        let end = (at + splits[feed % splits.len()].max(1)).min(bytes.len());
+        d.feed(&bytes[at..end]);
+        r.feed(&bytes[at..end]);
+        if resync_at.contains(&feed) {
+            d.force_resync();
+            r.force_resync();
+            assert_eq!(
+                decisions(d.stats),
+                decisions(r.stats),
+                "force_resync at feed {feed}"
+            );
+        }
+        loop {
+            let (got, want) = (d.next_frame(), r.next_frame());
+            assert_eq!(got, want, "feed {feed}, bytes ..{end}");
+            assert_eq!(
+                decisions(d.stats),
+                decisions(r.stats),
+                "feed {feed}, bytes ..{end}"
+            );
+            assert_eq!(d.buffered(), r.buf.len() - r.head);
+            if got.is_none() {
+                break;
+            }
+        }
+        at = end;
+        feed += 1;
+    }
+    (d.stats, r.stats)
+}
+
+/// `n` bytes from a xorshift seeded with `seed`; with `small` set, every
+/// byte is 0–3, so most 4-byte windows read as plausible lengths.
+fn filler(seed: u64, n: usize, small: bool) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            if small {
+                (x >> 32) as u8 & 3
+            } else {
+                (x >> 32) as u8
+            }
+        })
+        .collect()
+}
+
+/// One stretch of an adversarial stream: `kind` picks a valid frame, a
+/// frame torn short, opaque garbage, small-valued garbage (plausible
+/// lengths everywhere) or a zero run (every 8 zero bytes are a valid empty
+/// frame, since `crc32("") == 0`).
+fn segment(kind: u8, size: usize, seed: u64, out: &mut Vec<u8>) {
+    match kind {
+        0 | 1 => encode_frame(&filler(seed, size, seed & 2 == 0), out),
+        2 => {
+            let frame = frame_bytes(&filler(seed, size, seed & 2 == 0));
+            out.extend_from_slice(&frame[..(seed as usize) % frame.len()]);
+        }
+        3 => out.extend(filler(seed, size % 300, false).into_iter().map(|b| b | 1)),
+        4 => out.extend(filler(seed, size % 700, true)),
+        _ => out.resize(out.len() + size % 48, 0),
+    }
+}
 
 /// Encodes `payloads` back-to-back into one wire stream.
 fn stream(payloads: &[Vec<u8>]) -> Vec<u8> {
@@ -218,5 +392,79 @@ proptest! {
         d.feed(&bytes);
         prop_assert_eq!(d.drain_frames(), payloads);
         prop_assert_eq!(d.buffered(), 0);
+    }
+
+    /// The decoder with its CRC prefix table makes every decision the
+    /// from-scratch reference makes — same frames, same stats, same
+    /// buffered bytes after every call — on streams mixing valid frames,
+    /// torn frames, garbage and zero runs, then bit-flipped, with chunks
+    /// dropped and the tail truncated, fed in random splits with
+    /// `force_resync` at random feeds.
+    #[test]
+    fn decoder_matches_the_reference_scan(
+        segments in proptest::collection::vec((0u8..6, 0usize..2500, any::<u64>()), 1..16),
+        flips in proptest::collection::vec((any::<prop::sample::Index>(), 0u8..8), 0..4),
+        drops in proptest::collection::vec((any::<prop::sample::Index>(), 1usize..200), 0..3),
+        cut_frac in 0.6f64..1.0,
+        splits in proptest::collection::vec(1usize..1500, 1..6),
+        resyncs in proptest::collection::vec(0usize..40, 0..4),
+    ) {
+        let mut bytes = Vec::new();
+        for &(kind, size, seed) in &segments {
+            segment(kind, size, seed, &mut bytes);
+        }
+        for (at, len) in drops {
+            if !bytes.is_empty() {
+                let at = at.index(bytes.len());
+                bytes.drain(at..(at + len).min(bytes.len()));
+            }
+        }
+        for (at, bit) in flips {
+            if !bytes.is_empty() {
+                let at = at.index(bytes.len());
+                bytes[at] ^= 1 << bit;
+            }
+        }
+        bytes.truncate((bytes.len() as f64 * cut_frac) as usize);
+        decode_against_reference(&bytes, &splits, &resyncs);
+    }
+}
+
+/// 256 KiB where one offset in three reads a plausible 4–16 KiB length
+/// that fits the buffer and never matches its CRC word (the other offsets
+/// read lengths ≥ 2^20 or 2^24, implausible). The reference hashes every
+/// candidate's payload, ~10 KiB per offset; the decoder with its prefix
+/// table hashes each byte into the table about once, plus at most two
+/// 63-byte tails per candidate — and skips exactly the same bytes.
+#[test]
+fn resync_hashing_is_linear_on_a_stream_of_plausible_lengths() {
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let bytes: Vec<u8> = (0..(256 << 10) / 3)
+        .flat_map(|_| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            [0, 0, 16 + (x >> 58) as u8]
+        })
+        .collect();
+    let fed = bytes.len() as u64;
+    for split in [bytes.len(), 1500] {
+        let (new, reference) = decode_against_reference(&bytes, &[split], &[]);
+        assert_eq!(new.frames, 0);
+        assert_eq!(
+            new.skipped_bytes,
+            fed - 7,
+            "everything but a sub-header tail"
+        );
+        assert!(
+            new.hashed_bytes <= 3 * fed + 2 * 63 * new.crc_failures,
+            "table strides plus two tails per candidate: {new:?}"
+        );
+        assert!(new.hashed_bytes <= 64 * fed, "{new:?}");
+        if split == bytes.len() {
+            // Fed at once, every candidate fits: the quadratic case.
+            assert!(new.crc_failures > 80_000, "{new:?}");
+            assert!(reference.hashed_bytes > 1000 * fed, "{reference:?}");
+        }
     }
 }

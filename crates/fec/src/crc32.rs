@@ -64,6 +64,63 @@ pub fn crc32(data: &[u8]) -> u32 {
     !update_state(0xFFFF_FFFF, data)
 }
 
+/// CRC-32 of `A ‖ data`, given `crc = crc32(A)`.
+pub fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
+    !update_state(!crc, data)
+}
+
+/// CRC-32 of `B`, given `crc_ab = crc32(A ‖ B)`, `crc_a = crc32(A)` and
+/// `len_b = |B|`, in O(log |B|) — zlib's `crc32_combine` solved for the
+/// suffix: `crc(A‖B) = x^(8|B|)·crc(A) ⊕ crc(B) mod P`, and ⊕ is its own
+/// inverse.
+pub fn crc32_suffix(crc_ab: u32, crc_a: u32, len_b: usize) -> u32 {
+    crc_ab ^ multmodp(x8n_mod_p(len_b), crc_a)
+}
+
+/// `a · b mod P` over GF(2), both in the reflected bit order the CRC state
+/// uses (bit 31 is x⁰).
+fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut p = 0u32;
+    for i in 0..32 {
+        if a & (1 << (31 - i)) != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+    }
+    p
+}
+
+/// `x^(2^k) mod P` for `k` in 0..32. The powers repeat with period 32
+/// (`x^(2^32) = x mod P`), so `k & 31` indexes any `k`.
+fn x2n_table() -> &'static [u32; 32] {
+    use std::sync::OnceLock;
+    static X2N: OnceLock<[u32; 32]> = OnceLock::new();
+    X2N.get_or_init(|| {
+        let mut t = [0u32; 32];
+        let mut p = 1u32 << 30; // x¹
+        for slot in t.iter_mut() {
+            *slot = p;
+            p = multmodp(p, p);
+        }
+        t
+    })
+}
+
+/// `x^(8n) mod P`: one multiply per set bit of `n`, against `x^(2^(k+3))`.
+fn x8n_mod_p(mut n: usize) -> u32 {
+    let table = x2n_table();
+    let mut p = 1u32 << 31; // x⁰
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            p = multmodp(table[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
 /// Incremental CRC-32 hasher for streamed frame construction.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
@@ -131,6 +188,46 @@ mod tests {
                 assert_eq!(crc32(slice), !c, "mismatch at start {start} len {len}");
             }
         }
+    }
+
+    #[test]
+    fn suffix_crc_matches_direct_hash_at_every_split() {
+        let data = b"123456789";
+        for cut in 0..=data.len() {
+            let (a, b) = data.split_at(cut);
+            assert_eq!(
+                crc32_suffix(crc32(data), crc32(a), b.len()),
+                crc32(b),
+                "cut {cut}"
+            );
+            assert_eq!(crc32_extend(crc32(a), b), crc32(data), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn suffix_crc_matches_direct_hash_across_stride_lengths() {
+        let data: Vec<u8> = (0u32..(1 << 20) + 37)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len_b in [0usize, 1, 63, 64, 65, 1 << 20] {
+            let a = &data[..37];
+            let b = &data[37..37 + len_b];
+            let ab = crc32_extend(crc32(a), b);
+            assert_eq!(crc32_suffix(ab, crc32(a), len_b), crc32(b), "len {len_b}");
+        }
+    }
+
+    #[test]
+    fn combining_with_an_empty_suffix_is_the_identity() {
+        for a in [&b""[..], b"x", b"123456789"] {
+            let c = crc32(a);
+            assert_eq!(crc32_extend(c, b""), c);
+            assert_eq!(crc32_suffix(c, c, 0), crc32(b""));
+        }
+        // The x^(2^k) powers repeat with period 32, which `x8n_mod_p`'s
+        // `k & 31` relies on.
+        let t = x2n_table();
+        assert_eq!(multmodp(t[31], t[31]), t[0]);
     }
 
     #[test]
