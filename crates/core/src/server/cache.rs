@@ -4,8 +4,9 @@
 //! from its cache, e.g., if recently requested by another user, or by
 //! directly accessing it" (§3.1). One kind of entry serves the hourly
 //! carousel, an SMS page request and a search/chat answer alike; what decides
-//! reuse is the content address (`pipeline::refresh_page`), for a request
-//! also the build's TTL (`pipeline::refresh_request`).
+//! reuse is the content address (`pipeline::refresh_page`) and nothing else.
+//! A build's TTL rides in its meta frames for the client to keep: a cached
+//! build is served whatever its age, under the id it was built with.
 
 use crate::frame::{Frame, FRAME_SIZE};
 use crate::page::SimplifiedPage;

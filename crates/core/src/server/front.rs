@@ -110,9 +110,12 @@ impl<T: ArtifactTier> Front<T> {
             .layout_hashes
             .entry(id)
             .or_insert_with(|| pipeline::layout_hash_scaled(renderer, id, hour));
-        Some(pipeline::refresh_request(&mut self.artifacts, id, layout_hash, hour, || {
-            renderer.render(id, hour)
-        }))
+        Some(
+            pipeline::refresh_page(&mut self.artifacts, id, layout_hash, hour, || {
+                renderer.render(id, hour)
+            })
+            .artifact,
+        )
     }
 
     /// Finds the transmitter covering a parsed SMS's sender and produces

@@ -33,7 +33,7 @@ pub struct RenderedContent {
 const ANSWER_TTL_HOURS: u16 = 6;
 
 /// The content version an hour stamps on what is rendered in it.
-pub(crate) fn hour_version(hour: u64) -> u16 {
+fn hour_version(hour: u64) -> u16 {
     (hour % u16::MAX as u64) as u16
 }
 
