@@ -353,87 +353,19 @@ mod tests {
         img
     }
 
-    /// The original per-block-allocation symbol coder, kept as the
-    /// executable specification for the scratch-reusing version.
-    fn encode_plane_symbols_reference(plane: &PlaneSpec, q: &QuantTables, out: &mut Vec<Sym>) {
-        let bw = plane.width.div_ceil(8);
-        let bh = plane.height.div_ceil(8);
-        let mut prev_dc = 0i32;
-        let mut block = [0.0f32; 64];
-        for by in 0..bh {
-            for bx in 0..bw {
-                for y in 0..8 {
-                    for x in 0..8 {
-                        let sx = (bx * 8 + x).min(plane.width - 1);
-                        let sy = (by * 8 + y).min(plane.height - 1);
-                        block[y * 8 + x] = plane.data[sy * plane.width + sx] - 128.0;
-                    }
-                }
-                let coeffs = dct::forward(&block);
-                let qz = q.quantize(&coeffs, plane.chroma);
-                let diff = qz[0] as i32 - prev_dc;
-                prev_dc = qz[0] as i32;
-                let (cat, bits) = magnitude_bits(diff);
-                out.push(Sym {
-                    symbol: cat,
-                    extra: bits,
-                    extra_len: cat,
-                });
-                let mut run = 0u8;
-                for &qv in &qz[1..64] {
-                    let v = qv as i32;
-                    if v == 0 {
-                        run += 1;
-                        continue;
-                    }
-                    while run >= 16 {
-                        out.push(Sym {
-                            symbol: 0xF0,
-                            extra: 0,
-                            extra_len: 0,
-                        });
-                        run -= 16;
-                    }
-                    let (cat, bits) = magnitude_bits(v);
-                    out.push(Sym {
-                        symbol: (run << 4) | cat,
-                        extra: bits,
-                        extra_len: cat,
-                    });
-                    run = 0;
-                }
-                if run > 0 {
-                    out.push(Sym {
-                        symbol: 0x00,
-                        extra: 0,
-                        extra_len: 0,
-                    });
-                }
-            }
-        }
-    }
-
+    /// The band coder's output, pinned as FNV-64 digests of the whole
+    /// stream for one odd-sized page at a low and a high quality. A change
+    /// to the symbol coder that moves a bit moves a digest.
     #[test]
-    fn scratch_symbol_coder_matches_reference() {
+    fn encode_is_pinned() {
         let img = page(117, 83);
-        let q = QuantTables::for_quality(10);
-        let planes = Ycbcr420::from_raster(&img);
-        for (data, width, height, chroma) in [
-            (&planes.y, planes.width, planes.height, false),
-            (&planes.cb, planes.cw(), planes.ch(), true),
-            (&planes.cr, planes.cw(), planes.ch(), true),
+        for (quality, len, digest) in [
+            (10, 650, 0xff82_1040_e987_6393),
+            (90, 2170, 0x0fb6_ffb4_8f47_4138),
         ] {
-            let spec = PlaneSpec {
-                data,
-                width,
-                height,
-                chroma,
-            };
-            let mut got = Vec::new();
-            encode_plane_symbols(&spec, &q, &mut got);
-            let mut want = Vec::new();
-            encode_plane_symbols_reference(&spec, &q, &mut want);
-            assert_eq!(got, want, "plane chroma={chroma}");
+            let data = encode(&img, quality);
+            let got = (data.len(), crate::hash::fnv1a64(&data));
+            assert_eq!(got, (len, digest), "quality {quality}");
         }
     }
 
