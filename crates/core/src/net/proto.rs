@@ -1,10 +1,10 @@
 //! Control-plane messages between the coordinator and its sites.
 //!
 //! Hand-rolled big-endian serialization over the [`super::codec`] wire
-//! framing: one encoded `Msg` per wire frame. Decoding is *total* — any
-//! byte sequence either parses or returns `None`; a truncated or
-//! tag-corrupted message can never panic (the outer CRC makes this rare,
-//! but the decoder does not rely on it).
+//! framing: one encoded `Msg` per wire frame, read back through
+//! [`ByteReader`]. Decoding is *total* — any byte sequence either parses
+//! or returns `None`; a truncated or tag-corrupted message can never panic
+//! (the outer CRC makes this rare, but the decoder does not rely on it).
 //!
 //! Link [`Frame`]s ride inside [`Request::PushFrames`] in their on-air
 //! 100-byte encoding, so payload integrity is double-checked: the wire
@@ -12,6 +12,7 @@
 
 use crate::frame::{Frame, FRAME_SIZE};
 use crate::server::scheduler::SlotKind;
+use sonic_image::bitio::ByteReader;
 
 /// Most link frames allowed in one `PushFrames` message. A full page at
 /// paper scales is a few hundred frames; the bound only rejects damaged
@@ -226,46 +227,10 @@ pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
     }
 }
 
-/// A bounds-checked big-endian cursor.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4).map(|s| u32::from_be_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8).map(|s| {
-            u64::from_be_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]])
-        })
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
-    }
-}
-
 /// Deserializes one message. Total: returns `None` on any malformed,
 /// truncated or trailing-garbage input.
 pub fn decode_msg(buf: &[u8]) -> Option<Msg> {
-    let mut c = Cursor { buf, at: 0 };
+    let mut c = ByteReader::new(buf);
     let msg = match c.u8()? {
         0x01 => {
             let id = c.u64()?;
@@ -330,7 +295,7 @@ pub fn decode_msg(buf: &[u8]) -> Option<Msg> {
         }
         _ => return None,
     };
-    if !c.done() {
+    if c.remaining() != 0 {
         return None; // trailing bytes: not a clean message
     }
     Some(msg)

@@ -5,6 +5,7 @@
 //! cache TTL ("inserted in a cache with expiration date set according to a
 //! time indicated by the server").
 
+use sonic_image::bitio::ByteReader;
 use sonic_image::clickmap::ClickMap;
 use sonic_image::raster::Raster;
 use sonic_image::strip::{self, StripImage};
@@ -96,21 +97,18 @@ impl SimplifiedPage {
         out
     }
 
-    /// Parses a metadata region back into page fields (without strips).
+    /// Parses a metadata region back into page fields (without strips):
+    /// `(width, height, ttl_hours, version, url, clickmap)`. Bytes after
+    /// the click map are ignored.
     pub fn parse_meta(blob: &[u8]) -> Option<(usize, usize, u16, u16, String, ClickMap)> {
-        if blob.len() < 12 {
-            return None;
-        }
-        let width = u16::from_be_bytes([blob[0], blob[1]]) as usize;
-        let height = u32::from_be_bytes([blob[2], blob[3], blob[4], blob[5]]) as usize;
-        let ttl = u16::from_be_bytes([blob[6], blob[7]]);
-        let version = u16::from_be_bytes([blob[8], blob[9]]);
-        let url_len = u16::from_be_bytes([blob[10], blob[11]]) as usize;
-        if blob.len() < 12 + url_len {
-            return None;
-        }
-        let url = String::from_utf8(blob[12..12 + url_len].to_vec()).ok()?;
-        let clickmap = ClickMap::decode(&blob[12 + url_len..])?;
+        let mut r = ByteReader::new(blob);
+        let width = usize::from(r.u16()?);
+        let height = r.u32()? as usize;
+        let ttl = r.u16()?;
+        let version = r.u16()?;
+        let url_len = usize::from(r.u16()?);
+        let url = std::str::from_utf8(r.take(url_len)?).ok()?.to_string();
+        let clickmap = ClickMap::decode(r.take(r.remaining())?)?;
         if width == 0 || height == 0 {
             return None;
         }

@@ -4,13 +4,16 @@
 //! Two append-only files live in the store directory:
 //!
 //! * `blobs.dat` — write-once blob data. A blob is one serialized artifact
-//!   (page metadata, per-column strip bytes, click map, column hashes) —
-//!   kilobytes, never a waveform. Blobs are content-addressed by an FNV-64
-//!   of their bytes: a `put` whose blob already exists reuses the existing
-//!   span and writes nothing to the data file.
+//!   (the page's on-air metadata blob, per-column strip bytes, column
+//!   hashes) — kilobytes, never a waveform. Blobs are content-addressed by
+//!   an FNV-64 of their bytes: a `put` whose blob already exists reuses the
+//!   existing span and writes nothing to the data file.
 //! * `index.log` — fixed-size CRC-framed records, one per mutation
 //!   (insert or evict). The in-memory entry map is a pure fold over the
 //!   record sequence, so reopening replays the log.
+//!
+//! Both files are big-endian and read through [`ByteReader`], like every
+//! other decoder of outside bytes.
 //!
 //! **Crash safety** is scan-and-truncate: on open the log is read
 //! sequentially and stops at the first record that is short, has a bad
@@ -33,7 +36,7 @@ use crate::chunker::page_to_frames;
 use crate::page::SimplifiedPage;
 use crate::server::cache::Artifact;
 use sonic_fec::crc32;
-use sonic_image::clickmap::ClickMap;
+use sonic_image::bitio::ByteReader;
 use sonic_image::hash::Fnv64;
 use sonic_image::strip::StripImage;
 use sonic_pagegen::PageId;
@@ -42,12 +45,15 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Index record framing: `"SIDX"` little-endian.
-const RECORD_MAGIC: u32 = 0x5844_4953;
-/// Blob framing magic (first field of every serialized artifact): `"SOL2"`
-/// little-endian. `"SOLB"` was the format that also carried audio and burst
-/// spans; a store written in it is refused blob by blob and rebuilt.
-const BLOB_MAGIC: u32 = 0x324C_4F53;
+/// Index record framing: `"SID2"`. `"SIDX"` framed the little-endian
+/// records before; a log in it stops the scan at its first record, so the
+/// store opens empty and is rebuilt.
+const RECORD_MAGIC: u32 = u32::from_be_bytes(*b"SID2");
+/// Blob framing magic (first field of every serialized artifact): `"SOL3"`.
+/// `"SOL2"` was the little-endian format with its own copy of the page
+/// metadata, and `"SOLB"` the one before that also carried audio and burst
+/// spans; a blob in either is refused at `load` and rebuilt.
+const BLOB_MAGIC: u32 = u32::from_be_bytes(*b"SOL3");
 /// Fixed index record size in bytes (magic..record CRC inclusive).
 pub const RECORD_LEN: usize = 69;
 
@@ -168,39 +174,19 @@ impl ArtifactStore {
         self.index.read_to_end(&mut log)?;
 
         let mut valid = 0usize;
-        while valid + RECORD_LEN <= log.len() {
-            let rec = &log[valid..valid + RECORD_LEN];
-            if read_u32(rec, 0) != RECORD_MAGIC {
+        while let Some(rec) = log.get(valid..valid + RECORD_LEN) {
+            let Some((kind, id, mut entry)) = read_record(rec) else {
                 break;
-            }
-            if crc32(&rec[..RECORD_LEN - 4]) != read_u32(rec, RECORD_LEN - 4) {
-                break;
-            }
-            let kind = rec[4];
-            let id = PageId {
-                site: read_u32(rec, 5) as usize,
-                page: read_u32(rec, 9) as usize,
             };
             match kind {
                 KIND_INSERT => {
-                    let offset = read_u64(rec, 37);
-                    let len = read_u64(rec, 45);
-                    if offset.saturating_add(len) > data_len {
+                    if entry.offset.saturating_add(entry.len) > data_len {
                         break; // record outlived its torn blob
                     }
-                    let entry = StoreEntry {
-                        layout_hash: read_u64(rec, 13),
-                        raster_hash: read_u64(rec, 21),
-                        hour: read_u64(rec, 29),
-                        offset,
-                        len,
-                        blob_key: read_u64(rec, 53),
-                        blob_crc: read_u32(rec, 61),
-                        last_used: self.clock,
-                    };
+                    entry.last_used = self.clock;
                     self.clock += 1;
                     self.apply_insert(id, entry);
-                    self.append_off = self.append_off.max(offset + len);
+                    self.append_off = self.append_off.max(entry.offset + entry.len);
                 }
                 KIND_EVICT => {
                     self.remove_entry(id);
@@ -381,20 +367,26 @@ impl ArtifactStore {
     }
 
     fn write_record(&mut self, kind: u8, id: PageId, entry: &StoreEntry) -> io::Result<()> {
-        let mut rec = [0u8; RECORD_LEN];
-        write_u32(&mut rec, 0, RECORD_MAGIC);
-        rec[4] = kind;
-        write_u32(&mut rec, 5, id.site as u32);
-        write_u32(&mut rec, 9, id.page as u32);
-        write_u64(&mut rec, 13, entry.layout_hash);
-        write_u64(&mut rec, 21, entry.raster_hash);
-        write_u64(&mut rec, 29, entry.hour);
-        write_u64(&mut rec, 37, entry.offset);
-        write_u64(&mut rec, 45, entry.len);
-        write_u64(&mut rec, 53, entry.blob_key);
-        write_u32(&mut rec, 61, entry.blob_crc);
-        let crc = crc32(&rec[..RECORD_LEN - 4]);
-        write_u32(&mut rec, RECORD_LEN - 4, crc);
+        let mut rec = Vec::with_capacity(RECORD_LEN);
+        rec.extend_from_slice(&RECORD_MAGIC.to_be_bytes());
+        rec.push(kind);
+        for v in [id.site as u32, id.page as u32] {
+            rec.extend_from_slice(&v.to_be_bytes());
+        }
+        for v in [
+            entry.layout_hash,
+            entry.raster_hash,
+            entry.hour,
+            entry.offset,
+            entry.len,
+            entry.blob_key,
+        ] {
+            rec.extend_from_slice(&v.to_be_bytes());
+        }
+        rec.extend_from_slice(&entry.blob_crc.to_be_bytes());
+        let crc = crc32(&rec);
+        rec.extend_from_slice(&crc.to_be_bytes());
+        debug_assert_eq!(rec.len(), RECORD_LEN);
         self.index.write_all(&rec)
     }
 
@@ -417,134 +409,69 @@ impl ArtifactStore {
     }
 }
 
-// --- little-endian field helpers -----------------------------------------
-
-fn read_u32(buf: &[u8], at: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&buf[at..at + 4]);
-    u32::from_le_bytes(b)
-}
-
-fn read_u64(buf: &[u8], at: usize) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&buf[at..at + 8]);
-    u64::from_le_bytes(b)
-}
-
-fn write_u32(buf: &mut [u8], at: usize, v: u32) {
-    buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
-}
-
-fn write_u64(buf: &mut [u8], at: usize, v: u64) {
-    buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
-}
-
-// --- blob codec -----------------------------------------------------------
-
-fn push_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Reads one index record: its kind, page and entry (`last_used` 0).
+/// `None` if the magic or the record CRC is wrong.
+fn read_record(rec: &[u8]) -> Option<(u8, PageId, StoreEntry)> {
+    let mut r = ByteReader::new(rec);
+    if r.u32()? != RECORD_MAGIC {
+        return None;
+    }
+    let kind = r.u8()?;
+    let id = PageId {
+        site: r.u32()? as usize,
+        page: r.u32()? as usize,
+    };
+    let entry = StoreEntry {
+        layout_hash: r.u64()?,
+        raster_hash: r.u64()?,
+        hour: r.u64()?,
+        offset: r.u64()?,
+        len: r.u64()?,
+        blob_key: r.u64()?,
+        blob_crc: r.u32()?,
+        last_used: 0,
+    };
+    let crc_ok = r.u32()? == crc32(rec.get(..RECORD_LEN - 4)?);
+    crc_ok.then_some((kind, id, entry))
 }
 
 /// Serializes an artifact's page (its frames are a pure function of it)
-/// plus the per-column hash index.
+/// plus the per-column hash index: the magic, the page's on-air metadata
+/// blob behind its length, each column's strip bytes behind its length,
+/// then one hash per column.
 fn encode_blob(artifact: &Artifact, column_hashes: &[u64]) -> Vec<u8> {
     let p = &artifact.page;
-    let clickmap = p.clickmap.encode();
+    let meta = p.meta_blob();
     let mut out = Vec::new();
-    push_u32(&mut out, BLOB_MAGIC);
-    push_u16(&mut out, p.version);
-    push_u16(&mut out, p.ttl_hours);
-    push_u16(&mut out, p.url.len() as u16);
-    out.extend_from_slice(p.url.as_bytes());
-    push_u32(&mut out, p.strips.width as u32);
-    push_u32(&mut out, p.strips.height as u32);
-    for strip in &p.strips.strips {
-        push_u32(&mut out, strip.len() as u32);
-        out.extend_from_slice(strip);
+    out.extend_from_slice(&BLOB_MAGIC.to_be_bytes());
+    for section in std::iter::once(&meta).chain(&p.strips.strips) {
+        out.extend_from_slice(&(section.len() as u32).to_be_bytes());
+        out.extend_from_slice(section);
     }
-    push_u32(&mut out, clickmap.len() as u32);
-    out.extend_from_slice(&clickmap);
-    push_u32(&mut out, column_hashes.len() as u32);
     for &h in column_hashes {
-        push_u64(&mut out, h);
+        out.extend_from_slice(&h.to_be_bytes());
     }
     out
-}
-
-/// Bounds-checked little-endian reader over a blob.
-struct BlobReader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> BlobReader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let slice = &self.buf[self.at..end];
-        self.at = end;
-        Some(slice)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        let b = self.take(2)?;
-        Some(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let b = self.take(4)?;
-        Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Some(u64::from_le_bytes(a))
-    }
 }
 
 /// Deserializes a blob back into an artifact (frames recomputed) and its
 /// column-hash index. Total: any malformed blob yields `None`, and nothing
 /// is allocated for a count the remaining bytes could not hold.
 fn decode_blob(blob: &[u8]) -> Option<(Artifact, Vec<u64>)> {
-    let mut r = BlobReader { buf: blob, at: 0 };
+    let mut r = ByteReader::new(blob);
     if r.u32()? != BLOB_MAGIC {
         return None;
     }
-    let version = r.u16()?;
-    let ttl_hours = r.u16()?;
-    let url_len = r.u16()? as usize;
-    let url = std::str::from_utf8(r.take(url_len)?).ok()?.to_string();
-    // A column index is a u16 in every strip frame's header.
-    let width = usize::from(u16::try_from(r.u32()?).ok()?);
-    let height = r.u32()? as usize;
+    let meta_len = r.u32()? as usize;
+    let (width, height, ttl_hours, version, url, clickmap) =
+        SimplifiedPage::parse_meta(r.take(meta_len)?)?;
     // Every strip costs at least its 4-byte length.
     let mut strips = Vec::with_capacity(width.min(r.remaining() / 4));
     for _ in 0..width {
         let len = r.u32()? as usize;
         strips.push(r.take(len)?.to_vec());
     }
-    let cm_len = r.u32()? as usize;
-    let clickmap = ClickMap::decode(r.take(cm_len)?)?;
-    // One hash per column, or the delta encode has nothing to diff against.
-    if r.u32()? as usize != width {
-        return None;
-    }
+    // One hash per column, or the delta encode has nothing to diff against;
     // `width` strips were read, so `width` is bounded by the blob's length.
     let mut column_hashes = Vec::with_capacity(width);
     for _ in 0..width {

@@ -5,6 +5,8 @@
 //! hyperlinks; clicking a region either loads the cached target page or
 //! triggers an SMS request for it.
 
+use crate::bitio::ByteReader;
+
 /// One interactive rectangle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClickRegion {
@@ -81,30 +83,17 @@ impl ClickMap {
     }
 
     /// Inverse of [`encode`](Self::encode); `None` on malformed input.
+    /// Bytes after the last region are ignored.
     pub fn decode(data: &[u8]) -> Option<ClickMap> {
-        let mut p = 0usize;
-        let take = |p: &mut usize, n: usize| -> Option<usize> {
-            let s = *p;
-            *p = p.checked_add(n)?;
-            if *p > data.len() {
-                None
-            } else {
-                Some(s)
-            }
-        };
-        let s = take(&mut p, 2)?;
-        let count = u16::from_be_bytes([data[s], data[s + 1]]) as usize;
+        let mut r = ByteReader::new(data);
+        let count = usize::from(r.u16()?);
         // A region costs at least 9 bytes: never allocate for a count the
         // input could not hold.
-        let mut regions = Vec::with_capacity(count.min(data.len() / 9));
+        let mut regions = Vec::with_capacity(count.min(r.remaining() / 9));
         for _ in 0..count {
-            let s = take(&mut p, 8)?;
-            let rd = |o: usize| u16::from_be_bytes([data[s + o], data[s + o + 1]]);
-            let (x, y, w, h) = (rd(0), rd(2), rd(4), rd(6));
-            let s = take(&mut p, 1)?;
-            let len = data[s] as usize;
-            let s = take(&mut p, len)?;
-            let target = String::from_utf8(data[s..s + len].to_vec()).ok()?;
+            let (x, y, w, h) = (r.u16()?, r.u16()?, r.u16()?, r.u16()?);
+            let len = usize::from(r.u8()?);
+            let target = std::str::from_utf8(r.take(len)?).ok()?.to_string();
             regions.push(ClickRegion { x, y, w, h, target });
         }
         Some(ClickMap { regions })
