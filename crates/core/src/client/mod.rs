@@ -46,15 +46,6 @@ impl SonicClient {
         }
     }
 
-    /// Ingests a link frame from the modem at stream time 0.0. A page it
-    /// finalizes stays tombstoned for as long as the stream time stays 0,
-    /// so its id is never received again, even after the cached copy
-    /// expires: a client that spans more than one hour must use
-    /// [`SonicClient::receive_frame_at`].
-    pub fn receive_frame(&mut self, frame: Frame) {
-        self.reassembler.push(frame);
-    }
-
     /// Ingests a link frame observed at stream time `now_s` (enables the
     /// reassembler's LRU/deadline accounting).
     pub fn receive_frame_at(&mut self, frame: Frame, now_s: f64) {
@@ -185,7 +176,7 @@ mod tests {
         let mut c = SonicClient::new(720, None);
         let p = broadcast_page("https://a.pk/", "https://a.pk/news");
         for f in page_to_frames(&p) {
-            c.receive_frame(f);
+            c.receive_frame_at(f, 0.0);
         }
         let report = c.finalize_page(p.page_id, 0).expect("complete");
         assert_eq!(report.url, "https://a.pk/");
@@ -205,7 +196,7 @@ mod tests {
                 continue;
             }
             let _ = n;
-            c.receive_frame(f);
+            c.receive_frame_at(f, 0.0);
         }
         let report = c.finalize_page(p.page_id, 0).expect("meta survived");
         assert!(report.pixel_loss > 0.0, "losses must be visible pre-repair");

@@ -11,7 +11,7 @@ use sonic_image::clickmap::ClickMap;
 use sonic_image::interpolate::LossMask;
 use sonic_image::raster::Raster;
 use sonic_image::strip::{decode_partial, StripImage};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// In-progress reception of one page.
 #[derive(Debug, Default)]
@@ -19,7 +19,7 @@ pub struct PageAssembly {
     meta_parts: BTreeMap<u16, Vec<u8>>,
     meta_total: Option<u16>,
     /// column → (seq → (payload, last)).
-    columns: HashMap<u16, BTreeMap<u16, (Vec<u8>, bool)>>,
+    columns: BTreeMap<u16, BTreeMap<u16, (Vec<u8>, bool)>>,
     frames_seen: usize,
     /// Payload bytes buffered (for the reassembler's byte budget).
     bytes: usize,
@@ -359,7 +359,7 @@ impl Default for ReassemblerConfig {
 /// repair instead of waiting for frames that will never come.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    pages: HashMap<u32, PageAssembly>,
+    pages: BTreeMap<u32, PageAssembly>,
     /// Successfully finalized page ids with the stream time their cached
     /// copy expires, FIFO-bounded by `MAX_FINALIZED_IDS`. Page ids embed
     /// the content version, so an id never legitimately returns with
@@ -387,14 +387,6 @@ impl Reassembler {
             config,
             ..Self::default()
         }
-    }
-
-    /// Ingests a frame, routing by page id (stream time unknown: 0.0).
-    /// Every frame lands in hour 0, so a tombstone this makes never lapses
-    /// while the stream time stays 0: a reassembler that spans more than
-    /// one hour must use [`Reassembler::push_at`].
-    pub fn push(&mut self, frame: Frame) {
-        self.push_at(frame, 0.0);
     }
 
     /// Ingests a frame observed at stream time `now_s`, then enforces the
@@ -459,7 +451,7 @@ impl Reassembler {
         self.pages.get(&page_id)
     }
 
-    /// Ids of all in-progress pages.
+    /// Ids of all in-progress pages, ascending.
     pub fn page_ids(&self) -> Vec<u32> {
         self.pages.keys().copied().collect()
     }
@@ -484,19 +476,18 @@ impl Reassembler {
     /// behaviour — interpolate across what never arrived) rather than hold
     /// the page open forever.
     pub fn poll_expired(&self, now_s: f64) -> Vec<u32> {
-        let mut expired: Vec<u32> = self
-            .pages
+        self.pages
             .iter()
             .filter(|(_, a)| now_s - a.first_seen_at() > self.config.page_deadline_s)
             .map(|(&id, _)| id)
-            .collect();
-        expired.sort_unstable();
-        expired
+            .collect()
     }
 
-    /// Evicts least-recently-active assemblies until both budgets hold.
-    /// `protect` (the page just touched) is evicted only if it is the sole
-    /// page and still violates the byte budget on its own.
+    /// Evicts least-recently-active assemblies until both budgets hold;
+    /// of pages last active at the same time (every frame of a burst is
+    /// stamped alike) the lowest id goes first. `protect` (the page just
+    /// touched) is evicted only if it is the sole page and still violates
+    /// the byte budget on its own.
     fn enforce_budget(&mut self, protect: u32) {
         while self.pages.len() > self.config.max_pages
             || self.buffered_bytes() > self.config.max_bytes
@@ -646,10 +637,10 @@ mod tests {
                 (None, None) => break,
                 (a, b) => {
                     if let Some(f) = a {
-                        r.push(f);
+                        r.push_at(f, 0.0);
                     }
                     if let Some(f) = b {
-                        r.push(f);
+                        r.push_at(f, 0.0);
                     }
                 }
             }
@@ -712,6 +703,35 @@ mod tests {
         }
         assert_eq!(r.len(), 2);
         assert_eq!(r.evicted_pages, 3);
+    }
+
+    #[test]
+    fn a_tie_in_last_activity_evicts_the_lowest_id_in_every_reassembler() {
+        let pages: Vec<SimplifiedPage> = (0..3)
+            .map(|i| {
+                let img = Raster::filled(4, 8, Rgb::new(i, 0, 0));
+                SimplifiedPage::from_raster(&format!("https://t{i}.pk/"), &img, ClickMap::default(), 0, 1)
+            })
+            .collect();
+        let (a, b) = (pages[0].page_id, pages[1].page_id);
+        let survivors: Vec<Vec<u32>> = (0..32)
+            .map(|_| {
+                let mut r = Reassembler::with_config(ReassemblerConfig {
+                    max_pages: 2,
+                    ..ReassemblerConfig::default()
+                });
+                for (p, t) in pages.iter().zip([0.0, 0.0, 1.0]) {
+                    for f in page_to_frames(p) {
+                        r.push_at(f, t);
+                    }
+                }
+                assert_eq!(r.evicted_pages, 1);
+                r.page_ids()
+            })
+            .collect();
+        let mut want = vec![a.max(b), pages[2].page_id];
+        want.sort_unstable();
+        assert!(survivors.iter().all(|s| *s == want), "{survivors:?}");
     }
 
     #[test]
@@ -862,7 +882,7 @@ mod tests {
             let img = Raster::filled(4, 8, Rgb::new(i as u8 + 1, 0, 0));
             let p = SimplifiedPage::from_raster(&format!("https://t{i}.pk/"), &img, ClickMap::default(), 1, 1);
             for f in page_to_frames(&p) {
-                r.push(f);
+                r.push_at(f, 0.0);
             }
             assert!(r.take(p.page_id).expect("tracked").is_ok());
             ids.push(p.page_id);

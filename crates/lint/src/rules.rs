@@ -6,8 +6,8 @@
 //! |    |                  | directly **or through any reachable callee**        |
 //! | R2 | reference-parity | `foo`/`foo_reference` twins share a parity test     |
 //! | R3 | determinism      | no wall clock / thread_rng / hash-order in sim,     |
-//! |    |                  | fault injection, or the broadcast server — nor in   |
-//! |    |                  | any helper those scopes reach                       |
+//! |    |                  | fault injection, the broadcast server or the        |
+//! |    |                  | receive path — nor in any helper those scopes reach |
 //! | R4 | panic-free       | no unwrap/expect/panic in the decode chain, nor in  |
 //! |    |                  | any helper the decode chain reaches                 |
 //! | R5 | unit-hygiene     | magic Hz/rate literals only behind named constants  |
@@ -139,6 +139,8 @@ fn r3_in_scope(path: &str) -> bool {
         || path == "crates/radio/src/faults.rs"
         || path.starts_with("crates/core/src/server/")
         || path.starts_with("crates/core/src/net/")
+        || path == "crates/core/src/reassembly.rs"
+        || path.starts_with("crates/core/src/client/")
 }
 
 /// Paths in scope for R4 panic-freedom (the decode chain).

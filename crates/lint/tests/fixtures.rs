@@ -202,6 +202,42 @@ fn r3_covers_framed_transport_modules() {
 }
 
 #[test]
+fn r3_covers_the_receive_path() {
+    // The reassembler and the client decide which page an over-budget
+    // reassembler evicts and in what order pending pages are listed: the
+    // chaos soak replays them from a seed, so hasher order is banned there
+    // too. The transport fixture lights up under both virtual paths…
+    let want = vec![
+        (Rule::Determinism, 3, "HashMap".to_string()),
+        (Rule::Determinism, 4, "SystemTime".to_string()),
+        (Rule::Determinism, 7, "HashMap".to_string()),
+        (Rule::Determinism, 12, "Instant::now".to_string()),
+        (Rule::Determinism, 13, "SystemTime".to_string()),
+        (Rule::Determinism, 15, "thread_rng".to_string()),
+    ];
+    for path in ["crates/core/src/reassembly.rs", "crates/core/src/client/mod.rs"] {
+        assert_eq!(triples(path, "r3_net_determinism.rs"), want, "{path}");
+    }
+
+    // …and the real modules stay silent under every rule.
+    for rel in [
+        "src/reassembly.rs",
+        "src/client/mod.rs",
+        "src/client/cache.rs",
+        "src/client/browser.rs",
+    ] {
+        let real = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core").join(rel);
+        let src = SourceFile {
+            path: format!("crates/core/{rel}"),
+            text: std::fs::read_to_string(&real)
+                .unwrap_or_else(|e| panic!("{rel} unreadable: {e}")),
+        };
+        let findings = lint_sources(&[src]);
+        assert!(findings.is_empty(), "{rel}: {findings:?}");
+    }
+}
+
+#[test]
 fn r4_panic_free_exact_diagnostics() {
     let got = triples("crates/fec/src/fixture.rs", "r4_panic_free.rs");
     let want = vec![

@@ -52,7 +52,7 @@ fn main() {
 
     let mut client = SonicClient::new(720, None);
     for f in received {
-        client.receive_frame(f);
+        client.receive_frame_at(f, 9.0 * 3600.0);
     }
     let page_id = client.pending_pages()[0];
     let report = client.finalize_page(page_id, 9).expect("page complete");

@@ -37,7 +37,7 @@ fn cable_end_to_end_is_lossless() {
 
     let mut client = SonicClient::new(720, None);
     for f in rx {
-        client.receive_frame(f);
+        client.receive_frame_at(f, 3.0 * 3600.0);
     }
     let report = client.finalize_page(page.page_id, 3).expect("complete");
     assert_eq!(report.url, url);
@@ -74,7 +74,7 @@ fn sms_request_to_click_roundtrip() {
     let audio = link::modulate(&profile, &frames);
     let (rx, _) = link::demodulate(&profile, &audio);
     for f in rx {
-        client.receive_frame(f);
+        client.receive_frame_at(f, 9.0 * 3600.0);
     }
     for id in client.pending_pages() {
         client.finalize_page(id, 9).expect("complete");
@@ -116,7 +116,7 @@ fn acoustic_hop_losses_are_repaired() {
     let mut client = SonicClient::new(720, None);
     let got = rx.len();
     for f in rx {
-        client.receive_frame(f);
+        client.receive_frame_at(f, 9.0 * 3600.0);
     }
     if got == 0 {
         return; // deep fade: nothing to assert beyond "no panic"
@@ -151,7 +151,7 @@ fn interleaved_pages_share_the_air() {
     let (rx, _) = link::demodulate(&profile, &audio);
     let mut client = SonicClient::new(1080, None);
     for f in rx {
-        client.receive_frame(f);
+        client.receive_frame_at(f, 0.0);
     }
     let mut pending = client.pending_pages();
     pending.sort_unstable();
