@@ -56,16 +56,9 @@ pub enum NackRejection {
     BudgetExhausted,
 }
 
-/// Coalesced outstanding repair need for one (site, page lineage).
+/// Coalesced outstanding repair need for one (site, on-air page id).
 #[derive(Debug, Default)]
 struct PageRepair {
-    /// On-air page id of the edition the ranges refer to.
-    page_id: u32,
-    /// Hour-version of that edition. A NACK for a *newer* version of the
-    /// same url resets this entry — ranges from the old edition are
-    /// meaningless against the new frames, and a new edition must not be
-    /// born with its predecessor's spent retry budget.
-    version: u16,
     /// Metadata region requested by at least one client.
     meta: bool,
     /// column → lowest `from_seq` across clients (a burst from the lower
@@ -101,10 +94,9 @@ pub struct RepairStats {
 /// fleet.
 #[derive(Debug, Default)]
 pub struct RepairPlanner {
-    /// (site id, url-base id) → outstanding coalesced need. Keyed by the
-    /// version-independent base of the page id (url hash), so one url
-    /// holds exactly one entry per site across editions: when the hour
-    /// version rolls, the entry resets instead of leaking a stale twin.
+    /// (site id, on-air page id) → outstanding coalesced need. The id
+    /// names one edition of a url, so a new edition is a new key and
+    /// starts with a fresh retry budget.
     pending: BTreeMap<(u32, u32), PageRepair>,
     /// page id → broadcast source material, FIFO-bounded.
     registry: BTreeMap<u32, Arc<SimplifiedPage>>,
@@ -160,27 +152,13 @@ impl RepairPlanner {
             self.stats.nacks_rejected += 1;
             return Err(NackRejection::InvalidRange);
         }
-        let version = page.version;
         let entry = self
             .pending
-            .entry((site_id, base_id(nack.page_id, version)))
+            .entry((site_id, nack.page_id))
             .or_insert_with(|| PageRepair {
-                page_id: nack.page_id,
-                version,
                 next_eligible_s: now_s + COALESCE_S,
                 ..PageRepair::default()
             });
-        if entry.version != version || entry.page_id != nack.page_id {
-            // A new hour edition of the url: old ranges are void and the
-            // retry budget starts fresh — the new edition has never had a
-            // repair burst of its own.
-            *entry = PageRepair {
-                page_id: nack.page_id,
-                version,
-                next_eligible_s: now_s + COALESCE_S,
-                ..PageRepair::default()
-            };
-        }
         if entry.attempts >= MAX_ATTEMPTS_PER_PAGE {
             self.stats.nacks_rejected += 1;
             self.stats.budget_exhausted += 1;
@@ -222,11 +200,7 @@ impl RepairPlanner {
         due.sort_unstable();
         let mut bursts = Vec::new();
         for key in due {
-            let site_id = key.0;
-            let page_id = match self.pending.get(&key) {
-                Some(r) => r.page_id,
-                None => continue,
-            };
+            let (site_id, page_id) = key;
             let Some(page) = self.registry.get(&page_id).cloned() else {
                 // Page aged out of the registry since the NACK: drop.
                 self.pending.remove(&key);
@@ -303,12 +277,6 @@ pub struct DueBurst {
     pub frames: Arc<Vec<Frame>>,
 }
 
-/// Version-independent base of an on-air page id: undoes the version mix
-/// applied by `page_id_for`, leaving the pure url hash.
-fn base_id(page_id: u32, version: u16) -> u32 {
-    page_id ^ ((u32::from(version) << 16) | u32::from(version))
-}
-
 /// The subset of a page's frames covering the coalesced ranges: both meta
 /// copies when requested, and each damaged column's chunks from its lowest
 /// missing seq onward, in broadcast order. Only those frames are built.
@@ -378,7 +346,7 @@ mod tests {
         pl.register_page(p.clone());
         pl.accept_nack(0, &nack(p.page_id, vec![(3, 4)]), 0.0).expect("a");
         pl.accept_nack(0, &nack(p.page_id, vec![(3, 1), (5, 0)]), 5.0).expect("b");
-        let entry = pl.pending.get(&(0, base_id(p.page_id, p.version))).expect("pending");
+        let entry = pl.pending.get(&(0, p.page_id)).expect("pending");
         assert_eq!(entry.columns.get(&3), Some(&1), "min from_seq wins");
         assert_eq!(entry.columns.get(&5), Some(&0));
         assert_eq!(entry.clients, 2);
@@ -556,10 +524,9 @@ mod tests {
             Err(NackRejection::BudgetExhausted)
         );
         // The next hour's edition of the same url arrives: its budget must
-        // be fresh, and the url still holds a single pending entry.
+        // be fresh.
         pl.register_page(v2.clone());
         pl.accept_nack(0, &nack(v2.page_id, vec![(1, 0)]), t + 10.0).expect("v2 fresh budget");
-        assert_eq!(pl.pending.len(), 1, "one entry per (site, url) lineage");
         assert_eq!(pl.schedule_due(t + 10.0 + COALESCE_S, &mut scheds), 1, "v2 burst airs");
         assert_eq!(pl.stats.bursts_scheduled, MAX_ATTEMPTS_PER_PAGE as usize + 1);
     }
