@@ -1,8 +1,7 @@
 //! Goertzel single-bin DFT.
 //!
-//! The FSK baseline modem (GGwave-style) needs the power at a handful of
-//! tone frequencies per symbol; Goertzel computes one bin in O(n) without a
-//! full FFT.
+//! The radio tests and examples measure tone levels at a handful of known
+//! frequencies; Goertzel computes one bin in O(n) without a full FFT.
 
 use std::f64::consts::TAU;
 
@@ -26,20 +25,6 @@ pub fn power(signal: &[f32], fs: f64, freq: f64) -> f32 {
     (power / (signal.len() as f64 * signal.len() as f64)) as f32
 }
 
-/// Returns the index of the strongest frequency among `candidates`.
-pub fn strongest(signal: &[f32], fs: f64, candidates: &[f64]) -> usize {
-    let mut best = 0;
-    let mut best_p = f32::MIN;
-    for (i, &f) in candidates.iter().enumerate() {
-        let p = power(signal, fs, f);
-        if p > best_p {
-            best_p = p;
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,14 +40,6 @@ mod tests {
         let on = power(&sig, fs, 3000.0);
         let off = power(&sig, fs, 5000.0);
         assert!(on > 50.0 * off, "on={on} off={off}");
-    }
-
-    #[test]
-    fn strongest_picks_right_candidate() {
-        let fs = 48000.0;
-        let sig = tone(fs, 2400.0, 960);
-        let cands = [1800.0, 2000.0, 2200.0, 2400.0, 2600.0];
-        assert_eq!(strongest(&sig, fs, &cands), 3);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * [`osc`] — numerically controlled oscillator and its one-period replay
 //!   [`osc::PeriodicOsc`], the carrier of both the transmitter and the
 //!   receiver.
-//! * [`goertzel`] — single-bin DFT power detector (used by the FSK modem).
+//! * [`goertzel`] — single-bin DFT power detector (tone levels in the radio tests and examples).
 //! * [`math`] — branch-free `f64` sine/cosine and logarithm that vectorise
 //!   in block loops (the FM modulator and the RF and acoustic channels).
 //! * [`split`] — structure-of-arrays complex buffers ([`split::SplitC32`]).

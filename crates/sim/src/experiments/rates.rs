@@ -6,13 +6,10 @@
 //! 1187.5 bps subcarrier. Rates are *measured* by timing real modulated
 //! audio, not just computed.
 
-// The related-work baselines are whole modems with their own round-trip
-// tests; the table only needs their modulators and rate math.
-#[allow(dead_code)]
+// The related-work baselines: the table needs only their modulators and
+// rate math.
 mod chirp;
-#[allow(dead_code)]
 mod fsk;
-#[allow(dead_code)]
 mod multi;
 
 use chirp::ChirpConfig;

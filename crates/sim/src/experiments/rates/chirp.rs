@@ -1,4 +1,4 @@
-//! Chirp-signalling baseline modem.
+//! Chirp-signalling baseline transmitter.
 //!
 //! The related-work section cites chirp-based aerial acoustic systems at
 //! ~16 bps ([Lee et al., INFOCOM'15]). Chirps trade rate for extreme
@@ -77,32 +77,6 @@ pub fn modulate(cfg: &ChirpConfig, payload: &[u8]) -> Vec<f32> {
     audio
 }
 
-/// Demodulates `n_bytes` from audio that starts exactly at a chirp boundary
-/// (the baseline experiments use aligned buffers; framing is the OFDM
-/// modem's job).
-pub fn demodulate(cfg: &ChirpConfig, audio: &[f32], n_bytes: usize) -> Option<Vec<u8>> {
-    let up = cfg.up_chirp();
-    let down = cfg.down_chirp();
-    let n_bits = n_bytes * 8;
-    if audio.len() < n_bits * cfg.chirp_len {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(n_bytes);
-    let mut acc = 0u8;
-    for bit_idx in 0..n_bits {
-        let w = &audio[bit_idx * cfg.chirp_len..(bit_idx + 1) * cfg.chirp_len];
-        let c_up: f64 = w.iter().zip(&up).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
-        let c_dn: f64 = w.iter().zip(&down).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
-        let bit = u8::from(c_up.abs() > c_dn.abs());
-        acc = (acc << 1) | bit;
-        if bit_idx % 8 == 7 {
-            bytes.push(acc);
-            acc = 0;
-        }
-    }
-    Some(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,34 +84,6 @@ mod tests {
     #[test]
     fn rate_is_sixteen_bps() {
         assert!((ChirpConfig::default().raw_rate_bps() - 16.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn clean_roundtrip() {
-        let cfg = ChirpConfig::default();
-        let payload = vec![0xA5, 0x3C];
-        let audio = modulate(&cfg, &payload);
-        assert_eq!(demodulate(&cfg, &audio, 2), Some(payload));
-    }
-
-    #[test]
-    fn survives_heavy_noise() {
-        let cfg = ChirpConfig::default();
-        let payload = vec![0x5A];
-        let mut audio = modulate(&cfg, &payload);
-        // Noise at roughly the same RMS as the signal (≈0 dB SNR).
-        let mut x = 7u32;
-        for v in audio.iter_mut() {
-            x = x.wrapping_mul(1103515245).wrapping_add(12345);
-            *v += 0.25 * (((x >> 16) as f32 / 32768.0) - 1.0);
-        }
-        assert_eq!(demodulate(&cfg, &audio, 1), Some(payload));
-    }
-
-    #[test]
-    fn short_buffer_rejected() {
-        let cfg = ChirpConfig::default();
-        assert_eq!(demodulate(&cfg, &vec![0.0; 100], 1), None);
     }
 
     #[test]
