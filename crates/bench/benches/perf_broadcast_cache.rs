@@ -55,7 +55,7 @@
 //! self-cleaning temp dir).
 
 use sonic_bench::{timed, Bound, Report, Timing};
-use sonic_core::server::cache::{share_store, ArtifactCache, TieredCache};
+use sonic_core::server::cache::{share_store, ArtifactCache};
 use sonic_core::server::pipeline::{refresh_carousel, CarouselSlot, CarouselStats, PageJob};
 use sonic_core::server::render::Renderer;
 use sonic_core::server::store::ArtifactStore;
@@ -241,7 +241,7 @@ fn warm_restart_cycle(
 
     let (booted, boot_s) = timed(|| -> std::io::Result<_> {
         let store = share_store(ArtifactStore::open(dir, u64::MAX)?);
-        let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
+        let mut tiered = ArtifactCache::with_store(ArtifactCache::unbounded(), store);
         let (cold, _) = refresh_carousel(renderer, &mut tiered, &jobs, profile);
         Ok((tiered, cold))
     });
@@ -251,7 +251,7 @@ fn warm_restart_cycle(
 
     let (restarted, restart_s) = timed(|| -> std::io::Result<_> {
         let store = share_store(ArtifactStore::open(dir, u64::MAX)?);
-        let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store.clone());
+        let mut tiered = ArtifactCache::with_store(ArtifactCache::unbounded(), store.clone());
         let (warm, _) = refresh_carousel(renderer, &mut tiered, &jobs, profile);
         Ok((store, tiered, warm))
     });
@@ -262,8 +262,8 @@ fn warm_restart_cycle(
         boot_s,
         restart_s,
         RestartCounts {
-            promoted: tiered.ram.stats.disk_promotions,
-            misses: tiered.ram.stats.misses,
+            promoted: tiered.stats.disk_promotions,
+            misses: tiered.stats.misses,
             store_entries: store.len(),
             store_bytes: store.live_bytes(),
         },

@@ -38,7 +38,11 @@ pub fn page_id_for(url: &str, version: u16) -> u32 {
 }
 
 impl SimplifiedPage {
-    /// Builds a page from a rendered screenshot.
+    /// Builds a page from a rendered screenshot: [`from_parts`](Self::from_parts)
+    /// of its strip encode.
+    ///
+    /// # Panics
+    /// As [`from_parts`](Self::from_parts).
     pub fn from_raster(
         url: &str,
         raster: &Raster,
@@ -46,21 +50,17 @@ impl SimplifiedPage {
         version: u16,
         ttl_hours: u16,
     ) -> Self {
-        SimplifiedPage {
-            page_id: page_id_for(url, version),
-            url: url.to_string(),
-            strips: strip::encode(raster),
-            clickmap,
-            ttl_hours,
-            version,
-        }
+        Self::from_parts(url, strip::encode(raster), clickmap, version, ttl_hours)
     }
 
     /// Assembles a page from an already strip-encoded screenshot — the
     /// artifact cache's delta path, where unchanged columns were spliced
-    /// from a previous encode. Produces exactly what
-    /// [`from_raster`](Self::from_raster) would, given strips equal to what
-    /// it would have encoded.
+    /// from a previous encode.
+    ///
+    /// # Panics
+    /// Panics if the strips are wider than 65 535 columns or the URL is
+    /// longer than 65 535 bytes: the metadata and the strip frames carry
+    /// both in 16-bit fields, and a wrapped value would air a different page.
     pub fn from_parts(
         url: &str,
         strips: StripImage,
@@ -68,6 +68,16 @@ impl SimplifiedPage {
         version: u16,
         ttl_hours: u16,
     ) -> Self {
+        assert!(
+            u16::try_from(strips.width).is_ok(),
+            "page width {} overflows its u16 wire field",
+            strips.width
+        );
+        assert!(
+            u16::try_from(url.len()).is_ok(),
+            "URL length {} overflows its u16 wire field",
+            url.len()
+        );
         SimplifiedPage {
             page_id: page_id_for(url, version),
             url: url.to_string(),
@@ -154,6 +164,27 @@ mod tests {
         assert_eq!(ver, 7);
         assert_eq!(url, "https://a.pk/");
         assert_eq!(cm, p.clickmap);
+    }
+
+    #[test]
+    fn long_click_target_keeps_the_meta_parseable() {
+        let mut p = sample();
+        p.clickmap.regions[0].target = format!("{}é", "a".repeat(254));
+        let (.., cm) = SimplifiedPage::parse_meta(&p.meta_blob()).expect("parse");
+        assert_eq!(cm.regions[0].target, "a".repeat(254));
+    }
+
+    #[test]
+    #[should_panic(expected = "page width 70000 overflows")]
+    fn page_wider_than_the_width_field_is_refused() {
+        SimplifiedPage::from_raster("u", &Raster::new(70_000, 1), ClickMap::default(), 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "URL length 70000 overflows")]
+    fn url_longer_than_its_length_field_is_refused() {
+        let url = "u".repeat(70_000);
+        SimplifiedPage::from_raster(&url, &Raster::new(1, 1), ClickMap::default(), 0, 1);
     }
 
     #[test]

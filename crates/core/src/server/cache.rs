@@ -7,6 +7,11 @@
 //! reuse is the content address (`pipeline::refresh_page`) and nothing else.
 //! A build's TTL rides in its meta frames for the client to keep: a cached
 //! build is served whatever its age, under the id it was built with.
+//!
+//! One cache type, [`ArtifactCache`]: the RAM LRU every lookup asks, over the
+//! disk store if [`ArtifactCache::with_store`] attached one. The disk only
+//! promotes entries into RAM and takes the stores written through it; when
+//! the ladder asks it is `pipeline::refresh_page`'s business.
 
 use crate::frame::{Frame, FRAME_SIZE};
 use crate::page::SimplifiedPage;
@@ -97,12 +102,21 @@ pub struct ArtifactCacheStats {
 /// Eviction is LRU over a resident-byte budget: every touch bumps a logical
 /// clock, and inserts evict least-recently-used entries until the new total
 /// fits.
+///
+/// A cache made by [`Self::with_store`] has the disk store below the RAM
+/// LRU. A disk hit deserializes once, re-chunks the page and promotes the
+/// `Arc`-shared artifact into RAM, which is what makes restarts warm. Every
+/// [`Self::store`] writes through (content-dedup keeps that cheap); store
+/// I/O errors are counted, never propagated — RAM alone keeps the refresh
+/// correct.
 #[derive(Debug)]
 pub struct ArtifactCache {
     entries: BTreeMap<PageId, ArtifactEntry>,
     byte_budget: usize,
     bytes: usize,
     clock: u64,
+    /// The disk tier below RAM, if any.
+    disk: Option<SharedArtifactStore>,
     /// Reuse counters, bumped by the lookups here and by
     /// `pipeline::refresh_page` once it knows which path a page took.
     pub stats: ArtifactCacheStats,
@@ -116,7 +130,16 @@ impl ArtifactCache {
             byte_budget,
             bytes: 0,
             clock: 0,
+            disk: None,
             stats: ArtifactCacheStats::default(),
+        }
+    }
+
+    /// `ram` over a shared disk store.
+    pub fn with_store(ram: ArtifactCache, store: SharedArtifactStore) -> Self {
+        ArtifactCache {
+            disk: Some(store),
+            ..ram
         }
     }
 
@@ -228,6 +251,55 @@ impl ArtifactCache {
         self.evict_to_budget(Some(id));
     }
 
+    /// Loads `id` from the disk tier into RAM, if an entry is stored there
+    /// and its `(layout hash, raster hash)` pass `stored_ok`. Whether an
+    /// entry was promoted; always `false` without a disk tier.
+    pub fn promote_if(&mut self, id: PageId, stored_ok: impl Fn(u64, u64) -> bool) -> bool {
+        let Some(disk) = &self.disk else { return false };
+        let loaded = {
+            let mut store = disk.borrow_mut();
+            match store.entry_meta(id) {
+                Some((layout, raster, _)) if stored_ok(layout, raster) => store.load(id),
+                _ => None,
+            }
+        };
+        let Some(loaded) = loaded else { return false };
+        self.insert(
+            id,
+            loaded.layout_hash,
+            loaded.raster_hash,
+            loaded.column_hashes,
+            loaded.artifact,
+        );
+        self.stats.disk_promotions += 1;
+        true
+    }
+
+    /// [`Self::insert`], written through to the disk tier first if there is
+    /// one.
+    pub fn store(
+        &mut self,
+        id: PageId,
+        layout_hash: u64,
+        raster_hash: u64,
+        column_hashes: Arc<Vec<u64>>,
+        artifact: Artifact,
+        hour: u64,
+    ) {
+        if let Some(disk) = &self.disk {
+            let mut store = disk.borrow_mut();
+            if store
+                .put(id, layout_hash, raster_hash, &column_hashes, &artifact, hour)
+                .is_err()
+            {
+                // RAM alone keeps the refresh correct; the store just loses
+                // this entry's persistence.
+                store.stats.io_errors += 1;
+            }
+        }
+        self.insert(id, layout_hash, raster_hash, column_hashes, artifact);
+    }
+
     /// Evicts least-recently-used entries until `bytes <= byte_budget`,
     /// sparing `keep` (the entry that triggered the eviction).
     fn evict_to_budget(&mut self, keep: Option<PageId>) {
@@ -253,127 +325,17 @@ impl ArtifactCache {
 /// call long.
 pub type SharedArtifactStore = Rc<RefCell<crate::server::store::ArtifactStore>>;
 
-/// Wraps an opened store into the shared handle [`TieredCache::with_store`]
+/// Wraps an opened store into the shared handle [`ArtifactCache::with_store`]
 /// takes.
 pub fn share_store(store: crate::server::store::ArtifactStore) -> SharedArtifactStore {
     Rc::new(RefCell::new(store))
 }
 
-/// What differs between the cache tiers `pipeline::refresh_page` runs over:
-/// the RAM-only [`ArtifactCache`] and [`TieredCache`] (RAM over the disk
-/// store). Every lookup is answered by the RAM tier; a tier with something
-/// below it can promote an entry into RAM and writes inserts through. The
-/// order in which the two are asked is the refresh ladder's business and is
-/// written there, once.
-pub trait ArtifactTier {
-    /// The RAM tier (the refresh counters live in its `stats`).
-    fn ram(&mut self) -> &mut ArtifactCache;
-
-    /// Loads `id` from below the RAM tier into it, if an entry is stored
-    /// there and its `(layout hash, raster hash)` pass `stored_ok`. Whether
-    /// an entry was promoted. RAM alone has nothing below it.
-    fn promote_if(&mut self, _id: PageId, _stored_ok: impl Fn(u64, u64) -> bool) -> bool {
-        false
-    }
-
-    /// Writes an insert through to below the RAM tier.
-    fn persist(
-        &mut self,
-        _id: PageId,
-        _layout_hash: u64,
-        _raster_hash: u64,
-        _column_hashes: &[u64],
-        _artifact: &Artifact,
-        _hour: u64,
-    ) {
-    }
-
-    /// Inserts (or replaces) a page's artifact in every tier.
-    fn store(
-        &mut self,
-        id: PageId,
-        layout_hash: u64,
-        raster_hash: u64,
-        column_hashes: Arc<Vec<u64>>,
-        artifact: Artifact,
-        hour: u64,
-    ) {
-        self.persist(id, layout_hash, raster_hash, &column_hashes, &artifact, hour);
-        self.ram()
-            .insert(id, layout_hash, raster_hash, column_hashes, artifact);
-    }
-}
-
-impl ArtifactTier for ArtifactCache {
-    fn ram(&mut self) -> &mut ArtifactCache {
-        self
-    }
-}
-
-/// RAM LRU over the persistent disk store. A disk hit deserializes once,
-/// re-chunks the page and promotes the `Arc`-shared artifact into the RAM
-/// tier, which is what makes restarts warm. Store writes ride every
-/// insert (content-dedup keeps them cheap); store I/O errors are counted,
-/// never propagated — the RAM tier alone keeps the refresh correct.
-#[derive(Debug)]
-pub struct TieredCache {
-    /// The RAM tier (stats live here, including `disk_promotions`).
-    pub ram: ArtifactCache,
-    disk: SharedArtifactStore,
-}
-
-impl TieredCache {
-    /// RAM tier over a shared disk store.
-    pub fn with_store(ram: ArtifactCache, store: SharedArtifactStore) -> Self {
-        TieredCache { ram, disk: store }
-    }
-}
-
-impl ArtifactTier for TieredCache {
-    fn ram(&mut self) -> &mut ArtifactCache {
-        &mut self.ram
-    }
-
-    fn promote_if(&mut self, id: PageId, stored_ok: impl Fn(u64, u64) -> bool) -> bool {
-        let loaded = {
-            let mut store = self.disk.borrow_mut();
-            match store.entry_meta(id) {
-                Some((layout, raster, _)) if stored_ok(layout, raster) => store.load(id),
-                _ => None,
-            }
-        };
-        let Some(loaded) = loaded else { return false };
-        self.ram.insert(
-            id,
-            loaded.layout_hash,
-            loaded.raster_hash,
-            loaded.column_hashes,
-            loaded.artifact,
-        );
-        self.ram.stats.disk_promotions += 1;
-        true
-    }
-
-    fn persist(
-        &mut self,
-        id: PageId,
-        layout_hash: u64,
-        raster_hash: u64,
-        column_hashes: &[u64],
-        artifact: &Artifact,
-        hour: u64,
-    ) {
-        let mut store = self.disk.borrow_mut();
-        if store
-            .put(id, layout_hash, raster_hash, column_hashes, artifact, hour)
-            .is_err()
-        {
-            // The RAM tier alone keeps the refresh correct; the store
-            // just loses this entry's persistence.
-            store.stats.io_errors += 1;
-        }
-    }
-}
+/// The name RAM-over-disk caches had when they were a separate type. Kept
+/// only because the frozen `benchmark/src/layers.rs` names
+/// `TieredCache::with_store` and hands a `&mut TieredCache` to
+/// `pipeline::refresh_carousel`; everything else says [`ArtifactCache`].
+pub type TieredCache = ArtifactCache;
 
 #[cfg(test)]
 mod tests {

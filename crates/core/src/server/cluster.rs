@@ -51,7 +51,7 @@ use crate::net::proto::{decode_msg, encode_msg, Msg, RefuseCode, Request, Respon
 use crate::net::rpc::{JobClass, RpcClient};
 use crate::net::transport::SimLink;
 use crate::page::SimplifiedPage;
-use crate::server::cache::{Artifact, ArtifactCache, SharedArtifactStore, TieredCache};
+use crate::server::cache::{Artifact, ArtifactCache, SharedArtifactStore};
 use crate::server::front::{self, Front, Parsed, Uplink};
 use crate::server::pipeline::{self, PageJob};
 use crate::server::render::Renderer;
@@ -276,19 +276,13 @@ pub const INGRESS_CAPACITY: usize = 256;
 const INGRESS_DRAIN_PER_PUMP: usize = 64;
 
 /// The coordinator's last-reported view of one site (from `Pong`s).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SiteView {
-    /// Scheduler backlog in bytes.
-    pub backlog_bytes: u64,
-    /// Scheduler backlog in pages.
-    pub backlog_pages: u32,
+#[derive(Debug, Default)]
+struct SiteView {
     /// Queue entries the site reports fully aired since (re)start.
-    pub completed: u64,
+    completed: u64,
     /// `completed` as of the latest carousel push — the baseline the
     /// resume slot is measured against.
-    pub completed_at_push: u64,
-    /// Pongs folded into this view.
-    pub pongs: u64,
+    completed_at_push: u64,
 }
 
 /// Coordinator counters (soak assertions and diagnostics).
@@ -329,7 +323,7 @@ pub struct CoordStats {
 /// fault-injected links, and owns the gateway ingress + repair planning.
 #[derive(Debug)]
 pub struct Coordinator {
-    front: Front<TieredCache>,
+    front: Front,
     /// Site ids in ring order (failover walks this).
     ring: Vec<u32>,
     clients: BTreeMap<u32, RpcClient>,
@@ -361,7 +355,7 @@ impl Coordinator {
             front: Front::new(
                 renderer,
                 coverage,
-                TieredCache::with_store(ArtifactCache::new(CLUSTER_CACHE_BYTES), store),
+                ArtifactCache::with_store(ArtifactCache::new(CLUSTER_CACHE_BYTES), store),
             ),
             ring,
             clients,
@@ -541,17 +535,10 @@ impl Coordinator {
             (
                 _,
                 Response::Pong {
-                    backlog_bytes,
-                    backlog_pages,
-                    pages_completed,
-                    ..
+                    pages_completed, ..
                 },
             ) => {
-                let v = self.views.entry(site).or_default();
-                v.backlog_bytes = backlog_bytes;
-                v.backlog_pages = backlog_pages;
-                v.completed = pages_completed;
-                v.pongs += 1;
+                self.views.entry(site).or_default().completed = pages_completed;
             }
             (
                 Request::PushStored {
@@ -794,7 +781,7 @@ mod tests {
             let st = store(&dir);
             let mut coord = coordinator_with(&st);
             coord.front.artifacts =
-                TieredCache::with_store(ArtifactCache::new(ram_bytes), st.clone());
+                ArtifactCache::with_store(ArtifactCache::new(ram_bytes), st.clone());
             let coverage = Coverage::pakistan_demo();
             // Sites WITHOUT a store: every PushStored answers StoreMiss.
             let mut sites: BTreeMap<u32, SiteNode> = coverage
@@ -804,7 +791,7 @@ mod tests {
                 .collect();
             let mut links = links_for(&coverage, 9);
             coord.push_carousel(0, 3, 0.0);
-            let evicted = coord.front.artifacts.ram.stats.evictions;
+            let evicted = coord.front.artifacts.stats.evictions;
             assert_eq!(evicted, if ram_bytes == 1 { 2 } else { 0 });
             run(&mut coord, &mut sites, &mut links, 0.0, 80);
             assert!(coord.stats.inline_fallbacks >= 3, "{:?}", coord.stats);
@@ -812,7 +799,7 @@ mod tests {
                 assert!(node.stats.frames_pushes >= 3, "{:?}", node.stats);
                 assert_eq!(node.scheduler.backlog_bytes() % 100, 0);
             }
-            let promoted = coord.front.artifacts.ram.stats.disk_promotions;
+            let promoted = coord.front.artifacts.stats.disk_promotions;
             assert_eq!(promoted > 0, ram_bytes == 1, "an evicted page comes back from disk");
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -1017,7 +1004,7 @@ mod tests {
         const TOP_N: usize = 2;
         let st = store(dir);
         let renderer = Renderer::new(Corpus::small(TOP_N), 0.1);
-        let mut tiered = TieredCache::with_store(ArtifactCache::new(64 << 20), st.clone());
+        let mut tiered = ArtifactCache::with_store(ArtifactCache::new(64 << 20), st.clone());
         let mut sites: BTreeMap<u32, SiteNode> = (0..SITES).map(|id| (id, site_for(id, &st))).collect();
         let mut clients: BTreeMap<u32, RpcClient> =
             (0..SITES).map(|id| (id, RpcClient::new())).collect();

@@ -4,9 +4,10 @@
 //!
 //! The two servers differ in what they do with the outcome — one answers
 //! with ACK/ERR text and enqueues on its own schedulers, the other counts
-//! and submits RPCs — and in the tier below the RAM cache.
+//! and submits RPCs — and in whether their page cache has the disk store
+//! below it.
 
-use crate::server::cache::{Artifact, ArtifactCache, ArtifactTier};
+use crate::server::cache::{Artifact, ArtifactCache};
 use crate::server::pipeline::{self, PageJob};
 use crate::server::render::Renderer;
 use crate::server::repair::RepairPlanner;
@@ -70,11 +71,11 @@ pub(crate) enum Uplink {
 
 /// Renderer, coverage map and page caches behind one server's uplink.
 #[derive(Debug)]
-pub(crate) struct Front<T> {
+pub(crate) struct Front {
     pub(crate) renderer: Renderer,
     pub(crate) coverage: Coverage,
-    /// Corpus pages: RAM, plus whatever tier `T` keeps below it.
-    pub(crate) artifacts: T,
+    /// Corpus pages: RAM, over the disk store if the server attached one.
+    pub(crate) artifacts: ArtifactCache,
     /// Search/chat answers: RAM only, byte-bounded.
     pub(crate) answers: ArtifactCache,
     /// The layout hash of each corpus page asked for in `hashed_hour`. A
@@ -85,8 +86,8 @@ pub(crate) struct Front<T> {
     hashed_hour: u64,
 }
 
-impl<T: ArtifactTier> Front<T> {
-    pub(crate) fn new(renderer: Renderer, coverage: Coverage, artifacts: T) -> Self {
+impl Front {
+    pub(crate) fn new(renderer: Renderer, coverage: Coverage, artifacts: ArtifactCache) -> Self {
         Front {
             renderer,
             coverage,

@@ -28,7 +28,7 @@ const ARTIFACT_CACHE_BYTES: usize = 256 << 20;
 /// The central SONIC server plus its transmitter fleet.
 #[derive(Debug)]
 pub struct SonicServer {
-    front: Front<ArtifactCache>,
+    front: Front,
     /// One broadcast scheduler per transmitter site id.
     pub schedulers: BTreeMap<u32, BroadcastScheduler>,
     /// NACK validation/coalescing and repair-burst scheduling.

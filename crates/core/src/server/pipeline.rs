@@ -10,7 +10,7 @@
 //! [`refresh_carousel`] is [`refresh_page`], then [`link::modulate`] of
 //! exactly the frames the slot airs; [`refresh_frames_only`] is the same
 //! loop without the second step; an SMS `GET` is [`refresh_page`] on the
-//! server's artifact tier, and an `ASK` is `refresh_answer`. A request airs
+//! server's artifact cache, and an `ASK` is `refresh_answer`. A request airs
 //! exactly the build the ladder holds, under the id the carousel already
 //! uses: the page's TTL is the client's to keep (its reassembler forgets a
 //! finalized id when its cached copy expires), and only `server::render`
@@ -20,7 +20,7 @@ use crate::chunker::page_to_frames;
 use crate::frame::Frame;
 use crate::link;
 use crate::page::SimplifiedPage;
-use crate::server::cache::{Artifact, ArtifactCache, ArtifactTier};
+use crate::server::cache::{Artifact, ArtifactCache};
 use crate::server::render::{RenderedContent, Renderer};
 use sonic_image::hash::{fnv1a64, Fnv64};
 use sonic_image::strip;
@@ -103,22 +103,22 @@ pub(crate) fn layout_hash_scaled(renderer: &Renderer, id: PageId, hour: u64) -> 
     h.finish()
 }
 
-/// One rung's lookup: the RAM tier first; on a miss the tier below is asked
+/// One rung's lookup: RAM first; on a miss the disk tier, if any, is asked
 /// to promote `id` if the hashes it stored pass `stored_ok`, and RAM is
 /// asked again.
 fn ram_then_below<R>(
-    tier: &mut impl ArtifactTier,
+    cache: &mut ArtifactCache,
     id: PageId,
     stored_ok: impl Fn(u64, u64) -> bool,
     lookup: impl Fn(&mut ArtifactCache) -> Option<R>,
 ) -> Option<R> {
-    if let Some(found) = lookup(tier.ram()) {
+    if let Some(found) = lookup(cache) {
         return Some(found);
     }
-    if !tier.promote_if(id, stored_ok) {
+    if !cache.promote_if(id, stored_ok) {
         return None;
     }
-    lookup(tier.ram())
+    lookup(cache)
 }
 
 /// Selects the delta frame subset: the full meta bracket plus every chunk
@@ -167,11 +167,11 @@ fn delta_frame_subset(frames: &[Frame], changed: &[u16]) -> Vec<Frame> {
 /// 4. **Cold** — no usable basis: render output is strip-encoded and
 ///    chunked from scratch. Slot: [`CarouselSlot::Full`].
 ///
-/// Each rung asks the RAM tier, then whatever `tier` keeps below it. No
+/// Each rung asks RAM, then the disk tier if `cache` has one. No
 /// audio is made here: the item's `artifact.audio` and a delta slot's
 /// `audio` are empty.
 pub fn refresh_page(
-    tier: &mut impl ArtifactTier,
+    cache: &mut ArtifactCache,
     id: PageId,
     layout_hash: u64,
     hour: u64,
@@ -183,7 +183,7 @@ pub fn refresh_page(
         slot: CarouselSlot::Unchanged,
     };
     if let Some(a) = ram_then_below(
-        tier,
+        cache,
         id,
         |stored_layout, _| stored_layout == layout_hash,
         |ram| ram.get_if_layout(id, layout_hash),
@@ -198,7 +198,7 @@ pub fn refresh_page(
     let (width, height) = (content.raster.width(), content.raster.height());
     let rh = strip::raster_hash_from(width, height, &new_hashes);
     if let Some(a) = ram_then_below(
-        tier,
+        cache,
         id,
         |_, stored_raster| stored_raster == rh,
         |ram| {
@@ -214,10 +214,10 @@ pub fn refresh_page(
     ) {
         return unchanged(a);
     }
-    let basis = ram_then_below(tier, id, |_, _| true, |ram| ram.delta_basis(id))
+    let basis = ram_then_below(cache, id, |_, _| true, |ram| ram.delta_basis(id))
         .filter(|(prev, _)| prev.page.strips.width == width && prev.page.strips.height == height);
 
-    let stats = &mut tier.ram().stats;
+    let stats = &mut cache.stats;
     let (strips, col_hashes, changed) = match &basis {
         Some((prev, prev_hashes)) => {
             let d = strip::encode_delta_prehashed(
@@ -263,7 +263,7 @@ pub fn refresh_page(
         },
         None => CarouselSlot::Full,
     };
-    tier.store(
+    cache.store(
         id,
         layout_hash,
         rh,
@@ -276,9 +276,9 @@ pub fn refresh_page(
 
 /// [`refresh_page`] for a corpus page: the layout hash and the lazy render
 /// both come from `renderer`.
-fn refresh_job(renderer: &Renderer, tier: &mut impl ArtifactTier, job: PageJob) -> CarouselItem {
+fn refresh_job(renderer: &Renderer, cache: &mut ArtifactCache, job: PageJob) -> CarouselItem {
     let lh = layout_hash_scaled(renderer, job.id, job.hour);
-    refresh_page(tier, job.id, lh, job.hour, || {
+    refresh_page(cache, job.id, lh, job.hour, || {
         renderer.render(job.id, job.hour)
     })
 }
@@ -317,14 +317,14 @@ pub(crate) fn refresh_answer(
 /// [`CarouselStats`].
 pub fn refresh_carousel(
     renderer: &Renderer,
-    tier: &mut impl ArtifactTier,
+    cache: &mut ArtifactCache,
     jobs: &[PageJob],
     profile: &Profile,
 ) -> (Vec<CarouselItem>, CarouselStats) {
     let items: Vec<CarouselItem> = jobs
         .iter()
         .map(|&job| {
-            let mut item = refresh_job(renderer, tier, job);
+            let mut item = refresh_job(renderer, cache, job);
             match &mut item.slot {
                 CarouselSlot::Unchanged => {}
                 CarouselSlot::Full => {
@@ -345,11 +345,11 @@ pub fn refresh_carousel(
 /// artifacts (what the popular-page push enqueues).
 pub fn refresh_frames_only(
     renderer: &Renderer,
-    tier: &mut impl ArtifactTier,
+    cache: &mut ArtifactCache,
     jobs: &[PageJob],
 ) -> Vec<Artifact> {
     jobs.iter()
-        .map(|&job| refresh_job(renderer, tier, job).artifact)
+        .map(|&job| refresh_job(renderer, cache, job).artifact)
         .collect()
 }
 

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use sonic_core::chunker::page_to_frames;
 use sonic_core::page::SimplifiedPage;
-use sonic_core::server::cache::{share_store, Artifact, ArtifactCache, TieredCache};
+use sonic_core::server::cache::{share_store, Artifact, ArtifactCache};
 use sonic_core::server::pipeline::{refresh_frames_only, PageJob};
 use sonic_core::server::render::Renderer;
 use sonic_core::server::store::{ArtifactStore, RECORD_LEN};
@@ -353,7 +353,7 @@ fn previous_format_store_is_dropped_entry_by_entry_and_rebuilt() {
     let job = PageJob { id: PageId { site: 0, page: 0 }, hour: 6 };
     let open_tier = |dir: &Path| {
         let store = share_store(ArtifactStore::open(dir, u64::MAX).unwrap());
-        (TieredCache::with_store(ArtifactCache::unbounded(), store.clone()), store)
+        (ArtifactCache::with_store(ArtifactCache::unbounded(), store.clone()), store)
     };
 
     // The addresses and content this page is stored under today.
@@ -373,8 +373,8 @@ fn previous_format_store_is_dropped_entry_by_entry_and_rebuilt() {
     // The first rung finds the layout hash it wants, loads, and is refused.
     let rebuilt = refresh_frames_only(&r, &mut tier, &[job]).pop().unwrap();
     assert_eq!(store.borrow().stats.corrupt_blobs, 1);
-    assert_eq!(tier.ram.stats.disk_promotions, 0);
-    assert_eq!(tier.ram.stats.misses, 1, "rebuilt cold, not from the old strips");
+    assert_eq!(tier.stats.disk_promotions, 0);
+    assert_eq!(tier.stats.misses, 1, "rebuilt cold, not from the old strips");
     assert_eq!(*rebuilt.frames, *built.frames);
 
     // ... and the rebuild took the entry's place.
@@ -397,7 +397,7 @@ fn previous_format_store_is_dropped_entry_by_entry_and_rebuilt() {
     assert_eq!(stats.truncated_index_bytes, RECORD_LEN as u64);
     assert_eq!(stats.truncated_blob_bytes, old.len() as u64);
     let rebuilt = refresh_frames_only(&r, &mut tier, &[job]).pop().unwrap();
-    assert_eq!(tier.ram.stats.misses, 1, "rebuilt cold");
+    assert_eq!(tier.stats.misses, 1, "rebuilt cold");
     assert_eq!(*rebuilt.frames, *built.frames);
     let mut store = store.borrow_mut();
     assert_eq!(store.len(), 1);

@@ -3,9 +3,7 @@
 
 use sonic_core::frame::FRAME_SIZE;
 use sonic_core::link;
-use sonic_core::server::cache::{
-    share_store, ArtifactCache, ArtifactTier, SharedArtifactStore, TieredCache,
-};
+use sonic_core::server::cache::{share_store, ArtifactCache, SharedArtifactStore};
 use sonic_core::server::pipeline::{refresh_carousel, CarouselItem, CarouselSlot, PageJob};
 use sonic_core::server::render::Renderer;
 use sonic_core::server::store::ArtifactStore;
@@ -34,8 +32,8 @@ fn open_store(dir: &Path) -> SharedArtifactStore {
     share_store(ArtifactStore::open(dir, u64::MAX).expect("store io"))
 }
 
-fn open_tier(dir: &Path) -> TieredCache {
-    TieredCache::with_store(ArtifactCache::unbounded(), open_store(dir))
+fn open_tier(dir: &Path) -> ArtifactCache {
+    ArtifactCache::with_store(ArtifactCache::unbounded(), open_store(dir))
 }
 
 fn renderer() -> Renderer {
@@ -81,9 +79,12 @@ fn assert_items_identical(a: &[CarouselItem], b: &[CarouselItem], what: &str) {
 }
 
 /// A three-hour day (from hour 6: the corpus freezes overnight) through a
-/// cache tier that `reopen` may replace before every hour. Returns the
-/// day's items and the tier as the last hour left it.
-fn day<T: ArtifactTier>(mut tier: T, reopen: impl Fn(T) -> T) -> (Vec<CarouselItem>, T) {
+/// cache that `reopen` may replace before every hour. Returns the day's
+/// items and the cache as the last hour left it.
+fn day(
+    mut tier: ArtifactCache,
+    reopen: impl Fn(ArtifactCache) -> ArtifactCache,
+) -> (Vec<CarouselItem>, ArtifactCache) {
     let r = renderer();
     let profile = Profile::sonic_10k();
     let mut items = Vec::new();
@@ -124,7 +125,7 @@ fn no_tier_holds_audio_and_every_aired_slot_is_its_frames_modulated() {
     let profile = Profile::sonic_10k();
     let dir = TempDir::new("no-audio");
     let store = open_store(&dir.0);
-    let tier = TieredCache::with_store(ArtifactCache::unbounded(), store.clone());
+    let tier = ArtifactCache::with_store(ArtifactCache::unbounded(), store.clone());
     let (items, tier) = day(tier, |t| t);
 
     // What aired is `link::modulate` of the slot's frames, on the item the
@@ -147,7 +148,7 @@ fn no_tier_holds_audio_and_every_aired_slot_is_its_frames_modulated() {
     // what it holds: frames, strips, URL and the column-hash index.
     let mut held = 0;
     for job in jobs_at(&r, 8) {
-        let (in_ram, hashes) = tier.ram.delta_basis(job.id).expect("resident");
+        let (in_ram, hashes) = tier.delta_basis(job.id).expect("resident");
         assert!(in_ram.audio.is_empty(), "{:?}: audio in the RAM tier", job.id);
         held += in_ram.frames.len() * FRAME_SIZE
             + in_ram.page.strips.total_bytes()
@@ -157,7 +158,7 @@ fn no_tier_holds_audio_and_every_aired_slot_is_its_frames_modulated() {
         assert!(on_disk.artifact.audio.is_empty(), "{:?}: audio on disk", job.id);
         assert_eq!(*on_disk.artifact.frames, *in_ram.frames);
     }
-    assert_eq!(tier.ram.bytes(), held);
+    assert_eq!(tier.bytes(), held);
 
     // Restart into the same hour: every page comes back from the files,
     // nothing airs, nothing is modulated.
@@ -166,7 +167,7 @@ fn no_tier_holds_audio_and_every_aired_slot_is_its_frames_modulated() {
     let jobs = jobs_at(&r, 8);
     let (items, stats) = refresh_carousel(&r, &mut tier, &jobs, &profile);
     assert_eq!(stats.unchanged, jobs.len());
-    assert_eq!(tier.ram.stats.disk_promotions, jobs.len() as u64);
-    assert_eq!(tier.ram.stats.misses + tier.ram.stats.delta_hits, 0);
+    assert_eq!(tier.stats.disk_promotions, jobs.len() as u64);
+    assert_eq!(tier.stats.misses + tier.stats.delta_hits, 0);
     assert!(items.iter().all(|i| i.artifact.audio.is_empty()));
 }

@@ -23,9 +23,13 @@ pub struct ClickRegion {
 }
 
 impl ClickRegion {
-    /// Whether a point falls inside the region.
+    /// Whether a point falls inside the region. The far edges are summed in
+    /// `u32`: a decoded region may reach past `u16::MAX`.
     pub fn contains(&self, x: u16, y: u16) -> bool {
-        x >= self.x && x < self.x + self.w && y >= self.y && y < self.y + self.h
+        let inside = |p: u16, start: u16, len: u16| {
+            p >= start && u32::from(p) < u32::from(start) + u32::from(len)
+        };
+        inside(x, self.x, self.w) && inside(y, self.y, self.h)
     }
 }
 
@@ -74,10 +78,11 @@ impl ClickMap {
             out.extend_from_slice(&r.y.to_be_bytes());
             out.extend_from_slice(&r.w.to_be_bytes());
             out.extend_from_slice(&r.h.to_be_bytes());
-            let t = r.target.as_bytes();
-            let len = t.len().min(255);
-            out.push(len as u8);
-            out.extend_from_slice(&t[..len]);
+            // A target longer than its one-byte length is cut at the last
+            // character boundary that fits, so it stays valid UTF-8.
+            let t = &r.target[..r.target.floor_char_boundary(255)];
+            out.push(t.len() as u8);
+            out.extend_from_slice(t.as_bytes());
         }
         out
     }
@@ -161,6 +166,38 @@ mod tests {
         let blob = sample().encode();
         assert_eq!(ClickMap::decode(&blob[..blob.len() - 3]), None);
         assert_eq!(ClickMap::decode(&[]), None);
+    }
+
+    #[test]
+    fn region_reaching_past_u16_max_is_hit() {
+        let m = ClickMap {
+            regions: vec![ClickRegion {
+                x: 65_000,
+                y: 0,
+                w: 1_000,
+                h: 10,
+                target: "t".into(),
+            }],
+        };
+        let m = ClickMap::decode(&m.encode()).expect("round trip");
+        assert_eq!(m.hit(65_100, 5), Some("t"));
+        assert_eq!(m.hit(64_999, 5), None);
+    }
+
+    #[test]
+    fn long_target_is_cut_at_a_char_boundary() {
+        let target = format!("{}é", "a".repeat(254));
+        let m = ClickMap {
+            regions: vec![ClickRegion {
+                x: 0,
+                y: 0,
+                w: 1,
+                h: 1,
+                target: target.clone(),
+            }],
+        };
+        let back = ClickMap::decode(&m.encode()).expect("valid UTF-8 on the wire");
+        assert_eq!(back.regions[0].target, target[..254]);
     }
 
     #[test]

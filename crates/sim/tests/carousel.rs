@@ -11,7 +11,7 @@
 //!   its index log, and refreshes again: every page must be served by
 //!   promotion from disk, not re-rendered.
 
-use sonic_core::server::cache::{share_store, ArtifactCache, TieredCache};
+use sonic_core::server::cache::{share_store, ArtifactCache};
 use sonic_core::server::pipeline::{refresh_carousel, PageJob};
 use sonic_core::server::render::Renderer;
 use sonic_core::server::store::ArtifactStore;
@@ -102,9 +102,9 @@ fn run_warm_restart(
     // Phase 1: cold boot onto an empty store.
     {
         let store = share_store(ArtifactStore::open(dir, byte_budget)?);
-        let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
+        let mut tiered = ArtifactCache::with_store(ArtifactCache::unbounded(), store);
         let _ = refresh_carousel(&renderer, &mut tiered, &jobs, &profile);
-        report.cold_misses = tiered.ram.stats.misses;
+        report.cold_misses = tiered.stats.misses;
     } // RAM tier and store handle drop here: nothing survives but the files.
 
     // Phase 2: reopen from the index log; refresh must promote, not render.
@@ -114,10 +114,10 @@ fn run_warm_restart(
         report.store_entries = s.len();
         report.store_bytes = s.live_bytes();
     }
-    let mut tiered = TieredCache::with_store(ArtifactCache::unbounded(), store);
+    let mut tiered = ArtifactCache::with_store(ArtifactCache::unbounded(), store);
     let _ = refresh_carousel(&renderer, &mut tiered, &jobs, &profile);
-    report.promoted = tiered.ram.stats.disk_promotions;
-    report.warm_misses = tiered.ram.stats.misses;
+    report.promoted = tiered.stats.disk_promotions;
+    report.warm_misses = tiered.stats.misses;
     Ok(report)
 }
 
