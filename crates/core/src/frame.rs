@@ -20,6 +20,7 @@
 //! [`FRAME_PAYLOAD`] is 86.
 
 use sonic_fec::crc32;
+use sonic_image::bitio::ByteReader;
 
 /// Total frame size on the wire.
 pub const FRAME_SIZE: usize = 100;
@@ -133,22 +134,26 @@ impl Frame {
 
     /// Parses and CRC-checks a 100-byte buffer.
     pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
-        if buf.len() != FRAME_SIZE {
+        let mut r = ByteReader::new(buf);
+        let (Some(body), Some(want), 0) = (r.take(FRAME_SIZE - 4), r.u32(), r.remaining()) else {
             return Err(FrameError::BadSize);
-        }
-        let want = u32::from_be_bytes([buf[96], buf[97], buf[98], buf[99]]);
-        if crc32(&buf[..FRAME_SIZE - 4]) != want {
+        };
+        if crc32(body) != want {
             return Err(FrameError::BadCrc);
         }
-        let page_id = u32::from_be_bytes([buf[1], buf[2], buf[3], buf[4]]);
-        let a = u16::from_be_bytes([buf[5], buf[6]]);
-        let b = u16::from_be_bytes([buf[7], buf[8]]);
-        let len = buf[9] as usize;
+        let mut r = ByteReader::new(body);
+        // The 96-byte body always holds the 10-byte header.
+        let (Some(kind), Some(page_id), Some(a), Some(b), Some(len)) =
+            (r.u8(), r.u32(), r.u16(), r.u16(), r.u8())
+        else {
+            return Err(FrameError::Malformed);
+        };
+        let len = usize::from(len);
         if len > FRAME_PAYLOAD {
             return Err(FrameError::Malformed);
         }
-        let payload = buf[10..10 + len].to_vec();
-        match buf[0] {
+        let payload = r.take(len).ok_or(FrameError::Malformed)?.to_vec();
+        match kind {
             KIND_META => Ok(Frame::Meta {
                 page_id,
                 seq: a,
@@ -285,6 +290,48 @@ mod tests {
         for (frame, wire) in [(meta, meta_wire), (strip, strip_wire)] {
             assert_eq!(frame.encode().as_slice(), wire.as_slice(), "{frame:?}");
             assert_eq!(Frame::decode(&wire), Ok(frame));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4_096))]
+
+        /// Byte soup with a valid trailing CRC, so the header parse is
+        /// reached: the kind byte is `M`, `S` or anything, the length byte
+        /// anything. Then the buffer is kept whole, truncated or extended,
+        /// or has one bit flipped. `decode` never panics, accepts only a
+        /// whole CRC-valid `M`/`S` frame whose length byte is at most 86,
+        /// and what it accepts re-encodes to bytes that decode to it again.
+        #[test]
+        fn decode_is_total_on_byte_soup(
+            soup in proptest::collection::vec(proptest::any::<u8>(), FRAME_SIZE),
+            kind in 0u8..3,
+            damage in 0u8..4,
+            at in 0usize..FRAME_SIZE * 8,
+        ) {
+            let mut buf = soup;
+            match kind {
+                0 => buf[0] = KIND_META,
+                1 => buf[0] = KIND_STRIP,
+                _ => {}
+            }
+            let crc = crc32(&buf[..FRAME_SIZE - 4]);
+            buf[FRAME_SIZE - 4..].copy_from_slice(&crc.to_be_bytes());
+            match damage {
+                1 => buf.truncate(at / 8),
+                2 => buf.resize(FRAME_SIZE + 1 + at % 8, 0),
+                3 => buf[at / 8] ^= 1 << (at % 8),
+                _ => {}
+            }
+            let got = Frame::decode(&buf);
+            let accept = buf.len() == FRAME_SIZE
+                && crc32(&buf[..FRAME_SIZE - 4]).to_be_bytes() == buf[FRAME_SIZE - 4..]
+                && matches!(buf[0], KIND_META | KIND_STRIP)
+                && usize::from(buf[9]) <= FRAME_PAYLOAD;
+            proptest::prop_assert_eq!(got.is_ok(), accept, "{:?}", got);
+            if let Ok(frame) = got {
+                proptest::prop_assert_eq!(Frame::decode(&frame.encode()), Ok(frame));
+            }
         }
     }
 

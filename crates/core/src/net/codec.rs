@@ -15,6 +15,7 @@
 //! O(buffer) hashing plus O(log length) per candidate.
 
 use sonic_fec::crc32::{crc32, crc32_extend, crc32_suffix};
+use sonic_image::bitio::ByteReader;
 use std::collections::VecDeque;
 
 /// Bytes of framing prefix per wire frame (`len` + `crc`).
@@ -184,17 +185,13 @@ impl FrameDecoder {
     /// stream holds no complete frame (more bytes may still arrive).
     pub fn next_frame(&mut self) -> Option<Vec<u8>> {
         loop {
-            let avail = self.buf.len() - self.head;
-            if avail < WIRE_HEADER {
-                return None;
-            }
             let at = self.head;
-            let len = u32::from_be_bytes([
-                self.buf[at],
-                self.buf[at + 1],
-                self.buf[at + 2],
-                self.buf[at + 3],
-            ]) as usize;
+            let mut header = ByteReader::new(&self.buf[at..]);
+            let (Some(len), Some(want)) = (header.u32(), header.u32()) else {
+                return None; // fewer than WIRE_HEADER bytes buffered
+            };
+            let len = len as usize;
+            let avail = self.buf.len() - at;
             if len > MAX_WIRE_PAYLOAD {
                 // Implausible length: a damaged prefix, not a frame.
                 self.skip_byte();
@@ -211,12 +208,6 @@ impl FrameDecoder {
                 }
                 return None; // in sync: the frame's bytes are still in flight
             }
-            let want = u32::from_be_bytes([
-                self.buf[at + 4],
-                self.buf[at + 5],
-                self.buf[at + 6],
-                self.buf[at + 7],
-            ]);
             let (from, to) = (at + WIRE_HEADER, at + WIRE_HEADER + len);
             let got = if self.scanning && len >= 2 * CRC_STRIDE {
                 let hashed = &mut self.stats.hashed_bytes;

@@ -58,9 +58,11 @@ impl SimplifiedPage {
     /// from a previous encode.
     ///
     /// # Panics
-    /// Panics if the strips are wider than 65 535 columns or the URL is
-    /// longer than 65 535 bytes: the metadata and the strip frames carry
-    /// both in 16-bit fields, and a wrapped value would air a different page.
+    /// Panics if the strips are wider than 65 535 columns, the URL is
+    /// longer than 65 535 bytes or the click map holds more than 65 535
+    /// regions: the metadata (and, for the width, the strip frames) carry
+    /// each in a 16-bit field, and a wrapped value would air a different
+    /// page.
     pub fn from_parts(
         url: &str,
         strips: StripImage,
@@ -77,6 +79,11 @@ impl SimplifiedPage {
             u16::try_from(url.len()).is_ok(),
             "URL length {} overflows its u16 wire field",
             url.len()
+        );
+        assert!(
+            u16::try_from(clickmap.regions.len()).is_ok(),
+            "click map of {} regions overflows its u16 wire field",
+            clickmap.regions.len()
         );
         SimplifiedPage {
             page_id: page_id_for(url, version),
@@ -185,6 +192,22 @@ mod tests {
     fn url_longer_than_its_length_field_is_refused() {
         let url = "u".repeat(70_000);
         SimplifiedPage::from_raster(&url, &Raster::new(1, 1), ClickMap::default(), 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "click map of 65536 regions overflows")]
+    fn click_map_beyond_its_count_field_is_refused() {
+        let region = ClickRegion {
+            x: 0,
+            y: 0,
+            w: 1,
+            h: 1,
+            target: "t".into(),
+        };
+        let clickmap = ClickMap {
+            regions: vec![region; 65_536],
+        };
+        SimplifiedPage::from_raster("u", &Raster::new(1, 1), clickmap, 0, 1);
     }
 
     #[test]

@@ -203,55 +203,10 @@ impl PageAssembly {
         self.last_at
     }
 
-    /// Derives the page's missing-chunk ranges (the loss map → NACK input).
-    ///
-    /// Per column the report holds the first chunk seq missing from the
-    /// consecutive prefix; wholly-lost columns appear as `(col, 0)` when the
-    /// metadata (and thus the page width) is known.
-    pub fn missing_ranges(&self) -> MissingReport {
-        let mut report = MissingReport {
-            meta: !self.meta_complete(),
-            columns: Vec::new(),
-        };
-        let width: Option<u16> = if report.meta {
-            None
-        } else {
-            let mut blob = Vec::new();
-            for part in self.meta_parts.values() {
-                blob.extend_from_slice(part);
-            }
-            SimplifiedPage::parse_meta(&blob).map(|(w, ..)| w as u16)
-        };
-        if width.is_none() && self.columns.is_empty() {
-            return report; // nothing known yet beyond the missing meta
-        }
-        let max_col = width
-            .map(|w| w.saturating_sub(1))
-            .unwrap_or_else(|| self.columns.keys().copied().max().unwrap_or(0));
-        for col in 0..=max_col {
-            match self.columns.get(&col) {
-                Some(chunks) => {
-                    let mut next = 0u16;
-                    let mut complete = false;
-                    while let Some((_, last)) = chunks.get(&next) {
-                        if *last {
-                            complete = true;
-                            break;
-                        }
-                        next += 1;
-                    }
-                    if !complete {
-                        report.columns.push((col, next));
-                    }
-                }
-                None => report.columns.push((col, 0)),
-            }
-        }
-        report
-    }
-
-    /// Finalizes into a page; call when the broadcast of this page ended.
-    pub fn finalize(&self) -> Result<ReceivedPage, AssemblyError> {
+    /// The page fields of the joined metadata region (see
+    /// [`SimplifiedPage::parse_meta`]): `MetaIncomplete` until every part
+    /// has arrived, `MetaCorrupt` if the joined parts do not parse.
+    fn meta(&self) -> Result<(usize, usize, u16, u16, String, ClickMap), AssemblyError> {
         if !self.meta_complete() {
             return Err(AssemblyError::MetaIncomplete);
         }
@@ -259,8 +214,43 @@ impl PageAssembly {
         for part in self.meta_parts.values() {
             blob.extend_from_slice(part);
         }
-        let (width, height, ttl_hours, version, url, clickmap) =
-            SimplifiedPage::parse_meta(&blob).ok_or(AssemblyError::MetaCorrupt)?;
+        SimplifiedPage::parse_meta(&blob).ok_or(AssemblyError::MetaCorrupt)
+    }
+
+    /// Derives the page's missing-chunk ranges (the loss map → NACK input).
+    ///
+    /// Per column the report holds the first chunk seq missing from the
+    /// consecutive prefix; wholly-lost columns appear as `(col, 0)` when the
+    /// metadata (and thus the page width) is known.
+    pub fn missing_ranges(&self) -> MissingReport {
+        let meta = self.meta();
+        let mut report = MissingReport {
+            meta: matches!(meta, Err(AssemblyError::MetaIncomplete)),
+            columns: Vec::new(),
+        };
+        let width = meta.ok().map(|(w, ..)| w as u16);
+        if width.is_none() && self.columns.is_empty() {
+            return report; // nothing known yet beyond the missing meta
+        }
+        let max_col = width
+            .map(|w| w.saturating_sub(1))
+            .unwrap_or_else(|| self.columns.keys().copied().max().unwrap_or(0));
+        for col in 0..=max_col {
+            let (mut next, mut complete) = (0u16, false);
+            for (_, last) in self.columns.get(&col).into_iter().flat_map(column_prefix) {
+                next += 1;
+                complete = *last;
+            }
+            if !complete {
+                report.columns.push((col, next));
+            }
+        }
+        report
+    }
+
+    /// Finalizes into a page; call when the broadcast of this page ended.
+    pub fn finalize(&self) -> Result<ReceivedPage, AssemblyError> {
+        let (width, height, ttl_hours, version, url, clickmap) = self.meta()?;
 
         // Per column: longest consecutive prefix of chunks.
         let mut strips = Vec::with_capacity(width);
@@ -269,18 +259,11 @@ impl PageAssembly {
         let mut got_frames = 0usize;
         for col in 0..width as u16 {
             let mut bytes = Vec::new();
-            let mut complete = false;
             if let Some(chunks) = self.columns.get(&col) {
-                let mut next = 0u16;
-                while let Some((payload, last)) = chunks.get(&next) {
+                for (payload, _) in column_prefix(chunks) {
                     bytes.extend_from_slice(payload);
-                    if *last {
-                        complete = true;
-                        break;
-                    }
-                    next += 1;
+                    got_frames += 1;
                 }
-                got_frames += chunks.len().min(next as usize + usize::from(complete));
                 // Expected count: if we saw the last chunk anywhere, its seq
                 // tells us; otherwise estimate from the highest seen seq.
                 let exp = chunks
@@ -319,6 +302,19 @@ impl PageAssembly {
             frame_loss: frame_loss.clamp(0.0, 1.0),
         })
     }
+}
+
+/// A column's usable chunks: the consecutive prefix from seq 0, up to and
+/// including the `last` chunk if it arrived in that prefix.
+fn column_prefix(
+    chunks: &BTreeMap<u16, (Vec<u8>, bool)>,
+) -> impl Iterator<Item = &(Vec<u8>, bool)> {
+    let mut done = false;
+    (0u16..).map_while(move |seq| {
+        let chunk = chunks.get(&seq).filter(|_| !done)?;
+        done = chunk.1;
+        Some(chunk)
+    })
 }
 
 /// Memory and liveness policy for the [`Reassembler`].

@@ -1,9 +1,10 @@
 //! Channel models.
 //!
-//! Three hops matter in the paper's evaluation:
+//! Three hops matter in the paper's evaluation. The **cable** hop (audio
+//! jack or the phone's integrated tuner, Fig 4a's zero-loss "Cable" bar)
+//! delivers the demodulated audio bit-exact, so it needs no model: the
+//! receiver reads the audio as it is. The other two are modelled here:
 //!
-//! * **cable** — audio jack or the phone's integrated tuner: bit-exact
-//!   delivery of the demodulated audio (Fig 4a's "Cable" bar: zero loss);
 //! * **RF** — transmitter → tuner: constant-envelope FM plus AWGN whose
 //!   level relative to the carrier is exactly the RSSI/noise-floor gap
 //!   (the §4 "Variable RSSI" experiment);
@@ -42,17 +43,6 @@ fn gaussian(rng: &mut StdRng) -> (f32, f32) {
 
 /// Samples the RF channel draws and converts per block.
 const BLOCK: usize = 1_024;
-
-/// Perfect audio path (integrated tuner or jack cable).
-#[derive(Debug, Clone, Default)]
-pub struct CableChannel;
-
-impl CableChannel {
-    /// Returns the audio unchanged.
-    pub fn transmit(&self, audio: &[f32]) -> Vec<f32> {
-        audio.to_vec()
-    }
-}
 
 /// RF hop at complex baseband: attenuation is folded into the
 /// carrier-to-noise ratio, which is what the FM discriminator actually sees.
@@ -292,12 +282,6 @@ mod tests {
 
     fn rms(x: &[f32]) -> f32 {
         (x.iter().map(|&v| v * v).sum::<f32>() / x.len() as f32).sqrt()
-    }
-
-    #[test]
-    fn cable_is_transparent() {
-        let sig = tone(1000, 9200.0, 0.4);
-        assert_eq!(CableChannel.transmit(&sig), sig);
     }
 
     #[test]

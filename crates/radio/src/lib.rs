@@ -11,10 +11,13 @@
 //! * [`rds`] — Radio Data System encoder/decoder (26-bit blocks with
 //!   checkwords, differential biphase at 1187.5 bps on the 57 kHz
 //!   subcarrier), the substrate of the RevCast baseline in §2.
-//! * [`channel`] — channel models: bit-exact cable, RF path with
-//!   log-distance path loss + AWGN (reporting RSSI like a tuner would), and
-//!   the speaker→air→microphone acoustic hop with its distance-dependent
-//!   losses (Figure 4a).
+//! * [`channel`] — channel models: RF path with log-distance path loss +
+//!   AWGN (reporting RSSI like a tuner would), and the
+//!   speaker→air→microphone acoustic hop with its distance-dependent losses
+//!   (Figure 4a).
+//! * [`faults`] — seeded impairment schedules (impulses, co-channel,
+//!   mutes, clock drift, fades) sampled at frame level for day-scale
+//!   simulations.
 //! * [`stack`] — glue: audio in → MPX → FM → channel → FM demod → audio out.
 //!
 //! Substitution note (see DESIGN.md): this crate replaces the paper's

@@ -3,11 +3,11 @@
 //! This is the software stand-in for the paper's Raspberry-Pi transmitter +
 //! Xiaomi tuner pair. [`FmLink::transmit`] carries mono audio (and
 //! optionally RDS) across an RF hop at a chosen RSSI and returns what the
-//! phone's tuner would output — which then feeds the SONIC modem, possibly
-//! through an [`crate::channel::AcousticChannel`] hop.
+//! phone's tuner would output, which then feeds the SONIC modem. The hop's
+//! only impairment is the RF channel's AWGN; scheduled faults act at frame
+//! level ([`crate::faults`]).
 
 use crate::channel::RfChannel;
-use crate::faults::FaultPlan;
 use crate::fm::{FmDemodulator, FmModulator};
 use crate::mpx::{compose, decompose, MpxInput, MpxOutput};
 
@@ -18,31 +18,17 @@ pub struct FmLink {
     pub rssi_db: f64,
     /// RNG seed for the channel noise.
     pub seed: u64,
-    /// Scheduled impairments applied on top of the AWGN channel (empty by
-    /// default: bit-identical to the plain link).
-    pub faults: FaultPlan,
 }
 
 impl FmLink {
     /// Creates a link at the given RSSI.
     pub fn new(rssi_db: f64, seed: u64) -> Self {
-        FmLink {
-            rssi_db,
-            seed,
-            faults: FaultPlan::none(),
-        }
-    }
-
-    /// Installs a fault plan on the RF hop (builder style). Each `transmit`
-    /// call starts the plan's clock at 0 s.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
+        FmLink { rssi_db, seed }
     }
 
     /// Sends mono audio (and optional RDS bits) through the full FM chain —
-    /// compose → FM modulate → RF channel (and its fault plan) → FM
-    /// demodulate → decompose — and returns the tuner's output services.
+    /// compose → FM modulate → RF channel → FM demodulate → decompose — and
+    /// returns the tuner's output services.
     pub fn transmit(&self, mono: &[f32], rds_bits: Option<Vec<u8>>) -> MpxOutput {
         let composite = compose(&MpxInput {
             mono: mono.to_vec(),
@@ -51,9 +37,7 @@ impl FmLink {
         });
         let mut baseband = Vec::with_capacity(composite.len());
         FmModulator::default().modulate_into(&composite, &mut baseband);
-        let mut received = RfChannel::new(self.rssi_db, self.seed).transmit(&baseband);
-        self.faults
-            .apply_baseband(&mut received, 0.0, crate::MPX_RATE);
+        let received = RfChannel::new(self.rssi_db, self.seed).transmit(&baseband);
         let mut recovered = Vec::with_capacity(received.len());
         FmDemodulator::default().demodulate_into(&received, &mut recovered);
         decompose(&recovered)

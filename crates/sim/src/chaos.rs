@@ -127,10 +127,7 @@ pub fn hostile_day(seed: u64, hours: u32) -> FaultPlan {
             amp: 3.0,
             len_s: 0.02,
         },
-        Fault::CoChannel {
-            offset_hz: 9_650.0,
-            level: 0.1,
-        },
+        Fault::CoChannel { level: 0.1 },
         Fault::ClockDrift { ppm: 20.0 },
     ];
     for h in 0..u64::from(hours) {

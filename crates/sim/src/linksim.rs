@@ -2,15 +2,15 @@
 //!
 //! This is the measurement harness behind Figure 4(a) (acoustic distance)
 //! and the §4 "Variable RSSI" sweep. The full physical path is exercised:
-//! SONIC frames are batched into OFDM bursts, optionally carried over the
-//! software FM chain at a chosen RSSI, then over the acoustic hop at a
-//! chosen distance, and demodulated back.
+//! SONIC frames are batched into OFDM bursts, carried over one hop (cable,
+//! the acoustic hop at a chosen distance, or the software FM chain at a
+//! chosen RSSI), and demodulated back. Scheduled faults act at frame level
+//! (`sonic_radio::faults`) and are not applied here.
 
 use sonic_core::frame::Frame;
 use sonic_core::link::{self, FRAMES_PER_BURST};
 use sonic_modem::profile::Profile;
 use sonic_radio::channel::AcousticChannel;
-use sonic_radio::faults::FaultPlan;
 use sonic_radio::stack::FmLink;
 
 /// Which physical path the frames take after the modem.
@@ -27,13 +27,6 @@ pub enum ChannelSetup {
     Fm {
         /// Tuner-reported RSSI in dB.
         rssi_db: f64,
-    },
-    /// FM RF hop then an over-the-air audio hop (worst case).
-    FmThenAcoustic {
-        /// Tuner RSSI in dB.
-        rssi_db: f64,
-        /// Speaker-to-mic distance in meters.
-        distance_m: f64,
     },
 }
 
@@ -83,43 +76,19 @@ pub fn scale_to_rms(audio: &mut [f32], target: f32) {
     }
 }
 
-/// Runs `n_frames` frames through the configured chain.
+/// Runs `n_frames` frames through the configured chain: frames → modem →
+/// `setup`'s hop → receiver → loss accounting.
 pub fn run(profile: &Profile, setup: ChannelSetup, n_frames: usize, seed: u64) -> LinkRunResult {
-    run_with(profile, setup, n_frames, seed, FaultPlan::none())
-}
-
-/// The one chain: frames → modem → `setup`'s hops (`faults` on the RF hop,
-/// if it has one: impulses, co-channel interferer, mutes, clock drift,
-/// fades — see `sonic_radio::faults`) → receiver → loss accounting.
-fn run_with(
-    profile: &Profile,
-    setup: ChannelSetup,
-    n_frames: usize,
-    seed: u64,
-    faults: FaultPlan,
-) -> LinkRunResult {
     let frames = test_frames(n_frames, seed as u8);
     let mut audio = link::modulate(profile, &frames);
-    let fm_hop = |audio: &mut [f32], rssi_db: f64| {
-        scale_to_rms(audio, FM_INPUT_RMS);
-        FmLink::new(rssi_db, seed)
-            .with_faults(faults)
-            .transmit(audio, None)
-            .mono
-    };
-
     let received_audio = match setup {
         ChannelSetup::Cable => audio,
         ChannelSetup::Acoustic { distance_m } => {
             AcousticChannel::new(distance_m, seed).transmit(&audio)
         }
-        ChannelSetup::Fm { rssi_db } => fm_hop(&mut audio, rssi_db),
-        ChannelSetup::FmThenAcoustic {
-            rssi_db,
-            distance_m,
-        } => {
-            let mono = fm_hop(&mut audio, rssi_db);
-            AcousticChannel::new(distance_m, seed ^ 0x5A5A).transmit(&mono)
+        ChannelSetup::Fm { rssi_db } => {
+            scale_to_rms(&mut audio, FM_INPUT_RMS);
+            FmLink::new(rssi_db, seed).transmit(&audio, None).mono
         }
     };
 
@@ -189,30 +158,6 @@ mod tests {
             assert_eq!(a.bursts_failed, b.bursts_failed);
             assert_eq!(a.frame_loss, b.frame_loss);
         }
-    }
-
-    #[test]
-    fn zero_fault_plan_matches_plain_fm_run() {
-        let profile = Profile::sonic_10k();
-        let plain = run(&profile, ChannelSetup::Fm { rssi_db: -86.0 }, 40, 7);
-        let fm = ChannelSetup::Fm { rssi_db: -86.0 };
-        let empty = run_with(&profile, fm, 40, 7, FaultPlan::none());
-        assert_eq!(plain.frames_received, empty.frames_received);
-        assert_eq!(plain.bursts_failed, empty.bursts_failed);
-        assert_eq!(plain.frame_loss, empty.frame_loss);
-    }
-
-    #[test]
-    fn hostile_faults_degrade_a_clean_link() {
-        let profile = Profile::sonic_10k();
-        let clean = run(&profile, ChannelSetup::Fm { rssi_db: -70.0 }, 80, 6);
-        let fm = ChannelSetup::Fm { rssi_db: -70.0 };
-        let faulty = run_with(&profile, fm, 80, 6, FaultPlan::hostile(9));
-        assert_eq!(clean.frame_loss, 0.0, "{clean:?}");
-        assert!(
-            faulty.frame_loss > 0.0,
-            "hostile plan must cost frames: {faulty:?}"
-        );
     }
 
     #[test]
