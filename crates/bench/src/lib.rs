@@ -1,17 +1,16 @@
 //! # sonic-bench
 //!
-//! Two kinds of `harness = false` bench target live in `benches/`:
+//! Five `harness = false` bench targets live in `benches/`, all written on
+//! the harness in this file and on nothing else: it owns the clock, the
+//! gates, the JSON and the exit code.
 //!
-//! * `fig*` / `rssi_sweep` / `modem_rates` / `ablation_*` print the table or
-//!   series the paper reports (EXPERIMENTS.md maps each to its figure and
-//!   lists the `SONIC_*` knobs that trade runtime for fidelity), and
-//!   `viterbi_fer` the inner code's FER table for both Viterbi decoders.
+//! * `paper` runs every experiment of the paper's evaluation
+//!   (`sonic_sim::experiments`) and reports each number as a named row
+//!   (`BENCH_paper.json`; EXPERIMENTS.md maps rows to figures and claims).
 //! * `perf_rx`, `perf_codec`, `perf_broadcast_cache`, `perf_natsim` say what
 //!   `benchmark/` (one page's whole trip) cannot: fast vs reference vs
 //!   forced-scalar per kernel, the image codec's stages, the cache/store
-//!   day, the scenario engine's budgets. All four are written on the harness
-//!   in this file and on nothing else: it owns the clock, the gates, the
-//!   JSON and the exit code.
+//!   day, the scenario engine's budgets.
 //!
 //! ## The harness contract
 //!
@@ -23,9 +22,9 @@
 //!   samples, from [`time`], or [`Timing::of`] over [`sample`]s a target
 //!   took itself), in seconds; never judged.
 //! * [`Report::gate`] — a number judged against a [`Bound`]. Gates are
-//!   in-process ratios or stated budgets, **enforced in a full run only**:
-//!   a smoke run's inputs are too small for its timings to mean anything,
-//!   so there the row reads `info`.
+//!   in-process ratios, stated budgets or the paper's shape claims,
+//!   **enforced in a full run only**: a smoke run's inputs are too small
+//!   for them to mean anything, so there the row reads `info`.
 //! * [`Report::check`] — a yes/no correctness fact (two paths agree, a
 //!   memory budget holds). Enforced in **every** run, smoke included.
 //!

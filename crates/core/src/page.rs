@@ -5,6 +5,7 @@
 //! cache TTL ("inserted in a cache with expiration date set according to a
 //! time indicated by the server").
 
+use crate::frame::FRAME_PAYLOAD;
 use sonic_image::bitio::ByteReader;
 use sonic_image::clickmap::ClickMap;
 use sonic_image::raster::Raster;
@@ -37,6 +38,15 @@ pub fn page_id_for(url: &str, version: u16) -> u32 {
     h ^ ((version as u32) << 16 | version as u32)
 }
 
+/// Bytes of [`SimplifiedPage::meta_blob`] before the URL: width, height,
+/// ttl, version and the URL's length.
+const META_HEADER: usize = 12;
+
+/// Length of the metadata blob of a page with this URL and click map.
+fn meta_len(url: &str, clickmap: &ClickMap) -> usize {
+    META_HEADER + url.len() + clickmap.encoded_len()
+}
+
 impl SimplifiedPage {
     /// Builds a page from a rendered screenshot: [`from_parts`](Self::from_parts)
     /// of its strip encode.
@@ -62,7 +72,9 @@ impl SimplifiedPage {
     /// longer than 65 535 bytes or the click map holds more than 65 535
     /// regions: the metadata (and, for the width, the strip frames) carry
     /// each in a 16-bit field, and a wrapped value would air a different
-    /// page.
+    /// page. For the same reason it panics if the metadata needs more than
+    /// 65 535 frames (a meta frame's part count is 16-bit) or a column's
+    /// strip more than 65 536 (a strip frame's `seq` is).
     pub fn from_parts(
         url: &str,
         strips: StripImage,
@@ -84,6 +96,17 @@ impl SimplifiedPage {
             u16::try_from(clickmap.regions.len()).is_ok(),
             "click map of {} regions overflows its u16 wire field",
             clickmap.regions.len()
+        );
+        let meta_parts = meta_len(url, &clickmap).div_ceil(FRAME_PAYLOAD);
+        assert!(
+            u16::try_from(meta_parts).is_ok(),
+            "metadata of {meta_parts} frames overflows its u16 part count"
+        );
+        let longest_strip = strips.strips.iter().map(Vec::len).max().unwrap_or(0);
+        let strip_frames = longest_strip.div_ceil(FRAME_PAYLOAD);
+        assert!(
+            strip_frames <= 1 << 16,
+            "strip of {strip_frames} frames overflows its u16 seq field"
         );
         SimplifiedPage {
             page_id: page_id_for(url, version),
@@ -211,6 +234,35 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "metadata of 65537 frames overflows")]
+    fn metadata_beyond_its_part_count_is_refused() {
+        // 15 + 21 349 regions × 264 bytes = 5 636 151 bytes, one frame past
+        // the part count's 65 535 × 86.
+        let region = ClickRegion {
+            x: 0,
+            y: 0,
+            w: 1,
+            h: 1,
+            target: "t".repeat(255),
+        };
+        let clickmap = ClickMap {
+            regions: vec![region; 21_349],
+        };
+        SimplifiedPage::from_raster("u", &Raster::new(1, 1), clickmap, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "strip of 65537 frames overflows")]
+    fn strip_beyond_its_seq_field_is_refused() {
+        let strips = StripImage {
+            width: 1,
+            height: 1,
+            strips: vec![vec![0; 65_536 * FRAME_PAYLOAD + 1]],
+        };
+        SimplifiedPage::from_parts("u", strips, ClickMap::default(), 0, 1);
+    }
+
+    #[test]
     fn truncated_meta_rejected() {
         let p = sample();
         let blob = p.meta_blob();
@@ -225,6 +277,7 @@ mod tests {
             p.broadcast_bytes(),
             p.strips.total_bytes() + p.meta_blob().len()
         );
+        assert_eq!(meta_len(&p.url, &p.clickmap), p.meta_blob().len());
         assert!(p.broadcast_bytes() > 0);
     }
 }

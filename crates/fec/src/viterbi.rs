@@ -45,7 +45,8 @@
 //! as the oracle. Quantising makes the integer decoder a different decoder,
 //! so what is held against the oracle is equal decoded bits on clean,
 //! single-error and above-the-cliff input, and a frame-error-rate table
-//! (the `viterbi_fer` bench, EXPERIMENTS.md) that bounds the loss.
+//! (`sonic_sim::experiments::viterbi`, gated in the `paper` bench target;
+//! EXPERIMENTS.md) that bounds the loss.
 
 use crate::conv::{step, K, TAIL};
 use sonic_dsp::simd::{self, Backend};
@@ -482,7 +483,8 @@ pub fn decode_soft_into(
 
 /// Original scatter-form `f32` decoder, kept as the oracle for the integer
 /// [`decode_soft`] path. Allocates fresh traceback arrays per call; property
-/// tests and the `viterbi_fer` bench hold `decode_soft` against it.
+/// tests and the `paper` bench target's FER sweep hold `decode_soft`
+/// against it.
 pub fn decode_soft_reference(soft: &[f32], info_bits: usize) -> Vec<u8> {
     let steps = info_bits + TAIL;
     assert_eq!(

@@ -78,13 +78,17 @@ impl ClickMap {
             out.extend_from_slice(&r.y.to_be_bytes());
             out.extend_from_slice(&r.w.to_be_bytes());
             out.extend_from_slice(&r.h.to_be_bytes());
-            // A target longer than its one-byte length is cut at the last
-            // character boundary that fits, so it stays valid UTF-8.
-            let t = &r.target[..r.target.floor_char_boundary(255)];
+            let t = wire_target(r);
             out.push(t.len() as u8);
             out.extend_from_slice(t.as_bytes());
         }
         out
+    }
+
+    /// Length of [`encode`](Self::encode)'s output, computed without
+    /// encoding.
+    pub fn encoded_len(&self) -> usize {
+        2 + self.regions.iter().map(|r| 9 + wire_target(r).len()).sum::<usize>()
     }
 
     /// Inverse of [`encode`](Self::encode); `None` on malformed input.
@@ -103,6 +107,13 @@ impl ClickMap {
         }
         Some(ClickMap { regions })
     }
+}
+
+/// The part of a region's target that goes on air: a target longer than
+/// its one-byte length is cut at the last character boundary that fits, so
+/// it stays valid UTF-8.
+fn wire_target(r: &ClickRegion) -> &str {
+    &r.target[..r.target.floor_char_boundary(255)]
 }
 
 #[cfg(test)]
@@ -158,6 +169,7 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let m = sample();
+        assert_eq!(m.encoded_len(), m.encode().len());
         assert_eq!(ClickMap::decode(&m.encode()), Some(m));
     }
 
@@ -198,6 +210,7 @@ mod tests {
         };
         let back = ClickMap::decode(&m.encode()).expect("valid UTF-8 on the wire");
         assert_eq!(back.regions[0].target, target[..254]);
+        assert_eq!(m.encoded_len(), m.encode().len());
     }
 
     #[test]

@@ -19,7 +19,7 @@ use sonic_pagegen::{Corpus, PageId};
 /// A1 result row.
 #[derive(Debug, Clone)]
 pub struct FecRow {
-    /// Chain name.
+    /// Chain name, usable as a row name (`v29_rs8` is the paper's).
     pub name: &'static str,
     /// Code rate at 1000-byte payloads.
     pub code_rate: f64,
@@ -31,9 +31,9 @@ pub struct FecRow {
 pub fn run_fec_ablation(distance_m: f64, reps: usize, seed: u64) -> Vec<FecRow> {
     let chains: [(&'static str, CodeSpec); 4] = [
         ("none", CodeSpec::none()),
-        ("v29 only", CodeSpec::conv_only()),
-        ("rs8 only", CodeSpec::rs_only()),
-        ("v29 + rs8 (paper)", CodeSpec::sonic_default()),
+        ("v29", CodeSpec::conv_only()),
+        ("rs8", CodeSpec::rs_only()),
+        ("v29_rs8", CodeSpec::sonic_default()),
     ];
     chains
         .iter()
@@ -65,7 +65,7 @@ pub fn run_fec_ablation(distance_m: f64, reps: usize, seed: u64) -> Vec<FecRow> 
 /// A2 result row.
 #[derive(Debug, Clone)]
 pub struct InterpRow {
-    /// Strategy name.
+    /// Strategy name, usable as a row name (`left` is the paper's).
     pub name: &'static str,
     /// Mean PSNR over the sampled pages (dB).
     pub psnr_db: f64,
@@ -79,9 +79,9 @@ pub fn run_interp_ablation(loss: f64, n_pages: usize, scale: f64, seed: u64) -> 
     let corpus = Corpus::standard();
     type Case = (&'static str, Option<Strategy>, Vec<f64>, Vec<f64>);
     let mut cases: Vec<Case> = vec![
-        ("no repair", None, Vec::new(), Vec::new()),
-        ("left priority (paper)", Some(Strategy::LeftPriority), Vec::new(), Vec::new()),
-        ("above priority", Some(Strategy::AbovePriority), Vec::new(), Vec::new()),
+        ("none", None, Vec::new(), Vec::new()),
+        ("left", Some(Strategy::LeftPriority), Vec::new(), Vec::new()),
+        ("above", Some(Strategy::AbovePriority), Vec::new(), Vec::new()),
     ];
     for k in 0..n_pages {
         let id = PageId {
@@ -128,7 +128,7 @@ mod tests {
     fn full_chain_beats_uncoded_on_noisy_hop() {
         let rows = run_fec_ablation(0.6, 2, 7);
         let get = |n: &str| rows.iter().find(|r| r.name == n).expect("row").frame_loss;
-        let full = get("v29 + rs8 (paper)");
+        let full = get("v29_rs8");
         let none = get("none");
         assert!(
             full <= none,
@@ -140,17 +140,17 @@ mod tests {
     fn code_rates_are_ordered() {
         let rows = run_fec_ablation(0.1, 1, 1);
         let get = |n: &str| rows.iter().find(|r| r.name == n).expect("row").code_rate;
-        assert!(get("none") > get("rs8 only"));
-        assert!(get("rs8 only") > get("v29 only"));
-        assert!(get("v29 only") > get("v29 + rs8 (paper)"));
+        assert!(get("none") > get("rs8"));
+        assert!(get("rs8") > get("v29"));
+        assert!(get("v29") > get("v29_rs8"));
     }
 
     #[test]
     fn any_repair_beats_none() {
         let rows = run_interp_ablation(0.2, 4, 0.1, 3);
         let get = |n: &str| rows.iter().find(|r| r.name == n).expect("row");
-        assert!(get("left priority (paper)").psnr_db > get("no repair").psnr_db);
-        assert!(get("above priority").psnr_db > get("no repair").psnr_db);
-        assert!(get("left priority (paper)").edge > get("no repair").edge);
+        assert!(get("left").psnr_db > get("none").psnr_db);
+        assert!(get("above").psnr_db > get("none").psnr_db);
+        assert!(get("left").edge > get("none").edge);
     }
 }

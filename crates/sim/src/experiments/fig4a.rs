@@ -32,8 +32,8 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             distances_m: PAPER_DISTANCES.to_vec(),
-            reps: super::env_or("SONIC_FIG4A_REPS", 10),
-            bursts_per_rep: super::env_or("SONIC_FIG4A_BURSTS", 5),
+            reps: 10,
+            bursts_per_rep: 5,
             profile: Profile::sonic_10k(),
             seed: 0xF164A,
         }
@@ -94,7 +94,7 @@ mod tests {
     use super::*;
 
     /// Calibration smoke test at reduced repetitions (the full run is the
-    /// bench target `fig4a_distance_loss`).
+    /// `paper` bench target).
     #[test]
     fn shape_matches_paper() {
         let cfg = Config {

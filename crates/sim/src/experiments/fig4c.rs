@@ -31,8 +31,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            hours: super::env_or("SONIC_FIG4C_HOURS", 48),
-            scale: super::env_or("SONIC_FIG4C_SCALE", 0.08),
+            hours: 48,
+            scale: 0.08,
             series: vec![
                 Series { rate_bps: 10_000, n_pages: 100 },
                 Series { rate_bps: 20_000, n_pages: 100 },

@@ -35,8 +35,8 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            n_pages: super::env_or("SONIC_FIG5_PAGES", 50),
-            scale: super::env_or("SONIC_FIG5_SCALE", 0.2),
+            n_pages: 50,
+            scale: 0.2,
             loss_rates: PAPER_LOSS_RATES.to_vec(),
             raters: 151,
             ratings_per_shot: 7,

@@ -1,8 +1,8 @@
-//! One module per paper experiment. Each exposes a `Config` with defaults
-//! matching the paper's methodology (scaled where the full run would take
-//! hours — every scaling knob is overridable via `SONIC_*` environment
-//! variables, documented in EXPERIMENTS.md) and a `run()` returning typed
-//! results that the bench binaries print as tables.
+//! One module per paper experiment. Each exposes a `Config` whose
+//! `Default` is the size the `paper` bench target runs in full (scaled
+//! down from the paper's methodology where that would take hours;
+//! EXPERIMENTS.md gives both) and a `run_experiment` returning typed
+//! results, which that target reports as rows of `BENCH_paper.json`.
 
 pub mod ablation;
 pub mod fig4a;
@@ -12,28 +12,4 @@ pub mod fig5;
 pub mod rates;
 pub mod rssi;
 pub mod sizes;
-
-/// Reads a scaling knob from the environment.
-pub fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_or_falls_back() {
-        assert_eq!(env_or("SONIC_DOES_NOT_EXIST_XYZ", 7usize), 7);
-    }
-
-    #[test]
-    fn env_or_parses() {
-        std::env::set_var("SONIC_TEST_KNOB_42", "13");
-        assert_eq!(env_or("SONIC_TEST_KNOB_42", 7usize), 13);
-        std::env::remove_var("SONIC_TEST_KNOB_42");
-    }
-}
+pub mod viterbi;

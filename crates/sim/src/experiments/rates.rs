@@ -22,15 +22,13 @@ use sonic_radio::rds::RDS_BPS;
 /// One row of the rate table.
 #[derive(Debug, Clone)]
 pub struct RateRow {
-    /// System name.
+    /// System name, usable as a row name.
     pub name: String,
     /// Theoretical raw rate in bps.
     pub raw_bps: f64,
     /// Measured net payload rate in bps (payload bits / audio duration),
     /// where measurable; `None` for aggregate/theoretical rows.
     pub measured_bps: Option<f64>,
-    /// Notes (modulation, band).
-    pub notes: String,
 }
 
 /// Measures the net rate of an OFDM profile by modulating a payload.
@@ -41,65 +39,50 @@ pub fn measure_ofdm_net_bps(profile: &Profile, payload_len: usize) -> f64 {
     payload_len as f64 * 8.0 / seconds
 }
 
-/// Builds the full table.
+/// Builds the full table: the three OFDM profiles (92 carriers, 4.1 kHz
+/// at 9.2 kHz), `sonic-10k` on two and three carriers (§3.3's
+/// multi-frequency argument), a GGwave-like 16-FSK at 32 baud, one-bit
+/// 2–6 kHz chirps (Lee et al.) and RDS's 57 kHz biphase subcarrier
+/// (RevCast).
 pub fn run_experiment() -> Vec<RateRow> {
     let mut rows = Vec::new();
 
     for profile in [Profile::audible_7k(), Profile::sonic_10k(), Profile::cable_64k()] {
-        let measured = measure_ofdm_net_bps(&profile, 4000);
         rows.push(RateRow {
             name: profile.name.to_string(),
             raw_bps: profile.raw_rate_bps(),
-            measured_bps: Some(measured),
-            notes: format!(
-                "OFDM {} sc, {}, {:.1} kHz @ {:.1} kHz",
-                profile.data_carriers,
-                profile.modulation.name(),
-                profile.bandwidth() / 1000.0,
-                profile.center_freq / 1000.0
-            ),
+            measured_bps: Some(measure_ofdm_net_bps(&profile, 4000)),
         });
     }
 
     for k in [2usize, 3] {
-        let mc = MultiCarrier::sonic(k);
         rows.push(RateRow {
-            name: format!("sonic-10k x{k}"),
-            raw_bps: mc.raw_rate_bps(),
+            name: format!("sonic-10k-x{k}"),
+            raw_bps: MultiCarrier::sonic(k).raw_rate_bps(),
             measured_bps: None,
-            notes: format!("{k} carriers (multi-frequency argument of §3.3)"),
         });
     }
 
     let fsk = FskConfig::ggwave_like();
+    let audio = fsk::modulate(&fsk, &[0x5Au8; 32]);
     rows.push(RateRow {
-        name: "fsk (ggwave-like)".into(),
+        name: "fsk-ggwave".into(),
         raw_bps: fsk.raw_rate_bps(),
-        measured_bps: Some({
-            let payload = vec![0x5Au8; 32];
-            let audio = fsk::modulate(&fsk, &payload);
-            32.0 * 8.0 / (audio.len() as f64 / fsk.sample_rate)
-        }),
-        notes: "16-FSK, 32 baud".into(),
+        measured_bps: Some(32.0 * 8.0 / (audio.len() as f64 / fsk.sample_rate)),
     });
 
     let chirp = ChirpConfig::default();
+    let audio = chirp::modulate(&chirp, &[0xC3u8; 4]);
     rows.push(RateRow {
-        name: "chirp (Lee et al.)".into(),
+        name: "chirp-lee".into(),
         raw_bps: chirp.raw_rate_bps(),
-        measured_bps: Some({
-            let payload = vec![0xC3u8; 4];
-            let audio = chirp::modulate(&chirp, &payload);
-            4.0 * 8.0 / (audio.len() as f64 / chirp.sample_rate)
-        }),
-        notes: "1 bit/chirp, 2–6 kHz sweeps".into(),
+        measured_bps: Some(4.0 * 8.0 / (audio.len() as f64 / chirp.sample_rate)),
     });
 
     rows.push(RateRow {
-        name: "rds (RevCast)".into(),
+        name: "rds-revcast".into(),
         raw_bps: RDS_BPS,
         measured_bps: None,
-        notes: "57 kHz subcarrier, biphase".into(),
     });
 
     rows
@@ -135,8 +118,8 @@ mod tests {
     #[test]
     fn multi_frequency_scales_rates() {
         let rows = run_experiment();
-        let x2 = row(&rows, "sonic-10k x2").raw_bps;
-        let x3 = row(&rows, "sonic-10k x3").raw_bps;
+        let x2 = row(&rows, "sonic-10k-x2").raw_bps;
+        let x3 = row(&rows, "sonic-10k-x3").raw_bps;
         let x1 = row(&rows, "sonic-10k").raw_bps;
         assert!((x2 / x1 - 2.0).abs() < 1e-9);
         assert!((x3 / x1 - 3.0).abs() < 1e-9);
@@ -145,16 +128,16 @@ mod tests {
     #[test]
     fn baselines_match_the_papers_citations() {
         let rows = run_experiment();
-        assert!((row(&rows, "fsk (ggwave-like)").raw_bps - 128.0).abs() < 2.0);
-        assert!((row(&rows, "chirp (Lee et al.)").raw_bps - 16.0).abs() < 0.5);
-        assert!((row(&rows, "rds (RevCast)").raw_bps - 1187.5).abs() < 1e-9);
+        assert!((row(&rows, "fsk-ggwave").raw_bps - 128.0).abs() < 2.0);
+        assert!((row(&rows, "chirp-lee").raw_bps - 16.0).abs() < 0.5);
+        assert!((row(&rows, "rds-revcast").raw_bps - 1187.5).abs() < 1e-9);
     }
 
     #[test]
     fn sonic_is_two_orders_over_ggwave() {
         let rows = run_experiment();
         let sonic = row(&rows, "sonic-10k").measured_bps.expect("measured");
-        let fsk = row(&rows, "fsk (ggwave-like)").raw_bps;
+        let fsk = row(&rows, "fsk-ggwave").raw_bps;
         assert!(sonic / fsk > 60.0, "ratio {}", sonic / fsk);
     }
 }

@@ -1,44 +1,50 @@
 //! Frame-error rate of the inner code against Eb/N0: the `f32` reference
 //! Viterbi decoder and the integer one every receive path runs, on the same
 //! noisy frames, beside the union bound the code's own distance spectrum
-//! gives — theoretical vs observed, several seeds a row.
+//! gives — theoretical vs observed, several seeds a point.
 //!
 //! BPSK over AWGN: each coded bit is sent as ±1 and received as ±1 + n,
 //! n ~ N(0, σ²), σ² = 1 / (2 R Eb/N0) with R = 1/2 (the 8-bit tail is not
 //! charged). A frame is 1 024 random info bits and is in error when any
-//! decoded bit is. Each row decodes `SEEDS` × `frames` frames with both
-//! decoders; "f32 only" and "i16 only" count the frames exactly one of them
-//! got wrong, which measures the pair's difference directly.
+//! decoded bit is. Each point decodes [`SEEDS`] × `frames` frames with both
+//! decoders; "reference only" and "integer only" count the frames exactly
+//! one of them got wrong, which measures the pair's difference directly.
 //!
 //! The bound is FER ≤ L · Σ_d A_d · Q(√(2 R d Eb/N0)), A_d the number of error
 //! events of output weight d, enumerated on the trellis up to d = 24.
-//!
-//! A full run (a minute and a half on a 2-core host) also prints the Eb/N0 each
-//! decoder needs for FER = 1e-2 (log-linear between the rows around it) and
-//! exits non-zero when the integer decoder needs more than 0.1 dB over the
-//! reference. `--smoke` decodes 40 frames a seed, in seconds, with no verdict.
 
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng as _};
 use sonic_fec::conv::{self, K};
 use sonic_fec::viterbi;
-use sonic_sim::report::Table;
 
 const INFO_BITS: usize = 1024;
-const SEEDS: u64 = 5;
 const EBN0_DB: [f64; 7] = [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0];
+/// Seeds a point.
+pub const SEEDS: u64 = 5;
 const RATE: f64 = 0.5;
 /// The FER at which the two decoders' Eb/N0 are compared.
 const TARGET_FER: f64 = 1e-2;
-/// The most the integer decoder may need over the reference there.
-const MAX_LOSS_DB: f64 = 0.1;
 /// Largest output weight the distance spectrum is enumerated to.
-const D_MAX: usize = 24;
+pub const D_MAX: usize = 24;
+
+/// Experiment configuration.
+#[derive(Debug, Clone)]
+pub struct Config {
+    /// Frames a seed.
+    pub frames: u32,
+}
+
+impl Default for Config {
+    fn default() -> Self {
+        Config { frames: 1000 }
+    }
+}
 
 /// `(A_d, B_d)` for d = 0..=D_MAX: the number of error events (paths that
 /// leave the zero state and first return to it) of output weight d, and
 /// their total number of info-bit errors.
-fn distance_spectrum() -> (Vec<f64>, Vec<f64>) {
+pub fn distance_spectrum() -> (Vec<f64>, Vec<f64>) {
     let states = 1usize << (K - 1);
     let (mut events, mut bit_errors) = (vec![0.0; D_MAX + 1], vec![0.0; D_MAX + 1]);
     // open[s][w] = (paths, their info-bit weight) now in state s ≠ 0 with
@@ -101,18 +107,35 @@ fn gaussian(rng: &mut StdRng) -> f32 {
     ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32
 }
 
-/// Frames in error per seed, for the reference and the integer decoder,
-/// and the frames only one of them got wrong.
-struct Row {
-    reference: Vec<u32>,
-    integer: Vec<u32>,
-    reference_only: u32,
-    integer_only: u32,
+/// One Eb/N0 point: the union bound, the frames in error per seed for the
+/// reference and the integer decoder, and the frames only one of them got
+/// wrong.
+#[derive(Debug, Clone)]
+pub struct Point {
+    /// Eb/N0 in dB.
+    pub ebn0_db: f64,
+    /// The union bound on FER, capped at 1.
+    pub bound_fer: f64,
+    /// Frames the `f32` reference decoder got wrong, per seed.
+    pub reference: Vec<u32>,
+    /// Frames the integer decoder got wrong, per seed.
+    pub integer: Vec<u32>,
+    /// Frames only the reference decoder got wrong.
+    pub reference_only: u32,
+    /// Frames only the integer decoder got wrong.
+    pub integer_only: u32,
 }
 
-fn measure(ebn0_db: f64, row: usize, frames: u32) -> Row {
-    let sigma = (1.0 / (2.0 * RATE * 10f64.powf(ebn0_db / 10.0))).sqrt() as f32;
-    let mut out = Row {
+fn measure(ebn0_db: f64, row: usize, frames: u32, events: &[f64]) -> Point {
+    let ebn0 = 10f64.powf(ebn0_db / 10.0);
+    let bound: f64 = (0..=D_MAX)
+        .map(|d| events[d] * 0.5 * erfc((RATE * d as f64 * ebn0).sqrt()))
+        .sum::<f64>()
+        * INFO_BITS as f64;
+    let sigma = (1.0 / (2.0 * RATE * ebn0)).sqrt() as f32;
+    let mut out = Point {
+        ebn0_db,
+        bound_fer: bound.min(1.0),
         reference: Vec::new(),
         integer: Vec::new(),
         reference_only: 0,
@@ -142,9 +165,20 @@ fn measure(ebn0_db: f64, row: usize, frames: u32) -> Row {
     out
 }
 
-/// Eb/N0 (dB) where `fer` first falls to `TARGET_FER`, log-linear between
-/// the two rows around it; a row with no errors counts as half an error.
-fn ebn0_at_target(fer: &[f64], frames: f64) -> Option<f64> {
+/// Runs the sweep, one point per Eb/N0.
+pub fn run_experiment(cfg: &Config) -> Vec<Point> {
+    let (events, _) = distance_spectrum();
+    EBN0_DB
+        .iter()
+        .enumerate()
+        .map(|(k, &db)| measure(db, k, cfg.frames, &events))
+        .collect()
+}
+
+/// Eb/N0 (dB) where `fer` (one value per point, in sweep order) first falls
+/// to FER 1e-2, log-linear between the two points around it; a point with no
+/// errors in its `frames` counts as half an error.
+pub fn ebn0_at_target(fer: &[f64], frames: f64) -> Option<f64> {
     let log = |f: f64| f.max(0.5 / frames).log10();
     let k = fer.iter().position(|&f| f <= TARGET_FER)?;
     if k == 0 {
@@ -155,80 +189,22 @@ fn ebn0_at_target(fer: &[f64], frames: f64) -> Option<f64> {
     Some(x0 + (x1 - x0) * (TARGET_FER.log10() - y0) / (y1 - y0))
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let frames: u32 = if smoke { 40 } else { 1000 };
-    let (events, bit_errors) = distance_spectrum();
-    let spectrum: Vec<String> = (0..=D_MAX)
-        .filter(|&d| events[d] > 0.0)
-        .take(4)
-        .map(|d| format!("d={d}: {} events, {} bit errors", events[d], bit_errors[d]))
-        .collect();
-    println!(
-        "Inner code K={K} r=1/2 (561/753) — FER vs Eb/N0, f32 reference vs i16 Viterbi, \
-         {INFO_BITS}-bit frames, {SEEDS} seeds × {frames} frames a row{}",
-        if smoke { " (smoke)" } else { "" }
-    );
-    println!("distance spectrum: {}", spectrum.join("; "));
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let per_seed = |errors: &[u32]| -> String {
-        let f = |e: u32| f64::from(e) / f64::from(frames);
-        let (lo, hi) = (errors.iter().min(), errors.iter().max());
-        format!("{:.4}–{:.4}", f(*lo.unwrap_or(&0)), f(*hi.unwrap_or(&0)))
-    };
-    let total = f64::from(frames) * SEEDS as f64;
-    let mut table = Table::new(&[
-        "Eb/N0 dB",
-        "bound FER",
-        "f32 FER",
-        "f32 per seed",
-        "i16 FER",
-        "i16 per seed",
-        "f32 only",
-        "i16 only",
-    ]);
-    let (mut fer_ref, mut fer_int) = (Vec::new(), Vec::new());
-    for (k, &db) in EBN0_DB.iter().enumerate() {
-        let ebn0 = 10f64.powf(db / 10.0);
-        let bound: f64 = (0..=D_MAX)
-            .map(|d| events[d] * 0.5 * erfc((RATE * d as f64 * ebn0).sqrt()))
-            .sum::<f64>()
-            * INFO_BITS as f64;
-        let r = measure(db, k, frames);
-        let fer = |errors: &[u32]| f64::from(errors.iter().sum::<u32>()) / total;
-        fer_ref.push(fer(&r.reference));
-        fer_int.push(fer(&r.integer));
-        table.row(&[
-            format!("{db:.1}"),
-            format!("{:.4}", bound.min(1.0)),
-            format!("{:.4}", fer(&r.reference)),
-            per_seed(&r.reference),
-            format!("{:.4}", fer(&r.integer)),
-            per_seed(&r.integer),
-            r.reference_only.to_string(),
-            r.integer_only.to_string(),
-        ]);
+    #[test]
+    fn spectrum_has_the_published_k9_weights() {
+        let (events, bit_errors) = distance_spectrum();
+        assert_eq!(events[..12].iter().sum::<f64>(), 0.0, "free distance 12");
+        assert_eq!((events[12], bit_errors[12]), (11.0, 33.0));
+        assert_eq!((events[14], bit_errors[14]), (50.0, 281.0));
     }
-    println!("{}", table.render());
 
-    let at = |fer: &[f64]| ebn0_at_target(fer, total);
-    match (at(&fer_ref), at(&fer_int)) {
-        (Some(r), Some(i)) => {
-            let loss = i - r;
-            println!(
-                "Eb/N0 at FER {TARGET_FER}: f32 {r:.2} dB, i16 {i:.2} dB — i16 loss {loss:+.3} dB \
-                 (need ≤ {MAX_LOSS_DB})"
-            );
-            if !smoke && loss > MAX_LOSS_DB {
-                println!("FAIL: the integer decoder loses more than {MAX_LOSS_DB} dB");
-                std::process::exit(1);
-            }
-        }
-        _ => println!("FER {TARGET_FER} not reached in the swept range"),
+    #[test]
+    fn target_is_interpolated_log_linearly() {
+        let at = ebn0_at_target(&[0.1, 0.001], 1000.0).expect("reached");
+        assert!((at - 1.25).abs() < 1e-12, "{at}");
+        assert_eq!(ebn0_at_target(&[0.5, 0.2], 1000.0), None);
     }
-    println!(
-        "expected: both FER curves within the seeds' spread of each other, under the union bound \
-         where it is below 1 (it is loose near the cliff), and a handful of frames only one \
-         decoder gets wrong"
-    );
 }

@@ -2,7 +2,8 @@
 //!
 //! Simulation and measurement harnesses reproducing the SONIC paper's
 //! evaluation (§4). Each figure/table has a module under [`experiments`];
-//! the `sonic-bench` crate wraps them in runnable bench targets.
+//! the `sonic-bench` crate's `paper` target runs them all and reports
+//! their numbers as rows of `BENCH_paper.json`.
 //!
 //! * [`linksim`] — frames → modem → FM/acoustic channel → frames, with loss
 //!   accounting (Figures 4a and the RSSI sweep).
@@ -17,7 +18,8 @@
 //! * [`scenario`], [`terrain`] — the country-scale streaming engine:
 //!   Zipf-ranked populations on synthetic terrain, batched frame-fate
 //!   evaluation, constant-memory aggregation (72 h × 100 k listeners).
-//! * [`stats`], [`report`] — percentiles/CDFs/boxplots and table output.
+//! * [`stats`], [`report`] — percentiles/CDFs/boxplots, and the scenario
+//!   report's text tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

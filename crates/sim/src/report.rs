@@ -1,10 +1,5 @@
-//! Plain-text table / CSV emission for the experiment harnesses.
-//!
-//! Every figure/table bench prints a human-readable table to stdout and can
-//! drop a CSV next to it so the series can be re-plotted.
-
-use std::io::Write;
-use std::path::Path;
+//! Plain-text tables: the scenario engine's hourly report
+//! ([`crate::scenario`]) prints through them.
 
 /// A simple column-aligned text table.
 #[derive(Debug, Default)]
@@ -25,16 +20,6 @@ impl Table {
     /// Appends a row (stringified cells).
     pub fn row(&mut self, cells: &[String]) {
         self.rows.push(cells.to_vec());
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders the aligned table.
@@ -64,21 +49,6 @@ impl Table {
         }
         out
     }
-
-    /// Writes the table as CSV.
-    pub fn write_csv(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        writeln!(f, "{}", self.header.join(","))?;
-        for row in &self.rows {
-            writeln!(f, "{}", row.join(","))?;
-        }
-        Ok(())
-    }
-}
-
-/// Formats a byte count as KB with one decimal.
-pub fn kb(bytes: f64) -> String {
-    format!("{:.1}", bytes / 1024.0)
 }
 
 /// Formats a fraction as a percentage with one decimal.
@@ -103,20 +73,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip_layout() {
-        let mut t = Table::new(&["x", "y"]);
-        t.row(&["1".into(), "2".into()]);
-        let dir = std::env::temp_dir().join("sonic_sim_tests");
-        std::fs::create_dir_all(&dir).expect("tmp");
-        let p = dir.join("t.csv");
-        t.write_csv(&p).expect("write");
-        let body = std::fs::read_to_string(&p).expect("read");
-        assert_eq!(body, "x,y\n1,2\n");
-    }
-
-    #[test]
     fn helpers_format() {
-        assert_eq!(kb(2048.0), "2.0");
         assert_eq!(pct(0.125), "12.5%");
     }
 }
