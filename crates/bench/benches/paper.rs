@@ -65,15 +65,7 @@ fn wall<T>(r: &mut Report, name: &str, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// A row, or a gate where `bound` is given.
-fn put(r: &mut Report, name: &str, value: f64, unit: &'static str, bound: Option<Bound>) {
-    match bound {
-        Some(b) => r.gate(name, value, unit, b),
-        None => r.row(name, value, unit),
-    }
-}
-
-/// `<name>.{min,q1,median,q3,max}`, each gated by `bound(stat)`.
+/// `<name>.{min,q1,median,q3,max}`, each a gate where `bound(stat)` gives one.
 fn box_rows(
     r: &mut Report,
     name: &str,
@@ -83,7 +75,11 @@ fn box_rows(
 ) {
     let stats = [("min", s.min), ("q1", s.q1), ("median", s.median), ("q3", s.q3), ("max", s.max)];
     for (stat, v) in stats {
-        put(r, &format!("{name}.{stat}"), v, unit, bound(stat));
+        let name = format!("{name}.{stat}");
+        match bound(stat) {
+            Some(b) => r.gate(&name, v, unit, b),
+            None => r.row(&name, v, unit),
+        }
     }
 }
 
