@@ -231,16 +231,14 @@ fn git_commit(git_dir: &Path) -> Option<String> {
     })
 }
 
-/// Six significant digits, plain decimal; whole numbers print whole.
+/// The shortest plain decimal that parses back to `v` (whole numbers print
+/// whole); `null` for NaN and infinities, which JSON has no number for.
 fn num(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
     }
-    if v == v.trunc() && v.abs() < 1e15 {
-        return format!("{v:.0}");
-    }
-    let decimals = (5 - v.abs().log10().floor() as i32).clamp(0, 12) as usize;
-    format!("{v:.decimals$}")
 }
 
 fn json_str(s: &str) -> String {
@@ -521,15 +519,34 @@ mod tests {
   "commit": "0123abcd",
   "rows": [
     { "name": "pages", "value": 100, "unit": "count", "verdict": "info" },
-    { "name": "decode", "value": 0.0125000, "unit": "s", "mad": 0.000250000, "min": 0.0120000, "samples": 5, "verdict": "info" },
-    { "name": "speedup", "value": 3.82912, "unit": "x", "at_least": 3, "verdict": "PASS" },
-    { "name": "overhead", "value": 0.200000, "unit": "frac", "at_most": 0.150000, "verdict": "FAIL" },
+    { "name": "decode", "value": 0.0125, "unit": "s", "mad": 0.00025, "min": 0.012, "samples": 5, "verdict": "info" },
+    { "name": "speedup", "value": 3.8291234, "unit": "x", "at_least": 3, "verdict": "PASS" },
+    { "name": "overhead", "value": 0.2, "unit": "frac", "at_most": 0.15, "verdict": "FAIL" },
     { "name": "paths_agree", "value": 1, "unit": "bool", "verdict": "PASS" }
   ],
   "pass": false
 }
 "#;
         assert_eq!(r.to_json(), expected);
+    }
+
+    #[test]
+    fn a_written_row_parses_back_to_the_same_f64() {
+        let values = [8000.0 / 16016.0, 1.0 / 3.0, 0.1, 2.0f64.sqrt() * 1e-9, 123_456_789.123, 3.0, -0.0, 8.97, 1e20];
+        let mut r = Report::new("perf_test", "test", false, stamp());
+        for (k, &v) in values.iter().enumerate() {
+            r.row(&format!("v{k}"), v, "x");
+        }
+        let json = r.to_json();
+        for (k, &v) in values.iter().enumerate() {
+            let field = format!("\"name\": \"v{k}\", \"value\": ");
+            let at = json.find(&field).expect("row written") + field.len();
+            let text = &json[at..at + json[at..].find(',').expect("more fields")];
+            let back: f64 = text.parse().expect("a JSON number");
+            assert_eq!(back.to_bits(), v.to_bits(), "{v} written as {text}");
+        }
+        assert_eq!(num(8000.0 / 16016.0), "0.4995004995004995");
+        assert_eq!(num(f64::NAN), "null");
     }
 
     #[test]

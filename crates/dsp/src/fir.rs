@@ -3,10 +3,9 @@
 //! Filters are designed with the windowed-sinc method (Hamming window),
 //! which is plenty for the roll-offs the FM multiplexer and the
 //! acoustic channel models need. Two ways to apply one: the direct form
-//! ([`Fir`], one sample at a time, `O(taps)` per sample — the acoustic hop's
-//! speaker response and the oracle the fast paths are tested against) and FFT
-//! overlap-save ([`OverlapSave`], the MPX decomposer's long real band
-//! selects). A filter whose output is decimated runs as a polyphase
+//! ([`Fir`], one sample at a time, `O(taps)` per sample — the oracle the
+//! fast paths are tested against) and FFT overlap-save ([`OverlapSave`], the
+//! MPX decomposer's long real band selects and the acoustic hop's speaker). A filter whose output is decimated runs as a polyphase
 //! [`crate::resample::Resampler`] instead, which computes only the outputs it
 //! keeps. Streaming state is kept in the filter so the radio pipeline can
 //! process audio in arbitrary block sizes.
@@ -142,7 +141,8 @@ const BATCH: usize = 8;
 /// because every FFT frame then holds the same samples; cut anywhere else
 /// the frames shift, and the output is the same filter with different
 /// rounding (an ulp on most samples). Users: the MPX decomposer's band
-/// selects, and its mono low-pass fed in such chunks.
+/// selects, its mono low-pass fed in such chunks, and the acoustic hop's
+/// speaker band.
 #[derive(Debug, Clone)]
 pub struct OverlapSave {
     plan: Arc<FirPlan>,

@@ -2,13 +2,14 @@
 //! inputs the hop feeds them.
 //!
 //! Every caller casts to `f32`, and there the kernels must give libm's bits:
-//! that is what keeps the modulator's and the RF channel's outputs (and the
+//! that is what keeps the modulator's and the channels' outputs (and the
 //! golden digests of them) where they were. In `f64` they are held to a
 //! stated bound in ulps of libm's result.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sonic_dsp::math::{ln, sin_cos};
+use sonic_radio::faults::{mix, unit_f64};
 use std::f64::consts::TAU;
 
 /// Inputs drawn per case.
@@ -90,18 +91,18 @@ fn box_muller(u1: f64, u2: f64, worst_ln: &mut Worst, worst_angle: &mut Worst) {
 #[test]
 fn box_muller_noise_is_libms_bits() {
     let (mut worst_ln, mut worst_angle) = (Worst::default(), Worst::default());
-    // Drawn as `RfChannel::transmit` draws them: the two fade parameters,
-    // then `u1` (clamped) and `u2` per sample.
-    let mut rng = StdRng::seed_from_u64(0x5EED);
-    let _fade: (f64, f64) = (rng.random(), rng.random());
-    for _ in 0..DRAWS {
-        let u1 = rng.random::<f64>().max(1e-12);
-        let u2: f64 = rng.random();
-        box_muller(u1, u2, &mut worst_ln, &mut worst_angle);
+    // Drawn as `RfChannel::transmit` draws them: SplitMix64 of a hashed key
+    // and the counter `i << 2 | lane`, lanes 0 and 1 for sample `i`'s `u1`
+    // (taken as `1 − u`, in (0, 1]) and `u2`.
+    let key = mix(0x5EED);
+    let uniform = |i: u64, lane: u64| unit_f64(mix(key ^ (i << 2 | lane)));
+    for i in 0..DRAWS as u64 {
+        box_muller(1.0 - uniform(i, 0), uniform(i, 1), &mut worst_ln, &mut worst_angle);
     }
-    // The clamp, the largest uniform, a zero angle and every eighth turn.
+    // The smallest `u1`, one, the largest uniform below one, a zero angle
+    // and every eighth turn.
     let top = 1.0 - f64::EPSILON / 2.0;
-    for u1 in [1e-12, f64::EPSILON / 2.0, 0.5, top] {
+    for u1 in [f64::EPSILON / 2.0, 0.5, top, 1.0] {
         for k in 0..8 {
             let u2 = k as f64 / 8.0;
             box_muller(u1, u2, &mut worst_ln, &mut worst_angle);
@@ -151,27 +152,4 @@ fn modulator_phasors_are_libms_bits() {
     }
     angle(-0.0, &mut worst);
     worst.check("modulator phase");
-}
-
-#[test]
-fn channel_fade_is_libms_bits() {
-    // The fade's argument over a long capture (`RfChannel`: 0.02–0.08 Hz,
-    // any start phase), cast as the channel casts it.
-    let mut rng = StdRng::seed_from_u64(0xFADE);
-    let mut worst = Worst::default();
-    for _ in 0..8 {
-        let fade_hz = 0.02 + rng.random::<f64>() * 0.06;
-        let fade_phase = rng.random::<f64>() * TAU;
-        for i in (0..DRAWS as u64 * 20).step_by(160) {
-            let x = TAU * fade_hz * i as f64 / sonic_radio::MPX_RATE + fade_phase;
-            let (s, _) = sin_cos(x);
-            assert_eq!(
-                ((3.0 * s) as f32).to_bits(),
-                ((3.0 * x.sin()) as f32).to_bits(),
-                "fade at {x}"
-            );
-            worst.note(s, x.sin(), x);
-        }
-    }
-    worst.check("fade");
 }
