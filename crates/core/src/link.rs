@@ -43,14 +43,12 @@ pub fn modulate(profile: &Profile, frames: &[Frame]) -> Vec<f32> {
             .sum(),
     );
     let mut payload = Vec::with_capacity(MAX_PAYLOAD);
-    let mut burst = Vec::new();
     for group in frames.chunks(FRAMES_PER_BURST) {
         payload.clear();
         for f in group {
             payload.extend_from_slice(&f.encode());
         }
-        modulate_frame_into(profile, &payload, &mut burst);
-        audio.extend_from_slice(&burst);
+        modulate_frame_into(profile, &payload, &mut audio);
         audio.extend(std::iter::repeat_n(0.0, guard));
     }
     audio

@@ -132,6 +132,18 @@ impl PeriodicOsc {
         }
         c
     }
+
+    /// The next `max` phasors, or those to the end of the period if that
+    /// comes first, as one run of the table; the oscillator moves past them.
+    /// The run is the phasors that as many [`advance`](Self::advance) calls
+    /// return.
+    #[inline]
+    pub fn run(&mut self, max: usize) -> &[C32] {
+        let start = self.pos;
+        let end = start + max.min(self.table.len() - start);
+        self.pos = if end == self.table.len() { 0 } else { end };
+        &self.table[start..end]
+    }
 }
 
 /// Down-converts a real passband signal to complex baseband.
@@ -241,6 +253,26 @@ mod tests {
             assert_eq!(bits(&quarter.advance()), bits(&got[4 * m + 2]), "kept sample {m}");
         }
         assert_eq!(PeriodicOsc::new(fs, 10_500.0).decimated(3, 0).period(), 7);
+    }
+
+    /// Runs of any lengths, cut at the period's end, are the phasors one
+    /// `advance` at a time returns.
+    #[test]
+    fn runs_are_advances() {
+        let mut one = PeriodicOsc::new(44_100.0, 9_200.0);
+        let mut runs = one.clone();
+        for max in [0usize, 1, 128, 1_152, 440, 441, 3, 1_000] {
+            let mut left = max;
+            while left > 0 {
+                let run = runs.run(left);
+                assert!(!run.is_empty() && run.len() <= left);
+                left -= run.len();
+                for c in run {
+                    let want = one.advance();
+                    assert_eq!((c.re.to_bits(), c.im.to_bits()), (want.re.to_bits(), want.im.to_bits()));
+                }
+            }
+        }
     }
 
     #[test]

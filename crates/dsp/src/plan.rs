@@ -3,13 +3,24 @@
 //! [`FftPlan`] is the stack's one FFT: the transmitter's per-symbol inverse,
 //! the receiver's per-symbol forward transform and the overlap-save frames.
 //! The bit-reversal permutation and **per-stage contiguous twiddle tables**
-//! (each twiddle evaluated from an `f64` angle) are computed once, and every
-//! butterfly span of every stage is one call of the plain scalar
-//! `butterfly_radix2` below. It is held to a direct `f64` DFT within a stated
-//! error bound at every size from 2 to 2 048 points. The butterfly and the
-//! overlap-save spectrum multiply (`cmul_in_place`) are plain loops over
-//! equal-length split planes: a vector path for either moved no benchmark
-//! workload (DESIGN §11).
+//! (each twiddle evaluated from an `f64` angle) are computed once. Every
+//! butterfly span of every stage is the plain scalar `butterfly_radix2`
+//! below: stages 1–3, whose spans are 1, 2 and 4 butterflies long, run it as
+//! one loop over their blocks at a constant length, and every later block is
+//! one call of it. It is held to a direct `f64` DFT within a stated error
+//! bound at every size from 2 to 2 048 points.
+//!
+//! The transmitter's symbols have 96 non-zero bins in 1 024. For such input,
+//! [`FftPlan::inverse_sparse_unscaled`] takes the spectrum already written at
+//! its bins' bit-reversed positions ([`SparseBins`]), so there is no
+//! permutation pass, and it runs only the stage 1–3 blocks that a bin
+//! reaches: a block whose inputs are all +0 outputs +0, so skipping it is
+//! exact, and the output is [`FftPlan::inverse_split`]'s to the bit, before
+//! the `1/n`.
+//!
+//! The butterfly and the overlap-save spectrum multiply (`cmul_in_place`) are
+//! plain loops over equal-length split planes: a vector path for either moved
+//! no benchmark workload (DESIGN §11).
 //!
 //! [`FirPlan`] is the shareable, immutable half of an overlap-save FIR: the
 //! FFT plan plus the tap spectrum. Streaming state (history tail, frame
@@ -98,27 +109,53 @@ impl FftPlan {
         }
     }
 
-    fn butterflies(&self, re: &mut [f32], im: &mut [f32], inverse: bool) {
-        let n = self.n;
+    /// Every stage of the transform on planes already in bit-reversed order.
+    ///
+    /// Stages 1–3 (half-blocks of 1, 2 and 4) run as one loop over their
+    /// blocks, each block the butterfly span at a constant length; with
+    /// `sparse`, only the blocks its lists name. Later stages are one
+    /// `butterfly_radix2` call per block.
+    fn butterflies(&self, re: &mut [f32], im: &mut [f32], inverse: bool, sparse: Option<&SparseBins>) {
         let (tw_re, tw_im) = if inverse {
             (&self.inv_re, &self.inv_im)
         } else {
             (&self.fwd_re, &self.fwd_im)
         };
-        let mut len = 2usize;
-        let mut s = 0usize;
-        while len <= n {
-            let half = len / 2;
-            let off = self.stage_off[s];
+        for (s, &off) in self.stage_off.iter().enumerate() {
+            let half = 1usize << s;
             let (wr, wi) = (&tw_re[off..off + half], &tw_im[off..off + half]);
-            for start in (0..n).step_by(len) {
-                let (a_re, b_re) = re[start..start + len].split_at_mut(half);
-                let (a_im, b_im) = im[start..start + len].split_at_mut(half);
-                butterfly_radix2(a_re, a_im, b_re, b_im, wr, wi);
+            let live = sparse.and_then(|sp| sp.live.get(s)).map(Vec::as_slice);
+            match half {
+                1 => small_stage::<1>(re, im, wr, wi, live),
+                2 => small_stage::<2>(re, im, wr, wi, live),
+                4 => small_stage::<4>(re, im, wr, wi, live),
+                _ => {
+                    for (blk_re, blk_im) in re.chunks_exact_mut(2 * half).zip(im.chunks_exact_mut(2 * half)) {
+                        let (a_re, b_re) = blk_re.split_at_mut(half);
+                        let (a_im, b_im) = blk_im.split_at_mut(half);
+                        butterfly_radix2(a_re, a_im, b_re, b_im, wr, wi);
+                    }
+                }
             }
-            len <<= 1;
-            s += 1;
         }
+    }
+
+    /// The blocks of stages 1–3 that input on `bins` reaches, and where
+    /// those bins sit after the bit-reversal permutation: the plan of
+    /// [`inverse_sparse_unscaled`](Self::inverse_sparse_unscaled) for every
+    /// input that is zero off `bins`.
+    ///
+    /// # Panics
+    /// Panics if a bin is not below [`len`](Self::len).
+    pub fn sparse_bins(&self, bins: &[usize]) -> SparseBins {
+        let pos: Vec<u32> = bins.iter().map(|&b| self.rev[b]).collect();
+        let live = std::array::from_fn(|s| {
+            let mut blocks: Vec<u32> = pos.iter().map(|&p| p >> (s + 1)).collect();
+            blocks.sort_unstable();
+            blocks.dedup();
+            blocks
+        });
+        SparseBins { n: self.n, pos, live }
     }
 
     /// In-place forward DFT on split planes: `X[k] = Σ x[t]·e^{-2πjkt/n}` (no
@@ -132,7 +169,7 @@ impl FftPlan {
             "plane length must equal FFT size"
         );
         self.permute(re, im);
-        self.butterflies(re, im, false);
+        self.butterflies(re, im, false, None);
     }
 
     /// In-place inverse DFT on split planes, scaled by `1/n` so that
@@ -146,7 +183,7 @@ impl FftPlan {
             "plane length must equal FFT size"
         );
         self.permute(re, im);
-        self.butterflies(re, im, true);
+        self.butterflies(re, im, true, None);
         let k = 1.0 / self.n as f32;
         for v in re.iter_mut() {
             *v *= k;
@@ -154,6 +191,39 @@ impl FftPlan {
         for v in im.iter_mut() {
             *v *= k;
         }
+    }
+
+    /// The inverse transform of input that the caller has written at its
+    /// bins' bit-reversed positions ([`SparseBins::positions`]), every other
+    /// sample +0, *without* the `1/n` scale: [`inverse_split`] of the same
+    /// spectrum is this output times `1/n`, to the bit.
+    ///
+    /// There is no permutation pass, and the stage 1–3 blocks that no bin
+    /// reaches are skipped: their inputs are all +0, and a butterfly on +0
+    /// inputs outputs +0 whatever the sign of `b·w`, so skipping them is
+    /// exact.
+    ///
+    /// [`inverse_split`]: Self::inverse_split
+    ///
+    /// # Panics
+    /// Panics if the planes are not exactly `len()` samples or `sparse` was
+    /// made for another size.
+    pub fn inverse_sparse_unscaled(&self, re: &mut [f32], im: &mut [f32], sparse: &SparseBins) {
+        assert!(
+            re.len() == self.n && im.len() == self.n && sparse.n == self.n,
+            "plane length and sparse plan must equal FFT size"
+        );
+        debug_assert!(
+            {
+                let mut live = sparse.live[0].iter().peekable();
+                (0..self.n / 2).all(|b| {
+                    live.next_if_eq(&&(b as u32)).is_some()
+                        || re[2 * b..2 * b + 2].iter().chain(&im[2 * b..2 * b + 2]).all(|v| v.to_bits() == 0)
+                })
+            },
+            "a block no bin reaches holds a sample other than +0"
+        );
+        self.butterflies(re, im, true, Some(sparse));
     }
 
     /// Forward-transforms `buf` as a batch of concatenated `len()`-point
@@ -170,7 +240,7 @@ impl FftPlan {
         for start in (0..buf.len()).step_by(self.n) {
             let (re, im) = (&mut buf.re[start..start + self.n], &mut buf.im[start..start + self.n]);
             self.permute(re, im);
-            self.butterflies(re, im, false);
+            self.butterflies(re, im, false, None);
         }
     }
 
@@ -270,11 +340,50 @@ impl FirPlan {
     }
 }
 
+/// Where a fixed set of bins sits in an [`FftPlan`]'s bit-reversed input,
+/// and which blocks of its first three stages that input reaches: made by
+/// [`FftPlan::sparse_bins`], run by [`FftPlan::inverse_sparse_unscaled`].
+#[derive(Debug, Clone)]
+pub struct SparseBins {
+    n: usize,
+    /// Bit-reversed position of each bin, in the caller's order.
+    pos: Vec<u32>,
+    /// Per stage 1–3 (blocks of 2, 4 and 8 samples): the blocks holding at
+    /// least one of `pos`, ascending.
+    live: [Vec<u32>; 3],
+}
+
+impl SparseBins {
+    /// The position at which bin `bins[i]` of [`FftPlan::sparse_bins`]' call
+    /// is written, for each `i`.
+    pub fn positions(&self) -> &[u32] {
+        &self.pos
+    }
+}
+
+/// The butterflies of one of the first stages, half-block `H`, on every
+/// block or on the `live` ones: the same span as every other stage's, at a
+/// length the compiler knows.
+#[inline(always)]
+fn small_stage<const H: usize>(re: &mut [f32], im: &mut [f32], wr: &[f32], wi: &[f32], live: Option<&[u32]>) {
+    let blocks = re.len() / (2 * H);
+    let mut block = |b: usize| {
+        let (a_re, b_re) = re[2 * H * b..][..2 * H].split_at_mut(H);
+        let (a_im, b_im) = im[2 * H * b..][..2 * H].split_at_mut(H);
+        butterfly_radix2(a_re, a_im, b_re, b_im, &wr[..H], &wi[..H]);
+    };
+    match live {
+        Some(live) => live.iter().for_each(|&b| block(b as usize)),
+        None => (0..blocks).for_each(block),
+    }
+}
+
 /// One radix-2 butterfly span on split planes: for each `k`,
 /// `t = b[k]·w[k]; b[k] = a[k] − t; a[k] = a[k] + t`.
 ///
 /// `a` and `b` are the two halves of one butterfly block; `tw` holds the
 /// stage's contiguous twiddles. All six planes have the same length.
+#[inline(always)]
 fn butterfly_radix2(
     a_re: &mut [f32],
     a_im: &mut [f32],

@@ -121,6 +121,61 @@ fn check_overlap_save(taps: &[f32], signal: &[f32], cuts: &[usize]) {
     assert!(max_diff(&once, &direct_form(taps, signal)) < 1e-4, "(b) {ctx}");
 }
 
+/// [`FftPlan::inverse_sparse_unscaled`] of `values` on `bins`, scaled by
+/// `1/n` as [`FftPlan::inverse_split`] scales, against `inverse_split` of the
+/// same spectrum, bit for bit.
+fn check_sparse_inverse(n: usize, bins: &[usize], values: &[(f32, f32)]) {
+    let plan = FftPlan::new(n);
+    let (mut want_re, mut want_im) = (vec![0.0f32; n], vec![0.0f32; n]);
+    for (&b, &(re, im)) in bins.iter().zip(values) {
+        want_re[b] = re;
+        want_im[b] = im;
+    }
+    plan.inverse_split(&mut want_re, &mut want_im);
+    let sparse = plan.sparse_bins(bins);
+    let (mut re, mut im) = (vec![0.0f32; n], vec![0.0f32; n]);
+    for (&p, &(v_re, v_im)) in sparse.positions().iter().zip(values) {
+        re[p as usize] = v_re;
+        im[p as usize] = v_im;
+    }
+    plan.inverse_sparse_unscaled(&mut re, &mut im, &sparse);
+    let k = 1.0 / n as f32;
+    for i in 0..n {
+        assert_eq!((re[i] * k).to_bits(), want_re[i].to_bits(), "n = {n}, {} bins: re[{i}]", bins.len());
+        assert_eq!((im[i] * k).to_bits(), want_im[i].to_bits(), "n = {n}, {} bins: im[{i}]", bins.len());
+    }
+}
+
+/// Random values for `count` bins, every fifth one a signed zero on one
+/// axis.
+fn sparse_values(count: usize, seed: u32) -> Vec<(f32, f32)> {
+    let mut rnd = lcg(seed);
+    (0..count)
+        .map(|i| match i % 5 {
+            3 => (-0.0, rnd()),
+            4 => (rnd(), 0.0),
+            _ => (rnd(), rnd()),
+        })
+        .collect()
+}
+
+/// The sparse inverse at every size from 8 to 2 048 points on the bin sets
+/// that matter: none, one, every bin, and the profiles' carriers (96 bins at
+/// offsets ±1…±48 from DC, all three profiles alike), where they fit.
+#[test]
+fn sparse_inverse_is_inverse_split_on_named_bin_sets() {
+    for log_n in 3..=11u32 {
+        let n = 1usize << log_n;
+        let mut sets: Vec<Vec<usize>> = vec![vec![], vec![n / 3], (0..n).collect()];
+        if 48 < n / 2 {
+            sets.push((1..=48).map(|k| n - 49 + k).chain(1..=48).collect());
+        }
+        for (i, bins) in sets.iter().enumerate() {
+            check_sparse_inverse(n, bins, &sparse_values(bins.len(), log_n * 7 + i as u32));
+        }
+    }
+}
+
 /// The fixed cases the engine's three predecessors were tested on, as rows
 /// of the same property.
 #[test]
@@ -194,6 +249,17 @@ proptest! {
         let mut rnd = lcg(seed);
         let (re, im): (Vec<f32>, Vec<f32>) = (0..1usize << log_n).map(|_| (rnd(), rnd())).unzip();
         check_fft_plan(&re, &im);
+    }
+
+    /// The sparse inverse on random bin sets, sparse to dense, at every
+    /// size from 8 to 2 048 points.
+    #[test]
+    fn sparse_inverse_is_inverse_split(log_n in 3u32..12, density in 0u32..6, seed in any::<u32>()) {
+        let n = 1usize << log_n;
+        let mut rnd = lcg(seed);
+        // Keep each bin with probability 2^-density.
+        let bins: Vec<usize> = (0..n).filter(|_| rnd().abs() < 0.5f32.powi(density as i32)).collect();
+        check_sparse_inverse(n, &bins, &sparse_values(bins.len(), seed));
     }
 
     /// FIR impulse response replays the taps for any tap vector.

@@ -154,31 +154,37 @@ impl FecPipeline {
 
     /// Encodes `payload`, returning coded bits (0/1 values) ready for the
     /// modem's bit mapper.
+    ///
+    /// Each RS block is copied, scrambled and given its parity in one
+    /// buffer (the keystream runs on across blocks, as over the whole
+    /// payload); the inner code reads the interleaved bytes directly.
     pub fn encode(&self, payload: &[u8]) -> Vec<u8> {
         if payload.is_empty() {
             return Vec::new();
         }
-        let mut data = payload.to_vec();
-        if self.spec.scramble_seed != 0 {
-            Scrambler::new(self.spec.scramble_seed).apply(&mut data);
-        }
-        if let Some(rs) = &self.rs {
-            let mut out = Vec::with_capacity(self.spec.rs_coded_len(data.len()));
-            let chunk = rs.max_data_len();
-            for block in data.chunks(chunk) {
-                out.extend_from_slice(block);
-                out.extend_from_slice(&rs.encode(block));
+        let mut data = Vec::with_capacity(self.spec.rs_coded_len(payload.len()));
+        let mut scrambler = (self.spec.scramble_seed != 0).then(|| Scrambler::new(self.spec.scramble_seed));
+        let block_len = self.rs.as_ref().map_or(payload.len(), RsCodec::max_data_len);
+        for block in payload.chunks(block_len) {
+            let start = data.len();
+            data.extend_from_slice(block);
+            if let Some(scrambler) = &mut scrambler {
+                scrambler.apply(&mut data[start..]);
             }
-            data = out;
+            if let Some(rs) = &self.rs {
+                let end = data.len();
+                data.resize(end + rs.nroots(), 0);
+                let (message, parity) = data.split_at_mut(end);
+                rs.encode_into(&message[start..], parity);
+            }
         }
         if let Some(il) = self.interleaver(data.len()) {
             data = il.interleave(&data);
         }
-        let bits = bytes_to_bits(&data);
         if self.spec.conv {
-            conv::encode(&bits)
+            conv::encode_bytes(&data)
         } else {
-            bits
+            bytes_to_bits(&data)
         }
     }
 

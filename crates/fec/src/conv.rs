@@ -24,15 +24,88 @@ const fn parity(x: u16) -> u8 {
     (x.count_ones() & 1) as u8
 }
 
-/// Encodes `bits` (values 0/1), appending the 8-bit tail, and returns the
-/// coded bit stream (2 coded bits per input bit, MSB-convention-free).
+/// `NIBBLE_OUT[(state << 4) | nibble]`: the 8 coded bits, A then B for
+/// each input bit, MSB first, of the nibble's four bits (MSB first) fed to
+/// the shift register from `state` (the previous 8 bits, newest at the
+/// LSB). The index's low 8 bits are the state after them.
+static NIBBLE_OUT: [u8; 1 << 12] = nibble_table();
+
+const fn nibble_table() -> [u8; 1 << 12] {
+    let mut table = [0u8; 1 << 12];
+    let mut idx = 0;
+    while idx < table.len() {
+        let mut out = 0u8;
+        let mut i = 0;
+        while i < 4 {
+            // The register after the nibble's bit `i`.
+            let sr = ((idx >> (3 - i)) & 0x1FF) as u16;
+            out = (out << 2) | (parity(sr & POLY_A) << 1) | parity(sr & POLY_B);
+            i += 1;
+        }
+        table[idx] = out;
+        idx += 1;
+    }
+    table
+}
+
+/// `BITS[b]`: byte `b`'s bits, MSB first, one a byte.
+static BITS: [[u8; 8]; 256] = bit_table();
+
+const fn bit_table() -> [[u8; 8]; 256] {
+    let mut table = [[0u8; 8]; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut i = 0;
+        while i < 8 {
+            table[b][i] = ((b >> (7 - i)) & 1) as u8;
+            i += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
+/// Feeds `nibble`'s four bits (MSB first) to the register at `state`,
+/// appends their 8 coded bits to `out` and returns the next state.
+#[inline]
+fn push_nibble(state: usize, nibble: usize, out: &mut Vec<u8>) -> usize {
+    let idx = (state << 4) | nibble;
+    out.extend_from_slice(&BITS[usize::from(NIBBLE_OUT[idx])]);
+    idx & 0xFF
+}
+
+/// Encodes `bits` (values 0/1, only the low bit of each read), appending
+/// the 8-bit tail, and returns the coded bit stream (2 coded bits per input
+/// bit, MSB-convention-free). Four input bits go through the register at a
+/// step; a last part-nibble and the tail go one bit at a time.
 pub fn encode(bits: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity((bits.len() + TAIL) * 2);
-    let mut sr: u16 = 0;
-    for &b in bits.iter().chain(std::iter::repeat_n(&0u8, TAIL)) {
-        sr = ((sr << 1) | (b & 1) as u16) & 0x1FF;
-        out.push(parity(sr & POLY_A));
-        out.push(parity(sr & POLY_B));
+    let mut out = Vec::with_capacity(coded_len(bits.len()));
+    let mut state = 0;
+    let mut nibbles = bits.chunks_exact(4);
+    for nibble in &mut nibbles {
+        let packed = nibble.iter().fold(0, |acc, &b| (acc << 1) | usize::from(b & 1));
+        state = push_nibble(state, packed, &mut out);
+    }
+    let mut state = state as u16;
+    for &b in nibbles.remainder().iter().chain(&[0; TAIL]) {
+        let (next, a, b) = step(state, b & 1);
+        out.extend_from_slice(&[a, b]);
+        state = next;
+    }
+    out
+}
+
+/// [`encode`] of `bytes`' bits, MSB first: a nibble of input a step, the
+/// tail two more.
+pub fn encode_bytes(bytes: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(coded_len(bytes.len() * 8));
+    let mut state = 0;
+    for &byte in bytes {
+        state = push_nibble(state, usize::from(byte >> 4), &mut out);
+        state = push_nibble(state, usize::from(byte & 0xF), &mut out);
+    }
+    for _ in 0..TAIL / 4 {
+        state = push_nibble(state, 0, &mut out);
     }
     out
 }
@@ -76,6 +149,25 @@ mod tests {
         let ex = encode(&x);
         let xor: Vec<u8> = ea.iter().zip(&eb).map(|(p, q)| p ^ q).collect();
         assert_eq!(xor, ex);
+    }
+
+    /// Every split of input into nibbles and leftover bits, and the byte
+    /// path, are the same register.
+    #[test]
+    fn encode_is_one_register_at_any_length() {
+        let bytes: Vec<u8> = (0..37u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
+        let bits = crate::bits::bytes_to_bits(&bytes);
+        assert_eq!(encode_bytes(&bytes), encode(&bits));
+        for len in 0..bits.len() {
+            let mut state = 0u16;
+            let mut want = Vec::new();
+            for &b in bits[..len].iter().chain(&[0; TAIL]) {
+                let (next, a, b) = step(state, b);
+                want.extend_from_slice(&[a, b]);
+                state = next;
+            }
+            assert_eq!(encode(&bits[..len]), want, "{len} bits");
+        }
     }
 
     #[test]

@@ -5,6 +5,27 @@
 //! with a maximal-length LFSR sequence so the payload looks noise-like; the
 //! operation is an involution (scrambling twice restores the data).
 
+/// `FEEDBACK[b]`: what eight steps of the register XOR into its state when
+/// its low byte is `b`: a 1 at bit `k` feeds `0xB400` back at step `k`, and
+/// the `7 − k` steps after it shift that right.
+static FEEDBACK: [u16; 256] = feedback_table();
+
+const fn feedback_table() -> [u16; 256] {
+    let mut table = [0u16; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut k = 0;
+        while k < 8 {
+            if (b >> k) & 1 == 1 {
+                table[b] ^= 0xB400 >> (7 - k);
+            }
+            k += 1;
+        }
+        b += 1;
+    }
+    table
+}
+
 /// Maximal-length 16-bit LFSR (x¹⁶ + x¹⁴ + x¹³ + x¹¹ + 1, taps 0xB400 in
 /// Galois form) keystream generator.
 #[derive(Debug, Clone)]
@@ -34,17 +55,16 @@ impl Scrambler {
         self.state = self.seed;
     }
 
+    /// The next 8 keystream bits, the first at the MSB: eight steps of the
+    /// register at once. A step outputs the state's LSB, shifts right and,
+    /// on a 1, XORs in `0xB400`, whose lowest tap (bit 10) cannot shift
+    /// down to bit 0 within eight steps. So the eight outputs are the low
+    /// byte's bits, LSB first, and the state moves to its high byte XOR the
+    /// taps that low byte fed back ([`FEEDBACK`]).
     fn next_byte(&mut self) -> u8 {
-        let mut out = 0u8;
-        for _ in 0..8 {
-            let lsb = self.state & 1;
-            self.state >>= 1;
-            if lsb != 0 {
-                self.state ^= 0xB400;
-            }
-            out = (out << 1) | lsb as u8;
-        }
-        out
+        let low = self.state.to_be_bytes()[1];
+        self.state = (self.state >> 8) ^ FEEDBACK[usize::from(low)];
+        low.reverse_bits()
     }
 
     /// XORs the keystream over `data` in place.
@@ -69,6 +89,32 @@ mod tests {
         s.reset();
         s.apply(&mut data);
         assert_eq!(data, original);
+    }
+
+    /// The byte step is eight steps of the register, one bit at a time,
+    /// for every seed's first bytes and a long run of one seed.
+    #[test]
+    fn byte_step_is_eight_bit_steps() {
+        let bitwise = |state: &mut u16| {
+            let mut out = 0u8;
+            for _ in 0..8 {
+                let lsb = *state & 1;
+                *state >>= 1;
+                if lsb != 0 {
+                    *state ^= 0xB400;
+                }
+                out = (out << 1) | lsb as u8;
+            }
+            out
+        };
+        for seed in (1..=u16::MAX).step_by(7).chain([Scrambler::default_seed()]) {
+            let mut s = Scrambler::new(seed);
+            let mut state = seed;
+            let bytes = if seed == Scrambler::default_seed() { 70_000 } else { 3 };
+            for i in 0..bytes {
+                assert_eq!(s.next_byte(), bitwise(&mut state), "seed {seed:#06x} byte {i}");
+            }
+        }
     }
 
     #[test]

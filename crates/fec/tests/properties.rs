@@ -7,6 +7,7 @@ use sonic_fec::bits::{bits_to_bytes, bits_to_soft, bytes_to_bits};
 use sonic_fec::code_spec::{CodeSpec, FecPipeline};
 use sonic_fec::conv;
 use sonic_fec::interleave::Interleaver;
+use sonic_fec::rs::RsCodec;
 use sonic_fec::scramble::Scrambler;
 use sonic_fec::viterbi;
 
@@ -101,6 +102,80 @@ proptest! {
             let coded = p.encode(&vec![0xA5; n]);
             prop_assert_eq!(coded.len(), spec.coded_bits_len(n), "spec {:?} n {}", spec, n);
         }
+    }
+}
+
+// Definition checks of the two encoders: each oracle below is built from
+// the code's definition alone and shares no table with `sonic-fec`. They are
+// not external known-answer vectors (`fcr = 1, prim = 1` over 0x187 is not
+// CCSDS's convention).
+
+/// `a·b` in GF(2⁸) modulo x⁸ + x⁷ + x² + x + 1 (0x187), shift and add.
+fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+    let mut product = 0u8;
+    while b != 0 {
+        if b & 1 == 1 {
+            product ^= a;
+        }
+        let carry = a & 0x80 != 0;
+        a <<= 1;
+        if carry {
+            a ^= 0x87;
+        }
+        b >>= 1;
+    }
+    product
+}
+
+/// The codeword `c` as a polynomial, first byte the highest power,
+/// evaluated at `x` (Horner).
+fn gf_eval(c: &[u8], x: u8) -> u8 {
+    c.iter().fold(0, |acc, &ci| gf_mul(acc, x) ^ ci)
+}
+
+/// Every RS(255, 223) codeword, at every shortened length 1…223, is a
+/// multiple of the generator: it vanishes at the 32 roots α¹…α³², α = x.
+#[test]
+fn rs_codewords_vanish_at_the_generator_roots() {
+    let rs = RsCodec::new(32);
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for len in 1..=rs.max_data_len() {
+        let mut codeword: Vec<u8> = (0..len).map(|_| rng.random::<u8>()).collect();
+        codeword.extend(rs.encode(&codeword));
+        let mut root = 1u8;
+        for j in 1..=32 {
+            root = gf_mul(root, 2);
+            assert_eq!(gf_eval(&codeword, root), 0, "length {len}: c(α^{j}) ≠ 0");
+        }
+    }
+}
+
+/// The K = 9 code one input bit at a time from its definition: a 9-bit
+/// register, newest bit at the LSB, the outputs the parities of its taps
+/// under octal 561 and then 753, and 8 zeros of tail.
+fn conv_oracle(bits: &[u8]) -> Vec<u8> {
+    let mut register = 0u32;
+    let mut out = Vec::new();
+    for &b in bits.iter().chain(&[0; 8]) {
+        register = ((register << 1) | u32::from(b)) & 0x1FF;
+        out.push((register & 0o561).count_ones() as u8 & 1);
+        out.push((register & 0o753).count_ones() as u8 & 1);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The table-driven encoders, from bits (any length, so every
+    /// leftover part-nibble) and from bytes, are the bit-at-a-time register.
+    #[test]
+    fn conv_encode_is_the_shift_register(
+        bits in proptest::collection::vec(0u8..2, 0..600),
+        bytes in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        prop_assert_eq!(conv::encode(&bits), conv_oracle(&bits));
+        prop_assert_eq!(conv::encode_bytes(&bytes), conv_oracle(&bytes_to_bits(&bytes)));
     }
 }
 

@@ -18,7 +18,7 @@ use crate::ofdm::modulator::ModulatorScratch;
 use crate::ofdm::{Demodulator, Modulator};
 use crate::profile::Profile;
 use sonic_fec::code_spec::FecError;
-use sonic_fec::{bits::bytes_to_bits, bits::bits_to_bytes, FecPipeline};
+use sonic_fec::{bits::bits_to_bytes, FecPipeline};
 use std::cell::RefCell;
 
 /// Maximum payload bytes per PHY frame (12-bit length field).
@@ -77,15 +77,13 @@ pub fn crc16(data: &[u8]) -> u16 {
     crc
 }
 
-/// Builds the 32 header bits: magic(4) | len(12) | crc16(16).
-fn header_bits(payload_len: usize) -> Vec<u8> {
+/// Builds the 4 header bytes, 32 bits: magic(4) | len(12) | crc16(16).
+fn header_bytes(payload_len: usize) -> [u8; 4] {
     assert!(payload_len <= MAX_PAYLOAD, "payload too large: {payload_len}");
     let word: u16 = ((MAGIC as u16) << 12) | payload_len as u16;
-    let crc = crc16(&word.to_be_bytes());
-    let mut bytes = Vec::with_capacity(4);
-    bytes.extend_from_slice(&word.to_be_bytes());
-    bytes.extend_from_slice(&crc.to_be_bytes());
-    bytes_to_bits(&bytes)
+    let [w0, w1] = word.to_be_bytes();
+    let [c0, c1] = crc16(&[w0, w1]).to_be_bytes();
+    [w0, w1, c0, c1]
 }
 
 /// Parses header bits back into a payload length.
@@ -109,8 +107,7 @@ fn parse_header(bits: &[u8]) -> Option<usize> {
 /// decode before we know the payload length, so they cannot share the
 /// payload's RS blocks).
 fn header_coded_bits(payload_len: usize) -> Vec<u8> {
-    let bits = header_bits(payload_len);
-    sonic_fec::conv::encode(&bits)
+    sonic_fec::conv::encode_bytes(&header_bytes(payload_len))
 }
 
 fn header_decode(soft: &[f32]) -> Option<usize> {
@@ -205,9 +202,10 @@ impl FrameCodec {
         audio
     }
 
-    /// [`modulate`](Self::modulate) into a reused output buffer (cleared
-    /// first). Between the internal scratch and a caller-reused `audio`,
-    /// steady-state modulation does no allocation beyond table growth.
+    /// [`modulate`](Self::modulate), appended to `audio`: a caller that
+    /// strings bursts together writes each straight into its stream.
+    /// Between the internal scratch and a caller-reused `audio`, steady-state
+    /// modulation does no allocation beyond table growth.
     ///
     /// # Panics
     /// Panics if `payload.len() > MAX_PAYLOAD`.
@@ -381,8 +379,8 @@ pub fn modulate_frame(profile: &Profile, payload: &[u8]) -> Vec<f32> {
     with_codec(profile, |codec| codec.modulate(payload))
 }
 
-/// [`modulate_frame`] into a caller-reused buffer (cleared first), via the
-/// same thread-local [`FrameCodec`] cache.
+/// [`modulate_frame`] appended to a caller's buffer, via the same
+/// thread-local [`FrameCodec`] cache.
 ///
 /// # Panics
 /// Panics if `payload.len() > MAX_PAYLOAD`.
@@ -570,12 +568,13 @@ mod tests {
     }
 
     #[test]
-    fn modulate_frame_into_matches_and_clears() {
+    fn modulate_frame_into_appends() {
         let p = Profile::sonic_10k();
         let data = payload(321, 6);
-        let mut buf = vec![7.0f32; 10]; // stale contents must be discarded
+        let mut buf = vec![7.0f32; 10]; // what the buffer held stays in front
         modulate_frame_into(&p, &data, &mut buf);
-        assert_eq!(buf, modulate_frame(&p, &data));
+        assert_eq!(buf[..10], [7.0; 10]);
+        assert_eq!(buf[10..], modulate_frame(&p, &data));
     }
 
     #[test]

@@ -1,15 +1,21 @@
 //! OFDM burst modulator.
 //!
 //! Builds each symbol of a burst (preamble, two training symbols, header,
-//! payload) at complex baseband with the planned split-plane inverse FFT,
-//! the transform the receiver runs forward, and mixes it straight onto the
-//! profile's audio carrier with the receiver's oscillator: one period of the
-//! carrier's phasors, replayed from its start at every burst (each burst
-//! starts at phase zero). Raised-cosine edge ramps key the burst on and off
-//! without clicks.
+//! payload) at complex baseband with [`CarrierPlan::synthesize`]: each data
+//! carrier's bits index the modulation's [`points`] table, and the 96
+//! carriers of 1 024 bins go through the FFT's sparse inverse, which skips
+//! the permutation and the early blocks no carrier reaches. The symbol is
+//! mixed straight onto the profile's audio carrier with the receiver's
+//! oscillator, a run of its table at a time: one period of the carrier's
+//! phasors, replayed from its start at every burst (each burst starts at
+//! phase zero). The inverse FFT's `1/N` and the `√N` symbol gain are the
+//! mix's two multiplies per sample ([`CarrierPlan::scale`]). The burst is
+//! written straight into the caller's stream, scaled to the profile's RMS
+//! (one sequential `f32` sum of squares, in sample order) and keyed on and
+//! off with raised-cosine edge ramps, without clicks.
 
 use super::carriers::CarrierPlan;
-use crate::constellation::{map_bits, Modulation};
+use crate::constellation::{points, Modulation};
 use crate::profile::Profile;
 use sonic_dsp::osc::PeriodicOsc;
 use sonic_dsp::plan::FftPlan;
@@ -54,6 +60,10 @@ pub struct Modulator {
     profile: Profile,
     plan: CarrierPlan,
     fft: FftPlan,
+    /// The payload modulation's points, indexed by their packed bits.
+    points: Vec<C32>,
+    /// The header's BPSK points, indexed by the bit.
+    bpsk: Vec<C32>,
 }
 
 impl Modulator {
@@ -61,7 +71,13 @@ impl Modulator {
     pub fn new(profile: Profile) -> Self {
         let plan = CarrierPlan::new(&profile);
         let fft = FftPlan::new(profile.fft_size);
-        Modulator { profile, plan, fft }
+        Modulator {
+            points: points(profile.modulation),
+            bpsk: points(Modulation::Bpsk),
+            profile,
+            plan,
+            fft,
+        }
     }
 
     /// The profile this modulator implements.
@@ -70,8 +86,9 @@ impl Modulator {
     }
 
     /// Synthesizes one symbol from its carrier values and mixes it onto the
-    /// carrier into `out`, cyclic prefix first: `Re(x·c)·√2` per sample, `c`
-    /// the oscillator's next phasor.
+    /// carrier into `out`, cyclic prefix first: `Re(x·c)·√2` per sample, `x`
+    /// the symbol's sample ([`CarrierPlan::scale`]) and `c` the oscillator's
+    /// next phasor, taken a run of its table at a time.
     fn put_symbol(
         &self,
         values: &[C32],
@@ -79,21 +96,31 @@ impl Modulator {
         osc: &mut PeriodicOsc,
         out: &mut [f32],
     ) {
-        self.plan.synthesize(&self.fft, values, body);
+        let plan = &self.plan;
+        plan.synthesize(&self.fft, values, body);
         let (prefix, symbol) = out.split_at_mut(self.profile.cp_len);
         for (out, from) in [(prefix, self.profile.fft_size - self.profile.cp_len), (symbol, 0)] {
             let (re, im) = (&body.re[from..from + out.len()], &body.im[from..from + out.len()]);
-            for ((o, &re), &im) in out.iter_mut().zip(re).zip(im) {
-                let c = osc.advance();
-                *o = (re * c.re - im * c.im) * std::f32::consts::SQRT_2;
+            let mut done = 0;
+            while done < out.len() {
+                let phasors = osc.run(out.len() - done);
+                let samples = out[done..].iter_mut().zip(&re[done..]).zip(&im[done..]);
+                for (((o, &re), &im), c) in samples.zip(phasors) {
+                    *o = (plan.scale(re) * c.re - plan.scale(im) * c.im) * std::f32::consts::SQRT_2;
+                }
+                done += phasors.len();
             }
         }
     }
 
     /// Modulates coded header and payload bits into one burst of real audio
-    /// that replaces the contents of `audio`: `cp_len` samples of silence on
-    /// either side as the inter-burst guard, the symbols between them at
-    /// the profile's RMS level. All working memory lives in `scratch`.
+    /// appended to `audio`: `cp_len` samples of silence on either side as
+    /// the inter-burst guard, the symbols between them at the profile's RMS
+    /// level. All working memory lives in `scratch`.
+    ///
+    /// Each data carrier's bits, MSB first, index the modulation's
+    /// [`points`]; a last payload symbol that the bits do not fill is padded
+    /// with `(pos ^ pos >> 3) & 1` at bit position `pos`.
     pub fn modulate_bits_into(
         &self,
         header_bits: &[u8],
@@ -106,9 +133,9 @@ impl Modulator {
         let per_sym = self.profile.data_carriers * bps;
         let n_syms = payload_bits.len().div_ceil(per_sym);
         let (cp, sym) = (self.profile.cp_len, self.profile.symbol_len());
-        let end = cp + (4 + n_syms) * sym;
-        audio.clear();
-        audio.resize(end + cp, 0.0);
+        let start = audio.len();
+        let (body_start, body_end) = (start + cp, start + cp + (4 + n_syms) * sym);
+        audio.resize(body_end + cp, 0.0);
         let ModulatorScratch {
             osc,
             body,
@@ -116,7 +143,7 @@ impl Modulator {
             ramp,
         } = scratch;
         osc.restart();
-        let mut symbols = audio[cp..end].chunks_exact_mut(sym);
+        let mut symbols = audio[body_start..body_end].chunks_exact_mut(sym);
         let mut put = |values: &[C32]| {
             if let Some(out) = symbols.next() {
                 self.put_symbol(values, body, osc, out);
@@ -136,24 +163,25 @@ impl Modulator {
         }
         for (k, &idx) in plan.data_idx.iter().enumerate() {
             let bit = header_bits.get(k).copied().unwrap_or((k % 2) as u8);
-            vals[idx] = map_bits(Modulation::Bpsk, &[bit]);
+            vals[idx] = self.bpsk[usize::from(bit & 1)];
         }
         put(vals);
 
         // Payload symbols: the pilots stay where the header put them, and
         // every data carrier is rewritten.
+        let bit = |pos: usize| payload_bits.get(pos).map_or((pos ^ (pos >> 3)) & 1, |&b| usize::from(b & 1));
         for s in 0..n_syms {
             for (c, &idx) in plan.data_idx.iter().enumerate() {
-                let mut bits = [0u8; 10];
-                for (b, bit) in bits.iter_mut().enumerate().take(bps) {
-                    let pos = s * per_sym + c * bps + b;
-                    *bit = payload_bits.get(pos).copied().unwrap_or(((pos ^ (pos >> 3)) % 2) as u8);
-                }
-                vals[idx] = map_bits(self.profile.modulation, &bits[..bps]);
+                let first = s * per_sym + c * bps;
+                let packed = match payload_bits.get(first..first + bps) {
+                    Some(bits) => bits.iter().fold(0, |acc, &b| (acc << 1) | usize::from(b & 1)),
+                    None => (first..first + bps).fold(0, |acc, pos| (acc << 1) | bit(pos)),
+                };
+                vals[idx] = self.points[packed];
             }
             put(vals);
         }
-        self.shape_burst(&mut audio[cp..end], ramp);
+        self.shape_burst(&mut audio[body_start..body_end], ramp);
     }
 
     /// Normalizes a burst's RMS to the profile level and keys it on and off
@@ -266,6 +294,7 @@ mod tests {
             for payload_len in [0usize, 552, 552 * 3 + 17] {
                 let payload: Vec<u8> = (0..payload_len).map(|i| ((i ^ (i >> 2)) % 2) as u8).collect();
                 let want = m.modulate_bits(&header, &payload);
+                audio.clear();
                 m.modulate_bits_into(&header, &payload, &mut scratch, &mut audio);
                 assert_eq!(want.len(), audio.len(), "{}: len {payload_len}", p.name);
                 for (k, (w, g)) in want.iter().zip(&audio).enumerate() {

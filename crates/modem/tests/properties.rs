@@ -11,7 +11,15 @@
 //! longer applies.
 
 use proptest::prelude::*;
-use sonic_modem::frame::DemodFrame;
+use sonic_dsp::osc::PeriodicOsc;
+use sonic_dsp::plan::FftPlan;
+use sonic_dsp::window::raised_cosine_edge;
+use sonic_dsp::C32;
+use sonic_fec::bits::bytes_to_bits;
+use sonic_fec::{conv, FecPipeline};
+use sonic_modem::constellation::{map_bits, Modulation};
+use sonic_modem::frame::{crc16, DemodFrame, MAX_PAYLOAD};
+use sonic_modem::ofdm::carriers::CarrierPlan;
 use sonic_modem::ofdm::demodulator::BurstScanner;
 use sonic_modem::ofdm::Demodulator;
 use sonic_modem::{
@@ -35,6 +43,119 @@ proptest! {
         prop_assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+}
+
+/// The transmitter from its definition, one step at a time: the header
+/// word and its CRC conv-coded, the payload through the FEC pipeline, every
+/// carrier mapped by `map_bits` (a last payload symbol padded with
+/// `(pos ^ pos >> 3) & 1`), each symbol a dense inverse FFT scaled by √N,
+/// mixed onto the carrier one oscillator step a sample, then the burst
+/// scaled to the profile's RMS and keyed by 64-sample raised-cosine ramps
+/// between two cyclic prefixes of silence.
+fn modulate_reference(p: &Profile, payload: &[u8]) -> Vec<f32> {
+    let word = (0xA << 12) | payload.len() as u16;
+    let header_bytes = [word.to_be_bytes(), crc16(&word.to_be_bytes()).to_be_bytes()].concat();
+    let header = conv::encode(&bytes_to_bits(&header_bytes));
+    let coded = FecPipeline::new(p.fec).encode(payload);
+    let plan = CarrierPlan::new(p);
+    let (bps, n, cp) = (p.modulation.bits_per_symbol(), p.fft_size, p.cp_len);
+    let per_sym = p.data_carriers * bps;
+
+    let mut symbols = vec![plan.preamble.clone(), plan.training.clone(), plan.training.clone()];
+    let mut values = vec![C32::ZERO; plan.bins.len()];
+    for (&idx, &pilot) in plan.pilot_idx.iter().zip(&plan.pilot_values) {
+        values[idx] = pilot;
+    }
+    for (k, &idx) in plan.data_idx.iter().enumerate() {
+        values[idx] = map_bits(Modulation::Bpsk, &[header.get(k).copied().unwrap_or((k % 2) as u8)]);
+    }
+    symbols.push(values.clone());
+    for s in 0..coded.len().div_ceil(per_sym) {
+        for (c, &idx) in plan.data_idx.iter().enumerate() {
+            let bits: Vec<u8> = (0..bps)
+                .map(|b| {
+                    let pos = s * per_sym + c * bps + b;
+                    coded.get(pos).copied().unwrap_or(((pos ^ (pos >> 3)) & 1) as u8)
+                })
+                .collect();
+            values[idx] = map_bits(p.modulation, &bits);
+        }
+        symbols.push(values.clone());
+    }
+
+    let fft = FftPlan::new(n);
+    let mut osc = PeriodicOsc::new(p.sample_rate, p.center_freq);
+    let mut audio = vec![0.0f32; cp];
+    for values in &symbols {
+        let (mut re, mut im) = (vec![0.0f32; n], vec![0.0f32; n]);
+        for (v, &b) in values.iter().zip(&plan.bins) {
+            re[b] = v.re;
+            im[b] = v.im;
+        }
+        fft.inverse_split(&mut re, &mut im);
+        let gain = (n as f32).sqrt();
+        for x in re.iter_mut().chain(im.iter_mut()) {
+            *x *= gain;
+        }
+        for t in (n - cp..n).chain(0..n) {
+            let c = osc.advance();
+            audio.push((re[t] * c.re - im[t] * c.im) * std::f32::consts::SQRT_2);
+        }
+    }
+
+    let burst = &mut audio[cp..];
+    let rms = (burst.iter().map(|&x| x * x).sum::<f32>() / burst.len() as f32).sqrt();
+    if rms > 1e-12 {
+        let g = p.tx_level / rms;
+        for v in burst.iter_mut() {
+            *v *= g;
+        }
+    }
+    let end = burst.len();
+    for (i, &r) in raised_cosine_edge(64.min(end / 2)).iter().enumerate() {
+        burst[i] *= r;
+        burst[end - 1 - i] *= r;
+    }
+    audio.extend(std::iter::repeat_n(0.0, cp));
+    audio
+}
+
+/// A payload length near `from` (wrapping within 0…[`MAX_PAYLOAD`]) whose
+/// coded bits leave the last symbol of `p` holding at most two carriers'
+/// bits, or lacking at most two: the pad's two edges.
+fn partial_symbol_len(p: &Profile, from: usize) -> usize {
+    let (per_sym, edge) = (p.bits_per_symbol(), 2 * p.modulation.bits_per_symbol());
+    let fits = |len: usize| {
+        let rem = p.fec.coded_bits_len(len) % per_sym;
+        (0 < rem && rem <= edge) || rem >= per_sym - edge
+    };
+    (from..=MAX_PAYLOAD).chain(0..from).find(|&len| fits(len)).unwrap_or(from)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The transmitter, on every profile, is its definition to the bit
+    /// ([`modulate_reference`]) for payloads of 0…`MAX_PAYLOAD` bytes, a
+    /// third of them sized to the last symbol's edges.
+    #[test]
+    fn modulate_is_the_reference_transmitter(
+        len in 0usize..=MAX_PAYLOAD,
+        edge in 0usize..3,
+        seed in any::<u8>(),
+    ) {
+        for p in [Profile::sonic_10k(), Profile::audible_7k(), Profile::cable_64k()] {
+            let len = if edge == 0 { partial_symbol_len(&p, len) } else { len };
+            let payload: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) ^ seed).collect();
+            let want = modulate_reference(&p, &payload);
+            for got in [FrameCodec::new(&p).modulate(&payload), modulate_frame(&p, &payload)] {
+                prop_assert_eq!(got.len(), want.len(), "{} len {}", p.name, len);
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    prop_assert_eq!(g.to_bits(), w.to_bits(), "{} len {} sample {}", p.name, len, k);
+                }
+            }
         }
     }
 }

@@ -132,31 +132,6 @@ impl FaultPlan {
         }
     }
 
-    /// A hostile short-horizon preset: impulses, a co-channel interferer,
-    /// one mute window and a deep fade in the first 10 s.
-    pub fn hostile(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            faults: vec![
-                Fault::Impulse {
-                    rate_per_s: 2.0,
-                    amp: 3.0,
-                    len_s: 0.02,
-                },
-                Fault::CoChannel { level: 0.2 },
-                Fault::Mute {
-                    start_s: 2.0,
-                    len_s: 1.0,
-                },
-                Fault::Fade {
-                    start_s: 6.0,
-                    len_s: 1.5,
-                    depth_db: 30.0,
-                },
-            ],
-        }
-    }
-
     /// Whether the plan schedules no impairment.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
@@ -368,6 +343,31 @@ impl BurstLossCurve {
 mod tests {
     use super::*;
 
+    /// A hostile short-horizon plan: impulses, a co-channel interferer, one
+    /// mute window and a deep fade in the first 10 s.
+    fn hostile(seed: u64) -> FaultPlan {
+        FaultPlan {
+            seed,
+            faults: vec![
+                Fault::Impulse {
+                    rate_per_s: 2.0,
+                    amp: 3.0,
+                    len_s: 0.02,
+                },
+                Fault::CoChannel { level: 0.2 },
+                Fault::Mute {
+                    start_s: 2.0,
+                    len_s: 1.0,
+                },
+                Fault::Fade {
+                    start_s: 6.0,
+                    len_s: 1.5,
+                    depth_db: 30.0,
+                },
+            ],
+        }
+    }
+
     #[test]
     fn empty_plan_is_identity() {
         let plan = FaultPlan::none();
@@ -378,8 +378,8 @@ mod tests {
 
     #[test]
     fn frame_fate_is_deterministic_and_respects_mute() {
-        let plan = FaultPlan::hostile(11);
-        // Mute window of hostile() is [2, 3).
+        let plan = hostile(11);
+        // Mute window of `hostile` is [2, 3).
         assert_eq!(plan.frame_fate(2.4, 0.3, 900), FrameFate::Lost);
         assert_eq!(plan.frame_fate(2.95, 0.3, 901), FrameFate::Lost, "overlap");
         for nonce in 0..200u64 {
@@ -391,7 +391,7 @@ mod tests {
 
     #[test]
     fn hostile_plan_corrupts_some_frames_outside_mute() {
-        let plan = FaultPlan::hostile(17);
+        let plan = hostile(17);
         let corrupted = (0..1000u64)
             .filter(|&i| plan.frame_fate(20.0 + i as f64 * 0.01, 0.3, i) == FrameFate::Corrupted)
             .count();
@@ -483,7 +483,7 @@ mod tests {
 
     #[test]
     fn sampled_fates_stay_alive_bounded_and_replay() {
-        let plan = FaultPlan::hostile(31);
+        let plan = hostile(31);
         let curve = plan.burst_loss_curve(20.0, 0.04, 40, 9);
         let again = plan.burst_loss_curve(20.0, 0.04, 40, 9);
         for i in 0..257u32 {
