@@ -17,8 +17,9 @@
 //! rising with loss, and the integer Viterbi decoder within 0.1 dB of the
 //! `f32` one at FER 1e-2.
 //!
-//! `--smoke` shrinks every experiment (a struct update on its default) to
-//! seconds and writes nothing. A full run also writes Figure 1's three PPMs
+//! `--smoke` shrinks every experiment's input (a struct update on its
+//! default; Fig 4(b)/(c)'s size table reads a two-site corpus) to seconds
+//! and writes nothing. A full run also writes Figure 1's three PPMs
 //! to `target/fig1` under the bench crate.
 
 use sonic_bench::{timed, Bound, Report, Timing};
@@ -26,6 +27,7 @@ use sonic_image::interpolate::{blackout, recover, LossMask};
 use sonic_image::metrics::{edge_integrity, psnr};
 use sonic_image::pgm::save_ppm;
 use sonic_pagegen::{Corpus, PageId};
+use sonic_sim::experiments::sizes::{SizeConfig, SizeTable};
 use sonic_sim::experiments::{ablation, fig4a, fig4b, fig4c, fig5, rates, rssi, viterbi};
 use sonic_sim::stats::BoxStats;
 use sonic_sim::study::Question;
@@ -48,8 +50,7 @@ fn main() {
     let mut r = Report::from_args("paper", "paper");
     fig1(&mut r);
     fig4a(&mut r);
-    fig4b(&mut r);
-    fig4c(&mut r);
+    fig4b_and_c(&mut r);
     fig5(&mut r);
     rssi(&mut r);
     rates(&mut r);
@@ -126,14 +127,23 @@ fn fig4a(r: &mut Report) {
     }
 }
 
-fn fig4b(r: &mut Report) {
-    let cfg = if r.smoke() {
-        fig4b::Config { scale: 0.05, hours: 2, calibration_samples: 1, ..Default::default() }
+/// Figures 4(b) and 4(c) read one full-scale size table: Fig 4(b)'s curves
+/// over its snapshots and Q10/PH10k over Fig 4(c)'s hours. Building it is
+/// nearly all of `fig4b.wall`, Fig 4(c)'s hours included.
+fn fig4b_and_c(r: &mut Report) {
+    let (corpus, b_cfg, c_cfg) = if r.smoke() {
+        let b_cfg = fig4b::Config { hours: 2, ..Default::default() };
+        (Corpus::small(2), b_cfg, fig4c::Config { hours: 6, ..Default::default() })
     } else {
-        fig4b::Config::default()
+        (Corpus::standard(), fig4b::Config::default(), fig4c::Config::default())
     };
-    let res = wall(r, "fig4b", || fig4b::run_experiment(&cfg));
-    r.row("fig4b.calibration", res.calibration, "x");
+    let mut wants: Vec<_> = b_cfg.configs.iter().map(|&c| (c, b_cfg.hours)).collect();
+    wants.push((SizeConfig::paper_default(), c_cfg.hours));
+    let (sizes, res) = wall(r, "fig4b", || {
+        let sizes = SizeTable::build(corpus, &wants);
+        let res = fig4b::run_experiment(&b_cfg, &sizes);
+        (sizes, res)
+    });
     for c in &res.curves {
         let ph = c.config.pixel_height.map_or("none".to_string(), |p| format!("{}k", p / 1000));
         let name = format!("fig4b.q{}_ph{ph}", c.config.quality);
@@ -149,18 +159,10 @@ fn fig4b(r: &mut Report) {
     };
     r.gate("fig4b.p50.q50_over_q10", p50(50) / p50(10), "x", Bound::AtLeast(1.0));
     r.gate("fig4b.p50.q90_over_q50", p50(90) / p50(50), "x", Bound::AtLeast(1.0));
-}
 
-fn fig4c(r: &mut Report) {
-    let cfg = if r.smoke() {
-        fig4c::Config { hours: 6, scale: 0.05, ..Default::default() }
-    } else {
-        fig4c::Config::default()
-    };
-    let res = wall(r, "fig4c", || fig4c::run_experiment(&cfg));
+    let res = wall(r, "fig4c", || fig4c::run_experiment(&c_cfg, &sizes));
     r.row("fig4c.inflow_n100", res.inflow_bps_n100, "bit/s");
-    r.row("fig4c.calibration", res.calibration, "x");
-    let hours = cfg.hours as f64;
+    let hours = c_cfg.hours as f64;
     for (s, t) in &res.traces {
         let name = format!("fig4c.{}kbps_n{}", s.rate_bps / 1000, s.n_pages);
         let backlog = &t.hourly_backlog;

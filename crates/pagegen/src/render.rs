@@ -4,9 +4,9 @@
 //! the three artifacts SONIC needs from a browser — the screenshot, the
 //! text regions (for the readability metrics) and the click map (§3.2).
 //!
-//! A `scale` parameter renders the same layout at reduced resolution for
-//! corpus-scale experiments (7,200 renders for Fig 4b); the experiments
-//! report the measured full-scale/reduced-scale size calibration they use.
+//! A `scale` parameter renders the same layout at reduced resolution where
+//! an experiment needs pixels, not bytes (Fig 1, Fig 5, the interpolation
+//! ablation); the size figures, Fig 4(b)/(c), render at full scale.
 
 use crate::font::{glyph, ADVANCE, GLYPH_H};
 use crate::layout::{Block, BlockKind, Layout};

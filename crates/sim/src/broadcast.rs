@@ -9,7 +9,6 @@
 //! like N=100 at 10 kbps.
 
 use sonic_pagegen::{Corpus, PageId};
-use std::collections::BTreeMap;
 
 /// One backlog trace.
 #[derive(Debug, Clone)]
@@ -22,38 +21,15 @@ pub struct BacklogTrace {
     pub idle_hours: usize,
 }
 
-/// Page → broadcast bytes at a given hour, measured once and cached.
-///
-/// The full pipeline (render + strip-encode) is too slow to run 100 pages ×
-/// 48 hours inside a bench loop, so the simulation reads sizes measured
-/// once per page version; `experiments::sizes::sizes_from_corpus` builds
-/// the cache.
-#[derive(Debug)]
-pub struct CachedSizes {
-    /// Page sizes keyed by (site, page, hour) — caller fills via closure.
-    pub map: BTreeMap<(usize, usize, u64), f64>,
-    /// Fallback when a key is missing.
-    pub default_bytes: f64,
-}
-
-impl CachedSizes {
-    /// Broadcast bytes of a page version at `hour`.
-    pub fn bytes(&self, id: PageId, hour: u64) -> f64 {
-        *self
-            .map
-            .get(&(id.site, id.page, hour))
-            .unwrap_or(&self.default_bytes)
-    }
-}
-
 /// Runs the hour-by-hour backlog recurrence.
 ///
 /// `pages` is the broadcast catalog (N=100 uses the whole corpus; N=200
-/// duplicates it, modeling a second 25-site region on the same frequency).
+/// duplicates it, modeling a second 25-site region on the same frequency),
+/// and `bytes(page, hour)` the broadcast size of the version live then.
 pub fn simulate(
     corpus: &Corpus,
     pages: &[PageId],
-    sizes: &CachedSizes,
+    bytes: impl Fn(PageId, u64) -> f64,
     rate_bps: f64,
     hours: u64,
 ) -> BacklogTrace {
@@ -67,7 +43,7 @@ pub fn simulate(
         for &id in pages {
             let fresh = hour == 0 || corpus.changed(id, hour - 1, hour);
             if fresh {
-                let b = sizes.bytes(id, hour);
+                let b = bytes(id, hour);
                 backlog += b;
                 total += b;
             }
@@ -87,12 +63,17 @@ pub fn simulate(
 }
 
 /// Mean inflow rate in bits/second implied by the corpus churn and sizes.
-pub fn mean_inflow_bps(corpus: &Corpus, pages: &[PageId], sizes: &CachedSizes, hours: u64) -> f64 {
+pub fn mean_inflow_bps(
+    corpus: &Corpus,
+    pages: &[PageId],
+    bytes: impl Fn(PageId, u64) -> f64,
+    hours: u64,
+) -> f64 {
     let mut total = 0.0;
     for hour in 1..hours {
         for &id in pages {
             if corpus.changed(id, hour - 1, hour) {
-                total += sizes.bytes(id, hour);
+                total += bytes(id, hour);
             }
         }
     }
@@ -103,12 +84,9 @@ pub fn mean_inflow_bps(corpus: &Corpus, pages: &[PageId], sizes: &CachedSizes, h
 mod tests {
     use super::*;
 
-    /// Every page version the same size: no entries, only the fallback.
-    fn flat_sizes(bytes: f64) -> CachedSizes {
-        CachedSizes {
-            map: BTreeMap::new(),
-            default_bytes: bytes,
-        }
+    /// Every page version the same size.
+    fn flat_sizes(bytes: f64) -> impl Fn(PageId, u64) -> f64 {
+        move |_, _| bytes
     }
 
     fn setup() -> (Corpus, Vec<PageId>) {
@@ -122,7 +100,7 @@ mod tests {
         let (c, pages) = setup();
         let sizes = flat_sizes(150_000.0);
         let slow = simulate(&c, &pages, &sizes, 10_000.0, 48);
-        let fast = simulate(&c, &pages, &sizes, 40_000.0, 48);
+        let fast = simulate(&c, &pages, sizes, 40_000.0, 48);
         let peak = |t: &BacklogTrace| {
             t.hourly_backlog
                 .iter()
@@ -137,7 +115,7 @@ mod tests {
     fn backlog_is_bounded_not_divergent() {
         let (c, pages) = setup();
         let sizes = flat_sizes(150_000.0);
-        let t = simulate(&c, &pages, &sizes, 10_000.0, 96);
+        let t = simulate(&c, &pages, sizes, 10_000.0, 96);
         // "SONIC is scalable, meaning that the amount of data to be sent
         // does not grow indefinitely": second-half peak ≈ first-half peak.
         let half = t.hourly_backlog.len() / 2;
@@ -152,7 +130,7 @@ mod tests {
         let sizes = flat_sizes(100_000.0);
         let single = mean_inflow_bps(&c, &pages, &sizes, 48);
         let doubled: Vec<PageId> = pages.iter().chain(pages.iter()).copied().collect();
-        let double = mean_inflow_bps(&c, &doubled, &sizes, 48);
+        let double = mean_inflow_bps(&c, &doubled, sizes, 48);
         assert!((double / single - 2.0).abs() < 1e-9);
     }
 
@@ -166,7 +144,7 @@ mod tests {
         // ~330 KB is the measured mean size of *changed* pages (changes are
         // dominated by the tall news landing pages; cf. Fig 4b tails).
         let sizes = flat_sizes(330_000.0);
-        let inflow = mean_inflow_bps(&c, &pages, &sizes, 48);
+        let inflow = mean_inflow_bps(&c, &pages, sizes, 48);
         assert!(
             inflow > 7_000.0 && inflow < 13_000.0,
             "inflow {inflow} bps out of band"
@@ -182,11 +160,5 @@ mod tests {
         }
         let day_bps = day_bytes * 8.0 / (10.0 * 3600.0);
         assert!(day_bps > 10_000.0, "daytime inflow {day_bps} bps");
-    }
-
-    #[test]
-    fn missing_size_uses_default() {
-        let sizes = flat_sizes(123.0);
-        assert_eq!(sizes.bytes(PageId { site: 0, page: 0 }, 5), 123.0);
     }
 }

@@ -6,27 +6,21 @@
 //! reproduce: at Q10 most pages < 200 KB vs ~700 KB at Q90; the 10k-px crop
 //! saves ~100 KB for 75 % of pages; CDF tails ≈ 2× the 90th percentile.
 
-use super::sizes::{calibration_factor, measure_scaled, SizeConfig};
-use crate::{pool, stats};
-use sonic_pagegen::Corpus;
+use super::sizes::{SizeConfig, SizeTable};
+use crate::stats;
 
 /// Experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Render scale (sizes are extrapolated to full scale).
-    pub scale: f64,
     /// Hourly snapshots (paper: 72 over three days).
     pub hours: u64,
     /// The (Q, PH) curves.
     pub configs: Vec<SizeConfig>,
-    /// Pages used to measure the calibration factor.
-    pub calibration_samples: usize,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
-            scale: 0.12,
             hours: 8,
             configs: vec![
                 SizeConfig { quality: 10, pixel_height: Some(10_000) },
@@ -34,12 +28,11 @@ impl Default for Config {
                 SizeConfig { quality: 50, pixel_height: Some(10_000) },
                 SizeConfig { quality: 90, pixel_height: Some(10_000) },
             ],
-            calibration_samples: 3,
         }
     }
 }
 
-/// One curve's samples (full-scale-equivalent bytes).
+/// One curve's samples (full-scale bytes).
 #[derive(Debug, Clone)]
 pub struct Curve {
     /// The (Q, PH) point.
@@ -60,72 +53,40 @@ impl Curve {
 pub struct Fig4bResult {
     /// One curve per (Q, PH).
     pub curves: Vec<Curve>,
-    /// The measured extrapolation calibration factor.
-    pub calibration: f64,
-    /// Render scale used.
-    pub scale: f64,
 }
 
-/// Runs the figure over the standard corpus.
-pub fn run_experiment(cfg: &Config) -> Fig4bResult {
-    let corpus = Corpus::standard();
-    let base = SizeConfig::paper_default();
-    let calibration = calibration_factor(&corpus, cfg.scale, base, cfg.calibration_samples);
-    let extrapolate = calibration / (cfg.scale * cfg.scale);
-    let mut curves: Vec<Curve> = cfg
+/// Reads each curve off `sizes`: one sample per corpus page per hourly
+/// snapshot. The table must cover every curve over `cfg.hours`.
+pub fn run_experiment(cfg: &Config, sizes: &SizeTable) -> Fig4bResult {
+    let pages = sizes.corpus().pages();
+    let curves = cfg
         .configs
         .iter()
-        .map(|&c| Curve {
-            config: c,
-            sizes_bytes: Vec::new(),
+        .map(|&config| Curve {
+            config,
+            sizes_bytes: pages
+                .iter()
+                .flat_map(|&id| (0..cfg.hours).map(move |hour| sizes.bytes(config, id, hour)))
+                .collect(),
         })
         .collect();
-
-    // One job per page (renders dominate): its sizes per config, hour by hour.
-    let per_page = pool::run_ordered(corpus.pages(), pool::default_workers(), |id| {
-        let mut per_cfg: Vec<Vec<f64>> = vec![Vec::new(); cfg.configs.len()];
-        for hour in 0..cfg.hours {
-            // Only measure fresh versions; carry sizes across
-            // unchanged hours like the paper's hourly snapshots.
-            let fresh = hour == 0 || corpus.changed(id, hour - 1, hour);
-            for (k, &sc) in cfg.configs.iter().enumerate() {
-                if fresh {
-                    let b = measure_scaled(&corpus, id, hour, cfg.scale, sc) * extrapolate;
-                    per_cfg[k].push(b);
-                } else if let Some(&prev) = per_cfg[k].last() {
-                    per_cfg[k].push(prev);
-                }
-            }
-        }
-        per_cfg
-    });
-    for per_cfg in per_page {
-        for (k, sizes) in per_cfg.into_iter().enumerate() {
-            curves[k].sizes_bytes.extend(sizes);
-        }
-    }
-
-    Fig4bResult {
-        curves,
-        calibration,
-        scale: cfg.scale,
-    }
+    Fig4bResult { curves }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Reduced-scale shape check; the bench runs the full figure.
+    use crate::experiments::sizes::tests::{small_table, TEST_HOURS_4B};
+
+    /// Shape check on the one-site corpus; the bench runs the full figure.
     #[test]
     fn q_and_ph_order_the_curves() {
         let cfg = Config {
-            scale: 0.1,
-            hours: 2,
-            calibration_samples: 1,
+            hours: TEST_HOURS_4B,
             ..Default::default()
         };
-        let res = run_experiment(&cfg);
+        let res = run_experiment(&cfg, small_table());
         let median = |q: u8, ph: Option<usize>| -> f64 {
             res.curves
                 .iter()
@@ -139,8 +100,8 @@ mod tests {
         let q10_full = median(10, None);
         assert!(q10 < q50 && q50 < q90, "{q10} {q50} {q90}");
         assert!(q10_full >= q10, "crop can only shrink");
-        // Paper: Q10 mostly under 200 KB, Q90 ≈ 700 KB typical. At this
-        // tiny scale just require the right order of magnitude.
+        // Paper: Q10 mostly under 200 KB, Q90 ≈ 700 KB typical. On one
+        // site just require the right order of magnitude.
         assert!(q10 > 5_000.0 && q10 < 600_000.0, "q10 median {q10}");
         assert!(q90 / q10 > 2.0, "Q90/Q10 ratio {}", q90 / q10);
     }

@@ -4,7 +4,7 @@
 //! (20 kbps, N=200). Claims: 10 kbps rarely reaches zero but stays bounded;
 //! 20/40 kbps drain; N=200@20 kbps ≈ N=100@10 kbps.
 
-use super::sizes::{calibration_factor, sizes_from_corpus, SizeConfig};
+use super::sizes::{SizeConfig, SizeTable};
 use crate::broadcast::{mean_inflow_bps, simulate, BacklogTrace};
 use sonic_pagegen::{Corpus, PageId};
 
@@ -22,8 +22,6 @@ pub struct Series {
 pub struct Config {
     /// Simulated hours (paper plots 48 h of its 72 h of data).
     pub hours: u64,
-    /// Render scale for the size measurements.
-    pub scale: f64,
     /// Series to simulate.
     pub series: Vec<Series>,
 }
@@ -32,7 +30,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             hours: 48,
-            scale: 0.08,
             series: vec![
                 Series { rate_bps: 10_000, n_pages: 100 },
                 Series { rate_bps: 20_000, n_pages: 100 },
@@ -50,55 +47,50 @@ pub struct Fig4cResult {
     pub traces: Vec<(Series, BacklogTrace)>,
     /// Mean content inflow of the N=100 catalog in bps.
     pub inflow_bps_n100: f64,
-    /// Calibration factor used for sizes.
-    pub calibration: f64,
 }
 
-/// Builds the N-page catalog (N=200 duplicates the corpus, modeling a
-/// second region's 100 pages sharing the frequency).
+/// Builds the N-page catalog by cycling the corpus (N=200 duplicates the
+/// standard corpus, modeling a second region's 100 pages sharing the
+/// frequency).
 fn catalog(corpus: &Corpus, n: usize) -> Vec<PageId> {
     let base = corpus.pages();
     base.iter().cycle().take(n).copied().collect()
 }
 
-/// Runs the figure.
-pub fn run_experiment(cfg: &Config) -> Fig4cResult {
-    let corpus = Corpus::standard();
-    let size_cfg = SizeConfig::paper_default();
-    let calibration = calibration_factor(&corpus, cfg.scale, size_cfg, 3);
-    let pages100 = catalog(&corpus, 100);
-    let sizes = sizes_from_corpus(&corpus, &pages100, cfg.hours, cfg.scale, size_cfg, calibration);
-    let inflow = mean_inflow_bps(&corpus, &pages100, &sizes, cfg.hours);
-
+/// Runs the figure on the paper's operating point (Q10/PH10k) read off
+/// `sizes`, which must cover it over `cfg.hours`.
+pub fn run_experiment(cfg: &Config, sizes: &SizeTable) -> Fig4cResult {
+    let corpus = sizes.corpus();
+    let bytes = |id, hour| sizes.bytes(SizeConfig::paper_default(), id, hour);
+    let inflow = mean_inflow_bps(corpus, &catalog(corpus, 100), bytes, cfg.hours);
     let traces = cfg
         .series
         .iter()
         .map(|&s| {
-            let pages = catalog(&corpus, s.n_pages);
-            let trace = simulate(&corpus, &pages, &sizes, s.rate_bps as f64, cfg.hours);
-            (s, trace)
+            let pages = catalog(corpus, s.n_pages);
+            (s, simulate(corpus, &pages, bytes, s.rate_bps as f64, cfg.hours))
         })
         .collect();
     Fig4cResult {
         traces,
         inflow_bps_n100: inflow,
-        calibration,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fig4b;
+    use crate::experiments::sizes::tests::{small_table, TEST_HOURS_4B, TEST_HOURS_4C};
 
-    /// Reduced-scale shape check; the bench runs the full figure.
+    /// Shape check on the one-site corpus; the bench runs the full figure.
     #[test]
     fn rates_order_the_backlog() {
         let cfg = Config {
-            hours: 24,
-            scale: 0.08,
+            hours: TEST_HOURS_4C,
             ..Default::default()
         };
-        let res = run_experiment(&cfg);
+        let res = run_experiment(&cfg, small_table());
         let get = |rate: u64, n: usize| -> &BacklogTrace {
             &res.traces
                 .iter()
@@ -119,5 +111,36 @@ mod tests {
         );
         // 40 kbps should reach zero at least sometimes.
         assert!(t40.idle_hours > 0, "40 kbps must drain");
+    }
+
+    /// Fig 4(c)'s sizes over Fig 4(b)'s hours are Fig 4(b)'s Q10/PH10k
+    /// samples: both figures read one table.
+    #[test]
+    fn backlog_enqueues_fig4b_samples() {
+        let table = small_table();
+        let corpus = table.corpus();
+        let b = fig4b::run_experiment(
+            &fig4b::Config {
+                hours: TEST_HOURS_4B,
+                configs: vec![SizeConfig::paper_default()],
+            },
+            table,
+        );
+        // Samples run page by page, hour by hour; the catalog cycles the pages.
+        let samples = &b.curves[0].sizes_bytes;
+        let pages = corpus.pages();
+        let mut enqueued = 0.0;
+        for k in 0..100 {
+            let id = pages[k % pages.len()];
+            for hour in 0..TEST_HOURS_4B {
+                if hour == 0 || corpus.changed(id, hour - 1, hour) {
+                    enqueued += samples[(k % pages.len()) * TEST_HOURS_4B as usize + hour as usize];
+                }
+            }
+        }
+        let c = run_experiment(&Config { hours: TEST_HOURS_4B, ..Default::default() }, table);
+        let (s, t) = &c.traces[0];
+        assert_eq!((s.rate_bps, s.n_pages), (10_000, 100));
+        assert_eq!(t.total_enqueued, enqueued);
     }
 }

@@ -3,6 +3,8 @@
 //! down from the paper's methodology where that would take hours;
 //! EXPERIMENTS.md gives both) and a `run_experiment` returning typed
 //! results, which that target reports as rows of `BENCH_paper.json`.
+//! Figures 4(b) and 4(c) also take the one [`sizes::SizeTable`] they both
+//! read.
 
 pub mod ablation;
 pub mod fig4a;
