@@ -14,17 +14,20 @@ use crate::page::SimplifiedPage;
 /// Number of times the metadata region appears in the frame stream.
 pub const META_REPEATS: usize = 2;
 
+/// Why a frame-count conversion cannot fail on a constructed page.
+const REFUSED: &str = "SimplifiedPage::from_parts refuses such a page";
+
 /// One copy of the page's metadata region as frames.
+/// Panics on a page [`SimplifiedPage::from_parts`] refuses.
 pub(crate) fn meta_frames(page: &SimplifiedPage) -> Vec<Frame> {
     let meta = page.meta_blob();
-    let parts: Vec<&[u8]> = meta.chunks(FRAME_PAYLOAD).collect();
-    let total = parts.len() as u16;
-    parts
-        .iter()
-        .enumerate()
+    let parts = meta.chunks(FRAME_PAYLOAD);
+    let total = parts.len().try_into().expect(REFUSED);
+    (0..total)
+        .zip(parts)
         .map(|(seq, part)| Frame::Meta {
             page_id: page.page_id,
-            seq: seq as u16,
+            seq,
             total,
             payload: part.to_vec(),
         })
@@ -33,6 +36,7 @@ pub(crate) fn meta_frames(page: &SimplifiedPage) -> Vec<Frame> {
 
 /// Appends `column`'s strip frames from chunk `from_seq` on to `out`. An
 /// empty strip is one empty `last` frame; a column the page lacks, none.
+/// Panics on a page [`SimplifiedPage::from_parts`] refuses.
 pub(crate) fn column_frames(
     page: &SimplifiedPage,
     column: usize,
@@ -42,13 +46,15 @@ pub(crate) fn column_frames(
     let Some(strip) = page.strips.strips.get(column) else {
         return;
     };
+    let column = column.try_into().expect(REFUSED);
     let chunks = strip.len().div_ceil(FRAME_PAYLOAD).max(1);
-    for seq in usize::from(from_seq)..chunks {
-        let start = seq * FRAME_PAYLOAD;
+    let chunks: u16 = chunks.try_into().expect(REFUSED);
+    for seq in from_seq..chunks {
+        let start = usize::from(seq) * FRAME_PAYLOAD;
         out.push(Frame::Strip {
             page_id: page.page_id,
-            column: column as u16,
-            seq: seq as u16,
+            column,
+            seq,
             last: seq == chunks - 1,
             payload: strip[start..(start + FRAME_PAYLOAD).min(strip.len())].to_vec(),
         });

@@ -10,9 +10,10 @@
 //! 0      kind        (1 B: 0x4D meta, 0x53 strip)
 //! 1..5   page_id     (u32 BE — url hash ⊕ version)
 //! 5..7   field_a     (u16 BE — meta: part seq; strip: column index)
-//! 7..9   field_b     (u16 BE — meta: part total; strip: seq, MSB = last)
-//! 9      payload_len (u8, ≤ 86)
-//! 10..96 payload     (86 B, zero-padded)
+//! 7..9   field_b     (u16 BE — meta: part total ≤ MAX_META_FRAMES;
+//!                     strip: seq in the low STRIP_SEQ_BITS, MSB = last)
+//! 9      payload_len (u8, ≤ FRAME_PAYLOAD)
+//! 10..96 payload     (FRAME_PAYLOAD B, zero-padded)
 //! 96..100 crc32      (u32 BE over bytes 0..96)
 //! ```
 //!
@@ -20,19 +21,24 @@
 //! [`FRAME_PAYLOAD`] is 86.
 
 use sonic_fec::crc32;
-use sonic_image::bitio::ByteReader;
+use sonic_image::bitio::{narrow, ByteReader};
 
 /// Total frame size on the wire.
 pub const FRAME_SIZE: usize = 100;
 /// Payload bytes per frame.
 pub const FRAME_PAYLOAD: usize = 86;
 
+/// Most frames one metadata copy takes: a meta frame's `total` is a `u16`.
+pub const MAX_META_FRAMES: usize = u16::MAX as usize;
+/// Bits of a strip frame's `seq`; the `u16` field's top bit is `last`.
+pub const STRIP_SEQ_BITS: u32 = 15;
+
 /// Frame kind tags.
 const KIND_META: u8 = 0x4D; // 'M'
 const KIND_STRIP: u8 = 0x53; // 'S'
 
 /// Last-frame flag in a strip frame's sequence field.
-const LAST_FLAG: u16 = 0x8000;
+const LAST_FLAG: u16 = 1 << STRIP_SEQ_BITS;
 
 /// A decoded SONIC link frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,8 +103,8 @@ impl Frame {
     /// Serializes to exactly 100 bytes.
     ///
     /// # Panics
-    /// Panics if the payload exceeds [`FRAME_PAYLOAD`] or a strip sequence
-    /// overflows 15 bits.
+    /// Panics if the payload exceeds [`FRAME_PAYLOAD`] or a strip `seq`
+    /// overflows [`STRIP_SEQ_BITS`].
     pub fn encode(&self) -> [u8; FRAME_SIZE] {
         let mut buf = [0u8; FRAME_SIZE];
         let (kind, page_id, a, b, payload) = match self {
@@ -115,17 +121,17 @@ impl Frame {
                 last,
                 payload,
             } => {
-                assert!(*seq < LAST_FLAG, "strip seq overflows 15 bits");
+                assert!(*seq < LAST_FLAG, "strip seq {seq} overflows STRIP_SEQ_BITS");
                 let b = seq | if *last { LAST_FLAG } else { 0 };
                 (KIND_STRIP, *page_id, *column, b, payload)
             }
         };
-        assert!(payload.len() <= FRAME_PAYLOAD, "payload too large");
+        let len: u8 = narrow(payload.len(), FRAME_PAYLOAD).expect("payload too large");
         buf[0] = kind;
         buf[1..5].copy_from_slice(&page_id.to_be_bytes());
         buf[5..7].copy_from_slice(&a.to_be_bytes());
         buf[7..9].copy_from_slice(&b.to_be_bytes());
-        buf[9] = payload.len() as u8;
+        buf[9] = len;
         buf[10..10 + payload.len()].copy_from_slice(payload);
         let crc = crc32(&buf[..FRAME_SIZE - 4]);
         buf[FRAME_SIZE - 4..].copy_from_slice(&crc.to_be_bytes());

@@ -15,7 +15,7 @@
 //! O(buffer) hashing plus O(log length) per candidate.
 
 use sonic_fec::crc32::{crc32, crc32_extend, crc32_suffix};
-use sonic_image::bitio::ByteReader;
+use sonic_image::bitio::{ByteReader, ByteWriter};
 use std::collections::VecDeque;
 
 /// Bytes of framing prefix per wire frame (`len` + `crc`).
@@ -32,12 +32,13 @@ pub const MAX_WIRE_PAYLOAD: usize = 1 << 20;
 /// and a lookup hashes at most 63 bytes past its entry.
 const CRC_STRIDE: usize = 64;
 
-/// Appends one encoded wire frame for `payload` to `out`.
+/// Appends one encoded wire frame for `payload` to `out`. Panics past
+/// [`MAX_WIRE_PAYLOAD`], a length the decoder skips as damage.
 pub fn encode_frame(payload: &[u8], out: &mut Vec<u8>) {
-    // lint: checked-cast — payloads are bounded by MAX_WIRE_PAYLOAD (1 MiB), far below u32::MAX
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(&crc32(payload).to_be_bytes());
-    out.extend_from_slice(payload);
+    let mut w = ByteWriter::new(out);
+    let len = w.bounded_u32(payload.len(), MAX_WIRE_PAYLOAD);
+    assert!(len.is_ok(), "wire payload refused: {len:?}");
+    w.u32(crc32(payload)).bytes(payload);
 }
 
 /// One encoded wire frame as an owned buffer.
@@ -234,11 +235,7 @@ impl FrameDecoder {
 
     /// Drains every decodable frame currently buffered.
     pub fn drain_frames(&mut self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        while let Some(f) = self.next_frame() {
-            out.push(f);
-        }
-        out
+        std::iter::from_fn(|| self.next_frame()).collect()
     }
 }
 
@@ -340,5 +337,35 @@ mod tests {
         d.feed(&frame_bytes(b"tiny"));
         assert_eq!(d.next_frame(), Some(b"tiny".to_vec()));
         assert!(d.buf.len() < 9000, "consumed prefix must be dropped");
+    }
+
+    /// A payload at `MAX_WIRE_PAYLOAD` encodes and decodes; one byte more
+    /// is refused by the writer, as the decoder would skip it as damage.
+    #[test]
+    fn payload_at_and_past_the_wire_bound() {
+        let at = vec![5u8; MAX_WIRE_PAYLOAD];
+        let mut d = FrameDecoder::new();
+        d.feed(&frame_bytes(&at));
+        assert_eq!(d.next_frame(), Some(at));
+        let past = vec![5u8; MAX_WIRE_PAYLOAD + 1];
+        assert!(std::panic::catch_unwind(|| frame_bytes(&past)).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Whatever payloads are framed come back, in order, whole.
+        #[test]
+        fn framed_payloads_decode_to_themselves(
+            payloads in proptest::collection::vec(proptest::collection::vec(proptest::prelude::any::<u8>(), 0..300), 0..6),
+        ) {
+            let mut bytes = Vec::new();
+            for p in &payloads {
+                encode_frame(p, &mut bytes);
+            }
+            let mut d = FrameDecoder::new();
+            d.feed(&bytes);
+            proptest::prop_assert_eq!(d.drain_frames(), payloads);
+        }
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::frame::{Frame, FRAME_SIZE};
 use crate::server::scheduler::SlotKind;
-use sonic_image::bitio::ByteReader;
+use sonic_image::bitio::{ByteReader, ByteWriter, Overflow};
 
 /// Most link frames allowed in one `PushFrames` message. A full page at
 /// paper scales is a few hundred frames; the bound only rejects damaged
@@ -153,78 +153,64 @@ fn slot_kind_from(b: u8) -> Option<SlotKind> {
     }
 }
 
-/// Serializes `msg` into `out` (append-only).
+/// Serializes `msg` into `out` (append-only). Panics on a message
+/// [`try_encode_msg`] refuses.
 pub fn encode_msg(msg: &Msg, out: &mut Vec<u8>) {
+    let wrote = try_encode_msg(msg, out);
+    assert!(wrote.is_ok(), "message refused: {wrote:?}");
+}
+
+/// Serializes `msg` into `out`, or refuses a message [`decode_msg`] would
+/// refuse: more than [`MAX_FRAMES_PER_MSG`] frames or [`MAX_JOBS_PER_MSG`]
+/// jobs. A refused message leaves its first bytes in `out`.
+pub fn try_encode_msg(msg: &Msg, out: &mut Vec<u8>) -> Result<(), Overflow> {
+    let w = &mut ByteWriter::new(out);
     match msg {
         Msg::Req { id, req } => {
-            out.push(0x01);
-            out.extend_from_slice(&id.to_be_bytes());
+            w.u8(0x01).u64(*id);
             match req {
-                Request::Ping => out.push(0x10),
+                Request::Ping => w.u8(0x10),
                 Request::PushStored {
                     corpus_site,
                     corpus_page,
                     hour,
-                } => {
-                    out.push(0x11);
-                    out.extend_from_slice(&corpus_site.to_be_bytes());
-                    out.extend_from_slice(&corpus_page.to_be_bytes());
-                    out.extend_from_slice(&hour.to_be_bytes());
-                }
+                } => w.u8(0x11).u32(*corpus_site).u32(*corpus_page).u64(*hour),
                 Request::PushFrames {
                     page_id,
                     kind,
                     frames,
                 } => {
-                    out.push(0x12);
-                    out.extend_from_slice(&page_id.to_be_bytes());
-                    out.push(slot_kind_byte(*kind));
-                    // lint: checked-cast — a page is at most a few thousand frames, far below u32::MAX
-                    out.extend_from_slice(&(frames.len() as u32).to_be_bytes());
-                    for f in frames {
-                        out.extend_from_slice(&f.encode());
-                    }
+                    w.u8(0x12).u32(*page_id).u8(slot_kind_byte(*kind));
+                    w.bounded_u32(frames.len(), MAX_FRAMES_PER_MSG)?;
+                    frames.iter().fold(w, |w, f| w.bytes(&f.encode()))
                 }
                 Request::Resume { hour, slot, jobs } => {
-                    out.push(0x13);
-                    out.extend_from_slice(&hour.to_be_bytes());
-                    out.extend_from_slice(&slot.to_be_bytes());
-                    // lint: checked-cast — resume job lists are small (one entry per in-flight page)
-                    out.extend_from_slice(&(jobs.len() as u32).to_be_bytes());
-                    for &(s, p) in jobs {
-                        out.extend_from_slice(&s.to_be_bytes());
-                        out.extend_from_slice(&p.to_be_bytes());
-                    }
+                    w.u8(0x13).u64(*hour).u32(*slot);
+                    w.bounded_u32(jobs.len(), MAX_JOBS_PER_MSG)?;
+                    jobs.iter().fold(w, |w, &(s, p)| w.u32(s).u32(p))
                 }
-            }
+            };
         }
         Msg::Resp { id, resp } => {
-            out.push(0x02);
-            out.extend_from_slice(&id.to_be_bytes());
+            w.u8(0x02).u64(*id);
             match resp {
                 Response::Pong {
                     site_id,
                     backlog_bytes,
                     backlog_pages,
                     pages_completed,
-                } => {
-                    out.push(0x20);
-                    out.extend_from_slice(&site_id.to_be_bytes());
-                    out.extend_from_slice(&backlog_bytes.to_be_bytes());
-                    out.extend_from_slice(&backlog_pages.to_be_bytes());
-                    out.extend_from_slice(&pages_completed.to_be_bytes());
-                }
-                Response::Done { eta_ms } => {
-                    out.push(0x21);
-                    out.extend_from_slice(&eta_ms.to_be_bytes());
-                }
-                Response::Refused { code } => {
-                    out.push(0x22);
-                    out.push(code.to_byte());
-                }
-            }
+                } => w
+                    .u8(0x20)
+                    .u32(*site_id)
+                    .u64(*backlog_bytes)
+                    .u32(*backlog_pages)
+                    .u64(*pages_completed),
+                Response::Done { eta_ms } => w.u8(0x21).u64(*eta_ms),
+                Response::Refused { code } => w.u8(0x22).u8(code.to_byte()),
+            };
         }
     }
+    Ok(())
 }
 
 /// Deserializes one message. Total: returns `None` on any malformed,
@@ -244,10 +230,7 @@ pub fn decode_msg(buf: &[u8]) -> Option<Msg> {
                 0x12 => {
                     let page_id = c.u32()?;
                     let kind = slot_kind_from(c.u8()?)?;
-                    let n = c.u32()? as usize;
-                    if n > MAX_FRAMES_PER_MSG {
-                        return None;
-                    }
+                    let n = c.bounded_u32(MAX_FRAMES_PER_MSG)?;
                     let mut frames = Vec::with_capacity(n);
                     for _ in 0..n {
                         let raw = c.take(FRAME_SIZE)?;
@@ -262,10 +245,7 @@ pub fn decode_msg(buf: &[u8]) -> Option<Msg> {
                 0x13 => {
                     let hour = c.u64()?;
                     let slot = c.u32()?;
-                    let n = c.u32()? as usize;
-                    if n > MAX_JOBS_PER_MSG {
-                        return None;
-                    }
+                    let n = c.bounded_u32(MAX_JOBS_PER_MSG)?;
                     let mut jobs = Vec::with_capacity(n);
                     for _ in 0..n {
                         jobs.push((c.u32()?, c.u32()?));
@@ -424,5 +404,69 @@ mod tests {
         assert!(decode_msg(&bytes).is_some());
         bytes.push(0);
         assert_eq!(decode_msg(&bytes), None);
+    }
+
+    /// Counts at their message bound encode and decode; one past is refused
+    /// by the writer, as the reader refuses it, and `out` holds no message.
+    #[test]
+    fn counts_at_and_past_their_bound() {
+        let frame = Frame::Meta {
+            page_id: 1,
+            seq: 0,
+            total: 1,
+            payload: vec![3; 86],
+        };
+        for excess in [0, 1] {
+            let frames = vec![frame.clone(); MAX_FRAMES_PER_MSG + excess];
+            let jobs = vec![(1, 2); MAX_JOBS_PER_MSG + excess];
+            let push = Request::PushFrames { page_id: 1, kind: SlotKind::Full, frames };
+            let resume = Request::Resume { hour: 3, slot: 4, jobs };
+            for (req, max) in [(push, MAX_FRAMES_PER_MSG), (resume, MAX_JOBS_PER_MSG)] {
+                let msg = Msg::Req { id: 5, req };
+                let mut out = Vec::new();
+                let wrote = try_encode_msg(&msg, &mut out);
+                if excess == 0 {
+                    assert_eq!(wrote, Ok(()));
+                    assert_eq!(decode_msg(&out), Some(msg));
+                } else {
+                    assert_eq!(wrote, Err(Overflow { value: max + 1, max }));
+                    assert_eq!(decode_msg(&out), None);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Any message whose counts fit their bounds decodes to itself.
+        #[test]
+        fn any_message_round_trips(
+            tag in 0u8..8,
+            id in proptest::prelude::any::<u64>(),
+            a in proptest::prelude::any::<u32>(),
+            b in proptest::prelude::any::<u64>(),
+            jobs in proptest::collection::vec((proptest::prelude::any::<u32>(), proptest::prelude::any::<u32>()), 0..40),
+            payloads in proptest::collection::vec(proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=86), 0..6),
+        ) {
+            let kinds = [SlotKind::Full, SlotKind::Delta, SlotKind::Repair];
+            let codes = [RefuseCode::StoreMiss, RefuseCode::Overloaded, RefuseCode::BadRequest];
+            let frames = payloads
+                .into_iter()
+                .map(|payload| Frame::Strip { page_id: a, column: 1, seq: 2, last: true, payload })
+                .collect();
+            let msg = match tag {
+                0 => Msg::Req { id, req: Request::Ping },
+                1 => Msg::Req { id, req: Request::PushStored { corpus_site: a, corpus_page: a ^ 1, hour: b } },
+                2 => Msg::Req { id, req: Request::PushFrames { page_id: a, kind: kinds[(b % 3) as usize], frames } },
+                3 => Msg::Req { id, req: Request::Resume { hour: b, slot: a, jobs } },
+                4 => Msg::Resp { id, resp: Response::Pong { site_id: a, backlog_bytes: b, backlog_pages: a, pages_completed: !b } },
+                5 => Msg::Resp { id, resp: Response::Done { eta_ms: b } },
+                _ => Msg::Resp { id, resp: Response::Refused { code: codes[(b % 3) as usize] } },
+            };
+            let mut out = Vec::new();
+            encode_msg(&msg, &mut out);
+            proptest::prop_assert_eq!(decode_msg(&out), Some(msg));
+        }
     }
 }

@@ -21,7 +21,7 @@
 //! (`PROBE_INTERVAL_S`).
 
 use super::codec::{frame_bytes, FrameDecoder};
-use super::proto::{decode_msg, encode_msg, Msg, Request, Response};
+use super::proto::{decode_msg, try_encode_msg, Msg, Request, Response};
 use super::transport::Pipe;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -69,7 +69,8 @@ pub struct RpcStats {
     pub completed: u64,
     /// Attempt expiries (deadline passed unanswered).
     pub expired: u64,
-    /// RPCs abandoned with their attempt budget spent.
+    /// RPCs abandoned with their attempt budget spent, or refused unsent
+    /// for a count past its message bound.
     pub gave_up: u64,
     /// Repair-class requests shed at the queue.
     pub shed_repairs: u64,
@@ -213,13 +214,16 @@ impl RpcClient {
         let id = self.next_id;
         self.next_id += 1;
         let mut payload = Vec::new();
-        encode_msg(
-            &Msg::Req {
-                id,
-                req: flight.req.clone(),
-            },
-            &mut payload,
-        );
+        let msg = Msg::Req {
+            id,
+            req: flight.req.clone(),
+        };
+        if try_encode_msg(&msg, &mut payload).is_err() {
+            // Past a message bound: the site would refuse it on every
+            // attempt, so it never reaches the wire.
+            self.stats.gave_up += 1;
+            return;
+        }
         let wrote = tx.send(&frame_bytes(&payload), now_s);
         self.stats.sent += 1;
         if wrote {
@@ -358,6 +362,7 @@ impl RpcClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::proto::encode_msg;
     use crate::net::transport::{LinkFaultPlan, SimLink};
 
     /// A minimal site-side responder: acks every decoded request.
@@ -518,5 +523,32 @@ mod tests {
         assert_eq!(client.outstanding.len(), MAX_OUTSTANDING);
         assert_eq!(client.stats.peak_outstanding, MAX_OUTSTANDING);
         assert_eq!(client.queued(), 30 - MAX_OUTSTANDING);
+    }
+
+    /// A push past `MAX_FRAMES_PER_MSG` never reaches the wire: the site
+    /// would refuse it on every attempt. One at the bound is answered.
+    #[test]
+    fn push_past_the_frame_bound_is_refused_unsent() {
+        use crate::frame::Frame;
+        use crate::net::proto::MAX_FRAMES_PER_MSG;
+        use crate::server::scheduler::SlotKind;
+        let frame = Frame::Meta {
+            page_id: 1,
+            seq: 0,
+            total: 1,
+            payload: vec![7; 86],
+        };
+        for (frames, sent) in [(MAX_FRAMES_PER_MSG, 1), (MAX_FRAMES_PER_MSG + 1, 0)] {
+            let mut link = SimLink::symmetric(LinkFaultPlan::clean(7));
+            let mut client = RpcClient::new();
+            let mut site = FrameDecoder::new();
+            let frames = vec![frame.clone(); frames];
+            let req = Request::PushFrames { page_id: 1, kind: SlotKind::Repair, frames };
+            assert!(client.submit(JobClass::Page, req));
+            let done = run(&mut client, &mut link, &mut site, (0.0, 10.0), true);
+            assert_eq!((client.stats.sent, done.len() as u64), (sent, sent));
+            assert_eq!(client.stats.gave_up, 1 - sent);
+            assert_eq!(link.a_to_b.stats.bytes_sent > 0, sent == 1);
+        }
     }
 }

@@ -5,8 +5,8 @@
 //! cache TTL ("inserted in a cache with expiration date set according to a
 //! time indicated by the server").
 
-use crate::frame::FRAME_PAYLOAD;
-use sonic_image::bitio::ByteReader;
+use crate::frame::{FRAME_PAYLOAD, MAX_META_FRAMES, STRIP_SEQ_BITS};
+use sonic_image::bitio::{narrow, ByteReader, ByteWriter, Overflow};
 use sonic_image::clickmap::ClickMap;
 use sonic_image::raster::Raster;
 use sonic_image::strip::{self, StripImage};
@@ -38,15 +38,6 @@ pub fn page_id_for(url: &str, version: u16) -> u32 {
     h ^ ((version as u32) << 16 | version as u32)
 }
 
-/// Bytes of [`SimplifiedPage::meta_blob`] before the URL: width, height,
-/// ttl, version and the URL's length.
-const META_HEADER: usize = 12;
-
-/// Length of the metadata blob of a page with this URL and click map.
-fn meta_len(url: &str, clickmap: &ClickMap) -> usize {
-    META_HEADER + url.len() + clickmap.encoded_len()
-}
-
 impl SimplifiedPage {
     /// Builds a page from a rendered screenshot: [`from_parts`](Self::from_parts)
     /// of its strip encode.
@@ -65,16 +56,14 @@ impl SimplifiedPage {
 
     /// Assembles a page from an already strip-encoded screenshot — the
     /// artifact cache's delta path, where unchanged columns were spliced
-    /// from a previous encode.
+    /// from a previous encode. The one checked constructor.
     ///
     /// # Panics
-    /// Panics if the strips are wider than 65 535 columns, the URL is
-    /// longer than 65 535 bytes or the click map holds more than 65 535
-    /// regions: the metadata (and, for the width, the strip frames) carry
-    /// each in a 16-bit field, and a wrapped value would air a different
-    /// page. For the same reason it panics if the metadata needs more than
-    /// 65 535 frames (a meta frame's part count is 16-bit) or a column's
-    /// strip more than 65 536 (a strip frame's `seq` is).
+    /// If [`meta_blob`](Self::meta_blob) refuses a field (width, URL length
+    /// or click map count past `u16`, height past `u32`) or needs more than
+    /// [`MAX_META_FRAMES`] frames, if there are more strips than columns,
+    /// or if a strip needs more frames than a `seq` of [`STRIP_SEQ_BITS`]
+    /// counts: a wrapped value would air a different page.
     pub fn from_parts(
         url: &str,
         strips: StripImage,
@@ -82,40 +71,29 @@ impl SimplifiedPage {
         version: u16,
         ttl_hours: u16,
     ) -> Self {
-        assert!(
-            u16::try_from(strips.width).is_ok(),
-            "page width {} overflows its u16 wire field",
-            strips.width
-        );
-        assert!(
-            u16::try_from(url.len()).is_ok(),
-            "URL length {} overflows its u16 wire field",
-            url.len()
-        );
-        assert!(
-            u16::try_from(clickmap.regions.len()).is_ok(),
-            "click map of {} regions overflows its u16 wire field",
-            clickmap.regions.len()
-        );
-        let meta_parts = meta_len(url, &clickmap).div_ceil(FRAME_PAYLOAD);
-        assert!(
-            u16::try_from(meta_parts).is_ok(),
-            "metadata of {meta_parts} frames overflows its u16 part count"
-        );
-        let longest_strip = strips.strips.iter().map(Vec::len).max().unwrap_or(0);
-        let strip_frames = longest_strip.div_ceil(FRAME_PAYLOAD);
-        assert!(
-            strip_frames <= 1 << 16,
-            "strip of {strip_frames} frames overflows its u16 seq field"
-        );
-        SimplifiedPage {
+        let page = SimplifiedPage {
             page_id: page_id_for(url, version),
             url: url.to_string(),
             strips,
             clickmap,
             ttl_hours,
             version,
+        };
+        match page.check() {
+            Ok(()) => page,
+            Err(e) => panic!("page refused: {e}"),
         }
+    }
+
+    /// What [`from_parts`](Self::from_parts) refuses, with the value.
+    fn check(&self) -> Result<(), Overflow> {
+        let mut meta = Vec::new();
+        self.write_meta(&mut meta)?;
+        narrow::<usize>(meta.len().div_ceil(FRAME_PAYLOAD), MAX_META_FRAMES)?;
+        narrow::<usize>(self.strips.strips.len(), self.strips.width)?;
+        let longest_strip = self.strips.strips.iter().map(Vec::len).max().unwrap_or(0);
+        narrow::<usize>(longest_strip.div_ceil(FRAME_PAYLOAD), 1 << STRIP_SEQ_BITS)?;
+        Ok(())
     }
 
     /// Total broadcast bytes (strips + metadata estimate).
@@ -124,17 +102,23 @@ impl SimplifiedPage {
     }
 
     /// Serialized metadata region: dimensions, ttl, version, url, click map.
+    /// Panics on fields edited past what [`from_parts`](Self::from_parts)
+    /// accepts.
     pub fn meta_blob(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.strips.width as u16).to_be_bytes());
-        out.extend_from_slice(&(self.strips.height as u32).to_be_bytes());
-        out.extend_from_slice(&self.ttl_hours.to_be_bytes());
-        out.extend_from_slice(&self.version.to_be_bytes());
-        let url = self.url.as_bytes();
-        out.extend_from_slice(&(url.len() as u16).to_be_bytes());
-        out.extend_from_slice(url);
-        out.extend_from_slice(&self.clickmap.encode());
+        let wrote = self.write_meta(&mut out);
+        assert!(wrote.is_ok(), "metadata refused: {wrote:?}");
         out
+    }
+
+    /// Appends the metadata region to `out`; each put states its field.
+    fn write_meta(&self, out: &mut Vec<u8>) -> Result<(), Overflow> {
+        let mut w = ByteWriter::new(out);
+        w.narrow_u16(self.strips.width)?;
+        w.narrow_u32(self.strips.height)?;
+        w.u16(self.ttl_hours).u16(self.version);
+        w.narrow_u16(self.url.len())?.bytes(self.url.as_bytes());
+        self.clickmap.write(&mut w)
     }
 
     /// Parses a metadata region back into page fields (without strips):
@@ -159,6 +143,7 @@ impl SimplifiedPage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::Frame;
     use sonic_image::clickmap::ClickRegion;
     use sonic_image::raster::{Raster, Rgb};
 
@@ -205,39 +190,50 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "page width 70000 overflows")]
+    #[should_panic(expected = "page refused: 70000 overflows a field of at most 65535")]
     fn page_wider_than_the_width_field_is_refused() {
         SimplifiedPage::from_raster("u", &Raster::new(70_000, 1), ClickMap::default(), 0, 1);
     }
 
-    #[test]
-    #[should_panic(expected = "URL length 70000 overflows")]
-    fn url_longer_than_its_length_field_is_refused() {
-        let url = "u".repeat(70_000);
-        SimplifiedPage::from_raster(&url, &Raster::new(1, 1), ClickMap::default(), 0, 1);
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// One meta field at, or one or two past, its width (the width, the
+        /// height, the URL length, the click map count): the blob decodes
+        /// to the page's own fields up to the width, and past it the page
+        /// is refused with the value, never wrapped.
+        #[test]
+        fn meta_fields_decode_to_themselves_or_are_refused(field in 0u8..4, excess in 0usize..3) {
+            let u16_max = usize::from(u16::MAX);
+            let max = if field == 1 { u32::MAX as usize } else { u16_max };
+            let value = max - 1 + excess;
+            let pick = |f: u8, small: usize| if field == f { value } else { small };
+            let region = ClickRegion { x: 1, y: 2, w: 3, h: 4, target: "t".into() };
+            let page = SimplifiedPage {
+                page_id: 0,
+                url: "u".repeat(pick(2, 3)),
+                strips: StripImage { width: pick(0, 5), height: pick(1, 6), strips: Vec::new() },
+                clickmap: ClickMap { regions: vec![region; pick(3, 2)] },
+                ttl_hours: 7,
+                version: 8,
+            };
+            if value > max {
+                proptest::prop_assert_eq!(page.check(), Err(Overflow { value, max }));
+            } else {
+                proptest::prop_assert_eq!(page.check(), Ok(()));
+                let (width, height, ttl, version, url, clickmap) =
+                    SimplifiedPage::parse_meta(&page.meta_blob()).expect("parse");
+                proptest::prop_assert_eq!((width, height, ttl, version), (page.strips.width, page.strips.height, 7, 8));
+                proptest::prop_assert_eq!((url, clickmap), (page.url, page.clickmap));
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "click map of 65536 regions overflows")]
-    fn click_map_beyond_its_count_field_is_refused() {
-        let region = ClickRegion {
-            x: 0,
-            y: 0,
-            w: 1,
-            h: 1,
-            target: "t".into(),
-        };
-        let clickmap = ClickMap {
-            regions: vec![region; 65_536],
-        };
-        SimplifiedPage::from_raster("u", &Raster::new(1, 1), clickmap, 0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "metadata of 65537 frames overflows")]
+    #[should_panic(expected = "page refused: 65537 overflows a field of at most 65535")]
     fn metadata_beyond_its_part_count_is_refused() {
-        // 15 + 21 349 regions × 264 bytes = 5 636 151 bytes, one frame past
-        // the part count's 65 535 × 86.
+        // 15 + 21 349 regions × 264 bytes = 5 636 151 bytes, past
+        // MAX_META_FRAMES × 86 = 5 636 010.
         let region = ClickRegion {
             x: 0,
             y: 0,
@@ -251,15 +247,31 @@ mod tests {
         SimplifiedPage::from_raster("u", &Raster::new(1, 1), clickmap, 0, 1);
     }
 
-    #[test]
-    #[should_panic(expected = "strip of 65537 frames overflows")]
-    fn strip_beyond_its_seq_field_is_refused() {
-        let strips = StripImage {
+    fn strip_of_frames(frames: usize) -> StripImage {
+        StripImage {
             width: 1,
             height: 1,
-            strips: vec![vec![0; 65_536 * FRAME_PAYLOAD + 1]],
-        };
-        SimplifiedPage::from_parts("u", strips, ClickMap::default(), 0, 1);
+            strips: vec![vec![0; (frames - 1) * FRAME_PAYLOAD + 1]],
+        }
+    }
+
+    /// A strip frame's `seq` is STRIP_SEQ_BITS wide: a strip of 32 769
+    /// frames is refused here, not by `Frame::encode` after the page was
+    /// built.
+    #[test]
+    #[should_panic(expected = "page refused: 32769 overflows a field of at most 32768")]
+    fn strip_beyond_its_seq_field_is_refused() {
+        SimplifiedPage::from_parts("u", strip_of_frames(32_769), ClickMap::default(), 0, 1);
+    }
+
+    #[test]
+    fn strip_at_its_seq_field_airs() {
+        let page = SimplifiedPage::from_parts("u", strip_of_frames(32_768), ClickMap::default(), 0, 1);
+        let frames = crate::chunker::page_to_frames(&page);
+        assert!(matches!(frames[frames.len() - 2], Frame::Strip { seq: 32_767, last: true, .. }));
+        for f in &frames {
+            assert_eq!(Frame::decode(&f.encode()).as_ref(), Ok(f));
+        }
     }
 
     #[test]
@@ -277,7 +289,6 @@ mod tests {
             p.broadcast_bytes(),
             p.strips.total_bytes() + p.meta_blob().len()
         );
-        assert_eq!(meta_len(&p.url, &p.clickmap), p.meta_blob().len());
         assert!(p.broadcast_bytes() > 0);
     }
 }

@@ -36,7 +36,7 @@ use crate::chunker::page_to_frames;
 use crate::page::SimplifiedPage;
 use crate::server::cache::Artifact;
 use sonic_fec::crc32;
-use sonic_image::bitio::ByteReader;
+use sonic_image::bitio::{ByteReader, ByteWriter, Overflow};
 use sonic_image::hash::Fnv64;
 use sonic_image::strip::StripImage;
 use sonic_pagegen::PageId;
@@ -139,21 +139,14 @@ impl ArtifactStore {
     pub fn open(dir: impl AsRef<Path>, byte_budget: u64) -> io::Result<Self> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        let data = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join("blobs.dat"))?;
-        let index = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join("index.log"))?;
+        let open = |name| {
+            let mut options = std::fs::OpenOptions::new();
+            options.read(true).write(true).create(true).truncate(false);
+            options.open(dir.join(name))
+        };
         let mut store = ArtifactStore {
-            data,
-            index,
+            data: open("blobs.dat")?,
+            index: open("index.log")?,
             entries: BTreeMap::new(),
             blobs: BTreeMap::new(),
             append_off: 0,
@@ -219,13 +212,9 @@ impl ArtifactStore {
         slot.3 += 1;
     }
 
-    fn remove_entry(&mut self, id: PageId) -> bool {
-        match self.entries.remove(&id) {
-            Some(e) => {
-                self.deref_blob(e.blob_key);
-                true
-            }
-            None => false,
+    fn remove_entry(&mut self, id: PageId) {
+        if let Some(e) = self.entries.remove(&id) {
+            self.deref_blob(e.blob_key);
         }
     }
 
@@ -283,7 +272,7 @@ impl ArtifactStore {
         artifact: &Artifact,
         hour: u64,
     ) -> io::Result<bool> {
-        let blob = encode_blob(artifact, column_hashes);
+        let blob = encode_blob(artifact, column_hashes).map_err(io::Error::other)?;
         let blob_key = {
             let mut h = Fnv64::new();
             h.write(&blob).write_u64(blob.len() as u64);
@@ -367,26 +356,7 @@ impl ArtifactStore {
     }
 
     fn write_record(&mut self, kind: u8, id: PageId, entry: &StoreEntry) -> io::Result<()> {
-        let mut rec = Vec::with_capacity(RECORD_LEN);
-        rec.extend_from_slice(&RECORD_MAGIC.to_be_bytes());
-        rec.push(kind);
-        for v in [id.site as u32, id.page as u32] {
-            rec.extend_from_slice(&v.to_be_bytes());
-        }
-        for v in [
-            entry.layout_hash,
-            entry.raster_hash,
-            entry.hour,
-            entry.offset,
-            entry.len,
-            entry.blob_key,
-        ] {
-            rec.extend_from_slice(&v.to_be_bytes());
-        }
-        rec.extend_from_slice(&entry.blob_crc.to_be_bytes());
-        let crc = crc32(&rec);
-        rec.extend_from_slice(&crc.to_be_bytes());
-        debug_assert_eq!(rec.len(), RECORD_LEN);
+        let rec = encode_record(kind, id, entry).map_err(io::Error::other)?;
         self.index.write_all(&rec)
     }
 
@@ -407,6 +377,22 @@ impl ArtifactStore {
         }
         Ok(())
     }
+}
+
+/// One index record, as [`read_record`] reads it back; refused if a page
+/// index overflows its `u32` field.
+fn encode_record(kind: u8, id: PageId, entry: &StoreEntry) -> Result<Vec<u8>, Overflow> {
+    let mut rec = Vec::with_capacity(RECORD_LEN);
+    let mut w = ByteWriter::new(&mut rec);
+    w.u32(RECORD_MAGIC).u8(kind);
+    w.narrow_u32(id.site)?.narrow_u32(id.page)?;
+    w.u64(entry.layout_hash).u64(entry.raster_hash);
+    w.u64(entry.hour).u64(entry.offset).u64(entry.len);
+    w.u64(entry.blob_key).u32(entry.blob_crc);
+    let crc = crc32(&rec);
+    ByteWriter::new(&mut rec).u32(crc);
+    debug_assert_eq!(rec.len(), RECORD_LEN);
+    Ok(rec)
 }
 
 /// Reads one index record: its kind, page and entry (`last_used` 0).
@@ -439,19 +425,19 @@ fn read_record(rec: &[u8]) -> Option<(u8, PageId, StoreEntry)> {
 /// plus the per-column hash index: the magic, the page's on-air metadata
 /// blob behind its length, each column's strip bytes behind its length,
 /// then one hash per column.
-fn encode_blob(artifact: &Artifact, column_hashes: &[u64]) -> Vec<u8> {
+fn encode_blob(artifact: &Artifact, column_hashes: &[u64]) -> Result<Vec<u8>, Overflow> {
     let p = &artifact.page;
     let meta = p.meta_blob();
     let mut out = Vec::new();
-    out.extend_from_slice(&BLOB_MAGIC.to_be_bytes());
+    let mut w = ByteWriter::new(&mut out);
+    w.u32(BLOB_MAGIC);
     for section in std::iter::once(&meta).chain(&p.strips.strips) {
-        out.extend_from_slice(&(section.len() as u32).to_be_bytes());
-        out.extend_from_slice(section);
+        w.narrow_u32(section.len())?.bytes(section);
     }
     for &h in column_hashes {
-        out.extend_from_slice(&h.to_be_bytes());
+        w.u64(h);
     }
-    out
+    Ok(out)
 }
 
 /// Deserializes a blob back into an artifact (frames recomputed) and its
@@ -500,4 +486,81 @@ fn decode_blob(blob: &[u8]) -> Option<(Artifact, Vec<u64>)> {
         },
         column_hashes,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use sonic_image::clickmap::{ClickMap, ClickRegion};
+    use sonic_image::raster::{Raster, Rgb};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A blob decodes to the page and hash index it was written from.
+        #[test]
+        fn blob_decodes_to_itself(
+            width in 1usize..12,
+            height in 1usize..40,
+            shade in any::<u8>(),
+            url in "[a-z./:]{0,40}",
+            target in "[a-zé]{0,300}",
+            hash in any::<u64>(),
+        ) {
+            let raster = Raster::filled(width, height, Rgb::new(shade, 9, 200));
+            let region = ClickRegion { x: 1, y: 2, w: 3, h: 4, target };
+            let clickmap = ClickMap { regions: vec![region] };
+            let page = Arc::new(SimplifiedPage::from_raster(&url, &raster, clickmap, 5, 6));
+            let frames = Arc::new(page_to_frames(&page));
+            let artifact = Artifact { page, frames, audio: Arc::default() };
+            let hashes: Vec<u64> = (0..width as u64).map(|x| hash ^ x).collect();
+            let blob = encode_blob(&artifact, &hashes).expect("fits its fields");
+            let (back, back_hashes) = decode_blob(&blob).expect("decodes");
+            prop_assert_eq!(back_hashes, hashes);
+            prop_assert_eq!(back.page.meta_blob(), artifact.page.meta_blob());
+            prop_assert_eq!(&back.page.strips.strips, &artifact.page.strips.strips);
+            prop_assert_eq!(back.frames, artifact.frames);
+        }
+
+        /// An index record reads back as written; a page index past its
+        /// `u32` field is refused, never wrapped onto another page.
+        #[test]
+        fn record_decodes_to_itself_or_is_refused(
+            kind in 1u8..3,
+            site in any::<u32>(),
+            page in any::<u32>(),
+            past in 0u8..3,
+            fields in proptest::collection::vec(any::<u64>(), 6),
+            blob_crc in any::<u32>(),
+        ) {
+            let wide = u64::from(u32::MAX) + 1 + u64::from(site);
+            let id = PageId {
+                site: if past == 1 { wide as usize } else { site as usize },
+                page: if past == 2 { wide as usize } else { page as usize },
+            };
+            let entry = StoreEntry {
+                layout_hash: fields[0],
+                raster_hash: fields[1],
+                hour: fields[2],
+                offset: fields[3],
+                len: fields[4],
+                blob_key: fields[5],
+                blob_crc,
+                last_used: 0,
+            };
+            match encode_record(kind, id, &entry) {
+                Ok(rec) => {
+                    prop_assert_eq!(past, 0);
+                    let (k, back_id, back) = read_record(&rec).expect("reads back");
+                    prop_assert_eq!((k, back_id), (kind, id));
+                    prop_assert_eq!(format!("{back:?}"), format!("{entry:?}"));
+                }
+                Err(e) => {
+                    prop_assert_eq!(e, Overflow { value: wide as usize, max: u32::MAX as usize });
+                    prop_assert!(past != 0);
+                }
+            }
+        }
+    }
 }

@@ -1,6 +1,6 @@
-//! Bit-level writer/reader for the entropy coders, and the byte reader
-//! every decoder of outside bytes (air, SMS-requested pages, disk, wire)
-//! reads its fields through.
+//! Bit-level writer/reader for the entropy coders, and the byte reader and
+//! writer every codec of outside bytes (air, SMS-requested pages, disk,
+//! wire) reads and writes its fields through.
 
 /// MSB-first bit writer.
 #[derive(Debug, Default, Clone)]
@@ -114,29 +114,97 @@ impl<'a> ByteReader<'a> {
         self.take(N)?.try_into().ok()
     }
 
-    /// One byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        self.array().map(u8::from_be_bytes)
-    }
-
-    /// A big-endian `u16`.
-    pub fn u16(&mut self) -> Option<u16> {
-        self.array().map(u16::from_be_bytes)
-    }
-
-    /// A big-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        self.array().map(u32::from_be_bytes)
-    }
-
-    /// A big-endian `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        self.array().map(u64::from_be_bytes)
+    /// A big-endian `u32` count, `None` past `max`: the bound
+    /// [`ByteWriter::bounded_u32`] writes it under.
+    pub fn bounded_u32(&mut self, max: usize) -> Option<usize> {
+        narrow(usize::try_from(self.u32()?).ok()?, max).ok()
     }
 
     /// Bytes not yet read.
     pub fn remaining(&self) -> usize {
         self.rest.len()
+    }
+}
+
+/// Big-endian byte writer appending to a caller's buffer, the mirror of
+/// [`ByteReader`]. A `narrow_*` or `bounded_*` put writes a `usize` into a
+/// narrower field and refuses a value the field (or bound) cannot hold.
+#[derive(Debug)]
+pub struct ByteWriter<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+impl<'a> ByteWriter<'a> {
+    /// Appends to `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        ByteWriter { out }
+    }
+
+    /// Raw bytes.
+    pub fn bytes(&mut self, b: &[u8]) -> &mut Self {
+        self.out.extend_from_slice(b);
+        self
+    }
+
+    /// `n` in a big-endian `u32` field, refused past `max` (at most
+    /// `u32::MAX`): the bound [`ByteReader::bounded_u32`] reads it under.
+    pub fn bounded_u32(&mut self, n: usize, max: usize) -> Result<&mut Self, Overflow> {
+        Ok(self.u32(narrow(n, max)?))
+    }
+}
+
+/// Each integer width's read, put and (where a `usize` can overflow it)
+/// narrowing put, stated once for both sides.
+macro_rules! big_endian {
+    ($($t:ident $(, $narrow:ident)?;)*) => {$(
+        impl ByteReader<'_> {
+            #[doc = concat!("A big-endian `", stringify!($t), "`.")]
+            pub fn $t(&mut self) -> Option<$t> {
+                self.array().map($t::from_be_bytes)
+            }
+        }
+
+        impl ByteWriter<'_> {
+            #[doc = concat!("A big-endian `", stringify!($t), "`.")]
+            pub fn $t(&mut self, v: $t) -> &mut Self {
+                self.bytes(&v.to_be_bytes())
+            }
+            $(
+            #[doc = concat!("`n` in a big-endian `", stringify!($t), "` field.")]
+            pub fn $narrow(&mut self, n: usize) -> Result<&mut Self, Overflow> {
+                Ok(self.$t(narrow(n, $t::MAX as usize)?))
+            }
+            )?
+        }
+    )*};
+}
+
+big_endian! { u8, narrow_u8; u16, narrow_u16; u32, narrow_u32; u64; }
+
+/// A length, count or index a [`ByteWriter`] refused instead of wrapping:
+/// `value` is past `max`, the most its field (or its stated bound) holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Overflow {
+    /// The value refused.
+    pub value: usize,
+    /// The most the field or bound holds.
+    pub max: usize,
+}
+
+impl std::fmt::Display for Overflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Overflow { value, max } = self;
+        write!(f, "{value} overflows a field of at most {max}")
+    }
+}
+
+impl std::error::Error for Overflow {}
+
+/// `value` as a `T`, refused past `max` or past what `T` holds.
+pub fn narrow<T: TryFrom<usize>>(value: usize, max: usize) -> Result<T, Overflow> {
+    match T::try_from(value) {
+        Ok(v) if value <= max => Ok(v),
+        _ => Err(Overflow { value, max }),
     }
 }
 
@@ -189,5 +257,70 @@ mod tests {
         assert_eq!(r.take(usize::MAX), None);
         assert_eq!(r.take(1), Some(&[16u8][..]));
         assert_eq!((r.remaining(), r.u8(), r.take(0)), (0, None, Some(&[][..])));
+    }
+
+    #[test]
+    fn byte_writer_puts_what_the_reader_reads() {
+        let mut out = Vec::new();
+        let mut w = ByteWriter::new(&mut out);
+        w.u8(1).u16(0x0203).u32(0x0405_0607).u64(0x0809_0A0B_0C0D_0E0F).bytes(&[16]);
+        w.narrow_u8(255).unwrap().narrow_u16(65_535).unwrap().bounded_u32(7, 7).unwrap();
+        let mut r = ByteReader::new(&out);
+        assert_eq!((r.u8(), r.u16(), r.u32(), r.u64()), (Some(1), Some(0x0203), Some(0x0405_0607), Some(0x0809_0A0B_0C0D_0E0F)));
+        assert_eq!((r.u8(), r.u8(), r.u16(), r.bounded_u32(7)), (Some(16), Some(255), Some(65_535), Some(7)));
+        assert_eq!(r.remaining(), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Each narrowing put, near and far from its field's top: up to it
+        /// the value reads back, past it the put is refused with the value
+        /// and writes nothing. A stated bound refuses on both sides alike.
+        #[test]
+        fn narrowing_puts_refuse_instead_of_wrapping(
+            width in 0u8..3,
+            near in 0u64..4,
+            far in proptest::prelude::any::<u64>(),
+            bound in 0usize..10_000,
+        ) {
+            let max = [u64::from(u8::MAX), u64::from(u16::MAX), u64::from(u32::MAX)][usize::from(width)];
+            for n in [max - 1 + near, far] {
+                let n = n as usize;
+                let mut out = Vec::new();
+                let mut w = ByteWriter::new(&mut out);
+                let put = match width {
+                    0 => w.narrow_u8(n).map(drop),
+                    1 => w.narrow_u16(n).map(drop),
+                    _ => w.narrow_u32(n).map(drop),
+                };
+                let max = max as usize;
+                if n <= max {
+                    proptest::prop_assert_eq!(put, Ok(()));
+                    let mut r = ByteReader::new(&out);
+                    let back = match width {
+                        0 => r.u8().map(usize::from),
+                        1 => r.u16().map(usize::from),
+                        _ => r.u32().map(|v| v as usize),
+                    };
+                    proptest::prop_assert_eq!(back, Some(n));
+                } else {
+                    proptest::prop_assert_eq!(put, Err(Overflow { value: n, max }));
+                    proptest::prop_assert!(out.is_empty());
+                }
+            }
+            let n = bound % 200 + 4_990;
+            let mut out = Vec::new();
+            let put = ByteWriter::new(&mut out).bounded_u32(n, 5_000).map(drop);
+            let mut refused = Vec::new();
+            ByteWriter::new(&mut refused).u32(n as u32);
+            if n <= 5_000 {
+                proptest::prop_assert_eq!(put, Ok(()));
+                proptest::prop_assert_eq!(ByteReader::new(&out).bounded_u32(5_000), Some(n));
+            } else {
+                proptest::prop_assert_eq!(put, Err(Overflow { value: n, max: 5_000 }));
+                proptest::prop_assert_eq!(ByteReader::new(&refused).bounded_u32(5_000), None);
+            }
+        }
     }
 }

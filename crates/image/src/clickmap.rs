@@ -5,7 +5,7 @@
 //! hyperlinks; clicking a region either loads the cached target page or
 //! triggers an SMS request for it.
 
-use crate::bitio::ByteReader;
+use crate::bitio::{ByteReader, ByteWriter, Overflow};
 
 /// One interactive rectangle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,25 +70,25 @@ impl ClickMap {
     }
 
     /// Serializes to a compact binary blob (broadcast alongside the image).
+    /// Panics on a map [`write`](Self::write) refuses.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.regions.len() as u16).to_be_bytes());
-        for r in &self.regions {
-            out.extend_from_slice(&r.x.to_be_bytes());
-            out.extend_from_slice(&r.y.to_be_bytes());
-            out.extend_from_slice(&r.w.to_be_bytes());
-            out.extend_from_slice(&r.h.to_be_bytes());
-            let t = wire_target(r);
-            out.push(t.len() as u8);
-            out.extend_from_slice(t.as_bytes());
-        }
+        let wrote = self.write(&mut ByteWriter::new(&mut out));
+        assert!(wrote.is_ok(), "click map refused: {wrote:?}");
         out
     }
 
-    /// Length of [`encode`](Self::encode)'s output, computed without
-    /// encoding.
-    pub fn encoded_len(&self) -> usize {
-        2 + self.regions.iter().map(|r| 9 + wire_target(r).len()).sum::<usize>()
+    /// Writes [`encode`](Self::encode)'s bytes: the region count as a
+    /// `u16` (more regions are refused), then each region's `x`, `y`, `w`,
+    /// `h` and its target behind a one-byte length, cut to fit.
+    pub fn write(&self, w: &mut ByteWriter<'_>) -> Result<(), Overflow> {
+        w.narrow_u16(self.regions.len())?;
+        for r in &self.regions {
+            let t = wire_target(r);
+            w.u16(r.x).u16(r.y).u16(r.w).u16(r.h);
+            w.narrow_u8(t.len())?.bytes(t.as_bytes());
+        }
+        Ok(())
     }
 
     /// Inverse of [`encode`](Self::encode); `None` on malformed input.
@@ -113,7 +113,7 @@ impl ClickMap {
 /// its one-byte length is cut at the last character boundary that fits, so
 /// it stays valid UTF-8.
 fn wire_target(r: &ClickRegion) -> &str {
-    &r.target[..r.target.floor_char_boundary(255)]
+    &r.target[..r.target.floor_char_boundary(u8::MAX.into())]
 }
 
 #[cfg(test)]
@@ -169,7 +169,6 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let m = sample();
-        assert_eq!(m.encoded_len(), m.encode().len());
         assert_eq!(ClickMap::decode(&m.encode()), Some(m));
     }
 
@@ -210,7 +209,6 @@ mod tests {
         };
         let back = ClickMap::decode(&m.encode()).expect("valid UTF-8 on the wire");
         assert_eq!(back.regions[0].target, target[..254]);
-        assert_eq!(m.encoded_len(), m.encode().len());
     }
 
     #[test]

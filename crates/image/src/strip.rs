@@ -121,6 +121,12 @@ pub fn encode_column(pixels: &[Rgb]) -> Vec<u8> {
     w.finish()
 }
 
+/// A decoded DPCM level `prev`, clamped to `0..=max`, back at its 8-bit
+/// scale: `max << shift` fits a byte, so the conversion is exact.
+fn level(prev: i32, max: u8, shift: u32) -> f32 {
+    f32::from(u8::try_from(prev.clamp(0, max.into())).unwrap_or(max) << shift)
+}
+
 /// Decodes as much of a column as the byte prefix allows.
 ///
 /// Returns the reconstructed pixels and the count of *fully decoded* luma
@@ -135,7 +141,7 @@ fn decode_column_prefix(data: &[u8], height: usize) -> (Vec<Rgb>, usize) {
         match se_read(&mut r) {
             Some(d) => {
                 prev += d;
-                luma.push(((prev.clamp(0, 63) as u32) << Y_SHIFT) as f32);
+                luma.push(level(prev, 63, Y_SHIFT));
             }
             None => break,
         }
@@ -150,7 +156,7 @@ fn decode_column_prefix(data: &[u8], height: usize) -> (Vec<Rgb>, usize) {
             match se_read(&mut r) {
                 Some(d) => {
                     prev += d;
-                    plane.push(((prev.clamp(0, 31) as u32) << C_SHIFT) as f32);
+                    plane.push(level(prev, 31, C_SHIFT));
                 }
                 None => break 'outer,
             }
@@ -162,7 +168,7 @@ fn decode_column_prefix(data: &[u8], height: usize) -> (Vec<Rgb>, usize) {
         let ci = y / CHROMA_SUB;
         let cb = planes[0].get(ci).copied().unwrap_or(128.0);
         let cr = planes[1].get(ci).copied().unwrap_or(128.0);
-        out.push(ycbcr_to_rgb(l + (1 << (Y_SHIFT - 1)) as f32, cb, cr));
+        out.push(ycbcr_to_rgb(l + f32::from(1u8 << (Y_SHIFT - 1)), cb, cr));
     }
     (out, valid_luma)
 }
@@ -276,17 +282,14 @@ pub fn encode_delta_prehashed(
 /// Columns whose content address changed between two hash indexes — the
 /// delta-carousel's dirty set. Both slices must describe the same width;
 /// a length mismatch means the dimensions changed and *every* column is
-/// dirty, so all of them are returned.
+/// dirty, so all of them are returned. Columns are named by their `u16`
+/// frame index, so only the first 65 536 are compared (no page is wider).
 pub fn diff_columns(prev_hashes: &[u64], new_hashes: &[u64]) -> Vec<u16> {
-    if prev_hashes.len() != new_hashes.len() {
-        return (0..new_hashes.len() as u16).collect();
-    }
-    new_hashes
-        .iter()
-        .zip(prev_hashes)
-        .enumerate()
-        .filter(|(_, (n, p))| n != p)
-        .map(|(x, _)| x as u16)
+    let resized = prev_hashes.len() != new_hashes.len();
+    (0..=u16::MAX)
+        .zip(new_hashes)
+        .filter(|&(x, n)| resized || prev_hashes[usize::from(x)] != *n)
+        .map(|(x, _)| x)
         .collect()
 }
 

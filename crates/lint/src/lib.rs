@@ -23,6 +23,10 @@
 //!   (`228_000`, `57_000`, `44_100`, …) must come from named constants.
 //! * **R6 `safety-comment`** — any `unsafe` block requires a
 //!   `// SAFETY:` line (the crates also `#![forbid(unsafe_code)]`).
+//! * **R7 `wire-totality`** and **R8 `lossy-cast`** — see [`rules`].
+//! * **R9 `tombstone`** — deleted designs stay deleted: one table of
+//!   (scope, banned pattern, reason) over the tree's text, manifests and
+//!   lock files included ([`tombstone`]).
 //!
 //! Diagnostics carry `file:line:rule` and a machine-readable `--json`
 //! mode. Any finding fails the run: fix it, or `// lint: allow` it with a
@@ -38,6 +42,7 @@ pub mod lexer;
 pub mod resolve;
 pub mod rules;
 pub mod scan;
+pub mod tombstone;
 pub mod workspace;
 
 pub use graph::{CallGraph, GraphStats};
@@ -49,12 +54,23 @@ use std::path::Path;
 /// Scans a set of in-memory sources and returns sorted findings. This is
 /// the core entry point the CLI, the fixture tests and the self-run test
 /// all share; paths decide rule scope, so fixtures pass virtual paths.
+/// R1–R8 read the Rust sources outside `vendor/`; R9 reads every source.
 pub fn lint_sources(sources: &[SourceFile]) -> Vec<Finding> {
-    let scanned: Vec<scan::ScannedFile> = sources
+    let mut findings = rules::analyze(&scan_rust(sources));
+    tombstone::check(sources, &mut findings);
+    findings.sort_by(|a, b| {
+        (&a.file, a.line, a.rule, &a.key).cmp(&(&b.file, b.line, b.rule, &b.key))
+    });
+    findings
+}
+
+/// The sources R1–R8 read, scanned.
+fn scan_rust(sources: &[SourceFile]) -> Vec<scan::ScannedFile> {
+    sources
         .iter()
+        .filter(|s| s.path.ends_with(".rs") && !s.path.starts_with("vendor/"))
         .map(|s| scan::scan(&s.path, &s.text))
-        .collect();
-    rules::analyze(&scanned)
+        .collect()
 }
 
 /// Walks the workspace at `root` and lints everything in scope.
@@ -66,12 +82,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
 /// Walks the workspace at `root` and builds the call graph only (the
 /// `--graph-stats` mode).
 pub fn graph_workspace(root: &Path) -> Result<CallGraph, String> {
-    let sources = workspace::collect(root)?;
-    let scanned: Vec<scan::ScannedFile> = sources
-        .iter()
-        .map(|s| scan::scan(&s.path, &s.text))
-        .collect();
-    Ok(graph::build(&scanned))
+    Ok(graph::build(&scan_rust(&workspace::collect(root)?)))
 }
 
 /// Renders one finding as the canonical `file:line: id [slug] message` line.

@@ -106,7 +106,10 @@ fn main() -> ExitCode {
     if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
-        eprintln!("sonic-lint: fix each finding, or `// lint: allow` it with a justification");
+        eprintln!(
+            "sonic-lint: fix each finding, or `// lint: allow` it with a justification \
+             (an R9 tombstone takes no allow: remove the design, or its table entry)"
+        );
         ExitCode::FAILURE
     }
 }

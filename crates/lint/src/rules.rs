@@ -1,4 +1,5 @@
-//! The eight SONIC invariant rules (DESIGN.md §9 and §15).
+//! The SONIC invariant rules (DESIGN.md §9 and §15): eight here, and R9's
+//! table in [`crate::tombstone`].
 //!
 //! | id | slug             | invariant                                           |
 //! |----|------------------|-----------------------------------------------------|
@@ -14,8 +15,11 @@
 //! | R6 | safety-comment   | every `unsafe` carries a `// SAFETY:` line          |
 //! | R7 | wire-totality    | every `net::proto` message variant is encoded,      |
 //! |    |                  | decoded, and named in a round-trip test             |
-//! | R8 | lossy-cast       | truncating/wrapping `as` casts in `net`/`fec`/      |
-//! |    |                  | `dsp::simd` need `// lint: checked-cast`            |
+//! | R8 | lossy-cast       | truncating/wrapping `as` casts in `net`, every      |
+//! |    |                  | air/disk/SMS writer, `fec` and `dsp::simd` need     |
+//! |    |                  | `// lint: checked-cast`                             |
+//! | R9 | tombstone        | deleted designs stay deleted (one table of scope,   |
+//! |    |                  | banned pattern, reason)                             |
 //!
 //! R1/R3/R4 run twice: lexically (the construct itself, inside the scoped
 //! file or fn) and **transitively** over the [`crate::graph`] call graph —
@@ -29,7 +33,7 @@ use crate::lexer::{Token, TokenKind};
 use crate::scan::ScannedFile;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Rule identity; order is the R1–R8 numbering.
+/// Rule identity; order is the R1–R9 numbering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// R1 — allocation banned in hot-path functions (transitive).
@@ -49,10 +53,12 @@ pub enum Rule {
     WireTotality,
     /// R8 — lossy `as` casts in wire/FEC/SIMD code need justification.
     LossyCast,
+    /// R9 — a deleted design's pattern is back in its scope.
+    Tombstone,
 }
 
 impl Rule {
-    /// Short id, `R1`–`R8`.
+    /// Short id, `R1`–`R9`.
     pub fn id(self) -> &'static str {
         match self {
             Rule::NoAlloc => "R1",
@@ -63,6 +69,7 @@ impl Rule {
             Rule::SafetyComment => "R6",
             Rule::WireTotality => "R7",
             Rule::LossyCast => "R8",
+            Rule::Tombstone => "R9",
         }
     }
 
@@ -77,6 +84,7 @@ impl Rule {
             Rule::SafetyComment => "safety-comment",
             Rule::WireTotality => "wire-totality",
             Rule::LossyCast => "lossy-cast",
+            Rule::Tombstone => "tombstone",
         }
     }
 }
@@ -164,11 +172,21 @@ fn r7_in_scope(path: &str) -> bool {
     path.ends_with("net/proto.rs")
 }
 
-/// Paths in scope for R8 lossy-cast hygiene: the wire boundary, the FEC
-/// math and the SIMD kernels — the places where a silent truncation
-/// corrupts data instead of crashing.
+/// Paths in scope for R8 lossy-cast hygiene: the wire boundary, every
+/// writer of air, disk or SMS bytes, the FEC math and the SIMD kernels —
+/// the places where a silent truncation corrupts data instead of crashing.
 fn r8_in_scope(path: &str) -> bool {
     path.starts_with("crates/core/src/net/")
+        || matches!(
+            path,
+            "crates/core/src/page.rs"
+                | "crates/core/src/frame.rs"
+                | "crates/core/src/chunker.rs"
+                | "crates/core/src/server/store.rs"
+                | "crates/image/src/clickmap.rs"
+                | "crates/image/src/strip.rs"
+        )
+        || path.starts_with("crates/sms/src/")
         || path.starts_with("crates/fec/src/")
         || path == "crates/dsp/src/simd.rs"
         || path.starts_with("crates/dsp/src/simd/")

@@ -1,14 +1,11 @@
 //! Deterministic workspace file walker.
 //!
-//! Collects every `.rs` file the lint pass should see, in sorted order so
-//! diagnostics are stable across machines:
-//!
-//! * `crates/*/{src,tests,examples,benches}/**` — library + test code;
-//! * top-level `src/`, `tests/`, `examples/`;
-//!
-//! and skips `vendor/` (offline stand-ins, not ours to lint), any `target/`
-//! directory, and `crates/lint/tests/fixtures/` (deliberately-bad snippets
-//! that must never count as workspace findings).
+//! Collects every `.rs` file, `Cargo.toml` and `Cargo.lock` the lint pass
+//! should see, in sorted order so diagnostics are stable across machines,
+//! and skips any `target/` directory, dot directories and
+//! `crates/lint/tests/fixtures/` (deliberately-bad snippets that must never
+//! count as workspace findings). `vendor/` (offline stand-ins, not ours to
+//! lint) is collected for R9's tombstones only.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -23,7 +20,7 @@ pub struct SourceFile {
 }
 
 /// Directory names never descended into.
-const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
+const SKIP_DIRS: &[&str] = &["target"];
 
 /// Path prefixes (workspace-relative) excluded from linting.
 const SKIP_PREFIXES: &[&str] = &["crates/lint/tests/fixtures"];
@@ -64,7 +61,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) {
                 continue;
             }
             walk(root, &path, out);
-        } else if name.ends_with(".rs") {
+        } else if name.ends_with(".rs") || name == "Cargo.toml" || name == "Cargo.lock" {
             if SKIP_PREFIXES.iter().any(|p| rel.starts_with(p)) {
                 continue;
             }
@@ -100,10 +97,8 @@ mod tests {
         let files = collect(&root).expect("collect");
         assert!(files.iter().any(|f| f.path == "crates/lint/src/lexer.rs"));
         assert!(files.iter().any(|f| f.path.starts_with("crates/radio/src/")));
-        assert!(
-            !files.iter().any(|f| f.path.starts_with("vendor/")),
-            "vendored stand-ins must not be linted"
-        );
+        assert!(files.iter().any(|f| f.path == "crates/lint/Cargo.toml"));
+        assert!(files.iter().any(|f| f.path == "vendor/rand/Cargo.toml"));
         assert!(
             !files
                 .iter()

@@ -503,3 +503,59 @@ fn allow_directive_suppresses_fixture_finding() {
     }]);
     assert!(got.is_empty(), "{got:?}");
 }
+
+/// R9: every tombstone has a fixture line that trips it alone, and the
+/// finding shows in `--json`; the `-` lines (an exempt path, a scope the
+/// entry does not read, a longer word) trip nothing.
+#[test]
+fn r9_every_tombstone_trips_on_its_fixture() {
+    use sonic_lint::tombstone::TOMBSTONES;
+    let mut tripped = Vec::new();
+    for line in fixture("r9_tombstones.txt").lines() {
+        let (sign, rest) = line.split_at(line.len().min(2));
+        let Some((path, text)) = rest.split_once(" => ") else {
+            continue;
+        };
+        let src = SourceFile {
+            path: path.to_string(),
+            text: format!("\n{text}\n"),
+        };
+        let found = lint_sources(&[src]);
+        match sign {
+            "+ " => {
+                let [f] = found.as_slice() else {
+                    panic!("{line}: want one finding, got {found:?}");
+                };
+                assert_eq!((f.rule, f.line, f.file.as_str()), (Rule::Tombstone, 2, path), "{line}");
+                let json = sonic_lint::findings_to_json(&found);
+                assert!(json.contains("\"rule\": \"R9\"") && json.contains("\"slug\": \"tombstone\""), "{json}");
+                tripped.push(f.key.clone());
+            }
+            _ => assert!(found.is_empty(), "{line}: {found:?}"),
+        }
+    }
+    let table: Vec<String> = TOMBSTONES.iter().map(|t| t.pattern.to_string()).collect();
+    assert_eq!(tripped, table, "one `+` fixture line per entry, in table order");
+}
+
+/// `vendor/` is read by R9 alone: a vendored stand-in's `unsafe` without a
+/// `// SAFETY:` line is not ours to lint, a tombstone in it is.
+#[test]
+fn vendored_sources_are_read_by_r9_only() {
+    let src = SourceFile {
+        path: "vendor/x/src/lib.rs".to_string(),
+        text: fixture("r6_safety_comment.rs"),
+    };
+    assert!(lint_sources(std::slice::from_ref(&src)).is_empty());
+    let moved = SourceFile {
+        path: "crates/x/src/lib.rs".to_string(),
+        ..src
+    };
+    assert!(lint_sources(&[moved]).iter().any(|f| f.rule == Rule::SafetyComment));
+    let manifest = SourceFile {
+        path: "vendor/x/Cargo.toml".to_string(),
+        text: "[dependencies]\ncriterion = \"0.5\"\n".to_string(),
+    };
+    let found = lint_sources(&[manifest]);
+    assert_eq!(found.iter().map(|f| (f.rule, f.line)).collect::<Vec<_>>(), [(Rule::Tombstone, 2)]);
+}

@@ -74,17 +74,13 @@ pub fn segment(text: &str, reference: u8) -> Result<Vec<Segment>, SmsError> {
     if !cur.is_empty() {
         chunks.push(cur);
     }
-    if chunks.len() > 255 {
-        return Err(SmsError::TooLong);
-    }
-    let total = chunks.len() as u8;
-    Ok(chunks
-        .into_iter()
-        .enumerate()
-        .map(|(k, septets)| Segment {
+    let total = u8::try_from(chunks.len()).map_err(|_| SmsError::TooLong)?;
+    Ok((1..=total)
+        .zip(chunks)
+        .map(|(index, septets)| Segment {
             reference,
             total,
-            index: k as u8 + 1,
+            index,
             septets,
         })
         .collect())

@@ -1,10 +1,11 @@
 //! Property-based tests of the stack's core invariants (proptest).
 
 use proptest::prelude::*;
-use sonic::core::frame::{Frame, FRAME_PAYLOAD};
+use sonic::core::frame::{Frame, FRAME_PAYLOAD, STRIP_SEQ_BITS};
 use sonic::fec::bits::bits_to_soft;
 use sonic::fec::rs::RsCodec;
 use sonic::fec::{CodeSpec, FecPipeline};
+use sonic::image::bitio::{ByteWriter, Overflow};
 use sonic::image::clickmap::{ClickMap, ClickRegion};
 use sonic::image::interpolate::{recover, LossMask};
 use sonic::image::raster::{Raster, Rgb};
@@ -14,18 +15,36 @@ use sonic::sms::pdu;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// CRC-32 never collides with a single bit flip anywhere in the frame.
+    /// Any strip or meta frame whose fields fit their widths decodes to
+    /// itself; a strip `seq` past STRIP_SEQ_BITS or a payload past
+    /// FRAME_PAYLOAD is refused (a panic), never wrapped into another frame.
     #[test]
     fn frame_roundtrip_any_payload(
         page_id in any::<u32>(),
         column in 0u16..2048,
-        seq in 0u16..0x7FFF,
+        seq in 0u16..=0x7FFF,
         last in any::<bool>(),
         payload in proptest::collection::vec(any::<u8>(), 0..=FRAME_PAYLOAD),
+        meta in any::<bool>(),
+        part in any::<u16>(),
+        total in any::<u16>(),
+        over in 1u16..=0x8000,
     ) {
-        let f = Frame::Strip { page_id, column, seq, last, payload };
+        let f = if meta {
+            Frame::Meta { page_id, seq: part, total, payload: payload.clone() }
+        } else {
+            Frame::Strip { page_id, column, seq, last, payload: payload.clone() }
+        };
         let wire = f.encode();
         prop_assert_eq!(Frame::decode(&wire), Ok(f));
+        let seq = (1 << STRIP_SEQ_BITS) - 1 + over;
+        let wide_seq = Frame::Strip { page_id, column, seq, last, payload: payload.clone() };
+        let mut long = payload;
+        long.resize(FRAME_PAYLOAD + usize::from(over % 64) + 1, 0);
+        let long = Frame::Meta { page_id, seq: 0, total, payload: long };
+        for refused in [wide_seq, long] {
+            prop_assert!(std::panic::catch_unwind(|| refused.encode()).is_err());
+        }
     }
 
     /// The FEC pipeline is the identity over a clean channel for any payload.
@@ -69,21 +88,42 @@ proptest! {
         prop_assert_eq!(pdu::reassemble(&segs), Some(text));
     }
 
-    /// Click maps survive serialization for arbitrary region sets.
+    /// Click maps survive serialization for arbitrary region sets; a
+    /// target past its one-byte length comes back cut at a character
+    /// boundary, and a count past its `u16` is refused, never wrapped.
     #[test]
     fn clickmap_roundtrip(
         regions in proptest::collection::vec(
             (any::<u16>(), any::<u16>(), 1u16..500, 1u16..500, "[a-z./:]{1,40}"),
             0..12,
-        )
+        ),
+        long_target in "[a-zé]{200,300}",
+        excess in 0usize..2,
     ) {
-        let cm = ClickMap {
+        let mut cm = ClickMap {
             regions: regions
                 .into_iter()
                 .map(|(x, y, w, h, target)| ClickRegion { x, y, w, h, target })
                 .collect(),
         };
-        prop_assert_eq!(ClickMap::decode(&cm.encode()), Some(cm));
+        prop_assert_eq!(ClickMap::decode(&cm.encode()), Some(cm.clone()));
+
+        let cut = &long_target[..long_target.floor_char_boundary(255)];
+        cm.regions.push(ClickRegion { x: 0, y: 0, w: 1, h: 1, target: long_target.clone() });
+        let back = ClickMap::decode(&cm.encode()).expect("cut target decodes");
+        prop_assert_eq!(back.regions.last().map(|r| r.target.as_str()), Some(cut));
+
+        let region = cm.regions[0].clone();
+        let count = usize::from(u16::MAX) + excess;
+        let wide = ClickMap { regions: vec![region; count] };
+        let mut out = Vec::new();
+        let wrote = wide.write(&mut ByteWriter::new(&mut out));
+        if excess == 0 {
+            prop_assert_eq!(wrote, Ok(()));
+            prop_assert_eq!(ClickMap::decode(&out).map(|m| m.regions.len()), Some(count));
+        } else {
+            prop_assert_eq!(wrote, Err(Overflow { value: count, max: count - 1 }));
+        }
     }
 
     /// Strip coding: any per-column byte-prefix truncation loses only a
